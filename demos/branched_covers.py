@@ -4,8 +4,8 @@
 The n-fold cyclic branched cover of a two-bridge knot is a closed
 3-manifold; the order of its first homology group can be computed from
 
-  1. a finite presentation of the fundamental group (abelianized and put
-     into Smith normal form),
+  1. a finite presentation of the fundamental group (abelianized; the
+     order comes from elimination modulo a maximal minor),
   2. the resultant of the Alexander polynomial with t^n - 1, and
   3. for the four-parameter genus-2 family at n = 3, a closed-form
      determinant table.
@@ -35,7 +35,7 @@ def main():
     matrix = abelianization_matrix(pres)
     for row in matrix:
         print("   ", "  ".join(f"{e!s:>3}" for e in row))
-    print(f"  |H_1| via Smith normal form : {h1_order(pres)}")
+    print(f"  |H_1| via presentation      : {h1_order(pres)}")
     closed = abs(table_formula("L", "*,*,*", {"q": q, "s": s, "t": t, "l": l}))
     print(f"  |H_1| via closed form       : {closed}")
     oracle = h1_cyclic_cover_order([-2 * q, 2 * s, -2 * t, 2 * l], 3)

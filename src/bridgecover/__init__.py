@@ -7,7 +7,7 @@ Subpackages by capability:
 - ``words``         parametric free-group words with affine exponents and a
                     conservative sign calculus
 - ``presentations`` the two cover-group presentation families, abelianization
-                    and Smith normal form
+                    and H_1 orders by elimination modulo a maximal minor
 - ``goeritz``       Goeritz matrices, the two block-matrix link families and
                     their closed-form determinant tables
 - ``qacert``        quasi-alternating / L-space certificates (generate,

@@ -6,8 +6,9 @@ Subcommands
 - ``fraction``    evaluate a continued fraction, name the knot, mirror terms,
                   canonical even expansion
 - ``h1``          order of H_1 of an n-fold cyclic branched cover, by any or
-                  all of the three methods (presentation SNF, Alexander
-                  resultant oracle, closed-form table)
+                  all of the three methods (``snf``: the cover presentation,
+                  its order by Hermite elimination modulo a maximal minor;
+                  Alexander resultant oracle; closed-form table)
 - ``identities``  the symbolic determinant-identity suites and the
                   matrix-vs-formula grid suite
 - ``cert``        generate and verify quasi-alternating certificates
@@ -775,6 +776,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2  # unreachable; parser.error exits
     except (WordError, CertError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError as exc:
+        # Certificate generation, verification and serialization recurse
+        # once per level, so very deep inputs pass Python's recursion limit.
+        print(f"error: input too deep: {exc}", file=sys.stderr)
         return 1
 
 

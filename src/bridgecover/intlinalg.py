@@ -1,5 +1,6 @@
 """Exact integer linear algebra: fraction-free determinants, Smith normal form,
-and polynomial resultants.
+cokernel orders by elimination modulo a maximal minor, and polynomial
+resultants.
 
 Everything here works on plain Python ints (arbitrary precision), so results
 are exact for matrices of any size that fits in memory.  No floating point.
@@ -7,9 +8,26 @@ are exact for matrices of any size that fits in memory.  No floating point.
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 IntMatrix = List[List[int]]
+
+
+class Infinite:
+    """Sentinel for an infinite group order."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITE"
+
+
+INFINITE = Infinite()
 
 
 def copy_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
@@ -35,28 +53,38 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     The empty 0x0 matrix has determinant 1.
     """
     n = len(matrix)
-    if n == 0:
-        return 1
     for row in matrix:
         if len(row) != n:
             raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
-    m = copy_matrix(matrix)
+    return _bareiss(copy_matrix(matrix), n)
+
+
+def _bareiss(m: IntMatrix, ncols: int) -> int:
+    """Bareiss elimination of m (at least ncols rows of ncols entries) in
+    place, swapping a row with a non-zero pivot up when needed.
+
+    After step k, entry (i, j) below the pivots is the minor on rows 0..k, i
+    and columns 0..k, j, so the last pivot is the leading ncols x ncols minor
+    of the swapped rows.  Returns that minor times the sign of the swaps: the
+    determinant of a square m, and 0 exactly when the rank is below ncols.
+    """
+    nrows = len(m)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(ncols):
         if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            pivot_row = next((i for i in range(k + 1, nrows) if m[i][k] != 0), None)
             if pivot_row is None:
                 return 0
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
+        for i in range(k + 1, nrows):
+            for j in range(k + 1, ncols):
                 # Exact division: Bareiss guarantees divisibility by prev.
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 def sylvester_matrix(f: Sequence[int], g: Sequence[int]) -> IntMatrix:
@@ -229,6 +257,71 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     diagonal = [m[i][i] for i in range(size)]
     rank = sum(1 for d in diagonal if d != 0)
     return SNFResult(diagonal, rank, u, v)
+
+
+def cokernel_order(matrix: Sequence[Sequence[int]],
+                   ncols: Optional[int] = None) -> Union[int, Infinite]:
+    """Order of Z^ncols / (integer span of the matrix rows), or INFINITE when
+    the rows span a lattice of rank below ncols.  ``ncols`` defaults to the
+    length of the first row; it is needed only for a matrix with no rows.
+
+    A Bareiss pass finds the rank and D, a non-zero maximal minor.  D * Z^n
+    lies in the row lattice L, so a Hermite elimination may reduce every
+    entry modulo D (Domich-Kannan-Trotter 1987; Hafner-McCurley 1991) and no
+    entry outgrows D.  Column j's pivot is h = gcd(column entries, R) with
+    R = D / (earlier pivots); the order of Z^n / L, a divisor of D, is the
+    product of the pivots.
+    """
+    nrows = len(matrix)
+    n = ncols if ncols is not None else (len(matrix[0]) if nrows else 0)
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError(f"row of length {len(row)} in a matrix of {n} columns")
+    if nrows < n:
+        return INFINITE
+    r = abs(_bareiss(copy_matrix(matrix), n))
+    if r == 0:
+        return INFINITE
+
+    # Before column j, the remaining rows span the lattice L_j of Z^(n-j)
+    # whose determinant is |Z^n / L| / (earlier pivots), a divisor of r; so
+    # L_j contains r * Z^(n-j), entries may be taken modulo r, and r * e_j
+    # may start the pivot row.  Once the pivot h is found, the multiple
+    # (r / h) * pivot row - r * e_j vanishes modulo r / h, so the rows below
+    # the pivot span L_(j+1).
+    rows: Sequence[Sequence[int]] = matrix
+    order = 1
+    for j in range(n):
+        if r == 1:
+            break
+        head = [r] + [0] * (n - j - 1)
+        rest = []
+        for row in rows:
+            row = [x % r for x in row]
+            a = row[0]
+            if a != 0:
+                g, x, y = _xgcd(head[0], a)
+                p, q = head[0] // g, a // g
+                # [[x, y], [-q, p]] is unimodular: x * p + y * q = 1.
+                head, row = ([(x * u + y * v) % r for u, v in zip(head, row)],
+                             [p * v - q * u for u, v in zip(head, row)])
+            if any(row):
+                rest.append(row[1:])
+        h = head[0]
+        order *= h
+        r //= h
+        rows = rest
+    return order
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a, b >= 0 not both 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def in_row_span(matrix: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:

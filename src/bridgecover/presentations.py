@@ -9,20 +9,21 @@ x1..xn and one relator per index (mod n):
 - the genus-two family, parametrized by (q, s, t, l): one long relator per
   index, transcribed once as a template over a five-generator window.
 
-Abelianizations go through exact Smith normal form, so first-homology orders
-can be cross-checked against the knot-theoretic oracle (Alexander-polynomial
-resultants).  The module also machine-checks the word-level identities the
-genus-two family satisfies: the product telescope r3 r2 r1 = zyx and the
-rewritten relator forms r', r''.
+First-homology orders come from the abelianization by exact Hermite
+elimination modulo a non-zero maximal minor, which keeps every entry below
+that minor, so they can be cross-checked against the knot-theoretic oracle
+(Alexander-polynomial resultants) at any cover degree.  The module also
+machine-checks the word-level identities the genus-two family satisfies:
+the product telescope r3 r2 r1 = zyx and the rewritten relator forms r',
+r''.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .intlinalg import SNFResult, in_row_span, smith_normal_form
+from .intlinalg import Infinite, cokernel_order, in_row_span
 from .multipoly import MultiPoly
-from .twobridge import INFINITE, Infinite
 from .words import (
     AffineExp, CyclicMatch, Letter, ParamEnv, ParamWord, WordError,
     cyclic_normal_form, equal_up_to_cyclic, exponent_sums, instantiate,
@@ -226,16 +227,14 @@ def abelianization_matrix(p: Presentation,
 
 def h1_order(p: Presentation,
              values: Optional[Mapping[str, int]] = None) -> Union[int, Infinite]:
-    """Order of the abelianization, or INFINITE if it has positive rank."""
+    """Order of the abelianization, or INFINITE if it has positive rank.
+
+    The order comes from Hermite elimination modulo a non-zero maximal minor
+    of the exponent-sum matrix (``intlinalg.cokernel_order``), so entries
+    stay below that minor however large the cover.
+    """
     matrix = abelianization_matrix(p, values if values is not None else {})
-    snf = smith_normal_form(matrix)
-    if snf.rank < len(p.generators):
-        return INFINITE
-    order = 1
-    for d in snf.diagonal:
-        if d != 0:
-            order *= d
-    return order
+    return cokernel_order(matrix, len(p.generators))
 
 
 # ---------------------------------------------------------------------------

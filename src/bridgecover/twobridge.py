@@ -15,24 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .intlinalg import det_bareiss, resultant
-
-
-class Infinite:
-    """Sentinel for an infinite group order."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = Infinite()
+from .intlinalg import INFINITE, Infinite, det_bareiss, resultant
 
 
 def cf_value(terms: Sequence[int]) -> Fraction:

@@ -388,19 +388,6 @@ class ParamWord:
         return " ".join(item.to_text() for item in self.items)
 
 
-def word(*items: Union[WordItem, ParamWord, str]) -> ParamWord:
-    """Convenience builder: strings are parsed, items and words concatenated."""
-    out: List[WordItem] = []
-    for item in items:
-        if isinstance(item, str):
-            out.extend(parse_word(item).items)
-        elif isinstance(item, ParamWord):
-            out.extend(item.items)
-        else:
-            out.append(item)
-    return ParamWord(out)
-
-
 def syll(gen: str, exponent: Union[AffineExp, int, str] = 1) -> Syllable:
     return Syllable(gen, AffineExp.coerce(exponent))
 

@@ -240,6 +240,15 @@ def test_cert_alternating_base_case(capsys):
     assert json.loads(out)["claim"] == "QUASI_ALTERNATING"
 
 
+def test_cert_past_the_recursion_limit_is_a_one_line_error(capsys):
+    code, out, err = run(["cert", "generate", "--family", "A",
+                          "--params", "2,2,120"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion" in err
+
+
 def test_cert_verify_rejects_a_mutated_determinant(capsys, tmp_path):
     run(["cert", "generate", "--family", "L", "--params", "1,1,1,1",
          "--out", str(tmp_path / "c.json")], capsys)

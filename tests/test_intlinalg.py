@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from bridgecover.intlinalg import (
+    INFINITE,
+    cokernel_order,
     det_bareiss,
     gcd_of_minors,
     mat_mul,
@@ -140,3 +144,78 @@ def test_snf_transforms_reconstruct_diagonal():
                 assert d[i][j] == expect
         assert abs(det_bareiss(res.u)) == 1
         assert abs(det_bareiss(res.v)) == 1
+
+
+def _snf_order(m, ncols):
+    res = smith_normal_form(m)
+    if res.rank < ncols:
+        return INFINITE
+    order = 1
+    for d in res.diagonal:
+        order *= d
+    return order
+
+
+def test_cokernel_order_matches_minor_gcd_and_snf():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        nc = rng.randrange(1, 6)
+        nr = rng.randrange(nc, nc + 4)
+        bound = rng.choice((3, 9, 60))
+        m = [[rng.randrange(-bound, bound + 1) for _ in range(nc)]
+             for _ in range(nr)]
+        g = gcd_of_minors(m, nc)
+        got = cokernel_order(m)
+        assert got == (g if g else INFINITE), (m, got, g)
+        if bound == 3:  # larger entries can make the unbounded SNF blow up
+            assert got == _snf_order(m, nc), m
+
+
+def test_cokernel_order_of_a_product_with_known_determinant():
+    # Rows of u * diag(d) * v span a lattice of index |d_1 ... d_n|; the
+    # scrambling makes every entry of the input large.
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randrange(2, 7)
+        diag = [rng.choice((1, 2, 3, 5, 12, 97)) for _ in range(n)]
+        d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        m = mat_mul(_random_unimodular(n, rng),
+                    mat_mul(d, _random_unimodular(n, rng)))
+        expect = 1
+        for x in diag:
+            expect *= x
+        assert cokernel_order(m) == expect, (m, diag)
+
+
+def test_cokernel_order_matches_sympy_smith_form():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+
+    rng = random.Random(314)
+    for _ in range(60):
+        nr = rng.randrange(1, 7)
+        nc = rng.randrange(1, 6)
+        m = [[rng.randrange(-12, 13) for _ in range(nc)] for _ in range(nr)]
+        snf = normalforms.smith_normal_form(Matrix(m))
+        order = 1
+        for i in range(min(nr, nc)):
+            order *= abs(int(snf[i, i]))
+        expect = INFINITE if nr < nc or order == 0 else order
+        assert cokernel_order(m) == expect, m
+
+
+def test_cokernel_order_infinite_cases():
+    # rank below the column count
+    assert cokernel_order([[1, 2], [2, 4], [3, 6]]) is INFINITE
+    assert cokernel_order([[0, 0], [0, 0], [0, 0]]) is INFINITE
+    assert cokernel_order([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) is INFINITE
+    # fewer rows than columns, and no rows at all
+    assert cokernel_order([[1, 0, 0], [0, 1, 0]]) is INFINITE
+    assert cokernel_order([], 3) is INFINITE
+    # zero rows next to a full-rank block do not change the order
+    assert cokernel_order([[0, 0], [2, 0], [0, 0], [0, 3]]) == 6
+    assert cokernel_order([], 0) == 1
+    assert cokernel_order([[7]]) == 7
+    assert cokernel_order([[-4], [6]]) == 2
+    with pytest.raises(ValueError):
+        cokernel_order([[1, 2], [3]])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bridgecover import cli, intlinalg, presentations
 from bridgecover.intlinalg import in_row_span
 from bridgecover.multipoly import MultiPoly
 from bridgecover.presentations import (
@@ -136,6 +137,56 @@ def test_mv_h1_triple_agreement_grid():
         expansion = EvenExpansion([-2 * q, 2 * s, -2 * t, 2 * l])
         assert h1_order(mv_presentation(q, s, t, l, 3)) == \
             h1_cyclic_cover_order(expansion, 3), (q, s, t, l)
+
+
+def test_h1_order_does_not_use_smith_normal_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("h1_order called smith_normal_form")
+    for module in (intlinalg, presentations):
+        monkeypatch.setattr(module, "smith_normal_form", refuse, raising=False)
+    assert h1_order(genus_one_presentation(2, 3, 6)) == \
+        h1_cyclic_cover_order([4, -6], 6)
+    assert h1_order(mv_presentation(1, -2, 2, 1, 4)) == \
+        h1_cyclic_cover_order([-2, -4, -4, 2], 4)
+    assert h1_order(genus_one_presentation(1, 1, 6)) is INFINITE
+
+
+@pytest.mark.parametrize("presentation, terms, n", [
+    # where the unbounded SNF never finished: two ROADMAP baseline cases
+    # (the third is the first through the CLI) and a genus-1 knot at n = 10
+    (lambda: genus_one_presentation(3, 2, 8), [6, -4], 8),
+    (lambda: mv_presentation(-3, -2, -2, -3, 5), [6, -4, 4, -6], 5),
+    (lambda: genus_one_presentation(-2, 3, 10), [-4, -6], 10),
+])
+def test_h1_order_past_the_snf_blowups_matches_the_oracle(presentation, terms, n):
+    assert h1_order(presentation()) == h1_cyclic_cover_order(terms, n)
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["--cover", "5", "--method", "all", "--", "6", "-4", "4", "-6"], 5),
+    (["--cover", "8", "--method", "snf", "--", "6", "-4"], 8),
+])
+def test_h1_cli_baseline_cases_answer(argv, n, capsys):
+    assert cli.main(["h1", *argv]) == 0
+    terms = [int(a) for a in argv[argv.index("--") + 1:]]
+    want = str(h1_cyclic_cover_order(terms, n))
+    out = capsys.readouterr().out
+    assert out in (f"{want}\n", f"{want},{want} AGREE\n")
+
+
+@pytest.mark.parametrize("terms", [
+    ["6", "-4"], ["-4", "6"], ["2", "-2"],
+    ["-2", "2", "-2", "4"], ["6", "-4", "4", "-6"], ["4", "2", "-2", "-4"],
+])
+@pytest.mark.parametrize("n", [10, 20, 30])
+def test_h1_all_methods_agree_on_large_covers(terms, n, capsys):
+    code = cli.main(["h1", "--cover", str(n), "--method", "all", "--", *terms])
+    out = capsys.readouterr().out
+    assert code == 0
+    values, verdict = out.split()
+    assert verdict == "AGREE"
+    assert values.split(",")[0] == str(h1_cyclic_cover_order(
+        [int(a) for a in terms], n))
 
 
 def test_mv_h1_n2_is_knot_determinant():

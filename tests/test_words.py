@@ -11,7 +11,7 @@ from bridgecover.words import (
     PowerBlock, SignLattice, Syllable, WordError, equal_up_to_cyclic,
     exponent_sums, instantiate, letters, parse_affine, parse_word, peel,
     peel_block, power_block, reduce_word, sign_power, sign_product,
-    substitute, syll, word, word_sign,
+    substitute, syll, word_sign,
 )
 
 SP = SignLattice.STRICT_POS
