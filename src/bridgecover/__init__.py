@@ -3,7 +3,8 @@
 Subpackages by capability:
 
 - ``twobridge``     continued fractions, Seifert matrices, Alexander
-                    polynomials, cyclic-branched-cover homology (the oracle)
+                    polynomials (continuant recurrence), cyclic-branched-cover
+                    homology (the oracle)
 - ``words``         parametric free-group words with affine exponents and a
                     conservative sign calculus
 - ``presentations`` the two cover-group presentation families, abelianization

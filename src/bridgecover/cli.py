@@ -16,8 +16,8 @@ Subcommands
                   and the three-generator level-0 analysis)
 
 Conventions: negative numbers go after ``--`` or inside a comma-separated
-option value; report commands print a header line (tool version, seed, grid,
-table provenance) to stderr so stdout stays diff-clean against the golden
+option value; report commands print a header line (tool version, grid, table
+provenance) to stderr so stdout stays diff-clean against the golden
 files; the exit code is 0 exactly when every requested check passes, 1 on a
 failed check or rejected certificate, 2 on usage errors.
 """
@@ -89,14 +89,13 @@ class RunConfig:
     """Settings shared by the grid and report commands.
 
     The grid maps each parameter to an inclusive integer range; ranges must
-    be nonempty, and the seed is recorded in every report header.
+    be nonempty.
     """
 
     grid: Dict[str, Tuple[int, int]] = field(
         default_factory=lambda: {name: (1, 3) for name in _PARAM_NAMES})
     output_dir: str = "."
     fmt: str = "text"
-    seed: int = 0
 
     def validate(self) -> None:
         for name, (lo, hi) in self.grid.items():
@@ -157,7 +156,7 @@ def load_config(path: str) -> Dict[str, Tuple[int, int]]:
 
 
 def _emit_header(cfg: RunConfig, grid: str, source: str) -> None:
-    print(f"# bridgecover {__version__} | seed {cfg.seed} | grid {grid}"
+    print(f"# bridgecover {__version__} | grid {grid}"
           f" | source {source}", file=sys.stderr)
 
 
@@ -687,8 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"bridgecover {__version__}")
     parser.add_argument("--config", metavar="FILE",
                         help="key = value file overriding the grid defaults")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in report headers (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fraction", help="evaluate a continued fraction")
@@ -751,7 +748,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_option_values(_hoist_terms(argv)))
 
-    cfg = RunConfig(seed=args.seed)
+    cfg = RunConfig()
     cfg.output_dir = os.environ.get(OUTDIR_ENV, cfg.output_dir)
     try:
         if args.config is not None:

@@ -480,27 +480,3 @@ def verify_substitution_identities() -> IdentityReport:
         checks.append(IdentityCheck(
             "Table4=Table5@l=1", f"B({res})", row.poly - specialized))
     return IdentityReport(checks)
-
-
-# ---------------------------------------------------------------------------
-# Symmetries used by the certificate layer
-# ---------------------------------------------------------------------------
-
-def mirror_params(params: Mapping[str, int]) -> Dict[str, int]:
-    """Parameter map of the mirror image: negate every twist parameter."""
-    return {k: -v for k, v in params.items()}
-
-
-def double_swap_params(params: Mapping[str, int]) -> Dict[str, int]:
-    """The L-family symmetry swapping q with l and s with t simultaneously."""
-    swapped = dict(params)
-    swapped["q"], swapped["l"] = params["l"], params["q"]
-    swapped["s"], swapped["t"] = params["t"], params["s"]
-    return swapped
-
-
-def qt_swap_params(params: Mapping[str, int]) -> Dict[str, int]:
-    """The A-family symmetry swapping q with t (valid on symmetric rows)."""
-    swapped = dict(params)
-    swapped["q"], swapped["t"] = params["t"], params["q"]
-    return swapped

@@ -54,7 +54,6 @@ from .words import (
     peel,
     reduce_word,
     sign_invert,
-    sign_power,
     sign_product,
     substitute_params,
     word_sign,
@@ -352,19 +351,18 @@ _ATOM_INVERSE = {"Exy": "Eyx", "Eyx": "Exy", "Eyz": "Ezy",
                  "Ezy": "Eyz", "Ezx": "Exz", "Exz": "Ezx"}
 _ATOM_TEXT = {name: f"{a}^q {b}^-q" for name, (a, b) in _ATOM_PAIR.items()}
 
-#: The wing-rewritten relators over pair-word letters.  Substituting each
-#: ``Eab`` by its definition recovers the letter-level templates in
-#: :mod:`.presentations` (checked by the test suite).
-_RPRIME_ATOM = {
-    1: "(Y^(t) Eyx X^(-t))^(l) X (Z^(t) Ezx X^(-t))^(l)",
-    2: "(Z^(t) Ezy Y^(-t))^(l) Y (X^(t) Exy Y^(-t))^(l)",
-    3: "(X^(t) Exz Z^(-t))^(l) Z (Y^(t) Eyz Z^(-t))^(l)",
-}
-_RSECOND_ATOM = {
-    1: "(Y^(t) Eyx X^(-t))^(l-1) Y^(t) Eyx X^(-t+1) (Z^(t) Ezx X^(-t))^(l)",
-    2: "(Z^(t) Ezy Y^(-t))^(l-1) Z^(t) Ezy Y^(-t+1) (X^(t) Exy Y^(-t))^(l)",
-    3: "(X^(t) Exz Z^(-t))^(l-1) X^(t) Exz Z^(-t+1) (Y^(t) Eyz Z^(-t))^(l)",
-}
+
+def _atomize_text(template: str) -> str:
+    """A letter-level relator template with each ``a^(q) b^(-q)`` written as
+    its pair-word letter ``Eab``."""
+    for name, (a, b) in _ATOM_PAIR.items():
+        template = template.replace(f"{a}^(q) {b}^(-q)", name)
+    return template
+
+
+#: The wing-rewritten relators of :mod:`.presentations` over pair-word letters.
+_RPRIME_ATOM = {i: _atomize_text(t) for i, t in _RPRIME_TEMPLATES.items()}
+_RSECOND_ATOM = {i: _atomize_text(t) for i, t in _RSECOND_TEMPLATES.items()}
 
 #: One-letter consequences of the base relator z y x = 1 that the collapse
 #: move may splice in at a syllable boundary.
@@ -405,24 +403,6 @@ def _signed_env(signs: Tuple[int, int, int, int],
                for name, sign in zip(_PARAMS, signs)}
     env = ParamEnv({name: 1 for name in _PARAMS})
     return mapping, env
-
-
-def _context_sign(w: ParamWord, ctx: Mapping[str, SignLattice],
-                  env: ParamEnv) -> SignLattice:
-    """Like :func:`.words.word_sign` but letters may carry weak or unknown
-    signs (needed for hypothetical and derived letter signs)."""
-    total = ZE
-    for item in w.items:
-        if isinstance(item, Syllable):
-            value = sign_power(ctx.get(item.gen, UK),
-                               env.sign_of(item.exponent))
-        else:
-            value = sign_power(_context_sign(item.body, ctx, env),
-                               env.sign_of(item.multiplicity))
-        total = sign_product(total, value)
-        if total is UK:
-            return UK
-    return total
 
 
 def _peel_variants(w: ParamWord, env: ParamEnv) -> List[ParamWord]:
@@ -604,7 +584,7 @@ def _derive_atoms(ctx: Dict[str, SignLattice],
                     trial[atom] = hyp
                     trial[_ATOM_INVERSE[atom]] = sign_invert(hyp)
                     for form in wing_variants[wing]:
-                        s = _context_sign(form, trial, env)
+                        s = word_sign(form, trial, env)
                         if s in (SP, SN) and s is sign_invert(target):
                             found = (conclusion, wing)
                             break
@@ -670,7 +650,7 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     }
     body_names = {bodies[name].to_text(): name for name in _ATOMS}
     for name in _ATOMS:
-        ctx[name] = _context_sign(bodies[name], ctx, env)
+        ctx[name] = word_sign(bodies[name], ctx, env)
 
     wing_defs = {
         name: reduce_word(substitute_params(parse_word(text), mapping), env)
@@ -685,7 +665,7 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
         found, form = UK, ""
         for raw_form, atom_form in zip(raw_variants[name],
                                        atom_variants[name]):
-            s = _context_sign(atom_form, ctx, env)
+            s = word_sign(atom_form, ctx, env)
             if s in (SP, SN):
                 found, form = s, raw_form.to_text()
                 break
@@ -701,7 +681,7 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
         derived = _derive_atoms(sub_ctx, atom_variants, env)
         closed, witness, witness_sign = False, None, None
         for name, form in candidates:
-            s = _context_sign(form, sub_ctx, env)
+            s = word_sign(form, sub_ctx, env)
             if s in (SP, SN):
                 closed, witness, witness_sign = True, name, s
                 break

@@ -643,13 +643,11 @@ class CyclicMatch(Enum):
 
 def cyclic_normal_form(ls: Sequence[Letter]) -> Tuple[Letter, ...]:
     """Cyclically reduce a letter sequence and pick the least rotation."""
-    ls = list(ls)
-    while len(ls) >= 2 and ls[0] == (ls[-1][0], -ls[-1][1]):
-        ls = ls[1:-1]
-    if not ls:
-        return ()
-    rotations = [tuple(ls[i:] + ls[:i]) for i in range(len(ls))]
-    return min(rotations)
+    lo, hi = 0, len(ls) - 1
+    while lo < hi and ls[lo] == (ls[hi][0], -ls[hi][1]):
+        lo, hi = lo + 1, hi - 1
+    core = tuple(ls[lo:hi + 1])
+    return min((core[i:] + core[:i] for i in range(len(core))), default=())
 
 
 def equal_up_to_cyclic(w1: ParamWord, w2: ParamWord) -> CyclicMatch:
@@ -667,19 +665,18 @@ def equal_up_to_cyclic(w1: ParamWord, w2: ParamWord) -> CyclicMatch:
 def word_sign(w: ParamWord, signs: Mapping[str, SignLattice], env: ParamEnv) -> SignLattice:
     """Provable comparison of the word with the identity, given generator signs.
 
-    Generator signs must be STRICT_POS ("> 1") or STRICT_NEG ("< 1").
+    Generator signs may be weak or UNKNOWN (hypothetical and derived letter
+    signs).  A generator with no sign raises :class:`WordError` once the
+    left-to-right walk reaches it; the walk stops early at UNKNOWN.
     """
-    for gen in w.generators():
-        if gen not in signs:
-            raise WordError(f"no sign assigned to generator {gen!r}")
-        if signs[gen] not in (SP, SN):
-            raise WordError(f"generator sign for {gen!r} must be strict, got {signs[gen]}")
-
     def visit(word_: ParamWord) -> SignLattice:
         total = ZE
         for item in word_.items:
             if isinstance(item, Syllable):
-                value = sign_power(signs[item.gen], env.sign_of(item.exponent))
+                sign = signs.get(item.gen)
+                if sign is None:
+                    raise WordError(f"no sign assigned to generator {item.gen!r}")
+                value = sign_power(sign, env.sign_of(item.exponent))
             else:
                 value = sign_power(visit(item.body), env.sign_of(item.multiplicity))
             total = sign_product(total, value)

@@ -187,7 +187,7 @@ def test_identities_json_format(capsys):
 def test_identities_header_records_provenance(capsys):
     _, _, err = run(["identities", "--suite", "lemma5.4"], capsys)
     header = err.strip().splitlines()[0]
-    assert header.startswith("# bridgecover 0.1.0 | seed 0 | grid ")
+    assert header.startswith("# bridgecover 0.1.0 | grid ")
     assert header.endswith("| source Table 3 rows (family A)")
 
 
@@ -309,7 +309,7 @@ def test_loelim_table1_matches_the_text_golden(capsys):
     code, out, err = run(["lo-elim", "--family", "genus1", "--table1"], capsys)
     assert code == 0
     assert out == (GOLDEN / "table1.txt").read_text()
-    assert err.strip() == ("# bridgecover 0.1.0 | seed 0 | grid"
+    assert err.strip() == ("# bridgecover 0.1.0 | grid"
                            " k>=2,l>=1 symbolic | source Table 1")
 
 
@@ -397,14 +397,14 @@ def test_loelim_table1_rejected_for_genus2(capsys):
 # configuration, headers, entry point
 # ---------------------------------------------------------------------------
 
-def test_config_file_and_seed_recorded_in_header(capsys, tmp_path):
+def test_config_file_recorded_in_header(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# narrow run\ngrid = 1..2\nq = 2..2\n")
-    code, out, err = run(["--config", str(cfg), "--seed", "7",
-                          "identities", "--suite", "tables"], capsys)
+    code, out, err = run(["--config", str(cfg), "identities", "--suite",
+                          "tables"], capsys)
     assert code == 0
     assert err.strip() == (
-        "# bridgecover 0.1.0 | seed 7 | grid q=2..2 s=1..2 t=1..2 l=1..2"
+        "# bridgecover 0.1.0 | grid q=2..2 s=1..2 t=1..2 l=1..2"
         " | source Tables 2-5 star rows")
     assert out.rstrip().splitlines()[-1] == "4/4 PASS"
 
@@ -425,14 +425,6 @@ def test_config_malformed_range_is_a_usage_error(capsys, tmp_path):
                         "--suite", "tables"], capsys)
     assert code == 2
     assert "range must look like LO..HI" in err
-
-
-def test_stdout_is_diff_clean_across_seeds(capsys):
-    _, first, _ = run(["--seed", "0", "lo-elim", "--family", "genus1",
-                       "--table1"], capsys)
-    _, second, _ = run(["--seed", "99", "lo-elim", "--family", "genus1",
-                        "--table1"], capsys)
-    assert first == second
 
 
 def test_version_flag(capsys):

