@@ -155,7 +155,7 @@ def load_config(path: str) -> Dict[str, Tuple[int, int]]:
     return overrides
 
 
-def _emit_header(cfg: RunConfig, grid: str, source: str) -> None:
+def _emit_header(grid: str, source: str) -> None:
     print(f"# bridgecover {__version__} | grid {grid}"
           f" | source {source}", file=sys.stderr)
 
@@ -404,7 +404,7 @@ def _lemma_item_suite(family: str, lemma: str) -> IdentityReport:
     return IdentityReport(_identification_checks(family, lemma) + wanted)
 
 
-def _identity_suite(name: str, cfg: RunConfig) -> IdentityReport:
+def _identity_suite(name: str) -> IdentityReport:
     if name == "lemma5.4":
         return verify_additivity("A")
     if name == "lemma5.12":
@@ -517,12 +517,12 @@ _SUITE_SOURCES = {
 
 
 def _cmd_identities(args, cfg: RunConfig) -> int:
-    _emit_header(cfg, cfg.grid_text(), _SUITE_SOURCES[args.suite])
+    _emit_header(cfg.grid_text(), _SUITE_SOURCES[args.suite])
     if args.suite == "tables":
         rows = _tables_agreement(cfg)
         _print_agreement(rows, cfg.fmt)
         return 0 if all(r.ok for r in rows) else 1
-    report = _identity_suite(args.suite, cfg)
+    report = _identity_suite(args.suite)
     if args.suite in ("lemma5.4", "lemma5.12") and args.grid is not None:
         family = "A" if args.suite == "lemma5.4" else "L"
         names = ("q", "s", "t") if family == "A" else _PARAM_NAMES
@@ -540,19 +540,14 @@ def _cmd_cert(args, cfg: RunConfig) -> int:
         if args.params is None:
             raise _CliError("generate needs --params (or parameters after --)")
         if args.family == "A":
-            q, s, t = _parse_params(args.params, 3)
-            try:
-                cert = generate_A_cert(q, s, t)
-            except CertError as exc:
-                print(f"generation failed: {exc}", file=sys.stderr)
-                return 1
+            generate, params = generate_A_cert, _parse_params(args.params, 3)
         else:
-            q, s, t, l = _parse_params(args.params, 4)
-            try:
-                cert = generate_L_cert(q, s, t, l)
-            except CertError as exc:
-                print(f"generation failed: {exc}", file=sys.stderr)
-                return 1
+            generate, params = generate_L_cert, _parse_params(args.params, 4)
+        try:
+            cert = generate(*params)
+        except CertError as exc:
+            print(f"generation failed: {exc}", file=sys.stderr)
+            return 1
         text = serialize(cert)
         if args.out is None:
             sys.stdout.write(text)
@@ -647,7 +642,7 @@ def _cmd_loelim(args, cfg: RunConfig) -> int:
             raise _CliError("--family genus1 needs --table1")
         if args.signs is not None:
             raise _CliError("--signs applies to --family genus2 only")
-        _emit_header(cfg, "k>=2,l>=1 symbolic", "Table 1")
+        _emit_header("k>=2,l>=1 symbolic", "Table 1")
         report = table1_report()
         if cfg.fmt == "csv":
             sys.stdout.write(report_csv(report))
@@ -662,7 +657,7 @@ def _cmd_loelim(args, cfg: RunConfig) -> int:
     if args.signs is None:
         raise _CliError("--family genus2 needs --signs like +,+,-,+")
     signs = _parse_signs(args.signs)
-    _emit_header(cfg, "q,s,t,l signs only", "level-0 sign analysis")
+    _emit_header("q,s,t,l signs only", "level-0 sign analysis")
     report = genus2_level0(*signs)
     if cfg.fmt == "json":
         print(json.dumps(_genus2_json(report), indent=2))
@@ -775,8 +770,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
-        # Certificate generation, verification and serialization recurse
-        # once per level, so very deep inputs pass Python's recursion limit.
+        # Parsing a certificate file recurses once per nesting level, so a
+        # file nested past Python's recursion limit lands here; generation
+        # and verification stop earlier, at qacert.MAX_DEPTH.
         print(f"error: input too deep: {exc}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,7 @@ acceptance grids, which is the construction's contract.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -212,6 +213,7 @@ class Resolution(Tuple[Slot, Slot, Slot]):
         return super().__new__(cls, slots)
 
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def parse(text: str) -> "Resolution":
         return Resolution(tuple(part.strip() for part in text.split(",")))
 
@@ -365,10 +367,6 @@ def table_formula(family: str, resolution: Union[Resolution, str, Sequence[str]]
     if family == "A(t=1)":
         values.setdefault("t", 1)
     return row.poly.evaluate(values)
-
-
-def table_resolutions(family: str) -> List[Resolution]:
-    return list(_TABLES[family].keys())
 
 
 # ---------------------------------------------------------------------------

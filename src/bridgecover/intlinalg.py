@@ -7,7 +7,6 @@ are exact for matrices of any size that fits in memory.  No floating point.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 IntMatrix = List[List[int]]
@@ -36,14 +35,6 @@ def copy_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
 
 
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
@@ -348,23 +339,3 @@ def in_row_span(matrix: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
         elif w[j] % d != 0:
             return False
     return True
-
-
-def gcd_of_minors(matrix: Sequence[Sequence[int]], k: int) -> int:
-    """gcd of all k x k minors (0 for an empty set of non-zero minors).
-
-    Brute-force; intended as an independent oracle for Smith normal form in
-    tests, not for production use on large matrices.
-    """
-    from itertools import combinations
-
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if k == 0:
-        return 1
-    g = 0
-    for rows in combinations(range(nrows), k):
-        for cols in combinations(range(ncols), k):
-            sub = [[matrix[i][j] for j in cols] for i in rows]
-            g = gcd(g, det_bareiss(sub))
-    return g

@@ -15,16 +15,21 @@ kinds:
                   tree, restricted to strictly smaller induction measure.
 
 ``generate_A_cert`` / ``generate_L_cert`` build certificates following the
-t- and l-inductions on the twist parameters; ``verify`` independently checks
-every rule, recomputing all determinants from the tabulated formulas.
+t- and l-inductions on the twist parameters.  One recursive builder does it
+for every family: ``_step`` picks each link's node kind from its family,
+resolution and sign pattern, and the axiom or identification it names comes
+from the same ``AXIOMS`` / ``IDENTIFICATIONS`` whitelists ``verify`` checks
+against.  ``verify`` independently checks every rule, recomputing all
+determinants from the tabulated formulas.  Both stop at ``MAX_DEPTH``
+levels: generation raises ``GenerationError`` and verification rejects.
 Certificates serialize to canonical JSON.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from .goeritz import (
     NotTabulatedError,
@@ -104,9 +109,6 @@ class LinkId:
 
     def param_map(self) -> Dict[str, int]:
         return dict(self.params)
-
-    def with_resolution(self, resolution: str) -> "LinkId":
-        return replace(self, resolution=str(Resolution.parse(resolution)))
 
     def sign_pattern(self) -> Tuple[int, ...]:
         return tuple(1 if v > 0 else -1 for _, v in self.params)
@@ -271,10 +273,21 @@ AXIOMS: Dict[str, AxiomInfo] = {ax.name: ax for ax in [
 # Identification whitelist
 # ---------------------------------------------------------------------------
 
-def _res_map(family: str, source: str, target: str,
-             shift: Optional[str] = None, collapse_to: Optional[int] = None):
+@dataclass(frozen=True)
+class IdentRule:
+    citation: str
+    apply: Callable[[LinkId], Optional[LinkId]]
+    # (family, resolution) of the links a resolution rule rewrites; the
+    # generator looks the rule up by it
+    source: Optional[Tuple[str, str]] = None
+
+
+def _res_map(citation: str, family: str, source: str, target: str,
+             shift: Optional[str] = None,
+             collapse_to: Optional[int] = None) -> IdentRule:
     """Identification acting on the resolution (and optionally shifting one
     parameter down by 1, or collapsing it to a fixed value)."""
+    target = str(Resolution.parse(target))
 
     def apply(link: LinkId) -> Optional[LinkId]:
         if link.family != family or link.resolution != source:
@@ -290,10 +303,9 @@ def _res_map(family: str, source: str, target: str,
                 return None
             p[var] = collapse_to
         params = tuple((k, p[k]) for k in _FAMILY_PARAMS[family])
-        return replace(link, params=params,
-                       resolution=str(Resolution.parse(target)))
+        return LinkId(family, params, target)
 
-    return apply
+    return IdentRule(citation, apply, (family, source))
 
 
 def _to_named(family: str, resolution: str, name: str):
@@ -312,13 +324,13 @@ def _l_to_b(link: LinkId) -> Optional[LinkId]:
                     link.resolution)
 
 
-def _b_to_a(source_res: str, target_res: str):
+def _b_to_a(source: str, target: str) -> IdentRule:
     def apply(link: LinkId) -> Optional[LinkId]:
-        if link.family != "B" or link.resolution != source_res:
+        if link.family != "B" or link.resolution != source:
             return None
         return LinkId.A(link.param("q"), link.param("s"), link.param("t"),
-                        target_res)
-    return apply
+                        target)
+    return IdentRule(CIT_B_TO_A, apply, ("B", source))
 
 
 def _a_qt_swap(link: LinkId) -> Optional[LinkId]:
@@ -343,12 +355,6 @@ def _mirror(family: str):
     return apply
 
 
-@dataclass(frozen=True)
-class IdentRule:
-    citation: str
-    apply: Callable[[LinkId], Optional[LinkId]]
-
-
 CIT_A_MIDDLE = "Lemma 5.3(1)"
 CIT_A_OUTER = "Lemma 5.3(2)"
 CIT_A_LADDER_STAR = "Lemma 5.3(3)"
@@ -369,33 +375,44 @@ CIT_L_SWAP = "Claim 5.14; Section 5 cases (5), (6) (q-l, s-t symmetry of L)"
 CIT_L_MIRROR = "Section 5 (mirror image reduction)"
 
 IDENTIFICATIONS: Tuple[IdentRule, ...] = (
-    IdentRule(CIT_A_MIDDLE, _res_map("A", "0,inf,0", "0,0,*")),
-    IdentRule(CIT_A_MIDDLE, _res_map("A", "inf,0,0", "0,0,*")),
-    IdentRule(CIT_A_OUTER, _res_map("A", "inf,0,inf", "0,inf,inf")),
-    IdentRule(CIT_A_OUTER, _res_map("A", "inf,inf,0", "0,inf,inf")),
-    IdentRule(CIT_A_LADDER_STAR, _res_map("A", "inf,inf,inf", STAR3, shift="t")),
-    IdentRule(CIT_A_LADDER_ZERO, _res_map("A", "0,inf,inf", "0,*,*", shift="t")),
-    IdentRule(CIT_A_COLLAPSE, _res_map("A", "0,0,*", "0,0,*", collapse_to=1)),
+    _res_map(CIT_A_MIDDLE, "A", "0,inf,0", "0,0,*"),
+    _res_map(CIT_A_MIDDLE, "A", "inf,0,0", "0,0,*"),
+    _res_map(CIT_A_OUTER, "A", "inf,0,inf", "0,inf,inf"),
+    _res_map(CIT_A_OUTER, "A", "inf,inf,0", "0,inf,inf"),
+    _res_map(CIT_A_LADDER_STAR, "A", "inf,inf,inf", STAR3, shift="t"),
+    _res_map(CIT_A_LADDER_ZERO, "A", "0,inf,inf", "0,*,*", shift="t"),
+    _res_map(CIT_A_COLLAPSE, "A", "0,0,*", "0,0,*", collapse_to=1),
     IdentRule(CIT_A_NAMED, _to_named("A", STAR3, "T(3,4)")),
     IdentRule(CIT_A_NAMED, _to_named("A", "0,*,*", "P(2,-3,-2)")),
     IdentRule(CIT_A_SYM, _a_qt_swap),
     IdentRule(CIT_A_MIRROR, _mirror("A")),
-    IdentRule(CIT_L_MIDDLE, _res_map("L", "0,inf,0", "0,0,*")),
-    IdentRule(CIT_L_MIDDLE, _res_map("L", "inf,0,0", "0,0,*")),
-    IdentRule(CIT_L_OUTER, _res_map("L", "inf,0,inf", "0,inf,inf")),
-    IdentRule(CIT_L_OUTER, _res_map("L", "inf,inf,0", "0,inf,inf")),
-    IdentRule(CIT_L_LADDER_STAR, _res_map("L", "inf,inf,inf", STAR3, shift="l")),
-    IdentRule(CIT_L_LADDER_ZERO, _res_map("L", "0,inf,inf", "0,*,*", shift="l")),
-    IdentRule(CIT_L_CHAIN, _res_map("L", "0,0,*", "0,0,*", shift="l")),
+    _res_map(CIT_L_MIDDLE, "L", "0,inf,0", "0,0,*"),
+    _res_map(CIT_L_MIDDLE, "L", "inf,0,0", "0,0,*"),
+    _res_map(CIT_L_OUTER, "L", "inf,0,inf", "0,inf,inf"),
+    _res_map(CIT_L_OUTER, "L", "inf,inf,0", "0,inf,inf"),
+    _res_map(CIT_L_LADDER_STAR, "L", "inf,inf,inf", STAR3, shift="l"),
+    _res_map(CIT_L_LADDER_ZERO, "L", "0,inf,inf", "0,*,*", shift="l"),
+    _res_map(CIT_L_CHAIN, "L", "0,0,*", "0,0,*", shift="l"),
     IdentRule(CIT_L_IS_B, _l_to_b),
-    IdentRule(CIT_B_TO_A, _b_to_a("0,0,*", STAR3)),
-    IdentRule(CIT_B_TO_A, _b_to_a("inf,*,*", "inf,inf,*")),
-    IdentRule(CIT_B_TO_A, _b_to_a("0,inf,*", "inf,*,*")),
+    _b_to_a("0,0,*", STAR3),
+    _b_to_a("inf,*,*", "inf,inf,*"),
+    _b_to_a("0,inf,*", "inf,*,*"),
     IdentRule(CIT_B_NAMED, _to_named("B", STAR3, "T(3,5)")),
     IdentRule(CIT_B_NAMED, _to_named("B", "0,*,*", "P(2,-3,-4)")),
     IdentRule(CIT_L_SWAP, _l_double_swap),
     IdentRule(CIT_L_MIRROR, _mirror("L")),
 )
+
+
+def _identify(link: LinkId, citation: str) -> Optional[LinkId]:
+    """The link ``citation`` identifies ``link`` with, or None.  Rules that
+    share a citation rewrite different resolutions, so at most one applies."""
+    for rule in IDENTIFICATIONS:
+        if rule.citation == citation:
+            target = rule.apply(link)
+            if target is not None:
+                return target
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +446,15 @@ class Certificate:
     axioms: Tuple[AxiomDecl, ...]
 
 
+# Deepest certificate, in nodes on a path from the root, that the generator
+# writes and the verifier accepts.  A(1,1,110) is exactly this deep;
+# A(2,2,110) and the deepest L sign classes from magnitude 87 or 88 on are
+# deeper.  Generation, verification, serialization and parsing recurse once
+# per level, and the limit keeps them inside Python's default recursion
+# limit of 1000.
+MAX_DEPTH = 438
+
+
 def iter_nodes(root: CertNode, path: str = "root") -> Iterator[Tuple[str, CertNode]]:
     yield path, root
     if root.zero is not None:
@@ -444,13 +470,11 @@ def node_count(cert: Certificate) -> int:
 
 
 def _resolve_leftmost(link: LinkId, slot: Slot) -> Optional[LinkId]:
-    res = Resolution.parse(link.resolution)
-    for i, entry in enumerate(res):
-        if entry == Slot.STAR:
-            slots = list(res)
-            slots[i] = slot
-            return link.with_resolution(",".join(s.value for s in slots))
-    return None
+    slots = str(Resolution.parse(link.resolution)).split(",")
+    if Slot.STAR.value not in slots:
+        return None
+    slots[slots.index(Slot.STAR.value)] = slot.value
+    return LinkId(link.family, link.params, ",".join(slots))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +509,10 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
                 declared: Mapping[str, AxiomDecl],
                 certified: Set[LinkId],
                 refs: List[Tuple[LinkId, str]],
-                skein_measure: Tuple[int, int, int]) -> None:
+                skein_measure: Tuple[int, int, int], depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise _Reject(path, f"certificate deeper than the depth limit of "
+                            f"{MAX_DEPTH} levels")
     try:
         node.link.validate()
     except CertError as exc:
@@ -544,8 +571,10 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
             raise _Reject(path + ".inf", f"expected {inf_link}, certificate "
                                          f"has {node.inf.link}")
         inner = measure(node.link)
-        _check_node(node.zero, path + ".zero", cert, declared, certified, refs, inner)
-        _check_node(node.inf, path + ".inf", cert, declared, certified, refs, inner)
+        _check_node(node.zero, path + ".zero", cert, declared, certified, refs,
+                    inner, depth + 1)
+        _check_node(node.inf, path + ".inf", cert, declared, certified, refs,
+                    inner, depth + 1)
         if node.det != node.zero.det + node.inf.det:
             raise _Reject(path, f"determinant additivity fails: {node.det} != "
                                 f"{node.zero.det} + {node.inf.det}")
@@ -556,13 +585,7 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
         raise _Reject(path, "identification nodes need exactly one child")
     if node.target is None:
         raise _Reject(path, "identification nodes need a target link")
-    matched = False
-    for rule in IDENTIFICATIONS:
-        if rule.apply(node.link) == node.target:
-            if rule.citation == node.citation:
-                matched = True
-                break
-    if not matched:
+    if _identify(node.link, node.citation) != node.target:
         raise _Reject(path, f"no whitelisted identification sends {node.link} "
                             f"to {node.target} under {node.citation!r}")
     if node.child.link != node.target:
@@ -570,15 +593,15 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
                                        f"{node.target}, certificate has "
                                        f"{node.child.link}")
     _check_node(node.child, path + ".child", cert, declared, certified, refs,
-                skein_measure)
+                skein_measure, depth + 1)
     if node.child.det != node.det:
         raise _Reject(path, f"identified links must share a determinant: "
                             f"{node.det} != {node.child.det}")
 
 
 def verify(cert: Certificate) -> Verdict:
-    """Check every rule of the certificate; ACCEPT or REJECT with the first
-    violation's node path."""
+    """Check every rule of the certificate and the depth limit; ACCEPT or
+    REJECT with the first violation's node path."""
     if cert.claim not in _CLAIMS:
         return Verdict(False, "claim", f"unknown claim {cert.claim!r}")
     declared: Dict[str, AxiomDecl] = {}
@@ -595,7 +618,7 @@ def verify(cert: Certificate) -> Verdict:
     refs: List[Tuple[LinkId, str]] = []
     try:
         _check_node(cert.root, "root", cert, declared, certified, refs,
-                    measure(cert.root.link))
+                    measure(cert.root.link), 1)
     except _Reject as rej:
         return rej.verdict
     for link, path in refs:
@@ -736,75 +759,68 @@ def deserialize(data: Union[str, bytes]) -> Certificate:
 # Generation
 # ---------------------------------------------------------------------------
 
-class _GroundingPolicy:
-    """How the three A-family links under the B level get certified."""
+# The eight sign patterns of (q, s, t, l) certified directly; the other
+# eight are their mirror images.  The two swap patterns first pass to the
+# q-l, s-t swapped link, whose pattern is canonical.
+_L_CANONICAL = {(1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, 1, 1), (-1, -1, -1, 1),
+                (1, 1, -1, 1), (1, -1, -1, -1), (1, -1, -1, 1), (-1, -1, 1, 1)}
+_L_SWAP = {(1, 1, -1, 1), (1, -1, -1, -1)}
 
-    def a_star_node(self, b: "_Builder", q, s, t, ctx):
-        raise NotImplementedError
+# Resolutions certified by identification (along the one resolution rule
+# that rewrites them) instead of by a skein split.
+_RESOLVED = {rule.source: rule.citation for rule in IDENTIFICATIONS
+             if rule.source is not None}
 
-    def a_inf_node(self, b: "_Builder", q, s, t, ctx):
-        raise NotImplementedError
-
-    def a_infinf_node(self, b: "_Builder", q, s, t, ctx):
-        raise NotImplementedError
-
-
-class _InductivePolicy(_GroundingPolicy):
-    """All-positive parameters: the full t-induction on the A family."""
-
-    def a_star_node(self, b, q, s, t, ctx):
-        return b.a_star(q, s, t, ctx)
-
-    def a_inf_node(self, b, q, s, t, ctx):
-        return b.a_inf(q, s, t, ctx)
-
-    def a_infinf_node(self, b, q, s, t, ctx):
-        return b.a_infinf(q, s, t, ctx)
+# Induction bases, tried in order once no sign or symmetry step applies.
+_BASES = ("PETERS_QA", "A_00_STAR_S1", "A_0_STAR_STAR_S1",
+          "B_0_STAR_STAR_S1_T1")
 
 
-class _AlternatingAPolicy(_GroundingPolicy):
-    """q > 0, s < 0, t > 0: every A-family link here is alternating."""
+def _step(link: LinkId) -> Tuple[str, str]:
+    """How the generator certifies ``link``: ``(BASE, axiom)``,
+    ``(IDENTIFY, citation)`` or ``(SKEIN, "")``.
 
-    def _base(self, b, link):
-        return b.base(link, "ALTERNATING")
-
-    def a_star_node(self, b, q, s, t, ctx):
-        return self._base(b, LinkId.A(q, s, t))
-
-    def a_inf_node(self, b, q, s, t, ctx):
-        return self._base(b, LinkId.A(q, s, t, "inf,*,*"))
-
-    def a_infinf_node(self, b, q, s, t, ctx):
-        return self._base(b, LinkId.A(q, s, t, "inf,inf,*"))
-
-
-class _MirrorAPolicy(_GroundingPolicy):
-    """q, s, t < 0: the A link is the mirror of the all-positive one; its
-    resolved companions are trusted regime facts."""
-
-    def a_star_node(self, b, q, s, t, ctx):
-        link = LinkId.A(q, s, t)
-        child = b.a_star(-q, -s, -t, ctx)
-        return b.ident(link, CIT_A_MIRROR, child)
-
-    def a_inf_node(self, b, q, s, t, ctx):
-        return b.base(LinkId.A(q, s, t, "inf,*,*"), "REGIME_A")
-
-    def a_infinf_node(self, b, q, s, t, ctx):
-        return b.base(LinkId.A(q, s, t, "inf,inf,*"), "REGIME_A")
-
-
-class _RegimeAPolicy(_GroundingPolicy):
-    """Mixed-sign regimes whose A-family facts are trusted as stated."""
-
-    def a_star_node(self, b, q, s, t, ctx):
-        return b.base(LinkId.A(q, s, t), "REGIME_A")
-
-    def a_inf_node(self, b, q, s, t, ctx):
-        return b.base(LinkId.A(q, s, t, "inf,*,*"), "REGIME_A")
-
-    def a_infinf_node(self, b, q, s, t, ctx):
-        return b.base(LinkId.A(q, s, t, "inf,inf,*"), "REGIME_A")
+    All-positive links follow the t-induction (A) and the l-induction (L);
+    an A link of any other sign pattern is grounded by that pattern: the
+    alternating ones are ALTERNATING, the all-negative star is the mirror of
+    the all-positive one, and every other is a trusted REGIME_A fact."""
+    family, res = link.family, link.resolution
+    if family == "NAMED":
+        return BASE, link.name
+    p = link.param_map()
+    pattern = link.sign_pattern()
+    if family == "A" and pattern != (1, 1, 1):
+        if pattern in _ALTERNATING_A_PATTERNS:
+            return BASE, "ALTERNATING"
+        if pattern == (-1, -1, -1) and res == STAR3:
+            return IDENTIFY, CIT_A_MIRROR
+        return BASE, "REGIME_A"
+    if family == "L" and res == STAR3:
+        if pattern not in _L_CANONICAL:
+            return IDENTIFY, CIT_L_MIRROR
+        # all-positive with t = 1: the swap moves s > 1 into the s = 1
+        # regime and, at s = t = 1, puts the larger of q and l last
+        if pattern in _L_SWAP or (pattern == (1, 1, 1, 1) and p["t"] == 1
+                                  and (p["s"] > 1 or p["l"] < p["q"])):
+            return IDENTIFY, CIT_L_SWAP
+        if _match_alternating(link):
+            return BASE, "ALTERNATING"
+    if family == "A" and res == STAR3 and p["s"] == 1 and p["t"] < p["q"]:
+        return IDENTIFY, CIT_A_SYM
+    if res in (STAR3, "0,*,*") and all(v == 1 for v in p.values()):
+        if family == "A":
+            return IDENTIFY, CIT_A_NAMED
+        if family == "B":
+            return IDENTIFY, CIT_B_NAMED
+    for axiom in _BASES:
+        if AXIOMS[axiom].matcher(link):
+            return BASE, axiom
+    if family == "L" and p["l"] == 1:
+        return IDENTIFY, CIT_L_IS_B
+    citation = _RESOLVED.get((family, res))
+    if citation is not None:
+        return IDENTIFY, citation
+    return SKEIN, ""
 
 
 class _Builder:
@@ -812,320 +828,67 @@ class _Builder:
         self.certified: Set[LinkId] = set()
         self.used_axioms: Set[str] = set()
 
-    # -- node factories ----------------------------------------------------
+    def certify(self, link: LinkId, ctx: Tuple[int, int, int],
+                depth: int = 1) -> CertNode:
+        """The certificate node for ``link`` at ``depth`` (the root is 1).
 
-    def base(self, link: LinkId, axiom: str) -> CertNode:
-        info = AXIOMS[axiom]
-        if not info.matcher(link):
-            raise GenerationError(f"axiom {axiom} does not apply to {link}")
-        self.used_axioms.add(axiom)
-        self.certified.add(link)
-        return CertNode(link, expected_det(link), BASE, axiom=axiom)
-
-    def skein(self, link: LinkId, zero: CertNode, inf: CertNode) -> CertNode:
-        det = expected_det(link)
-        if det <= 0 or zero.det <= 0 or inf.det <= 0:
-            raise GenerationError(f"resolution determinant vanishes at {link}")
-        if det != zero.det + inf.det:
+        ``ctx`` is the induction measure of the nearest SKEIN ancestor, the
+        bound the verifier holds a back reference to.  A link certified
+        before becomes a REF below that bound, except A links off the
+        all-positive pattern: their grounding is one or two nodes and is
+        always written out."""
+        if depth > MAX_DEPTH:
             raise GenerationError(
-                f"determinant additivity fails at {link}: "
-                f"{det} != {zero.det} + {inf.det}")
-        self.certified.add(link)
-        return CertNode(link, det, SKEIN, zero=zero, inf=inf)
-
-    def ident(self, link: LinkId, citation: str, child: CertNode) -> CertNode:
-        det = expected_det(link)
-        if det != child.det:
-            raise GenerationError(
-                f"identified determinants differ at {link}: {det} != {child.det}")
-        self.certified.add(link)
-        return CertNode(link, det, IDENTIFY, citation=citation,
-                        target=child.link, child=child)
-
-    def ref_or(self, link: LinkId, ctx, build: Callable[[], CertNode]) -> CertNode:
-        if link in self.certified and measure(link) < ctx:
+                f"certificate deeper than the depth limit of {MAX_DEPTH} "
+                f"levels (reached at {link})")
+        if (link in self.certified and measure(link) < ctx
+                and (link.family != "A" or link.sign_pattern() == (1, 1, 1))):
             return CertNode(link, expected_det(link), REF)
-        return build()
-
-    # -- A family: induction on t ------------------------------------------
-
-    def a_star(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t)
-
-        def build():
-            if s == 1 and t < q:
-                return self.ident(link, CIT_A_SYM, self.a_star(t, s, q, ctx))
-            if t == 1:
-                if s == 1:  # here t >= q forces q = 1
-                    return self.ident(link, CIT_A_NAMED,
-                                      self.base(LinkId.named("T(3,4)"), "T(3,4)"))
-                m = measure(link)
-                return self.skein(link, self.a_zero(q, s, 1, m),
-                                  self.base(LinkId.A(q, s, 1, "inf,*,*"),
-                                            "PETERS_QA"))
-            m = measure(link)
-            return self.skein(link, self.a_zero(q, s, t, m),
-                              self.a_inf(q, s, t, m))
-
-        return self.ref_or(link, ctx, build)
-
-    def a_zero(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t, "0,*,*")
-
-        def build():
-            if t == 1:
-                if s > 1:
-                    m = measure(link)
-                    return self.skein(
-                        link,
-                        self.base(LinkId.A(q, s, 1, "0,0,*"), "PETERS_QA"),
-                        self.base(LinkId.A(q, s, 1, "0,inf,*"), "PETERS_QA"))
-                if q == 1:
-                    return self.ident(link, CIT_A_NAMED,
-                                      self.base(LinkId.named("P(2,-3,-2)"),
-                                                "P(2,-3,-2)"))
-                return self.base(link, "A_0_STAR_STAR_S1")
-            m = measure(link)
-            return self.skein(link, self.a_00(q, s, t, m),
-                              self.a_0inf(q, s, t, m))
-
-        return self.ref_or(link, ctx, build)
-
-    def _a_00_base(self, q: int, s: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, 1, "0,0,*")
-
-        def build():
-            if s > 1:
-                return self.base(link, "PETERS_QA")
-            return self.base(link, "A_00_STAR_S1")
-
-        return self.ref_or(link, ctx, build)
-
-    def a_00(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t, "0,0,*")
-        if t == 1:
-            return self._a_00_base(q, s, ctx)
-
-        def build():
-            return self.ident(link, CIT_A_COLLAPSE, self._a_00_base(q, s, ctx))
-
-        return self.ref_or(link, ctx, build)
-
-    def _a_0infinf(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t, "0,inf,inf")
-        return self.ident(link, CIT_A_LADDER_ZERO, self.a_zero(q, s, t - 1, ctx))
-
-    def a_0inf(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t, "0,inf,*")
-
-        def build():
-            m = measure(link)
-            zero = self.ident(LinkId.A(q, s, t, "0,inf,0"), CIT_A_MIDDLE,
-                              self.a_00(q, s, t, m))
-            inf = self._a_0infinf(q, s, t, m)
-            return self.skein(link, zero, inf)
-
-        return self.ref_or(link, ctx, build)
-
-    def a_inf(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t, "inf,*,*")
-
-        def build():
-            m = measure(link)
-            return self.skein(link, self.a_inf0(q, s, t, m),
-                              self.a_infinf(q, s, t, m))
-
-        return self.ref_or(link, ctx, build)
-
-    def a_inf0(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t, "inf,0,*")
-
-        def build():
-            m = measure(link)
-            zero = self.ident(LinkId.A(q, s, t, "inf,0,0"), CIT_A_MIDDLE,
-                              self.a_00(q, s, t, m))
-            inf = self.ident(LinkId.A(q, s, t, "inf,0,inf"), CIT_A_OUTER,
-                             self._a_0infinf(q, s, t, m))
-            return self.skein(link, zero, inf)
-
-        return self.ref_or(link, ctx, build)
-
-    def a_infinf(self, q: int, s: int, t: int, ctx) -> CertNode:
-        link = LinkId.A(q, s, t, "inf,inf,*")
-
-        def build():
-            m = measure(link)
-            zero = self.ident(LinkId.A(q, s, t, "inf,inf,0"), CIT_A_OUTER,
-                              self._a_0infinf(q, s, t, m))
-            inf = self.ident(LinkId.A(q, s, t, "inf,inf,inf"), CIT_A_LADDER_STAR,
-                             self.a_star(q, s, t - 1, m))
-            return self.skein(link, zero, inf)
-
-        return self.ref_or(link, ctx, build)
-
-    # -- B level (l = 1) ----------------------------------------------------
-
-    def b_star(self, q, s, t, ctx, policy) -> CertNode:
-        link = LinkId.B(q, s, t)
-
-        def build():
-            if (q, s, t) == (1, 1, 1):
-                return self.ident(link, CIT_B_NAMED,
-                                  self.base(LinkId.named("T(3,5)"), "T(3,5)"))
-            m = measure(link)
-            return self.skein(link, self.b_zero(q, s, t, m, policy),
-                              self.b_inf(q, s, t, m, policy))
-
-        return self.ref_or(link, ctx, build)
-
-    def b_zero(self, q, s, t, ctx, policy) -> CertNode:
-        link = LinkId.B(q, s, t, "0,*,*")
-
-        def build():
-            if (q, s, t) == (1, 1, 1):
-                return self.ident(link, CIT_B_NAMED,
-                                  self.base(LinkId.named("P(2,-3,-4)"),
-                                            "P(2,-3,-4)"))
-            if s == 1 and t == 1:
-                return self.base(link, "B_0_STAR_STAR_S1_T1")
-            m = measure(link)
-            return self.skein(link, self.b_00(q, s, t, m, policy),
-                              self.b_0inf(q, s, t, m, policy))
-
-        return self.ref_or(link, ctx, build)
-
-    def b_00(self, q, s, t, ctx, policy) -> CertNode:
-        link = LinkId.B(q, s, t, "0,0,*")
-
-        def build():
-            return self.ident(link, CIT_B_TO_A,
-                              policy.a_star_node(self, q, s, t, ctx))
-
-        return self.ref_or(link, ctx, build)
-
-    def b_0inf(self, q, s, t, ctx, policy) -> CertNode:
-        link = LinkId.B(q, s, t, "0,inf,*")
-
-        def build():
-            return self.ident(link, CIT_B_TO_A,
-                              policy.a_inf_node(self, q, s, t, ctx))
-
-        return self.ref_or(link, ctx, build)
-
-    def b_inf(self, q, s, t, ctx, policy) -> CertNode:
-        link = LinkId.B(q, s, t, "inf,*,*")
-
-        def build():
-            return self.ident(link, CIT_B_TO_A,
-                              policy.a_infinf_node(self, q, s, t, ctx))
-
-        return self.ref_or(link, ctx, build)
-
-    # -- L family: induction on l ------------------------------------------
-
-    def l_star(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l)
-
-        def build():
-            if s == 1 and t == 1 and 0 < l < q:
-                return self.ident(link, CIT_L_SWAP,
-                                  self.l_star(l, t, s, q, ctx, policy))
-            if l == 1:
-                return self.ident(link, CIT_L_IS_B,
-                                  self.b_star(q, s, t, ctx, policy))
-            m = measure(link)
-            return self.skein(link, self.l_zero(q, s, t, l, m, policy),
-                              self.l_inf(q, s, t, l, m, policy))
-
-        return self.ref_or(link, ctx, build)
-
-    def l_zero(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l, "0,*,*")
-
-        def build():
-            if l == 1:
-                return self.ident(link, CIT_L_IS_B,
-                                  self.b_zero(q, s, t, ctx, policy))
-            m = measure(link)
-            return self.skein(link, self.l_00(q, s, t, l, m, policy),
-                              self.l_0inf(q, s, t, l, m, policy))
-
-        return self.ref_or(link, ctx, build)
-
-    def l_00(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l, "0,0,*")
-
-        def build():
-            if l == 1:
-                return self.ident(link, CIT_L_IS_B,
-                                  self.b_00(q, s, t, ctx, policy))
-            return self.ident(link, CIT_L_CHAIN,
-                              self.l_00(q, s, t, l - 1, ctx, policy))
-
-        return self.ref_or(link, ctx, build)
-
-    def _l_0infinf(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l, "0,inf,inf")
-        return self.ident(link, CIT_L_LADDER_ZERO,
-                          self.l_zero(q, s, t, l - 1, ctx, policy))
-
-    def l_0inf(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l, "0,inf,*")
-
-        def build():
-            m = measure(link)
-            zero = self.ident(LinkId.L(q, s, t, l, "0,inf,0"), CIT_L_MIDDLE,
-                              self.l_00(q, s, t, l, m, policy))
-            inf = self._l_0infinf(q, s, t, l, m, policy)
-            return self.skein(link, zero, inf)
-
-        return self.ref_or(link, ctx, build)
-
-    def l_inf(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l, "inf,*,*")
-
-        def build():
-            if l == 1:
-                return self.ident(link, CIT_L_IS_B,
-                                  self.b_inf(q, s, t, ctx, policy))
-            m = measure(link)
-            return self.skein(link, self.l_inf0(q, s, t, l, m, policy),
-                              self.l_infinf(q, s, t, l, m, policy))
-
-        return self.ref_or(link, ctx, build)
-
-    def l_inf0(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l, "inf,0,*")
-
-        def build():
-            m = measure(link)
-            zero = self.ident(LinkId.L(q, s, t, l, "inf,0,0"), CIT_L_MIDDLE,
-                              self.l_00(q, s, t, l, m, policy))
-            inf = self.ident(LinkId.L(q, s, t, l, "inf,0,inf"), CIT_L_OUTER,
-                             self._l_0infinf(q, s, t, l, m, policy))
-            return self.skein(link, zero, inf)
-
-        return self.ref_or(link, ctx, build)
-
-    def l_infinf(self, q, s, t, l, ctx, policy) -> CertNode:
-        link = LinkId.L(q, s, t, l, "inf,inf,*")
-
-        def build():
-            m = measure(link)
-            zero = self.ident(LinkId.L(q, s, t, l, "inf,inf,0"), CIT_L_OUTER,
-                              self._l_0infinf(q, s, t, l, m, policy))
-            inf = self.ident(LinkId.L(q, s, t, l, "inf,inf,inf"),
-                             CIT_L_LADDER_STAR,
-                             self.l_star(q, s, t, l - 1, m, policy))
-            return self.skein(link, zero, inf)
-
-        return self.ref_or(link, ctx, build)
-
-
-def _declarations(names: Set[str]) -> Tuple[AxiomDecl, ...]:
-    return tuple(AxiomDecl(ax.name, ax.claim, ax.citation)
-                 for ax in sorted((AXIOMS[n] for n in names),
-                                  key=lambda ax: ax.name))
+        kind, label = _step(link)
+        det = expected_det(link)
+        if kind == BASE:
+            if not AXIOMS[label].matcher(link):
+                raise GenerationError(f"axiom {label} does not apply to {link}")
+            self.used_axioms.add(label)
+            node = CertNode(link, det, BASE, axiom=label)
+        elif kind == IDENTIFY:
+            target = _identify(link, label)
+            if target is None:
+                raise GenerationError(f"{label!r} does not apply to {link}")
+            child = self.certify(target, ctx, depth + 1)
+            if det != child.det:
+                raise GenerationError(f"identified determinants differ at "
+                                      f"{link}: {det} != {child.det}")
+            node = CertNode(link, det, IDENTIFY, citation=label,
+                            target=target, child=child)
+        else:
+            inner = measure(link)
+            zero = self.certify(_resolve_leftmost(link, Slot.ZERO), inner,
+                                depth + 1)
+            inf = self.certify(_resolve_leftmost(link, Slot.INF), inner,
+                               depth + 1)
+            if det <= 0 or zero.det <= 0 or inf.det <= 0:
+                raise GenerationError(f"resolution determinant vanishes at {link}")
+            if det != zero.det + inf.det:
+                raise GenerationError(
+                    f"determinant additivity fails at {link}: "
+                    f"{det} != {zero.det} + {inf.det}")
+            node = CertNode(link, det, SKEIN, zero=zero, inf=inf)
+        self.certified.add(link)
+        return node
+
+
+def _generate(root: LinkId, extra: Set[str]) -> Certificate:
+    """Certify ``root``; the claim is QUASI_ALTERNATING when every declared
+    axiom asserts it (as ``verify`` requires of such a claim), else L_SPACE."""
+    builder = _Builder()
+    node = builder.certify(root, _TOP_MEASURE)
+    axioms = sorted((AXIOMS[n] for n in builder.used_axioms | extra),
+                    key=lambda ax: ax.name)
+    claim = (QUASI_ALTERNATING
+             if all(ax.claim == QUASI_ALTERNATING for ax in axioms) else L_SPACE)
+    return Certificate(claim, node, tuple(
+        AxiomDecl(ax.name, ax.claim, ax.citation) for ax in axioms))
 
 
 def generate_A_cert(q: int, s: int, t: int) -> Certificate:
@@ -1136,74 +899,8 @@ def generate_A_cert(q: int, s: int, t: int) -> Certificate:
         if not isinstance(value, int) or value < 1:
             raise UnsupportedRegimeError(
                 f"parameter {name} must be a positive integer, got {value!r}")
-    builder = _Builder()
-    root = builder.a_star(q, s, t, _TOP_MEASURE)
-    claim = QUASI_ALTERNATING if s > 1 else L_SPACE
-    names = set(builder.used_axioms)
-    if s == 1:
-        names |= {"T(3,4)", "P(2,-3,-2)"}
-    return Certificate(claim, root, _declarations(names))
-
-
-_CANONICAL_PATTERNS = {
-    (1, 1, 1, 1): "positive",
-    (-1, 1, -1, 1): "alternating",
-    (1, -1, 1, 1): "alternating_A",
-    (-1, -1, -1, 1): "mirror_A",
-    (1, 1, -1, 1): "swap_to_alternating_A",
-    (1, -1, -1, -1): "swap_to_mirror_A",
-    (1, -1, -1, 1): "regime_A",
-    (-1, -1, 1, 1): "regime_A",
-}
-
-
-def _build_canonical(builder: _Builder, q, s, t, l) -> Tuple[str, CertNode, Set[str]]:
-    """Certificate claim + root for one of the eight canonical sign cases."""
-    case = _CANONICAL_PATTERNS[(1 if q > 0 else -1, 1 if s > 0 else -1,
-                                1 if t > 0 else -1, 1 if l > 0 else -1)]
-    extra: Set[str] = set()
-
-    if case == "alternating":
-        return (QUASI_ALTERNATING,
-                builder.base(LinkId.L(q, s, t, l), "ALTERNATING"), extra)
-
-    if case == "positive":
-        if s > 1 and t > 1:
-            claim, policy = QUASI_ALTERNATING, _InductivePolicy()
-        else:
-            claim, policy = L_SPACE, _InductivePolicy()
-        if s == 1 and t == 1:
-            extra |= {"T(3,5)", "P(2,-3,-4)"}
-        if s > 1 and t == 1:
-            # s and t (and q and l) are symmetric; the swapped parameters
-            # fall in the s = 1, t > 1 regime.
-            link = LinkId.L(q, s, t, l)
-            child = builder.l_star(l, t, s, q, _TOP_MEASURE, policy)
-            return claim, builder.ident(link, CIT_L_SWAP, child), extra
-        return claim, builder.l_star(q, s, t, l, _TOP_MEASURE, policy), extra
-
-    if case == "alternating_A":
-        policy = _AlternatingAPolicy()
-        return (QUASI_ALTERNATING,
-                builder.l_star(q, s, t, l, _TOP_MEASURE, policy), extra)
-
-    if case == "swap_to_alternating_A":
-        link = LinkId.L(q, s, t, l)
-        child = builder.l_star(l, t, s, q, _TOP_MEASURE, _AlternatingAPolicy())
-        return QUASI_ALTERNATING, builder.ident(link, CIT_L_SWAP, child), extra
-
-    if case == "mirror_A":
-        policy = _MirrorAPolicy()
-        return L_SPACE, builder.l_star(q, s, t, l, _TOP_MEASURE, policy), extra
-
-    if case == "swap_to_mirror_A":
-        link = LinkId.L(q, s, t, l)
-        child = builder.l_star(l, t, s, q, _TOP_MEASURE, _MirrorAPolicy())
-        return L_SPACE, builder.ident(link, CIT_L_SWAP, child), extra
-
-    # regime_A
-    policy = _RegimeAPolicy()
-    return L_SPACE, builder.l_star(q, s, t, l, _TOP_MEASURE, policy), extra
+    extra = {"T(3,4)", "P(2,-3,-2)"} if s == 1 else set()
+    return _generate(LinkId.A(q, s, t), extra)
 
 
 def generate_L_cert(q: int, s: int, t: int, l: int) -> Certificate:
@@ -1217,13 +914,8 @@ def generate_L_cert(q: int, s: int, t: int, l: int) -> Certificate:
         if not isinstance(value, int) or value == 0:
             raise CertError(
                 f"parameter {name} must be a nonzero integer, got {value!r}")
-    builder = _Builder()
-    pattern = (1 if q > 0 else -1, 1 if s > 0 else -1,
-               1 if t > 0 else -1, 1 if l > 0 else -1)
-    if pattern in _CANONICAL_PATTERNS:
-        claim, root, extra = _build_canonical(builder, q, s, t, l)
-    else:
-        claim, child, extra = _build_canonical(builder, -q, -s, -t, -l)
-        root = builder.ident(LinkId.L(q, s, t, l), CIT_L_MIRROR, child)
-    names = set(builder.used_axioms) | extra
-    return Certificate(claim, root, _declarations(names))
+    link = LinkId.L(q, s, t, l)
+    extra: Set[str] = set()
+    if len(set(link.sign_pattern())) == 1 and abs(s) == abs(t) == 1:
+        extra = {"T(3,5)", "P(2,-3,-4)"}
+    return _generate(link, extra)

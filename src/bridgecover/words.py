@@ -388,10 +388,6 @@ class ParamWord:
         return " ".join(item.to_text() for item in self.items)
 
 
-def syll(gen: str, exponent: Union[AffineExp, int, str] = 1) -> Syllable:
-    return Syllable(gen, AffineExp.coerce(exponent))
-
-
 def power_block(body: ParamWord, multiplicity: Union[AffineExp, int, str],
                 env: Optional[ParamEnv] = None) -> ParamWord:
     """Build (body)^multiplicity as a word, normalizing the multiplicity sign.

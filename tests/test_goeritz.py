@@ -6,7 +6,7 @@ import pytest
 from bridgecover.goeritz import (
     CheckerboardDiagram, GoeritzError, GoeritzMatrix, NotTabulatedError,
     Resolution, Slot, UnsupportedRegimeError, build_A_star, build_L_star,
-    det_exact, goeritz_from_diagram, table_formula, table_resolutions,
+    det_exact, goeritz_from_diagram, table_formula,
     table_row, verify_additivity, verify_substitution_identities,
 )
 from bridgecover.multipoly import MultiPoly

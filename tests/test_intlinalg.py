@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -8,12 +10,28 @@ from bridgecover.intlinalg import (
     INFINITE,
     cokernel_order,
     det_bareiss,
-    gcd_of_minors,
-    mat_mul,
     resultant,
     smith_normal_form,
     sylvester_matrix,
 )
+
+
+def mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def gcd_of_minors(matrix, k):
+    """gcd of all k x k minors (0 when every one vanishes), by brute force:
+    the independent oracle for the Smith form and the cokernel order."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    g = 0 if k else 1
+    for rows in combinations(range(nrows), k):
+        for cols in combinations(range(ncols), k):
+            g = gcd(g, det_bareiss([[matrix[i][j] for j in cols] for i in rows]))
+    return g
 
 
 def test_det_small_cases():

@@ -1,5 +1,6 @@
 """Tests for certificate generation, verification, and serialization."""
 
+import hashlib
 import itertools
 import json
 import pathlib
@@ -250,7 +251,7 @@ def _target_variants(link):
                 out.append(replace(link, params=tuple(params)))
     for res in ("*,*,*", "0,*,*", "inf,*,*", "0,0,*", "0,inf,*",
                 "inf,0,*", "inf,inf,*", "0,0,0", "inf,inf,inf"):
-        cand = link.with_resolution(res)
+        cand = replace(link, resolution=res)
         if cand != link:
             out.append(cand)
     return out
@@ -302,6 +303,170 @@ def test_golden_certificate_bytes():
     want = (GOLDEN / "cert_L1111.json").read_bytes()
     got = qc.serialize(qc.generate_L_cert(1, 1, 1, 1)).encode()
     assert got == want
+
+
+# SHA-256 of serialize(...) for every sign class at three magnitudes and the
+# A family on {1,2,3}^3, frozen from the per-family builders this generator
+# replaced.
+_FROZEN_DIGESTS = {
+    ("L", (1, 2, 1, 2)):
+        "bab8d406d4037d1ceb5e543bada55d465da5a115c786c1e44b850c81c16c353e",
+    ("L", (1, 2, 1, -2)):
+        "5b46de0c599ee6aa6642fb0cf63a65853b7d33c5218a712c565720b9d57f1d84",
+    ("L", (1, 2, -1, 2)):
+        "dae92a4872bc33b26c6b1a2f69a63b7a66b95485ac1581ef555bcbc9b7fcfe01",
+    ("L", (1, 2, -1, -2)):
+        "505f4d917221907dc94b404afefc5bd31e3120ee1c08a88b73345b7d4f2f74f8",
+    ("L", (1, -2, 1, 2)):
+        "dfbc682634b74df53d3744c3b9418ac3d71ed6d2eefc1469b3e4f3b99d5739f7",
+    ("L", (1, -2, 1, -2)):
+        "f40acb62935744f24d999ca01d92423066a5500f68f7387a9e296a2cc2403749",
+    ("L", (1, -2, -1, 2)):
+        "fc2387094092fa055d9a538f2615d5d922b2f28b17a846966868e25c968b02ee",
+    ("L", (1, -2, -1, -2)):
+        "8889c162ee8d46c92ff98a7272b9ff1f0f48d53e059d173ac2005075538e16e9",
+    ("L", (-1, 2, 1, 2)):
+        "b17a2232f87bd256b963f8dd36fa91ef553b245f21f1ed4fd70605d7ad29a093",
+    ("L", (-1, 2, 1, -2)):
+        "7a4a73840fc7fb89fd47adfa0d3dc7fb0f03fc09138c45183887131951010f74",
+    ("L", (-1, 2, -1, 2)):
+        "95fabfbee51caa45e98823afb844edfd12659f05a09e3192adbd1dfb8ab7ac6e",
+    ("L", (-1, 2, -1, -2)):
+        "6d606be20ee194619ccd44aa9be343b5a91d3a835ce9f53a77415bc45a1e11b0",
+    ("L", (-1, -2, 1, 2)):
+        "47c639a6b46bb3f0c20620a1b3e61e0bf0b76fcddf65fe8d37a951cfce17c23d",
+    ("L", (-1, -2, 1, -2)):
+        "36659b025a08853e8c43f9f5be3e520e6ea7466824f34bfb1ae4b910926944c9",
+    ("L", (-1, -2, -1, 2)):
+        "9450b9fc921e8c3bbbac6b758de77d82af6f8eee7becc1f509cb8199d63c132d",
+    ("L", (-1, -2, -1, -2)):
+        "d18aa06f431ca36d25198bfdfd502437bc5d662f9b1b37a5a2b6c6f3031b4d62",
+    ("L", (2, 1, 2, 3)):
+        "6a822595bda94ce73ee10ef2217f54440f248ee7ddbb2a64280d81e66f7f6bed",
+    ("L", (2, 1, 2, -3)):
+        "1387fe283091f2a93a70c4ac593627399ad5ed57e025557ab2787f871f14ee97",
+    ("L", (2, 1, -2, 3)):
+        "596674ead2450e4a0f2bf5e330e1fcda6cc3da114d2d0cf9583b2162b8aef72a",
+    ("L", (2, 1, -2, -3)):
+        "6bfde8cd7f836bfa952a2c0c3714a7874ea374c9a68c55af318e4c22fa804695",
+    ("L", (2, -1, 2, 3)):
+        "55c6fe5c70562582db39702cf2dd0ba6795390b09dc3fade5a5f9563ec96070a",
+    ("L", (2, -1, 2, -3)):
+        "e6b6fdee2766f70e61ea87bfb14f4d4e3b38c1a2233cee2aa289260cd4bf9dcb",
+    ("L", (2, -1, -2, 3)):
+        "ba6d9609e46fef40eaa181405ae9ba575eaf4ee3320fbfd32f082c2ae763d816",
+    ("L", (2, -1, -2, -3)):
+        "32c6e24fe4011660cd353750180b1d4391e3cb67dc27ed0d2bbabcd0f118bb7a",
+    ("L", (-2, 1, 2, 3)):
+        "e4fd645ce81aa1a90b56920bedfb4a9fd80acf1c49235bf0a48b50538f487133",
+    ("L", (-2, 1, 2, -3)):
+        "38ad67495b58cd8b3527d77b73571260bc8a0db3acaaedf5d8e6b03a3e30d1dd",
+    ("L", (-2, 1, -2, 3)):
+        "851b51128273b29fa785cd18c883942e02637ca914283b5c55e6ddff9d3cfc24",
+    ("L", (-2, 1, -2, -3)):
+        "ef199582fe4a6f3982bc3a2ece0a567a81cca604b2e0ca096c95f9419dceb8d2",
+    ("L", (-2, -1, 2, 3)):
+        "739343657256ee68bd5e0e56fbcfd9ee691c6034c9553663627f8a0de62d5704",
+    ("L", (-2, -1, 2, -3)):
+        "ab67b17cb8d90496ad033928909a477f9d0cd3c4c8c534a529ffd4891b0875d5",
+    ("L", (-2, -1, -2, 3)):
+        "4676281636e5a89bdbb56826fa1b46a12e212b3b70debca03468f444c0750f87",
+    ("L", (-2, -1, -2, -3)):
+        "c74f590a325ff47a503ed00d959c423f975db52ab9ce0b91c5c425eaa35bc13a",
+    ("L", (3, 3, 3, 3)):
+        "3b296998e93e057fc7b7a21ba01de100cc036426e4d3c35ef8d8fba0b333afd3",
+    ("L", (3, 3, 3, -3)):
+        "af63737251dc0245b5045cf0584a0bf4cfdea25a5eeb33296c13b71785f25aa2",
+    ("L", (3, 3, -3, 3)):
+        "1138ac961f26b6415b377d29805261633b3019757923886500ed8834e8f00177",
+    ("L", (3, 3, -3, -3)):
+        "f14495614fec016048ce50a52889d4d53da9246aef8461916549406da02ca858",
+    ("L", (3, -3, 3, 3)):
+        "78b928b6a6a301077ddf26468ace0b43d5f19328806ebe67cf9a832158f333d1",
+    ("L", (3, -3, 3, -3)):
+        "8ac736493a1c5a2deb7d028f580b7585e694b79999382042631feb187950ed26",
+    ("L", (3, -3, -3, 3)):
+        "76c752d0a1641406e87aedc11567bc4010d595a18ef9ce303fad6e0beb1a0603",
+    ("L", (3, -3, -3, -3)):
+        "41a9bb7f4b83d0da6d1806da794bd526d68aaf990b86c3a75145c3924affd6f0",
+    ("L", (-3, 3, 3, 3)):
+        "f59bf388bd49367ecc7a77aa97b49e9ad7495468ebd8cf34d79f45cddf031e4e",
+    ("L", (-3, 3, 3, -3)):
+        "6d59ff3b75d8d62d0ca3e7407fb60532f0707eefb4984d7f6f133780dfcbffca",
+    ("L", (-3, 3, -3, 3)):
+        "9ff0d56f5d8658dd6f94f9f98bff092d80c6879b3025ca4a0a92c32369027e03",
+    ("L", (-3, 3, -3, -3)):
+        "b8a6ae0c5732f1ff46f8faa39ae35082eab75e46cc6173ee641fb80c347a2010",
+    ("L", (-3, -3, 3, 3)):
+        "864055aaab8d004645092980517bdc6c61ead79363d82acbd963e600d2ec7dab",
+    ("L", (-3, -3, 3, -3)):
+        "c391ea32427e50f5a859e2a0bc56d2a1b10cfcab322f42265aaf776b931e17d1",
+    ("L", (-3, -3, -3, 3)):
+        "7fa2f8bb5447de00a10730a7cf3567d37fb9c2c23bde4f5a73fe91e77bf8931c",
+    ("L", (-3, -3, -3, -3)):
+        "f77e6f33426cb7c64154ff093498552d58ed043188d91b01210bb41fe2b7a960",
+    ("A", (1, 1, 1)):
+        "2d2f6731823489a358418b445be36ae83e606c38fa296689a47dd1759664d5aa",
+    ("A", (1, 1, 2)):
+        "a97a700b0f24fd8c683b339ab2e5a792f850a5aec83e24a6f6056a6205676d54",
+    ("A", (1, 1, 3)):
+        "5224d115c5efeaa8690a63a4f73e394b2c7e853cc5dc2add82670e9049dfee94",
+    ("A", (1, 2, 1)):
+        "bdcc0bc7f0fc92090a635ffd1b307644db2e647d036e7e6c955fa5b991a6753d",
+    ("A", (1, 2, 2)):
+        "83017beb952602ac33b4086f83f588cde9f095d07263f44fd02ff24fce55681f",
+    ("A", (1, 2, 3)):
+        "310bb392f6954e8f94ccd2e50b595dbb7c9f3451d41de3fa1812a1b2d14ac9b1",
+    ("A", (1, 3, 1)):
+        "53cf658a7a72306d8cf08db3e6fade7492246a3730895a1c84c36d5f7c019fb3",
+    ("A", (1, 3, 2)):
+        "9b7a412ee23ffe99e218499715fbf4329baa79a792256a8396c929953f6f9cf5",
+    ("A", (1, 3, 3)):
+        "0398c536241d53c7635e15becbff1c3437f392e58f792101ab1eaca83a59b8e3",
+    ("A", (2, 1, 1)):
+        "6c9f8b2307738c80b0720d93a5cb490de95a61e3ccc581551b16d466f5fb04ec",
+    ("A", (2, 1, 2)):
+        "c5ffe3b03a3ebcf7c1d1ae882fd2022a02d6f498b7acfb69523aafd2f1f60368",
+    ("A", (2, 1, 3)):
+        "26462ee7829c964626863ed6b6240fe01a91b546174f17a2eea6623fc5c15d00",
+    ("A", (2, 2, 1)):
+        "8941eab01ed1bbfb36639f55ca79dfbbdf345ca958852e0cf957a1410f4ec830",
+    ("A", (2, 2, 2)):
+        "63daa9b0f0755a50145efa1740f8ae17b500a82d128ca73c975550f076c2e4c2",
+    ("A", (2, 2, 3)):
+        "21b384c4151f47dbcf7c16ee56aa9ec8210947bb33472b6d19c9a52480470c05",
+    ("A", (2, 3, 1)):
+        "f39df3465e12338e85a240003cbaf27586461f9e82d95f65c641c98f59f44963",
+    ("A", (2, 3, 2)):
+        "5f890b9c84ec2ee0a9ed73cd12da4601155e5716f144a4465320d6ff15055be3",
+    ("A", (2, 3, 3)):
+        "e5d92c1453c9db92ef1ee8afbca8ebe84aca67bbcf886088b8f22ac6db0c7aed",
+    ("A", (3, 1, 1)):
+        "b30a9e2e207afbfd1b85f578f6e0945177a1ae7d96875b37891377914d7e4895",
+    ("A", (3, 1, 2)):
+        "088dd702041ee7b7a7a5a4c344e723a5b310857cc891460016f7e4fbe2d4f210",
+    ("A", (3, 1, 3)):
+        "39d3382871ada83468abb000fe2af0da27ad599882fd07961e0cc1baf1a39eb4",
+    ("A", (3, 2, 1)):
+        "ad9652ff78ee6726742d4e164737f92873ab17e6bff21c3b3420dbfcf4d0c35e",
+    ("A", (3, 2, 2)):
+        "d54f7e24b13991f1dc12f99ec3cfe4ee5e7a208988875582ccc19183b88d6308",
+    ("A", (3, 2, 3)):
+        "7856c00248ed2d92b12431f914f60796ac9a51c6181e5a48df9f6c888a0c88d8",
+    ("A", (3, 3, 1)):
+        "9c9311f993b2fe8fe2e185a95dc6a3d1ea16a5c6b4c4994ad7284bcbc74e2a1a",
+    ("A", (3, 3, 2)):
+        "47d72bed6daa232a70eea2e09f2519f515f1de772a5528bcecae224e68488da4",
+    ("A", (3, 3, 3)):
+        "2184d274a6dfec82e92963deb1fadb04c76a3b59a00ce9578f1d418c46e2f5e9",
+}
+
+
+def test_certificate_bytes_match_the_frozen_digests():
+    for (family, params), want in _FROZEN_DIGESTS.items():
+        generate = qc.generate_A_cert if family == "A" else qc.generate_L_cert
+        text = qc.serialize(generate(*params))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (family, params)
 
 
 def test_deserialize_accepts_bytes():
@@ -372,6 +537,55 @@ def test_certificate_size_is_linearly_bounded():
     for q, s, t, l in itertools.product((1, 2, 3), repeat=4):
         cert = qc.generate_L_cert(q, s, t, l)
         assert qc.node_count(cert) <= 40 * (q + s + t + l)
+
+
+# -- depth limit -----------------------------------------------------------
+
+def _depth(root):
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in (node.zero, node.inf, node.child)
+                     if c is not None)
+    return deepest
+
+
+def test_deepest_a_certificate_generates_and_verifies():
+    cert = qc.generate_A_cert(1, 1, 110)
+    assert _depth(cert.root) == qc.MAX_DEPTH
+    assert qc.verify(cert)
+    assert qc.verify(qc.deserialize(qc.serialize(cert)))
+
+
+def test_generation_past_the_depth_limit_is_a_generation_error():
+    with pytest.raises(qc.GenerationError, match=f"depth limit of {qc.MAX_DEPTH}"):
+        qc.generate_A_cert(2, 2, 110)
+    with pytest.raises(qc.GenerationError, match="depth limit"):
+        qc.generate_L_cert(100, 100, 100, 100)
+
+
+def _symmetry_chain(levels):
+    """``levels`` nodes: CIT_A_SYM identifications alternating A(1,-1,2) and
+    A(2,-1,1), ending in an ALTERNATING base."""
+    links = (qc.LinkId.A(1, -1, 2), qc.LinkId.A(2, -1, 1))
+    det = qc.expected_det(links[0])
+    node = qc.CertNode(links[(levels - 1) % 2], det, qc.BASE,
+                       axiom="ALTERNATING")
+    for i in range(levels - 2, -1, -1):
+        node = qc.CertNode(links[i % 2], det, qc.IDENTIFY,
+                           citation=qc.CIT_A_SYM, target=node.link, child=node)
+    info = qc.AXIOMS["ALTERNATING"]
+    return qc.Certificate(qc.QUASI_ALTERNATING, node,
+                          (qc.AxiomDecl(info.name, info.claim, info.citation),))
+
+
+def test_verify_enforces_the_depth_limit():
+    assert qc.verify(_symmetry_chain(qc.MAX_DEPTH))
+    verdict = qc.verify(_symmetry_chain(qc.MAX_DEPTH + 1))
+    assert not verdict
+    assert verdict.path == "root" + ".child" * qc.MAX_DEPTH
+    assert f"depth limit of {qc.MAX_DEPTH} levels" in verdict.reason
 
 
 # -- properties ------------------------------------------------------------

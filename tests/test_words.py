@@ -11,8 +11,13 @@ from bridgecover.words import (
     PowerBlock, SignLattice, Syllable, WordError, cyclic_normal_form,
     equal_up_to_cyclic, exponent_sums, instantiate, letters, parse_affine,
     parse_word, peel, peel_block, power_block, reduce_word, sign_power,
-    sign_product, substitute, syll, word_sign,
+    sign_product, substitute, word_sign,
 )
+
+
+def syll(gen, exponent=1):
+    return Syllable(gen, AffineExp.coerce(exponent))
+
 
 SP = SignLattice.STRICT_POS
 NN = SignLattice.NON_NEG
