@@ -429,8 +429,8 @@ class _AgreementRow:
 
 
 def _tables_agreement(cfg: RunConfig) -> List[_AgreementRow]:
-    """Star-row determinants: block matrix against closed formula, on the
-    configured grid."""
+    """Star-row determinants on the configured grid: the block continuant of
+    each star matrix (``GoeritzMatrix.det``) against the closed formula."""
     rows = []
     specs = (
         ("A", ("q", "s", "t"),

@@ -1,14 +1,18 @@
 """Tests for Goeritz matrices, determinant tables, and identity suites."""
 import itertools
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bridgecover import goeritz
 from bridgecover.goeritz import (
     CheckerboardDiagram, GoeritzError, GoeritzMatrix, NotTabulatedError,
-    Resolution, Slot, UnsupportedRegimeError, build_A_star, build_L_star,
-    det_exact, goeritz_from_diagram, table_formula,
+    Resolution, Slot, UnsupportedRegimeError, _family_blocks, build_A_star,
+    build_L_star, det_exact, goeritz_from_diagram, table_formula,
     table_row, verify_additivity, verify_substitution_identities,
 )
+from bridgecover.intlinalg import det_bareiss
 from bridgecover.multipoly import MultiPoly
 from bridgecover.qacert import (
     CIT_A_MIRROR, CIT_A_SYM, CIT_L_MIRROR, CIT_L_SWAP, IDENTIFICATIONS, LinkId,
@@ -77,11 +81,20 @@ def test_a_star_frozen_values():
     assert abs(det_exact(build_A_star(2, 1, 1))) == 27
 
 
+def _star_agrees(family, build, **params):
+    """The block continuant, Bareiss on the dense layout and the star row of
+    Table 3 (A) or Table 5 (L) agree."""
+    m = build(**params)
+    got = det_exact(m)
+    assert det_bareiss(m.entries) == got, (family, params)
+    want = table_formula(family, "*,*,*", params)
+    assert abs(got) == want, (family, params, got, want)
+
+
 def test_a_star_matches_table_grid():
     for q, s, t in itertools.product(range(1, 5), repeat=3):
-        got = abs(det_exact(build_A_star(q, s, t)))
-        want = table_formula("A", "*,*,*", {"q": q, "s": s, "t": t})
-        assert got == want, (q, s, t, got, want)
+        _star_agrees("A", build_A_star, q=q, s=s, t=t)
+    _star_agrees("A", build_A_star, q=20, s=3, t=20)
 
 
 def test_l_star_frozen_values():
@@ -92,23 +105,80 @@ def test_l_star_frozen_values():
 
 def test_l_star_matches_table_grid():
     for q, s, t, l in itertools.product(range(1, 4), repeat=4):
-        got = abs(det_exact(build_L_star(q, s, t, l)))
-        want = table_formula("L", "*,*,*", {"q": q, "s": s, "t": t, "l": l})
-        assert got == want, (q, s, t, l, got, want)
+        _star_agrees("L", build_L_star, q=q, s=s, t=t, l=l)
+    _star_agrees("L", build_L_star, q=20, s=3, t=20, l=2)
 
 
 def test_matrix_dimensions():
-    assert build_A_star(2, 1, 3).size == 3 * (2 + 3 - 1) + 1
-    assert build_L_star(2, 1, 3, 2).size == 3 * (2 + 3)
+    for m, size in ((build_A_star(2, 1, 3), 3 * (2 + 3 - 1) + 1),
+                    (build_L_star(2, 1, 3, 2), 3 * (2 + 3))):
+        assert m.size == size
+        assert len(m.entries) == size
+        assert all(len(row) == size for row in m.entries)
+
+
+def test_star_determinants_at_large_parameters():
+    """6000x6000 star matrices, far past what Bareiss finishes, through the
+    block continuant."""
+    for build, family, params in (
+            (build_L_star, "L", {"q": 1000, "s": 7, "t": 1000, "l": 5}),
+            (build_A_star, "A", {"q": 1000, "s": 3, "t": 1000})):
+        start = time.perf_counter()
+        got = build(**params).det()
+        assert time.perf_counter() - start < 1.0, family
+        assert abs(got) == table_formula(family, "*,*,*", params), family
+
+
+def test_matrix_without_blocks_uses_bareiss(monkeypatch):
+    star = build_L_star(2, 1, 3, 2)
+    raw = GoeritzMatrix(star.entries, "raw")
+    calls = []
+
+    def counting_bareiss(m):
+        calls.append(len(m))
+        return det_bareiss(m)
+
+    monkeypatch.setattr(goeritz, "det_bareiss", counting_bareiss)
+    assert star.det() == det_exact(star)
+    assert calls == []
+    assert raw.det() == det_exact(raw) == star.det()
+    assert calls == [15, 15]
+
+
+_block = st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                  min_size=3, max_size=3)
+
+
+def _with_border(core):
+    """``core`` with a ones column against its last three rows, a ones row
+    against its last three columns and corner -3 (the A layout)."""
+    n = len(core)
+    m = [row + [int(i >= n - 3)] for i, row in enumerate(core)]
+    return m + [[int(j >= n - 3) for j in range(n)] + [-3]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_block, min_size=1, max_size=6))
+@example([[[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
+@example([[[0, -1, -1], [-1, 0, -1], [-1, -1, 0]], [[1, 1, 1]] * 3])
+@example([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+          [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
+def test_block_continuant_matches_bareiss(blocks):
+    """Arbitrary diagonal blocks, singular ones and zero pivots included."""
+    core = _family_blocks(blocks)
+    assert GoeritzMatrix._star(blocks, False, "test").det() == det_bareiss(core)
+    assert (GoeritzMatrix._star(blocks, True, "test").det()
+            == det_bareiss(_with_border(core)))
 
 
 def test_unsupported_regimes_raise():
-    with pytest.raises(UnsupportedRegimeError):
-        build_A_star(0, 1, 1)
-    with pytest.raises(UnsupportedRegimeError):
-        build_A_star(1, -1, 1)
-    with pytest.raises(UnsupportedRegimeError):
-        build_L_star(1, 1, 1, 0)
+    for build, params in ((build_A_star, (0, 1, 1)), (build_A_star, (1, -1, 1)),
+                          (build_A_star, (1, 1, 0)),
+                          (build_L_star, (1, 1, 1, 0)),
+                          (build_L_star, (0, 1, 1, 1)),
+                          (build_L_star, (1, -2, 1, 1))):
+        with pytest.raises(UnsupportedRegimeError):
+            build(*params)
 
 
 def test_csv_export():
