@@ -739,6 +739,20 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  Integers are printed exactly however many digits
+    they have: Python's int-to-str digit limit is lifted for the run and
+    restored on return or exit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_glue_option_values(_hoist_terms(argv)))

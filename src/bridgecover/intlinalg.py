@@ -256,12 +256,13 @@ def cokernel_order(matrix: Sequence[Sequence[int]],
     the rows span a lattice of rank below ncols.  ``ncols`` defaults to the
     length of the first row; it is needed only for a matrix with no rows.
 
-    A Bareiss pass finds the rank and D, a non-zero maximal minor.  D * Z^n
-    lies in the row lattice L, so a Hermite elimination may reduce every
-    entry modulo D (Domich-Kannan-Trotter 1987; Hafner-McCurley 1991) and no
-    entry outgrows D.  Column j's pivot is h = gcd(column entries, R) with
-    R = D / (earlier pivots); the order of Z^n / L, a divisor of D, is the
-    product of the pivots.
+    A Bareiss pass finds the rank and D, a non-zero maximal minor; for a
+    square matrix of full rank the order is |D| and nothing else runs.
+    Otherwise D * Z^n lies in the row lattice L, so a Hermite elimination
+    may reduce every entry modulo D (Domich-Kannan-Trotter 1987;
+    Hafner-McCurley 1991) and no entry outgrows D.  Column j's pivot is
+    h = gcd(column entries, R) with R = D / (earlier pivots); the order of
+    Z^n / L, a divisor of D, is the product of the pivots.
     """
     nrows = len(matrix)
     n = ncols if ncols is not None else (len(matrix[0]) if nrows else 0)
@@ -273,6 +274,8 @@ def cokernel_order(matrix: Sequence[Sequence[int]],
     r = abs(_bareiss(copy_matrix(matrix), n))
     if r == 0:
         return INFINITE
+    if nrows == n:
+        return r  # a square matrix of full rank: the order is |det|
 
     # Before column j, the remaining rows span the lattice L_j of Z^(n-j)
     # whose determinant is |Z^n / L| / (earlier pivots), a divisor of r; so

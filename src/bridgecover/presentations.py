@@ -9,13 +9,17 @@ x1..xn and one relator per index (mod n):
 - the genus-two family, parametrized by (q, s, t, l): one long relator per
   index, transcribed once as a template over a five-generator window.
 
-First-homology orders come from the abelianization by exact Hermite
-elimination modulo a non-zero maximal minor, which keeps every entry below
-that minor, so they can be cross-checked against the knot-theoretic oracle
-(Alexander-polynomial resultants) at any cover degree.  The module also
-machine-checks the word-level identities the genus-two family satisfies:
-the product telescope r3 r2 r1 = zyx and the rewritten relator forms r',
-r''.
+Both templates are parsed once, at import.  A builder substitutes and
+reduces its template for r_1 only; r_i is r_1 with every generator index
+shifted by i - 1, so the per-index work is a renaming.
+
+First-homology orders come from the integer abelianization (exponent sums
+evaluated straight to ints) by exact elimination modulo a non-zero maximal
+minor, which keeps every entry below that minor, so they can be
+cross-checked against the knot-theoretic oracle (Fox's resultant formula)
+at any cover degree.  The module also machine-checks the word-level
+identities the genus-two family satisfies: the product telescope
+r3 r2 r1 = zyx and the rewritten relator forms r', r''.
 """
 from __future__ import annotations
 
@@ -25,14 +29,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .intlinalg import Infinite, cokernel_order, in_row_span
 from .multipoly import MultiPoly
 from .words import (
-    AffineExp, CyclicMatch, Letter, ParamEnv, ParamWord, WordError,
-    cyclic_normal_form, equal_up_to_cyclic, exponent_sums, instantiate,
-    letters, parse_word, reduce_word, substitute, substitute_params,
+    AffineExp, CyclicMatch, Letter, ParamEnv, ParamWord, PowerBlock, Syllable,
+    WordError, cyclic_normal_form, equal_up_to_cyclic, exponent_sums,
+    instantiate, letters, parse_word, substitute, substitute_params,
 )
 
 # One relator of the genus-one family, over a three-generator window
 # A=x_i, B=x_{i+1}, C=x_{i+2}.
 _GENUS_ONE_TEMPLATE = "(A^(-k) B^(k))^(l) (C^(-k) B^(k))^(l-1) C^(-k) B^(k-1)"
+_GENUS_ONE_WINDOW = (("A", 0), ("B", 1), ("C", 2))
 
 # One relator of the genus-two family, over a five-generator window
 # a=x_{i-2}, b=x_{i-1}, c=x_i, d=x_{i+1}, e=x_{i+2}.  Transcribed once;
@@ -44,6 +49,11 @@ _GENUS_TWO_TEMPLATE = (
     "( ( (b^(q) c^(-q))^(-s) b (a^(q) b^(-q))^(s) )^(t) b^(q) c^(-q) "
     "( (c^(q) d^(-q))^(-s) c (b^(q) c^(-q))^(s) )^(-t) )^(l)"
 )
+_GENUS_TWO_WINDOW = (("a", -2), ("b", -1), ("c", 0), ("d", 1), ("e", 2))
+
+# Both templates are constant, so they are parsed once.
+_GENUS_ONE_WORD = parse_word(_GENUS_ONE_TEMPLATE)
+_GENUS_TWO_WORD = parse_word(_GENUS_TWO_TEMPLATE)
 
 # The n=3 wing words X, Y, Z and the rewritten relator forms r'_i, r''_i,
 # over generators x, y, z (= x1, x2, x3) and placeholders X, Y, Z.
@@ -144,6 +154,37 @@ def _as_exponent(value: Union[int, str], default_bound: int,
     raise WordError(f"parameter must be an int or a parameter name, got {value!r}")
 
 
+def _periodic_relators(template: ParamWord, window: Sequence[Tuple[str, int]],
+                       n: int, env: ParamEnv) -> List[ParamWord]:
+    """Relators r_1..r_n of an n-periodic family: r_i is the template with
+    each window letter v replaced by x_(i+offset) for (v, offset) in
+    ``window``.
+
+    Only r_1 is substituted and reduced.  The shift x_j -> x_(j+1) (mod n)
+    is a bijection of the generators, and renaming by a bijection commutes
+    with ``reduce_word``, so r_i is r_1 renamed by the shift to the power
+    i - 1.
+    """
+    first = [_gen_name(1 + offset, n) for _, offset in window]
+    r1 = substitute(template, {letter: parse_word(gen) for (letter, _), gen
+                               in zip(window, first)}, env)
+    relators = [r1]
+    for i in range(2, n + 1):
+        shift = {gen: _gen_name(i + offset, n)
+                 for gen, (_, offset) in zip(first, window)}
+        relators.append(_rename(r1, shift))
+    return relators
+
+
+def _rename(w: ParamWord, names: Mapping[str, str]) -> ParamWord:
+    """w with every generator g renamed to names[g]; exponents, multiplicities
+    and block structure are kept as they are."""
+    return ParamWord([
+        Syllable(names[item.gen], item.exponent) if isinstance(item, Syllable)
+        else PowerBlock(_rename(item.body, names), item.multiplicity)
+        for item in w.items])
+
+
 def genus_one_presentation(k: Union[int, str], l: Union[int, str],
                            n: int) -> Presentation:
     """The n-periodic genus-one presentation with parameters (k, l).
@@ -152,6 +193,8 @@ def genus_one_presentation(k: Union[int, str], l: Union[int, str],
     standing bounds k >= 2, l >= 1.  Relators are r0 = x1 x2 ... xn and, for
     each index i (mod n),
     r_i = (x_i^-k x_{i+1}^k)^l (x_{i+2}^-k x_{i+1}^k)^(l-1) x_{i+2}^-k x_{i+1}^(k-1).
+    The template is reduced once, for r_1; r_2..r_n are its images under
+    the cyclic shift of the generators.
     """
     if n < 2:
         raise WordError(f"need at least 2 generators, got n={n}")
@@ -159,19 +202,11 @@ def genus_one_presentation(k: Union[int, str], l: Union[int, str],
     k_exp = _as_exponent(k, 2, bounds)
     l_exp = _as_exponent(l, 1, bounds)
     env = ParamEnv(bounds)
-    template = substitute_params(parse_word(_GENUS_ONE_TEMPLATE),
-                                 {"k": k_exp, "l": l_exp})
+    template = substitute_params(_GENUS_ONE_WORD, {"k": k_exp, "l": l_exp})
     generators = [_gen_name(i, n) for i in range(1, n + 1)]
     relators = [parse_word(" ".join(generators))]
-    names = ["r0"]
-    for i in range(1, n + 1):
-        window = {
-            "A": parse_word(_gen_name(i, n)),
-            "B": parse_word(_gen_name(i + 1, n)),
-            "C": parse_word(_gen_name(i + 2, n)),
-        }
-        relators.append(substitute(template, window, env))
-        names.append(f"r{i}")
+    relators += _periodic_relators(template, _GENUS_ONE_WINDOW, n, env)
+    names = [f"r{i}" for i in range(n + 1)]
     return Presentation(generators, relators, env, names)
 
 
@@ -179,7 +214,9 @@ def mv_presentation(q: int, s: int, t: int, l: int, n: int) -> Presentation:
     """The n-periodic genus-two presentation with parameters (q, s, t, l).
 
     One relator per index i (mod n), from the five-generator window template;
-    all four parameters must be nonzero integers.
+    all four parameters must be nonzero integers.  The template is reduced
+    once, for r_1; r_2..r_n are its images under the cyclic shift of the
+    generators.
     """
     if n < 2:
         raise WordError(f"need at least 2 generators, got n={n}")
@@ -187,20 +224,11 @@ def mv_presentation(q: int, s: int, t: int, l: int, n: int) -> Presentation:
         if not isinstance(value, int) or value == 0:
             raise WordError(f"parameter {name} must be a nonzero integer, got {value!r}")
     env = ParamEnv({})
-    template = substitute_params(parse_word(_GENUS_TWO_TEMPLATE),
+    template = substitute_params(_GENUS_TWO_WORD,
                                  {"q": q, "s": s, "t": t, "l": l})
     generators = [_gen_name(i, n) for i in range(1, n + 1)]
-    relators, names = [], []
-    for i in range(1, n + 1):
-        window = {
-            "a": parse_word(_gen_name(i - 2, n)),
-            "b": parse_word(_gen_name(i - 1, n)),
-            "c": parse_word(_gen_name(i, n)),
-            "d": parse_word(_gen_name(i + 1, n)),
-            "e": parse_word(_gen_name(i + 2, n)),
-        }
-        relators.append(substitute(template, window, env))
-        names.append(f"r{i}")
+    relators = _periodic_relators(template, _GENUS_TWO_WINDOW, n, env)
+    names = [f"r{i}" for i in range(1, n + 1)]
     return Presentation(generators, relators, env, names)
 
 
@@ -211,17 +239,15 @@ def abelianization_matrix(p: Presentation,
                           values: Optional[Mapping[str, int]] = None) -> List[MatrixRow]:
     """Exponent-sum matrix: one row per relator, one column per generator.
 
-    With ``values`` the entries are integers; without, they are polynomials
-    in the presentation's parameters.
+    With ``values`` the entries are integers, evaluated word by word with
+    no polynomial built; without, they are polynomials in the
+    presentation's parameters.
     """
+    zero = 0 if values is not None else MultiPoly.const(0)
     rows: List[MatrixRow] = []
     for rel in p.relators:
-        sums = exponent_sums(rel)
-        row: MatrixRow = []
-        for gen in p.generators:
-            entry = sums.get(gen, MultiPoly.const(0))
-            row.append(entry.evaluate(values) if values is not None else entry)
-        rows.append(row)
+        sums = exponent_sums(rel, values)
+        rows.append([sums.get(gen, zero) for gen in p.generators])
     return rows
 
 
@@ -229,8 +255,9 @@ def h1_order(p: Presentation,
              values: Optional[Mapping[str, int]] = None) -> Union[int, Infinite]:
     """Order of the abelianization, or INFINITE if it has positive rank.
 
-    The order comes from Hermite elimination modulo a non-zero maximal minor
-    of the exponent-sum matrix (``intlinalg.cokernel_order``), so entries
+    The order comes from ``intlinalg.cokernel_order`` on the integer
+    exponent-sum matrix: |det| when it is square (the genus-two family),
+    else Hermite elimination modulo a non-zero maximal minor, so entries
     stay below that minor however large the cover.
     """
     matrix = abelianization_matrix(p, values if values is not None else {})
@@ -246,8 +273,7 @@ _XYZ_RENAME = {"x1": "x", "x2": "y", "x3": "z"}
 
 def _relators_xyz(p: Presentation) -> List[ParamWord]:
     """The n=3 relators rewritten over x, y, z (= x1, x2, x3)."""
-    rename = {old: parse_word(new) for old, new in _XYZ_RENAME.items()}
-    return [substitute(rel, rename, p.env) for rel in p.relators]
+    return [_rename(rel, _XYZ_RENAME) for rel in p.relators]
 
 
 def _syllable_runs(ls: Sequence[Letter]) -> List[Tuple[str, int]]:
@@ -309,9 +335,8 @@ def verify_product_identity(q: int, s: int, t: int, l: int) -> ProductIdentityVe
     product = instantiate(r3 * r2 * r1, {})
     target = parse_word("z y x")
 
-    sums = exponent_sums(product)
-    abelian = tuple(int(sums.get(g, MultiPoly.const(0)).evaluate({}))
-                    for g in ("x", "y", "z"))
+    sums = exponent_sums(product, {})
+    abelian = tuple(sums.get(g, 0) for g in ("x", "y", "z"))
     abelian_ok = abelian == (1, 1, 1)
 
     matrix = abelianization_matrix(p, {})

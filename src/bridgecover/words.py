@@ -587,26 +587,35 @@ def instantiate(w: ParamWord, values: Mapping[str, int]) -> ParamWord:
     return ParamWord(out)
 
 
-def exponent_sums(w: ParamWord) -> Dict[str, MultiPoly]:
-    """Total exponent of each generator, as a polynomial in the parameters.
+def exponent_sums(w: ParamWord, values: Optional[Mapping[str, int]] = None
+                  ) -> Dict[str, Union[MultiPoly, int]]:
+    """Total exponent of each generator, as a polynomial in the parameters,
+    or as an integer at ``values`` when they are given.
 
     Block multiplicities multiply the body sums, so the result is genuinely
-    polynomial (e.g. quadratic terms like k*l), not affine.
+    polynomial (e.g. quadratic terms like k*l), not affine.  With ``values``
+    every exponent and multiplicity is evaluated on the spot, so no
+    polynomial is built; the sums equal the polynomial ones evaluated at
+    ``values``.  Generators whose sum is zero are left out.
     """
-    def visit(word_: ParamWord) -> Dict[str, MultiPoly]:
-        sums: Dict[str, MultiPoly] = {}
+    if values is None:
+        value, zero = AffineExp.to_poly, MultiPoly.const(0)
+    else:
+        value, zero = (lambda exp: exp.evaluate(values)), 0
+
+    def visit(word_: ParamWord) -> Dict[str, Union[MultiPoly, int]]:
+        sums: Dict[str, Union[MultiPoly, int]] = {}
         for item in word_.items:
             if isinstance(item, Syllable):
-                add = item.exponent.to_poly()
-                sums[item.gen] = sums.get(item.gen, MultiPoly.const(0)) + add
+                sums[item.gen] = sums.get(item.gen, zero) + value(item.exponent)
             else:
                 inner = visit(item.body)
-                mult = item.multiplicity.to_poly()
+                mult = value(item.multiplicity)
                 for gen, val in inner.items():
-                    sums[gen] = sums.get(gen, MultiPoly.const(0)) + mult * val
+                    sums[gen] = sums.get(gen, zero) + mult * val
         return sums
 
-    return {g: s for g, s in visit(w).items() if not s.is_zero()}
+    return {g: s for g, s in visit(w).items() if s != 0}
 
 
 Letter = Tuple[str, int]

@@ -147,6 +147,29 @@ def test_h1_rejects_degenerate_cover(capsys):
     assert "--cover must be >= 2" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+def test_h1_prints_orders_past_the_digit_limit_exactly(capsys):
+    from bridgecover.twobridge import h1_cyclic_cover_order
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(["h1", "--cover", "4000", "--", "2", "-4", "6", "-8"],
+                       capsys)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    want = h1_cyclic_cover_order([2, -4, 6, -8], 4000)
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(want)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) == 5521
+    assert out == digits + "\n"
+    # a usage error leaves through SystemExit and restores the limit too
+    code, _, _ = run(["h1", "--cover", "1", "--", "2", "-2"], capsys)
+    assert code == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from bridgecover import intlinalg
 from bridgecover.intlinalg import (
     INFINITE,
     cokernel_order,
@@ -220,6 +221,35 @@ def test_cokernel_order_matches_sympy_smith_form():
             order *= abs(int(snf[i, i]))
         expect = INFINITE if nr < nc or order == 0 else order
         assert cokernel_order(m) == expect, m
+
+
+def test_cokernel_order_of_square_matrices_is_the_determinant(monkeypatch):
+    # A square matrix takes the |det| shortcut; with a zero row appended the
+    # same lattice goes through the Hermite elimination instead.
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(120):
+        n = rng.randrange(1, 6)
+        bound = rng.choice((2, 9, 60))
+        m = [[rng.randrange(-bound, bound + 1) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.25:  # make it singular
+            coeffs = [rng.randrange(-2, 3) for _ in range(n - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m))
+                     for j in range(n)]
+        cases.append((m, cokernel_order(m + [[0] * n])))
+
+    def refuse(a, b):
+        raise AssertionError("Hermite elimination ran on a square matrix")
+
+    monkeypatch.setattr(intlinalg, "_xgcd", refuse)
+    singular = 0
+    for m, hermite in cases:
+        g = gcd_of_minors(m, len(m))
+        assert g == abs(det_bareiss(m))
+        assert cokernel_order(m) == hermite == (g if g else INFINITE), m
+        singular += g == 0
+    assert singular > 10
 
 
 def test_cokernel_order_infinite_cases():

@@ -14,7 +14,7 @@ from bridgecover.presentations import (
 from bridgecover.twobridge import INFINITE, EvenExpansion, h1_cyclic_cover_order
 from bridgecover.words import (
     CyclicMatch, ParamEnv, WordError, equal_up_to_cyclic, instantiate,
-    parse_word, substitute,
+    parse_word, substitute, substitute_params,
 )
 
 
@@ -197,6 +197,94 @@ def test_mv_h1_n2_is_knot_determinant():
         expansion = EvenExpansion([-2 * q, 2 * s, -2 * t, 2 * l])
         assert h1_order(mv_presentation(q, s, t, l, 2)) == \
             h1_cyclic_cover_order(expansion, 2), (q, s, t, l)
+
+
+# ---------------------------------------------------------------------------
+# One substitution per presentation, against the per-index reference
+# ---------------------------------------------------------------------------
+
+def _gen(i, n):
+    return f"x{((i - 1) % n) + 1}"
+
+
+def reference_genus_one(k, l, n):
+    """The genus-one family built index by index: the template substituted
+    and reduced once for every relator."""
+    bounds = {}
+    k_exp = presentations._as_exponent(k, 2, bounds)
+    l_exp = presentations._as_exponent(l, 1, bounds)
+    env = ParamEnv(bounds)
+    template = substitute_params(parse_word(presentations._GENUS_ONE_TEMPLATE),
+                                 {"k": k_exp, "l": l_exp})
+    generators = [_gen(i, n) for i in range(1, n + 1)]
+    relators = [parse_word(" ".join(generators))]
+    for i in range(1, n + 1):
+        window = {"A": parse_word(_gen(i, n)), "B": parse_word(_gen(i + 1, n)),
+                  "C": parse_word(_gen(i + 2, n))}
+        relators.append(substitute(template, window, env))
+    return Presentation(generators, relators, env,
+                        [f"r{i}" for i in range(n + 1)])
+
+
+def reference_mv(q, s, t, l, n):
+    """The genus-two family built index by index."""
+    env = ParamEnv({})
+    template = substitute_params(parse_word(presentations._GENUS_TWO_TEMPLATE),
+                                 {"q": q, "s": s, "t": t, "l": l})
+    relators = []
+    for i in range(1, n + 1):
+        window = {v: parse_word(_gen(i + offset, n))
+                  for v, offset in zip("abcde", range(-2, 3))}
+        relators.append(substitute(template, window, env))
+    return Presentation([_gen(i, n) for i in range(1, n + 1)], relators, env,
+                        [f"r{i}" for i in range(1, n + 1)])
+
+
+def _nonzero(rng):
+    return rng.choice([v for v in range(-4, 5) if v])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_genus_one_matches_the_per_index_reference(n):
+    rng = random.Random(1000 + n)
+    params = [("k", "l"), ("k", 3), (2, "l")]
+    params += [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
+    for k, l in params:
+        got, want = genus_one_presentation(k, l, n), reference_genus_one(k, l, n)
+        assert got.to_text() == want.to_text(), (k, l, n)
+        assert got.env == want.env
+        assert abelianization_matrix(got) == abelianization_matrix(want)
+        values = {"k": rng.randint(2, 6), "l": rng.randint(1, 5)}
+        assert abelianization_matrix(got, values) == [
+            [entry.evaluate(values) for entry in row]
+            for row in abelianization_matrix(want)]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_mv_matches_the_per_index_reference(n):
+    rng = random.Random(2000 + n)
+    for _ in range(6):
+        params = [_nonzero(rng) for _ in range(4)]
+        got, want = mv_presentation(*params, n), reference_mv(*params, n)
+        assert got.to_text() == want.to_text(), (params, n)
+        assert abelianization_matrix(got, {}) == [
+            [entry.evaluate({}) for entry in row]
+            for row in abelianization_matrix(want)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_builders_substitute_once_whatever_n(n, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return substitute(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "substitute", counting)
+    genus_one_presentation("k", "l", n)
+    assert len(calls) == 1
+    mv_presentation(1, -2, 2, 1, n)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

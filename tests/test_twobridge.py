@@ -6,8 +6,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bridgecover.intlinalg import det_bareiss
+from bridgecover import intlinalg, twobridge
+from bridgecover.intlinalg import det_bareiss, resultant
 from bridgecover.twobridge import (
     INFINITE,
     EvenExpansion,
@@ -160,6 +162,97 @@ def test_h1_mirror_invariance():
     for terms in ([2, 2], [2, -2], [-2, 2, -2, 2], [4, -2, 2, 6]):
         for n in (2, 3, 4, 5):
             assert h1_cyclic_cover_order(terms, n) == h1_cyclic_cover_order(mirror_terms(terms), n)
+
+
+def sylvester_order(delta, n):
+    """|Res(1 + t + ... + t**(n-1), delta)| by the (n + deg delta - 1)-square
+    Sylvester determinant: the reference for the oracle."""
+    order = abs(resultant([1] * n, delta))
+    return order if order else INFINITE
+
+
+half_terms = st.integers(1, 4).flatmap(lambda genus: st.lists(
+    st.integers(-4, 4).filter(bool), min_size=2 * genus, max_size=2 * genus))
+
+
+@given(half_terms, st.integers(2, 60))
+@example([1, -1], 6)           # trefoil: Delta(t) = Phi_6
+@example([1, -1], 60)
+@example([-1, 1, -1, 1], 10)   # 5_1: Delta(t) = Phi_10
+@example([-1, 1, -1, 1], 30)
+@example([1, 1], 6)            # figure eight: never infinite
+@settings(max_examples=60, deadline=None)
+def test_h1_oracle_matches_the_sylvester_resultant(halves, n):
+    terms = [2 * a for a in halves]
+    assert h1_cyclic_cover_order(terms, n) == \
+        sylvester_order(alexander(terms), n)
+
+
+def test_h1_oracle_infinite_examples():
+    for terms, n in (([2, -2], 6), ([2, -2], 60), ([-2, 2, -2, 2], 10),
+                     ([-2, 2, -2, 2], 20)):
+        assert sylvester_order(alexander(terms), n) is INFINITE
+        assert h1_cyclic_cover_order(terms, n) is INFINITE
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+       st.integers(-6, 6).filter(bool), st.integers(1, 40))
+@example([-1], 1, 7)              # Hopf link: Delta(t) = t - 1
+@example([1, -1, 1], -1, 12)      # T(2,4): 1 - t + t^2 - t^3
+@settings(max_examples=80, deadline=None)
+def test_cyclic_resultant_handles_links(low, lead, n):
+    # The constant term is shifted so that delta(1) = 0, as for a link.
+    delta = low + [lead]
+    delta[0] -= sum(delta)
+    want = abs(resultant([1] * n, delta))
+    assert twobridge._cyclic_resultant(delta, n) == want
+
+
+def test_h1_oracle_at_large_n_against_closed_forms():
+    # Figure eight: |H_1| = 5 F_n^2 for even n and L_n^2 for odd n.
+    fib, luc = [0, 1], [2, 1]
+    for _ in range(10 ** 4 + 1):
+        fib.append(fib[-1] + fib[-2])
+        luc.append(luc[-1] + luc[-2])
+    for n in (1000, 1001, 10 ** 4, 10 ** 4 + 1):
+        want = 5 * fib[n] ** 2 if n % 2 == 0 else luc[n] ** 2
+        assert h1_cyclic_cover_order([2, 2], n) == want
+    # Trefoil: the orders repeat with period 6.
+    for n in range(1994, 2006):
+        assert h1_cyclic_cover_order([2, -2], n) == \
+            h1_cyclic_cover_order([2, -2], n % 6 or 6)
+
+
+def test_h1_oracle_calls_resultant_once(monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return resultant(f, g)
+
+    monkeypatch.setattr(twobridge, "resultant", counting)
+    for terms, n in (([2, 2], 7), ([4, -2, 2, -4], 7), ([2, -4, 6, -8], 800),
+                     ([2, -4, 2, -4, 6, -2, 4, -2], 300)):
+        calls.clear()
+        assert h1_cyclic_cover_order(terms, n) is not INFINITE
+        assert len(calls) == 1, (terms, n)
+
+
+def test_h1_oracle_determinants_stay_below_4g(monkeypatch):
+    sizes = []
+
+    def recording(matrix):
+        sizes.append(len(matrix))
+        return det_bareiss(matrix)
+
+    monkeypatch.setattr(intlinalg, "det_bareiss", recording)
+    rng = random.Random(7)
+    for genus in (1, 2, 3, 4):
+        for n in (2, 3, 17, 200, 1000):
+            sizes.clear()
+            terms = [2 * rng.choice(NONZERO) for _ in range(2 * genus)]
+            h1_cyclic_cover_order(terms, n)
+            assert max(sizes, default=0) <= 4 * genus - 1, (terms, n, sizes)
 
 
 def test_even_expansion_from_fraction_roundtrip():
