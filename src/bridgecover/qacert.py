@@ -22,7 +22,8 @@ from the same ``AXIOMS`` / ``IDENTIFICATIONS`` whitelists ``verify`` checks
 against.  ``verify`` independently checks every rule, recomputing all
 determinants from the tabulated formulas.  Both stop at ``MAX_DEPTH``
 levels: generation raises ``GenerationError`` and verification rejects.
-Certificates serialize to canonical JSON.
+Certificates serialize to canonical JSON, written from an explicit stack
+in time linear in the text, at any depth.
 """
 
 from __future__ import annotations
@@ -449,20 +450,25 @@ class Certificate:
 # Deepest certificate, in nodes on a path from the root, that the generator
 # writes and the verifier accepts.  A(1,1,110) is exactly this deep;
 # A(2,2,110) and the deepest L sign classes from magnitude 87 or 88 on are
-# deeper.  Generation, verification, serialization and parsing recurse once
-# per level, and the limit keeps them inside Python's default recursion
-# limit of 1000.
+# deeper.  Generation, verification and parsing recurse once per level, and
+# the limit keeps them inside Python's default recursion limit of 1000;
+# serialization and ``iter_nodes`` do not recurse.
 MAX_DEPTH = 438
 
 
 def iter_nodes(root: CertNode, path: str = "root") -> Iterator[Tuple[str, CertNode]]:
-    yield path, root
-    if root.zero is not None:
-        yield from iter_nodes(root.zero, path + ".zero")
-    if root.inf is not None:
-        yield from iter_nodes(root.inf, path + ".inf")
-    if root.child is not None:
-        yield from iter_nodes(root.child, path + ".child")
+    """Every node with its path, in pre-order (zero, inf, child), from an
+    explicit stack."""
+    stack = [(path, root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if node.child is not None:
+            stack.append((path + ".child", node.child))
+        if node.inf is not None:
+            stack.append((path + ".inf", node.inf))
+        if node.zero is not None:
+            stack.append((path + ".zero", node.zero))
 
 
 def node_count(cert: Certificate) -> int:
@@ -643,6 +649,8 @@ def _link_to_json(link: LinkId) -> Dict[str, object]:
 
 
 def _node_to_json(node: CertNode) -> Dict[str, object]:
+    """One node's JSON object; its children stay ``CertNode``s, which
+    ``_canonical_json`` converts when it reaches them."""
     out: Dict[str, object] = {
         "link": _link_to_json(node.link),
         "det": str(node.det),
@@ -651,13 +659,61 @@ def _node_to_json(node: CertNode) -> Dict[str, object]:
     if node.kind == BASE:
         out["axiom"] = node.axiom
     elif node.kind == SKEIN:
-        out["zero"] = _node_to_json(node.zero)
-        out["inf"] = _node_to_json(node.inf)
+        out["zero"] = node.zero
+        out["inf"] = node.inf
     elif node.kind == IDENTIFY:
         out["target"] = _link_to_json(node.target)
         out["citation"] = node.citation
-        out["child"] = _node_to_json(node.child)
+        out["child"] = node.child
     return out
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _canonical_json(obj, default: Callable[[object], object]) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, default=default) + "\\n"``
+    for objects built of dicts with string keys, lists, strings and ints.
+
+    ``json.dumps`` with an indent runs its pure-Python encoder, whose cost
+    grows with tokens times nesting depth.  Here one explicit stack holds
+    the open containers, so the cost is linear in the output and no nesting
+    level takes a Python frame."""
+    out: List[str] = []
+    # per open container: (iterator over (text before the entry, entry),
+    # text that closes the container, newline and indent of its entries)
+    stack = [(iter((("", obj),)), "\n", "\n")]
+    while stack:
+        entries, close, newline = stack[-1]
+        for before, value in entries:
+            if value.__class__ is str:
+                out.append(before + _encode_str(value))
+                continue
+            if value.__class__ is int:
+                out.append(before + int.__repr__(value))
+                continue
+            if value.__class__ is not dict and value.__class__ is not list:
+                value = default(value)
+            if not value:
+                out.append(before + ("{}" if value.__class__ is dict else "[]"))
+                continue
+            if value.__class__ is dict:
+                opening, closing = "{", "}"
+                items = [(_encode_str(key) + ": ", sub)
+                         for key, sub in sorted(value.items())]
+            else:
+                opening, closing = "[", "]"
+                items = [("", sub) for sub in value]
+            out.append(before + opening)
+            inner = newline + "  "
+            stack.append((iter([(("," if i else "") + inner + key, sub)
+                                for i, (key, sub) in enumerate(items)]),
+                          newline + closing, inner))
+            break
+        else:
+            stack.pop()
+            out.append(close)
+    return "".join(out)
 
 
 def serialize(cert: Certificate) -> str:
@@ -666,9 +722,9 @@ def serialize(cert: Certificate) -> str:
         "claim": cert.claim,
         "axioms": [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
                    for ax in cert.axioms],
-        "root": _node_to_json(cert.root),
+        "root": cert.root,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _canonical_json(payload, _node_to_json)
 
 
 def _expect(obj, key: str, types, path: str):

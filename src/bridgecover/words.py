@@ -175,10 +175,19 @@ class AffineExp:
         return total
 
     def substitute_params(self, mapping: Mapping[str, "AffineExp"]) -> "AffineExp":
-        out = AffineExp(self.const)
+        const, coeffs = self.const, {}
         for name, coeff in self.coeffs.items():
-            out = out + mapping.get(name, AffineExp.param(name)).scale(coeff)
-        return out
+            image = mapping[name] if name in mapping else AffineExp.param(name)
+            const += coeff * image.const
+            for k, v in image.coeffs.items():
+                total = coeffs.get(k, 0) + coeff * v
+                if total:
+                    coeffs[k] = total
+                else:
+                    # dropped at once, as a term-by-term sum drops it, so a
+                    # parameter that comes back goes last
+                    coeffs.pop(k, None)
+        return AffineExp(const, coeffs)
 
     def to_poly(self) -> MultiPoly:
         p = MultiPoly.const(self.const)

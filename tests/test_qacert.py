@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -467,6 +468,84 @@ def test_certificate_bytes_match_the_frozen_digests():
         generate = qc.generate_A_cert if family == "A" else qc.generate_L_cert
         text = qc.serialize(generate(*params))
         assert hashlib.sha256(text.encode()).hexdigest() == want, (family, params)
+
+
+def _digest_certificates():
+    for family, params in _FROZEN_DIGESTS:
+        generate = qc.generate_A_cert if family == "A" else qc.generate_L_cert
+        yield generate(*params)
+
+
+def _recursive_iter_nodes(node, path="root"):
+    """The recursive pre-order walk ``qc.iter_nodes`` replaced."""
+    yield path, node
+    for attr in ("zero", "inf", "child"):
+        sub = getattr(node, attr)
+        if sub is not None:
+            yield from _recursive_iter_nodes(sub, path + "." + attr)
+
+
+def test_iter_nodes_matches_the_recursive_pre_order():
+    deep = qc.generate_A_cert(1, 1, 110)
+    for cert in [*_digest_certificates(), deep]:
+        assert (list(qc.iter_nodes(cert.root))
+                == list(_recursive_iter_nodes(cert.root)))
+    assert qc.node_count(deep) == 3374
+
+
+def _recursive_payload(cert):
+    """The fully nested payload ``serialize`` once handed to ``json.dumps``."""
+    def node(n):
+        out = qc._node_to_json(n)
+        for attr in ("zero", "inf", "child"):
+            if attr in out:
+                out[attr] = node(out[attr])
+        return out
+    return {"claim": cert.claim,
+            "axioms": [{"name": ax.name, "claim": ax.claim,
+                        "citation": ax.citation} for ax in cert.axioms],
+            "root": node(cert.root)}
+
+
+def _reference_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_json_text = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é✓", "𝔽\ud800"])
+_json_values = st.recursive(
+    _json_text | st.integers() | st.integers(-2**200, 2**200),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_json_text, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_canonical_json_matches_json_dumps(obj):
+    assert qc._canonical_json(obj, None) == _reference_json(obj)
+
+
+def test_serialize_equals_json_dumps_of_the_nested_payload():
+    for cert in [*_digest_certificates(), qc.generate_A_cert(1, 1, 110)]:
+        assert qc.serialize(cert) == _reference_json(_recursive_payload(cert))
+
+
+def test_serialize_runs_below_the_certificate_depth():
+    cert = qc.generate_A_cert(1, 1, 110)
+    want = qc.serialize(cert)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = depth + 50
+    assert limit < qc.MAX_DEPTH // 2
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        text = qc.serialize(cert)
+    finally:
+        sys.setrecursionlimit(old)
+    assert text == want
 
 
 def test_deserialize_accepts_bytes():

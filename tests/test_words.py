@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgecover.words import (
@@ -71,6 +71,33 @@ def test_affine_substitute_params():
     e = k.scale(3) - 2
     swapped = e.substitute_params({"k": AffineExp.param("m") + 1})
     assert swapped == AffineExp.param("m").scale(3) + 1
+
+
+def _reference_substitute_params(e, mapping):
+    """The one-AffineExp-per-term loop ``AffineExp.substitute_params``
+    replaced."""
+    out = AffineExp(e.const)
+    for name, coeff in e.coeffs.items():
+        out = out + mapping.get(name, AffineExp.param(name)).scale(coeff)
+    return out
+
+
+_param_names = st.sampled_from(["k", "l", "m", "q", "s"])
+_small_affine = st.builds(
+    AffineExp, st.integers(-4, 4),
+    st.dictionaries(_param_names, st.integers(-2, 2), max_size=5))
+
+
+@example(AffineExp(0, {"k": 1, "l": 1, "m": 1}),
+         {"k": AffineExp(0, {"q": 1, "s": 1}), "l": AffineExp(0, {"q": -1}),
+          "m": AffineExp(0, {"q": 1})})
+@settings(max_examples=300)
+@given(_small_affine, st.dictionaries(_param_names, _small_affine, max_size=4))
+def test_affine_substitute_params_matches_the_per_term_loop(e, mapping):
+    got = e.substitute_params(mapping)
+    want = _reference_substitute_params(e, mapping)
+    assert got.const == want.const
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
