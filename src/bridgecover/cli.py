@@ -30,9 +30,8 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .goeritz import (
@@ -81,44 +80,8 @@ _PARAM_NAMES = ("q", "s", "t", "l")
 
 
 # ---------------------------------------------------------------------------
-# Run configuration
+# Grid configuration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Settings shared by the grid and report commands.
-
-    The grid maps each parameter to an inclusive integer range; ranges must
-    be nonempty.
-    """
-
-    grid: Dict[str, Tuple[int, int]] = field(
-        default_factory=lambda: {name: (1, 3) for name in _PARAM_NAMES})
-    output_dir: str = "."
-    fmt: str = "text"
-
-    def validate(self) -> None:
-        for name, (lo, hi) in self.grid.items():
-            if lo > hi:
-                raise ValueError(f"empty grid range {name}={lo}..{hi}")
-
-    def values(self, name: str) -> range:
-        lo, hi = self.grid[name]
-        return range(lo, hi + 1)
-
-    def points(self, names: Sequence[str]):
-        """All grid points over the given parameters, as dicts."""
-        for combo in itertools.product(*(self.values(n) for n in names)):
-            yield dict(zip(names, combo))
-
-    def grid_text(self) -> str:
-        ranges = {self.grid[n] for n in _PARAM_NAMES}
-        if len(ranges) == 1:
-            lo, hi = next(iter(ranges))
-            return f"q,s,t,l={lo}..{hi}"
-        return " ".join(f"{n}={lo}..{hi}"
-                        for n, (lo, hi) in self.grid.items())
-
 
 def _parse_range(text: str) -> Tuple[int, int]:
     lo, sep, hi = text.partition("..")
@@ -147,12 +110,37 @@ def load_config(path: str) -> Dict[str, Tuple[int, int]]:
             if key not in ("grid",) + _PARAM_NAMES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             rng = _parse_range(value)
-            if key == "grid":
-                for name in _PARAM_NAMES:
-                    overrides[name] = rng
-            else:
-                overrides[key] = rng
+            for name in _PARAM_NAMES if key == "grid" else (key,):
+                overrides[name] = rng
     return overrides
+
+
+def _build_grid(args) -> Dict[str, Tuple[int, int]]:
+    """Each parameter's inclusive range, nonempty: the default 1..3, then
+    ``--config``, then ``--grid``."""
+    grid = dict.fromkeys(_PARAM_NAMES, (1, 3))
+    if args.config is not None:
+        grid.update(load_config(args.config))
+    if getattr(args, "grid", None) is not None:
+        grid = dict.fromkeys(_PARAM_NAMES, _parse_range(args.grid))
+    for name, (lo, hi) in grid.items():
+        if lo > hi:
+            raise ValueError(f"empty grid range {name}={lo}..{hi}")
+    return grid
+
+
+def _grid_points(grid: Mapping[str, Tuple[int, int]], names: Sequence[str]):
+    """All grid points over the given parameters, as dicts."""
+    ranges = (range(grid[n][0], grid[n][1] + 1) for n in names)
+    for combo in itertools.product(*ranges):
+        yield dict(zip(names, combo))
+
+
+def _grid_text(grid: Mapping[str, Tuple[int, int]]) -> str:
+    if len(set(grid.values())) == 1:
+        lo, hi = grid["q"]
+        return f"q,s,t,l={lo}..{hi}"
+    return " ".join(f"{n}={lo}..{hi}" for n, (lo, hi) in grid.items())
 
 
 def _emit_header(grid: str, source: str) -> None:
@@ -250,7 +238,7 @@ def _hoist_terms(argv: List[str]) -> List[str]:
 # fraction
 # ---------------------------------------------------------------------------
 
-def _cmd_fraction(args, cfg: RunConfig) -> int:
+def _cmd_fraction(args) -> int:
     terms = _parse_terms(args.terms)
     base = mirror_terms(terms) if args.mirror else terms
     try:
@@ -334,7 +322,7 @@ def _h1_table(expansion: Optional[EvenExpansion], n: int):
 _H1_METHODS = (("snf", _h1_snf), ("oracle", _h1_oracle), ("table", _h1_table))
 
 
-def _cmd_h1(args, cfg: RunConfig) -> int:
+def _cmd_h1(args) -> int:
     terms = _parse_terms(args.terms)
     if args.cover < 2:
         raise _CliError(f"--cover must be >= 2, got {args.cover}")
@@ -404,34 +392,26 @@ def _lemma_item_suite(family: str, lemma: str) -> IdentityReport:
     return IdentityReport(_identification_checks(family, lemma) + wanted)
 
 
-def _identity_suite(name: str) -> IdentityReport:
-    if name == "lemma5.4":
-        return verify_additivity("A")
-    if name == "lemma5.12":
-        return verify_additivity("L")
-    if name == "lemma5.3":
-        return _lemma_item_suite("A", "Lemma 5.3")
-    if name == "lemma5.11":
-        return _lemma_item_suite("L", "Lemma 5.11")
-    raise _CliError(f"unknown identity suite {name!r}")
+_LEMMA_SUITES = {"lemma5.3": ("A", "Lemma 5.3"),
+                 "lemma5.11": ("L", "Lemma 5.11")}
+_ADDITIVITY_SUITES = {"lemma5.4": ("A", ("q", "s", "t")),
+                      "lemma5.12": ("L", _PARAM_NAMES)}
 
 
-@dataclass
-class _AgreementRow:
-    family: str
-    params: Tuple[str, ...]
-    points: int
-    agree: int
-
-    @property
-    def ok(self) -> bool:
-        return self.agree == self.points
+def _identity_suite(args) -> IdentityReport:
+    """A lemma suite; ``--grid`` adds numeric spot checks to additivity."""
+    if args.suite in _LEMMA_SUITES:
+        return _lemma_item_suite(*_LEMMA_SUITES[args.suite])
+    family, names = _ADDITIVITY_SUITES[args.suite]
+    points = (None if args.grid is None
+              else list(_grid_points(args.grid_ranges, names)))
+    return verify_additivity(family, grid=points)
 
 
-def _tables_agreement(cfg: RunConfig) -> List[_AgreementRow]:
-    """Star-row determinants on the configured grid: the block continuant of
-    each star matrix (``GoeritzMatrix.det``) against the closed formula."""
-    rows = []
+def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
+    """Star-row determinants on the grid: the block continuant of each star
+    matrix (``GoeritzMatrix.det``) against the closed formula."""
+    records = []
     specs = (
         ("A", ("q", "s", "t"),
          lambda p: det_exact(build_A_star(p["q"], p["s"], p["t"]))),
@@ -444,67 +424,52 @@ def _tables_agreement(cfg: RunConfig) -> List[_AgreementRow]:
     )
     for family, names, matrix_det in specs:
         points = agree = 0
-        for point in cfg.points(names):
+        for point in _grid_points(grid, names):
             points += 1
             if abs(matrix_det(point)) == abs(table_formula(family, "*,*,*",
                                                            point)):
                 agree += 1
-        rows.append(_AgreementRow(family, names, points, agree))
-    return rows
+        records.append({"family": family, "params": list(names),
+                        "points": points, "agree": agree,
+                        "ok": agree == points})
+    return records
 
 
-def _print_identity_report(report: IdentityReport, fmt: str) -> None:
-    passed = sum(1 for c in report.checks if c.ok)
-    total = len(report.checks)
-    summary = f"{passed}/{total} " + ("PASS" if passed == total else "FAIL")
-    if fmt == "text":
-        sys.stdout.write(report.to_text())
-        print(summary)
-    elif fmt == "csv":
+def _table_lines(records: Sequence[Mapping]) -> List[str]:
+    cells = [("family", "params", "points", "agree")]
+    cells += [(r["family"], ",".join(r["params"]), str(r["points"]),
+               str(r["agree"])) for r in records]
+    widths = [max(len(row[i]) for row in cells) for i in range(4)]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+            for row in cells]
+
+
+def _print_checks(fmt: str, key: str, records: List[Dict],
+                  text_lines: Sequence[str]) -> bool:
+    """Write a verdict table; return whether every record passed.
+
+    ``records`` are JSON-ready dicts that end in ``ok``.  json writes
+    ``{key: records, "passed", "total"}``; csv writes the record keys as the
+    header (``ok`` as ``status``, PASS/FAIL; lists joined by spaces); text
+    writes ``text_lines``.  Both end with a ``passed/total PASS|FAIL`` line.
+    """
+    passed, total = sum(r["ok"] for r in records), len(records)
+    if fmt == "json":
+        print(json.dumps({key: records, "passed": passed,
+                          "total": total}, indent=2))
+        return passed == total
+    if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["name", "statement", "status"])
-        for c in report.checks:
-            writer.writerow([c.name, c.statement,
-                             "PASS" if c.ok else "FAIL"])
-        print(summary)
+        writer.writerow(["status" if k == "ok" else k for k in records[0]])
+        for r in records:
+            row = {**r, "ok": "PASS" if r["ok"] else "FAIL"}
+            writer.writerow(" ".join(v) if isinstance(v, list) else v
+                            for v in row.values())
     else:
-        payload = {
-            "checks": [{"name": c.name, "statement": c.statement,
-                        "ok": c.ok} for c in report.checks],
-            "passed": passed,
-            "total": total,
-        }
-        print(json.dumps(payload, indent=2))
-
-
-def _print_agreement(rows: List[_AgreementRow], fmt: str) -> None:
-    passed = sum(1 for r in rows if r.ok)
-    summary = f"{passed}/{len(rows)} " + ("PASS" if passed == len(rows)
-                                          else "FAIL")
-    if fmt == "text":
-        cells = [("family", "params", "points", "agree")]
-        cells += [(r.family, ",".join(r.params), str(r.points), str(r.agree))
-                  for r in rows]
-        widths = [max(len(row[i]) for row in cells) for i in range(4)]
-        for row in cells:
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        print(summary)
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["family", "params", "points", "agree", "status"])
-        for r in rows:
-            writer.writerow([r.family, " ".join(r.params), r.points, r.agree,
-                             "PASS" if r.ok else "FAIL"])
-        print(summary)
-    else:
-        payload = {
-            "rows": [{"family": r.family, "params": list(r.params),
-                      "points": r.points, "agree": r.agree, "ok": r.ok}
-                     for r in rows],
-            "passed": passed,
-            "total": len(rows),
-        }
-        print(json.dumps(payload, indent=2))
+        for line in text_lines:
+            print(line)
+    print(f"{passed}/{total} " + ("PASS" if passed == total else "FAIL"))
+    return passed == total
 
 
 _SUITE_SOURCES = {
@@ -516,26 +481,24 @@ _SUITE_SOURCES = {
 }
 
 
-def _cmd_identities(args, cfg: RunConfig) -> int:
-    _emit_header(cfg.grid_text(), _SUITE_SOURCES[args.suite])
+def _cmd_identities(args) -> int:
+    _emit_header(_grid_text(args.grid_ranges), _SUITE_SOURCES[args.suite])
     if args.suite == "tables":
-        rows = _tables_agreement(cfg)
-        _print_agreement(rows, cfg.fmt)
-        return 0 if all(r.ok for r in rows) else 1
-    report = _identity_suite(args.suite)
-    if args.suite in ("lemma5.4", "lemma5.12") and args.grid is not None:
-        family = "A" if args.suite == "lemma5.4" else "L"
-        names = ("q", "s", "t") if family == "A" else _PARAM_NAMES
-        report = verify_additivity(family, grid=list(cfg.points(names)))
-    _print_identity_report(report, cfg.fmt)
-    return 0 if report.all_ok else 1
+        records = _tables_agreement(args.grid_ranges)
+        key, lines = "rows", _table_lines(records)
+    else:
+        report = _identity_suite(args)
+        records = [{"name": c.name, "statement": c.statement, "ok": c.ok}
+                   for c in report.checks]
+        key, lines = "checks", report.to_text().splitlines()
+    return 0 if _print_checks(args.format, key, records, lines) else 1
 
 
 # ---------------------------------------------------------------------------
 # cert
 # ---------------------------------------------------------------------------
 
-def _cmd_cert(args, cfg: RunConfig) -> int:
+def _cmd_cert(args) -> int:
     if args.action == "generate":
         if args.params is None:
             raise _CliError("generate needs --params (or parameters after --)")
@@ -552,9 +515,8 @@ def _cmd_cert(args, cfg: RunConfig) -> int:
         if args.out is None:
             sys.stdout.write(text)
             return 0
-        out_path = args.out
-        if not os.path.isabs(out_path):
-            out_path = os.path.join(cfg.output_dir, out_path)
+        # relative to $BRIDGECOVER_OUTDIR; join keeps an absolute --out as is
+        out_path = os.path.join(os.environ.get(OUTDIR_ENV, "."), args.out)
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {out_path}", file=sys.stderr)
@@ -595,15 +557,17 @@ def _sign_text(sign: Optional[SignLattice]) -> str:
     return ">1" if sign is SignLattice.STRICT_POS else "<1"
 
 
+def _patterns_json(verdicts) -> List[Dict[str, object]]:
+    return [{"index": v.index, "signs": v.assignment.text(),
+             "verdict": "eliminated" if v.eliminated else "survives",
+             "witness": v.witness, "witness_sign": _sign_text(v.witness_sign)}
+            for v in verdicts]
+
+
 def _elimination_json(report: EliminationReport) -> Dict[str, object]:
     return {
         "generators": list(report.generators),
-        "patterns": [
-            {"index": v.index, "signs": v.assignment.text(),
-             "verdict": "eliminated" if v.eliminated else "survives",
-             "witness": v.witness, "witness_sign": _sign_text(v.witness_sign)}
-            for v in report.verdicts
-        ],
+        "patterns": _patterns_json(report.verdicts),
         "orbits": [{"canonical": o.canonical.text(), "members": list(o.members)}
                    for o in report.orbits],
         "survivors": [v.index for v in report.survivors()],
@@ -614,12 +578,7 @@ def _genus2_json(report: Genus2Report) -> Dict[str, object]:
     return {
         "signs": list(report.signs),
         "case": report.case_label,
-        "patterns": [
-            {"index": v.index, "signs": v.assignment.text(),
-             "verdict": "eliminated" if v.eliminated else "survives",
-             "witness": v.witness, "witness_sign": _sign_text(v.witness_sign)}
-            for v in report.verdicts
-        ],
+        "patterns": _patterns_json(report.verdicts),
         "canonical": report.canonical.text(),
         "wings": [{"name": w.name, "sign": _sign_text(w.sign) or "unknown",
                    "form": w.form} for w in report.wings],
@@ -636,7 +595,7 @@ def _genus2_json(report: Genus2Report) -> Dict[str, object]:
     }
 
 
-def _cmd_loelim(args, cfg: RunConfig) -> int:
+def _cmd_loelim(args) -> int:
     if args.family == "genus1":
         if not args.table1:
             raise _CliError("--family genus1 needs --table1")
@@ -644,9 +603,9 @@ def _cmd_loelim(args, cfg: RunConfig) -> int:
             raise _CliError("--signs applies to --family genus2 only")
         _emit_header("k>=2,l>=1 symbolic", "Table 1")
         report = table1_report()
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             sys.stdout.write(report_csv(report))
-        elif cfg.fmt == "json":
+        elif args.format == "json":
             print(json.dumps(_elimination_json(report), indent=2))
         else:
             sys.stdout.write(report_text(report))
@@ -659,9 +618,9 @@ def _cmd_loelim(args, cfg: RunConfig) -> int:
     signs = _parse_signs(args.signs)
     _emit_header("q,s,t,l signs only", "level-0 sign analysis")
     report = genus2_level0(*signs)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(_genus2_json(report), indent=2))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         raise _CliError("csv output covers the genus1 table only")
     else:
         sys.stdout.write(genus2_report_text(report))
@@ -704,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "tables"))
     p.add_argument("--grid", metavar="LO..HI",
                    help="numeric grid for the table suites")
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("cert", help="quasi-alternating certificates")
     p.add_argument("action", choices=("generate", "verify"))
@@ -724,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the five-generator elimination table")
     p.add_argument("--signs", metavar="+,+,-,+",
                    help="sign class of (q, s, t, l) for the level-0 analysis")
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     return parser
 
@@ -757,26 +716,16 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_option_values(_hoist_terms(argv)))
 
-    cfg = RunConfig()
-    cfg.output_dir = os.environ.get(OUTDIR_ENV, cfg.output_dir)
     try:
-        if args.config is not None:
-            cfg.grid.update(load_config(args.config))
-        grid_arg = getattr(args, "grid", None)
-        if grid_arg is not None:
-            rng = _parse_range(grid_arg)
-            cfg.grid = {name: rng for name in _PARAM_NAMES}
-        cfg.validate()
+        args.grid_ranges = _build_grid(args)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    if getattr(args, "format", None) is not None:
-        cfg.fmt = args.format
     if getattr(args, "params", None) is None and getattr(args, "params_tail",
                                                          None):
         args.params = ",".join(args.params_tail)
 
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except _CliError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits

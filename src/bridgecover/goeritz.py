@@ -290,8 +290,6 @@ class Resolution(Tuple[Slot, Slot, Slot]):
         return f"Resolution({self})"
 
 
-STAR_RES = Resolution(("*", "*", "*"))
-
 _Q = MultiPoly.var("q")
 _S = MultiPoly.var("s")
 _T = MultiPoly.var("t")

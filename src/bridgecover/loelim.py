@@ -207,27 +207,14 @@ class EliminationReport:
 
 
 def _relator_forms(rel: ParamWord, env: ParamEnv) -> List[ParamWord]:
-    """The relator, its inverse, and their item-level cyclic rotations."""
-    forms: List[ParamWord] = []
-    seen: Set[str] = set()
+    """The relator, its inverse, and their item-level cyclic rotations,
+    each once, in order of first appearance."""
+    forms: Dict[ParamWord, None] = {}
     for base in (reduce_word(rel, env), reduce_word(rel.inverse(), env)):
         for i in range(max(1, len(base.items))):
-            rotated = reduce_word(
-                ParamWord(base.items[i:] + base.items[:i]), env)
-            key = rotated.to_text()
-            if key not in seen:
-                seen.add(key)
-                forms.append(rotated)
-    return forms
-
-
-def _strict_relator_sign(rel: ParamWord, signs: Mapping[str, SignLattice],
-                         env: ParamEnv) -> Optional[SignLattice]:
-    for form in _relator_forms(rel, env):
-        s = word_sign(form, signs, env)
-        if s in (SP, SN):
-            return s
-    return None
+            forms.setdefault(reduce_word(
+                ParamWord(base.items[i:] + base.items[:i]), env))
+    return list(forms)
 
 
 def eliminate(p: Presentation,
@@ -240,15 +227,18 @@ def eliminate(p: Presentation,
     order together with the proved sign.
     """
     env = env if env is not None else p.env
+    relators = [(name, _relator_forms(rel, env))
+                for name, rel in zip(p.relator_names, p.relators)]
     verdicts: List[PatternVerdict] = []
     for idx, assignment in enumerate(sign_patterns(len(p.generators)), start=1):
         signs = assignment.as_map(p.generators)
         witness: Optional[str] = None
         witness_sign: Optional[SignLattice] = None
-        for name, rel in zip(p.relator_names, p.relators):
-            found = _strict_relator_sign(rel, signs, env)
-            if found is not None:
-                witness, witness_sign = name, found
+        for name, forms in relators:
+            found = (word_sign(form, signs, env) for form in forms)
+            witness_sign = next((s for s in found if s in (SP, SN)), None)
+            if witness_sign is not None:
+                witness = name
                 break
         verdicts.append(PatternVerdict(idx, assignment, witness is not None,
                                        witness, witness_sign))
@@ -447,8 +437,7 @@ def _variants(seed: ParamWord, env: ParamEnv, depth: int = 2,
     """Bounded rewriting closure of ``seed``: up to ``depth`` peel/collapse
     moves, free reduction after each.  Deterministic order, root first."""
     root = reduce_word(seed, env)
-    seen: Dict[str, ParamWord] = {root.to_text(): root}
-    order = [root]
+    seen: Dict[ParamWord, None] = {root: None}
     frontier = [root]
     for _ in range(depth):
         nxt: List[ParamWord] = []
@@ -457,16 +446,14 @@ def _variants(seed: ParamWord, env: ParamEnv, depth: int = 2,
             if collapse:
                 children.extend(_collapse_variants(w, env))
             for child in children:
-                key = child.to_text()
-                if key not in seen:
-                    seen[key] = child
-                    order.append(child)
+                if child not in seen:
+                    seen[child] = None
                     nxt.append(child)
         frontier = nxt
-    return order
+    return list(seen)
 
 
-def _atomize(w: ParamWord, body_names: Mapping[str, str],
+def _atomize(w: ParamWord, body_names: Mapping[ParamWord, str],
              env: ParamEnv) -> ParamWord:
     """Replace each power block whose body is a pair word (or its inverse)
     by the corresponding ``Eab`` letter."""
@@ -476,11 +463,11 @@ def _atomize(w: ParamWord, body_names: Mapping[str, str],
             items.append(item)
             continue
         body = reduce_word(item.body, env)
-        name = body_names.get(body.to_text())
+        name = body_names.get(body)
         if name is not None:
             items.append(Syllable(name, item.multiplicity))
             continue
-        inv = body_names.get(reduce_word(body.inverse(), env).to_text())
+        inv = body_names.get(reduce_word(body.inverse(), env))
         if inv is not None:
             items.append(Syllable(_ATOM_INVERSE[inv], item.multiplicity))
             continue
@@ -648,7 +635,7 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
             substitute_params(parse_word(f"{a}^(q) {b}^(-q)"), mapping), env)
         for name, (a, b) in _ATOM_PAIR.items()
     }
-    body_names = {bodies[name].to_text(): name for name in _ATOMS}
+    body_names = {bodies[name]: name for name in _ATOMS}
     for name in _ATOMS:
         ctx[name] = word_sign(bodies[name], ctx, env)
 

@@ -120,10 +120,6 @@ class AffineExp:
         self.coeffs: Dict[str, int] = {k: v for k, v in (coeffs or {}).items() if v}
 
     @staticmethod
-    def const_exp(c: int) -> "AffineExp":
-        return AffineExp(c)
-
-    @staticmethod
     def param(name: str, coeff: int = 1) -> "AffineExp":
         return AffineExp(0, {name: coeff})
 
@@ -233,11 +229,6 @@ class ParamEnv:
         if bounds is None:
             bounds = {}
         self.bounds: Dict[str, int] = dict(bounds)
-
-    def declare(self, name: str, lower: int) -> "ParamEnv":
-        out = ParamEnv(self.bounds)
-        out.bounds[name] = lower
-        return out
 
     def min_of(self, exp: AffineExp) -> Optional[int]:
         """Greatest provable lower bound, or None if unbounded below."""
@@ -667,10 +658,10 @@ def cyclic_normal_form(ls: Sequence[Letter]) -> Tuple[Letter, ...]:
 def equal_up_to_cyclic(w1: ParamWord, w2: ParamWord) -> CyclicMatch:
     """Compare concrete words up to cyclic permutation, then up to inversion."""
     n1 = cyclic_normal_form(letters(w1))
-    n2 = cyclic_normal_form(letters(w2))
-    if n1 == n2:
+    seq2 = letters(w2)
+    if n1 == cyclic_normal_form(seq2):
         return CyclicMatch.DIRECT
-    inv = [(g, -s) for g, s in reversed(letters(w2))]
+    inv = [(g, -s) for g, s in reversed(seq2)]
     if n1 == cyclic_normal_form(inv):
         return CyclicMatch.INVERSE
     return CyclicMatch.NONE

@@ -1,4 +1,5 @@
 """End-to-end tests for the command-line front end."""
+import itertools
 import json
 import pathlib
 import shutil
@@ -9,9 +10,12 @@ import pytest
 
 from bridgecover import cli
 from bridgecover.cli import main
+from bridgecover.goeritz import IdentityCheck
+from bridgecover.multipoly import MultiPoly
 from bridgecover.qacert import MAX_DEPTH
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+CLI_GOLDEN = GOLDEN / "cli"
 
 
 def run(argv, capsys):
@@ -206,6 +210,31 @@ def test_identities_json_format(capsys):
     payload = json.loads(out)
     assert payload["passed"] == payload["total"] == 6
     assert all(check["ok"] for check in payload["checks"])
+
+
+def test_only_an_explicit_grid_adds_additivity_spot_checks(capsys, monkeypatch,
+                                                           tmp_path):
+    # The spot checks leave stdout unchanged while they hold, so record the
+    # grid the reported suite was built with instead.
+    seen = []
+    real = cli.verify_additivity
+    monkeypatch.setattr(cli, "verify_additivity", lambda family, grid=None: (
+        seen.append((family, grid)) or real(family, grid=grid)))
+
+    def reported_grid(argv):
+        seen.clear()
+        assert run(argv, capsys)[0] == 0
+        return seen[-1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 1..2\n")
+    assert reported_grid(["--config", str(cfg), "identities",
+                          "--suite", "lemma5.4"]) == ("A", None)
+    assert reported_grid(["identities", "--suite", "lemma5.4",
+                          "--grid", "1..2"]) == (
+        "A", [dict(zip("qst", p)) for p in itertools.product((1, 2), repeat=3)])
+    assert reported_grid(["identities", "--suite", "lemma5.12",
+                          "--grid", "2..3"]) == (
+        "L", [dict(zip("qstl", p)) for p in itertools.product((2, 3), repeat=4)])
 
 
 def test_identities_header_records_provenance(capsys):
@@ -415,6 +444,53 @@ def test_loelim_table1_rejected_for_genus2(capsys):
                         "--signs", "+,+,+,+"], capsys)
     assert code == 2
     assert "--table1 applies to --family genus1 only" in err
+
+
+# ---------------------------------------------------------------------------
+# frozen outputs: stdout, stderr and exit code, byte for byte
+# ---------------------------------------------------------------------------
+#
+# tests/golden/cli/cases.json lists one command line per case, with its exit
+# code, its stderr and the golden file holding its stdout (null when stdout
+# is empty).  Config files named in an argv live in the same directory.
+# Cases with a "patch" run with one library function broken on purpose, so
+# the FAIL rows and summaries are pinned too.
+
+def _tables_B_off_by_one(monkeypatch):
+    real = cli.table_formula
+    monkeypatch.setattr(cli, "table_formula", lambda family, res, p: (
+        real(family, res, p) + (family == "B" and p["q"] == 1)))
+
+
+def _lemma_item3_fails(monkeypatch):
+    real = cli.verify_additivity
+
+    def broken(family, grid=None):
+        report = real(family, grid=grid)
+        c = report.checks[2]
+        report.checks[2] = IdentityCheck(c.name, c.statement,
+                                         c.residual + MultiPoly.var("q") - 2)
+        return report
+    monkeypatch.setattr(cli, "verify_additivity", broken)
+
+
+_PATCHES = {"tables_B_off_by_one": _tables_B_off_by_one,
+            "lemma_item3_fails": _lemma_item3_fails}
+_CLI_CASES = json.loads((CLI_GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _CLI_CASES, ids=[c["name"] for c in _CLI_CASES])
+def test_cli_output_matches_the_golden(capsys, monkeypatch, case):
+    monkeypatch.chdir(CLI_GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    if "patch" in case:
+        _PATCHES[case["patch"]](monkeypatch)
+    code, out, err = run(case["argv"], capsys)
+    want = ("" if case["stdout"] is None else
+            (CLI_GOLDEN / case["stdout"]).read_bytes().decode("utf-8"))
+    assert out == want
+    assert err == case["stderr"]
+    assert code == case["exit"]
 
 
 # ---------------------------------------------------------------------------

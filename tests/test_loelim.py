@@ -261,6 +261,48 @@ def test_wing_variants_stay_in_the_same_group_element():
                     assert _free_letters(variant, env, values) == reference
 
 
+def _variants_by_text(seed, env, depth=2, collapse=True):
+    """Reference closure that identifies words by their text, as
+    ``_variants`` once did; ``_variants`` now keys on the word itself."""
+    root = reduce_word(seed, env)
+    seen = {root.to_text(): root}
+    order = [root]
+    frontier = [root]
+    for _ in range(depth):
+        nxt = []
+        for w in frontier:
+            children = loelim._peel_variants(w, env)
+            if collapse:
+                children.extend(loelim._collapse_variants(w, env))
+            for child in children:
+                key = child.to_text()
+                if key not in seen:
+                    seen[key] = child
+                    order.append(child)
+                    nxt.append(child)
+        frontier = nxt
+    return order
+
+
+def test_variants_match_the_text_keyed_closure():
+    classes = [c for signs in loelim._CASE_ORDER
+               for c in (signs, tuple(-v for v in signs))]
+    assert len(set(classes)) == 16
+    for signs in classes:
+        pmap, env = loelim._signed_env(signs)
+        for text in loelim._WING_DEFS.values():
+            seed = reduce_word(substitute_params(parse_word(text), pmap), env)
+            got, want = loelim._variants(seed, env), _variants_by_text(seed, env)
+            assert got == want
+            assert [w.to_text() for w in got] == [w.to_text() for w in want]
+        # the relator roots, closed as genus2_level0 closes them
+        roots = [w for name, w in loelim._closure_candidates(pmap, env)
+                 if not name.endswith("(peeled)")]
+        for root in roots:
+            assert (loelim._variants(root, env, depth=1, collapse=False)
+                    == _variants_by_text(root, env, depth=1, collapse=False))
+
+
 def test_atom_relators_match_letter_level_templates():
     atom_defs = {name: parse_word(f"{a}^(q) {b}^(-q)")
                  for name, (a, b) in loelim._ATOM_PAIR.items()}
