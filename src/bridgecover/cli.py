@@ -482,6 +482,10 @@ _SUITE_SOURCES = {
 
 
 def _cmd_identities(args) -> int:
+    low = " ".join(f"{n}={lo}..{hi}" for n, (lo, hi) in args.grid_ranges.items()
+                   if lo < 1)
+    if args.suite == "tables" and low:  # star matrices need q, s, t, l >= 1
+        raise _CliError(f"the tables suite needs q, s, t, l >= 1, got {low}")
     _emit_header(_grid_text(args.grid_ranges), _SUITE_SOURCES[args.suite])
     if args.suite == "tables":
         records = _tables_agreement(args.grid_ranges)

@@ -24,14 +24,16 @@ r3 r2 r1 = zyx and the rewritten relator forms r', r''.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .intlinalg import Infinite, cokernel_order, in_row_span
 from .multipoly import MultiPoly
 from .words import (
-    AffineExp, CyclicMatch, Letter, ParamEnv, ParamWord, PowerBlock, Syllable,
-    WordError, cyclic_normal_form, equal_up_to_cyclic, exponent_sums,
-    instantiate, letters, parse_word, substitute, substitute_params,
+    AffineExp, ConcreteWord, CyclicMatch, ParamEnv, ParamWord, PowerBlock,
+    Run, Syllable, WordError, cyclic_normal_form, equal_up_to_cyclic,
+    exponent_sums, instantiate, instantiate_runs, parse_word, substitute,
+    substitute_params,
 )
 
 # One relator of the genus-one family, over a three-generator window
@@ -50,10 +52,6 @@ _GENUS_TWO_TEMPLATE = (
     "( (c^(q) d^(-q))^(-s) c (b^(q) c^(-q))^(s) )^(-t) )^(l)"
 )
 _GENUS_TWO_WINDOW = (("a", -2), ("b", -1), ("c", 0), ("d", 1), ("e", 2))
-
-# Both templates are constant, so they are parsed once.
-_GENUS_ONE_WORD = parse_word(_GENUS_ONE_TEMPLATE)
-_GENUS_TWO_WORD = parse_word(_GENUS_TWO_TEMPLATE)
 
 # The n=3 wing words X, Y, Z and the rewritten relator forms r'_i, r''_i,
 # over generators x, y, z (= x1, x2, x3) and placeholders X, Y, Z.
@@ -75,6 +73,14 @@ _RSECOND_TEMPLATES = {
     3: ("(X^(t) x^(q) z^(-q) Z^(-t))^(l-1) X^(t) x^(q) z^(-q) Z^(-t+1) "
         "(Y^(t) y^(q) z^(-q) Z^(-t))^(l)"),
 }
+# Every template is constant, so each is parsed once, at import.
+_GENUS_ONE_WORD = parse_word(_GENUS_ONE_TEMPLATE)
+_GENUS_TWO_WORD = parse_word(_GENUS_TWO_TEMPLATE)
+_WING_WORDS = {name: parse_word(text) for name, text in _WING_DEFS.items()}
+_RPRIME_WORDS = {i: parse_word(text) for i, text in _RPRIME_TEMPLATES.items()}
+_RSECOND_WORDS = {i: parse_word(text) for i, text in _RSECOND_TEMPLATES.items()}
+_XYZ_WORDS = {gen: parse_word(gen) for gen in ("x", "y", "z")}
+_ZYX = parse_word("z y x")
 
 
 class Presentation:
@@ -116,28 +122,6 @@ class Presentation:
         for name, rel in zip(self.relator_names, self.relators):
             lines.append(f"{name}: {rel.to_text()}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "Presentation":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2 or not lines[0].startswith("generators: ") \
-                or not lines[1].startswith("env:"):
-            raise WordError("expected 'generators: ...' and 'env: ...' header lines")
-        generators = lines[0][len("generators: "):].split()
-        bounds: Dict[str, int] = {}
-        env_part = lines[1][len("env:"):].strip()
-        if env_part:
-            for chunk in env_part.split(","):
-                name, _, bound = chunk.partition(">=")
-                bounds[name.strip()] = int(bound.strip())
-        names, relators = [], []
-        for line in lines[2:]:
-            name, sep, body = line.partition(":")
-            if not sep:
-                raise WordError(f"malformed relator line {line!r}")
-            names.append(name.strip())
-            relators.append(parse_word(body.strip()))
-        return Presentation(generators, relators, ParamEnv(bounds), names)
 
 
 def _gen_name(i: int, n: int) -> str:
@@ -276,31 +260,19 @@ def _relators_xyz(p: Presentation) -> List[ParamWord]:
     return [_rename(rel, _XYZ_RENAME) for rel in p.relators]
 
 
-def _syllable_runs(ls: Sequence[Letter]) -> List[Tuple[str, int]]:
-    runs: List[Tuple[str, int]] = []
-    for gen, step in ls:
-        if runs and runs[-1][0] == gen:
-            runs[-1] = (gen, runs[-1][1] + step)
-        else:
-            runs.append((gen, step))
-    return [(g, e) for g, e in runs if e != 0]
+Difference = Optional[Tuple[int, Optional[Run], Optional[Run]]]
 
 
-def first_syllable_difference(got: ParamWord, expected: ParamWord
-                              ) -> Optional[Tuple[int, Optional[Tuple[str, int]],
-                                                  Optional[Tuple[str, int]]]]:
+def first_syllable_difference(got: ConcreteWord, expected: ConcreteWord) -> Difference:
     """First position where the cyclic normal forms differ, as syllable runs.
 
     Returns (index, got_syllable, expected_syllable), entries None past the
     end of the shorter word; None if the normal forms agree.
     """
-    a = _syllable_runs(cyclic_normal_form(letters(got)))
-    b = _syllable_runs(cyclic_normal_form(letters(expected)))
-    for i in range(max(len(a), len(b))):
-        sa = a[i] if i < len(a) else None
-        sb = b[i] if i < len(b) else None
-        if sa != sb:
-            return (i, sa, sb)
+    pairs = zip_longest(cyclic_normal_form(got), cyclic_normal_form(expected))
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return (i, a, b)
     return None
 
 
@@ -314,8 +286,7 @@ class ProductIdentityVerdict:
     abelian_ok: bool
     target_in_row_span: bool
     reduced_product: str
-    first_difference: Optional[Tuple[int, Optional[Tuple[str, int]],
-                                     Optional[Tuple[str, int]]]] = None
+    first_difference: Difference = None
 
     @property
     def ok(self) -> bool:
@@ -333,16 +304,14 @@ def verify_product_identity(q: int, s: int, t: int, l: int) -> ProductIdentityVe
     p = mv_presentation(q, s, t, l, 3)
     r1, r2, r3 = _relators_xyz(p)
     product = instantiate(r3 * r2 * r1, {})
-    target = parse_word("z y x")
 
     sums = exponent_sums(product, {})
     abelian = tuple(sums.get(g, 0) for g in ("x", "y", "z"))
     abelian_ok = abelian == (1, 1, 1)
 
-    matrix = abelianization_matrix(p, {})
-    span_ok = in_row_span(matrix, [1, 1, 1])
+    span_ok = in_row_span(abelianization_matrix(p, {}), [1, 1, 1])
 
-    match = equal_up_to_cyclic(product, target)
+    match = equal_up_to_cyclic(product, _ZYX)
     if not abelian_ok:
         status = "FAIL"
     elif match is CyclicMatch.DIRECT:
@@ -357,7 +326,7 @@ def verify_product_identity(q: int, s: int, t: int, l: int) -> ProductIdentityVe
         target_in_row_span=span_ok,
         reduced_product=product.to_text(),
         first_difference=(None if status == "FULL_PASS"
-                          else first_syllable_difference(product, target)),
+                          else first_syllable_difference(product, _ZYX)),
     )
 
 
@@ -367,8 +336,7 @@ class RewriteRecord:
 
     name: str
     match: CyclicMatch
-    first_difference: Optional[Tuple[int, Optional[Tuple[str, int]],
-                                     Optional[Tuple[str, int]]]] = None
+    first_difference: Difference = None
 
     @property
     def ok(self) -> bool:
@@ -385,16 +353,6 @@ class RewriteReport:
         return all(r.ok for r in self.records)
 
 
-def _expand_rewrite_template(template: str, consts: Mapping[str, int]) -> ParamWord:
-    env = ParamEnv({})
-    wings = {name: substitute_params(parse_word(text), consts)
-             for name, text in _WING_DEFS.items()}
-    for gen in ("x", "y", "z"):
-        wings[gen] = parse_word(gen)
-    w = substitute_params(parse_word(template), consts)
-    return instantiate(substitute(w, wings, env), {})
-
-
 def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
     """Check the rewritten relator forms r'_i (against r_i) and r''_i
     (against r'_i) for the n=3 genus-two presentation.
@@ -405,24 +363,22 @@ def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
     if l < 1 or t < 1:
         raise WordError(f"displayed rewritten forms require t >= 1, l >= 1, "
                         f"got t={t}, l={l}")
-    p = mv_presentation(q, s, t, l, 3)
-    base = [instantiate(rel, {}) for rel in _relators_xyz(p)]
     consts = {"q": q, "s": s, "t": t, "l": l}
+    wings = {name: substitute_params(w, consts) for name, w in _WING_WORDS.items()}
+    wings.update(_XYZ_WORDS)
+
+    def expand(template: ParamWord) -> List[Run]:
+        w = substitute(substitute_params(template, consts), wings, ParamEnv({}))
+        return instantiate_runs(w, {})
+
+    base = [instantiate_runs(r, {}) for r in _relators_xyz(mv_presentation(q, s, t, l, 3))]
+    primes = [expand(_RPRIME_WORDS[i]) for i in (1, 2, 3)]
+    pairs = [(f"r'{i} vs r{i}", primes[i - 1], base[i - 1]) for i in (1, 2, 3)]
+    pairs += [(f"r''{i} vs r'{i}", expand(_RSECOND_WORDS[i]), primes[i - 1])
+              for i in (1, 2, 3)]
     report = RewriteReport(params=(q, s, t, l))
-    primes: List[ParamWord] = []
-    for i in (1, 2, 3):
-        prime = _expand_rewrite_template(_RPRIME_TEMPLATES[i], consts)
-        primes.append(prime)
-        match = equal_up_to_cyclic(prime, base[i - 1])
-        report.records.append(RewriteRecord(
-            name=f"r'{i} vs r{i}", match=match,
-            first_difference=(None if match else
-                              first_syllable_difference(prime, base[i - 1]))))
-    for i in (1, 2, 3):
-        second = _expand_rewrite_template(_RSECOND_TEMPLATES[i], consts)
-        match = equal_up_to_cyclic(second, primes[i - 1])
-        report.records.append(RewriteRecord(
-            name=f"r''{i} vs r'{i}", match=match,
-            first_difference=(None if match else
-                              first_syllable_difference(second, primes[i - 1]))))
+    for name, got, expected in pairs:
+        match = equal_up_to_cyclic(got, expected)
+        report.records.append(RewriteRecord(name, match, None if match else
+                                            first_syllable_difference(got, expected)))
     return report

@@ -15,6 +15,11 @@ Conventions:
   provably-trivial pieces; it never crosses a block boundary;
 - ``instantiate`` turns a word into a concrete (constant-exponent, blockless)
   word by full expansion and free reduction.
+
+Concrete words are run-length: from instantiation through cyclic comparison
+they are lists of (generator, nonzero int) runs, never expanded into letters.
+Free reduction merges or cancels runs at the seam, and the cyclic normal form
+takes the least rotation over runs by Duval's algorithm, in linear time.
 """
 from __future__ import annotations
 
@@ -117,7 +122,7 @@ class AffineExp:
 
     def __init__(self, const: int = 0, coeffs: Optional[Mapping[str, int]] = None):
         self.const = const
-        self.coeffs: Dict[str, int] = {k: v for k, v in (coeffs or {}).items() if v}
+        self.coeffs: Dict[str, int] = {k: v for k, v in coeffs.items() if v} if coeffs else {}
 
     @staticmethod
     def param(name: str, coeff: int = 1) -> "AffineExp":
@@ -303,9 +308,10 @@ class Syllable:
         return f"Syllable({self.to_text()})"
 
     def to_text(self) -> str:
-        if self.exponent == AffineExp(1):
-            return self.gen
-        return f"{self.gen}^({self.exponent})"
+        exp = self.exponent
+        if exp.coeffs:
+            return f"{self.gen}^({exp})"
+        return self.gen if exp.const == 1 else f"{self.gen}^({exp.const})"
 
 
 class PowerBlock:
@@ -559,32 +565,47 @@ def substitute_params(w: ParamWord, mapping: Mapping[str, Union[AffineExp, int]]
     return visit(w)
 
 
-def instantiate(w: ParamWord, values: Mapping[str, int]) -> ParamWord:
-    """Concrete word at given parameter values: blocks expanded, freely reduced."""
-    out: List[Syllable] = []
+Run = Tuple[str, int]
+ConcreteWord = Union[ParamWord, Sequence[Run]]  # constant exponents, no blocks
 
-    def push(gen: str, exp: int):
-        if exp == 0:
+
+def _push_runs(out: List[Run], runs: Sequence[Run]) -> None:
+    """Append freely reduced ``runs`` to freely reduced ``out``: they merge
+    or cancel at the seam only, so once one run survives the rest is copied."""
+    for i, (gen, exp) in enumerate(runs):
+        if out and out[-1][0] == gen:
+            exp += out.pop()[1]
+        if exp:
+            out.append((gen, exp))
+            out.extend(runs[i + 1:])
             return
-        if out and out[-1].gen == gen:
-            prev = out.pop()
-            push(gen, prev.exponent.constant_value() + exp)
-        else:
-            out.append(Syllable(gen, exp))
 
-    def visit(word_: ParamWord, repeat: int):
+
+def _inverse_runs(runs: Sequence[Run]) -> List[Run]:
+    return [(gen, -exp) for gen, exp in reversed(runs)]
+
+
+def instantiate_runs(w: ParamWord, values: Mapping[str, int]) -> List[Run]:
+    """Concrete word at given parameter values as freely reduced runs; a
+    block body is instantiated once and its runs repeated."""
+    out: List[Run] = []
+    for item in w.items:
+        if isinstance(item, Syllable):
+            _push_runs(out, ((item.gen, item.exponent.evaluate(values)),))
+            continue
+        body = instantiate_runs(item.body, values)
+        repeat = item.multiplicity.evaluate(values)
         if repeat < 0:
-            visit(word_.inverse(), -repeat)
-            return
-        for _ in range(repeat):
-            for item in word_.items:
-                if isinstance(item, Syllable):
-                    push(item.gen, item.exponent.evaluate(values))
-                else:
-                    visit(item.body, item.multiplicity.evaluate(values))
+            body, repeat = _inverse_runs(body), -repeat
+        for _ in range(repeat if body else 0):
+            _push_runs(out, body)
+    return out
 
-    visit(w, 1)
-    return ParamWord(out)
+
+def instantiate(w: ParamWord, values: Mapping[str, int]) -> ParamWord:
+    """``instantiate_runs`` as a word: one constant syllable per run."""
+    return ParamWord([Syllable(gen, AffineExp(exp))
+                      for gen, exp in instantiate_runs(w, values)])
 
 
 def exponent_sums(w: ParamWord, values: Optional[Mapping[str, int]] = None
@@ -618,23 +639,21 @@ def exponent_sums(w: ParamWord, values: Optional[Mapping[str, int]] = None
     return {g: s for g, s in visit(w).items() if s != 0}
 
 
-Letter = Tuple[str, int]
-
-
-def letters(w: ParamWord) -> List[Letter]:
-    """Concrete word as a freely reduced sequence of (generator, +-1)."""
-    if not w.is_concrete():
-        raise WordError(f"word {w.to_text()} is not concrete")
-    out: List[Letter] = []
-    for item in w.items:
-        exp = item.exponent.constant_value()
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            if out and out[-1] == (item.gen, -step):
-                out.pop()
-            else:
-                out.append((item.gen, step))
+def _runs(w: ConcreteWord) -> List[Run]:
+    """A concrete word as freely reduced runs."""
+    if isinstance(w, ParamWord):
+        if not w.is_concrete():
+            raise WordError(f"word {w.to_text()} is not concrete")
+        w = [(item.gen, item.exponent.const) for item in w.items]
+    out: List[Run] = []
+    for run in w:
+        _push_runs(out, (run,))
     return out
+
+
+def letters(w: ConcreteWord) -> List[Run]:
+    """Concrete word as a freely reduced sequence of (generator, +-1)."""
+    return [(g, 1 if e > 0 else -1) for g, e in _runs(w) for _ in range(abs(e))]
 
 
 class CyclicMatch(Enum):
@@ -646,23 +665,44 @@ class CyclicMatch(Enum):
         return self is not CyclicMatch.NONE
 
 
-def cyclic_normal_form(ls: Sequence[Letter]) -> Tuple[Letter, ...]:
-    """Cyclically reduce a letter sequence and pick the least rotation."""
-    lo, hi = 0, len(ls) - 1
-    while lo < hi and ls[lo] == (ls[hi][0], -ls[hi][1]):
+def cyclic_normal_form(w: ConcreteWord) -> Tuple[Run, ...]:
+    """Runs of the least rotation, in the order of the (generator, +-1)
+    letters, of a cyclically reduced concrete word.
+
+    The least rotation opens with the least letter c, and the letter after
+    a run of c is larger, so it starts at a run.  Keying a run c^L followed
+    by d as (c, d > c, -L if d > c else L) orders runs as their letters with
+    d after them, so Duval's Lyndon factorization of keys + keys (Duval 1983,
+    "Factorizing words over an ordered alphabet") finds it in linear time.
+    """
+    # strip cancelling end runs; a last run in the first run's generator merges
+    runs = _runs(w)
+    lo, hi = 0, len(runs) - 1
+    while lo < hi and runs[lo][0] == runs[hi][0] and runs[lo][1] == -runs[hi][1]:
         lo, hi = lo + 1, hi - 1
-    core = tuple(ls[lo:hi + 1])
-    return min((core[i:] + core[:i] for i in range(len(core))), default=())
+    core = runs[lo:hi + 1]
+    if len(core) > 1 and core[0][0] == core[-1][0]:
+        core[0] = (core[0][0], core[0][1] + core.pop()[1])
+    keys = [(gen, exp > 0, True, -abs(exp)) if nxt > gen
+            else (gen, exp > 0, False, abs(exp))
+            for (gen, exp), (nxt, _) in zip(core, core[1:] + core[:1])] * 2
+    i = start = 0
+    while i < len(core):
+        start, j, k = i, i + 1, i
+        while j < len(keys) and keys[k] <= keys[j]:
+            k = i if keys[k] < keys[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return tuple(core[start:] + core[:start])
 
 
-def equal_up_to_cyclic(w1: ParamWord, w2: ParamWord) -> CyclicMatch:
+def equal_up_to_cyclic(w1: ConcreteWord, w2: ConcreteWord) -> CyclicMatch:
     """Compare concrete words up to cyclic permutation, then up to inversion."""
-    n1 = cyclic_normal_form(letters(w1))
-    seq2 = letters(w2)
-    if n1 == cyclic_normal_form(seq2):
+    n1 = cyclic_normal_form(w1)
+    if n1 == cyclic_normal_form(w2):
         return CyclicMatch.DIRECT
-    inv = [(g, -s) for g, s in reversed(seq2)]
-    if n1 == cyclic_normal_form(inv):
+    if n1 == cyclic_normal_form(_inverse_runs(_runs(w2))):
         return CyclicMatch.INVERSE
     return CyclicMatch.NONE
 

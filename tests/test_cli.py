@@ -251,6 +251,31 @@ def test_identities_empty_grid_is_a_usage_error(capsys):
     assert "empty grid range" in err
 
 
+@pytest.mark.parametrize("grid", ["0..2", "-1..1", "0..0"])
+def test_tables_grid_below_one_is_a_usage_error(capsys, grid):
+    code, out, err = run(["identities", "--suite", "tables", "--grid", grid],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err_tail(err) == (
+        "bridgecover: error: the tables suite needs q, s, t, l >= 1, got "
+        + " ".join(f"{n}={grid}" for n in "qstl"))
+    assert "Traceback" not in err
+
+
+def test_tables_config_grid_below_one_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("grid = 1..2\nl = 0..1\n")
+    code, out, err = run(["--config", str(cfg), "identities", "--suite",
+                          "tables"], capsys)
+    assert (code, out) == (2, "")
+    assert err_tail(err) == (
+        "bridgecover: error: the tables suite needs q, s, t, l >= 1, got l=0..1")
+    # the lemma suites take any integers, so the same grid is fine there
+    code, _, _ = run(["--config", str(cfg), "identities", "--suite",
+                      "lemma5.12"], capsys)
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # cert
 # ---------------------------------------------------------------------------

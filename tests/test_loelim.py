@@ -16,9 +16,10 @@ from bridgecover.presentations import (
     Presentation, genus_one_presentation,
 )
 from bridgecover.words import (
-    ParamEnv, SignLattice, WordError, instantiate, letters, parse_word,
-    reduce_word, sign_invert, substitute, substitute_params,
+    ParamEnv, SignLattice, WordError, instantiate, parse_word, reduce_word,
+    sign_invert, substitute, substitute_params,
 )
+from letter_words import letters
 
 SP = SignLattice.STRICT_POS
 SN = SignLattice.STRICT_NEG

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+import letter_words as reference
 from bridgecover import cli, intlinalg, presentations
 from bridgecover.intlinalg import in_row_span
 from bridgecover.multipoly import MultiPoly
 from bridgecover.presentations import (
-    Presentation, abelianization_matrix, genus_one_presentation, h1_order,
-    mv_presentation, verify_product_identity, verify_rewrites,
+    Presentation, abelianization_matrix, first_syllable_difference,
+    genus_one_presentation, h1_order, mv_presentation,
+    verify_product_identity, verify_rewrites,
 )
 from bridgecover.twobridge import INFINITE, EvenExpansion, h1_cyclic_cover_order
 from bridgecover.words import (
@@ -84,10 +86,23 @@ def test_presentation_rejects_undeclared_generator():
         Presentation(["x"], [parse_word("x y")], ParamEnv({}))
 
 
+def _presentation_from_text(text):
+    """Parse the format of ``Presentation.to_text``."""
+    lines = text.splitlines()
+    assert lines[0].startswith("generators: ") and lines[1].startswith("env:")
+    bounds = {}
+    for chunk in filter(None, lines[1][len("env:"):].strip().split(",")):
+        name, _, bound = chunk.partition(">=")
+        bounds[name.strip()] = int(bound)
+    names, relators = zip(*(line.split(": ", 1) for line in lines[2:]))
+    return Presentation(lines[0].split()[1:], [parse_word(r) for r in relators],
+                        ParamEnv(bounds), names)
+
+
 def test_presentation_text_roundtrip():
     for p in (genus_one_presentation("k", "l", 3), mv_presentation(1, -2, 1, 2, 3)):
         text = p.to_text()
-        back = Presentation.from_text(text)
+        back = _presentation_from_text(text)
         assert back.generators == p.generators
         assert back.relators == p.relators
         assert back.relator_names == p.relator_names
@@ -339,6 +354,30 @@ def test_rewrites_grid():
         report = verify_rewrites(q, s, t, l)
         assert report.all_ok, (q, s, t, l,
                                [r.name for r in report.records if not r.ok])
+
+
+def test_rewrites_at_six():
+    # 45 s when cyclic comparison expanded every syllable into letters
+    report = verify_rewrites(6, 6, 6, 6)
+    assert report.all_ok
+    assert all(r.first_difference is None for r in report.records)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, -1, 1, 2),
+                                    (-1, 2, -2, 1)])
+def test_first_difference_of_mismatched_relators_matches_the_letter_reference(
+        params):
+    words = [instantiate(rel, {}) for rel in presentations._relators_xyz(
+        mv_presentation(*params, 3))]
+    words.append(parse_word("z y x"))
+    mismatches = 0
+    for got, expected in itertools.product(words, repeat=2):
+        diff = first_syllable_difference(got, expected)
+        assert diff == reference.first_syllable_difference(got, expected)
+        assert (equal_up_to_cyclic(got, expected)
+                is reference.equal_up_to_cyclic(got, expected))
+        mismatches += diff is not None
+    assert mismatches >= 12
 
 
 def test_rewrites_negative_q_s():

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import letter_words as reference
+from bridgecover import words
+from bridgecover.presentations import first_syllable_difference
 from bridgecover.words import (
     AffineExp, CannotPeelError, CyclicMatch, ParamEnv, ParamWord, PeelSide,
     PowerBlock, SignLattice, Syllable, WordError, cyclic_normal_form,
-    equal_up_to_cyclic, exponent_sums, instantiate, letters, parse_affine,
-    parse_word, peel, peel_block, power_block, reduce_word, sign_power,
-    sign_product, substitute, word_sign,
+    equal_up_to_cyclic, exponent_sums, instantiate, parse_affine, parse_word,
+    peel, peel_block, power_block, reduce_word, sign_power, sign_product,
+    substitute, word_sign,
 )
+from letter_words import letters
 
 
 def syll(gen, exponent=1):
@@ -405,10 +409,12 @@ def test_instantiate_negative_multiplicity_value():
 
 
 def test_letters_expansion():
-    assert letters(parse_word("x^(2) y^(-1)")) == [("x", 1), ("x", 1), ("y", -1)]
-    assert letters(parse_word("x x^(-1)")) == []
-    with pytest.raises(WordError):
-        letters(parse_word("x^(k)"))
+    for expand in (letters, words.letters):
+        assert expand(parse_word("x^(2) y^(-1)")) == [("x", 1), ("x", 1), ("y", -1)]
+        assert expand(parse_word("x x^(-1)")) == []
+        assert expand(parse_word("x^(3) y y^(-1) x^(-2)")) == [("x", 1)]
+        with pytest.raises(WordError):
+            expand(parse_word("x^(k)"))
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +509,74 @@ def test_cyclic_equality_properties(w, rot, invert):
 
 def test_cyclic_normal_form_ignores_a_long_conjugator():
     rng = random.Random(20261018)
-    w = letters(parse_word("z y x"))
-    u = [(rng.choice("xyz"), rng.choice((1, -1))) for _ in range(10 ** 4)]
-    conjugate = u + w + [(g, -s) for g, s in reversed(u)]
-    assert cyclic_normal_form(conjugate) == cyclic_normal_form(w)
+    w = parse_word("z y x")
+    u = ParamWord([Syllable(rng.choice("xyz"), rng.choice((1, -1)))
+                   for _ in range(10 ** 4)])
+    conjugate = u * w * u.inverse()
+    assert cyclic_normal_form(conjugate) == cyclic_normal_form(w) == (
+        ("x", 1), ("z", 1), ("y", 1))
 
 
 @given(concrete_word_strategy, concrete_word_strategy)
 @settings(max_examples=150)
 def test_cyclic_equality_symmetric(w1, w2):
     assert bool(equal_up_to_cyclic(w1, w2)) == bool(equal_up_to_cyclic(w2, w1))
+
+
+def _runs_word(runs):
+    return ParamWord([Syllable(g, e) for g, e in runs])
+
+
+_run = st.tuples(st.sampled_from(["x", "y", "z"]),
+                 st.integers(-3, 3).filter(bool))
+_plain_word = st.lists(_run, max_size=8).map(_runs_word)
+_exponent = st.integers(-4, 4).filter(bool)
+
+# Words shaped to reach each branch of the run-length cyclic reduction and
+# of the least rotation.
+shaped_word_strategy = st.one_of(
+    _plain_word,
+    # end syllables in one generator, with the same or opposite signs
+    st.builds(lambda g, a, b, mid: _runs_word([(g, a)] + mid + [(g, b)]),
+              st.sampled_from(["x", "y", "z"]), _exponent, _exponent,
+              st.lists(_run, max_size=6)),
+    # conjugates u w u^-1, and full cancellation w w^-1
+    st.builds(lambda u, w: u * w * u.inverse(), _plain_word, _plain_word),
+    st.builds(lambda w: w * w.inverse(), _plain_word),
+    # periodic words such as (x y^-1)^k
+    st.builds(lambda body, k: _runs_word(body * k),
+              st.lists(_run, min_size=1, max_size=3), st.integers(1, 5)),
+)
+
+
+def _rotated(w, rot, invert):
+    ls = letters(w)
+    if ls:
+        rot %= len(ls)
+        ls = ls[rot:] + ls[:rot]
+    other = ParamWord([Syllable(g, s) for g, s in ls])
+    return other.inverse() if invert else other
+
+
+@given(shaped_word_strategy, st.data())
+@example(_runs_word([("x", 1), ("y", -1)] * 3), None)
+@example(_runs_word([("x", 2), ("y", 1), ("x", -2)]), None)
+@example(_runs_word([("x", 2), ("y", 1), ("x", 1)]), None)
+@example(_runs_word([("y", 1), ("x", -1), ("x", 1), ("y", -1)]), None)
+@settings(max_examples=300)
+def test_run_length_cyclic_forms_match_the_letter_reference(w, data):
+    assert list(cyclic_normal_form(w)) == reference.cyclic_runs(w)
+    if data is None:
+        others = [_rotated(w, 1, False), _rotated(w, 3, True)]
+    else:
+        others = [data.draw(shaped_word_strategy),
+                  _rotated(w, data.draw(st.integers(0, 40)),
+                           data.draw(st.booleans()))]
+    for other in others:
+        assert (equal_up_to_cyclic(w, other)
+                is reference.equal_up_to_cyclic(w, other))
+        assert (first_syllable_difference(w, other)
+                == reference.first_syllable_difference(w, other))
 
 
 # ---------------------------------------------------------------------------
