@@ -19,6 +19,7 @@ from bridgecover.words import (
     instantiate,
     parse_word,
     reduce_word,
+    runs_text,
     substitute,
 )
 
@@ -39,7 +40,7 @@ def main():
                        ParamEnv({}))
     print(f"substituted:     {image.to_text()}")
     concrete = instantiate(parse_word("x^(q) y^(-2q)"), {"q": 3})
-    print(f"instantiated:    {concrete.to_text()}")
+    print(f"instantiated:    {runs_text(concrete)}")
     print()
 
     # The bundled verification jobs at one parameter point.

@@ -12,6 +12,8 @@ Two constructions live here:
 Alongside the matrices, the determinant tables for all tabulated resolutions
 of A, B (= L at l = 1) and L are stored as exact polynomials in (q, s, t, l),
 with the additivity and substitution identity suites checked symbolically.
+A resolution is plain text in the canonical form ``parse_resolution`` gives
+it: three comma-separated slots, each ``*``, ``0`` or ``inf``.
 
 Layout note: the block displays do not pin down the run lengths; the frozen
 choice here is
@@ -31,9 +33,7 @@ and plain integer matrices use fraction-free Bareiss elimination.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .intlinalg import IntMatrix, det_bareiss
@@ -263,31 +263,14 @@ def build_L_star(q: int, s: int, t: int, l: int) -> GoeritzMatrix:
 # Determinant tables
 # ---------------------------------------------------------------------------
 
-class Slot(str, Enum):
-    STAR = "*"
-    ZERO = "0"
-    INF = "inf"
-
-
-class Resolution(Tuple[Slot, Slot, Slot]):
-    """Three resolution slots (left, middle, right twist regions)."""
-
-    def __new__(cls, slots):
-        slots = tuple(Slot(s) for s in slots)
-        if len(slots) != 3:
-            raise GoeritzError(f"resolution needs exactly 3 slots, got {slots}")
-        return super().__new__(cls, slots)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=256)
-    def parse(text: str) -> "Resolution":
-        return Resolution(tuple(part.strip() for part in text.split(",")))
-
-    def __str__(self):
-        return ",".join(s.value for s in self)
-
-    def __repr__(self):
-        return f"Resolution({self})"
+def parse_resolution(text: str) -> str:
+    """The canonical text of a resolution: three comma-separated slots (left,
+    middle, right twist regions), each ``*``, ``0`` or ``inf``, no spaces."""
+    slots = [part.strip() for part in text.split(",")]
+    if len(slots) != 3 or not set(slots) <= {"*", "0", "inf"}:
+        raise GoeritzError(
+            f"a resolution is three slots from *, 0, inf, got {text!r}")
+    return ",".join(slots)
 
 
 _Q = MultiPoly.var("q")
@@ -309,7 +292,7 @@ _HL = (1 + _Q - 3 * _L * _Q - 3 * _Q * _S + _T - 3 * _L * _T
 @dataclass(frozen=True)
 class TableRow:
     family: str
-    resolution: Resolution
+    resolution: str
     poly: MultiPoly
     source: str
     validity: str
@@ -318,15 +301,15 @@ class TableRow:
 
 def _rows(family: str, source: str, validity: str,
           data: Dict[str, MultiPoly],
-          identified: Dict[str, Tuple[str, str]]) -> Dict[Resolution, TableRow]:
-    table: Dict[Resolution, TableRow] = {}
+          identified: Dict[str, Tuple[str, str]]) -> Dict[str, TableRow]:
+    table: Dict[str, TableRow] = {}
     for res_text, poly in data.items():
-        res = Resolution.parse(res_text)
+        res = parse_resolution(res_text)
         table[res] = TableRow(family, res, poly, source, validity)
-    for res_text, (target_text, lemma) in identified.items():
-        res = Resolution.parse(res_text)
-        target = Resolution.parse(target_text)
-        table[res] = TableRow(family, res, table[target].poly, source, validity,
+    for res_text, (target, lemma) in identified.items():
+        res = parse_resolution(res_text)
+        poly = table[parse_resolution(target)].poly
+        table[res] = TableRow(family, res, poly, source, validity,
                               identified_via=lemma)
     return table
 
@@ -389,7 +372,7 @@ _TABLE5 = _rows("L", "Table 5", "l > 1", {
     "inf,inf,0": ("0,inf,inf", "Lemma 5.11(2)"),
 })
 
-_TABLES: Dict[str, Dict[Resolution, TableRow]] = {
+_TABLES: Dict[str, Dict[str, TableRow]] = {
     "A": _TABLE3,
     "A(t=1)": _TABLE2,
     "B": _TABLE4,
@@ -397,17 +380,19 @@ _TABLES: Dict[str, Dict[Resolution, TableRow]] = {
 }
 
 
-def table_row(family: str, resolution: Union[Resolution, str, Sequence[str]]) -> TableRow:
+def table_row(family: str, resolution: str) -> TableRow:
     """The tabulated (or link-identified) determinant row, as a polynomial.
 
-    B rows missing from Table 4 fall back to Table 5 specialized at l = 1.
+    Canonical resolution text is looked up as it is; other text is
+    canonicalized first.  B rows missing from Table 4 fall back to Table 5
+    specialized at l = 1.
     """
-    if not isinstance(resolution, Resolution):
-        resolution = (Resolution.parse(resolution) if isinstance(resolution, str)
-                      else Resolution(resolution))
     if family not in _TABLES:
         raise NotTabulatedError(f"unknown family {family!r}")
     row = _TABLES[family].get(resolution)
+    if row is None:
+        resolution = parse_resolution(resolution)
+        row = _TABLES[family].get(resolution)
     if row is None and family == "B":
         l_row = _TABLE5.get(resolution)
         if l_row is not None:
@@ -421,7 +406,7 @@ def table_row(family: str, resolution: Union[Resolution, str, Sequence[str]]) ->
     return row
 
 
-def table_formula(family: str, resolution: Union[Resolution, str, Sequence[str]],
+def table_formula(family: str, resolution: str,
                   params: Mapping[str, int]) -> int:
     """Exact evaluation of the tabulated determinant formula."""
     row = table_row(family, resolution)

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from .presentations import (
     _RPRIME_TEMPLATES,
     _RSECOND_TEMPLATES,
-    _WING_DEFS,
+    _WING_WORDS,
     Presentation,
     genus_one_presentation,
 )
@@ -199,11 +199,8 @@ class EliminationReport:
     orbits: Tuple[Orbit, ...] = ()
 
     def survivors(self) -> Tuple[PatternVerdict, ...]:
-        return tuple(v for v in self.verdicts if not v.eliminated)
-
-    def residual(self) -> Tuple[PatternVerdict, ...]:
         """Patterns that sign analysis alone cannot settle."""
-        return self.survivors()
+        return tuple(v for v in self.verdicts if not v.eliminated)
 
 
 def _relator_forms(rel: ParamWord, env: ParamEnv) -> List[ParamWord]:
@@ -217,8 +214,7 @@ def _relator_forms(rel: ParamWord, env: ParamEnv) -> List[ParamWord]:
     return list(forms)
 
 
-def eliminate(p: Presentation,
-              env: Optional[ParamEnv] = None) -> EliminationReport:
+def eliminate(p: Presentation) -> EliminationReport:
     """Scan every sign pattern of ``p``'s generators against its relators.
 
     A pattern is eliminated when some relator (equivalently one of its cyclic
@@ -226,7 +222,7 @@ def eliminate(p: Presentation,
     negative; the witness records the first such relator in declaration
     order together with the proved sign.
     """
-    env = env if env is not None else p.env
+    env = p.env
     relators = [(name, _relator_forms(rel, env))
                 for name, rel in zip(p.relator_names, p.relators)]
     verdicts: List[PatternVerdict] = []
@@ -245,10 +241,9 @@ def eliminate(p: Presentation,
     return EliminationReport(tuple(p.generators), tuple(verdicts))
 
 
-def orbit_reduce(report: EliminationReport,
-                 sym: Optional[SymmetryAction] = None) -> EliminationReport:
+def orbit_reduce(report: EliminationReport) -> EliminationReport:
     """Group the surviving patterns into orbits of the cyclic shift."""
-    sym = sym if sym is not None else SymmetryAction(len(report.generators))
+    sym = SymmetryAction(len(report.generators))
     index_of = {v.assignment: v.index
                 for v in report.verdicts if not v.eliminated}
     orbits: List[Orbit] = []
@@ -337,9 +332,9 @@ _ATOM_PAIR: Dict[str, Tuple[str, str]] = {
     "Exz": ("x", "z"),
 }
 _ATOMS = tuple(_ATOM_PAIR)
-_ATOM_INVERSE = {"Exy": "Eyx", "Eyx": "Exy", "Eyz": "Ezy",
-                 "Ezy": "Eyz", "Ezx": "Exz", "Exz": "Ezx"}
-_ATOM_TEXT = {name: f"{a}^q {b}^-q" for name, (a, b) in _ATOM_PAIR.items()}
+_ATOM_INVERSE = {name: f"E{b}{a}" for name, (a, b) in _ATOM_PAIR.items()}
+_PAIR_WORDS = {name: parse_word(f"{a}^(q) {b}^(-q)")
+               for name, (a, b) in _ATOM_PAIR.items()}
 
 
 def _atomize_text(template: str) -> str:
@@ -351,8 +346,12 @@ def _atomize_text(template: str) -> str:
 
 
 #: The wing-rewritten relators of :mod:`.presentations` over pair-word letters.
-_RPRIME_ATOM = {i: _atomize_text(t) for i, t in _RPRIME_TEMPLATES.items()}
-_RSECOND_ATOM = {i: _atomize_text(t) for i, t in _RSECOND_TEMPLATES.items()}
+_RPRIME_ATOM = {i: parse_word(_atomize_text(t))
+                for i, t in _RPRIME_TEMPLATES.items()}
+_RSECOND_ATOM = {i: parse_word(_atomize_text(t))
+                 for i, t in _RSECOND_TEMPLATES.items()}
+_BASE_PRESENTATION = Presentation(_BASE, (parse_word("z y x"),), ParamEnv({}),
+                                  ("r0",))
 
 #: One-letter consequences of the base relator z y x = 1 that the collapse
 #: move may splice in at a syllable boundary.
@@ -596,8 +595,7 @@ def _closure_candidates(mapping: Mapping[str, AffineExp],
     out: List[Tuple[str, ParamWord]] = []
     for label, templates in (("'", _RPRIME_ATOM), ("''", _RSECOND_ATOM)):
         for i in (1, 2, 3):
-            root = reduce_word(
-                substitute_params(parse_word(templates[i]), mapping), env)
+            root = reduce_word(substitute_params(templates[i], mapping), env)
             name = f"r{i}{label}"
             out.append((name, root))
             for v in _variants(root, env, depth=1, collapse=False)[1:]:
@@ -625,24 +623,18 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     signs = tuple(1 if v > 0 else -1 for v in raw)
     mapping, env = _signed_env(signs)
 
-    base = Presentation(_BASE, (parse_word("z y x"),), ParamEnv({}), ("r0",))
-    stage1 = orbit_reduce(eliminate(base))
+    stage1 = orbit_reduce(eliminate(_BASE_PRESENTATION))
     canonical = stage1.orbits[0].canonical
     ctx: Dict[str, SignLattice] = canonical.as_map(list(_BASE))
 
-    bodies = {
-        name: reduce_word(
-            substitute_params(parse_word(f"{a}^(q) {b}^(-q)"), mapping), env)
-        for name, (a, b) in _ATOM_PAIR.items()
-    }
+    bodies = {name: reduce_word(substitute_params(word, mapping), env)
+              for name, word in _PAIR_WORDS.items()}
     body_names = {bodies[name]: name for name in _ATOMS}
     for name in _ATOMS:
         ctx[name] = word_sign(bodies[name], ctx, env)
 
-    wing_defs = {
-        name: reduce_word(substitute_params(parse_word(text), mapping), env)
-        for name, text in _WING_DEFS.items()
-    }
+    wing_defs = {name: reduce_word(substitute_params(word, mapping), env)
+                 for name, word in _WING_WORDS.items()}
     raw_variants = {name: _variants(wing_defs[name], env) for name in _WINGS}
     atom_variants = {name: [_atomize(v, body_names, env)
                             for v in raw_variants[name]] for name in _WINGS}
@@ -686,9 +678,7 @@ def _rel_text(sign: SignLattice) -> str:
 def _folded_atom_text(atom: str, signs: Tuple[int, ...]) -> str:
     """Pair word behind an atom with the sign class folded into exponents."""
     pmap, env = _signed_env(signs)
-    a, b = _ATOM_PAIR[atom]
-    return reduce_word(
-        substitute_params(parse_word(f"{a}^(q) {b}^(-q)"), pmap), env).to_text()
+    return reduce_word(substitute_params(_PAIR_WORDS[atom], pmap), env).to_text()
 
 
 def genus2_report_text(report: Genus2Report) -> str:

@@ -30,10 +30,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .intlinalg import Infinite, cokernel_order, in_row_span
 from .multipoly import MultiPoly
 from .words import (
-    AffineExp, ConcreteWord, CyclicMatch, ParamEnv, ParamWord, PowerBlock,
-    Run, Syllable, WordError, cyclic_normal_form, equal_up_to_cyclic,
-    exponent_sums, instantiate, instantiate_runs, parse_word, substitute,
-    substitute_params,
+    AffineExp, CyclicMatch, ParamEnv, ParamWord, PowerBlock, Run, Syllable,
+    WordError, cyclic_normal_form, equal_up_to_cyclic, exponent_sums,
+    instantiate, parse_word, runs_text, substitute, substitute_params,
 )
 
 # One relator of the genus-one family, over a three-generator window
@@ -80,7 +79,7 @@ _WING_WORDS = {name: parse_word(text) for name, text in _WING_DEFS.items()}
 _RPRIME_WORDS = {i: parse_word(text) for i, text in _RPRIME_TEMPLATES.items()}
 _RSECOND_WORDS = {i: parse_word(text) for i, text in _RSECOND_TEMPLATES.items()}
 _XYZ_WORDS = {gen: parse_word(gen) for gen in ("x", "y", "z")}
-_ZYX = parse_word("z y x")
+_ZYX = [("z", 1), ("y", 1), ("x", 1)]
 
 
 class Presentation:
@@ -263,7 +262,8 @@ def _relators_xyz(p: Presentation) -> List[ParamWord]:
 Difference = Optional[Tuple[int, Optional[Run], Optional[Run]]]
 
 
-def first_syllable_difference(got: ConcreteWord, expected: ConcreteWord) -> Difference:
+def first_syllable_difference(got: Sequence[Run],
+                              expected: Sequence[Run]) -> Difference:
     """First position where the cyclic normal forms differ, as syllable runs.
 
     Returns (index, got_syllable, expected_syllable), entries None past the
@@ -303,9 +303,10 @@ def verify_product_identity(q: int, s: int, t: int, l: int) -> ProductIdentityVe
     """
     p = mv_presentation(q, s, t, l, 3)
     r1, r2, r3 = _relators_xyz(p)
-    product = instantiate(r3 * r2 * r1, {})
+    word = r3 * r2 * r1
+    product = instantiate(word, {})
 
-    sums = exponent_sums(product, {})
+    sums = exponent_sums(word, {})
     abelian = tuple(sums.get(g, 0) for g in ("x", "y", "z"))
     abelian_ok = abelian == (1, 1, 1)
 
@@ -324,7 +325,7 @@ def verify_product_identity(q: int, s: int, t: int, l: int) -> ProductIdentityVe
         abelian_sums=abelian,  # type: ignore[arg-type]
         abelian_ok=abelian_ok,
         target_in_row_span=span_ok,
-        reduced_product=product.to_text(),
+        reduced_product=runs_text(product),
         first_difference=(None if status == "FULL_PASS"
                           else first_syllable_difference(product, _ZYX)),
     )
@@ -369,9 +370,9 @@ def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
 
     def expand(template: ParamWord) -> List[Run]:
         w = substitute(substitute_params(template, consts), wings, ParamEnv({}))
-        return instantiate_runs(w, {})
+        return instantiate(w, {})
 
-    base = [instantiate_runs(r, {}) for r in _relators_xyz(mv_presentation(q, s, t, l, 3))]
+    base = [instantiate(r, {}) for r in _relators_xyz(mv_presentation(q, s, t, l, 3))]
     primes = [expand(_RPRIME_WORDS[i]) for i in (1, 2, 3)]
     pairs = [(f"r'{i} vs r{i}", primes[i - 1], base[i - 1]) for i in (1, 2, 3)]
     pairs += [(f"r''{i} vs r'{i}", expand(_RSECOND_WORDS[i]), primes[i - 1])

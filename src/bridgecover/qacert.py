@@ -6,8 +6,9 @@ kinds:
 
 * ``BASE``     -- a whitelisted axiom (a trusted fact, with citation),
 * ``SKEIN``    -- the determinant-additive resolution triangle: the link
-                  splits at its leftmost unresolved slot into a 0-child and
-                  an inf-child with ``det = det_0 + det_inf``, all positive,
+                  splits at its leftmost unresolved slot (the first ``*`` of
+                  its canonical resolution text) into a 0-child and an
+                  inf-child with ``det = det_0 + det_inf``, all positive,
 * ``IDENTIFY`` -- the link equals another link, along a whitelisted
                   identification (with citation); the child certifies the
                   target,
@@ -23,7 +24,9 @@ against.  ``verify`` independently checks every rule, recomputing all
 determinants from the tabulated formulas.  Both stop at ``MAX_DEPTH``
 levels: generation raises ``GenerationError`` and verification rejects.
 Certificates serialize to canonical JSON, written from an explicit stack
-in time linear in the text, at any depth.
+in time linear in the text, at any depth.  Resolution text is canonicalized
+where it enters (the ``LinkId`` factories and the parser), and ``verify``
+rejects a link whose text is not canonical.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .goeritz import (
     NotTabulatedError,
-    Resolution,
-    Slot,
     UnsupportedRegimeError,
+    parse_resolution,
     table_formula,
 )
 
@@ -86,17 +88,17 @@ class LinkId:
     @staticmethod
     def A(q: int, s: int, t: int, resolution: str = STAR3) -> "LinkId":
         return LinkId("A", (("q", q), ("s", s), ("t", t)),
-                      str(Resolution.parse(resolution)))
+                      parse_resolution(resolution))
 
     @staticmethod
     def B(q: int, s: int, t: int, resolution: str = STAR3) -> "LinkId":
         return LinkId("B", (("q", q), ("s", s), ("t", t)),
-                      str(Resolution.parse(resolution)))
+                      parse_resolution(resolution))
 
     @staticmethod
     def L(q: int, s: int, t: int, l: int, resolution: str = STAR3) -> "LinkId":
         return LinkId("L", (("q", q), ("s", s), ("t", t), ("l", l)),
-                      str(Resolution.parse(resolution)))
+                      parse_resolution(resolution))
 
     @staticmethod
     def named(name: str) -> "LinkId":
@@ -134,10 +136,13 @@ class LinkId:
             if self.name:
                 raise CertError(f"{self.family} link carries no name")
             try:
-                Resolution.parse(self.resolution)
+                canonical = parse_resolution(self.resolution)
             except ValueError as exc:
                 raise CertError(
                     f"bad resolution {self.resolution!r}: {exc}") from None
+            if canonical != self.resolution:
+                raise CertError(f"resolution {self.resolution!r} is not in "
+                                f"canonical form {canonical!r}")
 
     def __str__(self):
         if self.family == "NAMED":
@@ -288,7 +293,7 @@ def _res_map(citation: str, family: str, source: str, target: str,
              collapse_to: Optional[int] = None) -> IdentRule:
     """Identification acting on the resolution (and optionally shifting one
     parameter down by 1, or collapsing it to a fixed value)."""
-    target = str(Resolution.parse(target))
+    target = parse_resolution(target)
 
     def apply(link: LinkId) -> Optional[LinkId]:
         if link.family != family or link.resolution != source:
@@ -456,10 +461,10 @@ class Certificate:
 MAX_DEPTH = 438
 
 
-def iter_nodes(root: CertNode, path: str = "root") -> Iterator[Tuple[str, CertNode]]:
-    """Every node with its path, in pre-order (zero, inf, child), from an
-    explicit stack."""
-    stack = [(path, root)]
+def iter_nodes(root: CertNode) -> Iterator[Tuple[str, CertNode]]:
+    """Every node with its path from ``root``, in pre-order (zero, inf,
+    child), from an explicit stack."""
+    stack = [("root", root)]
     while stack:
         path, node = stack.pop()
         yield path, node
@@ -475,12 +480,12 @@ def node_count(cert: Certificate) -> int:
     return sum(1 for _ in iter_nodes(cert.root))
 
 
-def _resolve_leftmost(link: LinkId, slot: Slot) -> Optional[LinkId]:
-    slots = str(Resolution.parse(link.resolution)).split(",")
-    if Slot.STAR.value not in slots:
+def _resolve_leftmost(link: LinkId, slot: str) -> Optional[LinkId]:
+    """``link`` with its leftmost ``*`` slot resolved to ``slot`` (``0`` or
+    ``inf``), or None when every slot is resolved."""
+    if "*" not in link.resolution:
         return None
-    slots[slots.index(Slot.STAR.value)] = slot.value
-    return LinkId(link.family, link.params, ",".join(slots))
+    return replace(link, resolution=link.resolution.replace("*", slot, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +571,8 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
     if node.kind == SKEIN:
         if node.zero is None or node.inf is None or node.child is not None:
             raise _Reject(path, "skein nodes need exactly a zero and an inf child")
-        zero_link = _resolve_leftmost(node.link, Slot.ZERO)
-        inf_link = _resolve_leftmost(node.link, Slot.INF)
+        zero_link = _resolve_leftmost(node.link, "0")
+        inf_link = _resolve_leftmost(node.link, "inf")
         if zero_link is None:
             raise _Reject(path, f"{node.link} has no unresolved slot to split")
         if node.zero.link != zero_link:
@@ -748,7 +753,7 @@ def _link_from_json(obj, path: str) -> LinkId:
     if names is None:
         raise CertParseError(f"{path}.family: unknown family {family!r}")
     try:
-        resolution = str(Resolution.parse(resolution))
+        resolution = parse_resolution(resolution)
     except ValueError as exc:
         raise CertParseError(f"{path}.resolution: {exc}") from None
     params = []
@@ -919,9 +924,9 @@ class _Builder:
                             target=target, child=child)
         else:
             inner = measure(link)
-            zero = self.certify(_resolve_leftmost(link, Slot.ZERO), inner,
+            zero = self.certify(_resolve_leftmost(link, "0"), inner,
                                 depth + 1)
-            inf = self.certify(_resolve_leftmost(link, Slot.INF), inner,
+            inf = self.certify(_resolve_leftmost(link, "inf"), inner,
                                depth + 1)
             if det <= 0 or zero.det <= 0 or inf.det <= 0:
                 raise GenerationError(f"resolution determinant vanishes at {link}")

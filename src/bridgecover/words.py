@@ -13,13 +13,14 @@ Conventions:
   the inverted body instead);
 - ``reduce`` merges adjacent syllables in the same generator and drops
   provably-trivial pieces; it never crosses a block boundary;
-- ``instantiate`` turns a word into a concrete (constant-exponent, blockless)
-  word by full expansion and free reduction.
+- ``instantiate`` evaluates a word at integer parameter values and returns
+  the concrete word.
 
-Concrete words are run-length: from instantiation through cyclic comparison
-they are lists of (generator, nonzero int) runs, never expanded into letters.
-Free reduction merges or cancels runs at the seam, and the cyclic normal form
-takes the least rotation over runs by Duval's algorithm, in linear time.
+A concrete word has one form: a list of (generator, nonzero int) runs,
+freely reduced, never expanded into letters.  Free reduction merges or
+cancels runs at the seam, the cyclic normal form takes the least rotation
+over runs by Duval's algorithm, in linear time, and ``runs_text`` writes runs
+in the syntax of ``parse_word``.
 """
 from __future__ import annotations
 
@@ -372,10 +373,6 @@ class ParamWord:
         visit(self)
         return tuple(seen)
 
-    def is_concrete(self) -> bool:
-        """Constant exponents and no power blocks."""
-        return all(isinstance(i, Syllable) and i.exponent.is_constant() for i in self.items)
-
     def __eq__(self, other):
         return isinstance(other, ParamWord) and self.items == other.items
 
@@ -450,43 +447,27 @@ def reduce_word(w: ParamWord, env: ParamEnv) -> ParamWord:
         else:
             out.append(s)
 
-    def push_items(items: Iterable[WordItem]):
-        for item in items:
-            if isinstance(item, Syllable):
-                push_syllable(item)
-            else:
-                push_block(item)
-
     def push_block(b: PowerBlock):
-        body = reduce_word(b.body, env)
-        if body.is_empty():
-            return
-        mult = b.multiplicity
-        sign = env.sign_of(mult)
-        if sign is ZE:
-            return
-        if sign in (SN, NP):
-            body, mult = body.inverse(), -mult
-            sign = env.sign_of(mult)
-        if mult == AffineExp(1):
-            push_items(body.items)
-            return
+        body, mult = reduce_word(b.body, env), b.multiplicity
         if len(body.items) == 1 and isinstance(body.items[0], Syllable):
             s = body.items[0]
             if s.exponent.is_constant():
-                push_syllable(Syllable(s.gen, mult.scale(s.exponent.constant_value())))
+                push_syllable(Syllable(s.gen, mult.scale(s.exponent.const)))
                 return
             if mult.is_constant():
-                push_syllable(Syllable(s.gen, s.exponent.scale(mult.constant_value())))
+                push_syllable(Syllable(s.gen, s.exponent.scale(mult.const)))
                 return
-        if mult.is_constant() and sign is UK:
-            # constant multiplicities always have a known sign; unreachable
-            raise AssertionError("constant multiplicity with unknown sign")
-        if sign is UK:
-            raise WordError(f"multiplicity {mult} has unknown sign under {env}")
-        out.append(PowerBlock(body, mult))
+        for item in power_block(body, mult, env).items:
+            if isinstance(item, Syllable):
+                push_syllable(item)
+            else:
+                out.append(item)
 
-    push_items(w.items)
+    for item in w.items:
+        if isinstance(item, Syllable):
+            push_syllable(item)
+        else:
+            push_block(item)
     return ParamWord(out)
 
 
@@ -566,7 +547,6 @@ def substitute_params(w: ParamWord, mapping: Mapping[str, Union[AffineExp, int]]
 
 
 Run = Tuple[str, int]
-ConcreteWord = Union[ParamWord, Sequence[Run]]  # constant exponents, no blocks
 
 
 def _push_runs(out: List[Run], runs: Sequence[Run]) -> None:
@@ -585,27 +565,24 @@ def _inverse_runs(runs: Sequence[Run]) -> List[Run]:
     return [(gen, -exp) for gen, exp in reversed(runs)]
 
 
-def instantiate_runs(w: ParamWord, values: Mapping[str, int]) -> List[Run]:
+def instantiate(w: ParamWord, values: Mapping[str, int]) -> List[Run]:
     """Concrete word at given parameter values as freely reduced runs; a
     block body is instantiated once and its runs repeated."""
-    out: List[Run] = []
-    for item in w.items:
-        if isinstance(item, Syllable):
-            _push_runs(out, ((item.gen, item.exponent.evaluate(values)),))
-            continue
-        body = instantiate_runs(item.body, values)
-        repeat = item.multiplicity.evaluate(values)
-        if repeat < 0:
-            body, repeat = _inverse_runs(body), -repeat
-        for _ in range(repeat if body else 0):
-            _push_runs(out, body)
-    return out
+    def visit(word_: ParamWord) -> List[Run]:
+        out: List[Run] = []
+        for item in word_.items:
+            if isinstance(item, Syllable):
+                _push_runs(out, ((item.gen, item.exponent.evaluate(values)),))
+                continue
+            body = visit(item.body)
+            repeat = item.multiplicity.evaluate(values)
+            if repeat < 0:
+                body, repeat = _inverse_runs(body), -repeat
+            for _ in range(repeat if body else 0):
+                _push_runs(out, body)
+        return out
 
-
-def instantiate(w: ParamWord, values: Mapping[str, int]) -> ParamWord:
-    """``instantiate_runs`` as a word: one constant syllable per run."""
-    return ParamWord([Syllable(gen, AffineExp(exp))
-                      for gen, exp in instantiate_runs(w, values)])
+    return visit(w)
 
 
 def exponent_sums(w: ParamWord, values: Optional[Mapping[str, int]] = None
@@ -639,20 +616,21 @@ def exponent_sums(w: ParamWord, values: Optional[Mapping[str, int]] = None
     return {g: s for g, s in visit(w).items() if s != 0}
 
 
-def _runs(w: ConcreteWord) -> List[Run]:
-    """A concrete word as freely reduced runs."""
-    if isinstance(w, ParamWord):
-        if not w.is_concrete():
-            raise WordError(f"word {w.to_text()} is not concrete")
-        w = [(item.gen, item.exponent.const) for item in w.items]
+def _runs(w: Sequence[Run]) -> List[Run]:
+    """Runs, freely reduced."""
     out: List[Run] = []
     for run in w:
         _push_runs(out, (run,))
     return out
 
 
-def letters(w: ConcreteWord) -> List[Run]:
-    """Concrete word as a freely reduced sequence of (generator, +-1)."""
+def runs_text(w: Sequence[Run]) -> str:
+    """Runs in the syntax of ``parse_word``, ``1`` for the empty word."""
+    return " ".join(g if e == 1 else f"{g}^({e})" for g, e in w) or "1"
+
+
+def letters(w: Sequence[Run]) -> List[Run]:
+    """Runs as a freely reduced sequence of (generator, +-1)."""
     return [(g, 1 if e > 0 else -1) for g, e in _runs(w) for _ in range(abs(e))]
 
 
@@ -665,9 +643,9 @@ class CyclicMatch(Enum):
         return self is not CyclicMatch.NONE
 
 
-def cyclic_normal_form(w: ConcreteWord) -> Tuple[Run, ...]:
+def cyclic_normal_form(w: Sequence[Run]) -> Tuple[Run, ...]:
     """Runs of the least rotation, in the order of the (generator, +-1)
-    letters, of a cyclically reduced concrete word.
+    letters, of the cyclically reduced word.
 
     The least rotation opens with the least letter c, and the letter after
     a run of c is larger, so it starts at a run.  Keying a run c^L followed
@@ -697,12 +675,12 @@ def cyclic_normal_form(w: ConcreteWord) -> Tuple[Run, ...]:
     return tuple(core[start:] + core[:start])
 
 
-def equal_up_to_cyclic(w1: ConcreteWord, w2: ConcreteWord) -> CyclicMatch:
+def equal_up_to_cyclic(w1: Sequence[Run], w2: Sequence[Run]) -> CyclicMatch:
     """Compare concrete words up to cyclic permutation, then up to inversion."""
     n1 = cyclic_normal_form(w1)
     if n1 == cyclic_normal_form(w2):
         return CyclicMatch.DIRECT
-    if n1 == cyclic_normal_form(_inverse_runs(_runs(w2))):
+    if n1 == cyclic_normal_form(_inverse_runs(w2)):
         return CyclicMatch.INVERSE
     return CyclicMatch.NONE
 

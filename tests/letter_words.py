@@ -1,30 +1,28 @@
 """Letter-level reference for the run-length word algebra of bridgecover.words.
 
-A concrete word is expanded into (generator, +-1) letters and freely reduced
-one letter at a time; its cyclic normal form is the minimum over every
+A concrete word, given as (generator, exponent) runs, is expanded into
+(generator, +-1) letters and freely reduced one letter at a time; its cyclic normal form is the minimum over every
 rotation of the cyclically reduced letters.  Quadratic, and independent of
 the run-length code it checks.
 """
 from typing import List, Optional, Sequence, Tuple
 
-from bridgecover.words import CyclicMatch, ParamWord, WordError
+from bridgecover.words import CyclicMatch
 
 Letter = Tuple[str, int]
+Runs = Sequence[Tuple[str, int]]
 
 
-def letters(w: ParamWord) -> List[Letter]:
+def letters(w: Runs) -> List[Letter]:
     """Concrete word as a freely reduced sequence of (generator, +-1)."""
-    if not w.is_concrete():
-        raise WordError(f"word {w.to_text()} is not concrete")
     out: List[Letter] = []
-    for item in w.items:
-        exp = item.exponent.constant_value()
+    for gen, exp in w:
         step = 1 if exp > 0 else -1
         for _ in range(abs(exp)):
-            if out and out[-1] == (item.gen, -step):
+            if out and out[-1] == (gen, -step):
                 out.pop()
             else:
-                out.append((item.gen, step))
+                out.append((gen, step))
     return out
 
 
@@ -48,12 +46,12 @@ def syllable_runs(ls: Sequence[Letter]) -> List[Tuple[str, int]]:
     return [(g, e) for g, e in runs if e != 0]
 
 
-def cyclic_runs(w: ParamWord) -> List[Tuple[str, int]]:
+def cyclic_runs(w: Runs) -> List[Tuple[str, int]]:
     """Runs of the letter-level cyclic normal form of a concrete word."""
     return syllable_runs(cyclic_normal_form(letters(w)))
 
 
-def equal_up_to_cyclic(w1: ParamWord, w2: ParamWord) -> CyclicMatch:
+def equal_up_to_cyclic(w1: Runs, w2: Runs) -> CyclicMatch:
     n1 = cyclic_normal_form(letters(w1))
     seq2 = letters(w2)
     if n1 == cyclic_normal_form(seq2):
@@ -63,7 +61,7 @@ def equal_up_to_cyclic(w1: ParamWord, w2: ParamWord) -> CyclicMatch:
     return CyclicMatch.NONE
 
 
-def first_syllable_difference(got: ParamWord, expected: ParamWord
+def first_syllable_difference(got: Runs, expected: Runs
                               ) -> Optional[Tuple[int, Optional[Tuple[str, int]],
                                                   Optional[Tuple[str, int]]]]:
     a, b = cyclic_runs(got), cyclic_runs(expected)

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from bridgecover import goeritz
 from bridgecover.goeritz import (
     CheckerboardDiagram, GoeritzError, GoeritzMatrix, NotTabulatedError,
-    Resolution, Slot, UnsupportedRegimeError, _family_blocks, build_A_star,
-    build_L_star, det_exact, goeritz_from_diagram, table_formula,
+    UnsupportedRegimeError, _family_blocks, build_A_star, build_L_star,
+    det_exact, goeritz_from_diagram, parse_resolution, table_formula,
     table_row, verify_additivity, verify_substitution_identities,
 )
 from bridgecover.intlinalg import det_bareiss
@@ -225,12 +225,20 @@ def test_not_tabulated():
 
 
 def test_resolution_parsing():
-    r = Resolution.parse("0 , inf , *")
-    assert r == Resolution(("0", "inf", "*"))
-    assert str(r) == "0,inf,*"
-    assert r[0] is Slot.ZERO and r[1] is Slot.INF and r[2] is Slot.STAR
+    assert parse_resolution("0 , inf , *") == "0,inf,*"
+    assert parse_resolution("*,*,*") == "*,*,*"
+    for bad in ("0,inf", "0,inf,*,*", "0,banana,*", "0,INF,*", "", "0;inf;*"):
+        with pytest.raises(GoeritzError):
+            parse_resolution(bad)
+
+
+def test_table_lookup_canonicalizes_other_text():
+    assert table_row("A", " 0, inf ,* ") == table_row("A", "0,inf,*")
+    assert table_row("B", "inf , inf,inf").resolution == "inf,inf,inf"
+    assert (table_formula("L", "* ,*,*", {"q": 2, "s": 1, "t": 1, "l": 2})
+            == table_formula("L", "*,*,*", {"q": 2, "s": 1, "t": 1, "l": 2}))
     with pytest.raises(GoeritzError):
-        Resolution(("0", "inf"))
+        table_row("A", "0,banana,*")
 
 
 def test_identified_pairs_have_distinct_rows():

@@ -15,9 +15,12 @@ from bridgecover.presentations import (
 )
 from bridgecover.twobridge import INFINITE, EvenExpansion, h1_cyclic_cover_order
 from bridgecover.words import (
-    CyclicMatch, ParamEnv, WordError, equal_up_to_cyclic, instantiate,
-    parse_word, substitute, substitute_params,
+    AffineExp, CyclicMatch, ParamEnv, ParamWord, Syllable, WordError,
+    equal_up_to_cyclic, exponent_sums, instantiate, parse_word, substitute,
+    substitute_params,
 )
+
+ZYX = [("z", 1), ("y", 1), ("x", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +334,40 @@ def test_product_identity_at_ten():
 
 def test_product_identity_reduced_product_is_conjugate_of_target():
     v = verify_product_identity(2, 1, 1, 1)
-    got = parse_word(v.reduced_product)
-    assert equal_up_to_cyclic(got, parse_word("z y x")) is CyclicMatch.DIRECT
+    got = instantiate(parse_word(v.reduced_product), {})
+    assert equal_up_to_cyclic(got, ZYX) is CyclicMatch.DIRECT
+
+
+def _product_via_param_word(q, s, t, l):
+    """Text, abelian sums and first difference of r3 r2 r1 along the path
+    ``verify_product_identity`` took when concrete words were also
+    ParamWords: one constant syllable per run, the sums from the expanded
+    product, the runs read back from the syllables."""
+    r1, r2, r3 = presentations._relators_xyz(mv_presentation(q, s, t, l, 3))
+    product = ParamWord([Syllable(gen, AffineExp(exp))
+                         for gen, exp in instantiate(r3 * r2 * r1, {})])
+    sums = exponent_sums(product, {})
+    runs = [(item.gen, item.exponent.constant_value()) for item in product.items]
+    return (product.to_text(), tuple(sums.get(g, 0) for g in ("x", "y", "z")),
+            first_syllable_difference(runs, ZYX))
+
+
+_PRODUCT_PARAMS = (
+    [tuple(m * sign for sign in signs) for m in range(1, 9)
+     for signs in itertools.product((1, -1), repeat=4)]
+    + [tuple(m * sign for m, sign in zip(order, signs))
+       for order in itertools.permutations((1, 2, 3, 4))
+       for signs in itertools.product((1, -1), repeat=4)])
+
+
+def test_product_identity_matches_the_param_word_path():
+    for params in _PRODUCT_PARAMS:
+        v = verify_product_identity(*params)
+        text, sums, difference = _product_via_param_word(*params)
+        assert v.reduced_product == text, params
+        assert v.abelian_sums == sums, params
+        assert v.first_difference == (None if v.ok else difference), params
+        assert v.ok == (sums == (1, 1, 1) and difference is None), params
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +404,7 @@ def test_first_difference_of_mismatched_relators_matches_the_letter_reference(
         params):
     words = [instantiate(rel, {}) for rel in presentations._relators_xyz(
         mv_presentation(*params, 3))]
-    words.append(parse_word("z y x"))
+    words.append(ZYX)
     mismatches = 0
     for got, expected in itertools.product(words, repeat=2):
         diff = first_syllable_difference(got, expected)
@@ -397,7 +432,7 @@ def test_trivial_wing_substitution():
     fixture = parse_word("X^(2) y X^(-1)")
     out = instantiate(substitute(fixture, {
         "X": parse_word("x"), "y": parse_word("y")}, env), {})
-    assert out == parse_word("x^(2) y x^(-1)")
+    assert out == [("x", 2), ("y", 1), ("x", -1)]
 
 
 # ---------------------------------------------------------------------------

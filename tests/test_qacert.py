@@ -236,6 +236,38 @@ def test_malformed_resolution_is_rejected_not_crashed():
     assert "resolution" in verdict.reason
 
 
+def test_non_canonical_resolution_text_is_rejected():
+    link = qc.LinkId("A", (("q", 1), ("s", 1), ("t", 1)), "0, *,*")
+    cert = qc.Certificate(qc.L_SPACE, qc.CertNode(link, 4, qc.BASE,
+                                                   axiom="A_0_STAR_STAR_S1"),
+                          (qc.AxiomDecl("A_0_STAR_STAR_S1", qc.L_SPACE,
+                                        qc.AXIOMS["A_0_STAR_STAR_S1"].citation),))
+    verdict = qc.verify(cert)
+    assert not verdict and "canonical" in verdict.reason
+    assert qc.LinkId.A(1, 1, 1, "0, *,*").resolution == "0,*,*"
+
+
+def _resolve_leftmost_by_slots(link, slot):
+    """The slot-list version of ``qc._resolve_leftmost``: split the text at
+    the commas, replace the first ``*`` slot and join again."""
+    slots = link.resolution.split(",")
+    if "*" not in slots:
+        return None
+    slots[slots.index("*")] = slot
+    return qc.LinkId(link.family, link.params, ",".join(slots))
+
+
+def test_resolve_leftmost_matches_the_slot_list_version():
+    links = [qc.LinkId.A(2, 3, 4), qc.LinkId.B(2, -1, 3),
+             qc.LinkId.L(1, 2, -3, 4)]
+    for link in links:
+        for slots in itertools.product(("*", "0", "inf"), repeat=3):
+            res = replace(link, resolution=",".join(slots))
+            for slot in ("0", "inf"):
+                assert (qc._resolve_leftmost(res, slot)
+                        == _resolve_leftmost_by_slots(res, slot)), (res, slot)
+
+
 # -- exhaustive single-field mutation soundness ----------------------------
 
 def _target_variants(link):

@@ -370,6 +370,10 @@ def test_substitute_inverts_negative_exponents():
     assert out == parse_word("(b^(-1) a^(-1))^(l)")
 
 
+def _runs_word(runs):
+    return ParamWord([Syllable(g, e) for g, e in runs])
+
+
 def test_substitute_then_instantiate_commutes():
     rng = random.Random(99)
     w = parse_word("(x^(-k) y^(k))^(l) z^(k-1)")
@@ -383,8 +387,9 @@ def test_substitute_then_instantiate_commutes():
         values = {"k": rng.randint(2, 4), "l": rng.randint(1, 4)}
         direct = instantiate(out, values)
         via_concrete = instantiate(
-            substitute(instantiate(w, values),
-                       {g: instantiate(s, values) for g, s in sub.items()},
+            substitute(_runs_word(instantiate(w, values)),
+                       {g: _runs_word(instantiate(s, values))
+                        for g, s in sub.items()},
                        ENV_KL),
             values)
         assert direct == via_concrete
@@ -393,28 +398,40 @@ def test_substitute_then_instantiate_commutes():
 def test_instantiate_frozen():
     w = parse_word("(x^(-k) y^(k))^(l)")
     got = instantiate(w, {"k": 2, "l": 2})
-    assert got == parse_word("x^(-2) y^(2) x^(-2) y^(2)")
-    assert instantiate(w, {"k": 2, "l": 0}).is_empty()
+    assert got == [("x", -2), ("y", 2), ("x", -2), ("y", 2)]
+    assert instantiate(w, {"k": 2, "l": 0}) == []
 
 
 def test_instantiate_free_reduction():
     w = parse_word("x^(k) y y^(-1) x^(-k) z")
-    assert instantiate(w, {"k": 3}) == parse_word("z")
+    assert instantiate(w, {"k": 3}) == [("z", 1)]
 
 
 def test_instantiate_negative_multiplicity_value():
     w = ParamWord([PowerBlock(parse_word("x y"), parse_affine("l-2"))])
     got = instantiate(w, {"l": 0})
-    assert got == parse_word("y^(-1) x^(-1) y^(-1) x^(-1)")
+    assert got == [("y", -1), ("x", -1), ("y", -1), ("x", -1)]
+
+
+def test_instantiate_needs_every_parameter():
+    with pytest.raises(WordError):
+        instantiate(parse_word("x^(k)"), {})
+    with pytest.raises(WordError):
+        instantiate(parse_word("(x y)^(l)"), {"k": 1})
 
 
 def test_letters_expansion():
     for expand in (letters, words.letters):
-        assert expand(parse_word("x^(2) y^(-1)")) == [("x", 1), ("x", 1), ("y", -1)]
-        assert expand(parse_word("x x^(-1)")) == []
-        assert expand(parse_word("x^(3) y y^(-1) x^(-2)")) == [("x", 1)]
-        with pytest.raises(WordError):
-            expand(parse_word("x^(k)"))
+        assert expand([("x", 2), ("y", -1)]) == [("x", 1), ("x", 1), ("y", -1)]
+        assert expand([("x", 1), ("x", -1)]) == []
+        assert expand([("x", 3), ("y", 1), ("y", -1), ("x", -2)]) == [("x", 1)]
+
+
+def test_runs_text_is_the_word_syntax():
+    assert words.runs_text([]) == "1"
+    assert words.runs_text([("x", 1), ("y", -2), ("x", 3)]) == "x y^(-2) x^(3)"
+    runs = [("z", -1), ("x", 1), ("y", 4)]
+    assert instantiate(parse_word(words.runs_text(runs)), {}) == runs
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +491,27 @@ def test_exponent_sums_at_values_evaluate_the_polynomials(w, values):
 # Cyclic equality
 # ---------------------------------------------------------------------------
 
+def _concrete(text):
+    return instantiate(parse_word(text), {})
+
+
 def test_equal_up_to_cyclic_frozen():
-    assert equal_up_to_cyclic(parse_word("x y x^(-1)"), parse_word("y")) is CyclicMatch.DIRECT
-    assert equal_up_to_cyclic(parse_word("x y"), parse_word("y x")) is CyclicMatch.DIRECT
-    assert equal_up_to_cyclic(parse_word("x y"), parse_word("y^(-1) x^(-1)")) is CyclicMatch.INVERSE
-    assert equal_up_to_cyclic(parse_word("x y"), parse_word("x z")) is CyclicMatch.NONE
-    assert equal_up_to_cyclic(parse_word("1"), parse_word("x x^(-1)")) is CyclicMatch.DIRECT
+    assert equal_up_to_cyclic(_concrete("x y x^(-1)"), _concrete("y")) is CyclicMatch.DIRECT
+    assert equal_up_to_cyclic(_concrete("x y"), _concrete("y x")) is CyclicMatch.DIRECT
+    assert equal_up_to_cyclic(_concrete("x y"), _concrete("y^(-1) x^(-1)")) is CyclicMatch.INVERSE
+    assert equal_up_to_cyclic(_concrete("x y"), _concrete("x z")) is CyclicMatch.NONE
+    assert equal_up_to_cyclic([], [("x", 1), ("x", -1)]) is CyclicMatch.DIRECT
     assert bool(CyclicMatch.DIRECT) and bool(CyclicMatch.INVERSE) and not bool(CyclicMatch.NONE)
 
 
 concrete_word_strategy = st.lists(
     st.tuples(st.sampled_from(["x", "y", "z"]), st.integers(-3, 3).filter(bool)),
     min_size=1, max_size=8,
-).map(lambda ls: ParamWord([Syllable(g, e) for g, e in ls]))
+)
+
+
+def _inverse(runs):
+    return [(g, -e) for g, e in reversed(runs)]
 
 
 @given(concrete_word_strategy, st.integers(0, 7), st.booleans())
@@ -496,10 +521,9 @@ def test_cyclic_equality_properties(w, rot, invert):
     if not ls:
         return
     rot %= len(ls)
-    rotated = ls[rot:] + ls[:rot]
-    other = ParamWord([Syllable(g, s) for g, s in rotated])
+    other = ls[rot:] + ls[:rot]
     if invert:
-        other = other.inverse()
+        other = _inverse(other)
     got = equal_up_to_cyclic(w, other)
     if invert:
         assert got in (CyclicMatch.INVERSE, CyclicMatch.DIRECT)
@@ -509,10 +533,9 @@ def test_cyclic_equality_properties(w, rot, invert):
 
 def test_cyclic_normal_form_ignores_a_long_conjugator():
     rng = random.Random(20261018)
-    w = parse_word("z y x")
-    u = ParamWord([Syllable(rng.choice("xyz"), rng.choice((1, -1)))
-                   for _ in range(10 ** 4)])
-    conjugate = u * w * u.inverse()
+    w = [("z", 1), ("y", 1), ("x", 1)]
+    u = [(rng.choice("xyz"), rng.choice((1, -1))) for _ in range(10 ** 4)]
+    conjugate = u + w + _inverse(u)
     assert cyclic_normal_form(conjugate) == cyclic_normal_form(w) == (
         ("x", 1), ("z", 1), ("y", 1))
 
@@ -523,13 +546,9 @@ def test_cyclic_equality_symmetric(w1, w2):
     assert bool(equal_up_to_cyclic(w1, w2)) == bool(equal_up_to_cyclic(w2, w1))
 
 
-def _runs_word(runs):
-    return ParamWord([Syllable(g, e) for g, e in runs])
-
-
 _run = st.tuples(st.sampled_from(["x", "y", "z"]),
                  st.integers(-3, 3).filter(bool))
-_plain_word = st.lists(_run, max_size=8).map(_runs_word)
+_plain_word = st.lists(_run, max_size=8)
 _exponent = st.integers(-4, 4).filter(bool)
 
 # Words shaped to reach each branch of the run-length cyclic reduction and
@@ -537,14 +556,14 @@ _exponent = st.integers(-4, 4).filter(bool)
 shaped_word_strategy = st.one_of(
     _plain_word,
     # end syllables in one generator, with the same or opposite signs
-    st.builds(lambda g, a, b, mid: _runs_word([(g, a)] + mid + [(g, b)]),
+    st.builds(lambda g, a, b, mid: [(g, a)] + mid + [(g, b)],
               st.sampled_from(["x", "y", "z"]), _exponent, _exponent,
               st.lists(_run, max_size=6)),
     # conjugates u w u^-1, and full cancellation w w^-1
-    st.builds(lambda u, w: u * w * u.inverse(), _plain_word, _plain_word),
-    st.builds(lambda w: w * w.inverse(), _plain_word),
+    st.builds(lambda u, w: u + w + _inverse(u), _plain_word, _plain_word),
+    st.builds(lambda w: w + _inverse(w), _plain_word),
     # periodic words such as (x y^-1)^k
-    st.builds(lambda body, k: _runs_word(body * k),
+    st.builds(lambda body, k: body * k,
               st.lists(_run, min_size=1, max_size=3), st.integers(1, 5)),
 )
 
@@ -554,15 +573,14 @@ def _rotated(w, rot, invert):
     if ls:
         rot %= len(ls)
         ls = ls[rot:] + ls[:rot]
-    other = ParamWord([Syllable(g, s) for g, s in ls])
-    return other.inverse() if invert else other
+    return _inverse(ls) if invert else ls
 
 
 @given(shaped_word_strategy, st.data())
-@example(_runs_word([("x", 1), ("y", -1)] * 3), None)
-@example(_runs_word([("x", 2), ("y", 1), ("x", -2)]), None)
-@example(_runs_word([("x", 2), ("y", 1), ("x", 1)]), None)
-@example(_runs_word([("y", 1), ("x", -1), ("x", 1), ("y", -1)]), None)
+@example([("x", 1), ("y", -1)] * 3, None)
+@example([("x", 2), ("y", 1), ("x", -2)], None)
+@example([("x", 2), ("y", 1), ("x", 1)], None)
+@example([("y", 1), ("x", -1), ("x", 1), ("y", -1)], None)
 @settings(max_examples=300)
 def test_run_length_cyclic_forms_match_the_letter_reference(w, data):
     assert list(cyclic_normal_form(w)) == reference.cyclic_runs(w)
