@@ -486,7 +486,13 @@ def _cmd_identities(args) -> int:
                    if lo < 1)
     if args.suite == "tables" and low:  # star matrices need q, s, t, l >= 1
         raise _CliError(f"the tables suite needs q, s, t, l >= 1, got {low}")
-    _emit_header(_grid_text(args.grid_ranges), _SUITE_SOURCES[args.suite])
+    # the lemma suites are symbolic; only tables and --grid spot checks use
+    # the grid
+    grid = (_grid_text(args.grid_ranges)
+            if args.suite == "tables"
+            or (args.suite in _ADDITIVITY_SUITES and args.grid is not None)
+            else "symbolic")
+    _emit_header(grid, _SUITE_SOURCES[args.suite])
     if args.suite == "tables":
         records = _tables_agreement(args.grid_ranges)
         key, lines = "rows", _table_lines(records)

@@ -1,13 +1,10 @@
 """Goeritz matrices and closed-form link determinants for two twist-region
 block families.
 
-Two constructions live here:
-
-- generic Goeritz matrices from checkerboard diagram data (region/crossing
-  lists), reduced by dropping the unbounded region;
-- the block families A(t; *, *, *) and L(l; *, *, *): block-tridiagonal
-  matrices over 3x3 blocks (-2I runs, one S/P block, for L a final Q block,
-  for A a rank-one border row/column with corner -3).
+The matrices here are the block families A(t; *, *, *) and L(l; *, *, *):
+block-tridiagonal matrices over 3x3 blocks (-2I runs, one S/P block, for L a
+final Q block, for A a rank-one border row/column with corner -3).  A
+``GoeritzMatrix`` may also wrap plain integer entries.
 
 Alongside the matrices, the determinant tables for all tabulated resolutions
 of A, B (= L at l = 1) and L are stored as exact polynomials in (q, s, t, l),
@@ -28,11 +25,12 @@ acceptance grids, which is the construction's contract.
 
 Star matrices keep their diagonal blocks, and their determinants follow the
 3x3 block continuant (see ``GoeritzMatrix.det``): O(q+t) block products
-instead of O((q+t)^3) for elimination on the dense matrix.  Diagram matrices
-and plain integer matrices use fraction-free Bareiss elimination.
+instead of O((q+t)^3) for elimination on the dense matrix.  Plain integer
+matrices use fraction-free Bareiss elimination.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -52,34 +50,6 @@ class UnsupportedRegimeError(GoeritzError):
 
 class NotTabulatedError(KeyError):
     """No determinant formula is tabulated for this (family, resolution)."""
-
-
-# ---------------------------------------------------------------------------
-# Checkerboard diagrams
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckerboardDiagram:
-    """White-region/crossing data of a checkerboard-colored diagram.
-
-    Regions are indexed 0..white_region_count-1 with region 0 unbounded;
-    crossings are (i, j, sign) triples joining white regions i != j.
-    """
-
-    white_region_count: int
-    crossings: Tuple[Tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        if self.white_region_count < 1:
-            raise GoeritzError("need at least one white region")
-        for i, j, sign in self.crossings:
-            if not (0 <= i < self.white_region_count
-                    and 0 <= j < self.white_region_count):
-                raise GoeritzError(f"region index out of range in ({i}, {j}, {sign})")
-            if i == j:
-                raise GoeritzError(f"crossing joins region {i} to itself")
-            if sign not in (1, -1):
-                raise GoeritzError(f"crossing sign must be +-1, got {sign}")
 
 
 class GoeritzMatrix:
@@ -147,26 +117,8 @@ class GoeritzMatrix:
             return det
         return -3 * det - sum(sum(row) for row in _mul3(prev, adj))
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.entries) + "\n"
-
     def __repr__(self):
         return f"GoeritzMatrix({self.size}x{self.size}, {self.provenance})"
-
-
-def goeritz_from_diagram(d: CheckerboardDiagram) -> GoeritzMatrix:
-    """Reduced Goeritz matrix: off-diagonal entries are minus the signed
-    crossing counts between white regions, diagonals force zero row sums,
-    and the row/column of the unbounded region 0 is removed."""
-    n = d.white_region_count
-    h = [[0] * n for _ in range(n)]
-    for i, j, sign in d.crossings:
-        h[i][j] -= sign
-        h[j][i] -= sign
-    for i in range(n):
-        h[i][i] = -sum(h[i][j] for j in range(n) if j != i)
-    reduced = [[h[i][j] for j in range(1, n)] for i in range(1, n)]
-    return GoeritzMatrix(reduced, "diagram")
 
 
 def det_exact(m: Union[GoeritzMatrix, Sequence[Sequence[int]]]) -> int:
@@ -263,9 +215,15 @@ def build_L_star(q: int, s: int, t: int, l: int) -> GoeritzMatrix:
 # Determinant tables
 # ---------------------------------------------------------------------------
 
+_CANONICAL_RESOLUTIONS = frozenset(
+    ",".join(slots) for slots in itertools.product(("*", "0", "inf"), repeat=3))
+
+
 def parse_resolution(text: str) -> str:
     """The canonical text of a resolution: three comma-separated slots (left,
     middle, right twist regions), each ``*``, ``0`` or ``inf``, no spaces."""
+    if text in _CANONICAL_RESOLUTIONS:
+        return text
     slots = [part.strip() for part in text.split(",")]
     if len(slots) != 3 or not set(slots) <= {"*", "0", "inf"}:
         raise GoeritzError(

@@ -513,9 +513,6 @@ class Genus2Report:
         """Subcases with no strict-sign contradiction at this level."""
         return tuple(sc for sc in self.subcases if not sc.closed)
 
-    def closed_all(self) -> bool:
-        return not self.residual()
-
 
 def _subcase_assignments(ctx: Mapping[str, SignLattice],
                          ) -> List[Tuple[Tuple[str, SignLattice], ...]]:

@@ -20,13 +20,16 @@ t- and l-inductions on the twist parameters.  One recursive builder does it
 for every family: ``_step`` picks each link's node kind from its family,
 resolution and sign pattern, and the axiom or identification it names comes
 from the same ``AXIOMS`` / ``IDENTIFICATIONS`` whitelists ``verify`` checks
-against.  ``verify`` independently checks every rule, recomputing all
-determinants from the tabulated formulas.  Both stop at ``MAX_DEPTH``
-levels: generation raises ``GenerationError`` and verification rejects.
-Certificates serialize to canonical JSON, written from an explicit stack
-in time linear in the text, at any depth.  Resolution text is canonicalized
-where it enters (the ``LinkId`` factories and the parser), and ``verify``
-rejects a link whose text is not canonical.
+against.  ``verify`` independently checks every rule at every node,
+recomputing the determinants from the tabulated formulas once per distinct
+link per call.  Both stop at ``MAX_DEPTH`` levels: generation raises
+``GenerationError`` and verification rejects.  Certificates serialize to
+canonical JSON, written from an explicit stack in time linear in the text,
+at any depth.  Resolution text is canonicalized where it enters (the
+``LinkId`` factories and the parser), and ``verify`` rejects a link whose
+text is not canonical.  A certificate repeats its links (A(1,1,110) has
+1422 distinct links among 3374 nodes), so the generator, the writer and the
+parser likewise evaluate, render or parse each distinct link once per call.
 """
 
 from __future__ import annotations
@@ -149,6 +152,12 @@ class LinkId:
             return self.name
         args = ", ".join(f"{k}={v}" for k, v in self.params)
         return f"{self.family}({args}; {self.resolution})"
+
+
+# A link memo trusts a hit only for plain int parameters: True and 1.0
+# equal 1 as dict keys, yet validate and print differently.
+def _plain_ints(link: LinkId) -> bool:
+    return all(value.__class__ is int for _, value in link.params)
 
 
 def measure(link: LinkId) -> Tuple[int, int, int]:
@@ -410,14 +419,19 @@ IDENTIFICATIONS: Tuple[IdentRule, ...] = (
 )
 
 
+_RULES_BY_CITATION: Dict[str, Tuple[IdentRule, ...]] = {
+    citation: tuple(rule for rule in IDENTIFICATIONS
+                    if rule.citation == citation)
+    for citation in dict.fromkeys(rule.citation for rule in IDENTIFICATIONS)}
+
+
 def _identify(link: LinkId, citation: str) -> Optional[LinkId]:
     """The link ``citation`` identifies ``link`` with, or None.  Rules that
     share a citation rewrite different resolutions, so at most one applies."""
-    for rule in IDENTIFICATIONS:
-        if rule.citation == citation:
-            target = rule.apply(link)
-            if target is not None:
-                return target
+    for rule in _RULES_BY_CITATION.get(citation, ()):
+        target = rule.apply(link)
+        if target is not None:
+            return target
     return None
 
 
@@ -485,7 +499,8 @@ def _resolve_leftmost(link: LinkId, slot: str) -> Optional[LinkId]:
     ``inf``), or None when every slot is resolved."""
     if "*" not in link.resolution:
         return None
-    return replace(link, resolution=link.resolution.replace("*", slot, 1))
+    return LinkId(link.family, link.params,
+                  link.resolution.replace("*", slot, 1), link.name)
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +535,26 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
                 declared: Mapping[str, AxiomDecl],
                 certified: Set[LinkId],
                 refs: List[Tuple[LinkId, str]],
+                dets: Dict[LinkId, int],
                 skein_measure: Tuple[int, int, int], depth: int) -> None:
+    # ``dets`` holds the tabulated determinant of every link that passed
+    # ``validate`` and ``expected_det`` in this call; a hit skips only those
     if depth > MAX_DEPTH:
         raise _Reject(path, f"certificate deeper than the depth limit of "
                             f"{MAX_DEPTH} levels")
-    try:
-        node.link.validate()
-    except CertError as exc:
-        raise _Reject(path, str(exc))
+    want = dets.get(node.link) if _plain_ints(node.link) else None
+    if want is None:
+        try:
+            node.link.validate()
+        except CertError as exc:
+            raise _Reject(path, str(exc))
     if not isinstance(node.det, int) or node.det <= 0:
         raise _Reject(path, f"determinant must be a positive integer, got {node.det!r}")
-    try:
-        want = expected_det(node.link)
-    except (NotTabulatedError, CertError) as exc:
-        raise _Reject(path, f"no tabulated determinant: {exc}")
+    if want is None:
+        try:
+            want = dets[node.link] = expected_det(node.link)
+        except (NotTabulatedError, CertError) as exc:
+            raise _Reject(path, f"no tabulated determinant: {exc}")
     if node.det != want:
         raise _Reject(path, f"determinant {node.det} does not match the "
                             f"tabulated value {want} for {node.link}")
@@ -583,9 +604,9 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
                                          f"has {node.inf.link}")
         inner = measure(node.link)
         _check_node(node.zero, path + ".zero", cert, declared, certified, refs,
-                    inner, depth + 1)
+                    dets, inner, depth + 1)
         _check_node(node.inf, path + ".inf", cert, declared, certified, refs,
-                    inner, depth + 1)
+                    dets, inner, depth + 1)
         if node.det != node.zero.det + node.inf.det:
             raise _Reject(path, f"determinant additivity fails: {node.det} != "
                                 f"{node.zero.det} + {node.inf.det}")
@@ -604,7 +625,7 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
                                        f"{node.target}, certificate has "
                                        f"{node.child.link}")
     _check_node(node.child, path + ".child", cert, declared, certified, refs,
-                skein_measure, depth + 1)
+                dets, skein_measure, depth + 1)
     if node.child.det != node.det:
         raise _Reject(path, f"identified links must share a determinant: "
                             f"{node.det} != {node.child.det}")
@@ -612,7 +633,8 @@ def _check_node(node: CertNode, path: str, cert: Certificate,
 
 def verify(cert: Certificate) -> Verdict:
     """Check every rule of the certificate and the depth limit; ACCEPT or
-    REJECT with the first violation's node path."""
+    REJECT with the first violation's node path.  Every node is checked;
+    a link is validated and its determinant tabulated once per call."""
     if cert.claim not in _CLAIMS:
         return Verdict(False, "claim", f"unknown claim {cert.claim!r}")
     declared: Dict[str, AxiomDecl] = {}
@@ -628,7 +650,7 @@ def verify(cert: Certificate) -> Verdict:
     certified: Set[LinkId] = set()
     refs: List[Tuple[LinkId, str]] = []
     try:
-        _check_node(cert.root, "root", cert, declared, certified, refs,
+        _check_node(cert.root, "root", cert, declared, certified, refs, {},
                     measure(cert.root.link), 1)
     except _Reject as rej:
         return rej.verdict
@@ -653,11 +675,14 @@ def _link_to_json(link: LinkId) -> Dict[str, object]:
     return out
 
 
-def _node_to_json(node: CertNode) -> Dict[str, object]:
-    """One node's JSON object; its children stay ``CertNode``s, which
-    ``_canonical_json`` converts when it reaches them."""
+def _node_to_json(node: CertNode,
+                  link_json: Callable[[LinkId], object] = _link_to_json
+                  ) -> Dict[str, object]:
+    """One node's JSON object, with ``link_json`` converting its links; its
+    children stay ``CertNode``s, which ``_canonical_json`` converts when it
+    reaches them."""
     out: Dict[str, object] = {
-        "link": _link_to_json(node.link),
+        "link": link_json(node.link),
         "det": str(node.det),
         "kind": node.kind,
     }
@@ -667,7 +692,7 @@ def _node_to_json(node: CertNode) -> Dict[str, object]:
         out["zero"] = node.zero
         out["inf"] = node.inf
     elif node.kind == IDENTIFY:
-        out["target"] = _link_to_json(node.target)
+        out["target"] = link_json(node.target)
         out["citation"] = node.citation
         out["child"] = node.child
     return out
@@ -676,9 +701,15 @@ def _node_to_json(node: CertNode) -> Dict[str, object]:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Rendered(str):
+    """Canonical JSON text of one value at the top level, without the
+    trailing newline; ``_canonical_json`` indents it where it lands."""
+
+
 def _canonical_json(obj, default: Callable[[object], object]) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, default=default) + "\\n"``
-    for objects built of dicts with string keys, lists, strings and ints.
+    for objects built of dicts with string keys, lists, strings, ints and
+    ``_Rendered`` text.
 
     ``json.dumps`` with an indent runs its pure-Python encoder, whose cost
     grows with tokens times nesting depth.  Here one explicit stack holds
@@ -696,6 +727,9 @@ def _canonical_json(obj, default: Callable[[object], object]) -> str:
                 continue
             if value.__class__ is int:
                 out.append(before + int.__repr__(value))
+                continue
+            if value.__class__ is _Rendered:
+                out.append(before + value.replace("\n", newline))
                 continue
             if value.__class__ is not dict and value.__class__ is not list:
                 value = default(value)
@@ -722,14 +756,26 @@ def _canonical_json(obj, default: Callable[[object], object]) -> str:
 
 
 def serialize(cert: Certificate) -> str:
-    """Canonical JSON text: sorted keys, fixed indentation, trailing newline."""
+    """Canonical JSON text: sorted keys, fixed indentation, trailing newline.
+    Each distinct link is rendered once and re-indented where it occurs."""
+    texts: Dict[LinkId, _Rendered] = {}
+
+    def link_json(link: LinkId) -> object:
+        if not _plain_ints(link):
+            return _link_to_json(link)
+        text = texts.get(link)
+        if text is None:
+            text = texts[link] = _Rendered(
+                _canonical_json(_link_to_json(link), None)[:-1])
+        return text
+
     payload = {
         "claim": cert.claim,
         "axioms": [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
                    for ax in cert.axioms],
         "root": cert.root,
     }
-    return _canonical_json(payload, _node_to_json)
+    return _canonical_json(payload, lambda node: _node_to_json(node, link_json))
 
 
 def _expect(obj, key: str, types, path: str):
@@ -743,7 +789,16 @@ def _expect(obj, key: str, types, path: str):
     return value
 
 
-def _link_from_json(obj, path: str) -> LinkId:
+def _link_from_json(obj, path: str, links: Dict[str, LinkId]) -> LinkId:
+    # keyed by repr, which tells apart the JSON values true, 1 and 1.0
+    key = repr(obj)
+    link = links.get(key)
+    if link is None:
+        link = links[key] = _parse_link(obj, path)
+    return link
+
+
+def _parse_link(obj, path: str) -> LinkId:
     family = _expect(obj, "family", str, path)
     if family == "NAMED":
         return LinkId.named(_expect(obj, "name", str, path))
@@ -768,8 +823,9 @@ def _link_from_json(obj, path: str) -> LinkId:
     return LinkId(family, tuple(params), resolution)
 
 
-def _node_from_json(obj, path: str) -> CertNode:
-    link = _link_from_json(_expect(obj, "link", dict, path), path + ".link")
+def _node_from_json(obj, path: str, links: Dict[str, LinkId]) -> CertNode:
+    link = _link_from_json(_expect(obj, "link", dict, path), path + ".link",
+                           links)
     det_text = _expect(obj, "det", str, path)
     try:
         det = int(det_text, 10)
@@ -781,16 +837,16 @@ def _node_from_json(obj, path: str) -> CertNode:
     if kind == SKEIN:
         return CertNode(link, det, SKEIN,
                         zero=_node_from_json(_expect(obj, "zero", dict, path),
-                                             path + ".zero"),
+                                             path + ".zero", links),
                         inf=_node_from_json(_expect(obj, "inf", dict, path),
-                                            path + ".inf"))
+                                            path + ".inf", links))
     if kind == IDENTIFY:
         return CertNode(link, det, IDENTIFY,
                         target=_link_from_json(_expect(obj, "target", dict, path),
-                                               path + ".target"),
+                                               path + ".target", links),
                         citation=_expect(obj, "citation", str, path),
                         child=_node_from_json(_expect(obj, "child", dict, path),
-                                              path + ".child"))
+                                              path + ".child", links))
     if kind == REF:
         return CertNode(link, det, REF)
     raise CertParseError(f"{path}.kind: unknown node kind {kind!r}")
@@ -812,7 +868,8 @@ def deserialize(data: Union[str, bytes]) -> Certificate:
         axioms.append(AxiomDecl(_expect(entry, "name", str, where),
                                 _expect(entry, "claim", str, where),
                                 _expect(entry, "citation", str, where)))
-    root = _node_from_json(_expect(payload, "root", dict, "certificate"), "root")
+    root = _node_from_json(_expect(payload, "root", dict, "certificate"), "root",
+                           {})
     return Certificate(claim, root, tuple(axioms))
 
 
@@ -888,6 +945,14 @@ class _Builder:
     def __init__(self):
         self.certified: Set[LinkId] = set()
         self.used_axioms: Set[str] = set()
+        self.dets: Dict[LinkId, int] = {}
+
+    def det(self, link: LinkId) -> int:
+        """``expected_det(link)``, evaluated once per distinct link."""
+        det = self.dets.get(link)
+        if det is None:
+            det = self.dets[link] = expected_det(link)
+        return det
 
     def certify(self, link: LinkId, ctx: Tuple[int, int, int],
                 depth: int = 1) -> CertNode:
@@ -904,9 +969,9 @@ class _Builder:
                 f"levels (reached at {link})")
         if (link in self.certified and measure(link) < ctx
                 and (link.family != "A" or link.sign_pattern() == (1, 1, 1))):
-            return CertNode(link, expected_det(link), REF)
+            return CertNode(link, self.det(link), REF)
         kind, label = _step(link)
-        det = expected_det(link)
+        det = self.det(link)
         if kind == BASE:
             if not AXIOMS[label].matcher(link):
                 raise GenerationError(f"axiom {label} does not apply to {link}")

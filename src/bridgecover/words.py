@@ -617,10 +617,14 @@ def exponent_sums(w: ParamWord, values: Optional[Mapping[str, int]] = None
 
 
 def _runs(w: Sequence[Run]) -> List[Run]:
-    """Runs, freely reduced."""
+    """Runs, freely reduced: each run merges with or cancels the top of the
+    stack, and a run that comes to exponent 0 is dropped."""
     out: List[Run] = []
-    for run in w:
-        _push_runs(out, (run,))
+    for gen, exp in w:
+        if out and out[-1][0] == gen:
+            exp += out.pop()[1]
+        if exp:
+            out.append((gen, exp))
     return out
 
 

@@ -268,6 +268,117 @@ def test_resolve_leftmost_matches_the_slot_list_version():
                         == _resolve_leftmost_by_slots(res, slot)), (res, slot)
 
 
+# -- per-call link memos ---------------------------------------------------
+
+def _repeat_paths(root):
+    """Paths of the nodes whose link occurred earlier in pre-order, the
+    order in which ``verify`` checks them."""
+    seen, out = set(), []
+    for path, node in qc.iter_nodes(root):
+        if node.link in seen:
+            out.append(path)
+        seen.add(node.link)
+    return out
+
+
+def test_a_wrong_determinant_at_a_repeated_link_is_rejected_at_that_node():
+    cert = qc.generate_L_cert(2, 2, 2, 2)
+    nodes = dict(qc.iter_nodes(cert.root))
+    repeats = _repeat_paths(cert.root)
+    assert len(repeats) >= 10
+    for path in repeats:
+        node = nodes[path]
+        verdict = qc.verify(_with_node(cert, path,
+                                       replace(node, det=node.det + 1)))
+        assert not verdict and verdict.path == path, path
+        assert "does not match the tabulated value" in verdict.reason
+        # a float parameter compares equal to the int the memo holds, and
+        # is still rejected
+        link = node.link
+        floats = tuple((k, float(v)) for k, v in link.params)
+        verdict = qc.verify(_with_node(cert, path, replace(
+            node, link=replace(link, params=floats))))
+        assert not verdict and verdict.path == path, path
+        assert "nonzero integer" in verdict.reason
+
+
+def _outcome(write, cert):
+    try:
+        return write(cert)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+def _unmemoized_serialize(cert):
+    """``serialize`` converting every link occurrence afresh."""
+    payload = {"claim": cert.claim,
+               "axioms": [{"name": ax.name, "claim": ax.claim,
+                           "citation": ax.citation} for ax in cert.axioms],
+               "root": cert.root}
+    return qc._canonical_json(payload, qc._node_to_json)
+
+
+@pytest.mark.parametrize("convert", [float, bool])
+def test_serialize_writes_a_repeated_link_from_its_own_fields(convert):
+    cert = qc.generate_L_cert(2, 2, 2, 2)
+    nodes = dict(qc.iter_nodes(cert.root))
+    for path in _repeat_paths(cert.root):
+        node = nodes[path]
+        params = tuple((k, convert(v) if v == 1 or convert is float else v)
+                       for k, v in node.link.params)
+        odd = _with_node(cert, path, replace(
+            node, link=replace(node.link, params=params)))
+        assert (_outcome(qc.serialize, odd)
+                == _outcome(_unmemoized_serialize, odd)), path
+
+
+def _json_links(obj, path):
+    """(path, link object) of a serialized node tree, in the order
+    ``deserialize`` parses them."""
+    yield path + ".link", obj["link"]
+    if "target" in obj:
+        yield path + ".target", obj["target"]
+    for key in ("zero", "inf", "child"):
+        if key in obj:
+            yield from _json_links(obj[key], f"{path}.{key}")
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_a_non_integer_parameter_at_a_repeated_link_is_a_parse_error(value):
+    text = qc.serialize(qc.generate_L_cert(2, 2, 2, 2))
+    payload = json.loads(text)
+    seen, later = set(), []
+    for path, link in _json_links(payload["root"], "root"):
+        key = json.dumps(link, sort_keys=True)
+        if key in seen and 1 in link.get("params", {}).values():
+            later.append((path, link))
+        seen.add(key)
+    assert later
+    for path, link in later:
+        name = next(k for k, v in link["params"].items() if v == 1)
+        link["params"][name] = value
+        with pytest.raises(qc.CertParseError) as info:
+            qc.deserialize(json.dumps(payload))
+        assert str(info.value) == f"{path}.params.{name}: expected an integer"
+        link["params"][name] = 1
+    assert qc.deserialize(json.dumps(payload)) == qc.deserialize(text)
+
+
+def test_table_formula_runs_once_per_distinct_link(monkeypatch):
+    calls = []
+    real = qc.table_formula
+    monkeypatch.setattr(qc, "table_formula", lambda *args: (
+        calls.append(args) or real(*args)))
+    cert = qc.generate_A_cert(1, 1, 110)
+    links = {node.link for _, node in qc.iter_nodes(cert.root)
+             if node.link.family != "NAMED"}
+    assert len(links) == 1420
+    assert len(calls) == len(links)
+    calls.clear()
+    assert qc.verify(cert)
+    assert len(calls) == len(links)
+
+
 # -- exhaustive single-field mutation soundness ----------------------------
 
 def _target_variants(link):

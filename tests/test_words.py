@@ -568,6 +568,19 @@ shaped_word_strategy = st.one_of(
 )
 
 
+@given(st.lists(st.tuples(st.sampled_from(["x", "y"]), st.integers(-3, 3)),
+                max_size=12))
+@example([("x", 0)])
+@example([("x", 2), ("y", 0), ("x", -2)])
+@example([("x", 1), ("x", -1), ("y", 2), ("y", -3), ("y", 1)])
+@settings(max_examples=300)
+def test_free_reduction_of_any_runs_matches_the_letter_reference(w):
+    # runs in the same generator side by side and zero exponents, which
+    # instantiate never returns
+    assert words.letters(w) == reference.letters(w)
+    assert list(cyclic_normal_form(w)) == reference.cyclic_runs(w)
+
+
 def _rotated(w, rot, invert):
     ls = letters(w)
     if ls:
