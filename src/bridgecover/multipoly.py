@@ -129,13 +129,13 @@ class MultiPoly:
 
     def evaluate(self, values: Mapping[str, int]) -> int:
         total = 0
-        for mono, coeff in self.terms.items():
-            prod = coeff
-            for var, exp in mono:
-                if var not in values:
-                    raise KeyError(f"no value for variable {var!r}")
-                prod *= values[var] ** exp
-            total += prod
+        try:
+            for mono, coeff in self.terms.items():
+                for var, exp in mono:
+                    coeff *= values[var] ** exp
+                total += coeff
+        except KeyError as exc:
+            raise KeyError(f"no value for variable {exc.args[0]!r}") from None
         return total
 
     def substitute(self, assignments: Mapping[str, "MultiPoly"]) -> "MultiPoly":

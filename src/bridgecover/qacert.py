@@ -1,35 +1,34 @@
 """Machine-checkable quasi-alternating / L-space certificates.
 
-A certificate is a tree whose nodes certify links of the three tabulated
-families (``A``, ``B = L(l=1)``, ``L``) plus a handful of named links.  Node
-kinds:
+A certificate certifies links of the three tabulated families (``A``,
+``B = L(l=1)``, ``L``) and a few named links, one node per link:
 
 * ``BASE``     -- a whitelisted axiom (a trusted fact, with citation),
 * ``SKEIN``    -- the determinant-additive resolution triangle: the link
                   splits at its leftmost unresolved slot (the first ``*`` of
                   its canonical resolution text) into a 0-child and an
                   inf-child with ``det = det_0 + det_inf``, all positive,
-* ``IDENTIFY`` -- the link equals another link, along a whitelisted
-                  identification (with citation); the child certifies the
-                  target,
-* ``REF``      -- a back reference to a link certified elsewhere in the same
-                  tree, restricted to strictly smaller induction measure.
+* ``IDENTIFY`` -- the link equals its child's link along a whitelisted
+                  identification (with citation),
+* ``REF``      -- in memory only: a leaf for a link that a node completed
+                  earlier in the same pre-order walk certifies, same det.
 
-``generate_A_cert`` / ``generate_L_cert`` build certificates following the
-t- and l-inductions on the twist parameters.  One recursive builder does it
-for every family: ``_step`` picks each link's node kind from its family,
-resolution and sign pattern, and the axiom or identification it names comes
-from the same ``AXIOMS`` / ``IDENTIFICATIONS`` whitelists ``verify`` checks
-against.  ``verify`` independently checks every rule at every node,
-recomputing the determinants from the tabulated formulas once per distinct
-link per call.  Both stop at ``MAX_DEPTH`` levels: generation raises
-``GenerationError`` and verification rejects.  Certificates serialize to
-canonical JSON, written from an explicit stack in time linear in the text,
-at any depth.  Resolution text is canonicalized where it enters (the
-``LinkId`` factories and the parser), and ``verify`` rejects a link whose
-text is not canonical.  A certificate repeats its links (A(1,1,110) has
-1422 distinct links among 3374 nodes), so the generator, the writer and the
-parser likewise evaluate, render or parse each distinct link once per call.
+``serialize`` writes one JSON document ``{"axioms", "claim", "nodes"}``: the
+nodes in the order a depth-first walk from the root completes them, one
+compact object a line, children as indices of earlier nodes, the root last
+and no link twice, so the proof is well-founded by construction and no depth
+limit is needed.  In memory the graph under ``Certificate.root`` is a tree:
+a link is expanded at its first pre-order occurrence (zero, inf, child) and
+is a ``REF`` leaf at every later one.  The dataclasses compare, hash and
+print recursively; code that may meet a deep tree walks it instead.
+
+``generate_A_cert`` / ``generate_L_cert`` follow the t- and l-inductions:
+``_step`` picks each link's node kind, axiom or identification from the same
+``AXIOMS`` / ``IDENTIFICATIONS`` whitelists ``verify`` checks against, and
+``verify`` checks every rule at every node, tabulating each determinant
+afresh.  Every walk runs on an explicit stack and does its per-link work once
+per link.  Resolution text is canonical where it enters (the ``LinkId``
+factories and the parser), and ``verify`` rejects a link whose text is not.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class LinkId:
         return dict(self.params)
 
     def sign_pattern(self) -> Tuple[int, ...]:
-        return tuple(1 if v > 0 else -1 for _, v in self.params)
+        return tuple([1 if v > 0 else -1 for _, v in self.params])
 
     def validate(self) -> None:
         if self.family not in _FAMILY_PARAMS:
@@ -128,7 +127,7 @@ class LinkId:
             raise CertError(
                 f"{self.family} link needs parameters {expected}, got {names}")
         for key, value in self.params:
-            if not isinstance(value, int) or value == 0:
+            if value.__class__ is not int or value == 0:
                 raise CertError(f"parameter {key} must be a nonzero integer")
         if self.family == "NAMED":
             if not self.name:
@@ -147,6 +146,13 @@ class LinkId:
                 raise CertError(f"resolution {self.resolution!r} is not in "
                                 f"canonical form {canonical!r}")
 
+    def __hash__(self):
+        # every walk keys its dicts by link: hash the fields once per object
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(
+                (self.family, self.params, self.resolution, self.name)))
+        return self.__dict__["_hash"]
+
     def __str__(self):
         if self.family == "NAMED":
             return self.name
@@ -154,33 +160,8 @@ class LinkId:
         return f"{self.family}({args}; {self.resolution})"
 
 
-# A link memo trusts a hit only for plain int parameters: True and 1.0
-# equal 1 as dict keys, yet validate and print differently.
-def _plain_ints(link: LinkId) -> bool:
-    return all(value.__class__ is int for _, value in link.params)
-
-
-def measure(link: LinkId) -> Tuple[int, int, int]:
-    """Lexicographic induction measure (|l|, |t|, |q|); the B level counts as
-    l = 1 and named links as the bottom."""
-    if link.family == "NAMED":
-        return (0, 0, 0)
-    p = link.param_map()
-    level = {"A": 0, "B": 1}.get(link.family)
-    if level is None:
-        level = abs(p["l"])
-    return (level, abs(p["t"]), abs(p["q"]))
-
-
-_TOP_MEASURE = (1 << 30, 0, 0)
-
-_NAMED_DETS = {
-    "UNKNOT": 1,
-    "T(3,4)": 3,
-    "T(3,5)": 1,
-    "P(2,-3,-2)": 4,
-    "P(2,-3,-4)": 2,
-}
+_NAMED_DETS = {"UNKNOT": 1, "T(3,4)": 3, "T(3,5)": 1, "P(2,-3,-2)": 4,
+               "P(2,-3,-4)": 2}
 
 
 def expected_det(link: LinkId) -> int:
@@ -221,22 +202,12 @@ def _match_peters(link: LinkId) -> bool:
             and link.resolution in ("inf,*,*", "0,inf,*", "0,0,*"))
 
 
-def _match_a_00_s1(link: LinkId) -> bool:
-    return (link.family == "A" and link.param("t") == 1
-            and link.param("s") == 1 and link.param("q") >= 1
-            and link.resolution == "0,0,*")
-
-
-def _match_a_zero_s1(link: LinkId) -> bool:
-    return (link.family == "A" and link.param("t") == 1
-            and link.param("s") == 1 and link.param("q") >= 1
-            and link.resolution == "0,*,*")
-
-
-def _match_b_zero_s1t1(link: LinkId) -> bool:
-    return (link.family == "B" and link.param("s") == 1
-            and link.param("t") == 1 and link.param("q") >= 1
-            and link.resolution == "0,*,*")
+def _match_chain_base(family: str, resolution: str) -> Callable[[LinkId], bool]:
+    """The base of a chain: ``family`` at ``resolution``, s = t = 1, q >= 1."""
+    return lambda link: (link.family == family
+                         and link.resolution == resolution
+                         and link.param("s") == link.param("t") == 1
+                         and link.param("q") >= 1)
 
 
 def _match_regime_a(link: LinkId) -> bool:
@@ -271,13 +242,13 @@ AXIOMS: Dict[str, AxiomInfo] = {ax.name: ax for ax in [
               "Claim 5.14 proof", _is_named("P(2,-3,-4)")),
     AxiomInfo("A_00_STAR_S1", L_SPACE,
               "Claim 5.6 proof (base of the 0,0,* chain at s = 1)",
-              _match_a_00_s1),
+              _match_chain_base("A", "0,0,*")),
     AxiomInfo("A_0_STAR_STAR_S1", L_SPACE,
               "Claim 5.6 proof (base of the 0,*,* chain at s = 1)",
-              _match_a_zero_s1),
+              _match_chain_base("A", "0,*,*")),
     AxiomInfo("B_0_STAR_STAR_S1_T1", L_SPACE,
               "Claim 5.14 proof (base of the 0,*,* chain at s = t = 1)",
-              _match_b_zero_s1t1),
+              _match_chain_base("B", "0,*,*")),
     AxiomInfo("REGIME_A", L_SPACE,
               "Section 5.1 cases 3), 4); Section 5 cases (7), (8)",
               _match_regime_a),
@@ -348,17 +319,14 @@ def _b_to_a(source: str, target: str) -> IdentRule:
     return IdentRule(CIT_B_TO_A, apply, ("B", source))
 
 
-def _a_qt_swap(link: LinkId) -> Optional[LinkId]:
-    if link.family != "A" or link.resolution != STAR3:
-        return None
-    return LinkId.A(link.param("t"), link.param("s"), link.param("q"))
-
-
-def _l_double_swap(link: LinkId) -> Optional[LinkId]:
-    if link.family != "L" or link.resolution != STAR3:
-        return None
-    return LinkId.L(link.param("l"), link.param("t"), link.param("s"),
-                    link.param("q"))
+def _swap(family: str, order: str):
+    """The star link of ``family`` with its parameters taken in ``order``."""
+    def apply(link: LinkId) -> Optional[LinkId]:
+        if link.family != family or link.resolution != STAR3:
+            return None
+        return LinkId(family, tuple(zip(_FAMILY_PARAMS[family],
+                                        map(link.param, order))), STAR3)
+    return apply
 
 
 def _mirror(family: str):
@@ -399,7 +367,7 @@ IDENTIFICATIONS: Tuple[IdentRule, ...] = (
     _res_map(CIT_A_COLLAPSE, "A", "0,0,*", "0,0,*", collapse_to=1),
     IdentRule(CIT_A_NAMED, _to_named("A", STAR3, "T(3,4)")),
     IdentRule(CIT_A_NAMED, _to_named("A", "0,*,*", "P(2,-3,-2)")),
-    IdentRule(CIT_A_SYM, _a_qt_swap),
+    IdentRule(CIT_A_SYM, _swap("A", "tsq")),
     IdentRule(CIT_A_MIRROR, _mirror("A")),
     _res_map(CIT_L_MIDDLE, "L", "0,inf,0", "0,0,*"),
     _res_map(CIT_L_MIDDLE, "L", "inf,0,0", "0,0,*"),
@@ -414,7 +382,7 @@ IDENTIFICATIONS: Tuple[IdentRule, ...] = (
     _b_to_a("0,inf,*", "inf,*,*"),
     IdentRule(CIT_B_NAMED, _to_named("B", STAR3, "T(3,5)")),
     IdentRule(CIT_B_NAMED, _to_named("B", "0,*,*", "P(2,-3,-4)")),
-    IdentRule(CIT_L_SWAP, _l_double_swap),
+    IdentRule(CIT_L_SWAP, _swap("L", "ltsq")),
     IdentRule(CIT_L_MIRROR, _mirror("L")),
 )
 
@@ -439,14 +407,13 @@ def _identify(link: LinkId, citation: str) -> Optional[LinkId]:
 # Certificate structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertNode:
     link: LinkId
     det: int
     kind: str
     axiom: str = ""
     citation: str = ""
-    target: Optional[LinkId] = None
     zero: Optional["CertNode"] = None
     inf: Optional["CertNode"] = None
     child: Optional["CertNode"] = None
@@ -466,13 +433,13 @@ class Certificate:
     axioms: Tuple[AxiomDecl, ...]
 
 
-# Deepest certificate, in nodes on a path from the root, that the generator
-# writes and the verifier accepts.  A(1,1,110) is exactly this deep;
-# A(2,2,110) and the deepest L sign classes from magnitude 87 or 88 on are
-# deeper.  Generation, verification and parsing recurse once per level, and
-# the limit keeps them inside Python's default recursion limit of 1000;
-# serialization and ``iter_nodes`` do not recurse.
-MAX_DEPTH = 438
+def _children(node: CertNode) -> List[Tuple[str, CertNode]]:
+    """``(slot, child)`` of each child present, in the order (zero, inf,
+    child) in which every walk visits them."""
+    return [(slot, child) for slot, child in (("zero", node.zero),
+                                              ("inf", node.inf),
+                                              ("child", node.child))
+            if child is not None]
 
 
 def iter_nodes(root: CertNode) -> Iterator[Tuple[str, CertNode]]:
@@ -482,16 +449,18 @@ def iter_nodes(root: CertNode) -> Iterator[Tuple[str, CertNode]]:
     while stack:
         path, node = stack.pop()
         yield path, node
-        if node.child is not None:
-            stack.append((path + ".child", node.child))
-        if node.inf is not None:
-            stack.append((path + ".inf", node.inf))
-        if node.zero is not None:
-            stack.append((path + ".zero", node.zero))
+        stack.extend((f"{path}.{slot}", child)
+                     for slot, child in reversed(_children(node)))
 
 
 def node_count(cert: Certificate) -> int:
-    return sum(1 for _ in iter_nodes(cert.root))
+    """Nodes in the tree under ``cert.root``, ``REF`` leaves included."""
+    count, stack = 0, [cert.root]
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(child for _, child in _children(node))
+    return count
 
 
 def _resolve_leftmost(link: LinkId, slot: str) -> Optional[LinkId]:
@@ -526,115 +495,54 @@ ACCEPT = Verdict(True)
 
 
 class _Reject(Exception):
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}")
-        self.verdict = Verdict(False, path, reason)
+    # ``slots`` spell the node's path, joined only when a rule fails
+    def __init__(self, slots: List[str], reason: str):
+        self.verdict = Verdict(False, ".".join(slots), reason)
+        super().__init__(str(self.verdict))
 
 
-def _check_node(node: CertNode, path: str, cert: Certificate,
-                declared: Mapping[str, AxiomDecl],
-                certified: Set[LinkId],
-                refs: List[Tuple[LinkId, str]],
-                dets: Dict[LinkId, int],
-                skein_measure: Tuple[int, int, int], depth: int) -> None:
-    # ``dets`` holds the tabulated determinant of every link that passed
-    # ``validate`` and ``expected_det`` in this call; a hit skips only those
-    if depth > MAX_DEPTH:
-        raise _Reject(path, f"certificate deeper than the depth limit of "
-                            f"{MAX_DEPTH} levels")
-    want = dets.get(node.link) if _plain_ints(node.link) else None
-    if want is None:
-        try:
-            node.link.validate()
-        except CertError as exc:
-            raise _Reject(path, str(exc))
-    if not isinstance(node.det, int) or node.det <= 0:
-        raise _Reject(path, f"determinant must be a positive integer, got {node.det!r}")
-    if want is None:
-        try:
-            want = dets[node.link] = expected_det(node.link)
-        except (NotTabulatedError, CertError) as exc:
-            raise _Reject(path, f"no tabulated determinant: {exc}")
-    if node.det != want:
-        raise _Reject(path, f"determinant {node.det} does not match the "
-                            f"tabulated value {want} for {node.link}")
-    if node.kind not in _KINDS:
-        raise _Reject(path, f"unknown node kind {node.kind!r}")
+def _check_base(node: CertNode, claim: str, declared: Mapping[str, AxiomDecl],
+                slots: List[str]) -> None:
+    info = AXIOMS.get(node.axiom)
+    if info is None:
+        raise _Reject(slots, f"unknown axiom {node.axiom!r}")
+    if node.axiom not in declared:
+        raise _Reject(slots, f"axiom {node.axiom!r} is not declared by the "
+                             f"certificate")
+    if claim == QUASI_ALTERNATING and info.claim != QUASI_ALTERNATING:
+        raise _Reject(slots, f"axiom {node.axiom!r} asserts {info.claim}, "
+                             f"not admissible in a {claim} certificate")
+    if not info.matcher(node.link):
+        raise _Reject(slots, f"axiom {node.axiom!r} does not apply to "
+                             f"{node.link}")
 
-    if node.kind == REF:
-        if node.zero or node.inf or node.child:
-            raise _Reject(path, "reference nodes carry no children")
-        if not measure(node.link) < skein_measure:
-            raise _Reject(path, f"reference to {node.link} does not decrease "
-                                f"the induction measure {skein_measure}")
-        refs.append((node.link, path))
-        return
 
-    certified.add(node.link)
-
-    if node.kind == BASE:
-        if node.zero or node.inf or node.child:
-            raise _Reject(path, "axiom nodes carry no children")
-        info = AXIOMS.get(node.axiom)
-        if info is None:
-            raise _Reject(path, f"unknown axiom {node.axiom!r}")
-        if node.axiom not in declared:
-            raise _Reject(path, f"axiom {node.axiom!r} is not declared by the "
-                                f"certificate")
-        if cert.claim == QUASI_ALTERNATING and info.claim != QUASI_ALTERNATING:
-            raise _Reject(path, f"axiom {node.axiom!r} asserts {info.claim}, "
-                                f"not admissible in a {cert.claim} certificate")
-        if not info.matcher(node.link):
-            raise _Reject(path, f"axiom {node.axiom!r} does not apply to "
-                                f"{node.link}")
-        return
-
-    if node.kind == SKEIN:
-        if node.zero is None or node.inf is None or node.child is not None:
-            raise _Reject(path, "skein nodes need exactly a zero and an inf child")
-        zero_link = _resolve_leftmost(node.link, "0")
-        inf_link = _resolve_leftmost(node.link, "inf")
-        if zero_link is None:
-            raise _Reject(path, f"{node.link} has no unresolved slot to split")
-        if node.zero.link != zero_link:
-            raise _Reject(path + ".zero", f"expected {zero_link}, certificate "
-                                          f"has {node.zero.link}")
-        if node.inf.link != inf_link:
-            raise _Reject(path + ".inf", f"expected {inf_link}, certificate "
-                                         f"has {node.inf.link}")
-        inner = measure(node.link)
-        _check_node(node.zero, path + ".zero", cert, declared, certified, refs,
-                    dets, inner, depth + 1)
-        _check_node(node.inf, path + ".inf", cert, declared, certified, refs,
-                    dets, inner, depth + 1)
-        if node.det != node.zero.det + node.inf.det:
-            raise _Reject(path, f"determinant additivity fails: {node.det} != "
-                                f"{node.zero.det} + {node.inf.det}")
-        return
-
-    # IDENTIFY
-    if node.child is None or node.zero is not None or node.inf is not None:
-        raise _Reject(path, "identification nodes need exactly one child")
-    if node.target is None:
-        raise _Reject(path, "identification nodes need a target link")
-    if _identify(node.link, node.citation) != node.target:
-        raise _Reject(path, f"no whitelisted identification sends {node.link} "
-                            f"to {node.target} under {node.citation!r}")
-    if node.child.link != node.target:
-        raise _Reject(path + ".child", f"expected the identified link "
-                                       f"{node.target}, certificate has "
-                                       f"{node.child.link}")
-    _check_node(node.child, path + ".child", cert, declared, certified, refs,
-                dets, skein_measure, depth + 1)
-    if node.child.det != node.det:
-        raise _Reject(path, f"identified links must share a determinant: "
-                            f"{node.det} != {node.child.det}")
+def _check_links(node: CertNode, slots: List[str]) -> None:
+    """The children a SKEIN or IDENTIFY node must have, with their links."""
+    if node.kind == IDENTIFY:
+        if node.child is None or node.zero is not None or node.inf is not None:
+            raise _Reject(slots, "identification nodes need exactly one child")
+        if _identify(node.link, node.citation) != node.child.link:
+            raise _Reject(slots, f"no whitelisted identification sends "
+                                 f"{node.link} to {node.child.link} under "
+                                 f"{node.citation!r}")
+    elif node.zero is None or node.inf is None or node.child is not None:
+        raise _Reject(slots, "skein nodes need exactly a zero and an inf child")
+    elif "*" not in node.link.resolution:
+        raise _Reject(slots, f"{node.link} has no unresolved slot to split")
+    else:
+        for slot, side in (("zero", "0"), ("inf", "inf")):
+            want = _resolve_leftmost(node.link, side)
+            got = getattr(node, slot).link
+            if got != want:
+                raise _Reject(slots + [slot], f"expected {want}, certificate "
+                                              f"has {got}")
 
 
 def verify(cert: Certificate) -> Verdict:
-    """Check every rule of the certificate and the depth limit; ACCEPT or
-    REJECT with the first violation's node path.  Every node is checked;
-    a link is validated and its determinant tabulated once per call."""
+    """Check every rule of the certificate; ACCEPT or REJECT with the first
+    violation's node path, in pre-order.  Every node is checked, and each
+    link's determinant is tabulated once, where it is expanded."""
     if cert.claim not in _CLAIMS:
         return Verdict(False, "claim", f"unknown claim {cert.claim!r}")
     declared: Dict[str, AxiomDecl] = {}
@@ -647,212 +555,208 @@ def verify(cert: Certificate) -> Verdict:
                            f"axiom {decl.name!r} declared with wrong claim or "
                            f"citation")
         declared[decl.name] = decl
-    certified: Set[LinkId] = set()
-    refs: List[Tuple[LinkId, str]] = []
     try:
-        _check_node(cert.root, "root", cert, declared, certified, refs, {},
-                    measure(cert.root.link), 1)
+        _walk(cert, declared)
     except _Reject as rej:
         return rej.verdict
-    for link, path in refs:
-        if link not in certified:
-            return Verdict(False, path,
-                           f"reference to {link}, which is never certified")
     return ACCEPT
 
 
+def _walk(cert: Certificate, declared: Mapping[str, AxiomDecl]) -> None:
+    # expanded link -> its determinant once its node is complete, None
+    # while it is open (on the current path)
+    certified: Dict[LinkId, Optional[int]] = {}
+    slots: List[str] = []               # path of the node being checked
+    stack = [(cert.root, "root", False)]   # (node, slot, subtree done)
+    while stack:
+        node, slot, closing = stack.pop()
+        link = node.link
+        if closing:
+            if node.kind == SKEIN:
+                if node.det != node.zero.det + node.inf.det:
+                    raise _Reject(slots, f"determinant additivity fails: "
+                                         f"{node.det} != {node.zero.det} + "
+                                         f"{node.inf.det}")
+            elif node.child.det != node.det:
+                raise _Reject(slots, f"identified links must share a "
+                                     f"determinant: {node.det} != "
+                                     f"{node.child.det}")
+            slots.pop()
+            certified[link] = node.det
+            continue
+        slots.append(slot)
+        try:
+            link.validate()
+        except CertError as exc:
+            raise _Reject(slots, str(exc))
+        if node.det.__class__ is not int or node.det <= 0:
+            raise _Reject(slots, f"determinant must be a positive integer, "
+                                 f"got {node.det!r}")
+        if node.kind not in _KINDS:
+            raise _Reject(slots, f"unknown node kind {node.kind!r}")
+        if node.kind in (BASE, REF) and (node.zero or node.inf or node.child):
+            raise _Reject(slots, f"{node.kind} nodes carry no children")
+        if node.kind == REF:
+            want = certified.get(link)
+            if want is None:
+                what = ("an open ancestor (a cycle)" if link in certified
+                        else "never certified before it")
+                raise _Reject(slots, f"reference to {link}, which is {what}")
+        else:
+            if link in certified:
+                raise _Reject(slots, f"{link} is expanded a second time; "
+                                     f"later occurrences must be references")
+            try:
+                want = expected_det(link)
+            except (NotTabulatedError, CertError) as exc:
+                raise _Reject(slots, f"no tabulated determinant: {exc}")
+        if node.det != want:
+            raise _Reject(slots, f"determinant {node.det} does not match the "
+                                 f"tabulated value {want} for {link}")
+        if node.kind == BASE:
+            _check_base(node, cert.claim, declared, slots)
+            certified[link] = node.det
+        if node.kind == BASE or node.kind == REF:
+            slots.pop()
+            continue
+        _check_links(node, slots)
+        certified[link] = None
+        stack.append((node, slot, True))
+        if node.kind == SKEIN:
+            stack.append((node.inf, "inf", False))
+            stack.append((node.zero, "zero", False))
+        else:
+            stack.append((node.child, "child", False))
+
+
 # ---------------------------------------------------------------------------
-# Serialization (canonical JSON)
+# Serialization: one compact JSON object a node, children by index
 # ---------------------------------------------------------------------------
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode  # fresh dict trees
+
+# Per node kind, its text field and its child fields; a new kind adds one.
+_NODE_FIELDS = {BASE: ("axiom", ()), SKEIN: ("", ("zero", "inf")),
+                IDENTIFY: ("citation", ("child",))}
+_NODE_KEYS = {kind: {"det", "kind", "link", text, *kids} - {""}
+              for kind, (text, kids) in _NODE_FIELDS.items()}
+
 
 def _link_to_json(link: LinkId) -> Dict[str, object]:
-    out: Dict[str, object] = {"family": link.family}
     if link.family == "NAMED":
-        out["name"] = link.name
-    else:
-        out["params"] = {k: v for k, v in link.params}
-        out["resolution"] = link.resolution
-    return out
-
-
-def _node_to_json(node: CertNode,
-                  link_json: Callable[[LinkId], object] = _link_to_json
-                  ) -> Dict[str, object]:
-    """One node's JSON object, with ``link_json`` converting its links; its
-    children stay ``CertNode``s, which ``_canonical_json`` converts when it
-    reaches them."""
-    out: Dict[str, object] = {
-        "link": link_json(node.link),
-        "det": str(node.det),
-        "kind": node.kind,
-    }
-    if node.kind == BASE:
-        out["axiom"] = node.axiom
-    elif node.kind == SKEIN:
-        out["zero"] = node.zero
-        out["inf"] = node.inf
-    elif node.kind == IDENTIFY:
-        out["target"] = link_json(node.target)
-        out["citation"] = node.citation
-        out["child"] = node.child
-    return out
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-class _Rendered(str):
-    """Canonical JSON text of one value at the top level, without the
-    trailing newline; ``_canonical_json`` indents it where it lands."""
-
-
-def _canonical_json(obj, default: Callable[[object], object]) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, default=default) + "\\n"``
-    for objects built of dicts with string keys, lists, strings, ints and
-    ``_Rendered`` text.
-
-    ``json.dumps`` with an indent runs its pure-Python encoder, whose cost
-    grows with tokens times nesting depth.  Here one explicit stack holds
-    the open containers, so the cost is linear in the output and no nesting
-    level takes a Python frame."""
-    out: List[str] = []
-    # per open container: (iterator over (text before the entry, entry),
-    # text that closes the container, newline and indent of its entries)
-    stack = [(iter((("", obj),)), "\n", "\n")]
-    while stack:
-        entries, close, newline = stack[-1]
-        for before, value in entries:
-            if value.__class__ is str:
-                out.append(before + _encode_str(value))
-                continue
-            if value.__class__ is int:
-                out.append(before + int.__repr__(value))
-                continue
-            if value.__class__ is _Rendered:
-                out.append(before + value.replace("\n", newline))
-                continue
-            if value.__class__ is not dict and value.__class__ is not list:
-                value = default(value)
-            if not value:
-                out.append(before + ("{}" if value.__class__ is dict else "[]"))
-                continue
-            if value.__class__ is dict:
-                opening, closing = "{", "}"
-                items = [(_encode_str(key) + ": ", sub)
-                         for key, sub in sorted(value.items())]
-            else:
-                opening, closing = "[", "]"
-                items = [("", sub) for sub in value]
-            out.append(before + opening)
-            inner = newline + "  "
-            stack.append((iter([(("," if i else "") + inner + key, sub)
-                                for i, (key, sub) in enumerate(items)]),
-                          newline + closing, inner))
-            break
-        else:
-            stack.pop()
-            out.append(close)
-    return "".join(out)
+        return {"family": "NAMED", "name": link.name}
+    return {"family": link.family, "params": dict(link.params),
+            "resolution": link.resolution}
 
 
 def serialize(cert: Certificate) -> str:
-    """Canonical JSON text: sorted keys, fixed indentation, trailing newline.
-    Each distinct link is rendered once and re-indented where it occurs."""
-    texts: Dict[LinkId, _Rendered] = {}
-
-    def link_json(link: LinkId) -> object:
-        if not _plain_ints(link):
-            return _link_to_json(link)
-        text = texts.get(link)
-        if text is None:
-            text = texts[link] = _Rendered(
-                _canonical_json(_link_to_json(link), None)[:-1])
-        return text
-
-    payload = {
-        "claim": cert.claim,
-        "axioms": [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
-                   for ax in cert.axioms],
-        "root": cert.root,
-    }
-    return _canonical_json(payload, lambda node: _node_to_json(node, link_json))
-
-
-def _expect(obj, key: str, types, path: str):
-    if not isinstance(obj, dict):
-        raise CertParseError(f"{path}: expected an object, got {type(obj).__name__}")
-    if key not in obj:
-        raise CertParseError(f"{path}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, types):
-        raise CertParseError(f"{path}.{key}: unexpected type {type(value).__name__}")
-    return value
-
-
-def _link_from_json(obj, path: str, links: Dict[str, LinkId]) -> LinkId:
-    # keyed by repr, which tells apart the JSON values true, 1 and 1.0
-    key = repr(obj)
-    link = links.get(key)
-    if link is None:
-        link = links[key] = _parse_link(obj, path)
-    return link
+    """Canonical JSON text: sorted keys, one compact node a line in the order
+    a depth-first walk completes them, and a trailing newline.  A ``REF``
+    leaf is written as the index of its link's node; one that no earlier
+    node with its link and determinant backs is refused."""
+    index: Dict[LinkId, Tuple[int, int]] = {}   # link -> (node index, det)
+    lines: List[str] = []
+    stack: List[Tuple[CertNode, bool]] = [(cert.root, False)]
+    while stack:
+        node, closing = stack.pop()
+        if node.kind == REF:
+            node.link.validate()
+            if index.get(node.link, (0, None))[1] != node.det:
+                raise CertError(f"reference to {node.link} with determinant "
+                                f"{node.det}, which no earlier node certifies")
+        elif not closing:
+            stack.append((node, True))
+            for child in (node.child, node.inf, node.zero):
+                if child is not None:
+                    stack.append((child, False))
+        elif (index.setdefault(node.link, (len(lines), node.det))[0]
+              != len(lines)):
+            raise CertError(f"{node.link} is expanded a second time")
+        else:
+            out = {"det": str(node.det), "kind": node.kind,
+                   "link": _link_to_json(node.link)}
+            text = _NODE_FIELDS.get(node.kind, ("",))[0]
+            if text:
+                out[text] = getattr(node, text)
+            for slot, child in _children(node):
+                out[slot] = index[child.link][0]
+            lines.append(_encode(out))
+    axioms = [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
+              for ax in cert.axioms]
+    return (f'{{"axioms":{_encode(axioms)},"claim":{_encode(cert.claim)},'
+            f'"nodes":[\n' + ",\n".join(lines) + "\n]}\n")
 
 
-def _parse_link(obj, path: str) -> LinkId:
-    family = _expect(obj, "family", str, path)
+def _fields(obj, keys, where: str, texts=()) -> dict:
+    """``obj``, which must be an object with exactly the fields ``keys``, of
+    which ``texts`` hold strings."""
+    if obj.__class__ is not dict:
+        raise CertParseError(f"{where}: expected an object, got "
+                             f"{type(obj).__name__}")
+    if obj.keys() != keys:
+        raise CertParseError(f"{where}: expected the fields {sorted(keys)}, "
+                             f"got {sorted(obj)}")
+    for key in texts:
+        if obj[key].__class__ is not str:
+            raise CertParseError(f"{where}.{key}: expected a string")
+    return obj
+
+
+def _parse_link(obj, where: str) -> LinkId:
+    family = obj.get("family") if obj.__class__ is dict else None
     if family == "NAMED":
-        return LinkId.named(_expect(obj, "name", str, path))
-    params_obj = _expect(obj, "params", dict, path)
-    resolution = _expect(obj, "resolution", str, path)
-    names = _FAMILY_PARAMS.get(family)
+        return LinkId.named(
+            _fields(obj, {"family", "name"}, where, ("name",))["name"])
+    _fields(obj, {"family", "params", "resolution"}, where, ("resolution",))
+    names = _FAMILY_PARAMS.get(family) if family.__class__ is str else None
     if names is None:
-        raise CertParseError(f"{path}.family: unknown family {family!r}")
-    try:
-        resolution = parse_resolution(resolution)
-    except ValueError as exc:
-        raise CertParseError(f"{path}.resolution: {exc}") from None
-    params = []
+        raise CertParseError(f"{where}.family: unknown family {family!r}")
+    params = _fields(obj["params"], set(names), where + ".params")
     for name in names:
-        value = params_obj.get(name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CertParseError(f"{path}.params.{name}: expected an integer")
-        params.append((name, value))
-    extra = set(params_obj) - set(names)
-    if extra:
-        raise CertParseError(f"{path}.params: unexpected entries {sorted(extra)}")
-    return LinkId(family, tuple(params), resolution)
-
-
-def _node_from_json(obj, path: str, links: Dict[str, LinkId]) -> CertNode:
-    link = _link_from_json(_expect(obj, "link", dict, path), path + ".link",
-                           links)
-    det_text = _expect(obj, "det", str, path)
+        if params[name].__class__ is not int:
+            raise CertParseError(f"{where}.params.{name}: expected an integer")
+    resolution = obj["resolution"]
     try:
-        det = int(det_text, 10)
+        canonical = parse_resolution(resolution)
+    except ValueError as exc:
+        raise CertParseError(f"{where}.resolution: {exc}") from None
+    if canonical != resolution:
+        raise CertParseError(f"{where}.resolution: {resolution!r} is not in "
+                             f"canonical form {canonical!r}")
+    return LinkId(family, tuple((name, params[name]) for name in names),
+                  resolution)
+
+
+def _parse_node(obj, i: int) -> Tuple[LinkId, int, str, str, Tuple[int, ...]]:
+    """``(link, det, kind, axiom or citation, child indices)`` of node i."""
+    where = f"nodes[{i}]"
+    kind = obj.get("kind") if obj.__class__ is dict else None
+    if kind.__class__ is not str or kind not in _NODE_FIELDS:
+        raise CertParseError(f"{where}.kind: unknown node kind {kind!r}")
+    text, slots = _NODE_FIELDS[kind]
+    _fields(obj, _NODE_KEYS[kind], where, ("det", text) if text else ("det",))
+    link = _parse_link(obj["link"], where + ".link")
+    try:
+        det = int(obj["det"], 10)
     except ValueError:
-        raise CertParseError(f"{path}.det: not a decimal integer: {det_text!r}")
-    kind = _expect(obj, "kind", str, path)
-    if kind == BASE:
-        return CertNode(link, det, BASE, axiom=_expect(obj, "axiom", str, path))
-    if kind == SKEIN:
-        return CertNode(link, det, SKEIN,
-                        zero=_node_from_json(_expect(obj, "zero", dict, path),
-                                             path + ".zero", links),
-                        inf=_node_from_json(_expect(obj, "inf", dict, path),
-                                            path + ".inf", links))
-    if kind == IDENTIFY:
-        return CertNode(link, det, IDENTIFY,
-                        target=_link_from_json(_expect(obj, "target", dict, path),
-                                               path + ".target", links),
-                        citation=_expect(obj, "citation", str, path),
-                        child=_node_from_json(_expect(obj, "child", dict, path),
-                                              path + ".child", links))
-    if kind == REF:
-        return CertNode(link, det, REF)
-    raise CertParseError(f"{path}.kind: unknown node kind {kind!r}")
+        det = None
+    if det is None or str(det) != obj["det"]:
+        raise CertParseError(f"{where}.det: not a decimal integer: "
+                             f"{obj['det']!r}")
+    for slot in slots:
+        child = obj[slot]
+        if child.__class__ is not int or not 0 <= child < i:
+            raise CertParseError(f"{where}.{slot}: expected the index of an "
+                                 f"earlier node, got {child!r}")
+    return (link, det, kind, obj[text] if text else "",
+            tuple(obj[slot] for slot in slots))
 
 
 def deserialize(data: Union[str, bytes]) -> Certificate:
+    """Parse ``serialize`` output, and only that: every link once, children
+    earlier, and the nodes in the order the walk from the last one completes
+    them, so every other node is referenced."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -860,17 +764,58 @@ def deserialize(data: Union[str, bytes]) -> Certificate:
     except json.JSONDecodeError as exc:
         raise CertParseError(f"invalid JSON at line {exc.lineno}, column "
                              f"{exc.colno}: {exc.msg}") from None
-    claim = _expect(payload, "claim", str, "certificate")
-    axioms_obj = _expect(payload, "axioms", list, "certificate")
-    axioms = []
-    for i, entry in enumerate(axioms_obj):
-        where = f"axioms[{i}]"
-        axioms.append(AxiomDecl(_expect(entry, "name", str, where),
-                                _expect(entry, "claim", str, where),
-                                _expect(entry, "citation", str, where)))
-    root = _node_from_json(_expect(payload, "root", dict, "certificate"), "root",
-                           {})
-    return Certificate(claim, root, tuple(axioms))
+    except (ValueError, RecursionError) as exc:
+        raise CertParseError(f"invalid JSON: {exc}") from None
+    _fields(payload, {"axioms", "claim", "nodes"}, "certificate", ("claim",))
+    axioms, nodes = payload["axioms"], payload["nodes"]
+    if axioms.__class__ is not list:
+        raise CertParseError("certificate.axioms: expected a list")
+    if nodes.__class__ is not list or not nodes:
+        raise CertParseError("certificate.nodes: expected a non-empty list")
+    keys = ("name", "claim", "citation")
+    axioms = tuple(AxiomDecl(*(_fields(entry, set(keys), f"axioms[{i}]",
+                                       keys)[key] for key in keys))
+                   for i, entry in enumerate(axioms))
+    return Certificate(payload["claim"], _build_tree(
+        [_parse_node(obj, i) for i, obj in enumerate(nodes)]), axioms)
+
+
+def _build_tree(rows) -> CertNode:
+    """The tree of a parsed node list: a node is expanded at the first
+    pre-order occurrence of its index and is a ``REF`` leaf at every later
+    one.  The walk must complete node k k-th, so the nodes below ``done``
+    are exactly the completed ones."""
+    first: Dict[LinkId, int] = {}   # link -> index, over the completed nodes
+    built: List[CertNode] = []
+    stack = [(len(rows) - 1, False)]
+    while stack:
+        i, closing = stack.pop()
+        link, det, kind, text, kids = rows[i]
+        done = len(first)
+        if not closing:
+            if i < done:
+                built.append(CertNode(link, det, REF))
+            else:
+                stack.append((i, True))
+                stack.extend((child, False) for child in reversed(kids))
+            continue
+        j = first.setdefault(link, done)
+        if j != done:
+            raise CertParseError(f"nodes[{i}].link: {link} is already "
+                                 f"certified by nodes[{j}]")
+        if i != done:
+            raise CertParseError(f"nodes[{i}]: out of order; the walk from "
+                                 f"the last node completes nodes[{done}] here")
+        if kind == BASE:
+            node = CertNode(link, det, BASE, axiom=text)
+        elif kind == SKEIN:
+            inf = built.pop()
+            node = CertNode(link, det, SKEIN, zero=built.pop(), inf=inf)
+        else:
+            node = CertNode(link, det, IDENTIFY, citation=text,
+                            child=built.pop())
+        built.append(node)
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -941,79 +886,69 @@ def _step(link: LinkId) -> Tuple[str, str]:
     return SKEIN, ""
 
 
-class _Builder:
-    def __init__(self):
-        self.certified: Set[LinkId] = set()
-        self.used_axioms: Set[str] = set()
-        self.dets: Dict[LinkId, int] = {}
-
-    def det(self, link: LinkId) -> int:
-        """``expected_det(link)``, evaluated once per distinct link."""
-        det = self.dets.get(link)
-        if det is None:
-            det = self.dets[link] = expected_det(link)
-        return det
-
-    def certify(self, link: LinkId, ctx: Tuple[int, int, int],
-                depth: int = 1) -> CertNode:
-        """The certificate node for ``link`` at ``depth`` (the root is 1).
-
-        ``ctx`` is the induction measure of the nearest SKEIN ancestor, the
-        bound the verifier holds a back reference to.  A link certified
-        before becomes a REF below that bound, except A links off the
-        all-positive pattern: their grounding is one or two nodes and is
-        always written out."""
-        if depth > MAX_DEPTH:
-            raise GenerationError(
-                f"certificate deeper than the depth limit of {MAX_DEPTH} "
-                f"levels (reached at {link})")
-        if (link in self.certified and measure(link) < ctx
-                and (link.family != "A" or link.sign_pattern() == (1, 1, 1))):
-            return CertNode(link, self.det(link), REF)
-        kind, label = _step(link)
-        det = self.det(link)
-        if kind == BASE:
+def _generate(root: LinkId, extra: Set[str]) -> Certificate:
+    """Certify ``root`` depth-first from an explicit stack; a link reached
+    again after its node is complete becomes a ``REF`` leaf.  The claim is
+    QUASI_ALTERNATING when every declared axiom asserts it (as ``verify``
+    requires of such a claim), else L_SPACE."""
+    # link -> its node once complete, None while it is being certified; a
+    # lookup falls back to the link itself for a link not reached before
+    done: Dict[LinkId, Optional[CertNode]] = {}
+    used_axioms: Set[str] = set()
+    built: List[CertNode] = []
+    # (link, None) enters a link; (link, (kind, label, det)) completes it
+    stack: List[Tuple[LinkId, Optional[Tuple[str, str, int]]]] = [(root, None)]
+    while stack:
+        link, plan = stack.pop()
+        if plan is not None:
+            kind, label, det = plan
+            if kind == IDENTIFY:
+                node = CertNode(link, det, IDENTIFY, citation=label,
+                                child=built.pop())
+                if det != node.child.det:
+                    raise GenerationError(f"identified determinants differ at "
+                                          f"{link}: {det} != {node.child.det}")
+            else:
+                inf = built.pop()
+                node = CertNode(link, det, SKEIN, zero=built.pop(), inf=inf)
+                if min(det, node.zero.det, inf.det) <= 0:
+                    raise GenerationError(f"resolution determinant vanishes "
+                                          f"at {link}")
+                if det != node.zero.det + inf.det:
+                    raise GenerationError(f"determinant additivity fails at "
+                                          f"{link}: {det} != {node.zero.det} "
+                                          f"+ {inf.det}")
+        elif (prior := done.get(link, link)) is not link:
+            if prior is None:
+                raise GenerationError(f"{link} is reached again while it is "
+                                      f"being certified")
+            node = CertNode(link, prior.det, REF)
+        else:
+            kind, label = _step(link)
+            det = expected_det(link)
+            if kind != BASE:
+                children = ((_identify(link, label),) if kind == IDENTIFY else
+                            (_resolve_leftmost(link, "0"),
+                             _resolve_leftmost(link, "inf")))
+                if children[0] is None:
+                    raise GenerationError(f"{kind} {label!r} does not apply "
+                                          f"to {link}")
+                done[link] = None
+                stack.append((link, (kind, label, det)))
+                stack.extend([(child, None) for child in reversed(children)])
+                continue
             if not AXIOMS[label].matcher(link):
                 raise GenerationError(f"axiom {label} does not apply to {link}")
-            self.used_axioms.add(label)
+            used_axioms.add(label)
             node = CertNode(link, det, BASE, axiom=label)
-        elif kind == IDENTIFY:
-            target = _identify(link, label)
-            if target is None:
-                raise GenerationError(f"{label!r} does not apply to {link}")
-            child = self.certify(target, ctx, depth + 1)
-            if det != child.det:
-                raise GenerationError(f"identified determinants differ at "
-                                      f"{link}: {det} != {child.det}")
-            node = CertNode(link, det, IDENTIFY, citation=label,
-                            target=target, child=child)
-        else:
-            inner = measure(link)
-            zero = self.certify(_resolve_leftmost(link, "0"), inner,
-                                depth + 1)
-            inf = self.certify(_resolve_leftmost(link, "inf"), inner,
-                               depth + 1)
-            if det <= 0 or zero.det <= 0 or inf.det <= 0:
-                raise GenerationError(f"resolution determinant vanishes at {link}")
-            if det != zero.det + inf.det:
-                raise GenerationError(
-                    f"determinant additivity fails at {link}: "
-                    f"{det} != {zero.det} + {inf.det}")
-            node = CertNode(link, det, SKEIN, zero=zero, inf=inf)
-        self.certified.add(link)
-        return node
-
-
-def _generate(root: LinkId, extra: Set[str]) -> Certificate:
-    """Certify ``root``; the claim is QUASI_ALTERNATING when every declared
-    axiom asserts it (as ``verify`` requires of such a claim), else L_SPACE."""
-    builder = _Builder()
-    node = builder.certify(root, _TOP_MEASURE)
-    axioms = sorted((AXIOMS[n] for n in builder.used_axioms | extra),
+        if node.kind != REF:
+            done[link] = node
+        built.append(node)
+    axioms = sorted((AXIOMS[n] for n in used_axioms | extra),
                     key=lambda ax: ax.name)
     claim = (QUASI_ALTERNATING
              if all(ax.claim == QUASI_ALTERNATING for ax in axioms) else L_SPACE)
-    return Certificate(claim, node, tuple(
+    return Certificate(claim, built[0], tuple(
         AxiomDecl(ax.name, ax.claim, ax.citation) for ax in axioms))
 
 
@@ -1022,7 +957,7 @@ def generate_A_cert(q: int, s: int, t: int) -> Certificate:
     itself is quasi-alternating for s > 1; its double branched cover is an
     L-space for s = 1."""
     for name, value in (("q", q), ("s", s), ("t", t)):
-        if not isinstance(value, int) or value < 1:
+        if value.__class__ is not int or value < 1:
             raise UnsupportedRegimeError(
                 f"parameter {name} must be a positive integer, got {value!r}")
     extra = {"T(3,4)", "P(2,-3,-2)"} if s == 1 else set()
@@ -1037,7 +972,7 @@ def generate_L_cert(q: int, s: int, t: int, l: int) -> Certificate:
     the remaining regimes combine the l-induction with the mirror and
     parameter-swap symmetries and the trusted regime facts."""
     for name, value in (("q", q), ("s", s), ("t", t), ("l", l)):
-        if not isinstance(value, int) or value == 0:
+        if value.__class__ is not int or value == 0:
             raise CertError(
                 f"parameter {name} must be a nonzero integer, got {value!r}")
     link = LinkId.L(q, s, t, l)

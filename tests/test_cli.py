@@ -4,6 +4,7 @@ import json
 import pathlib
 import shutil
 import subprocess
+import time
 import sys
 
 import pytest
@@ -12,7 +13,7 @@ from bridgecover import cli
 from bridgecover.cli import main
 from bridgecover.goeritz import IdentityCheck
 from bridgecover.multipoly import MultiPoly
-from bridgecover.qacert import MAX_DEPTH
+from bridgecover.qacert import deserialize, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CLI_GOLDEN = GOLDEN / "cli"
@@ -298,7 +299,7 @@ def test_cert_generate_writes_json_to_stdout(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["claim"] == "QUASI_ALTERNATING"
-    assert sorted(payload) == ["axioms", "claim", "root"]
+    assert sorted(payload) == ["axioms", "claim", "nodes"]
 
 
 def test_cert_tail_params_match_the_option(capsys):
@@ -318,13 +319,27 @@ def test_cert_alternating_base_case(capsys):
     assert json.loads(out)["claim"] == "QUASI_ALTERNATING"
 
 
-def test_cert_past_the_depth_limit_is_a_one_line_error(capsys):
-    code, out, err = run(["cert", "generate", "--family", "A",
-                          "--params", "2,2,120"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    assert f"depth limit of {MAX_DEPTH} levels" in err
+def test_cert_generate_just_under_and_just_over_the_parameter_limit(
+        capsys, monkeypatch):
+    limit = cli.CERT_MAX_PARAM
+    called = []
+    monkeypatch.setattr(cli, "generate_L_cert", lambda *p: called.append(p))
+    for params in ([limit + 1, 1, 1, 1], [1, 1, 1, -limit - 1]):
+        code, out, err = run(["cert", "generate", "--params",
+                              ",".join(map(str, params))], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"magnitude at most {limit}" in err
+    assert called == []
+    monkeypatch.undo()
+    start = time.perf_counter()
+    code, out, err = run(["cert", "generate", "--family", "A", "--params",
+                          f"2,2,{limit}"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["nodes"]) > 10 * limit
+    assert verify(deserialize(out))
 
 
 def test_cert_verify_rejects_a_mutated_determinant(capsys, tmp_path):
@@ -332,7 +347,7 @@ def test_cert_verify_rejects_a_mutated_determinant(capsys, tmp_path):
          "--out", str(tmp_path / "c.json")], capsys)
     path = tmp_path / "c.json"
     payload = json.loads(path.read_text())
-    payload["root"]["det"] = "999"
+    payload["nodes"][-1]["det"] = "999"
     path.write_text(json.dumps(payload))
     code, out, _ = run(["cert", "verify", "--in", str(path)], capsys)
     assert code == 1

@@ -1,5 +1,6 @@
 """Tests for certificate generation, verification, and serialization."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -14,6 +15,14 @@ from bridgecover.goeritz import UnsupportedRegimeError, table_formula
 from bridgecover import qacert as qc
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _shape(cert):
+    """Everything a certificate says, node by node in pre-order, without the
+    recursive dataclass comparison."""
+    return (cert.claim, cert.axioms,
+            [(path, n.link, n.det, n.kind, n.axiom, n.citation)
+             for path, n in qc.iter_nodes(cert.root)])
 
 
 def _rebuild(node, path, target_path, repl):
@@ -152,7 +161,7 @@ def test_every_sign_pattern_produces_an_accepting_certificate():
 def test_mirror_regime_delegates_through_negated_parameters():
     cert = qc.generate_L_cert(-1, -1, -1, -1)
     assert cert.root.kind == qc.IDENTIFY
-    assert cert.root.target == qc.LinkId.L(1, 1, 1, 1)
+    assert cert.root.child.link == qc.LinkId.L(1, 1, 1, 1)
     assert qc.verify(cert)
 
 
@@ -207,11 +216,37 @@ def test_reference_cycles_are_rejected():
     link2 = qc.LinkId.A(3, 1, 2)
     ref1 = qc.CertNode(link1, qc.expected_det(link1), qc.REF)
     id2 = qc.CertNode(link2, qc.expected_det(link2), qc.IDENTIFY,
-                      citation=qc.CIT_A_SYM, target=link1, child=ref1)
+                      citation=qc.CIT_A_SYM, child=ref1)
     id1 = qc.CertNode(link1, qc.expected_det(link1), qc.IDENTIFY,
-                      citation=qc.CIT_A_SYM, target=link2, child=id2)
+                      citation=qc.CIT_A_SYM, child=id2)
     verdict = qc.verify(qc.Certificate(qc.L_SPACE, id1, ()))
     assert not verdict
+    assert verdict.path == "root.child.child"
+    assert "cycle" in verdict.reason
+    with pytest.raises(qc.CertError):
+        qc.serialize(qc.Certificate(qc.L_SPACE, id1, ()))
+
+
+def test_generation_that_reaches_a_link_again_inside_itself_fails(monkeypatch):
+    # a step that sends A(2,1,3) and A(3,1,2) to each other forever
+    monkeypatch.setattr(qc, "_step", lambda link: (qc.IDENTIFY, qc.CIT_A_SYM))
+    with pytest.raises(qc.GenerationError, match="reached again"):
+        qc.generate_A_cert(2, 1, 3)
+
+
+def test_a_link_expanded_twice_is_rejected():
+    cert = qc.generate_L_cert(2, 2, 2, 2)
+    nodes = dict(qc.iter_nodes(cert.root))
+    refs = [p for p, n in nodes.items() if n.kind == qc.REF]
+    first = {n.link: p for p, n in reversed(list(qc.iter_nodes(cert.root)))
+             if n.kind != qc.REF}
+    for path in refs:
+        full = nodes[first[nodes[path].link]]
+        verdict = qc.verify(_with_node(cert, path, full))
+        assert not verdict and verdict.path == path, path
+        assert "expanded a second time" in verdict.reason
+        with pytest.raises(qc.CertError, match="second time"):
+            qc.serialize(_with_node(cert, path, full))
 
 
 def test_reference_to_uncertified_link_is_rejected():
@@ -219,10 +254,38 @@ def test_reference_to_uncertified_link_is_rejected():
     link2 = qc.LinkId.A(3, 1, 2)
     ref2 = qc.CertNode(link2, qc.expected_det(link2), qc.REF)
     id1 = qc.CertNode(link1, qc.expected_det(link1), qc.IDENTIFY,
-                      citation=qc.CIT_A_SYM, target=link2, child=ref2)
+                      citation=qc.CIT_A_SYM, child=ref2)
     verdict = qc.verify(qc.Certificate(qc.L_SPACE, id1, ()))
     assert not verdict
-    assert "never certified" in verdict.reason or "measure" in verdict.reason
+    assert "never certified" in verdict.reason
+    with pytest.raises(qc.CertError, match="no earlier node"):
+        qc.serialize(qc.Certificate(qc.L_SPACE, id1, ()))
+
+
+def test_leaf_nodes_with_children_are_rejected():
+    cert = qc.generate_L_cert(2, 2, 2, 2)
+    nodes = list(qc.iter_nodes(cert.root))
+    for kind in (qc.REF, qc.BASE):
+        path, leaf = next((p, n) for p, n in nodes if n.kind == kind)
+        verdict = qc.verify(_with_node(cert, path, replace(leaf, child=leaf)))
+        assert not verdict and verdict.path == path
+        assert verdict.reason == f"{kind} nodes carry no children"
+
+
+def test_bool_parameters_are_refused():
+    with pytest.raises(UnsupportedRegimeError):
+        qc.generate_A_cert(True, 1, 1)
+    with pytest.raises(qc.CertError):
+        qc.generate_L_cert(1, 1, True, 1)
+    link = qc.LinkId("NAMED", name="T(3,4)")
+    bad = qc.LinkId("A", (("q", True), ("s", 1), ("t", 1)), "*,*,*")
+    node = qc.CertNode(bad, 3, qc.IDENTIFY, citation=qc.CIT_A_NAMED,
+                       child=qc.CertNode(link, 3, qc.BASE, axiom="T(3,4)"))
+    info = qc.AXIOMS["T(3,4)"]
+    verdict = qc.verify(qc.Certificate(
+        qc.L_SPACE, node, (qc.AxiomDecl(info.name, info.claim, info.citation),)))
+    assert not verdict and verdict.path == "root"
+    assert "nonzero integer" in verdict.reason
 
 
 def test_malformed_resolution_is_rejected_not_crashed():
@@ -268,14 +331,15 @@ def test_resolve_leftmost_matches_the_slot_list_version():
                         == _resolve_leftmost_by_slots(res, slot)), (res, slot)
 
 
-# -- per-call link memos ---------------------------------------------------
+# -- repeated links --------------------------------------------------------
 
 def _repeat_paths(root):
-    """Paths of the nodes whose link occurred earlier in pre-order, the
-    order in which ``verify`` checks them."""
+    """Paths of the nodes whose link occurred earlier in pre-order: the REF
+    leaves, in the order in which ``verify`` checks them."""
     seen, out = set(), []
     for path, node in qc.iter_nodes(root):
         if node.link in seen:
+            assert node.kind == qc.REF, path
             out.append(path)
         seen.add(node.link)
     return out
@@ -292,8 +356,8 @@ def test_a_wrong_determinant_at_a_repeated_link_is_rejected_at_that_node():
                                        replace(node, det=node.det + 1)))
         assert not verdict and verdict.path == path, path
         assert "does not match the tabulated value" in verdict.reason
-        # a float parameter compares equal to the int the memo holds, and
-        # is still rejected
+        # a float parameter compares equal to the int of the certified
+        # link, and is still rejected
         link = node.link
         floats = tuple((k, float(v)) for k, v in link.params)
         verdict = qc.verify(_with_node(cert, path, replace(
@@ -302,66 +366,57 @@ def test_a_wrong_determinant_at_a_repeated_link_is_rejected_at_that_node():
         assert "nonzero integer" in verdict.reason
 
 
-def _outcome(write, cert):
-    try:
-        return write(cert)
-    except Exception as exc:  # the exception type is part of the outcome
-        return type(exc)
-
-
-def _unmemoized_serialize(cert):
-    """``serialize`` converting every link occurrence afresh."""
-    payload = {"claim": cert.claim,
-               "axioms": [{"name": ax.name, "claim": ax.claim,
-                           "citation": ax.citation} for ax in cert.axioms],
-               "root": cert.root}
-    return qc._canonical_json(payload, qc._node_to_json)
-
-
 @pytest.mark.parametrize("convert", [float, bool])
 def test_serialize_writes_a_repeated_link_from_its_own_fields(convert):
+    """A REF leaf is written as the index of its link's node, so ``serialize``
+    refuses one whose own fields that node does not carry."""
     cert = qc.generate_L_cert(2, 2, 2, 2)
     nodes = dict(qc.iter_nodes(cert.root))
+    tried = 0
     for path in _repeat_paths(cert.root):
         node = nodes[path]
         params = tuple((k, convert(v) if v == 1 or convert is float else v)
                        for k, v in node.link.params)
-        odd = _with_node(cert, path, replace(
-            node, link=replace(node.link, params=params)))
-        assert (_outcome(qc.serialize, odd)
-                == _outcome(_unmemoized_serialize, odd)), path
+        if any(v.__class__ is not int for _, v in params):
+            tried += 1
+            odd = _with_node(cert, path, replace(
+                node, link=replace(node.link, params=params)))
+            with pytest.raises(qc.CertError, match="nonzero integer"):
+                qc.serialize(odd)
+        odd = _with_node(cert, path, replace(node, det=node.det + 1))
+        with pytest.raises(qc.CertError, match="no earlier node"):
+            qc.serialize(odd)
+    assert tried
 
 
-def _json_links(obj, path):
-    """(path, link object) of a serialized node tree, in the order
-    ``deserialize`` parses them."""
-    yield path + ".link", obj["link"]
-    if "target" in obj:
-        yield path + ".target", obj["target"]
-    for key in ("zero", "inf", "child"):
-        if key in obj:
-            yield from _json_links(obj[key], f"{path}.{key}")
+def _shared_nodes(payload):
+    """Indices of the nodes that two or more later nodes refer to."""
+    counts = {}
+    for node in payload["nodes"]:
+        for key in ("zero", "inf", "child"):
+            if key in node:
+                counts[node[key]] = counts.get(node[key], 0) + 1
+    return [i for i, n in sorted(counts.items()) if n > 1]
 
 
 @pytest.mark.parametrize("value", [True, 1.0])
 def test_a_non_integer_parameter_at_a_repeated_link_is_a_parse_error(value):
     text = qc.serialize(qc.generate_L_cert(2, 2, 2, 2))
     payload = json.loads(text)
-    seen, later = set(), []
-    for path, link in _json_links(payload["root"], "root"):
-        key = json.dumps(link, sort_keys=True)
-        if key in seen and 1 in link.get("params", {}).values():
-            later.append((path, link))
-        seen.add(key)
+    later = [i for i in _shared_nodes(payload)
+             if 1 in payload["nodes"][i]["link"].get("params", {}).values()]
     assert later
-    for path, link in later:
-        name = next(k for k, v in link["params"].items() if v == 1)
-        link["params"][name] = value
+    for i in later:
+        params = payload["nodes"][i]["link"]["params"]
+        name = next(k for k, v in params.items() if v == 1)
+        params[name] = value
         with pytest.raises(qc.CertParseError) as info:
             qc.deserialize(json.dumps(payload))
-        assert str(info.value) == f"{path}.params.{name}: expected an integer"
-        link["params"][name] = 1
-    assert qc.deserialize(json.dumps(payload)) == qc.deserialize(text)
+        assert str(info.value) == (f"nodes[{i}].link.params.{name}: "
+                                   f"expected an integer")
+        params[name] = 1
+    assert _shape(qc.deserialize(json.dumps(payload))) == \
+        _shape(qc.deserialize(text))
 
 
 def test_table_formula_runs_once_per_distinct_link(monkeypatch):
@@ -422,10 +477,11 @@ def test_single_field_mutations_always_reject():
                         _with_node(cert, path, replace(node, axiom=other))), \
                         (path, other)
             if node.kind == qc.IDENTIFY:
-                for cand in _target_variants(node.target):
+                for cand in _target_variants(node.child.link):
                     tried += 1
+                    child = replace(node.child, link=cand)
                     assert not qc.verify(
-                        _with_node(cert, path, replace(node, target=cand))), \
+                        _with_node(cert, path, replace(node, child=child))), \
                         (path, cand)
     assert tried > 500
 
@@ -438,7 +494,7 @@ def test_serialize_round_trip_and_stability():
         text = qc.serialize(cert)
         assert text == qc.serialize(cert)
         back = qc.deserialize(text)
-        assert back == cert
+        assert _shape(back) == _shape(cert)
         assert qc.serialize(back) == text
         assert qc.verify(back)
 
@@ -450,159 +506,159 @@ def test_golden_certificate_bytes():
 
 
 # SHA-256 of serialize(...) for every sign class at three magnitudes and the
-# A family on {1,2,3}^3, frozen from the per-family builders this generator
-# replaced.
+# A family on {1,2,3}^3, frozen when the format became the flat node list
+# (``_PROOF_DIGESTS`` pins that the proofs did not change with it).
 _FROZEN_DIGESTS = {
     ("L", (1, 2, 1, 2)):
-        "bab8d406d4037d1ceb5e543bada55d465da5a115c786c1e44b850c81c16c353e",
+        "f6092a3f821e2bec813372edc45556463d2154c4c907e74ff03d9d551d6456b8",
     ("L", (1, 2, 1, -2)):
-        "5b46de0c599ee6aa6642fb0cf63a65853b7d33c5218a712c565720b9d57f1d84",
+        "a545e2ffa9a609ae6edfb822bb56a5953a4e2f5a4b5a907a18bc6abf7bca4782",
     ("L", (1, 2, -1, 2)):
-        "dae92a4872bc33b26c6b1a2f69a63b7a66b95485ac1581ef555bcbc9b7fcfe01",
+        "ccab07d97aaa91fdd1432fc3ac5661c6246ce6677519f9d7be9e9a19114c5b13",
     ("L", (1, 2, -1, -2)):
-        "505f4d917221907dc94b404afefc5bd31e3120ee1c08a88b73345b7d4f2f74f8",
+        "767cff301e38eef5ac72b7a45dd79f39e153fefdae6dd54faec63f8bf038b026",
     ("L", (1, -2, 1, 2)):
-        "dfbc682634b74df53d3744c3b9418ac3d71ed6d2eefc1469b3e4f3b99d5739f7",
+        "bf5d196377a56a8c27edf0c19ee55428e3f090a6cc0f986d25a5a6fbcf6c6c8d",
     ("L", (1, -2, 1, -2)):
-        "f40acb62935744f24d999ca01d92423066a5500f68f7387a9e296a2cc2403749",
+        "6b73c8d68f0b8a25eed2835b3705e78a4c1fbeaf39308076c7a6d40b91ded789",
     ("L", (1, -2, -1, 2)):
-        "fc2387094092fa055d9a538f2615d5d922b2f28b17a846966868e25c968b02ee",
+        "92e7650956a29e4c58e75b38d818a463f9eb36b34282bd584e20e605f89e3956",
     ("L", (1, -2, -1, -2)):
-        "8889c162ee8d46c92ff98a7272b9ff1f0f48d53e059d173ac2005075538e16e9",
+        "f5ef9956016e846567dd7c23d78cd409535949d566a9bf9b1d6db725e1ee5282",
     ("L", (-1, 2, 1, 2)):
-        "b17a2232f87bd256b963f8dd36fa91ef553b245f21f1ed4fd70605d7ad29a093",
+        "dd0113090650f8ca5322b31cd5d7bc18ac7245f6e5c08bcdf6e32d664dc51f19",
     ("L", (-1, 2, 1, -2)):
-        "7a4a73840fc7fb89fd47adfa0d3dc7fb0f03fc09138c45183887131951010f74",
+        "96df47d3c157379e4f7a5b12b8a9cad2363af3cda524501ea05c0a4ad6496b2d",
     ("L", (-1, 2, -1, 2)):
-        "95fabfbee51caa45e98823afb844edfd12659f05a09e3192adbd1dfb8ab7ac6e",
+        "8418a4df8086dd5cb5784de08023e6a414b28e97aad6038cb4218ea6df227a24",
     ("L", (-1, 2, -1, -2)):
-        "6d606be20ee194619ccd44aa9be343b5a91d3a835ce9f53a77415bc45a1e11b0",
+        "6d07a2f72c4b4a459fbf93651c9507410b784ee9d80cbdc0b66f6ae39ae14507",
     ("L", (-1, -2, 1, 2)):
-        "47c639a6b46bb3f0c20620a1b3e61e0bf0b76fcddf65fe8d37a951cfce17c23d",
+        "9c967822bd900d8e1795a3c54a10ed39a518a4712e37950f133c6001375eb0db",
     ("L", (-1, -2, 1, -2)):
-        "36659b025a08853e8c43f9f5be3e520e6ea7466824f34bfb1ae4b910926944c9",
+        "3ce57145b22a21b765e5ccdce5d42a71d410373694b148b6b6f8b8518e0188c2",
     ("L", (-1, -2, -1, 2)):
-        "9450b9fc921e8c3bbbac6b758de77d82af6f8eee7becc1f509cb8199d63c132d",
+        "14ed354790a495c33d83baee0603fc96da776bbde0a4a71a19f77f67f9428139",
     ("L", (-1, -2, -1, -2)):
-        "d18aa06f431ca36d25198bfdfd502437bc5d662f9b1b37a5a2b6c6f3031b4d62",
+        "3e87da47cb04a72b39063feb91499c5fe30654a2298cf041dfdaae514f38d064",
     ("L", (2, 1, 2, 3)):
-        "6a822595bda94ce73ee10ef2217f54440f248ee7ddbb2a64280d81e66f7f6bed",
+        "c0f0cf0907633817d95e5876535a446fbcd6cc100964d35911b9bbfaaec1f020",
     ("L", (2, 1, 2, -3)):
-        "1387fe283091f2a93a70c4ac593627399ad5ed57e025557ab2787f871f14ee97",
+        "497c8ec9c5e6b391e365ff650b7a2c4a5e14f9c4f5b93c360dea9cce1d4529d1",
     ("L", (2, 1, -2, 3)):
-        "596674ead2450e4a0f2bf5e330e1fcda6cc3da114d2d0cf9583b2162b8aef72a",
+        "10eb09195dbe29ea698bc4b779936a820b3257167f5be938e30ac5ddd5978d5f",
     ("L", (2, 1, -2, -3)):
-        "6bfde8cd7f836bfa952a2c0c3714a7874ea374c9a68c55af318e4c22fa804695",
+        "8e224e329a0fb96ea8c89a4002049bfb462df211f6ce8b5585cf0d3d0a51969d",
     ("L", (2, -1, 2, 3)):
-        "55c6fe5c70562582db39702cf2dd0ba6795390b09dc3fade5a5f9563ec96070a",
+        "46b7d0ada08a46d87a1f9d08de5e1fda04e0b65b998c344b8183f7281fc0ac69",
     ("L", (2, -1, 2, -3)):
-        "e6b6fdee2766f70e61ea87bfb14f4d4e3b38c1a2233cee2aa289260cd4bf9dcb",
+        "cfabdf210eef9b60fcbd8a3cb7c560cd558b7c8aca7233cdec7148f10e9ec2d6",
     ("L", (2, -1, -2, 3)):
-        "ba6d9609e46fef40eaa181405ae9ba575eaf4ee3320fbfd32f082c2ae763d816",
+        "97efd22ceba02c24dc2cd0c78ab55ef4670b1a203816a9a519a557cdbdebef29",
     ("L", (2, -1, -2, -3)):
-        "32c6e24fe4011660cd353750180b1d4391e3cb67dc27ed0d2bbabcd0f118bb7a",
+        "fc6c6b910f1f87f37ac085f7b12115abd1177808c82f487837b7eb07e1e3c79c",
     ("L", (-2, 1, 2, 3)):
-        "e4fd645ce81aa1a90b56920bedfb4a9fd80acf1c49235bf0a48b50538f487133",
+        "9ba50d20b0c60b0181e19cba2d51b975be14773488f63d055309211e46116de0",
     ("L", (-2, 1, 2, -3)):
-        "38ad67495b58cd8b3527d77b73571260bc8a0db3acaaedf5d8e6b03a3e30d1dd",
+        "f22a121d9fe8e6d89c62f5e0b43670d7f4f8daf54f6a6579cb1b38eeacbe9af7",
     ("L", (-2, 1, -2, 3)):
-        "851b51128273b29fa785cd18c883942e02637ca914283b5c55e6ddff9d3cfc24",
+        "603de83681d8df7cf3851d1176fc8c660b744ea484cc9ae2bf3392f340947b33",
     ("L", (-2, 1, -2, -3)):
-        "ef199582fe4a6f3982bc3a2ece0a567a81cca604b2e0ca096c95f9419dceb8d2",
+        "27f0f20d3e828ed7b81c4f8a3668cfbf5fc4dba085a9ab003d2cb83f2983ebec",
     ("L", (-2, -1, 2, 3)):
-        "739343657256ee68bd5e0e56fbcfd9ee691c6034c9553663627f8a0de62d5704",
+        "090f31df02ea9850318c54cf780b46e4e7c848f6540553cbc5606e6c1316f942",
     ("L", (-2, -1, 2, -3)):
-        "ab67b17cb8d90496ad033928909a477f9d0cd3c4c8c534a529ffd4891b0875d5",
+        "7e2a68eea0023cf56e2a416c2ab33af68de9d2c351d8d227c2814a7964ac9a8a",
     ("L", (-2, -1, -2, 3)):
-        "4676281636e5a89bdbb56826fa1b46a12e212b3b70debca03468f444c0750f87",
+        "5186a95c1e7ccde9d8e915f5dce5d527b211f2df03fc892df275be49b8d48f2a",
     ("L", (-2, -1, -2, -3)):
-        "c74f590a325ff47a503ed00d959c423f975db52ab9ce0b91c5c425eaa35bc13a",
+        "700adf4508986cc636aec122d7075c7354dfadb3084cde6a249cd02697b7da8a",
     ("L", (3, 3, 3, 3)):
-        "3b296998e93e057fc7b7a21ba01de100cc036426e4d3c35ef8d8fba0b333afd3",
+        "01f20b69019065bbecab90893d2c9fc136871438cac3ecc4a09b09bade24e6c2",
     ("L", (3, 3, 3, -3)):
-        "af63737251dc0245b5045cf0584a0bf4cfdea25a5eeb33296c13b71785f25aa2",
+        "07c0b8623c642b8f17d50d8445e8f231c2e5f7b3e7da333b6ea42c0c4e363b97",
     ("L", (3, 3, -3, 3)):
-        "1138ac961f26b6415b377d29805261633b3019757923886500ed8834e8f00177",
+        "d0d823bd9cd62b22f4356ad422cba54a0108a230a3df0a1c4d695ffcda581ccf",
     ("L", (3, 3, -3, -3)):
-        "f14495614fec016048ce50a52889d4d53da9246aef8461916549406da02ca858",
+        "d23875efc2c581315374e88402c0cf5784957a29a1281a250b7e787bccb80452",
     ("L", (3, -3, 3, 3)):
-        "78b928b6a6a301077ddf26468ace0b43d5f19328806ebe67cf9a832158f333d1",
+        "39bd4b5424278cb195e04196cde335839e6ea1c4cd3bdc4f6f61e5eaa7f90dc3",
     ("L", (3, -3, 3, -3)):
-        "8ac736493a1c5a2deb7d028f580b7585e694b79999382042631feb187950ed26",
+        "fd8c60d269c46d69d829fca46c584d3017676a8cd8be0cc5c355a7b3194cfcc3",
     ("L", (3, -3, -3, 3)):
-        "76c752d0a1641406e87aedc11567bc4010d595a18ef9ce303fad6e0beb1a0603",
+        "ac4c99e51e636a1a8510d816491be78903c329e90970b5948c4b71a745354673",
     ("L", (3, -3, -3, -3)):
-        "41a9bb7f4b83d0da6d1806da794bd526d68aaf990b86c3a75145c3924affd6f0",
+        "e1ae15c3fbc507a5455228fa7c8e36c89495dadbb5c36f2fa166ed7509ded5f1",
     ("L", (-3, 3, 3, 3)):
-        "f59bf388bd49367ecc7a77aa97b49e9ad7495468ebd8cf34d79f45cddf031e4e",
+        "8aaf3cbc1a72e147543bb71b8e46b75e70b53157f1abea071275d7c98b6750ef",
     ("L", (-3, 3, 3, -3)):
-        "6d59ff3b75d8d62d0ca3e7407fb60532f0707eefb4984d7f6f133780dfcbffca",
+        "9805aca5ae7341f265acd64ed5ee3a0cf03ef0b7c999558f85b36ee98de61e26",
     ("L", (-3, 3, -3, 3)):
-        "9ff0d56f5d8658dd6f94f9f98bff092d80c6879b3025ca4a0a92c32369027e03",
+        "ad4e2840f28a7318ceaac477bf1c90e609074b30ceac2d9b155c2714291bf788",
     ("L", (-3, 3, -3, -3)):
-        "b8a6ae0c5732f1ff46f8faa39ae35082eab75e46cc6173ee641fb80c347a2010",
+        "7905fc2c8aac5af2b628f7e6deb880929aa2597e8c6782f2184df1edb5bec63c",
     ("L", (-3, -3, 3, 3)):
-        "864055aaab8d004645092980517bdc6c61ead79363d82acbd963e600d2ec7dab",
+        "beb81d73f6c8d22e153dc35074dfcc45efc9c31692406ed45383e368df2ba47d",
     ("L", (-3, -3, 3, -3)):
-        "c391ea32427e50f5a859e2a0bc56d2a1b10cfcab322f42265aaf776b931e17d1",
+        "804116995bf87befccba450c750d3e531d3f40e3c7495917f65b4b575807f394",
     ("L", (-3, -3, -3, 3)):
-        "7fa2f8bb5447de00a10730a7cf3567d37fb9c2c23bde4f5a73fe91e77bf8931c",
+        "94f987cd9ce6f35ba07b6407aa851fad6a49b1551a0192076bf64ef1ed511858",
     ("L", (-3, -3, -3, -3)):
-        "f77e6f33426cb7c64154ff093498552d58ed043188d91b01210bb41fe2b7a960",
+        "2009626e26bcb73d675d6d0d5a93aca6aee8182d9636e4c5cc05eeb4297820a4",
     ("A", (1, 1, 1)):
-        "2d2f6731823489a358418b445be36ae83e606c38fa296689a47dd1759664d5aa",
+        "080a272683d59be4a0db15d8aa0ebf12f158a9e06008a538f570d63f484be9fc",
     ("A", (1, 1, 2)):
-        "a97a700b0f24fd8c683b339ab2e5a792f850a5aec83e24a6f6056a6205676d54",
+        "1582ddfabc5674860de1ede6b8926f7320484af5792f46276b2dfed9cd44c963",
     ("A", (1, 1, 3)):
-        "5224d115c5efeaa8690a63a4f73e394b2c7e853cc5dc2add82670e9049dfee94",
+        "25dae98b18e61a0cb65f30378d9b9cdbe630f5bb0bb469ecc76fedb0a077e545",
     ("A", (1, 2, 1)):
-        "bdcc0bc7f0fc92090a635ffd1b307644db2e647d036e7e6c955fa5b991a6753d",
+        "95a7411ea9af41fc3e43f46e1fa430a70932f536ca70a56db184b8ba6000cc1e",
     ("A", (1, 2, 2)):
-        "83017beb952602ac33b4086f83f588cde9f095d07263f44fd02ff24fce55681f",
+        "3c54d34d377b28718217228eb54e1ded45d05cab77897dbcfbb858da4854457b",
     ("A", (1, 2, 3)):
-        "310bb392f6954e8f94ccd2e50b595dbb7c9f3451d41de3fa1812a1b2d14ac9b1",
+        "7ae890048b9dcd41f04f42ef138b3c4c38255fec7ef00d0499f1b1ed8b443e83",
     ("A", (1, 3, 1)):
-        "53cf658a7a72306d8cf08db3e6fade7492246a3730895a1c84c36d5f7c019fb3",
+        "15782cfe2dc6cf1cc324e4b6bd3bf2a8a2748a18040ec85f42933a3d42940f0f",
     ("A", (1, 3, 2)):
-        "9b7a412ee23ffe99e218499715fbf4329baa79a792256a8396c929953f6f9cf5",
+        "01945a960a24694a4334ac896a26316cd266909c4437e5adb29b6a71594886ac",
     ("A", (1, 3, 3)):
-        "0398c536241d53c7635e15becbff1c3437f392e58f792101ab1eaca83a59b8e3",
+        "4da9b0d1aa37ef290a5a24d1dac29d23e869da87b3a0b4303a997eea65b2b64c",
     ("A", (2, 1, 1)):
-        "6c9f8b2307738c80b0720d93a5cb490de95a61e3ccc581551b16d466f5fb04ec",
+        "175d5e7f3c5071cad7efb4d8bdd515ff2a598a6f1e8accc36d07b2add62ab34f",
     ("A", (2, 1, 2)):
-        "c5ffe3b03a3ebcf7c1d1ae882fd2022a02d6f498b7acfb69523aafd2f1f60368",
+        "dc79492433f28f55b3a45c33ad95692c4d42bd112928fec97f9648d0b9c6dc29",
     ("A", (2, 1, 3)):
-        "26462ee7829c964626863ed6b6240fe01a91b546174f17a2eea6623fc5c15d00",
+        "677b636202589f97f57f6f8f6718b7aec8e5f8b64a98b7fba5e4c5f30cc2d90c",
     ("A", (2, 2, 1)):
-        "8941eab01ed1bbfb36639f55ca79dfbbdf345ca958852e0cf957a1410f4ec830",
+        "1a61dd221e9e1fe02e2a77d2f26de0a095f2e359b9556d9548533a5888b4b0e3",
     ("A", (2, 2, 2)):
-        "63daa9b0f0755a50145efa1740f8ae17b500a82d128ca73c975550f076c2e4c2",
+        "719bab8c8c074e412987db0b5c2d3841434fcd60d5244d2d92c60fb31ab098cd",
     ("A", (2, 2, 3)):
-        "21b384c4151f47dbcf7c16ee56aa9ec8210947bb33472b6d19c9a52480470c05",
+        "1f2c920262e5eb8c9a7dbd65c5f8771cc9187ead53673d885dd556f582f23d76",
     ("A", (2, 3, 1)):
-        "f39df3465e12338e85a240003cbaf27586461f9e82d95f65c641c98f59f44963",
+        "0b3b641ebc6e3faed5affa25f70ffb7f70571451e5a5bc1e67eca4691d731a73",
     ("A", (2, 3, 2)):
-        "5f890b9c84ec2ee0a9ed73cd12da4601155e5716f144a4465320d6ff15055be3",
+        "e2d640bf8a4ec9b6af7b5ef28032763243c410be4f447c6afb29cac36b2fa164",
     ("A", (2, 3, 3)):
-        "e5d92c1453c9db92ef1ee8afbca8ebe84aca67bbcf886088b8f22ac6db0c7aed",
+        "55c564a213d54d7de4e34cf604daf3feceac2c8613226931f7118d5394131e1d",
     ("A", (3, 1, 1)):
-        "b30a9e2e207afbfd1b85f578f6e0945177a1ae7d96875b37891377914d7e4895",
+        "4f0c4925c41257db19d6967fcd2a410ac88f43af1ed7ca33e1ecbe080335ab08",
     ("A", (3, 1, 2)):
-        "088dd702041ee7b7a7a5a4c344e723a5b310857cc891460016f7e4fbe2d4f210",
+        "3ddea5d8f1f1113fb7c59bf1f6fee344adf82c145fd92243946078b315dbc643",
     ("A", (3, 1, 3)):
-        "39d3382871ada83468abb000fe2af0da27ad599882fd07961e0cc1baf1a39eb4",
+        "f6593f0f7539dbe2cf7b01daa5d4455bcc7b2b7d027eeccc6066f647ae91593d",
     ("A", (3, 2, 1)):
-        "ad9652ff78ee6726742d4e164737f92873ab17e6bff21c3b3420dbfcf4d0c35e",
+        "46ccf260966388f91a37fce2893b3750c8b36c5f6559bc8fa050829a3cf9c492",
     ("A", (3, 2, 2)):
-        "d54f7e24b13991f1dc12f99ec3cfe4ee5e7a208988875582ccc19183b88d6308",
+        "b411840ba4862f8b849611d8b5d164fe552fd4313a89c499e2b92ab926b1ed5c",
     ("A", (3, 2, 3)):
-        "7856c00248ed2d92b12431f914f60796ac9a51c6181e5a48df9f6c888a0c88d8",
+        "55fd18b0e7cebc7c2f87e4d14f1f0a496787325cb85d2799f05aaf73f08ff600",
     ("A", (3, 3, 1)):
-        "9c9311f993b2fe8fe2e185a95dc6a3d1ea16a5c6b4c4994ad7284bcbc74e2a1a",
+        "ca3c8650eb1fec5d36dd08d30109d7c9d75ffe4c4b6130064519f74681d395cb",
     ("A", (3, 3, 2)):
-        "47d72bed6daa232a70eea2e09f2519f515f1de772a5528bcecae224e68488da4",
+        "d9459eac6ee570947a981eb50d733454e66b1f9061ebaf78c082435bf0967ef9",
     ("A", (3, 3, 3)):
-        "2184d274a6dfec82e92963deb1fadb04c76a3b59a00ce9578f1d418c46e2f5e9",
+        "47b58307c5497e44a676b0d477667133d8c394c180bb24350b0bc30b9408771f",
 }
 
 
@@ -633,67 +689,21 @@ def test_iter_nodes_matches_the_recursive_pre_order():
     for cert in [*_digest_certificates(), deep]:
         assert (list(qc.iter_nodes(cert.root))
                 == list(_recursive_iter_nodes(cert.root)))
-    assert qc.node_count(deep) == 3374
-
-
-def _recursive_payload(cert):
-    """The fully nested payload ``serialize`` once handed to ``json.dumps``."""
-    def node(n):
-        out = qc._node_to_json(n)
-        for attr in ("zero", "inf", "child"):
-            if attr in out:
-                out[attr] = node(out[attr])
-        return out
-    return {"claim": cert.claim,
-            "axioms": [{"name": ax.name, "claim": ax.claim,
-                        "citation": ax.citation} for ax in cert.axioms],
-            "root": node(cert.root)}
-
-
-def _reference_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-_json_text = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
-    ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é✓", "𝔽\ud800"])
-_json_values = st.recursive(
-    _json_text | st.integers() | st.integers(-2**200, 2**200),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(_json_text, inner, max_size=4)),
-    max_leaves=30)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_json_values)
-def test_canonical_json_matches_json_dumps(obj):
-    assert qc._canonical_json(obj, None) == _reference_json(obj)
-
-
-def test_serialize_equals_json_dumps_of_the_nested_payload():
-    for cert in [*_digest_certificates(), qc.generate_A_cert(1, 1, 110)]:
-        assert qc.serialize(cert) == _reference_json(_recursive_payload(cert))
+    assert qc.node_count(deep) == 2074
 
 
 def test_serialize_runs_below_the_certificate_depth():
     cert = qc.generate_A_cert(1, 1, 110)
     want = qc.serialize(cert)
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = depth + 50
-    assert limit < qc.MAX_DEPTH // 2
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
+    assert _depth(cert.root) == 438
+    with _recursion_limit(50):
         text = qc.serialize(cert)
-    finally:
-        sys.setrecursionlimit(old)
     assert text == want
 
 
 def test_deserialize_accepts_bytes():
     cert = qc.generate_A_cert(1, 2, 1)
-    assert qc.deserialize(qc.serialize(cert).encode()) == cert
+    assert _shape(qc.deserialize(qc.serialize(cert).encode())) == _shape(cert)
 
 
 def test_truncated_input_is_a_parse_error_with_location():
@@ -705,33 +715,87 @@ def test_truncated_input_is_a_parse_error_with_location():
 def test_parse_errors_carry_the_field_location():
     good = json.loads(qc.serialize(qc.generate_L_cert(1, 1, 1, 1)))
 
-    missing_det = json.loads(json.dumps(good))
-    del missing_det["root"]["det"]
-    with pytest.raises(qc.CertParseError, match="root"):
-        qc.deserialize(json.dumps(missing_det))
+    def edited(change):
+        doc = json.loads(json.dumps(good))
+        change(doc)
+        return json.dumps(doc)
 
-    bad_det = json.loads(json.dumps(good))
-    bad_det["root"]["det"] = "seven"
-    with pytest.raises(qc.CertParseError, match="root.det"):
-        qc.deserialize(json.dumps(bad_det))
-
-    bad_kind = json.loads(json.dumps(good))
-    bad_kind["root"]["kind"] = "GUESS"
-    with pytest.raises(qc.CertParseError, match="kind"):
-        qc.deserialize(json.dumps(bad_kind))
-
-    bad_family = json.loads(json.dumps(good))
-    bad_family["root"]["link"] = {"family": "Z", "params": {}, "resolution": "*,*,*"}
-    with pytest.raises(qc.CertParseError, match="family"):
-        qc.deserialize(json.dumps(bad_family))
-
-    extra_param = json.loads(json.dumps(good))
-    extra_param["root"]["link"]["params"]["x"] = 5
-    with pytest.raises(qc.CertParseError, match="params"):
-        qc.deserialize(json.dumps(extra_param))
-
+    cases = [
+        (lambda d: d["nodes"][2].pop("det"), r"nodes\[2\]: expected the fields"),
+        (lambda d: d["nodes"].__setitem__(2, [1]), r"nodes\[2\]\.kind"),
+        (lambda d: d["nodes"][1].update(det="seven"), r"nodes\[1\]\.det"),
+        (lambda d: d["nodes"][1].update(det="01"), r"nodes\[1\]\.det"),
+        (lambda d: d["nodes"][2].update(kind="GUESS"), r"nodes\[2\]\.kind"),
+        (lambda d: d["nodes"][2].update(kind="REF"), r"nodes\[2\]\.kind"),
+        (lambda d: d["nodes"][2].update(link={"family": "Z", "params": {},
+                                              "resolution": "*,*,*"}),
+         r"nodes\[2\]\.link\.family"),
+        (lambda d: d["nodes"][2]["link"]["params"].update(x=5),
+         r"nodes\[2\]\.link\.params"),
+        (lambda d: d["nodes"][2]["link"].update(resolution="*, *,*"),
+         r"nodes\[2\]\.link\.resolution.*canonical"),
+        (lambda d: d["nodes"][2].update(extra=1), r"nodes\[2\]: expected"),
+        (lambda d: d.update(root=0), "certificate: expected the fields"),
+        (lambda d: d.update(nodes=[]), "non-empty list"),
+        (lambda d: d["axioms"][0].update(name=7), r"axioms\[0\]\.name"),
+    ]
+    for change, where in cases:
+        with pytest.raises(qc.CertParseError, match=where):
+            qc.deserialize(edited(change))
     with pytest.raises(qc.CertParseError):
         qc.deserialize("[1, 2, 3]")
+
+
+def _node_list(nodes, claim=qc.L_SPACE, axioms=("T(3,4)",)):
+    decls = [{"name": n, "claim": qc.AXIOMS[n].claim,
+              "citation": qc.AXIOMS[n].citation} for n in axioms]
+    return json.dumps({"axioms": decls, "claim": claim, "nodes": nodes})
+
+
+def _a111_nodes():
+    """The node list of generate_A_cert(1, 1, 1): T(3,4), then A(1,1,1)."""
+    return json.loads(qc.serialize(qc.generate_A_cert(1, 1, 1)))["nodes"]
+
+
+def test_the_parser_takes_only_the_canonical_node_list():
+    base, top = _a111_nodes()
+    unknot = {"axiom": "UNKNOT", "det": "1", "kind": "BASE",
+              "link": {"family": "NAMED", "name": "UNKNOT"}}
+    assert qc.verify(qc.deserialize(_node_list([base, top])))
+    split = json.loads(qc.serialize(qc.generate_A_cert(1, 2, 1)))["nodes"]
+    assert (split[2]["zero"], split[2]["inf"]) == (0, 1)
+    cases = [
+        ([base, dict(top, child=1)], r"nodes\[1\]\.child: expected the index "
+                                     r"of an earlier node, got 1"),
+        ([base, dict(top, child=-1)], r"nodes\[1\]\.child"),
+        ([base, dict(top, child=True)], r"nodes\[1\]\.child"),
+        ([split[0], split[0], *split[2:]], r"nodes\[1\]\.link: .* already "
+                                           r"certified by nodes\[0\]"),
+        # node 0 is referenced by no later node
+        ([unknot, base, dict(top, child=1)], r"nodes\[1\]: out of order; the "
+                                             r"walk .* completes nodes\[0\]"),
+        ([top], r"nodes\[0\]\.child"),
+    ]
+    for nodes, message in cases:
+        with pytest.raises(qc.CertParseError, match=message):
+            qc.deserialize(_node_list(nodes, axioms=("T(3,4)", "UNKNOT")))
+
+
+def test_a_node_list_out_of_walk_order_is_a_parse_error():
+    doc = json.loads(qc.serialize(qc.generate_A_cert(1, 2, 1)))
+    nodes = doc["nodes"]
+    # the first skein split has two base children, nodes 0 and 1; listed
+    # the other way round the proof is the same, but not in walk order
+    assert nodes[2]["kind"] == qc.SKEIN
+    assert (nodes[2]["zero"], nodes[2]["inf"]) == (0, 1)
+    swapped = [nodes[1], nodes[0], dict(nodes[2], zero=1, inf=0), *nodes[3:]]
+    with pytest.raises(qc.CertParseError, match=r"nodes\[1\]: out of order"):
+        qc.deserialize(json.dumps(dict(doc, nodes=swapped)))
+
+
+def test_absurdly_nested_json_is_a_parse_error():
+    with pytest.raises(qc.CertParseError):
+        qc.deserialize("[" * 200000 + "]" * 200000)
 
 
 def test_hand_written_unknot_certificate_accepts():
@@ -739,8 +803,8 @@ def test_hand_written_unknot_certificate_accepts():
         "claim": "QUASI_ALTERNATING",
         "axioms": [{"name": "UNKNOT", "claim": "QUASI_ALTERNATING",
                     "citation": "Definition 2.3(1)"}],
-        "root": {"link": {"family": "NAMED", "name": "UNKNOT"},
-                 "det": "1", "kind": "BASE", "axiom": "UNKNOT"},
+        "nodes": [{"link": {"family": "NAMED", "name": "UNKNOT"},
+                   "det": "1", "kind": "BASE", "axiom": "UNKNOT"}],
     })
     cert = qc.deserialize(text)
     assert qc.verify(cert)
@@ -761,7 +825,298 @@ def test_certificate_size_is_linearly_bounded():
         assert qc.node_count(cert) <= 40 * (q + s + t + l)
 
 
-# -- depth limit -----------------------------------------------------------
+# -- format and size -------------------------------------------------------
+
+def test_the_node_list_is_hash_consed_and_small():
+    golden = (GOLDEN / "cert_L1111.json").read_text()
+    deep = qc.generate_A_cert(1, 1, 110)
+    texts = [golden, qc.serialize(deep),
+             qc.serialize(qc.generate_L_cert(40, 40, 40, 40))]
+    for text in texts:
+        nodes = json.loads(text)["nodes"]
+        links = {json.dumps(n["link"], sort_keys=True) for n in nodes}
+        assert len(links) == len(nodes)
+        assert len(text.encode()) <= 300 * len(nodes)
+        # one node a line, written by the compact encoder
+        lines = text.splitlines()[1:-1]
+        assert [json.loads(line.rstrip(",")) for line in lines] == nodes
+    assert len(texts[1].encode()) < 400_000
+    assert qc.node_count(deep) == 2074
+    assert len(json.loads(texts[1])["nodes"]) == 1422
+
+
+# -- proof facts -----------------------------------------------------------
+
+# ``_proof_digest`` of the certificates of ``_FROZEN_DIGESTS``, of
+# A(1,1,110) and of L(+-2, +-2, +-2, +-2) in all 16 sign classes, frozen from
+# the nested-format generator: the node list proves the same facts.
+_PROOF_DIGESTS = {
+    ("L", (1, 2, 1, 2)):
+        "467803d7353c1c3932093cf559c3da46fb32daeee66f296febe75f7cb729eb54",
+    ("L", (1, 2, 1, -2)):
+        "1bfc97ba2fb108d5eed6e71127161c05fb4e0639957bfb996763b6e44f8e384f",
+    ("L", (1, 2, -1, 2)):
+        "1d21e257227fd1d0877307ce6772deed47ed471d2ebffb79fb78bff39f14a88a",
+    ("L", (1, 2, -1, -2)):
+        "c1086e17c1db07b2604f4227e9fec013b00094fb9d5c4181ccb0aa99f74f703c",
+    ("L", (1, -2, 1, 2)):
+        "386a4ba512f6bf1a82cde32b2a286c83354e60a57536ec433e5e8626de3b1be3",
+    ("L", (1, -2, 1, -2)):
+        "b7630a778d0da73f4814043b99b2b19392bfad4610fe481ee1e5b8d148b57945",
+    ("L", (1, -2, -1, 2)):
+        "5ad66341f806c662970949701de14d04641d2aa2c5c83e035e79781de10ad2cf",
+    ("L", (1, -2, -1, -2)):
+        "2725051e8825d985f32ec45aeb5f0cf0d2b9b01fbed2ebf52072e83395d22d53",
+    ("L", (-1, 2, 1, 2)):
+        "8c73527debceb1532515e7a2f7c0524611acb3a22c66a12bf0c19a83ab6b8412",
+    ("L", (-1, 2, 1, -2)):
+        "1db4ef7d8abef70276a7fdd54f63cf83528e79efbb36eee6628a52ca731cc01e",
+    ("L", (-1, 2, -1, 2)):
+        "ece8e5e019c7cab1dee83b6a91a9f8c0979c6d7c2b9705bd1d6122efe55c6707",
+    ("L", (-1, 2, -1, -2)):
+        "f26d0e43a3ff847d6608965c63df3643e1220384358df44bcca959d547d6d16f",
+    ("L", (-1, -2, 1, 2)):
+        "d1a3d1271d6e6a8af9554f6a08343404b07f9e89f20cbfb47c3febba17377d69",
+    ("L", (-1, -2, 1, -2)):
+        "28f0f98613cb87e1e3c88d6e3e7e40d30546a4ea8ddd18b9d86ac649dda41b3e",
+    ("L", (-1, -2, -1, 2)):
+        "282c3ffdecaef1c8adeec947b08791c415ef1b5fe656d25da6422832f32d5e71",
+    ("L", (-1, -2, -1, -2)):
+        "74253bce2523ef500ffbc29c21c472aea1a52b7f3f82b77b31ab7749621722c6",
+    ("L", (2, 1, 2, 3)):
+        "bd77b0e3ac249ada787313927c355c06b5d96123df17e6455723615de93c17dd",
+    ("L", (2, 1, 2, -3)):
+        "08e57710db0be1523382887d340e72a8b1165d3ad43e7d635dd69c32830bbee0",
+    ("L", (2, 1, -2, 3)):
+        "7d42616f495eaa27d6730706019ab5a51f022c56bc597edcc8122a0bce05ef0c",
+    ("L", (2, 1, -2, -3)):
+        "a951f8231e3caff61cf103961157b3dd1baa7f8492260537a7aa339eccbedc23",
+    ("L", (2, -1, 2, 3)):
+        "1da5d280016d71524d719360ce77141644689869718669a315f49a05aac51e6a",
+    ("L", (2, -1, 2, -3)):
+        "25425265035aa7316a8261dfe01fd92447493a57ac05dffe1f0cf13ea5ad83d6",
+    ("L", (2, -1, -2, 3)):
+        "53d2fa672488e6a51f169bd23ab17835433d37b99b8e99e90791d8261bc8383a",
+    ("L", (2, -1, -2, -3)):
+        "00d675bb3e70ed33307cbb67133c91297e9e88fff2ee64a7770eb3bce89b45f0",
+    ("L", (-2, 1, 2, 3)):
+        "49db9d2b83f8210eeda33a9c3030d11f5d4c4018c3697eb12140713ba5d96857",
+    ("L", (-2, 1, 2, -3)):
+        "712dc05e93970114bb72dcf39bc9957749d11925749c8738c47f7c0fa712d474",
+    ("L", (-2, 1, -2, 3)):
+        "fdc6c558613af711e3a1e95e074657e5bf962ab974c5022d04848ee8a57cd8a2",
+    ("L", (-2, 1, -2, -3)):
+        "fd01504c22aa1422d631285f43a8287b58d81900cb80cffac4e44467e808e6ab",
+    ("L", (-2, -1, 2, 3)):
+        "ee0acd62d48070eee1a3c88c9e6fc6d362476aca8ff513f23c4e1d908aaa1757",
+    ("L", (-2, -1, 2, -3)):
+        "ada918dcb4d27243e681100de28ddc5451599ba476cbdf9c7b863769b0a7a692",
+    ("L", (-2, -1, -2, 3)):
+        "210267953c3642a686a5b7c758140c7e9b1f519b87d91e88fa22a10278e77856",
+    ("L", (-2, -1, -2, -3)):
+        "6144001809ec514ccfb045fca13d5530ed52990435323bf60401fa4f794e0386",
+    ("L", (3, 3, 3, 3)):
+        "3932b3671384ee89670994e6be6704a14ab81691cf9943d7ccd87ebd53b54e18",
+    ("L", (3, 3, 3, -3)):
+        "f5a874354fd9c36c19da244b415f8f907dbcce1fb48ff7e8cc0bec204a7845b1",
+    ("L", (3, 3, -3, 3)):
+        "f36f3d9684db80a3ba672420256dd6f97f03a364a02166d07c74792cd7d46806",
+    ("L", (3, 3, -3, -3)):
+        "f2f5395a0616a16b095c0d9c1030bd942ab99ebab38c99e95c74ba598f92f3f4",
+    ("L", (3, -3, 3, 3)):
+        "828d5d208af3dcad96335063a510c53392fe1953ae8d9d0744841bdff6ce713f",
+    ("L", (3, -3, 3, -3)):
+        "2c488a3e1a146df2a23cd5b50bd91199913153b27b961d2432b8a84c8a63decd",
+    ("L", (3, -3, -3, 3)):
+        "783d506ac38a2e1908136c99e489c0591318cf7393f3ae9fec9771a525e36865",
+    ("L", (3, -3, -3, -3)):
+        "3ca9193887beb66933a4f2067ff1c6b94a5cbbace94d3afce51c686847938ff0",
+    ("L", (-3, 3, 3, 3)):
+        "7735be99d368b8272023038a95e8afde4b29cc86bf7b5cd914492553115d3c9d",
+    ("L", (-3, 3, 3, -3)):
+        "d0dd4fea1508337acfab4923a5d9969df9e96680111b30449c050b6c9bbf3af4",
+    ("L", (-3, 3, -3, 3)):
+        "07d2625bf3415155fb347406cf3a7c8e0ba5482b0fdcd0eb6793398aa70e0e61",
+    ("L", (-3, 3, -3, -3)):
+        "09ebf9a0ff510eb70fa89a11956df85bfc4256bd4268cf2d4ca3ba75a4601a5c",
+    ("L", (-3, -3, 3, 3)):
+        "0d6f9310c9d53e8957c44cd2a2716b5e6405d6c584f47300d54c410ab6c58532",
+    ("L", (-3, -3, 3, -3)):
+        "bc09aa855776bb1520068c32556464845b24169be25ce0571aec960b4da5dbf8",
+    ("L", (-3, -3, -3, 3)):
+        "bff8a983bd9cfff9e596d3c474d134d8e63a857db9ef02c5a4ae87e663bcaf24",
+    ("L", (-3, -3, -3, -3)):
+        "51c8fa8da4c4aeecd74e4ace947b3246def6ecc9e2e608edf0538e19c466e20c",
+    ("A", (1, 1, 1)):
+        "8f75859ab1e102f42be0c84aee942835cae0a06253c97cf2ec214b4d86ca48b9",
+    ("A", (1, 1, 2)):
+        "ae9d9206600c4e7450f65a843c08620eabe1aad8f57ba24549b72fda75672c44",
+    ("A", (1, 1, 3)):
+        "b2a6f60963d0040d0f443d9eabbdbf2cb3efebe8bb4a1bf4f639218395798fa5",
+    ("A", (1, 2, 1)):
+        "82c5a5e9a630c1aa209c92f6fa59965f320aa5056c51fdc5ab217483abb41a56",
+    ("A", (1, 2, 2)):
+        "ca88ff0b611dab8d67dd757798958fe23d2fbec6c9487ee96938f686d2a440f4",
+    ("A", (1, 2, 3)):
+        "b2721722812d6c56c86e6cacde26e577523859f88c588b1611733e86f3f93bf9",
+    ("A", (1, 3, 1)):
+        "bbc24eeb616952097ccbeec16f19ec68ea27447838e4cc3a26076250a0720d14",
+    ("A", (1, 3, 2)):
+        "4c127ab06044877403ba6b982110eaa2f2532984f40f0e32f48b439d0e9f74c0",
+    ("A", (1, 3, 3)):
+        "8e8aa99a97201fd0ed741466b69203192d098511ceac8889ffacff0fc7eec589",
+    ("A", (2, 1, 1)):
+        "76e84991f80bdc3ace98d1d52f6a74d80072e1c1c8c12fdfbda197bf6cd54dbd",
+    ("A", (2, 1, 2)):
+        "d4e7ef36ca34f1ad149b696a94ebcdd63d28a19526858dd8be39f451783bb4f2",
+    ("A", (2, 1, 3)):
+        "63d45ecfc4fbc11b162881ae01a20ced12c201d8ca9fe49f32fd3deffb834a72",
+    ("A", (2, 2, 1)):
+        "7bb9466ae062a92615011445ad784c920e1912248e2f563e4458d66f19a9fbb3",
+    ("A", (2, 2, 2)):
+        "a1b97351f432d3d556eec8db4cd6af94b97dd2f7e8051133344d7a1c6df9c1ce",
+    ("A", (2, 2, 3)):
+        "ec33d447df21d1802bd6487d18f757b1148533a1c40fc8a22f10b365ab8c8f62",
+    ("A", (2, 3, 1)):
+        "e107edd14308ce8f2817100a79f673e5c1c6bc7377cc01a6616c40cda236aa6f",
+    ("A", (2, 3, 2)):
+        "4e14055f949074ce6517168ea96d9185cea6be2d5ae3db714f3746dbc8439d16",
+    ("A", (2, 3, 3)):
+        "1e000ac768bb848f1e015c5557620a3277905723375c322640dccc57f3cf05b3",
+    ("A", (3, 1, 1)):
+        "116c984a155b2ab02499793242d5a7c32aedbe288c53f704be3993262a9a955e",
+    ("A", (3, 1, 2)):
+        "7f189fd34025790856be9089fcfbf945a8d6e90b2a03b213b97301c21a45782d",
+    ("A", (3, 1, 3)):
+        "b0e86d289facd732927387b7a9b4078fd9c4aa83cd7f5a22dbfb93543dbc2388",
+    ("A", (3, 2, 1)):
+        "87bd5e32bc8d34b15467e6b076a6a102950b5439734333d00974bdb16d3bb756",
+    ("A", (3, 2, 2)):
+        "c38614077fc74ade2c8e818b92d7ec487a4198b883f8d676fcb5abe4d87448ff",
+    ("A", (3, 2, 3)):
+        "c6e4104b100ce951ef775cb15dcf7c001dab65914b7a32b78d0597ccb9d6b99a",
+    ("A", (3, 3, 1)):
+        "0ded4df2e0174a6c93e36c326cd9ab50eed7300b06dfb079fde9e5980ae1f373",
+    ("A", (3, 3, 2)):
+        "345a1a7ac8a370216118d44ed4caf1b04ffa57fd09d253f68eb06a3529a9053a",
+    ("A", (3, 3, 3)):
+        "33ad6497deb0a5aea2e784d4ac181da10d3a511ff8b5c8315e338924dd96b69f",
+    ("A", (1, 1, 110)):
+        "4480efec5799429892d38c5bb65d78b8ea80bd4f4994c67ad632911ac86a0124",
+    ("L", (2, 2, 2, 2)):
+        "268d01a6c120806b30ca2c4b1ce24ca8f28cba7d387fc09c28c7d02e5016eb76",
+    ("L", (2, 2, 2, -2)):
+        "c632044877af294a7f43b4c76824d7273273810d61c02a92f84219c308021c38",
+    ("L", (2, 2, -2, 2)):
+        "7b0a5186e08b6bb6ce79f3b60b4ae72279f649b488df61a72f332e4c171660ec",
+    ("L", (2, 2, -2, -2)):
+        "1f2c33951e7f093ee24fac970dd7e47465f740a413709712f1bd735fd050e2fc",
+    ("L", (2, -2, 2, 2)):
+        "7f9dc9d3de94f2b4db8ee8bb1bdf8dc332b4deb283f7549c2b967c541b55e72f",
+    ("L", (2, -2, 2, -2)):
+        "a69caf3ba04e3e985b36ac4644dad697c69cf391c3390c9b424a99b1bfb432d6",
+    ("L", (2, -2, -2, 2)):
+        "f00177e4cad53b5dbbeb2a89eb6da447e582c9235f852675c252edd7fe024ea6",
+    ("L", (2, -2, -2, -2)):
+        "019f4d50558d48ffad860349c128f75ac543e66eb020d0e244ba7125df123e99",
+    ("L", (-2, 2, 2, 2)):
+        "1fdfabad494db17e99bb79ffd8c2c54fb1bbed06256c77f6c84af33d327bcb94",
+    ("L", (-2, 2, 2, -2)):
+        "1fc681268bfadddb8de00e56d584d285d9a854e9009431798ac7c7989be050b5",
+    ("L", (-2, 2, -2, 2)):
+        "60bacc9b0dd6760dc0040a5f564e0ed5263080a6e18dbf74e3544eb34bffd565",
+    ("L", (-2, 2, -2, -2)):
+        "7e7a0347e177c25c7ecd78659b3dd134422c7fc8364ed4c769c5fdd1aa3ddf4b",
+    ("L", (-2, -2, 2, 2)):
+        "bc6ebb5d09959fe904d491330130d50e5b573e6cb433b999ebdde9acae1f1452",
+    ("L", (-2, -2, 2, -2)):
+        "1c133870f15c4ccca43d9a10176995a10d4488d25003e787d3b1d7fd430717b0",
+    ("L", (-2, -2, -2, 2)):
+        "146539104cb716a1f156eb5b264f7ab6fdf60f6e116124df622f7e5449b73234",
+    ("L", (-2, -2, -2, -2)):
+        "85459be0abcaf067fd00bebdb76a1649fa637e43d95c8160e33a96e8601561fe",
+}
+
+
+def _proof_digest(cert):
+    """SHA-256 of the sorted set of (link, det, kind, axiom or citation,
+    child links) over the non-REF nodes: what the certificate proves,
+    whatever its layout."""
+    facts = set()
+    for _, n in qc.iter_nodes(cert.root):
+        if n.kind == qc.REF:
+            continue
+        label = n.axiom if n.kind == qc.BASE else n.citation
+        kids = [str(c.link) for c in (n.zero, n.inf, n.child) if c is not None]
+        facts.add("|".join([str(n.link), str(n.det), n.kind, label, *kids]))
+    return hashlib.sha256("\n".join(sorted(facts)).encode()).hexdigest()
+
+
+_SIGN_CLASSES = list(itertools.product((1, -1), repeat=4))
+
+
+def test_certificates_prove_the_frozen_facts():
+    for (family, params), want in _PROOF_DIGESTS.items():
+        generate = qc.generate_A_cert if family == "A" else qc.generate_L_cert
+        got = _proof_digest(generate(*params))
+        assert got == want, (family, params)
+    covered = set(_PROOF_DIGESTS)
+    assert set(_FROZEN_DIGESTS) <= covered
+    assert ("A", (1, 1, 110)) in covered
+    assert {("L", tuple(2 * x for x in s)) for s in _SIGN_CLASSES} <= covered
+
+
+# -- mutants as the benchmark writes them ----------------------------------
+
+def _leaves(doc, prefix=()):
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _leaves(doc[key], prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _leaves(value, prefix + (i,))
+    else:
+        yield prefix, doc
+
+
+def _mutated(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "X"
+    return "MUTANT"
+
+
+def _rejects(text):
+    try:
+        return not qc.verify(qc.deserialize(text))
+    except qc.CertParseError:
+        return True
+
+
+def test_every_single_leaf_mutant_is_rejected():
+    texts = [(GOLDEN / "cert_L1111.json").read_text()]
+    texts += [qc.serialize(qc.generate_L_cert(*(2 * x for x in signs)))
+              for signs in _SIGN_CLASSES]
+    tried = 0
+    for text in texts:
+        assert not _rejects(text)
+        doc = json.loads(text)
+        for path, value in list(_leaves(doc)):
+            holder = doc
+            for step in path[:-1]:
+                holder = holder[step]
+            holder[path[-1]] = _mutated(value)
+            tried += 1
+            assert _rejects(json.dumps(doc, sort_keys=True, indent=2) + "\n"), path
+            assert _rejects(json.dumps(doc)), path
+            holder[path[-1]] = value
+    assert tried > 4000
+
+
+# -- depth -----------------------------------------------------------------
 
 def _depth(root):
     deepest, stack = 0, [(root, 1)]
@@ -773,18 +1128,47 @@ def _depth(root):
     return deepest
 
 
+@contextlib.contextmanager
+def _recursion_limit(headroom):
+    """Python's recursion limit set ``headroom`` frames above the caller's
+    depth: any recursion proportional to a certificate's depth fails."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _round_trip(make):
+    with _recursion_limit(60):
+        cert = make()
+        text = qc.serialize(cert)
+        back = qc.deserialize(text)
+        verdict = qc.verify(back)
+        assert qc.verify(cert)
+        assert qc.serialize(back) == text
+    return cert, verdict
+
+
 def test_deepest_a_certificate_generates_and_verifies():
-    cert = qc.generate_A_cert(1, 1, 110)
-    assert _depth(cert.root) == qc.MAX_DEPTH
-    assert qc.verify(cert)
-    assert qc.verify(qc.deserialize(qc.serialize(cert)))
+    for make in (lambda: qc.generate_A_cert(2, 2, 110),
+                 lambda: qc.generate_L_cert(100, 100, 100, 100)):
+        cert, verdict = _round_trip(make)
+        assert verdict
+        assert _depth(cert.root) > 400
 
 
-def test_generation_past_the_depth_limit_is_a_generation_error():
-    with pytest.raises(qc.GenerationError, match=f"depth limit of {qc.MAX_DEPTH}"):
-        qc.generate_A_cert(2, 2, 110)
-    with pytest.raises(qc.GenerationError, match="depth limit"):
-        qc.generate_L_cert(100, 100, 100, 100)
+def test_a_5000_level_chain_round_trips_without_recursion():
+    # Lemma 5.11(5) takes L(1,1,1,l; 0,0,*) to l - 1: 4999 identifications,
+    # then B, A(1,1,1) and the named T(3,4)
+    cert, verdict = _round_trip(lambda: qc._generate(
+        qc.LinkId.L(1, 1, 1, 5000, "0,0,*"), set()))
+    assert verdict
+    assert _depth(cert.root) == qc.node_count(cert) == 5003
 
 
 def _symmetry_chain(levels):
@@ -796,18 +1180,22 @@ def _symmetry_chain(levels):
                        axiom="ALTERNATING")
     for i in range(levels - 2, -1, -1):
         node = qc.CertNode(links[i % 2], det, qc.IDENTIFY,
-                           citation=qc.CIT_A_SYM, target=node.link, child=node)
+                           citation=qc.CIT_A_SYM, child=node)
     info = qc.AXIOMS["ALTERNATING"]
     return qc.Certificate(qc.QUASI_ALTERNATING, node,
                           (qc.AxiomDecl(info.name, info.claim, info.citation),))
 
 
-def test_verify_enforces_the_depth_limit():
-    assert qc.verify(_symmetry_chain(qc.MAX_DEPTH))
-    verdict = qc.verify(_symmetry_chain(qc.MAX_DEPTH + 1))
+def test_a_5000_level_symmetry_chain_is_rejected_without_recursion():
+    assert qc.verify(_symmetry_chain(2))
+    cert = _symmetry_chain(5000)
+    with _recursion_limit(60):
+        verdict = qc.verify(cert)
+        with pytest.raises(qc.CertError, match="second time"):
+            qc.serialize(cert)
     assert not verdict
-    assert verdict.path == "root" + ".child" * qc.MAX_DEPTH
-    assert f"depth limit of {qc.MAX_DEPTH} levels" in verdict.reason
+    assert verdict.path == "root.child.child"
+    assert "expanded a second time" in verdict.reason
 
 
 # -- properties ------------------------------------------------------------
@@ -817,7 +1205,7 @@ def test_verify_enforces_the_depth_limit():
 def test_random_positive_a_certificates_verify(q, s, t):
     cert = qc.generate_A_cert(q, s, t)
     assert qc.verify(cert)
-    assert qc.deserialize(qc.serialize(cert)) == cert
+    assert _shape(qc.deserialize(qc.serialize(cert))) == _shape(cert)
 
 
 _nonzero = st.integers(-3, 3).filter(lambda v: v != 0)
@@ -828,4 +1216,4 @@ _nonzero = st.integers(-3, 3).filter(lambda v: v != 0)
 def test_random_l_certificates_verify(q, s, t, l):
     cert = qc.generate_L_cert(q, s, t, l)
     assert qc.verify(cert)
-    assert qc.deserialize(qc.serialize(cert)) == cert
+    assert _shape(qc.deserialize(qc.serialize(cert))) == _shape(cert)
