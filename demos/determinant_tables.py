@@ -28,7 +28,7 @@ def main():
     print(f"three-slot family at (q,s,t) = ({q},{s},{t}):")
     print(f"  star matrix size {matrix.size}x{matrix.size}"
           f" ({matrix.provenance})")
-    print(f"  |det| by fraction-free elimination: {abs(det)}")
+    print(f"  |det| by two scalar continuants   : {abs(det)}")
     print(f"  closed form 3(-t - q + 3qst)^2    : {abs(formula)}")
     print()
 

@@ -38,6 +38,7 @@ from . import __version__
 from .goeritz import (
     IdentityCheck,
     IdentityReport,
+    UnsupportedRegimeError,
     build_A_star,
     build_L_star,
     det_exact,
@@ -417,8 +418,9 @@ def _identity_suite(args) -> IdentityReport:
 
 
 def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
-    """Star-row determinants on the grid: the block continuant of each star
-    matrix (``GoeritzMatrix.det``) against the closed formula."""
+    """Star-row determinants on the grid: each star matrix's determinant
+    (``GoeritzMatrix.det``, two scalar continuants, O(1) per point) against
+    the closed formula."""
     records = []
     specs = (
         ("A", ("q", "s", "t"),
@@ -533,7 +535,7 @@ def _cmd_cert(args) -> int:
             return 2
         try:
             cert = generate(*params)
-        except CertError as exc:
+        except (CertError, UnsupportedRegimeError) as exc:
             print(f"generation failed: {exc}", file=sys.stderr)
             return 1
         text = serialize(cert)
@@ -542,8 +544,11 @@ def _cmd_cert(args) -> int:
             return 0
         # relative to $BRIDGECOVER_OUTDIR; join keeps an absolute --out as is
         out_path = os.path.join(os.environ.get(OUTDIR_ENV, "."), args.out)
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(str(exc))
         print(f"wrote {out_path}", file=sys.stderr)
         return 0
 

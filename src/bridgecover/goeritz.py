@@ -1,10 +1,10 @@
 """Goeritz matrices and closed-form link determinants for two twist-region
 block families.
 
-The matrices here are the block families A(t; *, *, *) and L(l; *, *, *):
-block-tridiagonal matrices over 3x3 blocks (-2I runs, one S/P block, for L a
-final Q block, for A a rank-one border row/column with corner -3).  A
-``GoeritzMatrix`` may also wrap plain integer entries.
+The matrices here are the star matrices of the block families
+A(t; *, *, *) and L(l; *, *, *): block-tridiagonal over 3x3 blocks of the
+form alpha I + beta J (J the all-ones matrix) with identity blocks off the
+diagonal; A adds a rank-one border row/column with corner -3.
 
 Alongside the matrices, the determinant tables for all tabulated resolutions
 of A, B (= L at l = 1) and L are stored as exact polynomials in (q, s, t, l),
@@ -23,10 +23,10 @@ choice here is
 This choice reproduces the tabulated star determinants exactly over the full
 acceptance grids, which is the construction's contract.
 
-Star matrices keep their diagonal blocks, and their determinants follow the
-3x3 block continuant (see ``GoeritzMatrix.det``): O(q+t) block products
-instead of O((q+t)^3) for elimination on the dense matrix.  Plain integer
-matrices use fraction-free Bareiss elimination.
+A star matrix is kept as its layout, and its determinant is a product of
+two scalar continuants with each run of -2I in closed form, O(1) whatever
+its length (see ``GoeritzMatrix.det``).  ``det_exact`` also takes plain
+integer matrices, through fraction-free Bareiss elimination.
 """
 from __future__ import annotations
 
@@ -34,10 +34,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .intlinalg import IntMatrix, det_bareiss
+from .intlinalg import det_bareiss
 from .multipoly import MultiPoly
-
-Block = List[List[int]]
 
 
 class GoeritzError(ValueError):
@@ -53,72 +51,65 @@ class NotTabulatedError(KeyError):
 
 
 class GoeritzMatrix:
-    """A square integer matrix with a record of where it came from.
+    """A star-family matrix with a record of where it came from.
 
-    A star-family matrix from ``build_A_star``/``build_L_star`` keeps its
-    3x3 diagonal blocks and whether it carries the A border; its dense
-    ``entries`` are assembled from those blocks on first use.
+    The diagonal reads ``runs[0]`` blocks of -2I, ``blocks[0]``,
+    ``runs[1]`` blocks of -2I, ``blocks[1]``, ..., ``runs[-1]`` blocks of
+    -2I, with one run more than blocks; a block (alpha, beta) stands for
+    alpha I + beta J.  ``bordered`` adds the A border: ones against the last
+    block row and column, corner -3.
     """
 
-    _blocks: Optional[List[Block]] = None
-    _bordered = False
-
-    def __init__(self, entries: Sequence[Sequence[int]], provenance: str):
-        self._entries: Optional[IntMatrix] = [list(row) for row in entries]
-        n = len(self._entries)
-        for row in self._entries:
-            if len(row) != n:
-                raise GoeritzError("Goeritz matrix must be square")
+    def __init__(self, runs: Sequence[int], blocks: Sequence[Tuple[int, int]],
+                 bordered: bool, provenance: str):
+        self.runs, self.blocks = tuple(runs), tuple(blocks)
+        self.bordered = bordered
         self.provenance = provenance
-
-    @classmethod
-    def _star(cls, blocks: List[Block], bordered: bool,
-              provenance: str) -> "GoeritzMatrix":
-        m = cls.__new__(cls)
-        m._entries, m._blocks, m._bordered = None, blocks, bordered
-        m.provenance = provenance
-        return m
-
-    @property
-    def entries(self) -> IntMatrix:
-        if self._entries is None:
-            self._entries = _family_blocks(self._blocks, self._bordered)
-        return self._entries
 
     @property
     def size(self) -> int:
-        if self._blocks is None:
-            return len(self._entries)
-        return 3 * len(self._blocks) + self._bordered
+        return 3 * (sum(self.runs) + len(self.blocks)) + self.bordered
 
     def det(self) -> int:
         """Signed determinant, exact.
 
-        A star-family matrix T (diagonal blocks B_1..B_n, identity coupling)
-        runs the block continuant P_0 = I, P_-1 = 0,
-        P_k = B_k P_(k-1) - P_(k-2): det T = det P_n, since the k-th Schur
-        complement is P_k P_(k-1)^-1.  With the A border (ones u against the
-        last block, corner c = -3) the bordered determinant is
-        c det T - u^T adj(T) u, and the last block of T^-1 is
-        P_(n-1) P_n^-1, so it equals -3 det P_n - 1^T P_(n-1) adj(P_n) 1.
-        Nothing is divided, so singular blocks need no special case.  Every
-        other matrix goes through ``det_bareiss``.
+        The unbordered matrix T has det T = det P_n for the block continuant
+        P_k = B_k P_(k-1) - P_(k-2), P_0 = I, P_-1 = 0 (its k-th Schur
+        complement is P_k P_(k-1)^-1).  Each P_k is a combination of I and
+        J, so it acts as c1 on the ones vector and as c0 on its complement,
+        the scalar continuants of the values alpha + 3 beta and alpha:
+        det T = c1 c0^2.  The A border (ones u on the last block, corner -3)
+        gives -3 det T - u^T adj(T) u = -3 c0^2 (c1 + c1'), since the last
+        block of T^-1 is P_(n-1) P_n^-1; c1' is c1 one step earlier.  The
+        sign (-1)^(sum of runs) that ``_continuant`` leaves out enters once.
+        Nothing is divided, so singular blocks need no special case.
         """
-        if self._blocks is None:
-            return det_bareiss(self._entries)
-        prev, cur = [[0] * 3 for _ in range(3)], _IDENTITY
-        for block in self._blocks:
-            prod = _mul3(block, cur)
-            prev, cur = cur, [[prod[i][j] - prev[i][j] for j in range(3)]
-                              for i in range(3)]
-        adj = _adj3(cur)
-        det = sum(cur[0][k] * adj[k][0] for k in range(3))
-        if not self._bordered:
-            return det
-        return -3 * det - sum(sum(row) for row in _mul3(prev, adj))
+        ones, ones_prev = _continuant(self.runs,
+                                      [a + 3 * b for a, b in self.blocks])
+        rest = _continuant(self.runs, [a for a, _ in self.blocks])[0]
+        det = (-3 * (ones + ones_prev) if self.bordered else ones) * rest * rest
+        return -det if sum(self.runs) % 2 else det
 
     def __repr__(self):
         return f"GoeritzMatrix({self.size}x{self.size}, {self.provenance})"
+
+
+def _continuant(runs, values):
+    """(c_n, c_(n-1)) of the scalar continuant c_k = v_k c_(k-1) - c_(k-2),
+    c_0 = 1, c_-1 = 0, over ``runs[0]`` values -2, ``values[0]``,
+    ``runs[1]`` values -2, ..., up to the sign (-1)^(sum of runs).
+
+    A run of k values -2 is the transfer matrix M = [[-2, -1], [1, 0]] to
+    the k-th power, and (M + I)^2 = 0 gives M^k = (-1)^k (I - k (M + I)).
+    The sign is left out, so the same code runs over ``MultiPoly`` with a
+    symbolic run length.
+    """
+    cur, prev = 1, 0
+    for k, value in itertools.zip_longest(runs, values):
+        cur, prev = cur + k * (cur + prev), prev - k * (cur + prev)
+        if value is not None:
+            cur, prev = value * cur - prev, cur
+    return cur, prev
 
 
 def det_exact(m: Union[GoeritzMatrix, Sequence[Sequence[int]]]) -> int:
@@ -132,83 +123,37 @@ def det_exact(m: Union[GoeritzMatrix, Sequence[Sequence[int]]]) -> int:
 # Block families
 # ---------------------------------------------------------------------------
 
-_IDENTITY = [[int(i == j) for j in range(3)] for i in range(3)]
+def _a_layout(q, s, t):
+    """(runs, blocks) of A(t; *, *, *); S = (2s-2) I - s (J - I)."""
+    return (t - 1, q - 1), ((3 * s - 2, -s),)
 
 
-def _mul3(a: Block, b: Block) -> Block:
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
+def _l_layout(q, s, t, l):
+    """(runs, blocks) of L(l; *, *, *); Q = (2l-1) I - l (J - I)."""
+    return (q - 1, t - 1, 0), ((3 * s - 2, -s), (3 * l - 1, -l))
 
 
-def _adj3(m: Block) -> Block:
-    """Adjugate of a 3x3 matrix: the transposed cofactors, each a 2x2 minor
-    on the cyclically next rows and columns (which carries its sign)."""
-    return [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-             - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-             for j in range(3)] for i in range(3)]
-
-
-def _family_blocks(diag_blocks: List[Block], bordered: bool = False) -> IntMatrix:
-    """Assemble a block-tridiagonal matrix with identity off-diagonal blocks;
-    ``bordered`` appends the A border: a ones column against the last block
-    row, a ones row against the last block column, corner entry -3."""
-    nb = len(diag_blocks)
-    size = 3 * nb + bordered
-    m = [[0] * size for _ in range(size)]
-    for b, block in enumerate(diag_blocks):
-        for i in range(3):
-            for j in range(3):
-                m[3 * b + i][3 * b + j] = block[i][j]
-        if b + 1 < nb:
-            for i in range(3):
-                m[3 * b + i][3 * (b + 1) + i] = 1
-                m[3 * (b + 1) + i][3 * b + i] = 1
-    if bordered:
-        for i in range(size - 4, size - 1):
-            m[i][size - 1] = m[size - 1][i] = 1
-        m[size - 1][size - 1] = -3
-    return m
-
-
-def _s_block(s: int) -> Block:
-    return [[2 * s - 2 if i == j else -s for j in range(3)] for i in range(3)]
-
-
-def _q_block(l: int) -> Block:
-    return [[2 * l - 1 if i == j else -l for j in range(3)] for i in range(3)]
-
-
-_MINUS_2I = [[-2 if i == j else 0 for j in range(3)] for i in range(3)]
+def _require_positive(family: str, params: Mapping[str, int]) -> None:
+    if any(type(v) is not int or v < 1 for v in params.values()):
+        raise UnsupportedRegimeError(
+            f"{family}-family matrices need integer parameters >= 1, got {params}")
 
 
 def build_A_star(q: int, s: int, t: int) -> GoeritzMatrix:
-    """Goeritz matrix of A(t; *, *, *) for positive parameters.
-
-    (t-1) runs of -2I, the S block, (q-1) runs of -2I, then a border: ones
-    column on the last block row, ones row on the last block column, corner
-    entry -3.  Other sign regimes are handled by mirroring at the table
-    level, not by building matrices.
-    """
-    if q < 1 or s < 1 or t < 1:
-        raise UnsupportedRegimeError(
-            f"A-family matrices need q, s, t >= 1, got ({q}, {s}, {t})")
-    blocks = [_MINUS_2I] * (t - 1) + [_s_block(s)] + [_MINUS_2I] * (q - 1)
-    return GoeritzMatrix._star(blocks, True, f"A(t; *, *, *) q={q} s={s} t={t}")
+    """Goeritz matrix of A(t; *, *, *) for positive integer parameters, laid
+    out as the module docstring says.  Other sign regimes are handled by
+    mirroring at the table level, not by building matrices."""
+    _require_positive("A", {"q": q, "s": s, "t": t})
+    return GoeritzMatrix(*_a_layout(q, s, t), True,
+                         f"A(t; *, *, *) q={q} s={s} t={t}")
 
 
 def build_L_star(q: int, s: int, t: int, l: int) -> GoeritzMatrix:
-    """Goeritz matrix of L(l; *, *, *) for positive parameters.
-
-    (q-1) runs of -2I, the P block (= S), (t-1) runs of -2I, then the Q
-    block; no border.
-    """
-    if q < 1 or s < 1 or t < 1 or l < 1:
-        raise UnsupportedRegimeError(
-            f"L-family matrices need q, s, t, l >= 1, got ({q}, {s}, {t}, {l})")
-    blocks = ([_MINUS_2I] * (q - 1) + [_s_block(s)] + [_MINUS_2I] * (t - 1)
-              + [_q_block(l)])
-    return GoeritzMatrix._star(blocks, False,
-                               f"L(l; *, *, *) q={q} s={s} t={t} l={l}")
+    """Goeritz matrix of L(l; *, *, *) for positive integer parameters, laid
+    out as the module docstring says (P = S, no border)."""
+    _require_positive("L", {"q": q, "s": s, "t": t, "l": l})
+    return GoeritzMatrix(*_l_layout(q, s, t, l), False,
+                         f"L(l; *, *, *) q={q} s={s} t={t} l={l}")
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,18 @@ def test_cert_outdir_env_var(capsys, tmp_path, monkeypatch):
     assert out == "ACCEPT\n"
 
 
+def test_cert_generate_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["cert", "generate", "--family", "L",
+                          "--params", "1,1,1,1", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"bridgecover: error: [Errno 2] No such file or directory: "
+        f"'{target}'")
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # lo-elim
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from bridgecover import goeritz
 from bridgecover.goeritz import (
     GoeritzError, GoeritzMatrix, NotTabulatedError, UnsupportedRegimeError,
-    _family_blocks, build_A_star, build_L_star, det_exact, parse_resolution,
-    table_formula, table_row, verify_additivity,
-    verify_substitution_identities,
+    build_A_star, build_L_star, det_exact, parse_resolution, table_formula,
+    table_row, verify_additivity, verify_substitution_identities,
 )
 from bridgecover.intlinalg import det_bareiss
 from bridgecover.multipoly import MultiPoly
@@ -49,7 +48,7 @@ class CheckerboardDiagram:
                 raise GoeritzError(f"crossing sign must be +-1, got {sign}")
 
 
-def goeritz_from_diagram(d: CheckerboardDiagram) -> GoeritzMatrix:
+def goeritz_from_diagram(d: CheckerboardDiagram):
     """Reduced Goeritz matrix: off-diagonal entries are minus the signed
     crossing counts between white regions, diagonals force zero row sums,
     and the row/column of the unbounded region 0 is removed."""
@@ -60,21 +59,20 @@ def goeritz_from_diagram(d: CheckerboardDiagram) -> GoeritzMatrix:
         h[j][i] -= sign
     for i in range(n):
         h[i][i] = -sum(h[i][j] for j in range(n) if j != i)
-    reduced = [[h[i][j] for j in range(1, n)] for i in range(1, n)]
-    return GoeritzMatrix(reduced, "diagram")
+    return [[h[i][j] for j in range(1, n)] for i in range(1, n)]
 
 
 def test_trefoil_diagram():
     d = CheckerboardDiagram(2, ((0, 1, -1), (0, 1, -1), (0, 1, -1)))
     g = goeritz_from_diagram(d)
-    assert g.entries == [[-3]]
+    assert g == [[-3]]
     assert det_exact(g) == -3
     assert abs(det_exact(g)) == 3
 
 
 def test_unknot_diagram():
     g = goeritz_from_diagram(CheckerboardDiagram(1, ()))
-    assert g.entries == []
+    assert g == []
     assert det_exact(g) == 1
 
 
@@ -91,8 +89,8 @@ def test_unreduced_rows_sum_to_zero():
     # row/column is determined by the reduced block.
     n = 3
     for i in range(n):
-        row_sum = sum(g.entries[i])
-        col_sum = sum(g.entries[j][i] for j in range(n))
+        row_sum = sum(g[i])
+        col_sum = sum(g[j][i] for j in range(n))
         assert row_sum == col_sum  # symmetric
 
 
@@ -107,11 +105,6 @@ def test_diagram_validation():
         CheckerboardDiagram(2, ((0, 1, 2),))
 
 
-def test_goeritz_matrix_requires_square():
-    with pytest.raises(GoeritzError):
-        GoeritzMatrix([[1, 2]], "test")
-
-
 # ---------------------------------------------------------------------------
 # Block families vs tables
 # ---------------------------------------------------------------------------
@@ -122,12 +115,44 @@ def test_a_star_frozen_values():
     assert abs(det_exact(build_A_star(2, 1, 1))) == 27
 
 
+def _family_blocks(diag_blocks, bordered=False):
+    """Assemble a block-tridiagonal matrix with identity off-diagonal blocks;
+    ``bordered`` appends the A border: a ones column against the last block
+    row, a ones row against the last block column, corner entry -3."""
+    nb = len(diag_blocks)
+    size = 3 * nb + bordered
+    m = [[0] * size for _ in range(size)]
+    for b, block in enumerate(diag_blocks):
+        for i in range(3):
+            for j in range(3):
+                m[3 * b + i][3 * b + j] = block[i][j]
+        if b + 1 < nb:
+            for i in range(3):
+                m[3 * b + i][3 * (b + 1) + i] = 1
+                m[3 * (b + 1) + i][3 * b + i] = 1
+    if bordered:
+        for i in range(size - 4, size - 1):
+            m[i][size - 1] = m[size - 1][i] = 1
+        m[size - 1][size - 1] = -3
+    return m
+
+
+def _dense(m: GoeritzMatrix):
+    """The dense entries of a star matrix, read off its layout."""
+    def block(alpha, beta):
+        return [[alpha * (i == j) + beta for j in range(3)] for i in range(3)]
+    diagonal = []
+    for k, ab in itertools.zip_longest(m.runs, m.blocks):
+        diagonal += [block(-2, 0)] * k + ([block(*ab)] if ab else [])
+    return _family_blocks(diagonal, m.bordered)
+
+
 def _star_agrees(family, build, **params):
-    """The block continuant, Bareiss on the dense layout and the star row of
-    Table 3 (A) or Table 5 (L) agree."""
+    """The scalar continuants, Bareiss on the dense layout and the star row
+    of Table 3 (A) or Table 5 (L) agree."""
     m = build(**params)
     got = det_exact(m)
-    assert det_bareiss(m.entries) == got, (family, params)
+    assert det_bareiss(_dense(m)) == got, (family, params)
     want = table_formula(family, "*,*,*", params)
     assert abs(got) == want, (family, params, got, want)
 
@@ -154,25 +179,27 @@ def test_matrix_dimensions():
     for m, size in ((build_A_star(2, 1, 3), 3 * (2 + 3 - 1) + 1),
                     (build_L_star(2, 1, 3, 2), 3 * (2 + 3))):
         assert m.size == size
-        assert len(m.entries) == size
-        assert all(len(row) == size for row in m.entries)
+        entries = _dense(m)
+        assert len(entries) == size
+        assert all(len(row) == size for row in entries)
 
 
 def test_star_determinants_at_large_parameters():
-    """6000x6000 star matrices, far past what Bareiss finishes, through the
-    block continuant."""
+    """Star matrices of dimension about 6 million: runs of -2I cost O(1)
+    whatever their length."""
     for build, family, params in (
-            (build_L_star, "L", {"q": 1000, "s": 7, "t": 1000, "l": 5}),
-            (build_A_star, "A", {"q": 1000, "s": 3, "t": 1000})):
+            (build_L_star, "L", {"q": 10 ** 6, "s": 7, "t": 10 ** 6, "l": 5}),
+            (build_A_star, "A", {"q": 10 ** 6, "s": 3, "t": 10 ** 6})):
         start = time.perf_counter()
         got = build(**params).det()
-        assert time.perf_counter() - start < 1.0, family
+        assert time.perf_counter() - start < 0.1, family
         assert abs(got) == table_formula(family, "*,*,*", params), family
 
 
 def test_matrix_without_blocks_uses_bareiss(monkeypatch):
+    """The star path never calls Bareiss; a plain matrix goes through it."""
     star = build_L_star(2, 1, 3, 2)
-    raw = GoeritzMatrix(star.entries, "raw")
+    dense = _dense(star)
     calls = []
 
     def counting_bareiss(m):
@@ -182,34 +209,48 @@ def test_matrix_without_blocks_uses_bareiss(monkeypatch):
     monkeypatch.setattr(goeritz, "det_bareiss", counting_bareiss)
     assert star.det() == det_exact(star)
     assert calls == []
-    assert raw.det() == det_exact(raw) == star.det()
-    assert calls == [15, 15]
+    assert det_exact(dense) == star.det()
+    assert calls == [15]
 
 
-_block = st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                  min_size=3, max_size=3)
-
-
-def _with_border(core):
-    """``core`` with a ones column against its last three rows, a ones row
-    against its last three columns and corner -3 (the A layout)."""
-    n = len(core)
-    m = [row + [int(i >= n - 3)] for i, row in enumerate(core)]
-    return m + [[int(j >= n - 3) for j in range(n)] + [-3]]
+_runs = st.integers(0, 4)
+_blocks = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_block, min_size=1, max_size=6))
-@example([[[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
-@example([[[0, -1, -1], [-1, 0, -1], [-1, -1, 0]], [[1, 1, 1]] * 3])
-@example([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
-          [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
-def test_block_continuant_matches_bareiss(blocks):
-    """Arbitrary diagonal blocks, singular ones and zero pivots included."""
-    core = _family_blocks(blocks)
-    assert GoeritzMatrix._star(blocks, False, "test").det() == det_bareiss(core)
-    assert (GoeritzMatrix._star(blocks, True, "test").det()
-            == det_bareiss(_with_border(core)))
+@given(st.lists(st.tuples(_runs, _blocks), min_size=1, max_size=4), _runs)
+@example([(0, (0, 0))], 0)
+@example([(0, (3, -1)), (2, (-2, 0))], 0)     # singular, then a -2I block
+@example([(3, (1, -1)), (0, (0, 1))], 4)       # zero pivots inside runs
+def test_star_continuant_matches_bareiss(pairs, last_run):
+    """Random alpha I + beta J blocks, zero and singular ones included,
+    between runs of -2I of any length, with and without the A border."""
+    runs = [k for k, _ in pairs] + [last_run]
+    blocks = [ab for _, ab in pairs]
+    for bordered in (False, True):
+        m = GoeritzMatrix(runs, blocks, bordered, "test")
+        assert m.det() == det_bareiss(_dense(m)), bordered
+
+
+def test_star_continuant_gives_the_star_rows_symbolically():
+    """Over polynomials, with run lengths q-1 and t-1, the complement
+    continuant c0 gives the star rows: c0^2 is Table 5's (L) and, at l = 1,
+    Table 4's (B); 3 c0^2 is Table 3's (A) and, at t = 1, Table 2's.  The
+    sign of each run squares away."""
+    q, s, t, l = (MultiPoly.var(v) for v in "qstl")
+
+    def c0_squared(runs, blocks):
+        c0 = goeritz._continuant(runs, [a for a, _ in blocks])[0]
+        return c0 * c0
+
+    l_rows = c0_squared(*goeritz._l_layout(q, s, t, l))
+    assert l_rows == table_row("L", "*,*,*").poly
+    assert (l_rows.substitute({"l": MultiPoly.const(1)})
+            == table_row("B", "*,*,*").poly)
+    a_rows = 3 * c0_squared(*goeritz._a_layout(q, s, t))
+    assert a_rows == table_row("A", "*,*,*").poly
+    assert (a_rows.substitute({"t": MultiPoly.const(1)})
+            == table_row("A(t=1)", "*,*,*").poly)
 
 
 def test_unsupported_regimes_raise():
@@ -222,13 +263,24 @@ def test_unsupported_regimes_raise():
             build(*params)
 
 
-def _to_csv(m: GoeritzMatrix) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in m.entries) + "\n"
+def test_non_integer_parameters_raise():
+    """Floats and bools are refused, not rounded or read as 0 and 1."""
+    for build, params in ((build_A_star, (2.5, 1, 1)),
+                          (build_A_star, (1, 2.0, 1)),
+                          (build_A_star, (1, 1, True)),
+                          (build_L_star, (1, 1, 1, 1.0)),
+                          (build_L_star, (True, 1, 1, 1)),
+                          (build_L_star, (1, 1.5, 2, 1))):
+        with pytest.raises(UnsupportedRegimeError):
+            build(*params)
+
+
+def _to_csv(entries) -> str:
+    return "\n".join(",".join(str(x) for x in row) for row in entries) + "\n"
 
 
 def test_csv_export():
-    m = GoeritzMatrix([[1, 2], [3, 4]], "test")
-    assert _to_csv(m) == "1,2\n3,4\n"
+    assert _to_csv([[1, 2], [3, 4]]) == "1,2\n3,4\n"
 
 
 # ---------------------------------------------------------------------------
