@@ -29,6 +29,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -36,16 +37,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .goeritz import (
-    IdentityCheck,
     IdentityReport,
     UnsupportedRegimeError,
     build_A_star,
     build_L_star,
     det_exact,
+    lemma_suite,
     table_formula,
-    table_row,
     verify_additivity,
-    verify_substitution_identities,
 )
 from .loelim import (
     EliminationReport,
@@ -56,7 +55,6 @@ from .loelim import (
     report_text,
     table1_report,
 )
-from .multipoly import MultiPoly
 from .presentations import genus_one_presentation, h1_order, mv_presentation
 from .qacert import (
     CertError,
@@ -86,6 +84,12 @@ _PARAM_NAMES = ("q", "s", "t", "l")
 # serialize in about 1.2 s, and the round trip through verify takes under
 # 3 s (2-core machine, Python 3.11).
 CERT_MAX_PARAM = 1000
+# Grid points of ``identities``: the four star rows' points for the tables
+# suite (n^2 (n+1)^2 on 1..n), the suite's own grid for ``--grid`` spot
+# checks.  The largest uniform requests, tables at 1..19 and lemma5.12 at
+# 1..12, take about 3 s cold there, which leaves room under 5 s.
+TABLES_MAX_POINTS = 150_000
+SPOT_CHECK_MAX_POINTS = 25_000
 
 
 # ---------------------------------------------------------------------------
@@ -372,37 +376,7 @@ def _cmd_h1(args) -> int:
 # identities
 # ---------------------------------------------------------------------------
 
-_IDENTIFIED_ROWS = {
-    1: (("inf,0,0", "0,inf,0"), "0,0,*"),
-    2: (("inf,0,inf", "inf,inf,0"), "0,inf,inf"),
-}
-
-
-def _identification_checks(family: str, lemma: str) -> List[IdentityCheck]:
-    """Items (1) and (2): resolutions identified with a tabulated row."""
-    checks = []
-    for item, (sources, target) in _IDENTIFIED_ROWS.items():
-        label = f"{lemma}({item})"
-        ok = all(
-            table_row(family, res).identified_via == label
-            and table_row(family, res).poly == table_row(family, target).poly
-            for res in sources)
-        statement = (f"det {family}({sources[0]}) = det {family}({sources[1]})"
-                     f" = det {family}({target})")
-        checks.append(IdentityCheck(label, statement,
-                                    MultiPoly.const(0 if ok else 1)))
-    return checks
-
-
-def _lemma_item_suite(family: str, lemma: str) -> IdentityReport:
-    """All five numbered items of a substitution lemma as one suite."""
-    wanted = [c for c in verify_substitution_identities().checks
-              if c.name.startswith(lemma)]
-    return IdentityReport(_identification_checks(family, lemma) + wanted)
-
-
-_LEMMA_SUITES = {"lemma5.3": ("A", "Lemma 5.3"),
-                 "lemma5.11": ("L", "Lemma 5.11")}
+_LEMMA_SUITES = {"lemma5.3": "A", "lemma5.11": "L"}
 _ADDITIVITY_SUITES = {"lemma5.4": ("A", ("q", "s", "t")),
                       "lemma5.12": ("L", _PARAM_NAMES)}
 
@@ -410,11 +384,29 @@ _ADDITIVITY_SUITES = {"lemma5.4": ("A", ("q", "s", "t")),
 def _identity_suite(args) -> IdentityReport:
     """A lemma suite; ``--grid`` adds numeric spot checks to additivity."""
     if args.suite in _LEMMA_SUITES:
-        return _lemma_item_suite(*_LEMMA_SUITES[args.suite])
+        return lemma_suite(_LEMMA_SUITES[args.suite])
     family, names = _ADDITIVITY_SUITES[args.suite]
     points = (None if args.grid is None
               else list(_grid_points(args.grid_ranges, names)))
     return verify_additivity(family, grid=points)
+
+
+# (family, grid parameters, star matrix determinant) per row tables compares
+_TABLE_SPECS = (
+    ("A", ("q", "s", "t"),
+     lambda p: det_exact(build_A_star(p["q"], p["s"], p["t"]))),
+    ("A(t=1)", ("q", "s"),
+     lambda p: det_exact(build_A_star(p["q"], p["s"], 1))),
+    ("B", ("q", "s", "t"),
+     lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], 1))),
+    ("L", ("q", "s", "t", "l"),
+     lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], p["l"]))),
+)
+
+
+def _point_count(grid: Mapping[str, Tuple[int, int]],
+                 names: Sequence[str]) -> int:
+    return math.prod(grid[n][1] - grid[n][0] + 1 for n in names)
 
 
 def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
@@ -422,17 +414,7 @@ def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
     (``GoeritzMatrix.det``, two scalar continuants, O(1) per point) against
     the closed formula."""
     records = []
-    specs = (
-        ("A", ("q", "s", "t"),
-         lambda p: det_exact(build_A_star(p["q"], p["s"], p["t"]))),
-        ("A(t=1)", ("q", "s"),
-         lambda p: det_exact(build_A_star(p["q"], p["s"], 1))),
-        ("B", ("q", "s", "t"),
-         lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], 1))),
-        ("L", ("q", "s", "t", "l"),
-         lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], p["l"]))),
-    )
-    for family, names, matrix_det in specs:
+    for family, names, matrix_det in _TABLE_SPECS:
         points = agree = 0
         for point in _grid_points(grid, names):
             points += 1
@@ -498,11 +480,19 @@ def _cmd_identities(args) -> int:
         raise _CliError(f"the tables suite needs q, s, t, l >= 1, got {low}")
     # the lemma suites are symbolic; only tables and --grid spot checks use
     # the grid
-    grid = (_grid_text(args.grid_ranges)
-            if args.suite == "tables"
-            or (args.suite in _ADDITIVITY_SUITES and args.grid is not None)
-            else "symbolic")
-    _emit_header(grid, _SUITE_SOURCES[args.suite])
+    grid, points, limit = args.grid_ranges, 0, 0
+    if args.suite == "tables":
+        points = sum(_point_count(grid, names) for _, names, _ in _TABLE_SPECS)
+        limit = TABLES_MAX_POINTS
+    elif args.suite in _ADDITIVITY_SUITES and args.grid is not None:
+        points = _point_count(grid, _ADDITIVITY_SUITES[args.suite][1])
+        limit = SPOT_CHECK_MAX_POINTS
+    if points > limit:
+        print(f"bridgecover: error: identities --suite {args.suite} takes at "
+              f"most {limit} grid points, got {points}", file=sys.stderr)
+        return 2
+    _emit_header(_grid_text(grid) if points else "symbolic",
+                 _SUITE_SOURCES[args.suite])
     if args.suite == "tables":
         records = _tables_agreement(args.grid_ranges)
         key, lines = "rows", _table_lines(records)

@@ -12,6 +12,11 @@ with the additivity and substitution identity suites checked symbolically.
 A resolution is plain text in the canonical form ``parse_resolution`` gives
 it: three comma-separated slots, each ``*``, ``0`` or ``inf``.
 
+The resolution lemmas of Section 5 (Lemma 5.3 and 5.11, items (1)-(5), and
+Lemma 5.8(1)) are one table, ``RESOLUTION_RULES``: a source resolution has
+the determinant of a target, possibly after a parameter move.  It gives the
+identified table rows, ``lemma_suite`` and the ``qacert`` whitelist.
+
 Layout note: the block displays do not pin down the run lengths; the frozen
 choice here is
 
@@ -31,7 +36,7 @@ integer matrices, through fraction-free Bareiss elimination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .intlinalg import det_bareiss
@@ -202,18 +207,54 @@ class TableRow:
     identified_via: Optional[str] = None
 
 
+@dataclass(frozen=True)
+class ResolutionRule:
+    """det family(source) = det target_family(target) after ``move``: none,
+    ``t-1``/``l-1`` (one lower) or ``t=1``.  A link identification moves a
+    parameter only where it is at least 2.  ``target_family`` is given only
+    where it differs from ``family``."""
+    citation: str
+    family: str
+    source: str
+    target: str
+    move: str = ""
+    target_family: Optional[str] = None
+
+
+# One entry per (citation, family, source), sources in statement order.
+RESOLUTION_RULES: Tuple[ResolutionRule, ...] = tuple(
+    ResolutionRule(*entry) for entry in (
+        ("Lemma 5.3(1)", "A", "inf,0,0", "0,0,*"),
+        ("Lemma 5.3(1)", "A", "0,inf,0", "0,0,*"),
+        ("Lemma 5.3(2)", "A", "inf,0,inf", "0,inf,inf"),
+        ("Lemma 5.3(2)", "A", "inf,inf,0", "0,inf,inf"),
+        ("Lemma 5.3(3)", "A", "inf,inf,inf", "*,*,*", "t-1"),
+        ("Lemma 5.3(4)", "A", "0,inf,inf", "0,*,*", "t-1"),
+        ("Lemma 5.3(5)", "A", "0,0,*", "0,0,*", "t=1"),
+        ("Lemma 5.11(1)", "L", "inf,0,0", "0,0,*"),
+        ("Lemma 5.11(1)", "L", "0,inf,0", "0,0,*"),
+        ("Lemma 5.11(2)", "L", "inf,0,inf", "0,inf,inf"),
+        ("Lemma 5.11(2)", "L", "inf,inf,0", "0,inf,inf"),
+        ("Lemma 5.11(3)", "L", "inf,inf,inf", "*,*,*", "l-1"),
+        ("Lemma 5.11(4)", "L", "0,inf,inf", "0,*,*", "l-1"),
+        ("Lemma 5.11(5)", "L", "0,0,*", "0,0,*", "l-1"),
+        ("Lemma 5.8(1)", "B", "0,0,*", "*,*,*", "", "A"),
+        ("Lemma 5.8(1)", "B", "inf,*,*", "inf,inf,*", "", "A"),
+        ("Lemma 5.8(1)", "B", "0,inf,*", "inf,*,*", "", "A"),
+    ))
+
+
 def _rows(family: str, source: str, validity: str,
-          data: Dict[str, MultiPoly],
-          identified: Dict[str, Tuple[str, str]]) -> Dict[str, TableRow]:
-    table: Dict[str, TableRow] = {}
-    for res_text, poly in data.items():
-        res = parse_resolution(res_text)
-        table[res] = TableRow(family, res, poly, source, validity)
-    for res_text, (target, lemma) in identified.items():
-        res = parse_resolution(res_text)
-        poly = table[parse_resolution(target)].poly
-        table[res] = TableRow(family, res, poly, source, validity,
-                              identified_via=lemma)
+          data: Dict[str, MultiPoly]) -> Dict[str, TableRow]:
+    """The tabulated rows, and a row for each resolution a rule without a
+    move identifies with one of them in the same family."""
+    table = {res: TableRow(family, res, poly, source, validity)
+             for res, poly in data.items()}
+    for rule in RESOLUTION_RULES:
+        if rule.family == family and not rule.move and not rule.target_family:
+            table[rule.source] = replace(table[rule.target],
+                                         resolution=rule.source,
+                                         identified_via=rule.citation)
     return table
 
 
@@ -224,10 +265,9 @@ _TABLE2 = _rows("A(t=1)", "Table 2", "s > 1", {
     "inf,*,*": (3 * _Q * _S - _Q - 1) * (3 * _Q * _S - 3 * _Q - 1),
     "0,inf,*": (3 * _Q * _S - 1) * (3 * _Q * _S - 2 * _Q - 1),
     "0,0,*":   (3 * _Q * _S - 1) ** 2,
-}, {})
+})
 
-# Table 3: A(t), in (q, s, t).  The two extra resolutions are identified
-# links, not separate table rows.
+# Table 3: A(t), in (q, s, t).
 _TABLE3 = _rows("A", "Table 3", "t > 1", {
     "*,*,*":     3 * _DA ** 2,
     "0,*,*":     2 * _DA * (3 * _Q * _S - 1),
@@ -238,11 +278,6 @@ _TABLE3 = _rows("A", "Table 3", "t > 1", {
     "inf,inf,*": _GA * _FB,
     "inf,inf,inf": 3 * _GA ** 2,
     "0,inf,inf": 2 * (3 * _Q * _S - 1) * _GA,
-}, {
-    "inf,0,0":   ("0,0,*", "Lemma 5.3(1)"),
-    "0,inf,0":   ("0,0,*", "Lemma 5.3(1)"),
-    "inf,0,inf": ("0,inf,inf", "Lemma 5.3(2)"),
-    "inf,inf,0": ("0,inf,inf", "Lemma 5.3(2)"),
 })
 
 # Table 4: B = L(l=1), in (q, s, t).
@@ -252,7 +287,7 @@ _TABLE4 = _rows("B", "Table 4", "t > 1", {
     "inf,*,*": _FB * _GA,
     "0,inf,*": _DA * (2 - 3 * _Q - 3 * _T - 6 * _Q * _S + 9 * _Q * _S * _T),
     "0,0,*":   3 * _DA ** 2,
-}, {})
+})
 
 # Table 5: L(l), in (q, s, t, l).
 _TABLE5 = _rows("L", "Table 5", "l > 1", {
@@ -268,17 +303,16 @@ _TABLE5 = _rows("L", "Table 5", "l > 1", {
     "inf,inf,*": _GL * _HL,
     "inf,inf,inf": _GL ** 2,
     "0,inf,inf": 2 * _DA * _GL,
-}, {
-    "inf,0,0":   ("0,0,*", "Lemma 5.11(1)"),
-    "0,inf,0":   ("0,0,*", "Lemma 5.11(1)"),
-    "inf,0,inf": ("0,inf,inf", "Lemma 5.11(2)"),
-    "inf,inf,0": ("0,inf,inf", "Lemma 5.11(2)"),
 })
 
 _TABLES: Dict[str, Dict[str, TableRow]] = {
     "A": _TABLE3,
     "A(t=1)": _TABLE2,
-    "B": _TABLE4,
+    # B rows missing from Table 4 are Table 5's at l = 1
+    "B": {**{res: replace(row, family="B", source="Table 5 at l=1",
+                          poly=row.poly.substitute({"l": MultiPoly.const(1)}))
+             for res, row in _TABLE5.items() if res not in _TABLE4},
+          **_TABLE4},
     "L": _TABLE5,
 }
 
@@ -287,8 +321,8 @@ def table_row(family: str, resolution: str) -> TableRow:
     """The tabulated (or link-identified) determinant row, as a polynomial.
 
     Canonical resolution text is looked up as it is; other text is
-    canonicalized first.  B rows missing from Table 4 fall back to Table 5
-    specialized at l = 1.
+    canonicalized first.  B rows missing from Table 4 are Table 5's at
+    l = 1.
     """
     if family not in _TABLES:
         raise NotTabulatedError(f"unknown family {family!r}")
@@ -296,13 +330,6 @@ def table_row(family: str, resolution: str) -> TableRow:
     if row is None:
         resolution = parse_resolution(resolution)
         row = _TABLES[family].get(resolution)
-    if row is None and family == "B":
-        l_row = _TABLE5.get(resolution)
-        if l_row is not None:
-            return TableRow("B", resolution,
-                            l_row.poly.substitute({"l": MultiPoly.const(1)}),
-                            "Table 5 at l=1", l_row.validity,
-                            identified_via=l_row.identified_via)
     if row is None:
         raise NotTabulatedError(
             f"no tabulated determinant for {family}({resolution})")
@@ -312,13 +339,7 @@ def table_row(family: str, resolution: str) -> TableRow:
 def table_formula(family: str, resolution: str,
                   params: Mapping[str, int]) -> int:
     """Exact evaluation of the tabulated determinant formula."""
-    row = table_row(family, resolution)
-    values = dict(params)
-    if family == "B":
-        values.setdefault("l", 1)
-    if family == "A(t=1)":
-        values.setdefault("t", 1)
-    return row.poly.evaluate(values)
+    return table_row(family, resolution).poly.evaluate(params)
 
 
 # ---------------------------------------------------------------------------
@@ -392,41 +413,58 @@ def verify_additivity(family: str,
     return IdentityReport(checks)
 
 
+def rule_residual(rule: ResolutionRule) -> MultiPoly:
+    """row(source) - row(target) after the rule's move: zero exactly when its
+    determinant identity holds for all parameters."""
+    target = table_row(rule.target_family or rule.family, rule.target).poly
+    if rule.move:
+        var = rule.move[0]
+        target = target.substitute({var: MultiPoly.var(var) - 1
+                                    if rule.move.endswith("-1")
+                                    else MultiPoly.const(1)})
+    return table_row(rule.family, rule.source).poly - target
+
+
+def _lemma_item(rules: Sequence[ResolutionRule]) -> IdentityCheck:
+    """One item of Lemma 5.3 or 5.11: the rules of one citation, which share
+    a target in their own family."""
+    first = rules[0]
+    if first.source == first.target:
+        statement = (f"det {first.family}({first.source}) does not involve "
+                     f"{first.move[0]}")
+    else:
+        sides = [f"det {rule.family}({rule.source})" for rule in rules]
+        sides.append(f"det {first.family}({first.target})")
+        statement = " = ".join(sides) + (f" at {first.move}" if first.move else "")
+    residuals = [rule_residual(rule) for rule in rules]
+    return IdentityCheck(first.citation, statement, next(
+        (r for r in residuals if not r.is_zero()), residuals[0]))
+
+
+def lemma_suite(family: str) -> IdentityReport:
+    """Items (1)-(5) of Lemma 5.3 (family A) or Lemma 5.11 (family L), each
+    checked as a polynomial identity."""
+    if family not in ("A", "L"):
+        raise NotTabulatedError(f"lemma suite defined for A and L, not {family!r}")
+    items: Dict[str, List[ResolutionRule]] = {}
+    for rule in RESOLUTION_RULES:
+        if rule.family == family:
+            items.setdefault(rule.citation, []).append(rule)
+    return IdentityReport([_lemma_item(rules) for rules in items.values()])
+
+
 def verify_substitution_identities() -> IdentityReport:
-    """Consistency of the tables under parameter shifts (Lemmas 5.3(3)-(5)
-    and 5.11(3)-(5)), plus the boundary specializations Table 2 = Table 3 at
+    """The resolution rules that move a parameter (items (3)-(5) of Lemmas
+    5.3 and 5.11), plus the boundary specializations Table 2 = Table 3 at
     t = 1 and Table 4 = Table 5 at l = 1."""
-    checks = []
-    t_minus_1 = {"t": MultiPoly.var("t") - 1}
-    l_minus_1 = {"l": MultiPoly.var("l") - 1}
-
-    pairs = [
-        ("Lemma 5.3(3)", "A", "inf,inf,inf", "*,*,*", t_minus_1, "t-1"),
-        ("Lemma 5.3(4)", "A", "0,inf,inf", "0,*,*", t_minus_1, "t-1"),
-        ("Lemma 5.11(3)", "L", "inf,inf,inf", "*,*,*", l_minus_1, "l-1"),
-        ("Lemma 5.11(4)", "L", "0,inf,inf", "0,*,*", l_minus_1, "l-1"),
-    ]
-    for name, family, lhs_res, rhs_res, shift, shift_text in pairs:
-        lhs = table_row(family, lhs_res).poly
-        rhs = table_row(family, rhs_res).poly.substitute(shift)
-        checks.append(IdentityCheck(
-            name, f"det {family}({lhs_res}) = det {family}({rhs_res}) at {shift_text}",
-            lhs - rhs))
-
-    for name, family, res, var in [("Lemma 5.3(5)", "A", "0,0,*", "t"),
-                                   ("Lemma 5.11(5)", "L", "0,0,*", "l")]:
-        poly = table_row(family, res).poly
-        residual = (MultiPoly.const(0) if var not in poly.variables()
-                    else MultiPoly.var(var))
-        checks.append(IdentityCheck(
-            name, f"det {family}({res}) does not involve {var}", residual))
-
-    for res, row in _TABLE2.items():
-        specialized = table_row("A", res).poly.substitute({"t": MultiPoly.const(1)})
-        checks.append(IdentityCheck(
-            "Table2=Table3@t=1", f"A(t=1)({res})", row.poly - specialized))
-    for res, row in _TABLE4.items():
-        specialized = _TABLE5[res].poly.substitute({"l": MultiPoly.const(1)})
-        checks.append(IdentityCheck(
-            "Table4=Table5@l=1", f"B({res})", row.poly - specialized))
+    # the shifts first, then the items that say a row does not involve t or l
+    moved = sorted((rule for rule in RESOLUTION_RULES if rule.move),
+                   key=lambda rule: rule.source == rule.target)
+    checks = [_lemma_item([rule]) for rule in moved]
+    for name, rows, family, var in (("Table2=Table3@t=1", _TABLE2, "A", "t"),
+                                    ("Table4=Table5@l=1", _TABLE4, "L", "l")):
+        for res, row in rows.items():
+            at_1 = table_row(family, res).poly.substitute({var: MultiPoly.const(1)})
+            checks.append(IdentityCheck(name, f"{row.family}({res})",
+                                        row.poly - at_1))
     return IdentityReport(checks)

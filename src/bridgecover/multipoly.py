@@ -141,10 +141,11 @@ class MultiPoly:
     def substitute(self, assignments: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         total = MultiPoly.const(0)
         for mono, coeff in self.terms.items():
-            prod = MultiPoly.const(coeff)
+            kept = tuple(item for item in mono if item[0] not in assignments)
+            prod = MultiPoly({kept: coeff})
             for var, exp in mono:
-                base = assignments.get(var, MultiPoly.var(var))
-                prod = prod * base ** exp
+                if var in assignments:
+                    prod = prod * assignments[var] ** exp
             total = total + prod
         return total
 

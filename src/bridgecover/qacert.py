@@ -26,7 +26,10 @@ print recursively; code that may meet a deep tree walks it instead.
 ``_step`` picks each link's node kind, axiom or identification from the same
 ``AXIOMS`` / ``IDENTIFICATIONS`` whitelists ``verify`` checks against, and
 ``verify`` checks every rule at every node, tabulating each determinant
-afresh.  Every walk runs on an explicit stack and does its per-link work once
+afresh.  The identifications that rewrite a resolution are built from
+``goeritz.RESOLUTION_RULES``, the one table of the Section 5 resolution
+lemmas; the named-link rules, the symmetries and the mirror images are
+written here.  Every walk runs on an explicit stack and does its per-link work once
 per link.  Resolution text is canonical where it enters (the ``LinkId``
 factories and the parser), and ``verify`` rejects a link whose text is not.
 """
@@ -38,7 +41,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from .goeritz import (
+    RESOLUTION_RULES,
     NotTabulatedError,
+    ResolutionRule,
     UnsupportedRegimeError,
     parse_resolution,
     table_formula,
@@ -268,30 +273,26 @@ class IdentRule:
     source: Optional[Tuple[str, str]] = None
 
 
-def _res_map(citation: str, family: str, source: str, target: str,
-             shift: Optional[str] = None,
-             collapse_to: Optional[int] = None) -> IdentRule:
-    """Identification acting on the resolution (and optionally shifting one
-    parameter down by 1, or collapsing it to a fixed value)."""
-    target = parse_resolution(target)
+def _res_map(rule: ResolutionRule) -> IdentRule:
+    """The identification a resolution rule of ``goeritz`` states: a link at
+    the source resolution is the target link, with the rule's parameter
+    move made only where that parameter is at least 2."""
+    family, source = rule.family, rule.source
+    target_family = rule.target_family or family
+    var, shift = rule.move[:1], rule.move.endswith("-1")
 
     def apply(link: LinkId) -> Optional[LinkId]:
         if link.family != family or link.resolution != source:
             return None
         p = link.param_map()
-        if shift is not None:
-            if abs(p[shift]) < 2 or p[shift] < 0:
-                return None
-            p[shift] -= 1
-        if collapse_to is not None:
-            var = "t" if family == "A" else "l"
+        if var:
             if p[var] < 2:
                 return None
-            p[var] = collapse_to
-        params = tuple((k, p[k]) for k in _FAMILY_PARAMS[family])
-        return LinkId(family, params, target)
+            p[var] = p[var] - 1 if shift else 1
+        params = tuple((k, p[k]) for k in _FAMILY_PARAMS[target_family])
+        return LinkId(target_family, params, rule.target)
 
-    return IdentRule(citation, apply, (family, source))
+    return IdentRule(rule.citation, apply, (family, source))
 
 
 def _to_named(family: str, resolution: str, name: str):
@@ -308,15 +309,6 @@ def _l_to_b(link: LinkId) -> Optional[LinkId]:
         return None
     return LinkId.B(link.param("q"), link.param("s"), link.param("t"),
                     link.resolution)
-
-
-def _b_to_a(source: str, target: str) -> IdentRule:
-    def apply(link: LinkId) -> Optional[LinkId]:
-        if link.family != "B" or link.resolution != source:
-            return None
-        return LinkId.A(link.param("q"), link.param("s"), link.param("t"),
-                        target)
-    return IdentRule(CIT_B_TO_A, apply, ("B", source))
 
 
 def _swap(family: str, order: str):
@@ -338,48 +330,21 @@ def _mirror(family: str):
     return apply
 
 
-CIT_A_MIDDLE = "Lemma 5.3(1)"
-CIT_A_OUTER = "Lemma 5.3(2)"
-CIT_A_LADDER_STAR = "Lemma 5.3(3)"
-CIT_A_LADDER_ZERO = "Lemma 5.3(4)"
-CIT_A_COLLAPSE = "Lemma 5.3(5)"
 CIT_A_NAMED = "Lemma 5.3(6)"
 CIT_A_SYM = "Claim 5.6 (q, t symmetry of A)"
 CIT_A_MIRROR = "Section 5.1 case 4) (mirror image)"
-CIT_L_MIDDLE = "Lemma 5.11(1)"
-CIT_L_OUTER = "Lemma 5.11(2)"
-CIT_L_LADDER_STAR = "Lemma 5.11(3)"
-CIT_L_LADDER_ZERO = "Lemma 5.11(4)"
-CIT_L_CHAIN = "Lemma 5.11(5)"
 CIT_L_IS_B = "Section 5.2.1 (B = L(l = 1))"
-CIT_B_TO_A = "Lemma 5.8(1)"
 CIT_B_NAMED = "Lemma 5.8(2)"
 CIT_L_SWAP = "Claim 5.14; Section 5 cases (5), (6) (q-l, s-t symmetry of L)"
 CIT_L_MIRROR = "Section 5 (mirror image reduction)"
 
-IDENTIFICATIONS: Tuple[IdentRule, ...] = (
-    _res_map(CIT_A_MIDDLE, "A", "0,inf,0", "0,0,*"),
-    _res_map(CIT_A_MIDDLE, "A", "inf,0,0", "0,0,*"),
-    _res_map(CIT_A_OUTER, "A", "inf,0,inf", "0,inf,inf"),
-    _res_map(CIT_A_OUTER, "A", "inf,inf,0", "0,inf,inf"),
-    _res_map(CIT_A_LADDER_STAR, "A", "inf,inf,inf", STAR3, shift="t"),
-    _res_map(CIT_A_LADDER_ZERO, "A", "0,inf,inf", "0,*,*", shift="t"),
-    _res_map(CIT_A_COLLAPSE, "A", "0,0,*", "0,0,*", collapse_to=1),
+IDENTIFICATIONS: Tuple[IdentRule, ...] = tuple(
+    _res_map(rule) for rule in RESOLUTION_RULES) + (
     IdentRule(CIT_A_NAMED, _to_named("A", STAR3, "T(3,4)")),
     IdentRule(CIT_A_NAMED, _to_named("A", "0,*,*", "P(2,-3,-2)")),
     IdentRule(CIT_A_SYM, _swap("A", "tsq")),
     IdentRule(CIT_A_MIRROR, _mirror("A")),
-    _res_map(CIT_L_MIDDLE, "L", "0,inf,0", "0,0,*"),
-    _res_map(CIT_L_MIDDLE, "L", "inf,0,0", "0,0,*"),
-    _res_map(CIT_L_OUTER, "L", "inf,0,inf", "0,inf,inf"),
-    _res_map(CIT_L_OUTER, "L", "inf,inf,0", "0,inf,inf"),
-    _res_map(CIT_L_LADDER_STAR, "L", "inf,inf,inf", STAR3, shift="l"),
-    _res_map(CIT_L_LADDER_ZERO, "L", "0,inf,inf", "0,*,*", shift="l"),
-    _res_map(CIT_L_CHAIN, "L", "0,0,*", "0,0,*", shift="l"),
     IdentRule(CIT_L_IS_B, _l_to_b),
-    _b_to_a("0,0,*", STAR3),
-    _b_to_a("inf,*,*", "inf,inf,*"),
-    _b_to_a("0,inf,*", "inf,*,*"),
     IdentRule(CIT_B_NAMED, _to_named("B", STAR3, "T(3,5)")),
     IdentRule(CIT_B_NAMED, _to_named("B", "0,*,*", "P(2,-3,-4)")),
     IdentRule(CIT_L_SWAP, _swap("L", "ltsq")),

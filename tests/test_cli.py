@@ -342,6 +342,30 @@ def test_cert_generate_just_under_and_just_over_the_parameter_limit(
     assert verify(deserialize(out))
 
 
+def test_identities_just_under_and_just_over_the_grid_limits(capsys,
+                                                            monkeypatch):
+    """The largest uniform grids allowed finish in under 5 s; one step
+    larger exits 2 with one line, before anything is computed."""
+    under_over = (
+        ("tables", "_tables_agreement", 19, cli.TABLES_MAX_POINTS),
+        ("lemma5.12", "verify_additivity", 12, cli.SPOT_CHECK_MAX_POINTS),
+    )
+    for suite, worker, n, limit in under_over:
+        start = time.perf_counter()
+        code, out, err = run(["identities", "--suite", suite, "--grid",
+                              f"1..{n}"], capsys)
+        assert time.perf_counter() - start < 5, suite
+        assert code == 0 and out.endswith(" PASS\n"), (suite, out)
+        called = []
+        monkeypatch.setattr(cli, worker, lambda *a, **k: called.append(a))
+        code, out, err = run(["identities", "--suite", suite, "--grid",
+                              f"1..{n + 1}"], capsys)
+        monkeypatch.undo()
+        assert (code, out, called) == (2, "", [])
+        assert err.count("\n") == 1
+        assert f"takes at most {limit} grid points" in err
+
+
 def test_cert_verify_rejects_a_mutated_determinant(capsys, tmp_path):
     run(["cert", "generate", "--family", "L", "--params", "1,1,1,1",
          "--out", str(tmp_path / "c.json")], capsys)

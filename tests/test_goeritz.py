@@ -1,5 +1,6 @@
 """Tests for Goeritz matrices, determinant tables, and identity suites."""
 import itertools
+import pathlib
 import time
 from dataclasses import dataclass
 from typing import Tuple
@@ -9,14 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from bridgecover import goeritz
 from bridgecover.goeritz import (
-    GoeritzError, GoeritzMatrix, NotTabulatedError, UnsupportedRegimeError,
-    build_A_star, build_L_star, det_exact, parse_resolution, table_formula,
-    table_row, verify_additivity, verify_substitution_identities,
+    RESOLUTION_RULES, GoeritzError, GoeritzMatrix, NotTabulatedError,
+    UnsupportedRegimeError, build_A_star, build_L_star, det_exact,
+    lemma_suite, parse_resolution, rule_residual, table_formula, table_row,
+    verify_additivity, verify_substitution_identities,
 )
 from bridgecover.intlinalg import det_bareiss
 from bridgecover.multipoly import MultiPoly
 from bridgecover.qacert import (
     CIT_A_MIRROR, CIT_A_SYM, CIT_L_MIRROR, CIT_L_SWAP, IDENTIFICATIONS, LinkId,
+    _FAMILY_PARAMS, _identify, expected_det,
 )
 
 
@@ -385,6 +388,62 @@ def test_substitution_identities():
         assert lemma in names
     assert sum(1 for n in names if n == "Table2=Table3@t=1") == 5
     assert sum(1 for n in names if n == "Table4=Table5@l=1") == 5
+
+
+def test_every_resolution_rule_is_a_polynomial_identity():
+    """row(source) - row(target) after the move vanishes for all 17 rules,
+    the three Lemma 5.8(1) rules from B to A included."""
+    assert len(RESOLUTION_RULES) == 17
+    assert sum(rule.target_family == "A" for rule in RESOLUTION_RULES) == 3
+    for rule in RESOLUTION_RULES:
+        assert rule.move in ("", "t-1", "l-1", "t=1"), rule
+        assert rule_residual(rule).is_zero(), rule
+
+
+def test_lemma_suites_check_items_one_to_five():
+    for family, lemma in (("A", "Lemma 5.3"), ("L", "Lemma 5.11")):
+        report = lemma_suite(family)
+        assert [c.name for c in report.checks] == [
+            f"{lemma}({item})" for item in range(1, 6)]
+        assert report.all_ok, report.to_text()
+    with pytest.raises(NotTabulatedError):
+        lemma_suite("B")
+
+
+def test_identifications_follow_the_rule_table():
+    """The certificate whitelist sends each rule's source links (parameters
+    1..4) to the target the rule names, moving a parameter only where it is
+    at least 2, and both sides share a determinant."""
+    for rule in RESOLUTION_RULES:
+        names = _FAMILY_PARAMS[rule.family]
+        target_family = rule.target_family or rule.family
+        for values in itertools.product(range(1, 5), repeat=len(names)):
+            link = LinkId(rule.family, tuple(zip(names, values)), rule.source)
+            p = dict(zip(names, values))
+            want = None
+            if not rule.move or p[rule.move[0]] >= 2:
+                if rule.move:
+                    var = rule.move[0]
+                    p[var] = p[var] - 1 if rule.move == f"{var}-1" else 1
+                want = LinkId(target_family, tuple(
+                    (k, p[k]) for k in _FAMILY_PARAMS[target_family]),
+                    rule.target)
+            assert _identify(link, rule.citation) == want, (rule, link)
+            if want is not None:
+                assert expected_det(link) == expected_det(want), (rule, link)
+
+
+def test_resolution_lemma_citations_are_written_once():
+    """Each resolution lemma's citation occurs in one module of src/, the
+    rule table; the named-link items stay with the certificates."""
+    modules = sorted(pathlib.Path(goeritz.__file__).parent.glob("*.py"))
+    citations = ([f"Lemma 5.3({i})" for i in range(1, 6)]
+                 + [f"Lemma 5.11({i})" for i in range(1, 6)]
+                 + ["Lemma 5.8(1)"])
+    for citation in citations:
+        holders = [m.name for m in modules
+                   if citation in m.read_text(encoding="utf-8")]
+        assert holders == ["goeritz.py"], (citation, holders)
 
 
 def test_identity_report_text():
