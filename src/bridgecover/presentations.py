@@ -9,21 +9,27 @@ x1..xn and one relator per index (mod n):
 - the genus-two family, parametrized by (q, s, t, l): one long relator per
   index, transcribed once as a template over a five-generator window.
 
-Both templates are parsed once, at import.  A builder substitutes and
-reduces its template for r_1 only; r_i is r_1 with every generator index
+Both templates are parsed once, at import.  A builder returns a
+``PeriodicPresentation``, which keeps the family, the parameters and n; its
+relator words are built when first read and then kept.  r_1 is the
+template substituted and reduced, and r_i is r_1 with every generator index
 shifted by i - 1, so the per-index work is a renaming.
 
-First-homology orders come from the integer abelianization (exponent sums
-evaluated straight to ints) by exact elimination modulo a non-zero maximal
-minor, which keeps every entry below that minor, so they can be
-cross-checked against the knot-theoretic oracle (Fox's resultant formula)
-at any cover degree.  The module also machine-checks the word-level
-identities the genus-two family satisfies: the product telescope
-r3 r2 r1 = zyx and the rewritten relator forms r', r''.
+The abelianization of a periodic presentation is a circulant, read off the
+template: row r_1 holds the template's exponent sum of each window letter
+(a polynomial in the family parameters, computed once per family) in the
+column of that letter's generator, and row r_i is row r_1 shifted by
+i - 1.  First-homology orders therefore build no word.  They come from
+exact elimination modulo a non-zero maximal minor, which keeps every entry
+below that minor, so they can be cross-checked against the knot-theoretic
+oracle (Fox's resultant formula) at any cover degree.  The module also
+machine-checks the word-level identities the genus-two family satisfies:
+the product telescope r3 r2 r1 = zyx and the rewritten relator forms r', r''.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -73,13 +79,46 @@ _RSECOND_TEMPLATES = {
         "(Y^(t) y^(q) z^(-q) Z^(-t))^(l)"),
 }
 # Every template is constant, so each is parsed once, at import.
-_GENUS_ONE_WORD = parse_word(_GENUS_ONE_TEMPLATE)
-_GENUS_TWO_WORD = parse_word(_GENUS_TWO_TEMPLATE)
 _WING_WORDS = {name: parse_word(text) for name, text in _WING_DEFS.items()}
 _RPRIME_WORDS = {i: parse_word(text) for i, text in _RPRIME_TEMPLATES.items()}
 _RSECOND_WORDS = {i: parse_word(text) for i, text in _RSECOND_TEMPLATES.items()}
 _XYZ_WORDS = {gen: parse_word(gen) for gen in ("x", "y", "z")}
 _ZYX = [("z", 1), ("y", 1), ("x", 1)]
+
+
+class _Family:
+    """An n-periodic relator family: r_i is the template with each window
+    letter v replaced by x_(i+offset) for (v, offset) in ``window``; the
+    genus-one family puts the product relator r_0 = x1 ... xn first."""
+
+    def __init__(self, template: str, window: Sequence[Tuple[str, int]],
+                 product_relator: bool):
+        self.template = parse_word(template)
+        self.window = window
+        self.product_relator = product_relator
+
+    @cached_property
+    def window_sums(self) -> List[Tuple[int, MultiPoly]]:
+        """(offset, the letter's exponent sum in the template) per window
+        letter, as polynomials in the family parameters: constants of the
+        family, computed on first use."""
+        sums = exponent_sums(self.template)
+        return [(offset, sums.get(letter, MultiPoly.const(0)))
+                for letter, offset in self.window]
+
+
+_GENUS_ONE = _Family(_GENUS_ONE_TEMPLATE, _GENUS_ONE_WINDOW, True)
+_GENUS_TWO = _Family(_GENUS_TWO_TEMPLATE, _GENUS_TWO_WINDOW, False)
+
+
+def _check_generators(generators: Sequence[str], names: Sequence[str],
+                      relators: Sequence[ParamWord]) -> None:
+    declared = set(generators)
+    for name, rel in zip(names, relators):
+        undeclared = [g for g in rel.generators() if g not in declared]
+        if undeclared:
+            raise WordError(
+                f"relator {name} uses undeclared generators {undeclared}")
 
 
 class Presentation:
@@ -95,12 +134,7 @@ class Presentation:
         self.relator_names: Tuple[str, ...] = tuple(relator_names)
         if len(self.relator_names) != len(self.relators):
             raise WordError("one name per relator required")
-        declared = set(self.generators)
-        for name, rel in zip(self.relator_names, self.relators):
-            undeclared = [g for g in rel.generators() if g not in declared]
-            if undeclared:
-                raise WordError(
-                    f"relator {name} uses undeclared generators {undeclared}")
+        _check_generators(self.generators, self.relator_names, self.relators)
 
     def relator(self, name: str) -> ParamWord:
         try:
@@ -110,7 +144,7 @@ class Presentation:
 
     def __repr__(self):
         return (f"Presentation(<{len(self.generators)} generators, "
-                f"{len(self.relators)} relators>)")
+                f"{len(self.relator_names)} relators>)")
 
     def to_text(self) -> str:
         env_part = ", ".join(f"{k} >= {v}" for k, v in self.env.bounds.items())
@@ -121,6 +155,33 @@ class Presentation:
         for name, rel in zip(self.relator_names, self.relators):
             lines.append(f"{name}: {rel.to_text()}")
         return "\n".join(lines) + "\n"
+
+
+class PeriodicPresentation(Presentation):
+    """A presentation of one n-periodic family, kept as the family, its
+    parameters (affine exponents, by family parameter name) and n.
+
+    The relator words are built on first read of ``relators`` and kept;
+    ``abelianization_matrix`` never reads them.
+    """
+
+    def __init__(self, family: _Family, params: Mapping[str, AffineExp],
+                 n: int, env: ParamEnv):
+        self.generators = tuple(_gen_name(i, n) for i in range(1, n + 1))
+        self.env = env
+        first = 0 if family.product_relator else 1
+        self.relator_names = tuple(f"r{i}" for i in range(first, n + 1))
+        self.family, self.params, self.n = family, params, n
+
+    @cached_property
+    def relators(self) -> Tuple[ParamWord, ...]:  # type: ignore[override]
+        relators = ([parse_word(" ".join(self.generators))]
+                    if self.family.product_relator else [])
+        template = substitute_params(self.family.template, self.params)
+        relators += _periodic_relators(template, self.family.window, self.n,
+                                       self.env)
+        _check_generators(self.generators, self.relator_names, relators)
+        return tuple(relators)
 
 
 def _gen_name(i: int, n: int) -> str:
@@ -139,14 +200,13 @@ def _as_exponent(value: Union[int, str], default_bound: int,
 
 def _periodic_relators(template: ParamWord, window: Sequence[Tuple[str, int]],
                        n: int, env: ParamEnv) -> List[ParamWord]:
-    """Relators r_1..r_n of an n-periodic family: r_i is the template with
-    each window letter v replaced by x_(i+offset) for (v, offset) in
-    ``window``.
+    """Relators r_1..r_n of an n-periodic family, from its template with
+    the parameters already substituted.
 
-    Only r_1 is substituted and reduced.  The shift x_j -> x_(j+1) (mod n)
-    is a bijection of the generators, and renaming by a bijection commutes
-    with ``reduce_word``, so r_i is r_1 renamed by the shift to the power
-    i - 1.
+    r_1 is the template substituted and reduced.  The shift
+    x_j -> x_(j+1) (mod n) is a bijection of the generators, and renaming by
+    a bijection commutes with ``reduce_word``, so r_i is r_1 renamed by the
+    shift to the power i - 1.
     """
     first = [_gen_name(1 + offset, n) for _, offset in window]
     r1 = substitute(template, {letter: parse_word(gen) for (letter, _), gen
@@ -169,50 +229,38 @@ def _rename(w: ParamWord, names: Mapping[str, str]) -> ParamWord:
 
 
 def genus_one_presentation(k: Union[int, str], l: Union[int, str],
-                           n: int) -> Presentation:
+                           n: int) -> PeriodicPresentation:
     """The n-periodic genus-one presentation with parameters (k, l).
 
     k and l may be integers or parameter names; symbolic parameters get the
     standing bounds k >= 2, l >= 1.  Relators are r0 = x1 x2 ... xn and, for
     each index i (mod n),
     r_i = (x_i^-k x_{i+1}^k)^l (x_{i+2}^-k x_{i+1}^k)^(l-1) x_{i+2}^-k x_{i+1}^(k-1).
-    The template is reduced once, for r_1; r_2..r_n are its images under
-    the cyclic shift of the generators.
+    No word is built here: the relators are built when first read.
     """
     if n < 2:
         raise WordError(f"need at least 2 generators, got n={n}")
     bounds: Dict[str, int] = {}
-    k_exp = _as_exponent(k, 2, bounds)
-    l_exp = _as_exponent(l, 1, bounds)
-    env = ParamEnv(bounds)
-    template = substitute_params(_GENUS_ONE_WORD, {"k": k_exp, "l": l_exp})
-    generators = [_gen_name(i, n) for i in range(1, n + 1)]
-    relators = [parse_word(" ".join(generators))]
-    relators += _periodic_relators(template, _GENUS_ONE_WINDOW, n, env)
-    names = [f"r{i}" for i in range(n + 1)]
-    return Presentation(generators, relators, env, names)
+    params = {"k": _as_exponent(k, 2, bounds), "l": _as_exponent(l, 1, bounds)}
+    return PeriodicPresentation(_GENUS_ONE, params, n, ParamEnv(bounds))
 
 
-def mv_presentation(q: int, s: int, t: int, l: int, n: int) -> Presentation:
+def mv_presentation(q: int, s: int, t: int, l: int,
+                    n: int) -> PeriodicPresentation:
     """The n-periodic genus-two presentation with parameters (q, s, t, l).
 
     One relator per index i (mod n), from the five-generator window template;
-    all four parameters must be nonzero integers.  The template is reduced
-    once, for r_1; r_2..r_n are its images under the cyclic shift of the
-    generators.
+    all four parameters must be nonzero integers.  No word is built here:
+    the relators are built when first read.
     """
     if n < 2:
         raise WordError(f"need at least 2 generators, got n={n}")
     for name, value in (("q", q), ("s", s), ("t", t), ("l", l)):
         if not isinstance(value, int) or value == 0:
             raise WordError(f"parameter {name} must be a nonzero integer, got {value!r}")
-    env = ParamEnv({})
-    template = substitute_params(_GENUS_TWO_WORD,
-                                 {"q": q, "s": s, "t": t, "l": l})
-    generators = [_gen_name(i, n) for i in range(1, n + 1)]
-    relators = _periodic_relators(template, _GENUS_TWO_WINDOW, n, env)
-    names = [f"r{i}" for i in range(1, n + 1)]
-    return Presentation(generators, relators, env, names)
+    params = {"q": AffineExp(q), "s": AffineExp(s), "t": AffineExp(t),
+              "l": AffineExp(l)}
+    return PeriodicPresentation(_GENUS_TWO, params, n, ParamEnv({}))
 
 
 MatrixRow = List[Union[int, MultiPoly]]
@@ -222,10 +270,14 @@ def abelianization_matrix(p: Presentation,
                           values: Optional[Mapping[str, int]] = None) -> List[MatrixRow]:
     """Exponent-sum matrix: one row per relator, one column per generator.
 
-    With ``values`` the entries are integers, evaluated word by word with
-    no polynomial built; without, they are polynomials in the
-    presentation's parameters.
+    With ``values`` the entries are integers; without, they are polynomials
+    in the presentation's parameters.  A periodic presentation's matrix is
+    the circulant of its family's window sums, whether or not its relators
+    have been read; any other presentation's rows are the exponent sums of
+    its relator words.
     """
+    if isinstance(p, PeriodicPresentation):
+        return _circulant(p, values)
     zero = 0 if values is not None else MultiPoly.const(0)
     rows: List[MatrixRow] = []
     for rel in p.relators:
@@ -234,14 +286,35 @@ def abelianization_matrix(p: Presentation,
     return rows
 
 
+def _circulant(p: PeriodicPresentation,
+               values: Optional[Mapping[str, int]]) -> List[MatrixRow]:
+    """Row r_1 adds each window letter's template sum into the column of
+    x_(1+offset), so letters that land on one generator (n < window width)
+    add up; row r_i is row r_1 shifted by i - 1."""
+    if values is None:
+        point = {name: exp.to_poly() for name, exp in p.params.items()}
+        entry, zero, one = ((lambda poly: poly.substitute(point)),
+                            MultiPoly.const(0), MultiPoly.const(1))
+    else:
+        point = {name: exp.evaluate(values) for name, exp in p.params.items()}
+        entry, zero, one = (lambda poly: poly.evaluate(point)), 0, 1
+    n = p.n
+    first: MatrixRow = [zero] * n
+    for offset, poly in p.family.window_sums:
+        first[offset % n] += entry(poly)
+    rows = [[one] * n] if p.family.product_relator else []
+    return rows + [first[n - i:] + first[:n - i] for i in range(n)]
+
+
 def h1_order(p: Presentation,
              values: Optional[Mapping[str, int]] = None) -> Union[int, Infinite]:
     """Order of the abelianization, or INFINITE if it has positive rank.
 
     The order comes from ``intlinalg.cokernel_order`` on the integer
-    exponent-sum matrix: |det| when it is square (the genus-two family),
-    else Hermite elimination modulo a non-zero maximal minor, so entries
-    stay below that minor however large the cover.
+    exponent-sum matrix (for a periodic presentation, the circulant, with
+    no word built): |det| when it is square (the genus-two family), else
+    Hermite elimination modulo a non-zero maximal minor, so entries stay
+    below that minor however large the cover.
     """
     matrix = abelianization_matrix(p, values if values is not None else {})
     return cokernel_order(matrix, len(p.generators))

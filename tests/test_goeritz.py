@@ -374,6 +374,30 @@ def test_additivity_with_numeric_grid():
     assert len(report.checks) == 6  # numeric failures would append extra checks
 
 
+def test_additivity_grid_evaluates_each_row_once_and_lists_failures_in_order(
+        monkeypatch):
+    """One ``table_formula`` call per distinct row and point; a failed spot
+    check still follows its identity, in grid order."""
+    real, calls = goeritz.table_formula, []
+
+    def off_at_q1(family, resolution, point):
+        calls.append(resolution)
+        return real(family, resolution, point) + (
+            resolution == "0,inf,inf" and point["q"] == 1)
+
+    monkeypatch.setattr(goeritz, "table_formula", off_at_q1)
+    grid = [{"q": q, "s": s, "t": 1, "l": 1}
+            for q, s in itertools.product((1, 2), repeat=2)]
+    report = verify_additivity("L", grid)
+    assert len(calls) == 10 * len(grid)
+    at = [f" at {grid[0]}", f" at {grid[1]}"]
+    assert [c.name for c in report.checks] == [
+        "Lemma 5.12(1)", "Lemma 5.12(2)", "Lemma 5.12(3)"] + [
+        f"Lemma 5.12{tag}{point}" for tag in ("(4)", "(5)", "(6)")
+        for point in ["", *at]]
+    assert all(c.residual == -1 for c in report.checks if " at " in c.name)
+
+
 def test_additivity_unknown_family():
     with pytest.raises(NotTabulatedError):
         verify_additivity("B")

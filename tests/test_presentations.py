@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import letter_words as reference
 from bridgecover import cli, intlinalg, presentations
@@ -292,6 +293,8 @@ def test_mv_matches_the_per_index_reference(n):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
 def test_builders_substitute_once_whatever_n(n, monkeypatch):
+    """Building substitutes nothing; the first read of the relators
+    substitutes the template once, whatever n, and later reads reuse it."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -299,10 +302,55 @@ def test_builders_substitute_once_whatever_n(n, monkeypatch):
         return substitute(*args, **kwargs)
 
     monkeypatch.setattr(presentations, "substitute", counting)
-    genus_one_presentation("k", "l", n)
-    assert len(calls) == 1
-    mv_presentation(1, -2, 2, 1, n)
-    assert len(calls) == 2
+    for p in (genus_one_presentation("k", "l", n),
+              mv_presentation(1, -2, 2, 1, n)):
+        calls.clear()
+        abelianization_matrix(p)
+        assert len(calls) == 0
+        first = p.relators
+        assert len(calls) == 1
+        assert p.relators is first and len(calls) == 1
+
+
+def test_h1_order_builds_no_word(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("h1_order built a relator word")
+    for name in ("substitute", "substitute_params", "parse_word"):
+        monkeypatch.setattr(presentations, name, refuse)
+    for n in (2, 3, 4, 7):
+        assert h1_order(mv_presentation(2, -2, 1, 2, n)) == \
+            h1_cyclic_cover_order([-4, -4, -2, 4], n)
+        assert h1_order(genus_one_presentation(2, 3, n)) == \
+            h1_cyclic_cover_order([4, -6], n)
+        assert h1_order(genus_one_presentation("k", "l", n),
+                        {"k": 3, "l": 2}) == h1_cyclic_cover_order([6, -4], n)
+
+
+_SYMBOLS = st.sampled_from(["k", "l", "m"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 12), st.one_of(st.integers(-3, 3), _SYMBOLS),
+       st.one_of(st.integers(-3, 3), _SYMBOLS),
+       st.tuples(*[st.integers(-3, 3).filter(bool)] * 4),
+       st.fixed_dictionaries({v: st.integers(-4, 4) for v in "klm"}),
+       st.booleans())
+@example(2, 0, 3, (1, 1, 1, 1), {"k": 2, "l": 1, "m": 0}, True)
+@example(3, 2, 0, (2, -1, 1, -2), {"k": 2, "l": 1, "m": 0}, True)
+@example(4, "l", "k", (-1, 2, -3, 1), {"k": 0, "l": 3, "m": 1}, False)
+@example(4, "k", "l", (3, 3, -1, 2), {"k": 2, "l": 0, "m": 1}, True)
+def test_circulant_equals_the_word_walk(n, k, l, mv_params, values, with_values):
+    """The circulant of a fresh presentation, read before its relators,
+    equals the exponent sums of those relator words."""
+    for p in (genus_one_presentation(k, l, n), mv_presentation(*mv_params, n)):
+        at = values if with_values else None
+        got = abelianization_matrix(p, at)
+        words = Presentation(p.generators, p.relators, p.env, p.relator_names)
+        assert got == abelianization_matrix(words, at), (k, l, mv_params, n)
+        if with_values:
+            assert all(type(entry) is int for row in got for entry in row)
+        else:
+            assert all(isinstance(entry, MultiPoly) for row in got for entry in row)
 
 
 # ---------------------------------------------------------------------------
