@@ -7,7 +7,7 @@ Subcommands
                   canonical even expansion
 - ``h1``          order of H_1 of an n-fold cyclic branched cover, by any or
                   all of the three methods (``snf``: the cover presentation,
-                  its order by Hermite elimination modulo a maximal minor;
+                  its order the cyclic resultant of its circulant symbol;
                   Alexander resultant oracle; closed-form table)
 - ``identities``  the symbolic determinant-identity suites and the
                   matrix-vs-formula grid suite
@@ -84,10 +84,6 @@ _PARAM_NAMES = ("q", "s", "t", "l")
 # serialize in about 1.2 s, and the round trip through verify takes under
 # 3 s (2-core machine, Python 3.11).
 CERT_MAX_PARAM = 1000
-# Cover degree of ``h1 --method snf``: its dense elimination grows as n^3.
-# At n = 300 it takes 2.2 s for K[6,-4,4,-6] and 3.4 s for K[6,-4]; larger
-# twist parameters make every entry longer, and the time with them.
-H1_SNF_MAX_COVER = 300
 # Grid points of ``identities``: the four star rows' points for the tables
 # suite (n^2 (n+1)^2 on 1..n), the suite's own grid for ``--grid`` spot
 # checks.  The largest uniform requests, tables at 1..19 and lemma5.12 at
@@ -357,20 +353,9 @@ def _cmd_h1(args) -> int:
     except ValueError as exc:
         raise _CliError(str(exc))
 
-    snf_over = args.cover > H1_SNF_MAX_COVER
-    if snf_over and args.method in ("snf", "all"):
-        limit = (f"h1 --method snf takes a cover degree of at most "
-                 f"{H1_SNF_MAX_COVER}, got {args.cover}")
-        if args.method == "snf":
-            print(f"bridgecover: error: {limit}", file=sys.stderr)
-            return 2
-        print(f"bridgecover: skipped snf: {limit}", file=sys.stderr)
-
     if args.method == "all":
         values = []
-        for name, method in _H1_METHODS:
-            if name == "snf" and snf_over:
-                continue
+        for _, method in _H1_METHODS:
             try:
                 values.append(method(expansion, args.cover))
             except _Inapplicable:

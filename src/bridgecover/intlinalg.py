@@ -1,6 +1,6 @@
 """Exact integer linear algebra: fraction-free determinants, Smith normal form,
-cokernel orders by elimination modulo a maximal minor, and polynomial
-resultants.
+cokernel orders by elimination modulo a maximal minor, polynomial
+resultants, and the cyclic resultant behind every cyclic-cover H_1 order.
 
 Everything here works on plain Python ints (arbitrary precision), so results
 are exact for matrices of any size that fits in memory.  No floating point.
@@ -109,6 +109,76 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     """
     syl = sylvester_matrix(f, g)
     return det_bareiss(syl)
+
+
+def cyclic_resultant(f: Sequence[int], n: int) -> int:
+    """|Res(S, f)| with S = 1 + x + ... + x**(n-1), for n >= 1 and an integer
+    polynomial f (ascending coefficients, leading zeros ignored): the order
+    of Z[x]/(S, f), or 0 when it is infinite.  A constant c gives |c|**(n-1).
+
+    For f of degree m >= 1, S is reduced modulo f by doubling,
+    S_2k = S_k (1 + x**k) and S_(k+1) = 1 + x S_k, in O(log n) products of
+    polynomials of degree below m.  Elements of Q[x]/(f) are kept as
+    (R, e), an integer polynomial R over c**e with c = lc(f).  If
+    S = R / c**e mod f with deg R = d, then |Res(S, f)| =
+    |c|**(n-1-d-e*m) |Res(R, f)|, one resultant of order at most 2m - 1.
+    Nothing divides by f(1), so links (f(1) = 0) work too.
+    """
+    f = list(f) or [0]
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    m, c = len(f) - 1, f[-1]
+    if m == 0:
+        return abs(c) ** (n - 1)
+
+    def reduce(p: List[int], e: int) -> Tuple[List[int], int]:
+        # Pseudo-division from the top; scale by c only when a leading
+        # coefficient is not already divisible by it.
+        for d in range(len(p) - 1, m - 1, -1):
+            if p[d] % c:
+                p = [c * a for a in p]
+                e += 1
+            q = p[d] // c
+            if q:
+                for j, b in enumerate(f):
+                    p[d - m + j] -= q * b
+        p = p[:m]
+        while e and all(a % c == 0 for a in p):
+            p = [a // c for a in p]
+            e -= 1
+        return p, e
+
+    def mul(u, v):
+        (p, e), (q, g) = u, v
+        prod = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if a:
+                for j, b in enumerate(q):
+                    prod[i + j] += a * b
+        return reduce(prod, e + g)
+
+    def one_plus(u):
+        p, e = u
+        return reduce([p[0] + c ** e] + p[1:], e)
+
+    x = reduce([0, 1], 0)
+    s, power = ([1], 0), x  # S_k and x**k at k = 1
+    for bit in bin(n)[3:]:
+        s, power = mul(s, one_plus(power)), mul(power, power)
+        if bit == "1":
+            s, power = one_plus(mul(x, s)), mul(x, power)
+    r, e = s
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return 0
+    # Res(f, r) = +-Res(r, f); with f's small rows on top of the Sylvester
+    # matrix, Bareiss divides by small pivots first.
+    order = abs(resultant(f, r))
+    shift = n - 1 - (len(r) - 1) - e * m
+    if shift >= 0:
+        return order * abs(c) ** shift
+    return order // abs(c) ** -shift
 
 
 class SNFResult:

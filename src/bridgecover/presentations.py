@@ -16,15 +16,14 @@ template substituted and reduced, and r_i is r_1 with every generator index
 shifted by i - 1, so the per-index work is a renaming.
 
 The abelianization of a periodic presentation is a circulant, read off the
-template: row r_1 holds the template's exponent sum of each window letter
-(a polynomial in the family parameters, computed once per family) in the
-column of that letter's generator, and row r_i is row r_1 shifted by
-i - 1.  First-homology orders therefore build no word.  They come from
-exact elimination modulo a non-zero maximal minor, which keeps every entry
-below that minor, so they can be cross-checked against the knot-theoretic
-oracle (Fox's resultant formula) at any cover degree.  The module also
-machine-checks the word-level identities the genus-two family satisfies:
-the product telescope r3 r2 r1 = zyx and the rewritten relator forms r', r''.
+template.  Its symbol f has the template's exponent sum of each window
+letter (a polynomial in the family parameters, computed once per family)
+as the coefficient of x**(offset - lowest offset), and the first-homology
+order is the cyclic resultant |Res(1 + x + ... + x**(n-1), f)|, which the
+knot-theoretic oracle (Fox's formula) takes of the Alexander polynomial; no
+word is built.  The module also machine-checks the word-level identities
+the genus-two family satisfies: the product telescope r3 r2 r1 = zyx and
+the rewritten relator forms r', r''.
 """
 from __future__ import annotations
 
@@ -33,7 +32,8 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .intlinalg import Infinite, cokernel_order, in_row_span
+from .intlinalg import (INFINITE, Infinite, cokernel_order, cyclic_resultant,
+                        in_row_span)
 from .multipoly import MultiPoly
 from .words import (
     AffineExp, CyclicMatch, ParamEnv, ParamWord, PowerBlock, Run, Syllable,
@@ -88,8 +88,9 @@ _ZYX = [("z", 1), ("y", 1), ("x", 1)]
 
 class _Family:
     """An n-periodic relator family: r_i is the template with each window
-    letter v replaced by x_(i+offset) for (v, offset) in ``window``; the
-    genus-one family puts the product relator r_0 = x1 ... xn first."""
+    letter v replaced by x_(i+offset) for (v, offset) in ``window``, whose
+    offsets are consecutive and ascending; the genus-one family puts the
+    product relator r_0 = x1 ... xn first."""
 
     def __init__(self, template: str, window: Sequence[Tuple[str, int]],
                  product_relator: bool):
@@ -286,23 +287,28 @@ def abelianization_matrix(p: Presentation,
     return rows
 
 
-def _circulant(p: PeriodicPresentation,
-               values: Optional[Mapping[str, int]]) -> List[MatrixRow]:
-    """Row r_1 adds each window letter's template sum into the column of
-    x_(1+offset), so letters that land on one generator (n < window width)
-    add up; row r_i is row r_1 shifted by i - 1."""
+def _symbol(p: PeriodicPresentation,
+            values: Optional[Mapping[str, int]]) -> MatrixRow:
+    """The circulant's symbol, ascending from the window's lowest offset: the
+    template sums at the parameters (ints with ``values``, else polynomials)."""
     if values is None:
         point = {name: exp.to_poly() for name, exp in p.params.items()}
-        entry, zero, one = ((lambda poly: poly.substitute(point)),
-                            MultiPoly.const(0), MultiPoly.const(1))
-    else:
-        point = {name: exp.evaluate(values) for name, exp in p.params.items()}
-        entry, zero, one = (lambda poly: poly.evaluate(point)), 0, 1
-    n = p.n
+        return [poly.substitute(point) for _, poly in p.family.window_sums]
+    point = {name: exp.evaluate(values) for name, exp in p.params.items()}
+    return [poly.evaluate(point) for _, poly in p.family.window_sums]
+
+
+def _circulant(p: PeriodicPresentation,
+               values: Optional[Mapping[str, int]]) -> List[MatrixRow]:
+    """Row r_1 adds the symbol's coefficients into the columns of
+    x_(1+offset), so letters that land on one generator (n < window width)
+    add up; row r_i is row r_1 shifted by i - 1."""
+    n, lowest = p.n, p.family.window[0][1]
+    zero = 0 if values is not None else MultiPoly.const(0)
     first: MatrixRow = [zero] * n
-    for offset, poly in p.family.window_sums:
-        first[offset % n] += entry(poly)
-    rows = [[one] * n] if p.family.product_relator else []
+    for j, coefficient in enumerate(_symbol(p, values)):
+        first[(lowest + j) % n] += coefficient
+    rows = [[zero + 1] * n] if p.family.product_relator else []
     return rows + [first[n - i:] + first[:n - i] for i in range(n)]
 
 
@@ -310,14 +316,21 @@ def h1_order(p: Presentation,
              values: Optional[Mapping[str, int]] = None) -> Union[int, Infinite]:
     """Order of the abelianization, or INFINITE if it has positive rank.
 
-    The order comes from ``intlinalg.cokernel_order`` on the integer
-    exponent-sum matrix (for a periodic presentation, the circulant, with
-    no word built): |det| when it is square (the genus-two family), else
-    Hermite elimination modulo a non-zero maximal minor, so entries stay
-    below that minor however large the cover.
+    For a periodic presentation with symbol f and S = 1 + x + ... + x**(n-1)
+    this is |Res(S, f)| (``intlinalg.cyclic_resultant``) with the product
+    relator, since the rows span (S, f) in Z[x]/(x**n - 1) = Z^n, and the
+    circulant's |det| = |f(1)| |Res(S, f)| without it; no word or matrix is
+    built.  Other presentations go through ``intlinalg.cokernel_order``.
     """
-    matrix = abelianization_matrix(p, values if values is not None else {})
-    return cokernel_order(matrix, len(p.generators))
+    values = values if values is not None else {}
+    if not isinstance(p, PeriodicPresentation):
+        return cokernel_order(abelianization_matrix(p, values),
+                              len(p.generators))
+    f = _symbol(p, values)
+    order = cyclic_resultant(f, p.n)
+    if not p.family.product_relator:
+        order *= abs(sum(f))
+    return order if order else INFINITE
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ genus-m Seifert surface obtained by plumbing m twisted annuli; from its
 Seifert matrix we get the Alexander polynomial (a continuant, since
 V - t*V^T is tridiagonal) and the exact order of the first homology of every
 finite cyclic branched cover, |Res(1 + t + ... + t**(n-1), Alexander)| (Fox
-1956), computed in Z[t]/(Alexander) with one resultant of order at most
+1956), by ``intlinalg.cyclic_resultant``: one resultant of order at most
 4*genus - 1 whatever n is.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 # det_bareiss is unused here; perfbench's tracing test asserts twobridge.det_bareiss.
-from .intlinalg import INFINITE, Infinite, det_bareiss, resultant  # noqa: F401
+from .intlinalg import INFINITE, Infinite, cyclic_resultant, det_bareiss  # noqa: F401
 
 
 def cf_value(terms: Sequence[int]) -> Fraction:
@@ -211,83 +211,14 @@ def link_determinant(e: ExpansionLike) -> int:
 
 
 def h1_cyclic_cover_order(e: ExpansionLike, n: int) -> Union[int, Infinite]:
-    """Exact order of H_1 of the n-fold cyclic branched cover.
-
-    Computed as |Res(1 + t + ... + t**(n-1), Alexander(t))| (Fox 1956) by
-    ``_cyclic_resultant``, which works in Z[t]/(Alexander); a zero resultant
-    means infinite homology.
+    """Exact order of H_1 of the n-fold cyclic branched cover:
+    |Res(1 + t + ... + t**(n-1), Alexander(t))| (Fox 1956), from
+    ``intlinalg.cyclic_resultant``; a zero resultant means infinite homology.
     """
     if n < 1:
         raise ValueError(f"cover degree must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    order = _cyclic_resultant(alexander(e), n)
+    order = cyclic_resultant(alexander(e), n)
     return order if order else INFINITE
-
-
-def _cyclic_resultant(delta: Sequence[int], n: int) -> int:
-    """|Res(1 + t + ... + t**(n-1), delta)| for n >= 1 and an integer
-    polynomial delta of degree m >= 1 (ascending, trimmed coefficients).
-
-    S = 1 + t + ... + t**(n-1) is reduced modulo delta by doubling,
-    S_2k = S_k (1 + t**k) and S_(k+1) = 1 + t S_k, in O(log n) products of
-    polynomials of degree below m.  Elements of Q[t]/(delta) are kept as
-    (R, e), an integer polynomial R over c**e with c = lc(delta).  If
-    S = R / c**e mod delta with deg R = d, then
-    |Res(S, delta)| = |c|**(n-1-d-e*m) |Res(R, delta)|, one resultant of
-    order at most 2m - 1.  Nothing divides by delta(1), so links
-    (delta(1) = 0) work too.
-    """
-    m, c = len(delta) - 1, delta[-1]
-
-    def reduce(p: List[int], e: int) -> Tuple[List[int], int]:
-        # Pseudo-division from the top; scale by c only when a leading
-        # coefficient is not already divisible by it.
-        for d in range(len(p) - 1, m - 1, -1):
-            if p[d] % c:
-                p = [c * a for a in p]
-                e += 1
-            q = p[d] // c
-            if q:
-                for j, b in enumerate(delta):
-                    p[d - m + j] -= q * b
-        p = p[:m]
-        while e and all(a % c == 0 for a in p):
-            p = [a // c for a in p]
-            e -= 1
-        return p, e
-
-    def mul(x, y):
-        (p, e), (q, f) = x, y
-        prod = [0] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q):
-                    prod[i + j] += a * b
-        return reduce(prod, e + f)
-
-    def one_plus(x):
-        p, e = x
-        return reduce([p[0] + c ** e] + p[1:], e)
-
-    t = reduce([0, 1], 0)
-    s, power = ([1], 0), t  # S_k and t**k at k = 1
-    for bit in bin(n)[3:]:
-        s, power = mul(s, one_plus(power)), mul(power, power)
-        if bit == "1":
-            s, power = one_plus(mul(t, s)), mul(t, power)
-    r, e = s
-    while r and r[-1] == 0:
-        r.pop()
-    if not r:
-        return 0
-    # Res(delta, r) = +-Res(r, delta); with delta's small rows on top of the
-    # Sylvester matrix, Bareiss divides by small pivots first.
-    order = abs(resultant(delta, r))
-    shift = n - 1 - (len(r) - 1) - e * m
-    if shift >= 0:
-        return order * abs(c) ** shift
-    return order // abs(c) ** -shift
 
 
 # Small dictionary of rational-knot names, used only for display.

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import letter_words as reference
-from bridgecover import cli, intlinalg, presentations
-from bridgecover.intlinalg import in_row_span
+from bridgecover import cli, goeritz, intlinalg, presentations
+from bridgecover.intlinalg import cokernel_order, in_row_span
 from bridgecover.multipoly import MultiPoly
 from bridgecover.presentations import (
     Presentation, abelianization_matrix, first_syllable_difference,
@@ -314,8 +314,9 @@ def test_builders_substitute_once_whatever_n(n, monkeypatch):
 
 def test_h1_order_builds_no_word(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("h1_order built a relator word")
-    for name in ("substitute", "substitute_params", "parse_word"):
+        raise AssertionError("h1_order built a relator word or a matrix")
+    for name in ("substitute", "substitute_params", "parse_word",
+                 "abelianization_matrix", "cokernel_order"):
         monkeypatch.setattr(presentations, name, refuse)
     for n in (2, 3, 4, 7):
         assert h1_order(mv_presentation(2, -2, 1, 2, n)) == \
@@ -351,6 +352,84 @@ def test_circulant_equals_the_word_walk(n, k, l, mv_params, values, with_values)
             assert all(type(entry) is int for row in got for entry in row)
         else:
             assert all(isinstance(entry, MultiPoly) for row in got for entry in row)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 14), st.integers(-4, 4), st.integers(-4, 4),
+       st.tuples(*[st.integers(-3, 3).filter(bool)] * 4), st.booleans())
+# n = 2, 3, 4: window letters land on one generator (windows of 3 and 5)
+@example(2, 2, 3, (1, -2, 2, 1), False)
+@example(3, -2, 1, (-1, 2, -3, 1), False)
+@example(4, 3, -2, (2, 1, -1, -2), False)
+@example(5, 0, 3, (1, 1, 1, 1), False)      # k = 0: f = -x, a unit
+@example(6, 2, 0, (1, 1, 1, 2), True)       # l = 0: f = -x, a unit
+@example(6, 1, 1, (1, 1, 1, 1), True)       # trefoil at n = 6: INFINITE
+def test_h1_order_equals_the_dense_cokernel(n, k, l, mv_params, symbolic):
+    """The cyclic resultant of the symbol equals the cokernel order of the
+    dense circulant, for both families and symbolic genus one."""
+    genus_one = (genus_one_presentation("k", "l", n), {"k": k, "l": l}) \
+        if symbolic else (genus_one_presentation(k, l, n), None)
+    for p, values in (genus_one, (mv_presentation(*mv_params, n), None)):
+        dense = cokernel_order(abelianization_matrix(p, values or {}), n)
+        assert h1_order(p, values) == dense, (k, l, mv_params, n)
+
+
+def test_symbolic_genus_one_needs_values():
+    with pytest.raises(WordError, match="no value for parameter 'k'"):
+        h1_order(genus_one_presentation("k", "l", 5))
+
+
+def _continuant(diagonal):
+    """det(V - x V^T) for the ladder Seifert matrix with this diagonal, as
+    ascending coefficients in x: ``alexander``'s loop
+    D_j = d_j (1 - x) D_(j-1) + x D_(j-2), run over polynomials in the
+    parameters and not normalized."""
+    zero = MultiPoly.const(0)
+    prev, cur = [zero], [MultiPoly.const(1)]
+    for d in diagonal:
+        nxt = [zero] * (len(cur) + 1)
+        for i, c in enumerate(cur):
+            nxt[i] += d * c
+            nxt[i + 1] -= d * c
+        for i, c in enumerate(prev):
+            nxt[i + 1] += c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _laurent_symbol(family):
+    """(lowest offset, coefficients of x**lowest ... upward) of the symbol
+    sum(window_sum(offset) x**offset)."""
+    offsets = [offset for offset, _ in family.window_sums]
+    assert offsets == list(range(offsets[0], offsets[-1] + 1))
+    return offsets[0], [poly for _, poly in family.window_sums]
+
+
+def test_circulant_symbol_is_the_seifert_continuant():
+    """As polynomials in x and the parameters: x**2 f = D(-q, -s, -t, -l)
+    for genus two and f = -D(k, l) for genus one, where D is the continuant
+    whose value the oracle takes the resultant of.  The dense circulant
+    has the same cokernel as Z[x]/(x**n - 1, f) for every n, so snf and the
+    oracle compute one polynomial quotient at every n and parameter."""
+    q, s, t, l, k = (MultiPoly.var(v) for v in "qstlk")
+    lowest, f = _laurent_symbol(presentations._GENUS_TWO)
+    assert lowest == -2 and f == _continuant([-q, -s, -t, -l])
+    assert sum(f) == 1
+    lowest, f = _laurent_symbol(presentations._GENUS_ONE)
+    assert lowest == 0 and f == [-c for c in _continuant([k, l])]
+    assert sum(f) == -1
+
+
+def test_triple_cover_norm_is_the_table_row():
+    """With D = D(-q, -s, -t, -l) = a + b x modulo 1 + x + x**2, the norm
+    |Res(1 + x + x**2, D)| = a**2 - a b + b**2 is the closed-form
+    L(*,*,*) row: snf, the oracle and the table agree at n = 3 for every
+    parameter, not only on a grid."""
+    d = _continuant([-MultiPoly.var(v) for v in "qstl"])
+    # x**3 = 1 and x**2 = -1 - x modulo 1 + x + x**2
+    a, b = d[0] + d[3] - d[2], d[1] + d[4] - d[2]
+    row = goeritz.table_row("L", "*,*,*").poly
+    assert a * a - a * b + b * b in (row, -row)
 
 
 # ---------------------------------------------------------------------------

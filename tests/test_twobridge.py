@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bridgecover import intlinalg, twobridge
+from bridgecover import intlinalg
 from bridgecover.intlinalg import det_bareiss, resultant
 from bridgecover.twobridge import (
     INFINITE,
@@ -205,7 +205,12 @@ def test_cyclic_resultant_handles_links(low, lead, n):
     delta = low + [lead]
     delta[0] -= sum(delta)
     want = abs(resultant([1] * n, delta))
-    assert twobridge._cyclic_resultant(delta, n) == want
+    assert intlinalg.cyclic_resultant(delta, n) == want
+    # A constant, a zero constant term; a zero top coefficient is trimmed.
+    for f in ([lead], [0] + delta, [0, lead]):
+        assert intlinalg.cyclic_resultant(f + [0], n) == \
+            abs(resultant([1] * n, f)), f
+    assert intlinalg.cyclic_resultant([0, 0], n) == (1 if n == 1 else 0)
 
 
 def test_h1_oracle_at_large_n_against_closed_forms():
@@ -230,7 +235,7 @@ def test_h1_oracle_calls_resultant_once(monkeypatch):
         calls.append(1)
         return resultant(f, g)
 
-    monkeypatch.setattr(twobridge, "resultant", counting)
+    monkeypatch.setattr(intlinalg, "resultant", counting)
     for terms, n in (([2, 2], 7), ([4, -2, 2, -4], 7), ([2, -4, 6, -8], 800),
                      ([2, -4, 2, -4, 6, -2, 4, -2], 300)):
         calls.clear()
