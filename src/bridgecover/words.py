@@ -67,15 +67,17 @@ UK = SignLattice.UNKNOWN
 
 _POSITIVE = {SP, NN}
 _NEGATIVE = {SN, NP}
+_INVERTED = {SP: SN, SN: SP, NN: NP, NP: NN}
+_WEAKENED = {SP: NN, SN: NP}
 
 
 def sign_invert(v: SignLattice) -> SignLattice:
-    return {SP: SN, SN: SP, NN: NP, NP: NN}.get(v, v)
+    return _INVERTED.get(v, v)
 
 
 def sign_weaken(v: SignLattice) -> SignLattice:
     """Allow the identity as well: strict values lose their strictness."""
-    return {SP: NN, SN: NP}.get(v, v)
+    return _WEAKENED.get(v, v)
 
 
 def sign_product(a: SignLattice, b: SignLattice) -> SignLattice:

@@ -213,6 +213,30 @@ def test_cyclic_resultant_handles_links(low, lead, n):
     assert intlinalg.cyclic_resultant([0, 0], n) == (1 if n == 1 else 0)
 
 
+@given(st.lists(st.integers(-9, 9), max_size=9), st.booleans())
+@example([], False)            # f = 0
+@example([0, 0], False)        # f = 0 with zero coefficients to trim
+@example([5], False)           # a constant
+@example([-1, 1], True)        # x - 1, a link
+@example([24, -78, 109, -78, 24], False)
+@settings(max_examples=120, deadline=None)
+def test_cyclic_resultant_fold_at_small_n(f, link):
+    """For every n <= deg f + 1, n = 1 and 2 included, f folded modulo
+    x**n - 1 gives |Res(1 + x + ... + x**(n-1), f)| as the (n + deg f - 1)
+    -square Sylvester determinant does."""
+    if link and f:  # shift the constant term so that f(1) = 0
+        f = [f[0] - sum(f)] + f[1:]
+    trimmed = list(f)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    for n in range(1, len(trimmed) + 2):
+        if trimmed:
+            want = abs(resultant([1] * n, trimmed))
+        else:
+            want = 1 if n == 1 else 0
+        assert intlinalg.cyclic_resultant(f, n) == want, (f, n)
+
+
 def test_h1_oracle_at_large_n_against_closed_forms():
     # Figure eight: |H_1| = 5 F_n^2 for even n and L_n^2 for odd n.
     fib, luc = [0, 1], [2, 1]
@@ -229,18 +253,31 @@ def test_h1_oracle_at_large_n_against_closed_forms():
 
 
 def test_h1_oracle_calls_resultant_once(monkeypatch):
-    calls = []
-
-    def counting(f, g):
-        calls.append(1)
-        return resultant(f, g)
-
-    monkeypatch.setattr(intlinalg, "resultant", counting)
-    for terms, n in (([2, 2], 7), ([4, -2, 2, -4], 7), ([2, -4, 6, -8], 800),
-                     ([2, -4, 2, -4, 6, -2, 4, -2], 300)):
+    """Each order is one resultant: a Sylvester determinant of order below
+    2n - 2 when n <= deg Delta + 1 (the fold), of order below 4 genus
+    otherwise, or the multi-modular path at genus 12 and n = 200."""
+    calls, paths = [], []
+    monkeypatch.setattr(intlinalg, "resultant", lambda f, g: calls.append(
+        (len(f) - 1, len(g) - 1)) or resultant(f, g))
+    for name in ("_resultant_sylvester", "_resultant_modular"):
+        real = getattr(intlinalg, name)
+        monkeypatch.setattr(intlinalg, name, lambda f, g, real=real, name=name:
+                            paths.append(name) or real(f, g))
+    genus12 = [2, -4, 6, -2, 4, -6] * 4
+    for terms, n, path in (
+            ([2, 2], 7, "_resultant_sylvester"),
+            ([4, -2, 2, -4], 7, "_resultant_sylvester"),
+            ([2, -4, 6, -8], 800, "_resultant_sylvester"),
+            ([2, -4, 2, -4, 6, -2, 4, -2], 300, "_resultant_sylvester"),
+            (genus12, 3, "_resultant_sylvester"),
+            (genus12, 200, "_resultant_modular")):
         calls.clear()
+        paths.clear()
         assert h1_cyclic_cover_order(terms, n) is not INFINITE
-        assert len(calls) == 1, (terms, n)
+        assert len(calls) == 1 and paths == [path], (terms, n, paths)
+        order = sum(calls[0])
+        assert order <= (2 * n - 3 if n <= len(terms) + 1
+                         else 2 * len(terms) - 1), (terms, n, order)
 
 
 def test_h1_oracle_determinants_stay_below_4g(monkeypatch):
