@@ -90,16 +90,17 @@ CERT_MAX_PARAM = 1000
 # 1..12, take about 3 s cold there, which leaves room under 5 s.
 TABLES_MAX_POINTS = 150_000
 SPOT_CHECK_MAX_POINTS = 25_000
-# h1's size: genus * (n - 1) * the bit lengths of |a| + 1 summed over the
-# even expansion's terms a.  The sum bounds log2 |Delta|_1 (the continuant
-# gains at most a factor |a| + 1 per term), so (n - 1) times it bounds the
-# bits of the answer, |Res(S_n, Delta)| <= |Delta|_1**(n-1) (Fox 1956), and
-# the genus weighs the degree.  At the limit, from genus 1 with terms of 31
-# digits to genus 250, every method finishes in under 3 s cold (2-core
-# machine, Python 3.11).  A bound on genus and n alone would not hold: at
-# genus 2 and n = 20000, twists ten times those of [2, -4, 6, -8] took 3.2 s
-# where it took 0.35 s.
-H1_MAX_SIZE = 500_000
+# h1's size: genus * (genus + 1) * (n - 1) * the bit lengths of |a| + 1
+# summed over the even expansion's terms a.  The sum bounds log2 |Delta|_1
+# (the continuant gains at most a factor |a| + 1 per term), so (n - 1) times
+# it bounds the bits of the answer, |Res(S_n, Delta)| <= |Delta|_1**(n-1)
+# (Fox 1956).  At genus 1 and 2 the cost follows the answer's length; above,
+# the Sylvester determinant of order up to 4 * genus - 1 weighs it by about
+# the genus squared: under genus * (n - 1) * term bits <= 500000 instead,
+# [40, -60] * 12 at n = 290 took 8.8 s.  At this limit every shape measured,
+# genus 1 to 40 and terms to 31 digits, finishes in under 3 s cold (2-core
+# machine, Python 3.11); the slowest was genus 1 with 31-digit terms.
+H1_MAX_SIZE = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +363,11 @@ def _cmd_h1(args) -> int:
                      else _expansion_for(terms, fr))
     except ValueError as exc:
         raise _CliError(str(exc))
-    size = expansion.genus * (args.cover - 1) * sum(
+    size = expansion.genus * (expansion.genus + 1) * (args.cover - 1) * sum(
         (abs(a) + 1).bit_length() for a in expansion.terms) if expansion else 0
     if size > H1_MAX_SIZE:
-        print(f"bridgecover: error: h1 takes genus * (cover - 1) * term bits "
-              f"at most {H1_MAX_SIZE}, got {size}", file=sys.stderr)
+        print(f"bridgecover: error: h1 takes genus * (genus + 1) * (cover - 1)"
+              f" * term bits at most {H1_MAX_SIZE}, got {size}", file=sys.stderr)
         return 2
 
     if args.method == "all":

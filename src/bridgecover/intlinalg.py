@@ -2,33 +2,14 @@
 cokernel orders by elimination modulo a maximal minor, polynomial
 resultants, and the cyclic resultant behind every cyclic-cover H_1 order.
 
-``resultant`` has two exact paths, picked by a size rule on the degrees and
-the coefficients: the Sylvester determinant by Bareiss, and at high degree
-with large coefficients the multi-modular resultant (Euclid modulo products
-of primes below 2**62, proven prime by deterministic Miller-Rabin, and a
-Chinese remainder past Hadamard's bound).
-
 Everything here works on plain Python ints (arbitrary precision), so results
-are exact for matrices of any size that fits in memory.  No floating point
-and no probabilistic step.
+are exact for matrices of any size that fits in memory.  No floating point.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from typing import List, Optional, Sequence, Tuple, Union
 
 IntMatrix = List[List[int]]
-
-# The size rule of ``resultant``: the multi-modular path runs when
-# N**5 * B reaches this, for the Sylvester order N = deg f + deg g and B the
-# bit length of the largest coefficient.  Bareiss costs about N**5 B**2 digit
-# operations, the multi-modular path about N**3 B word operations plus the
-# primes.  Timed on the oracle's resultants (first use of the primes
-# included), the paths break even at degrees 8 and 7 near B = 30000, 12 and
-# 11 near 3500, 16 and 15 near 700 and 24 and 23 below 150, which N**5 B =
-# 2 * 10**10 follows; at degrees 4 and 3 Bareiss wins to 300000 bits and more.
-_MODULAR_MIN_SIZE = 2 * 10 ** 10
 
 
 class Infinite:
@@ -105,7 +86,8 @@ def sylvester_matrix(f: Sequence[int], g: Sequence[int]) -> IntMatrix:
     len(f)-1 and len(g)-1.
     """
     if not f or f[-1] == 0 or not g or g[-1] == 0:
-        raise ValueError("polynomials must be non-zero with trimmed leading coefficients")
+        raise ValueError(
+            "polynomials must be non-zero with trimmed leading coefficients")
     df = len(f) - 1
     dg = len(g) - 1
     n = df + dg
@@ -123,159 +105,22 @@ def sylvester_matrix(f: Sequence[int], g: Sequence[int]) -> IntMatrix:
 
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     """Resultant of two integer polynomials (ascending coefficient lists,
-    leading coefficients non-zero).
+    leading coefficients non-zero), the Sylvester determinant by Bareiss.
 
     When g is monic this equals the product of f evaluated at the roots of
-    g.  Two exact paths give the same value: the Sylvester determinant by
-    Bareiss, and the multi-modular resultant for high degree with large
-    coefficients; only the sizes pick the path (``_MODULAR_MIN_SIZE``).
-    Whatever the argument order, the polynomial with smaller coefficients
-    comes first, and Res(g, f) = (-1)**(deg f deg g) Res(f, g) fixes the sign.
+    g.  Whatever the argument order, the polynomial with smaller
+    coefficients gives the top rows, so Bareiss divides by small pivots
+    first, and Res(g, f) = (-1)**(deg f deg g) Res(f, g) fixes the sign.
+    Raises ValueError for an empty list or a zero leading coefficient.
     """
     if not f or f[-1] == 0 or not g or g[-1] == 0:
-        raise ValueError("polynomials must be non-zero with trimmed leading coefficients")
-    small, large, sign = max(map(abs, f)), max(map(abs, g)), 1
-    if large < small:  # small rows on top: Bareiss divides by small pivots first
-        f, g, large = g, f, small
+        raise ValueError(
+            "polynomials must be non-zero with trimmed leading coefficients")
+    sign = 1
+    if max(map(abs, g)) < max(map(abs, f)):
+        f, g = g, f
         sign = -1 if (len(f) - 1) * (len(g) - 1) % 2 else 1
-    if (len(f) + len(g) - 2) ** 5 * large.bit_length() >= _MODULAR_MIN_SIZE:
-        return sign * _resultant_modular(f, g)
-    return sign * _resultant_sylvester(f, g)
-
-
-def _resultant_sylvester(f: Sequence[int], g: Sequence[int]) -> int:
-    """Res(f, g) as the Sylvester determinant, by Bareiss."""
-    return det_bareiss(sylvester_matrix(f, g))
-
-
-def _resultant_modular(f: Sequence[int], g: Sequence[int]) -> int:
-    """Res(f, g) from its residues modulo products of primes below 2**62
-    (Collins 1971; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6).
-
-    The moduli's product exceeds twice Hadamard's bound on the Sylvester
-    determinant, |Res(f, g)| <= |f|_2**deg g |g|_2**deg f, so the symmetric
-    residue of the Chinese remainder is the resultant.  Each modulus M is
-    the product of ``_PRIMES_PER_MODULUS`` primes, and Euclid runs over
-    Z/M, i.e. over all its prime fields at once.  If a leading coefficient
-    is not a unit modulo M, some prime divides it and M is skipped: for the
-    moduli kept, the Sylvester matrix reduced modulo M gives Res(f, g) mod M.
-    """
-    df, dg = len(f) - 1, len(g) - 1
-    need = (dg * sum(a * a for a in f).bit_length()
-            + df * sum(b * b for b in g).bit_length()) // 2 + 2
-    residues, moduli = [], []
-    for i in itertools.count():
-        if need <= 0:
-            break
-        modulus = _modulus(i)
-        if math.gcd(f[-1] * g[-1], modulus) != 1:
-            continue
-        try:
-            residues.append(_resultant_mod(
-                [a % modulus for a in reversed(f)],
-                [b % modulus for b in reversed(g)], modulus))
-        except ValueError:  # a later leading coefficient is not a unit mod M
-            continue
-        moduli.append(modulus)
-        need -= modulus.bit_length() - 1
-    r, modulus = _crt(residues, moduli)
-    return r - modulus if 2 * r > modulus else r
-
-
-def _resultant_mod(a: List[int], b: List[int], modulus: int) -> int:
-    """Res(a, b) mod M by Euclid's algorithm, for descending coefficient
-    lists with unit leading coefficients; raises ValueError when a later
-    leading coefficient is not a unit modulo M.
-
-    With a = q b + r: Res(a, b) = (-1)**(deg a deg b) Res(b, a) and
-    Res(b, a) = lc(b)**(deg a - deg r) Res(b, r).
-    """
-    res = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        if da * db % 2:
-            res = -res
-        inv, tail = pow(b[0], -1, modulus), b[1:]
-        r = a
-        for i in range(da - db + 1):  # entries are reduced after the loop
-            q = r[i] * inv % modulus
-            if q:
-                r = r[:i + 1] + [x - q * y for x, y in zip(r[i + 1:i + db + 1], tail)] \
-                    + r[i + db + 1:]
-        r = [x % modulus for x in r[max(da - db + 1, 0):]]
-        while r and r[0] == 0:
-            r.pop(0)
-        if not r:
-            return 0
-        res = res * pow(b[0], da - len(r) + 1, modulus) % modulus
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, modulus) % modulus
-
-
-# Deterministic Miller-Rabin with these bases is proven for n < 3.3 * 10**24
-# (Sorenson-Webster 2017), far above the primes used here.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_ODD_BELOW_200 = math.prod(range(3, 200, 2))
-_PRIMES: List[int] = []  # the primes below 2**62, descending, built on first use
-# Euclid modulo a product of four such primes costs about what two single
-# primes do (genus 12, 5000-bit coefficients); more primes cost more again.
-_PRIMES_PER_MODULUS = 4
-
-
-def _modulus(i: int) -> int:
-    """The product of the i-th run of ``_PRIMES_PER_MODULUS`` primes in
-    ``_PRIMES``, extending the list as needed."""
-    k = _PRIMES_PER_MODULUS
-    while len(_PRIMES) < k * (i + 1):
-        n = (_PRIMES[-1] if _PRIMES else 2 ** 62 + 1) - 2
-        while math.gcd(n, _ODD_BELOW_200) != 1 or not _is_prime(n):
-            n -= 2
-        _PRIMES.append(n)
-    return math.prod(_PRIMES[k * i:k * (i + 1)])
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 41 with the bases ``_MR_BASES``."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _crt(residues: List[int], moduli: List[int]) -> Tuple[int, int]:
-    """(x, M) with M the product of the pairwise coprime moduli and
-    0 <= x < M, x = residues[i] mod moduli[i].
-
-    x is sum c_i M / m_i with c_i = r_i (M / m_i)**-1 mod m_i.  A product
-    tree gives M; a remainder tree of M modulo the squared node products
-    gives (M / m_i) mod m_i = (M mod m_i**2) / m_i with no big inverse;
-    the sum is formed up the tree as V = V_left P_right + V_right P_left.
-    """
-    tree = [moduli]
-    while len(tree[-1]) > 1:
-        level = tree[-1]
-        tree.append([level[i] * level[i + 1] if i + 1 < len(level) else level[i]
-                     for i in range(0, len(level), 2)])
-    rems = tree[-1]
-    for level in reversed(tree[:-1]):
-        rems = [rems[i // 2] % (q * q) for i, q in enumerate(level)]
-    values = [r * pow(u // m, -1, m) % m
-              for r, u, m in zip(residues, rems, moduli)]
-    for level in tree[:-1]:
-        values = [values[i] * level[i + 1] + values[i + 1] * level[i]
-                  if i + 1 < len(level) else values[i]
-                  for i in range(0, len(level), 2)]
-    modulus = tree[-1][0]
-    return values[0] % modulus, modulus
+    return sign * det_bareiss(sylvester_matrix(f, g))
 
 
 def cyclic_resultant(f: Sequence[int], n: int) -> int:

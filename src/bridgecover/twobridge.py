@@ -10,10 +10,9 @@ genus-m Seifert surface obtained by plumbing m twisted annuli; from its
 Seifert matrix we get the Alexander polynomial (a continuant, since
 V - t*V^T is tridiagonal) and the exact order of the first homology of every
 finite cyclic branched cover, |Res(1 + t + ... + t**(n-1), Alexander)| (Fox
-1956), by ``intlinalg.cyclic_resultant``: one resultant whatever n is, a
-Sylvester determinant of order at most 2n - 3 for n <= 2*genus + 1 and
-otherwise of degrees 2*genus and below, which at high genus and large n
-``intlinalg.resultant`` takes multi-modular.
+1956), by ``intlinalg.cyclic_resultant``: one Sylvester determinant whatever
+n is, of order at most 2n - 3 for n <= 2*genus + 1 and at most 4*genus - 1
+otherwise.
 """
 from __future__ import annotations
 

@@ -367,16 +367,16 @@ def test_identities_just_under_and_just_over_the_grid_limits(capsys,
 
 
 def test_h1_just_under_and_just_over_the_size_limit(capsys, monkeypatch):
-    """genus * (n - 1) * term bits is checked before any method runs: one
-    cover degree past the limit exits 2 with one line, and the largest
-    degree under it finishes in under 5 s from a cold start."""
+    """genus * (genus + 1) * (n - 1) * term bits is checked before any
+    method runs: one cover degree past the limit exits 2 with one line, and
+    the largest degree under it finishes in under 5 s from a cold start."""
     limit = cli.H1_MAX_SIZE
     genus2 = ["2", "-4", "6", "-8"]  # term bits 2 + 3 + 3 + 4 = 12
     genus12 = ["2", "-4", "6", "-2", "4", "-6"] * 4  # term bits 64
     called = []
     for name in ("h1_cyclic_cover_order", "h1_order", "table_formula"):
         monkeypatch.setattr(cli, name, lambda *a: called.append(a))
-    for terms, weight in ((genus2, 2 * 12), (genus12, 12 * 64)):
+    for terms, weight in ((genus2, 2 * 3 * 12), (genus12, 12 * 13 * 64)):
         n = limit // weight + 2
         for method in ("snf", "oracle", "all"):
             code, out, err = run(["h1", "--cover", str(n), "--method", method,
@@ -385,14 +385,16 @@ def test_h1_just_under_and_just_over_the_size_limit(capsys, monkeypatch):
             assert err.count("\n") == 1
             assert f"term bits at most {limit}, got {(n - 1) * weight}" in err
     monkeypatch.undo()
-    n = limit // 24 + 1
-    start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "bridgecover.cli", "h1", "--cover", str(n),
-         "--method", "all", "--", *genus2], capture_output=True, text=True)
-    assert time.perf_counter() - start < 5
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout.endswith(" AGREE\n")
+    for terms, weight, method in ((genus2, 2 * 3 * 12, "all"),
+                                  (genus12, 12 * 13 * 64, "oracle")):
+        n = limit // weight + 1
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "bridgecover.cli", "h1", "--cover", str(n),
+             "--method", method, "--", *terms], capture_output=True, text=True)
+        assert time.perf_counter() - start < 5
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.endswith(" AGREE\n" if method == "all" else "\n")
 
 
 @pytest.mark.parametrize("terms", [["2", "-4", "6", "-8"], ["4", "-6"]])

@@ -109,27 +109,25 @@ def _poly(max_degree, bound):
 @example([7], [1, 2, 3])                      # constants: Res(c, g) = c**deg g
 @example([1, 2, 3], [7])
 @settings(max_examples=120, deadline=None)
-def test_both_resultant_paths_match_sympy(f, g):
-    """The Sylvester determinant and the multi-modular path, called
-    directly, agree with sympy.  sympy's ``resultant`` gets the sign wrong
-    for some pairs of odd degree: Res(x**3 - 2, x**5 - 5) is the product of
-    a**5 - 5 over the cube roots a of 2, which is -93, and sympy 1.14 gives
-    93.  So sympy's resultant checks the magnitude and sympy's determinant
-    of the Sylvester matrix checks the sign."""
+def test_resultant_matches_sympy(f, g):
+    """sympy's ``resultant`` gets the sign wrong for some pairs of odd
+    degree: Res(x**3 - 2, x**5 - 5) is the product of a**5 - 5 over the cube
+    roots a of 2, which is -93, and sympy 1.14 gives 93.  So sympy's
+    resultant checks the magnitude and sympy's determinant of the Sylvester
+    matrix checks the sign."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     want = sympy.Matrix(sylvester_matrix(f, g)).det() if len(f) + len(g) > 2 else 1
     magnitude = sympy.resultant(sympy.Poly(f[::-1], x), sympy.Poly(g[::-1], x))
     assert abs(int(magnitude)) == abs(int(want))
-    assert intlinalg._resultant_sylvester(f, g) == want
-    assert intlinalg._resultant_modular(f, g) == want
+    assert resultant(f, g) == want
 
 
 def test_resultant_argument_order_costs_only_the_sign(monkeypatch):
     """resultant(R, D) = (-1)**(deg R deg D) resultant(D, R) on the pair the
     oracle hands over: the Alexander polynomial of [2, -4, 6, -8] and
     1 + x + ... + x**1999 reduced modulo it (coefficients of about 6000
-    bits), on both paths."""
+    bits)."""
     pairs = []
     real = intlinalg.resultant
     monkeypatch.setattr(intlinalg, "resultant",
@@ -138,27 +136,15 @@ def test_resultant_argument_order_costs_only_the_sign(monkeypatch):
     (delta, r), = pairs
     assert max(abs(a) for a in r).bit_length() > 5000
     sign = (-1) ** ((len(r) - 1) * (len(delta) - 1))
-    for path in (real, intlinalg._resultant_sylvester,
-                 intlinalg._resultant_modular):
-        assert path(r, delta) == sign * path(delta, r) != 0
+    assert real(r, delta) == sign * real(delta, r) != 0
+    assert real([1, 2], [3, 4]) == -real([3, 4], [1, 2]) == 2
 
 
-def test_resultant_picks_its_path_by_size(monkeypatch):
-    """Low degree stays with the Sylvester determinant, however large the
-    coefficients; high degree with large coefficients goes multi-modular."""
-    paths = []
-    for name in ("_resultant_sylvester", "_resultant_modular"):
-        real = getattr(intlinalg, name)
-        monkeypatch.setattr(intlinalg, name, lambda f, g, real=real, name=name:
-                            paths.append(name) or real(f, g))
-    big = 3 ** 20000
-    for f, g, path in (([1, 1], [big, 1], "_resultant_sylvester"),
-                       ([1, -3, 0, 1], [big, -big, 1], "_resultant_sylvester"),
-                       ([1] * 25, [7] * 24, "_resultant_sylvester"),
-                       ([1] * 25, [3 ** 300] * 23 + [1], "_resultant_modular")):
-        paths.clear()
+@pytest.mark.parametrize("f, g", [([0], [1, 1]), ([1, 0], [1, 1]),
+                                  ([], [1, 1]), ([1, 1], [2, 0])])
+def test_resultant_rejects_zero_and_untrimmed_polynomials(f, g):
+    with pytest.raises(ValueError, match="trimmed leading"):
         resultant(f, g)
-        assert paths == [path], (len(f), len(g))
 
 
 def test_snf_frozen_example():
