@@ -652,13 +652,13 @@ def _cmd_loelim(args) -> int:
         raise _CliError("--table1 applies to --family genus1 only")
     if args.signs is None:
         raise _CliError("--family genus2 needs --signs like +,+,-,+")
+    if args.format == "csv":
+        raise _CliError("csv output covers the genus1 table only")
     signs = _parse_signs(args.signs)
     _emit_header("q,s,t,l signs only", "level-0 sign analysis")
     report = genus2_level0(*signs)
     if args.format == "json":
         print(json.dumps(_genus2_json(report), indent=2))
-    elif args.format == "csv":
-        raise _CliError("csv output covers the genus1 table only")
     else:
         sys.stdout.write(genus2_report_text(report))
     return 0

@@ -55,6 +55,7 @@ from .words import (
     reduce_word,
     sign_invert,
     sign_product,
+    splice,
     substitute_params,
     word_sign,
 )
@@ -422,12 +423,10 @@ def _collapse_variants(w: ParamWord, env: ParamEnv) -> List[ParamWord]:
         if rule is None:
             continue
         mid_gen, mid_sign = rule
-        items = (w.items[:i]
-                 + (Syllable(a.gen, a.exponent + AffineExp(-da)),
-                    Syllable(mid_gen, AffineExp(mid_sign)),
-                    Syllable(b.gen, b.exponent + AffineExp(-db)))
-                 + w.items[i + 2:])
-        out.append(reduce_word(ParamWord(items), env))
+        out.append(splice(w, i, i + 2,
+                          (Syllable(a.gen, a.exponent + AffineExp(-da)),
+                           Syllable(mid_gen, AffineExp(mid_sign)),
+                           Syllable(b.gen, b.exponent + AffineExp(-db))), env))
     return out
 
 
@@ -452,25 +451,24 @@ def _variants(seed: ParamWord, env: ParamEnv, depth: int = 2,
     return list(seen)
 
 
-def _atomize(w: ParamWord, body_names: Mapping[ParamWord, str],
-             env: ParamEnv) -> ParamWord:
-    """Replace each power block whose body is a pair word (or its inverse)
-    by the corresponding ``Eab`` letter."""
+def _atomize(w: ParamWord, body_names: Mapping[ParamWord, str]) -> ParamWord:
+    """Replace each power block of the reduced ``w`` whose body is a pair
+    word (or its inverse) by the corresponding ``Eab`` letter."""
     items: List = []
     for item in w.items:
         if isinstance(item, Syllable):
             items.append(item)
             continue
-        body = reduce_word(item.body, env)
+        body = item.body  # reduced, and so is its inverse
         name = body_names.get(body)
         if name is not None:
             items.append(Syllable(name, item.multiplicity))
             continue
-        inv = body_names.get(reduce_word(body.inverse(), env))
+        inv = body_names.get(body.inverse())
         if inv is not None:
             items.append(Syllable(_ATOM_INVERSE[inv], item.multiplicity))
             continue
-        items.append(PowerBlock(_atomize(body, body_names, env),
+        items.append(PowerBlock(_atomize(body, body_names),
                                 item.multiplicity))
     return ParamWord(tuple(items))
 
@@ -633,7 +631,7 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     wing_defs = {name: reduce_word(substitute_params(word, mapping), env)
                  for name, word in _WING_WORDS.items()}
     raw_variants = {name: _variants(wing_defs[name], env) for name in _WINGS}
-    atom_variants = {name: [_atomize(v, body_names, env)
+    atom_variants = {name: [_atomize(v, body_names)
                             for v in raw_variants[name]] for name in _WINGS}
 
     wings: List[WingSign] = []

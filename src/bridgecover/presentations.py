@@ -21,9 +21,10 @@ letter (a polynomial in the family parameters, computed once per family)
 as the coefficient of x**(offset - lowest offset), and the first-homology
 order is the cyclic resultant |Res(1 + x + ... + x**(n-1), f)|, which the
 knot-theoretic oracle (Fox's formula) takes of the Alexander polynomial; no
-word is built.  The module also machine-checks the word-level identities
-the genus-two family satisfies: the product telescope r3 r2 r1 = zyx and
-the rewritten relator forms r', r''.
+word is built.  The module also machine-checks, on runs instantiated
+straight from the templates, the word-level identities of the genus-two
+family: the product telescope r3 r2 r1 = zyx and the rewritten relator
+forms r', r''.
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ from .multipoly import MultiPoly
 from .words import (
     AffineExp, CyclicMatch, ParamEnv, ParamWord, PowerBlock, Run, Syllable,
     WordError, cyclic_normal_form, equal_up_to_cyclic, exponent_sums,
-    instantiate, parse_word, runs_text, substitute, substitute_params,
+    _push_runs, instantiate, parse_word, runs_text, substitute,
+    substitute_params,
 )
 
 # One relator of the genus-one family, over a three-generator window
@@ -82,7 +84,6 @@ _RSECOND_TEMPLATES = {
 _WING_WORDS = {name: parse_word(text) for name, text in _WING_DEFS.items()}
 _RPRIME_WORDS = {i: parse_word(text) for i, text in _RPRIME_TEMPLATES.items()}
 _RSECOND_WORDS = {i: parse_word(text) for i, text in _RSECOND_TEMPLATES.items()}
-_XYZ_WORDS = {gen: parse_word(gen) for gen in ("x", "y", "z")}
 _ZYX = [("z", 1), ("y", 1), ("x", 1)]
 
 
@@ -337,12 +338,13 @@ def h1_order(p: Presentation,
 # Word-identity checks for the genus-two family at n = 3
 # ---------------------------------------------------------------------------
 
-_XYZ_RENAME = {"x1": "x", "x2": "y", "x3": "z"}
-
-
-def _relators_xyz(p: Presentation) -> List[ParamWord]:
-    """The n=3 relators rewritten over x, y, z (= x1, x2, x3)."""
-    return [_rename(rel, _XYZ_RENAME) for rel in p.relators]
+def _relator_runs(values: Mapping[str, int]) -> List[List[Run]]:
+    """The n=3 relators r1, r2, r3 at ``values`` over x, y, z (= x1, x2,
+    x3), as runs: r_i maps each window letter at offset o to x_(i+o)."""
+    return [instantiate(_GENUS_TWO.template, values,
+                        {letter: [("xyz"[(i + offset) % 3], 1)]
+                         for letter, offset in _GENUS_TWO.window})
+            for i in range(3)]
 
 
 Difference = Optional[Tuple[int, Optional[Run], Optional[Run]]]
@@ -388,12 +390,12 @@ def verify_product_identity(q: int, s: int, t: int, l: int) -> ProductIdentityVe
     reports the first differing syllable.
     """
     p = mv_presentation(q, s, t, l, 3)
-    r1, r2, r3 = _relators_xyz(p)
-    word = r3 * r2 * r1
-    product = instantiate(word, {})
+    r1, r2, product = _relator_runs({"q": q, "s": s, "t": t, "l": l})
+    _push_runs(product, r2)
+    _push_runs(product, r1)
 
-    sums = exponent_sums(word, {})
-    abelian = tuple(sums.get(g, 0) for g in ("x", "y", "z"))
+    # free reduction keeps exponent sums
+    abelian = tuple(sum(e for g, e in product if g == gen) for gen in "xyz")
     abelian_ok = abelian == (1, 1, 1)
 
     span_ok = in_row_span(abelianization_matrix(p, {}), [1, 1, 1])
@@ -450,18 +452,14 @@ def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
     if l < 1 or t < 1:
         raise WordError(f"displayed rewritten forms require t >= 1, l >= 1, "
                         f"got t={t}, l={l}")
+    mv_presentation(q, s, t, l, 3)  # checks q, s, t, l
     consts = {"q": q, "s": s, "t": t, "l": l}
-    wings = {name: substitute_params(w, consts) for name, w in _WING_WORDS.items()}
-    wings.update(_XYZ_WORDS)
-
-    def expand(template: ParamWord) -> List[Run]:
-        w = substitute(substitute_params(template, consts), wings, ParamEnv({}))
-        return instantiate(w, {})
-
-    base = [instantiate(r, {}) for r in _relators_xyz(mv_presentation(q, s, t, l, 3))]
-    primes = [expand(_RPRIME_WORDS[i]) for i in (1, 2, 3)]
+    base = _relator_runs(consts)
+    wings = {name: instantiate(w, consts) for name, w in _WING_WORDS.items()}
+    primes = [instantiate(_RPRIME_WORDS[i], consts, wings) for i in (1, 2, 3)]
     pairs = [(f"r'{i} vs r{i}", primes[i - 1], base[i - 1]) for i in (1, 2, 3)]
-    pairs += [(f"r''{i} vs r'{i}", expand(_RSECOND_WORDS[i]), primes[i - 1])
+    pairs += [(f"r''{i} vs r'{i}", instantiate(_RSECOND_WORDS[i], consts, wings),
+               primes[i - 1])
               for i in (1, 2, 3)]
     report = RewriteReport(params=(q, s, t, l))
     for name, got, expected in pairs:

@@ -11,10 +11,13 @@ Conventions:
 - power blocks are normalized so their multiplicity is provably >= 0 under
   the ambient environment (a block with provably negative multiplicity stores
   the inverted body instead);
-- ``reduce`` merges adjacent syllables in the same generator and drops
-  provably-trivial pieces; it never crosses a block boundary;
-- ``instantiate`` evaluates a word at integer parameter values and returns
-  the concrete word.
+- ``reduce_word`` merges adjacent syllables in the same generator and drops
+  provably-trivial pieces; it never crosses a block boundary.  The items and
+  block bodies of a reduced word are reduced, and so is its inverse;
+- ``splice`` replaces a slice of a reduced word and reduces at the seams
+  only; ``peel`` takes a reduced word and splices the peeled block in;
+- ``instantiate`` evaluates a word at integer parameter values, optionally
+  through a generator -> runs map, and returns the concrete word.
 
 A concrete word has one form: a list of (generator, nonzero int) runs,
 freely reduced, never expanded into letters.  Free reduction merges or
@@ -119,13 +122,15 @@ def sign_power(base: SignLattice, exponent_sign: SignLattice) -> SignLattice:
 # ---------------------------------------------------------------------------
 
 class AffineExp:
-    """Integer affine form: constant + sum(coeff * parameter)."""
+    """Integer affine form: constant + sum(coeff * parameter).  The value
+    is immutable, so its canonical key is computed once."""
 
-    __slots__ = ("const", "coeffs")
+    __slots__ = ("const", "coeffs", "_key")
 
     def __init__(self, const: int = 0, coeffs: Optional[Mapping[str, int]] = None):
         self.const = const
         self.coeffs: Dict[str, int] = {k: v for k, v in coeffs.items() if v} if coeffs else {}
+        self._key = (const, tuple(sorted(self.coeffs.items())))
 
     @staticmethod
     def param(name: str, coeff: int = 1) -> "AffineExp":
@@ -199,18 +204,15 @@ class AffineExp:
             p = p + coeff * MultiPoly.var(name)
         return p
 
-    def _key(self):
-        return (self.const, tuple(sorted(self.coeffs.items())))
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = AffineExp(other)
         if not isinstance(other, AffineExp):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __str__(self):
         parts = []
@@ -438,38 +440,50 @@ def reduce_word(w: ParamWord, env: ParamEnv) -> ParamWord:
     single-syllable bodies where the arithmetic stays affine.
     """
     out: List[WordItem] = []
-
-    def push_syllable(s: Syllable):
-        if env.sign_of(s.exponent) is ZE:
-            return
-        if out and isinstance(out[-1], Syllable) and out[-1].gen == s.gen:
-            prev = out.pop()
-            merged = Syllable(s.gen, prev.exponent + s.exponent)
-            push_syllable(merged)
-        else:
-            out.append(s)
-
-    def push_block(b: PowerBlock):
-        body, mult = reduce_word(b.body, env), b.multiplicity
-        if len(body.items) == 1 and isinstance(body.items[0], Syllable):
-            s = body.items[0]
-            if s.exponent.is_constant():
-                push_syllable(Syllable(s.gen, mult.scale(s.exponent.const)))
-                return
-            if mult.is_constant():
-                push_syllable(Syllable(s.gen, s.exponent.scale(mult.const)))
-                return
-        for item in power_block(body, mult, env).items:
-            if isinstance(item, Syllable):
-                push_syllable(item)
-            else:
-                out.append(item)
-
     for item in w.items:
-        if isinstance(item, Syllable):
-            push_syllable(item)
+        _push(out, item, env, False)
+    return ParamWord(out)
+
+
+def _push(out: List[WordItem], item: WordItem, env: ParamEnv,
+          body_reduced: bool) -> None:
+    """Push ``item`` onto the reduced ``out``: it merges or cancels with the
+    top only.  A block's body is reduced first unless ``body_reduced``."""
+    if isinstance(item, Syllable):
+        if out and isinstance(out[-1], Syllable) and out[-1].gen == item.gen:
+            item = Syllable(item.gen, out.pop().exponent + item.exponent)
+        if env.sign_of(item.exponent) is not ZE:
+            out.append(item)
+        return
+    body = item.body if body_reduced else reduce_word(item.body, env)
+    mult, s = item.multiplicity, body.items[0] if len(body.items) == 1 else None
+    if isinstance(s, Syllable) and (s.exponent.is_constant() or mult.is_constant()):
+        exp = (mult.scale(s.exponent.const) if s.exponent.is_constant()
+               else s.exponent.scale(mult.const))
+        return _push(out, Syllable(s.gen, exp), env, True)
+    for piece in power_block(body, mult, env).items:
+        if isinstance(piece, Syllable):
+            _push(out, piece, env, True)
         else:
-            push_block(item)
+            out.append(piece)
+
+
+def splice(w: ParamWord, start: int, stop: int, items: Sequence[WordItem],
+           env: ParamEnv) -> ParamWord:
+    """``reduce_word`` of the reduced ``w`` with ``w.items[start:stop]``
+    replaced by ``items`` (with reduced block bodies), reduced at the seams
+    only: the new items are pushed onto the prefix, then the suffix until
+    one of its items survives unmerged, and the rest is copied."""
+    out = list(w.items[:start])
+    for item in items:
+        _push(out, item, env, True)
+    suffix = w.items[stop:]
+    for i, item in enumerate(suffix):
+        _push(out, item, env, True)
+        # a reduced word's block pushes as an equal block
+        if isinstance(item, PowerBlock) or (out and out[-1] is item):
+            out.extend(suffix[i + 1:])
+            break
     return ParamWord(out)
 
 
@@ -494,15 +508,14 @@ def peel_block(b: PowerBlock, side: PeelSide, env: ParamEnv) -> ParamWord:
 
 
 def peel(w: ParamWord, index: int, side: PeelSide, env: ParamEnv) -> ParamWord:
-    """Peel the power block at item position ``index`` and splice in place."""
+    """Peel the power block at item position ``index`` of the reduced ``w``
+    and splice in place."""
     if not (0 <= index < len(w.items)):
         raise WordError(f"no item at index {index}")
     item = w.items[index]
     if not isinstance(item, PowerBlock):
         raise WordError(f"item at index {index} is not a power block")
-    peeled = peel_block(item, side, env)
-    return reduce_word(
-        ParamWord(w.items[:index] + peeled.items + w.items[index + 1:]), env)
+    return splice(w, index, index + 1, peel_block(item, side, env).items, env)
 
 
 def substitute(w: ParamWord, sub: Mapping[str, ParamWord], env: ParamEnv) -> ParamWord:
@@ -567,17 +580,28 @@ def _inverse_runs(runs: Sequence[Run]) -> List[Run]:
     return [(gen, -exp) for gen, exp in reversed(runs)]
 
 
-def instantiate(w: ParamWord, values: Mapping[str, int]) -> List[Run]:
+def instantiate(w: ParamWord, values: Mapping[str, int],
+                sub: Optional[Mapping[str, Sequence[Run]]] = None) -> List[Run]:
     """Concrete word at given parameter values as freely reduced runs; a
-    block body is instantiated once and its runs repeated."""
+    block body is instantiated once and its runs repeated.
+
+    ``sub`` maps generators to freely reduced runs: a syllable g^e of a
+    mapped generator stands for e copies of its image (of the inverse image
+    when e < 0).  Other generators stand for themselves.
+    """
+    sub = sub or {}
+
     def visit(word_: ParamWord) -> List[Run]:
         out: List[Run] = []
         for item in word_.items:
             if isinstance(item, Syllable):
-                _push_runs(out, ((item.gen, item.exponent.evaluate(values)),))
+                body, exp = sub.get(item.gen, ((item.gen, 1),)), item.exponent
+            else:
+                body, exp = visit(item.body), item.multiplicity
+            repeat = exp.evaluate(values)
+            if len(body) == 1:
+                _push_runs(out, ((body[0][0], body[0][1] * repeat),))
                 continue
-            body = visit(item.body)
-            repeat = item.multiplicity.evaluate(values)
             if repeat < 0:
                 body, repeat = _inverse_runs(body), -repeat
             for _ in range(repeat if body else 0):

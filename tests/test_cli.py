@@ -540,11 +540,16 @@ def test_loelim_genus2_json(capsys):
     assert len(payload["subcases"]) == 3
 
 
-def test_loelim_genus2_has_no_csv_format(capsys):
-    code, _, err = run(["lo-elim", "--family", "genus2",
-                        "--signs", "+,+,+,+", "--format", "csv"], capsys)
+def test_loelim_genus2_has_no_csv_format(capsys, monkeypatch):
+    called = []
+    monkeypatch.setattr(cli, "genus2_level0", lambda *a: called.append(a))
+    code, out, err = run(["lo-elim", "--family", "genus2",
+                          "--signs", "+,+,+,+", "--format", "csv"], capsys)
     assert code == 2
-    assert "csv output covers the genus1 table only" in err
+    assert called == [] and out == ""
+    assert err.startswith("usage: ")
+    assert err.endswith("error: csv output covers the genus1 table only\n")
+    assert "# bridgecover" not in err
 
 
 def test_loelim_genus2_needs_signs(capsys):

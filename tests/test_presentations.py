@@ -436,6 +436,26 @@ def test_triple_cover_norm_is_the_table_row():
 # Product identity r3 r2 r1 = zyx
 # ---------------------------------------------------------------------------
 
+# The ParamWord reference path for the n=3 identity checks: the relators as
+# the presentation's words, renamed to x, y, z (= x1, x2, x3), and the
+# rewritten forms expanded by ``substitute``.
+_XYZ_RENAME = {"x1": "x", "x2": "y", "x3": "z"}
+_XYZ_WORDS = {gen: parse_word(gen) for gen in ("x", "y", "z")}
+
+
+def _relators_xyz(p):
+    """The n=3 relators rewritten over x, y, z (= x1, x2, x3)."""
+    return [presentations._rename(rel, _XYZ_RENAME) for rel in p.relators]
+
+
+def test_relator_runs_match_the_presentation_words():
+    for params in [(1, 1, 1, 1), (2, -1, 3, -2), (-3, 2, -1, 1), (4, 4, 4, 4)]:
+        values = dict(zip("qstl", params))
+        assert presentations._relator_runs(values) == [
+            instantiate(rel, {}) for rel in _relators_xyz(
+                mv_presentation(*params, 3))], params
+
+
 def test_product_identity_frozen():
     v = verify_product_identity(1, 1, 1, 1)
     assert v.status == "FULL_PASS"
@@ -470,7 +490,7 @@ def _product_via_param_word(q, s, t, l):
     ``verify_product_identity`` took when concrete words were also
     ParamWords: one constant syllable per run, the sums from the expanded
     product, the runs read back from the syllables."""
-    r1, r2, r3 = presentations._relators_xyz(mv_presentation(q, s, t, l, 3))
+    r1, r2, r3 = _relators_xyz(mv_presentation(q, s, t, l, 3))
     product = ParamWord([Syllable(gen, AffineExp(exp))
                          for gen, exp in instantiate(r3 * r2 * r1, {})])
     sums = exponent_sums(product, {})
@@ -529,7 +549,7 @@ def test_rewrites_at_six():
                                     (-1, 2, -2, 1)])
 def test_first_difference_of_mismatched_relators_matches_the_letter_reference(
         params):
-    words = [instantiate(rel, {}) for rel in presentations._relators_xyz(
+    words = [instantiate(rel, {}) for rel in _relators_xyz(
         mv_presentation(*params, 3))]
     words.append(ZYX)
     mismatches = 0
@@ -552,6 +572,54 @@ def test_rewrites_requires_displayed_regime():
         verify_rewrites(1, 1, 1, 0)
     with pytest.raises(WordError):
         verify_rewrites(1, 1, -1, 1)
+
+
+@pytest.mark.parametrize("check", [verify_rewrites, verify_product_identity])
+@pytest.mark.parametrize("name, params", [("q", (0, 1, 1, 1)),
+                                          ("s", (1, 0, 1, 1)),
+                                          ("q", (0, -2, 2, 3)),
+                                          ("s", (-2, 0, 3, 2))])
+def test_identity_checks_reject_zero_q_and_s(check, name, params):
+    with pytest.raises(WordError, match=(
+            f"^parameter {name} must be a nonzero integer, got 0$")):
+        check(*params)
+
+
+def _rewrites_via_param_word(q, s, t, l):
+    """(name, match, first difference) of each record along the path
+    ``verify_rewrites`` took when it expanded ParamWords: the parameters
+    substituted into each template, ``substitute`` of the wings and of
+    x, y, z, then ``instantiate``."""
+    consts = {"q": q, "s": s, "t": t, "l": l}
+    wings = {name: substitute_params(w, consts)
+             for name, w in presentations._WING_WORDS.items()}
+    wings.update(_XYZ_WORDS)
+
+    def expand(template):
+        return instantiate(substitute(substitute_params(template, consts),
+                                      wings, ParamEnv({})), {})
+
+    base = [instantiate(r, {})
+            for r in _relators_xyz(mv_presentation(q, s, t, l, 3))]
+    primes = [expand(presentations._RPRIME_WORDS[i]) for i in (1, 2, 3)]
+    pairs = [(f"r'{i} vs r{i}", primes[i - 1], base[i - 1]) for i in (1, 2, 3)]
+    pairs += [(f"r''{i} vs r'{i}", expand(presentations._RSECOND_WORDS[i]),
+               primes[i - 1]) for i in (1, 2, 3)]
+    return [(name, equal_up_to_cyclic(got, expected),
+             first_syllable_difference(got, expected))
+            for name, got, expected in pairs]
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (-1, 2, 1, 2),
+                                    (2, -3, 2, 1), (-2, -1, 3, 2),
+                                    (3, 1, 2, 3), (1, -2, 4, 1)])
+def test_rewrites_match_the_param_word_path(params):
+    report = verify_rewrites(*params)
+    expected = _rewrites_via_param_word(*params)
+    assert [(r.name, r.match, r.first_difference)
+            for r in report.records] == [
+        (name, match, None if match else difference)
+        for name, match, difference in expected]
 
 
 def test_trivial_wing_substitution():

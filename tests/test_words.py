@@ -14,7 +14,7 @@ from bridgecover.words import (
     PowerBlock, SignLattice, Syllable, WordError, cyclic_normal_form,
     equal_up_to_cyclic, exponent_sums, instantiate, parse_affine, parse_word,
     peel, peel_block, power_block, reduce_word, sign_power, sign_product,
-    substitute, word_sign,
+    substitute, substitute_params, word_sign,
 )
 from letter_words import letters
 
@@ -340,6 +340,90 @@ def test_peel_preserves_instantiation():
         for _ in range(20):
             values = {"k": rng.randint(2, 5), "l": rng.randint(1, 5)}
             assert instantiate(out, values) == instantiate(w, values)
+
+
+# Reduced random words for the seam oracles: exponents affine in k, l; block
+# multiplicities of definite sign under ENV_KL (k >= 2, l >= 1).
+_seam_exponent = st.builds(
+    AffineExp, st.integers(-2, 2),
+    st.dictionaries(st.sampled_from(["k", "l"]), st.integers(-1, 1), max_size=2))
+_seam_multiplicity = st.builds(
+    lambda c, l, sign: AffineExp(c, {"l": l}).scale(sign),
+    st.integers(-1, 2), st.integers(0, 1), st.sampled_from([1, -1]))
+_seam_word = st.recursive(
+    st.lists(st.builds(Syllable, st.sampled_from(["x", "y", "z"]),
+                       _seam_exponent), max_size=4).map(ParamWord),
+    lambda bodies: st.lists(
+        st.one_of(st.builds(Syllable, st.sampled_from(["x", "y", "z"]),
+                            _seam_exponent),
+                  st.builds(PowerBlock, bodies, _seam_multiplicity)),
+        max_size=5).map(ParamWord),
+    max_leaves=12,
+).map(lambda w: reduce_word(w, ENV_KL))
+
+
+def _reduce_spliced(w, start, stop, items):
+    return reduce_word(
+        ParamWord(w.items[:start] + tuple(items) + w.items[stop:]), ENV_KL)
+
+
+@given(_seam_word, _seam_word, st.data())
+@settings(max_examples=200)
+def test_splice_equals_reduce_word_of_the_spliced_word(w, other, data):
+    n = len(w.items)
+    start = data.draw(st.integers(0, n))
+    stop = data.draw(st.integers(start, n))
+    # new items that cancel into the suffix or the prefix, or unrelated ones
+    items = data.draw(st.sampled_from([
+        other.items,
+        ParamWord(w.items[stop:]).inverse().items,
+        ParamWord(w.items[:start]).inverse().items,
+        ParamWord(w.items[stop:stop + 2]).inverse().items + other.items,
+    ]))
+    out = words.splice(w, start, stop, items, ENV_KL)
+    expected = _reduce_spliced(w, start, stop, items)
+    assert out == expected
+    assert out.to_text() == expected.to_text()
+
+
+@given(_seam_word)
+@settings(max_examples=200)
+def test_peel_equals_reduce_word_of_the_peeled_word(w):
+    for index, item in enumerate(w.items):
+        if not isinstance(item, PowerBlock):
+            continue
+        for side in (PeelSide.LEFT, PeelSide.RIGHT):
+            try:
+                peeled = peel_block(item, side, ENV_KL)
+            except CannotPeelError:
+                continue
+            out = peel(w, index, side, ENV_KL)
+            expected = _reduce_spliced(w, index, index + 1, peeled.items)
+            assert out == expected
+            assert out.to_text() == expected.to_text()
+
+
+def _rename_xyz(w):
+    """w over a, b, x: images that mix new generators with a kept one."""
+    return ParamWord([
+        Syllable({"x": "a", "y": "b", "z": "x"}[item.gen], item.exponent)
+        if isinstance(item, Syllable) else PowerBlock(_rename_xyz(item.body),
+                                                      item.multiplicity)
+        for item in w.items])
+
+
+@given(_seam_word, st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                                   _seam_word.map(_rename_xyz),
+                                   max_size=3),
+       st.fixed_dictionaries({"k": st.integers(-3, 3), "l": st.integers(-3, 3)}))
+@settings(max_examples=200)
+def test_instantiate_through_runs_equals_substitute(w, sub_words, values):
+    runs = {gen: instantiate(word, values) for gen, word in sub_words.items()}
+    full = {gen: substitute_params(sub_words.get(gen, parse_word(gen)), values)
+            for gen in ("x", "y", "z")}
+    expected = instantiate(
+        substitute(substitute_params(w, values), full, ParamEnv({})), {})
+    assert instantiate(w, values, runs) == expected
 
 
 # ---------------------------------------------------------------------------
