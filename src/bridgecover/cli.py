@@ -562,7 +562,7 @@ def _cmd_cert(args) -> int:
     if args.infile is None:
         raise _CliError("verify needs --in FILE")
     try:
-        with open(args.infile, encoding="utf-8") as handle:
+        with open(args.infile, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise _CliError(str(exc))

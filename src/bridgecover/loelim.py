@@ -206,12 +206,15 @@ class EliminationReport:
 
 def _relator_forms(rel: ParamWord, env: ParamEnv) -> List[ParamWord]:
     """The relator, its inverse, and their item-level cyclic rotations,
-    each once, in order of first appearance."""
+    each once, in order of first appearance.  The inverse of the reduced
+    relator is reduced, and a rotation is reduced at its seam only."""
     forms: Dict[ParamWord, None] = {}
-    for base in (reduce_word(rel, env), reduce_word(rel.inverse(), env)):
-        for i in range(max(1, len(base.items))):
-            forms.setdefault(reduce_word(
-                ParamWord(base.items[i:] + base.items[:i]), env))
+    reduced = reduce_word(rel, env)
+    for base in (reduced, reduced.inverse()):
+        n = len(base.items)
+        for i in range(max(1, n)):
+            forms.setdefault(splice(ParamWord(base.items[i:]), n - i, n - i,
+                                    base.items[:i], env))
     return list(forms)
 
 

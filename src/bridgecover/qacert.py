@@ -9,29 +9,27 @@ A certificate certifies links of the three tabulated families (``A``,
                   its canonical resolution text) into a 0-child and an
                   inf-child with ``det = det_0 + det_inf``, all positive,
 * ``IDENTIFY`` -- the link equals its child's link along a whitelisted
-                  identification (with citation),
-* ``REF``      -- in memory only: a leaf for a link that a node completed
-                  earlier in the same pre-order walk certifies, same det.
+                  identification (with citation).
 
-``serialize`` writes one JSON document ``{"axioms", "claim", "nodes"}``: the
-nodes in the order a depth-first walk from the root completes them, one
-compact object a line, children as indices of earlier nodes, the root last
-and no link twice, so the proof is well-founded by construction and no depth
-limit is needed.  In memory the graph under ``Certificate.root`` is a tree:
-a link is expanded at its first pre-order occurrence (zero, inf, child) and
-is a ``REF`` leaf at every later one.  The dataclasses compare, hash and
-print recursively; code that may meet a deep tree walks it instead.
+A ``Certificate`` is the node list ``serialize`` writes as one JSON document
+``{"axioms", "claim", "nodes"}``: one compact node a line, in the order a
+depth-first walk from the root completes them, children as indices of
+earlier nodes, the root last and no link twice.  The proof is well-founded
+by construction, ``verify`` is one forward pass, and no depth limit is
+needed.  Generator and parser build the nodes in one function: a child slot
+holds the child's own node at its first citation and a ``REF`` leaf (link
+and det, never a list entry) at every later one, so the tree under
+``Certificate.root`` has one node per citation.  The dataclasses compare,
+hash and print recursively; code that may meet a deep tree walks it.
 
 ``generate_A_cert`` / ``generate_L_cert`` follow the t- and l-inductions:
-``_step`` picks each link's node kind, axiom or identification from the same
-``AXIOMS`` / ``IDENTIFICATIONS`` whitelists ``verify`` checks against, and
-``verify`` checks every rule at every node, tabulating each determinant
-afresh.  The identifications that rewrite a resolution are built from
-``goeritz.RESOLUTION_RULES``, the one table of the Section 5 resolution
-lemmas; the named-link rules, the symmetries and the mirror images are
-written here.  Every walk runs on an explicit stack and does its per-link work once
-per link.  Resolution text is canonical where it enters (the ``LinkId``
-factories and the parser), and ``verify`` rejects a link whose text is not.
+``_step`` picks each link's node kind, axiom or identification from the
+``AXIOMS`` / ``IDENTIFICATIONS`` whitelists that ``verify`` checks against,
+tabulating each determinant afresh.  The identifications that rewrite a
+resolution come from ``goeritz.RESOLUTION_RULES``, the one table of the
+Section 5 resolution lemmas; the named-link rules, symmetries and mirror
+images are written here.  Resolution text is canonical where it enters (the
+``LinkId`` factories and the parser); ``verify`` rejects any other.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ BASE = "BASE"
 SKEIN = "SKEIN"
 IDENTIFY = "IDENTIFY"
 REF = "REF"
-_KINDS = (BASE, SKEIN, IDENTIFY, REF)
 
 STAR3 = "*,*,*"
 
@@ -384,6 +381,14 @@ class CertNode:
     child: Optional["CertNode"] = None
 
 
+# Per node kind, its text field and its child slots; a new kind adds one.
+_NODE_FIELDS = {BASE: ("axiom", ()), SKEIN: ("", ("zero", "inf")),
+                IDENTIFY: ("citation", ("child",))}
+
+# ``(link, det, kind, axiom or citation, child indices)`` of one node
+_Row = Tuple[LinkId, int, str, str, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class AxiomDecl:
     name: str
@@ -394,38 +399,58 @@ class AxiomDecl:
 @dataclass(frozen=True)
 class Certificate:
     claim: str
-    root: CertNode
+    nodes: Tuple[CertNode, ...]
     axioms: Tuple[AxiomDecl, ...]
+
+    @property
+    def root(self) -> CertNode:
+        return self.nodes[-1]
+
+
+def _build(rows: Iterator[_Row]) -> Tuple[CertNode, ...]:
+    """The nodes of ``rows``, whose children are earlier rows: a child slot
+    holds the child's own node at its first citation and a ``REF`` leaf at
+    every later one, so the tree under the last node has one per citation."""
+    nodes: List[CertNode] = []
+    cited: Set[int] = set()
+    for link, det, kind, text, kids in rows:
+        label, slots = _NODE_FIELDS[kind]
+        fields = {label: text} if label else {}
+        for slot, k in zip(slots, kids):
+            child = nodes[k]
+            if k in cited:
+                child = CertNode(child.link, child.det, REF)
+            cited.add(k)
+            fields[slot] = child
+        nodes.append(CertNode(link, det, kind, **fields))
+    return tuple(nodes)
 
 
 def _children(node: CertNode) -> List[Tuple[str, CertNode]]:
-    """``(slot, child)`` of each child present, in the order (zero, inf,
-    child) in which every walk visits them."""
+    """``(slot, child)`` of each child present, in slot order."""
     return [(slot, child) for slot, child in (("zero", node.zero),
                                               ("inf", node.inf),
                                               ("child", node.child))
             if child is not None]
 
 
-def iter_nodes(root: CertNode) -> Iterator[Tuple[str, CertNode]]:
-    """Every node with its path from ``root``, in pre-order (zero, inf,
-    child), from an explicit stack."""
-    stack = [("root", root)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        stack.extend((f"{path}.{slot}", child)
-                     for slot, child in reversed(_children(node)))
-
-
 def node_count(cert: Certificate) -> int:
-    """Nodes in the tree under ``cert.root``, ``REF`` leaves included."""
-    count, stack = 0, [cert.root]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(child for _, child in _children(node))
-    return count
+    """Nodes in the tree under ``cert.root``, ``REF`` leaves included: one
+    plus the citations, as the root reaches every node."""
+    return 1 + sum(len(_children(node)) for node in cert.nodes)
+
+
+def _earlier(nodes: Tuple[CertNode, ...], first: Mapping[LinkId, int], i: int,
+             child: CertNode) -> int:
+    """The index of the node before ``nodes[i]`` that certifies ``child``'s
+    link and determinant; ``first`` indexes the links."""
+    j = first.get(child.link, i)
+    if j < i and child.link is not nodes[j].link:
+        child.link.validate()   # an equal link, but perhaps not an exact one
+    if j >= i or child.det.__class__ is not int or child.det != nodes[j].det:
+        raise CertError(f"{child.link} with determinant {child.det}, which "
+                        f"no earlier node certifies")
+    return j
 
 
 def _resolve_leftmost(link: LinkId, slot: str) -> Optional[LinkId]:
@@ -460,54 +485,17 @@ ACCEPT = Verdict(True)
 
 
 class _Reject(Exception):
-    # ``slots`` spell the node's path, joined only when a rule fails
-    def __init__(self, slots: List[str], reason: str):
-        self.verdict = Verdict(False, ".".join(slots), reason)
+    # the path names node i, or its child slot
+    def __init__(self, i: int, reason: str, slot: str = ""):
+        path = f"nodes[{i}].{slot}" if slot else f"nodes[{i}]"
+        self.verdict = Verdict(False, path, reason)
         super().__init__(str(self.verdict))
 
 
-def _check_base(node: CertNode, claim: str, declared: Mapping[str, AxiomDecl],
-                slots: List[str]) -> None:
-    info = AXIOMS.get(node.axiom)
-    if info is None:
-        raise _Reject(slots, f"unknown axiom {node.axiom!r}")
-    if node.axiom not in declared:
-        raise _Reject(slots, f"axiom {node.axiom!r} is not declared by the "
-                             f"certificate")
-    if claim == QUASI_ALTERNATING and info.claim != QUASI_ALTERNATING:
-        raise _Reject(slots, f"axiom {node.axiom!r} asserts {info.claim}, "
-                             f"not admissible in a {claim} certificate")
-    if not info.matcher(node.link):
-        raise _Reject(slots, f"axiom {node.axiom!r} does not apply to "
-                             f"{node.link}")
-
-
-def _check_links(node: CertNode, slots: List[str]) -> None:
-    """The children a SKEIN or IDENTIFY node must have, with their links."""
-    if node.kind == IDENTIFY:
-        if node.child is None or node.zero is not None or node.inf is not None:
-            raise _Reject(slots, "identification nodes need exactly one child")
-        if _identify(node.link, node.citation) != node.child.link:
-            raise _Reject(slots, f"no whitelisted identification sends "
-                                 f"{node.link} to {node.child.link} under "
-                                 f"{node.citation!r}")
-    elif node.zero is None or node.inf is None or node.child is not None:
-        raise _Reject(slots, "skein nodes need exactly a zero and an inf child")
-    elif "*" not in node.link.resolution:
-        raise _Reject(slots, f"{node.link} has no unresolved slot to split")
-    else:
-        for slot, side in (("zero", "0"), ("inf", "inf")):
-            want = _resolve_leftmost(node.link, side)
-            got = getattr(node, slot).link
-            if got != want:
-                raise _Reject(slots + [slot], f"expected {want}, certificate "
-                                              f"has {got}")
-
-
 def verify(cert: Certificate) -> Verdict:
-    """Check every rule of the certificate; ACCEPT or REJECT with the first
-    violation's node path, in pre-order.  Every node is checked, and each
-    link's determinant is tabulated once, where it is expanded."""
+    """Check every rule of the certificate in one forward pass, ACCEPT or
+    REJECT at the first violation.  Children cite earlier nodes, so no cycle
+    can be written, and each link's determinant is tabulated once."""
     if cert.claim not in _CLAIMS:
         return Verdict(False, "claim", f"unknown claim {cert.claim!r}")
     declared: Dict[str, AxiomDecl] = {}
@@ -520,78 +508,81 @@ def verify(cert: Certificate) -> Verdict:
                            f"axiom {decl.name!r} declared with wrong claim or "
                            f"citation")
         declared[decl.name] = decl
+    first: Dict[LinkId, int] = {}   # link -> index, over the nodes checked
     try:
-        _walk(cert, declared)
+        for i, node in enumerate(cert.nodes):
+            _check_node(cert, declared, first, i)
+            first[node.link] = i
     except _Reject as rej:
         return rej.verdict
     return ACCEPT
 
 
-def _walk(cert: Certificate, declared: Mapping[str, AxiomDecl]) -> None:
-    # expanded link -> its determinant once its node is complete, None
-    # while it is open (on the current path)
-    certified: Dict[LinkId, Optional[int]] = {}
-    slots: List[str] = []               # path of the node being checked
-    stack = [(cert.root, "root", False)]   # (node, slot, subtree done)
-    while stack:
-        node, slot, closing = stack.pop()
-        link = node.link
-        if closing:
-            if node.kind == SKEIN:
-                if node.det != node.zero.det + node.inf.det:
-                    raise _Reject(slots, f"determinant additivity fails: "
-                                         f"{node.det} != {node.zero.det} + "
-                                         f"{node.inf.det}")
-            elif node.child.det != node.det:
-                raise _Reject(slots, f"identified links must share a "
-                                     f"determinant: {node.det} != "
-                                     f"{node.child.det}")
-            slots.pop()
-            certified[link] = node.det
-            continue
-        slots.append(slot)
+def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
+                first: Mapping[LinkId, int], i: int) -> None:
+    """Every rule at ``nodes[i]``; ``first`` indexes the links before it."""
+    node = cert.nodes[i]
+    link = node.link
+    try:
+        link.validate()
+    except CertError as exc:
+        raise _Reject(i, str(exc))
+    if node.det.__class__ is not int or node.det <= 0:
+        raise _Reject(i, f"determinant must be a positive integer, got "
+                         f"{node.det!r}")
+    if node.kind not in _NODE_FIELDS:
+        raise _Reject(i, f"unknown node kind {node.kind!r}")
+    if link in first:
+        raise _Reject(i, f"{link} is already certified by nodes[{first[link]}]")
+    try:
+        want = expected_det(link)
+    except (NotTabulatedError, CertError) as exc:
+        raise _Reject(i, f"no tabulated determinant: {exc}")
+    if node.det != want:
+        raise _Reject(i, f"determinant {node.det} does not match the "
+                         f"tabulated value {want} for {link}")
+    if node.kind == BASE:
+        info = AXIOMS.get(node.axiom)
+        if node.zero or node.inf or node.child:
+            raise _Reject(i, "BASE nodes carry no children")
+        if info is None:
+            raise _Reject(i, f"unknown axiom {node.axiom!r}")
+        if node.axiom not in declared:
+            raise _Reject(i, f"axiom {node.axiom!r} is not declared by the "
+                             f"certificate")
+        if cert.claim == QUASI_ALTERNATING and info.claim != cert.claim:
+            raise _Reject(i, f"axiom {node.axiom!r} asserts {info.claim}, "
+                             f"not admissible in a {cert.claim} certificate")
+        if not info.matcher(link):
+            raise _Reject(i, f"axiom {node.axiom!r} does not apply to {link}")
+        return
+    if node.kind == IDENTIFY:
+        if node.child is None or node.zero is not None or node.inf is not None:
+            raise _Reject(i, "identification nodes need exactly one child")
+        if _identify(link, node.citation) != node.child.link:
+            raise _Reject(i, f"no whitelisted identification sends {link} to "
+                             f"{node.child.link} under {node.citation!r}")
+    elif node.zero is None or node.inf is None or node.child is not None:
+        raise _Reject(i, "skein nodes need exactly a zero and an inf child")
+    elif "*" not in link.resolution:
+        raise _Reject(i, f"{link} has no unresolved slot to split")
+    else:
+        for slot, side in (("zero", "0"), ("inf", "inf")):
+            want, got = _resolve_leftmost(link, side), getattr(node, slot).link
+            if got != want:
+                raise _Reject(i, f"expected {want}, certificate has {got}",
+                              slot)
+    for slot in _NODE_FIELDS[node.kind][1]:
         try:
-            link.validate()
+            _earlier(cert.nodes, first, i, getattr(node, slot))
         except CertError as exc:
-            raise _Reject(slots, str(exc))
-        if node.det.__class__ is not int or node.det <= 0:
-            raise _Reject(slots, f"determinant must be a positive integer, "
-                                 f"got {node.det!r}")
-        if node.kind not in _KINDS:
-            raise _Reject(slots, f"unknown node kind {node.kind!r}")
-        if node.kind in (BASE, REF) and (node.zero or node.inf or node.child):
-            raise _Reject(slots, f"{node.kind} nodes carry no children")
-        if node.kind == REF:
-            want = certified.get(link)
-            if want is None:
-                what = ("an open ancestor (a cycle)" if link in certified
-                        else "never certified before it")
-                raise _Reject(slots, f"reference to {link}, which is {what}")
-        else:
-            if link in certified:
-                raise _Reject(slots, f"{link} is expanded a second time; "
-                                     f"later occurrences must be references")
-            try:
-                want = expected_det(link)
-            except (NotTabulatedError, CertError) as exc:
-                raise _Reject(slots, f"no tabulated determinant: {exc}")
-        if node.det != want:
-            raise _Reject(slots, f"determinant {node.det} does not match the "
-                                 f"tabulated value {want} for {link}")
-        if node.kind == BASE:
-            _check_base(node, cert.claim, declared, slots)
-            certified[link] = node.det
-        if node.kind == BASE or node.kind == REF:
-            slots.pop()
-            continue
-        _check_links(node, slots)
-        certified[link] = None
-        stack.append((node, slot, True))
-        if node.kind == SKEIN:
-            stack.append((node.inf, "inf", False))
-            stack.append((node.zero, "zero", False))
-        else:
-            stack.append((node.child, "child", False))
+            raise _Reject(i, str(exc), slot)
+    if node.kind == SKEIN and node.det != node.zero.det + node.inf.det:
+        raise _Reject(i, f"determinant additivity fails: {node.det} != "
+                         f"{node.zero.det} + {node.inf.det}")
+    if node.kind == IDENTIFY and node.child.det != node.det:
+        raise _Reject(i, f"identified links must share a determinant: "
+                         f"{node.det} != {node.child.det}")
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +592,6 @@ def _walk(cert: Certificate, declared: Mapping[str, AxiomDecl]) -> None:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                            check_circular=False).encode  # fresh dict trees
 
-# Per node kind, its text field and its child fields; a new kind adds one.
-_NODE_FIELDS = {BASE: ("axiom", ()), SKEIN: ("", ("zero", "inf")),
-                IDENTIFY: ("citation", ("child",))}
 _NODE_KEYS = {kind: {"det", "kind", "link", text, *kids} - {""}
               for kind, (text, kids) in _NODE_FIELDS.items()}
 
@@ -616,37 +604,26 @@ def _link_to_json(link: LinkId) -> Dict[str, object]:
 
 
 def serialize(cert: Certificate) -> str:
-    """Canonical JSON text: sorted keys, one compact node a line in the order
-    a depth-first walk completes them, and a trailing newline.  A ``REF``
-    leaf is written as the index of its link's node; one that no earlier
-    node with its link and determinant backs is refused."""
-    index: Dict[LinkId, Tuple[int, int]] = {}   # link -> (node index, det)
+    """Canonical JSON text: sorted keys, one compact node a line, children
+    by the index of the earlier node with their link and determinant (else
+    refused, as is a link listed twice), and a trailing newline."""
+    first: Dict[LinkId, int] = {}
     lines: List[str] = []
-    stack: List[Tuple[CertNode, bool]] = [(cert.root, False)]
-    while stack:
-        node, closing = stack.pop()
-        if node.kind == REF:
-            node.link.validate()
-            if index.get(node.link, (0, None))[1] != node.det:
-                raise CertError(f"reference to {node.link} with determinant "
-                                f"{node.det}, which no earlier node certifies")
-        elif not closing:
-            stack.append((node, True))
-            for child in (node.child, node.inf, node.zero):
-                if child is not None:
-                    stack.append((child, False))
-        elif (index.setdefault(node.link, (len(lines), node.det))[0]
-              != len(lines)):
-            raise CertError(f"{node.link} is expanded a second time")
-        else:
-            out = {"det": str(node.det), "kind": node.kind,
-                   "link": _link_to_json(node.link)}
-            text = _NODE_FIELDS.get(node.kind, ("",))[0]
-            if text:
-                out[text] = getattr(node, text)
-            for slot, child in _children(node):
-                out[slot] = index[child.link][0]
-            lines.append(_encode(out))
+    for i, node in enumerate(cert.nodes):
+        if node.kind not in _NODE_FIELDS:
+            raise CertError(f"nodes[{i}]: unknown node kind {node.kind!r}")
+        j = first.setdefault(node.link, i)
+        if j != i:
+            raise CertError(f"nodes[{i}]: {node.link} is already certified "
+                            f"by nodes[{j}]")
+        out = {"det": str(node.det), "kind": node.kind,
+               "link": _link_to_json(node.link)}
+        text = _NODE_FIELDS[node.kind][0]
+        if text:
+            out[text] = getattr(node, text)
+        for slot, child in _children(node):
+            out[slot] = _earlier(cert.nodes, first, i, child)
+        lines.append(_encode(out))
     axioms = [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
               for ax in cert.axioms]
     return (f'{{"axioms":{_encode(axioms)},"claim":{_encode(cert.claim)},'
@@ -693,8 +670,8 @@ def _parse_link(obj, where: str) -> LinkId:
                   resolution)
 
 
-def _parse_node(obj, i: int) -> Tuple[LinkId, int, str, str, Tuple[int, ...]]:
-    """``(link, det, kind, axiom or citation, child indices)`` of node i."""
+def _parse_node(obj, i: int) -> _Row:
+    """The row of node i."""
     where = f"nodes[{i}]"
     kind = obj.get("kind") if obj.__class__ is dict else None
     if kind.__class__ is not str or kind not in _NODE_FIELDS:
@@ -721,7 +698,7 @@ def _parse_node(obj, i: int) -> Tuple[LinkId, int, str, str, Tuple[int, ...]]:
 def deserialize(data: Union[str, bytes]) -> Certificate:
     """Parse ``serialize`` output, and only that: every link once, children
     earlier, and the nodes in the order the walk from the last one completes
-    them, so every other node is referenced."""
+    them, so every other node is cited."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -741,46 +718,33 @@ def deserialize(data: Union[str, bytes]) -> Certificate:
     axioms = tuple(AxiomDecl(*(_fields(entry, set(keys), f"axioms[{i}]",
                                        keys)[key] for key in keys))
                    for i, entry in enumerate(axioms))
-    return Certificate(payload["claim"], _build_tree(
-        [_parse_node(obj, i) for i, obj in enumerate(nodes)]), axioms)
+    rows = [_parse_node(obj, i) for i, obj in enumerate(nodes)]
+    return Certificate(payload["claim"], _build(_walk_order(rows)), axioms)
 
 
-def _build_tree(rows) -> CertNode:
-    """The tree of a parsed node list: a node is expanded at the first
-    pre-order occurrence of its index and is a ``REF`` leaf at every later
-    one.  The walk must complete node k k-th, so the nodes below ``done``
-    are exactly the completed ones."""
-    first: Dict[LinkId, int] = {}   # link -> index, over the completed nodes
-    built: List[CertNode] = []
-    stack = [(len(rows) - 1, False)]
+def _walk_order(rows: List[_Row]) -> Iterator[_Row]:
+    """``rows`` as the depth-first walk from the last one completes them,
+    refused unless that is their own order and no link comes twice."""
+    first: Dict[LinkId, int] = {}   # link -> index, over the completed rows
+    stack = [len(rows) - 1]         # i enters row i, ~i completes it
     while stack:
-        i, closing = stack.pop()
-        link, det, kind, text, kids = rows[i]
+        i = stack.pop()
         done = len(first)
-        if not closing:
-            if i < done:
-                built.append(CertNode(link, det, REF))
-            else:
-                stack.append((i, True))
-                stack.extend((child, False) for child in reversed(kids))
-            continue
-        j = first.setdefault(link, done)
-        if j != done:
-            raise CertParseError(f"nodes[{i}].link: {link} is already "
-                                 f"certified by nodes[{j}]")
-        if i != done:
-            raise CertParseError(f"nodes[{i}]: out of order; the walk from "
-                                 f"the last node completes nodes[{done}] here")
-        if kind == BASE:
-            node = CertNode(link, det, BASE, axiom=text)
-        elif kind == SKEIN:
-            inf = built.pop()
-            node = CertNode(link, det, SKEIN, zero=built.pop(), inf=inf)
-        else:
-            node = CertNode(link, det, IDENTIFY, citation=text,
-                            child=built.pop())
-        built.append(node)
-    return built[0]
+        if i < 0:
+            i = ~i
+            link = rows[i][0]
+            j = first.setdefault(link, done)
+            if j != done:
+                raise CertParseError(f"nodes[{i}].link: {link} is already "
+                                     f"certified by nodes[{j}]")
+            if i != done:
+                raise CertParseError(f"nodes[{i}]: out of order; the walk "
+                                     f"from the last node completes "
+                                     f"nodes[{done}] here")
+            yield rows[i]
+        elif i >= done:
+            stack.append(~i)
+            stack.extend(reversed(rows[i][4]))
 
 
 # ---------------------------------------------------------------------------
@@ -851,69 +815,66 @@ def _step(link: LinkId) -> Tuple[str, str]:
     return SKEIN, ""
 
 
-def _generate(root: LinkId, extra: Set[str]) -> Certificate:
-    """Certify ``root`` depth-first from an explicit stack; a link reached
-    again after its node is complete becomes a ``REF`` leaf.  The claim is
-    QUASI_ALTERNATING when every declared axiom asserts it (as ``verify``
-    requires of such a claim), else L_SPACE."""
-    # link -> its node once complete, None while it is being certified; a
-    # lookup falls back to the link itself for a link not reached before
-    done: Dict[LinkId, Optional[CertNode]] = {}
-    used_axioms: Set[str] = set()
-    built: List[CertNode] = []
-    # (link, None) enters a link; (link, (kind, label, det)) completes it
-    stack: List[Tuple[LinkId, Optional[Tuple[str, str, int]]]] = [(root, None)]
+def _rows(root: LinkId) -> Iterator[_Row]:
+    """The rows of ``root``'s certificate in the order a depth-first walk
+    from an explicit stack completes their links."""
+    # link -> its row's index once the row is out, None while it is open
+    done: Dict[LinkId, Optional[int]] = {}
+    dets: List[int] = []            # by row index
+    # (link, None) enters a link, (link, (kind, label, det, children)) ends it
+    stack: List[Tuple[LinkId, Optional[tuple]]] = [(root, None)]
     while stack:
         link, plan = stack.pop()
-        if plan is not None:
-            kind, label, det = plan
-            if kind == IDENTIFY:
-                node = CertNode(link, det, IDENTIFY, citation=label,
-                                child=built.pop())
-                if det != node.child.det:
-                    raise GenerationError(f"identified determinants differ at "
-                                          f"{link}: {det} != {node.child.det}")
-            else:
-                inf = built.pop()
-                node = CertNode(link, det, SKEIN, zero=built.pop(), inf=inf)
-                if min(det, node.zero.det, inf.det) <= 0:
-                    raise GenerationError(f"resolution determinant vanishes "
-                                          f"at {link}")
-                if det != node.zero.det + inf.det:
-                    raise GenerationError(f"determinant additivity fails at "
-                                          f"{link}: {det} != {node.zero.det} "
-                                          f"+ {inf.det}")
-        elif (prior := done.get(link, link)) is not link:
-            if prior is None:
+        if plan is None:
+            index = done.get(link, -1)
+            if index is None:
                 raise GenerationError(f"{link} is reached again while it is "
                                       f"being certified")
-            node = CertNode(link, prior.det, REF)
-        else:
+            if index >= 0:
+                continue
             kind, label = _step(link)
             det = expected_det(link)
-            if kind != BASE:
+            if kind == BASE:
+                children, applies = (), AXIOMS[label].matcher(link)
+            else:
                 children = ((_identify(link, label),) if kind == IDENTIFY else
                             (_resolve_leftmost(link, "0"),
                              _resolve_leftmost(link, "inf")))
-                if children[0] is None:
-                    raise GenerationError(f"{kind} {label!r} does not apply "
-                                          f"to {link}")
-                done[link] = None
-                stack.append((link, (kind, label, det)))
-                stack.extend([(child, None) for child in reversed(children)])
-                continue
-            if not AXIOMS[label].matcher(link):
-                raise GenerationError(f"axiom {label} does not apply to {link}")
-            used_axioms.add(label)
-            node = CertNode(link, det, BASE, axiom=label)
-        if node.kind != REF:
-            done[link] = node
-        built.append(node)
-    axioms = sorted((AXIOMS[n] for n in used_axioms | extra),
-                    key=lambda ax: ax.name)
+                applies = children[0] is not None
+            if not applies:
+                raise GenerationError(f"{kind} {label!r} does not apply to "
+                                      f"{link}")
+            done[link] = None
+            stack.append((link, (kind, label, det, children)))
+            stack.extend([(child, None) for child in reversed(children)])
+            continue
+        kind, label, det, children = plan
+        kids = tuple(map(done.__getitem__, children))
+        if kind == IDENTIFY and det != dets[kids[0]]:
+            raise GenerationError(f"identified determinants differ at "
+                                  f"{link}: {det} != {dets[kids[0]]}")
+        if kind == SKEIN:
+            zero, inf = dets[kids[0]], dets[kids[1]]
+            if min(det, zero, inf) <= 0:
+                raise GenerationError(f"resolution determinant vanishes at "
+                                      f"{link}")
+            if det != zero + inf:
+                raise GenerationError(f"determinant additivity fails at "
+                                      f"{link}: {det} != {zero} + {inf}")
+        done[link] = len(dets)
+        dets.append(det)
+        yield link, det, kind, label, kids
+
+
+def _generate(root: LinkId, extra: Set[str]) -> Certificate:
+    """Certify ``root``: the claim is QUASI_ALTERNATING when every declared
+    axiom asserts it (as ``verify`` requires), else L_SPACE."""
+    nodes = _build(_rows(root))
+    used = {node.axiom for node in nodes if node.kind == BASE}
+    axioms = sorted((AXIOMS[n] for n in used | extra), key=lambda ax: ax.name)
     claim = (QUASI_ALTERNATING
              if all(ax.claim == QUASI_ALTERNATING for ax in axioms) else L_SPACE)
-    return Certificate(claim, built[0], tuple(
+    return Certificate(claim, nodes, tuple(
         AxiomDecl(ax.name, ax.claim, ax.citation) for ax in axioms))
 
 

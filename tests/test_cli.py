@@ -420,7 +420,7 @@ def test_cert_verify_rejects_a_mutated_determinant(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, out, _ = run(["cert", "verify", "--in", str(path)], capsys)
     assert code == 1
-    assert out == ("REJECT at root: determinant 999 does not match the"
+    assert out == ("REJECT at nodes[2]: determinant 999 does not match the"
                    " tabulated value 1 for L(q=1, s=1, t=1, l=1; *,*,*)\n")
 
 
@@ -430,6 +430,14 @@ def test_cert_verify_rejects_unparseable_input(capsys, tmp_path):
     code, out, _ = run(["cert", "verify", "--in", str(path)], capsys)
     assert code == 1
     assert out.startswith("REJECT ")
+
+
+def test_cert_verify_rejects_input_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    code, out, err = run(["cert", "verify", "--in", str(path)], capsys)
+    assert (code, err) == (1, "")
+    assert out.startswith("REJECT invalid JSON ")
 
 
 def test_cert_generate_param_count_checked(capsys):

@@ -16,8 +16,9 @@ from bridgecover.presentations import (
     Presentation, genus_one_presentation,
 )
 from bridgecover.words import (
-    ParamEnv, SignLattice, WordError, instantiate, parse_word, reduce_word,
-    sign_invert, substitute, substitute_params,
+    AffineExp, ParamEnv, ParamWord, PowerBlock, SignLattice, Syllable,
+    WordError, instantiate, parse_word, reduce_word, sign_invert, substitute,
+    substitute_params,
 )
 from letter_words import letters
 
@@ -135,6 +136,40 @@ def test_eliminate_uses_rotations_and_inverse():
     report = eliminate(p)
     assert report.verdicts[0].eliminated
     assert report.verdicts[1].eliminated
+
+
+_ENV_KL = ParamEnv({"k": 2, "l": 1})
+_syllable = st.builds(
+    Syllable, st.sampled_from(["x", "y", "z"]),
+    st.builds(AffineExp, st.integers(-2, 2),
+              st.dictionaries(st.sampled_from(["k", "l"]), st.integers(-1, 1),
+                              max_size=2)))
+# unreduced words: syllables and blocks of definite multiplicity under k >= 2,
+# l >= 1, which may merge or cancel across any rotation's seam
+_relator = st.recursive(
+    st.lists(_syllable, max_size=4).map(ParamWord),
+    lambda bodies: st.lists(st.one_of(
+        _syllable,
+        st.builds(PowerBlock, bodies, st.builds(
+            lambda c, l, sign: AffineExp(c, {"l": l}).scale(sign),
+            st.integers(-1, 2), st.integers(0, 1), st.sampled_from([1, -1])))),
+        max_size=6).map(ParamWord),
+    max_leaves=12)
+
+
+@given(_relator)
+@settings(max_examples=200)
+def test_relator_forms_reduce_each_rotation_in_full(rel):
+    """The forms reduced at the seams equal ``reduce_word`` of every item
+    rotation of the reduced relator and of its reduced inverse, in order."""
+    forms = {}
+    for base in (reduce_word(rel, _ENV_KL), reduce_word(rel.inverse(), _ENV_KL)):
+        for i in range(max(1, len(base.items))):
+            forms.setdefault(reduce_word(
+                ParamWord(base.items[i:] + base.items[:i]), _ENV_KL))
+    got = loelim._relator_forms(rel, _ENV_KL)
+    assert got == list(forms)
+    assert [w.to_text() for w in got] == [w.to_text() for w in forms]
 
 
 # ---------------------------------------------------------------------------

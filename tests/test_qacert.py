@@ -18,28 +18,42 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _shape(cert):
-    """Everything a certificate says, node by node in pre-order, without the
-    recursive dataclass comparison."""
+    """Everything a certificate says, node by node in list order, each child
+    by its slot, the index of the node with its link, and whether it is a
+    ``REF`` leaf, without the recursive dataclass comparison."""
+    index = {n.link: i for i, n in enumerate(cert.nodes)}
     return (cert.claim, cert.axioms,
-            [(path, n.link, n.det, n.kind, n.axiom, n.citation)
-             for path, n in qc.iter_nodes(cert.root)])
+            [(n.link, n.det, n.kind, n.axiom, n.citation,
+              [(slot, index[c.link], c.kind == qc.REF)
+               for slot, c in _children(n)])
+             for n in cert.nodes])
 
 
-def _rebuild(node, path, target_path, repl):
-    """Copy of the tree with the node at target_path replaced."""
-    if path == target_path:
-        return repl
-    kwargs = {}
-    for attr in ("zero", "inf", "child"):
-        sub = getattr(node, attr)
-        if sub is not None:
-            kwargs[attr] = _rebuild(sub, path + "." + attr, target_path, repl)
-    return replace(node, **kwargs) if kwargs else node
+def _children(node):
+    return [(slot, getattr(node, slot)) for slot in ("zero", "inf", "child")
+            if getattr(node, slot) is not None]
 
 
-def _with_node(cert, path, repl):
-    return qc.Certificate(cert.claim, _rebuild(cert.root, "root", path, repl),
-                          cert.axioms)
+def _with_node(cert, i, repl):
+    """The certificate with ``nodes[i]`` replaced by ``repl``."""
+    return qc.Certificate(cert.claim, cert.nodes[:i] + (repl,)
+                          + cert.nodes[i + 1:], cert.axioms)
+
+
+def _with_child(cert, i, slot, child):
+    """The certificate with the ``slot`` child of ``nodes[i]`` replaced."""
+    return _with_node(cert, i, replace(cert.nodes[i], **{slot: child}))
+
+
+def iter_nodes(root):
+    """Every node of the tree under ``root`` with its path, in pre-order
+    (zero, inf, child), from an explicit stack."""
+    stack = [("root", root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((f"{path}.{slot}", child)
+                     for slot, child in reversed(_children(node)))
 
 
 # -- generation: positive regimes ------------------------------------------
@@ -62,7 +76,7 @@ def test_a_cert_small_quasi_alternating_case():
     cert = qc.generate_A_cert(1, 2, 1)
     assert cert.claim == qc.QUASI_ALTERNATING
     assert qc.verify(cert)
-    used = {n.axiom for _, n in qc.iter_nodes(cert.root) if n.kind == qc.BASE}
+    used = {n.axiom for n in cert.nodes if n.kind == qc.BASE}
     assert used == {"PETERS_QA"}
 
 
@@ -70,7 +84,7 @@ def test_a_cert_all_ones_grounds_at_named_torus_knot():
     cert = qc.generate_A_cert(1, 1, 1)
     assert cert.claim == qc.L_SPACE
     assert qc.verify(cert)
-    bases = [n for _, n in qc.iter_nodes(cert.root) if n.kind == qc.BASE]
+    bases = [n for n in cert.nodes if n.kind == qc.BASE]
     assert [b.link.name for b in bases] == ["T(3,4)"]
     declared = {ax.name for ax in cert.axioms}
     assert {"T(3,4)", "P(2,-3,-2)"} <= declared
@@ -80,7 +94,7 @@ def test_a_cert_skein_determinants_come_from_the_tables():
     cert = qc.generate_A_cert(2, 1, 3)
     assert cert.claim == qc.L_SPACE
     assert qc.verify(cert)
-    skeins = [n for _, n in qc.iter_nodes(cert.root) if n.kind == qc.SKEIN]
+    skeins = [n for n in cert.nodes if n.kind == qc.SKEIN]
     assert skeins, "expected a nontrivial resolution tree"
     for node in skeins:
         for part in (node, node.zero, node.inf):
@@ -101,7 +115,7 @@ def test_l_cert_all_ones_grounds_at_named_torus_knot():
     cert = qc.generate_L_cert(1, 1, 1, 1)
     assert cert.claim == qc.L_SPACE
     assert qc.verify(cert)
-    bases = [n for _, n in qc.iter_nodes(cert.root) if n.kind == qc.BASE]
+    bases = [n for n in cert.nodes if n.kind == qc.BASE]
     assert [b.link.name for b in bases] == ["T(3,5)"]
     assert {ax.name for ax in cert.axioms} == {"T(3,5)", "P(2,-3,-4)"}
 
@@ -125,7 +139,7 @@ def test_alternating_regime_is_a_single_base_node():
     assert cert.claim == qc.QUASI_ALTERNATING
     assert cert.root.kind == qc.BASE
     assert cert.root.axiom == "ALTERNATING"
-    assert qc.node_count(cert) == 1
+    assert qc.node_count(cert) == len(cert.nodes) == 1
     assert qc.verify(cert)
 
 
@@ -175,18 +189,18 @@ def test_swap_regime_reorients_before_the_length_induction():
 
 def test_skein_determinant_increment_is_rejected_at_that_node():
     cert = qc.generate_L_cert(2, 1, 1, 1)
-    paths = [p for p, n in qc.iter_nodes(cert.root) if n.kind == qc.SKEIN]
-    assert paths
-    path = paths[-1]
-    node = dict(qc.iter_nodes(cert.root))[path]
-    verdict = qc.verify(_with_node(cert, path, replace(node, det=node.det + 1)))
-    assert not verdict
-    assert verdict.path == path
+    skeins = [i for i, n in enumerate(cert.nodes) if n.kind == qc.SKEIN]
+    assert skeins
+    for i in skeins:
+        node = cert.nodes[i]
+        verdict = qc.verify(_with_node(cert, i, replace(node, det=node.det + 1)))
+        assert not verdict
+        assert verdict.path == f"nodes[{i}]"
 
 
 def test_quasi_alternating_claim_may_not_use_l_space_axioms():
     cert = qc.generate_A_cert(1, 1, 1)
-    flipped = qc.Certificate(qc.QUASI_ALTERNATING, cert.root, cert.axioms)
+    flipped = qc.Certificate(qc.QUASI_ALTERNATING, cert.nodes, cert.axioms)
     verdict = qc.verify(flipped)
     assert not verdict
     assert "not admissible" in verdict.reason
@@ -194,7 +208,7 @@ def test_quasi_alternating_claim_may_not_use_l_space_axioms():
 
 def test_undeclared_axiom_is_rejected():
     cert = qc.generate_L_cert(1, 1, 1, 1)
-    stripped = qc.Certificate(cert.claim, cert.root, ())
+    stripped = qc.Certificate(cert.claim, cert.nodes, ())
     verdict = qc.verify(stripped)
     assert not verdict
     assert "not declared" in verdict.reason
@@ -202,16 +216,18 @@ def test_undeclared_axiom_is_rejected():
 
 def test_swapped_skein_children_are_rejected():
     cert = qc.generate_L_cert(2, 2, 2, 2)
-    for path, node in qc.iter_nodes(cert.root):
-        if node.kind == qc.SKEIN:
-            swapped = replace(node, zero=node.inf, inf=node.zero)
-            assert not qc.verify(_with_node(cert, path, swapped))
-            break
-    else:
-        pytest.fail("no skein node found")
+    skeins = [i for i, n in enumerate(cert.nodes) if n.kind == qc.SKEIN]
+    assert skeins
+    for i in skeins:
+        node = cert.nodes[i]
+        swapped = replace(node, zero=node.inf, inf=node.zero)
+        verdict = qc.verify(_with_node(cert, i, swapped))
+        assert not verdict and verdict.path == f"nodes[{i}].zero"
 
 
 def test_reference_cycles_are_rejected():
+    """The list form of a cycle: a child that cites a later node's link, or
+    a link that no node certifies."""
     link1 = qc.LinkId.A(2, 1, 3)
     link2 = qc.LinkId.A(3, 1, 2)
     ref1 = qc.CertNode(link1, qc.expected_det(link1), qc.REF)
@@ -219,12 +235,14 @@ def test_reference_cycles_are_rejected():
                       citation=qc.CIT_A_SYM, child=ref1)
     id1 = qc.CertNode(link1, qc.expected_det(link1), qc.IDENTIFY,
                       citation=qc.CIT_A_SYM, child=id2)
-    verdict = qc.verify(qc.Certificate(qc.L_SPACE, id1, ()))
-    assert not verdict
-    assert verdict.path == "root.child.child"
-    assert "cycle" in verdict.reason
-    with pytest.raises(qc.CertError):
-        qc.serialize(qc.Certificate(qc.L_SPACE, id1, ()))
+    for nodes in ((id2, id1), (id2,)):
+        cert = qc.Certificate(qc.L_SPACE, nodes, ())
+        verdict = qc.verify(cert)
+        assert not verdict
+        assert verdict.path == "nodes[0].child"
+        assert "no earlier node certifies" in verdict.reason
+        with pytest.raises(qc.CertError, match="no earlier node"):
+            qc.serialize(cert)
 
 
 def test_generation_that_reaches_a_link_again_inside_itself_fails(monkeypatch):
@@ -235,41 +253,53 @@ def test_generation_that_reaches_a_link_again_inside_itself_fails(monkeypatch):
 
 
 def test_a_link_expanded_twice_is_rejected():
+    """A link listed twice: each node listed again just before the root."""
     cert = qc.generate_L_cert(2, 2, 2, 2)
-    nodes = dict(qc.iter_nodes(cert.root))
-    refs = [p for p, n in nodes.items() if n.kind == qc.REF]
-    first = {n.link: p for p, n in reversed(list(qc.iter_nodes(cert.root)))
-             if n.kind != qc.REF}
-    for path in refs:
-        full = nodes[first[nodes[path].link]]
-        verdict = qc.verify(_with_node(cert, path, full))
-        assert not verdict and verdict.path == path, path
-        assert "expanded a second time" in verdict.reason
-        with pytest.raises(qc.CertError, match="second time"):
-            qc.serialize(_with_node(cert, path, full))
+    last = len(cert.nodes) - 1
+    for k, node in enumerate(cert.nodes[:last]):
+        twice = qc.Certificate(cert.claim, cert.nodes[:last] + (node,)
+                               + cert.nodes[last:], cert.axioms)
+        verdict = qc.verify(twice)
+        assert not verdict and verdict.path == f"nodes[{last}]", k
+        assert verdict.reason == (f"{node.link} is already certified by "
+                                  f"nodes[{k}]")
+        with pytest.raises(qc.CertError, match=rf"already certified by "
+                                               rf"nodes\[{k}\]"):
+            qc.serialize(twice)
 
 
 def test_reference_to_uncertified_link_is_rejected():
-    link1 = qc.LinkId.A(2, 1, 3)
-    link2 = qc.LinkId.A(3, 1, 2)
-    ref2 = qc.CertNode(link2, qc.expected_det(link2), qc.REF)
-    id1 = qc.CertNode(link1, qc.expected_det(link1), qc.IDENTIFY,
-                      citation=qc.CIT_A_SYM, child=ref2)
-    verdict = qc.verify(qc.Certificate(qc.L_SPACE, id1, ()))
-    assert not verdict
-    assert "never certified" in verdict.reason
-    with pytest.raises(qc.CertError, match="no earlier node"):
-        qc.serialize(qc.Certificate(qc.L_SPACE, id1, ()))
+    """A child whose determinant no earlier node certifies: A(3,1,2) is
+    identified with A(2,1,3), the node before it."""
+    cert = qc.generate_A_cert(3, 1, 2)
+    root, i = cert.root, len(cert.nodes) - 1
+    assert root.child is cert.nodes[i - 1]
+    for det in (root.child.det + 1, float(root.child.det)):
+        odd = _with_child(cert, i, "child", replace(root.child, det=det))
+        verdict = qc.verify(odd)
+        assert not verdict and verdict.path == f"nodes[{i}].child"
+        assert "no earlier node certifies" in verdict.reason
+        with pytest.raises(qc.CertError, match="no earlier node"):
+            qc.serialize(odd)
 
 
 def test_leaf_nodes_with_children_are_rejected():
     cert = qc.generate_L_cert(2, 2, 2, 2)
-    nodes = list(qc.iter_nodes(cert.root))
-    for kind in (qc.REF, qc.BASE):
-        path, leaf = next((p, n) for p, n in nodes if n.kind == kind)
-        verdict = qc.verify(_with_node(cert, path, replace(leaf, child=leaf)))
-        assert not verdict and verdict.path == path
-        assert verdict.reason == f"{kind} nodes carry no children"
+    i, leaf = next((i, n) for i, n in enumerate(cert.nodes)
+                   if n.kind == qc.BASE)
+    verdict = qc.verify(_with_node(cert, i, replace(leaf, child=leaf)))
+    assert not verdict and verdict.path == f"nodes[{i}]"
+    assert verdict.reason == "BASE nodes carry no children"
+    # a REF leaf is no entry of the list, with children or without
+    for i, node in enumerate(cert.nodes):
+        for ref in (qc.CertNode(node.link, node.det, qc.REF),
+                    qc.CertNode(node.link, node.det, qc.REF, child=leaf)):
+            odd = _with_node(cert, i, ref)
+            verdict = qc.verify(odd)
+            assert not verdict and verdict.path == f"nodes[{i}]"
+            assert verdict.reason == "unknown node kind 'REF'"
+            with pytest.raises(qc.CertError, match=rf"nodes\[{i}\]: unkn"):
+                qc.serialize(odd)
 
 
 def test_bool_parameters_are_refused():
@@ -283,8 +313,9 @@ def test_bool_parameters_are_refused():
                        child=qc.CertNode(link, 3, qc.BASE, axiom="T(3,4)"))
     info = qc.AXIOMS["T(3,4)"]
     verdict = qc.verify(qc.Certificate(
-        qc.L_SPACE, node, (qc.AxiomDecl(info.name, info.claim, info.citation),)))
-    assert not verdict and verdict.path == "root"
+        qc.L_SPACE, (node.child, node),
+        (qc.AxiomDecl(info.name, info.claim, info.citation),)))
+    assert not verdict and verdict.path == "nodes[1]"
     assert "nonzero integer" in verdict.reason
 
 
@@ -292,7 +323,7 @@ def test_malformed_resolution_is_rejected_not_crashed():
     link = qc.LinkId("A", (("q", 1), ("s", 1), ("t", 1)), "0,banana,*")
     node = qc.CertNode(link, 3, qc.BASE, axiom="T(3,4)")
     cert = qc.Certificate(
-        qc.L_SPACE, node,
+        qc.L_SPACE, (node,),
         (qc.AxiomDecl("T(3,4)", qc.L_SPACE, "Claim 5.6 proof"),))
     verdict = qc.verify(cert)
     assert not verdict
@@ -301,8 +332,8 @@ def test_malformed_resolution_is_rejected_not_crashed():
 
 def test_non_canonical_resolution_text_is_rejected():
     link = qc.LinkId("A", (("q", 1), ("s", 1), ("t", 1)), "0, *,*")
-    cert = qc.Certificate(qc.L_SPACE, qc.CertNode(link, 4, qc.BASE,
-                                                   axiom="A_0_STAR_STAR_S1"),
+    cert = qc.Certificate(qc.L_SPACE, (qc.CertNode(link, 4, qc.BASE,
+                                                    axiom="A_0_STAR_STAR_S1"),),
                           (qc.AxiomDecl("A_0_STAR_STAR_S1", qc.L_SPACE,
                                         qc.AXIOMS["A_0_STAR_STAR_S1"].citation),))
     verdict = qc.verify(cert)
@@ -333,57 +364,55 @@ def test_resolve_leftmost_matches_the_slot_list_version():
 
 # -- repeated links --------------------------------------------------------
 
-def _repeat_paths(root):
-    """Paths of the nodes whose link occurred earlier in pre-order: the REF
-    leaves, in the order in which ``verify`` checks them."""
-    seen, out = set(), []
-    for path, node in qc.iter_nodes(root):
-        if node.link in seen:
-            assert node.kind == qc.REF, path
-            out.append(path)
-        seen.add(node.link)
-    return out
+def _citations(cert):
+    """``(i, slot, child)`` of every child slot, in list order, and the
+    number of them that cite a node an earlier slot cites: the REF leaves."""
+    out, seen, repeats = [], set(), 0
+    for i, node in enumerate(cert.nodes):
+        for slot, child in _children(node):
+            out.append((i, slot, child))
+            assert (child.kind == qc.REF) == (child.link in seen), (i, slot)
+            repeats += child.link in seen
+            seen.add(child.link)
+    return out, repeats
 
 
 def test_a_wrong_determinant_at_a_repeated_link_is_rejected_at_that_node():
     cert = qc.generate_L_cert(2, 2, 2, 2)
-    nodes = dict(qc.iter_nodes(cert.root))
-    repeats = _repeat_paths(cert.root)
-    assert len(repeats) >= 10
-    for path in repeats:
-        node = nodes[path]
-        verdict = qc.verify(_with_node(cert, path,
-                                       replace(node, det=node.det + 1)))
+    citations, repeats = _citations(cert)
+    assert repeats >= 10
+    for i, slot, child in citations:
+        path = f"nodes[{i}].{slot}"
+        verdict = qc.verify(_with_child(cert, i, slot,
+                                        replace(child, det=child.det + 1)))
         assert not verdict and verdict.path == path, path
-        assert "does not match the tabulated value" in verdict.reason
+        assert "no earlier node certifies" in verdict.reason
         # a float parameter compares equal to the int of the certified
         # link, and is still rejected
-        link = node.link
+        link = child.link
         floats = tuple((k, float(v)) for k, v in link.params)
-        verdict = qc.verify(_with_node(cert, path, replace(
-            node, link=replace(link, params=floats))))
+        verdict = qc.verify(_with_child(cert, i, slot, replace(
+            child, link=replace(link, params=floats))))
         assert not verdict and verdict.path == path, path
         assert "nonzero integer" in verdict.reason
 
 
 @pytest.mark.parametrize("convert", [float, bool])
 def test_serialize_writes_a_repeated_link_from_its_own_fields(convert):
-    """A REF leaf is written as the index of its link's node, so ``serialize``
+    """A child is written as the index of its link's node, so ``serialize``
     refuses one whose own fields that node does not carry."""
     cert = qc.generate_L_cert(2, 2, 2, 2)
-    nodes = dict(qc.iter_nodes(cert.root))
     tried = 0
-    for path in _repeat_paths(cert.root):
-        node = nodes[path]
+    for i, slot, child in _citations(cert)[0]:
         params = tuple((k, convert(v) if v == 1 or convert is float else v)
-                       for k, v in node.link.params)
+                       for k, v in child.link.params)
         if any(v.__class__ is not int for _, v in params):
             tried += 1
-            odd = _with_node(cert, path, replace(
-                node, link=replace(node.link, params=params)))
+            odd = _with_child(cert, i, slot, replace(
+                child, link=replace(child.link, params=params)))
             with pytest.raises(qc.CertError, match="nonzero integer"):
                 qc.serialize(odd)
-        odd = _with_node(cert, path, replace(node, det=node.det + 1))
+        odd = _with_child(cert, i, slot, replace(child, det=child.det + 1))
         with pytest.raises(qc.CertError, match="no earlier node"):
             qc.serialize(odd)
     assert tried
@@ -425,8 +454,7 @@ def test_table_formula_runs_once_per_distinct_link(monkeypatch):
     monkeypatch.setattr(qc, "table_formula", lambda *args: (
         calls.append(args) or real(*args)))
     cert = qc.generate_A_cert(1, 1, 110)
-    links = {node.link for _, node in qc.iter_nodes(cert.root)
-             if node.link.family != "NAMED"}
+    links = {node.link for node in cert.nodes if node.link.family != "NAMED"}
     assert len(links) == 1420
     assert len(calls) == len(links)
     calls.clear()
@@ -463,26 +491,32 @@ def test_single_field_mutations_always_reject():
     tried = 0
     for cert in samples:
         assert qc.verify(cert)
-        for path, node in qc.iter_nodes(cert.root):
+        for i, node in enumerate(cert.nodes):
             for det in (node.det + 1, node.det - 1, node.det + 997):
                 tried += 1
-                assert not qc.verify(_with_node(cert, path,
-                                                replace(node, det=det))), path
+                assert not qc.verify(_with_node(cert, i,
+                                                replace(node, det=det))), i
             if node.kind == qc.BASE:
                 for other in qc.AXIOMS:
                     if other == node.axiom:
                         continue
                     tried += 1
                     assert not qc.verify(
-                        _with_node(cert, path, replace(node, axiom=other))), \
-                        (path, other)
+                        _with_node(cert, i, replace(node, axiom=other))), \
+                        (i, other)
             if node.kind == qc.IDENTIFY:
                 for cand in _target_variants(node.child.link):
                     tried += 1
                     child = replace(node.child, link=cand)
                     assert not qc.verify(
-                        _with_node(cert, path, replace(node, child=child))), \
-                        (path, cand)
+                        _with_node(cert, i, replace(node, child=child))), \
+                        (i, cand)
+        # the determinant each child slot carries
+        for i, slot, child in _citations(cert)[0]:
+            for det in (child.det + 1, child.det - 1, child.det + 997):
+                tried += 1
+                assert not qc.verify(_with_child(
+                    cert, i, slot, replace(child, det=det))), (i, slot)
     assert tried > 500
 
 
@@ -676,7 +710,7 @@ def _digest_certificates():
 
 
 def _recursive_iter_nodes(node, path="root"):
-    """The recursive pre-order walk ``qc.iter_nodes`` replaced."""
+    """The recursive pre-order walk of ``iter_nodes``."""
     yield path, node
     for attr in ("zero", "inf", "child"):
         sub = getattr(node, attr)
@@ -685,10 +719,15 @@ def _recursive_iter_nodes(node, path="root"):
 
 
 def test_iter_nodes_matches_the_recursive_pre_order():
+    """The tree under the root holds each listed node once, and a ``REF``
+    leaf at every other citation: ``node_count`` nodes in all."""
     deep = qc.generate_A_cert(1, 1, 110)
     for cert in [*_digest_certificates(), deep]:
-        assert (list(qc.iter_nodes(cert.root))
-                == list(_recursive_iter_nodes(cert.root)))
+        tree = list(iter_nodes(cert.root))
+        assert tree == list(_recursive_iter_nodes(cert.root))
+        expanded = [id(n) for _, n in tree if n.kind != qc.REF]
+        assert sorted(expanded) == sorted(map(id, cert.nodes))
+        assert len(tree) == qc.node_count(cert)
     assert qc.node_count(deep) == 2074
 
 
@@ -1040,12 +1079,10 @@ _PROOF_DIGESTS = {
 
 def _proof_digest(cert):
     """SHA-256 of the sorted set of (link, det, kind, axiom or citation,
-    child links) over the non-REF nodes: what the certificate proves,
-    whatever its layout."""
+    child links) over the nodes: what the certificate proves, whatever its
+    layout."""
     facts = set()
-    for _, n in qc.iter_nodes(cert.root):
-        if n.kind == qc.REF:
-            continue
+    for n in cert.nodes:
         label = n.axiom if n.kind == qc.BASE else n.citation
         kids = [str(c.link) for c in (n.zero, n.inf, n.child) if c is not None]
         facts.add("|".join([str(n.link), str(n.det), n.kind, label, *kids]))
@@ -1171,31 +1208,61 @@ def test_a_5000_level_chain_round_trips_without_recursion():
     assert _depth(cert.root) == qc.node_count(cert) == 5003
 
 
+def _benchmark_walk(root, limit):
+    """``(nodes, distinct links)`` of the tree under ``root``, walked as the
+    benchmark's worker walks it, failing once ``limit`` nodes are met."""
+    nodes, links, stack = 0, set(), [root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        assert nodes <= limit
+        links.add(node.link)
+        stack.extend(c for c in (node.zero, node.inf, node.child)
+                     if c is not None)
+    return nodes, len(links)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qc.generate_L_cert(-110, -110, -110, -110),
+    lambda: qc.generate_A_cert(2, 2, 110)])
+def test_the_benchmark_walk_meets_each_citation_once(make):
+    """A walk of the tree under the root, which does not know the list,
+    meets one node per citation: a walk of the shared graph would meet
+    billions."""
+    cert = make()
+    citations = sum(len(_children(n)) for n in cert.nodes)
+    assert qc.node_count(cert) == 1 + citations > len(cert.nodes)
+    assert (_benchmark_walk(cert.root, 1 + citations)
+            == (qc.node_count(cert), len(cert.nodes)))
+
+
 def _symmetry_chain(levels):
-    """``levels`` nodes: CIT_A_SYM identifications alternating A(1,-1,2) and
-    A(2,-1,1), ending in an ALTERNATING base."""
+    """``levels`` nodes: an ALTERNATING base, then CIT_A_SYM identifications
+    alternating A(1,-1,2) and A(2,-1,1), each citing the node before it."""
     links = (qc.LinkId.A(1, -1, 2), qc.LinkId.A(2, -1, 1))
     det = qc.expected_det(links[0])
-    node = qc.CertNode(links[(levels - 1) % 2], det, qc.BASE,
-                       axiom="ALTERNATING")
-    for i in range(levels - 2, -1, -1):
-        node = qc.CertNode(links[i % 2], det, qc.IDENTIFY,
-                           citation=qc.CIT_A_SYM, child=node)
+    nodes = [qc.CertNode(links[0], det, qc.BASE, axiom="ALTERNATING")]
+    for i in range(1, levels):
+        nodes.append(qc.CertNode(links[i % 2], det, qc.IDENTIFY,
+                                 citation=qc.CIT_A_SYM, child=nodes[-1]))
     info = qc.AXIOMS["ALTERNATING"]
-    return qc.Certificate(qc.QUASI_ALTERNATING, node,
+    return qc.Certificate(qc.QUASI_ALTERNATING, tuple(nodes),
                           (qc.AxiomDecl(info.name, info.claim, info.citation),))
 
 
 def test_a_5000_level_symmetry_chain_is_rejected_without_recursion():
     assert qc.verify(_symmetry_chain(2))
     cert = _symmetry_chain(5000)
+    assert _depth(cert.root) == 5000
     with _recursion_limit(60):
         verdict = qc.verify(cert)
-        with pytest.raises(qc.CertError, match="second time"):
+        with pytest.raises(qc.CertError, match=r"already certified by "
+                                               r"nodes\[0\]"):
             qc.serialize(cert)
     assert not verdict
-    assert verdict.path == "root.child.child"
-    assert "expanded a second time" in verdict.reason
+    assert verdict.path == "nodes[2]"
+    assert verdict.reason == (f"{cert.nodes[0].link} is already certified by "
+                              f"nodes[0]")
 
 
 # -- properties ------------------------------------------------------------
