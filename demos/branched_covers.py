@@ -4,8 +4,8 @@
 The n-fold cyclic branched cover of a two-bridge knot is a closed
 3-manifold; the order of its first homology group can be computed from
 
-  1. a finite presentation of the fundamental group (abelianized; the
-     order comes from elimination modulo a maximal minor),
+  1. a finite presentation of the fundamental group (abelianized to a
+     circulant; the order is the cyclic resultant of its symbol),
   2. the resultant of the Alexander polynomial with t^n - 1, and
   3. for the four-parameter genus-2 family at n = 3, a closed-form
      determinant table.

@@ -7,8 +7,9 @@ Subpackages by capability:
                     homology (the oracle)
 - ``words``         parametric free-group words with affine exponents and a
                     conservative sign calculus
-- ``presentations`` the two cover-group presentation families, abelianization
-                    and H_1 orders by elimination modulo a maximal minor
+- ``presentations`` the two cover-group presentation families, their
+                    circulant abelianization and H_1 orders by the cyclic
+                    resultant of its symbol
 - ``goeritz``       Goeritz matrices, the two block-matrix link families and
                     their closed-form determinant tables
 - ``qacert``        quasi-alternating / L-space certificates (generate,

@@ -30,16 +30,17 @@ acceptance grids, which is the construction's contract.
 
 A star matrix is kept as its layout, and its determinant is a product of
 two scalar continuants with each run of -2I in closed form, O(1) whatever
-its length (see ``GoeritzMatrix.det``).  ``det_exact`` also takes plain
-integer matrices, through fraction-free Bareiss elimination.
+its length (see ``GoeritzMatrix.det``); ``det_exact`` takes star matrices
+only, so no dense elimination runs here.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .intlinalg import det_bareiss
+# det_bareiss is unused here; perfbench's tracing test asserts goeritz.det_bareiss.
+from .intlinalg import det_bareiss  # noqa: F401
 from .multipoly import MultiPoly
 
 
@@ -117,11 +118,10 @@ def _continuant(runs, values):
     return cur, prev
 
 
-def det_exact(m: Union[GoeritzMatrix, Sequence[Sequence[int]]]) -> int:
-    """Signed determinant (exact); the link determinant is its absolute value."""
-    if isinstance(m, GoeritzMatrix):
-        return m.det()
-    return det_bareiss(m)
+def det_exact(m: GoeritzMatrix) -> int:
+    """Signed determinant (exact) of a star matrix; the link determinant is
+    its absolute value."""
+    return m.det()
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ stages.
 
 Stage one (:func:`eliminate`) enumerates the sign patterns of a
 presentation's generators -- the first generator is normalized to "> 1",
-since reversing the order realizes the global flip -- and scans the relators,
-their inverses and cyclic rotations for a strict-sign witness.  Surviving
-patterns are grouped into orbits of the cyclic generator shift
-(:func:`orbit_reduce`), which is a symmetry of the periodic families built in
-:mod:`.presentations`.
+since reversing the order realizes the global flip -- and scans the relators
+and their cyclic rotations for a strict-sign witness.  Surviving patterns are
+grouped into orbits of the cyclic generator shift (:func:`orbit_reduce`),
+which is a symmetry of the periodic families built in :mod:`.presentations`.
 
 Stage two (:func:`genus2_level0`) pushes further on the three-generator
 presentation with base relator ``z y x`` and the wing-rewritten relators.  It
@@ -205,16 +204,20 @@ class EliminationReport:
 
 
 def _relator_forms(rel: ParamWord, env: ParamEnv) -> List[ParamWord]:
-    """The relator, its inverse, and their item-level cyclic rotations,
-    each once, in order of first appearance.  The inverse of the reduced
-    relator is reduced, and a rotation is reduced at its seam only."""
+    """The reduced relator's item-level cyclic rotations, each once, in order
+    of first appearance; a rotation is reduced at its seam only.
+
+    The inverse and its rotations are not scanned: under a map that signs
+    every generator, ``word_sign(w.inverse())`` is
+    ``sign_invert(word_sign(w))`` (``sign_product`` is commutative and
+    associative, and inversion commutes with ``sign_power``), so they add
+    no witness."""
     forms: Dict[ParamWord, None] = {}
     reduced = reduce_word(rel, env)
-    for base in (reduced, reduced.inverse()):
-        n = len(base.items)
-        for i in range(max(1, n)):
-            forms.setdefault(splice(ParamWord(base.items[i:]), n - i, n - i,
-                                    base.items[:i], env))
+    n = len(reduced.items)
+    for i in range(max(1, n)):
+        forms.setdefault(splice(ParamWord(reduced.items[i:]), n - i, n - i,
+                                reduced.items[:i], env))
     return list(forms)
 
 
@@ -222,9 +225,9 @@ def eliminate(p: Presentation) -> EliminationReport:
     """Scan every sign pattern of ``p``'s generators against its relators.
 
     A pattern is eliminated when some relator (equivalently one of its cyclic
-    rotations or its inverse) is provably strictly positive or strictly
-    negative; the witness records the first such relator in declaration
-    order together with the proved sign.
+    rotations) is provably strictly positive or strictly negative; the
+    witness records the first such relator in declaration order together
+    with the proved sign.
     """
     env = p.env
     relators = [(name, _relator_forms(rel, env))
@@ -615,7 +618,7 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     """
     raw = (q_sign, s_sign, t_sign, l_sign)
     for name, value in zip(_PARAMS, raw):
-        if not isinstance(value, int) or value == 0:
+        if value.__class__ is not int or value == 0:
             raise WordError(
                 f"{name}_sign must be a nonzero integer, got {value!r}")
     signs = tuple(1 if v > 0 else -1 for v in raw)

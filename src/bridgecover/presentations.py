@@ -33,8 +33,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .intlinalg import (INFINITE, Infinite, cokernel_order, cyclic_resultant,
-                        in_row_span)
+from .intlinalg import INFINITE, Infinite, cyclic_resultant, in_row_span
 from .multipoly import MultiPoly
 from .words import (
     AffineExp, CyclicMatch, ParamEnv, ParamWord, PowerBlock, Run, Syllable,
@@ -192,7 +191,7 @@ def _gen_name(i: int, n: int) -> str:
 
 def _as_exponent(value: Union[int, str], default_bound: int,
                  bounds: Dict[str, int]) -> AffineExp:
-    if isinstance(value, int):
+    if value.__class__ is int:
         return AffineExp(value)
     if isinstance(value, str):
         bounds[value] = default_bound
@@ -258,7 +257,7 @@ def mv_presentation(q: int, s: int, t: int, l: int,
     if n < 2:
         raise WordError(f"need at least 2 generators, got n={n}")
     for name, value in (("q", q), ("s", s), ("t", t), ("l", l)):
-        if not isinstance(value, int) or value == 0:
+        if value.__class__ is not int or value == 0:
             raise WordError(f"parameter {name} must be a nonzero integer, got {value!r}")
     params = {"q": AffineExp(q), "s": AffineExp(s), "t": AffineExp(t),
               "l": AffineExp(l)}
@@ -268,30 +267,36 @@ def mv_presentation(q: int, s: int, t: int, l: int,
 MatrixRow = List[Union[int, MultiPoly]]
 
 
-def abelianization_matrix(p: Presentation,
+def abelianization_matrix(p: PeriodicPresentation,
                           values: Optional[Mapping[str, int]] = None) -> List[MatrixRow]:
     """Exponent-sum matrix: one row per relator, one column per generator.
 
     With ``values`` the entries are integers; without, they are polynomials
-    in the presentation's parameters.  A periodic presentation's matrix is
-    the circulant of its family's window sums, whether or not its relators
-    have been read; any other presentation's rows are the exponent sums of
-    its relator words.
+    in the presentation's parameters.  The matrix is the circulant of the
+    family's window sums, whether or not the relators have been read: row
+    r_1 adds the symbol's coefficients into the columns of x_(1+offset), so
+    letters that land on one generator (n < window width) add up, and row
+    r_i is row r_1 shifted by i - 1.
     """
-    if isinstance(p, PeriodicPresentation):
-        return _circulant(p, values)
+    f = _symbol(p, values)
+    n, lowest = p.n, p.family.window[0][1]
     zero = 0 if values is not None else MultiPoly.const(0)
-    rows: List[MatrixRow] = []
-    for rel in p.relators:
-        sums = exponent_sums(rel, values)
-        rows.append([sums.get(gen, zero) for gen in p.generators])
-    return rows
+    first: MatrixRow = [zero] * n
+    for j, coefficient in enumerate(f):
+        first[(lowest + j) % n] += coefficient
+    rows = [[zero + 1] * n] if p.family.product_relator else []
+    return rows + [first[n - i:] + first[:n - i] for i in range(n)]
 
 
 def _symbol(p: PeriodicPresentation,
             values: Optional[Mapping[str, int]]) -> MatrixRow:
     """The circulant's symbol, ascending from the window's lowest offset: the
-    template sums at the parameters (ints with ``values``, else polynomials)."""
+    template sums at the parameters (ints with ``values``, else polynomials).
+    Raises WordError for a presentation of neither family."""
+    if not isinstance(p, PeriodicPresentation):
+        raise WordError(
+            f"need a presentation of the genus-one or genus-two family "
+            f"(genus_one_presentation, mv_presentation), got {p!r}")
     if values is None:
         point = {name: exp.to_poly() for name, exp in p.params.items()}
         return [poly.substitute(point) for _, poly in p.family.window_sums]
@@ -299,35 +304,16 @@ def _symbol(p: PeriodicPresentation,
     return [poly.evaluate(point) for _, poly in p.family.window_sums]
 
 
-def _circulant(p: PeriodicPresentation,
-               values: Optional[Mapping[str, int]]) -> List[MatrixRow]:
-    """Row r_1 adds the symbol's coefficients into the columns of
-    x_(1+offset), so letters that land on one generator (n < window width)
-    add up; row r_i is row r_1 shifted by i - 1."""
-    n, lowest = p.n, p.family.window[0][1]
-    zero = 0 if values is not None else MultiPoly.const(0)
-    first: MatrixRow = [zero] * n
-    for j, coefficient in enumerate(_symbol(p, values)):
-        first[(lowest + j) % n] += coefficient
-    rows = [[zero + 1] * n] if p.family.product_relator else []
-    return rows + [first[n - i:] + first[:n - i] for i in range(n)]
-
-
-def h1_order(p: Presentation,
+def h1_order(p: PeriodicPresentation,
              values: Optional[Mapping[str, int]] = None) -> Union[int, Infinite]:
     """Order of the abelianization, or INFINITE if it has positive rank.
 
-    For a periodic presentation with symbol f and S = 1 + x + ... + x**(n-1)
-    this is |Res(S, f)| (``intlinalg.cyclic_resultant``) with the product
-    relator, since the rows span (S, f) in Z[x]/(x**n - 1) = Z^n, and the
-    circulant's |det| = |f(1)| |Res(S, f)| without it; no word or matrix is
-    built.  Other presentations go through ``intlinalg.cokernel_order``.
+    With symbol f and S = 1 + x + ... + x**(n-1) this is |Res(S, f)|
+    (``intlinalg.cyclic_resultant``) with the product relator, since the
+    rows span (S, f) in Z[x]/(x**n - 1) = Z^n, and the circulant's
+    |det| = |f(1)| |Res(S, f)| without it; no word or matrix is built.
     """
-    values = values if values is not None else {}
-    if not isinstance(p, PeriodicPresentation):
-        return cokernel_order(abelianization_matrix(p, values),
-                              len(p.generators))
-    f = _symbol(p, values)
+    f = _symbol(p, values if values is not None else {})
     order = cyclic_resultant(f, p.n)
     if not p.family.product_relator:
         order *= abs(sum(f))

@@ -611,31 +611,23 @@ def instantiate(w: ParamWord, values: Mapping[str, int],
     return visit(w)
 
 
-def exponent_sums(w: ParamWord, values: Optional[Mapping[str, int]] = None
-                  ) -> Dict[str, Union[MultiPoly, int]]:
-    """Total exponent of each generator, as a polynomial in the parameters,
-    or as an integer at ``values`` when they are given.
+def exponent_sums(w: ParamWord) -> Dict[str, MultiPoly]:
+    """Total exponent of each generator, as a polynomial in the parameters.
 
     Block multiplicities multiply the body sums, so the result is genuinely
-    polynomial (e.g. quadratic terms like k*l), not affine.  With ``values``
-    every exponent and multiplicity is evaluated on the spot, so no
-    polynomial is built; the sums equal the polynomial ones evaluated at
-    ``values``.  Generators whose sum is zero are left out.
+    polynomial (e.g. quadratic terms like k*l), not affine.  Generators
+    whose sum is zero are left out.
     """
-    if values is None:
-        value, zero = AffineExp.to_poly, MultiPoly.const(0)
-    else:
-        value, zero = (lambda exp: exp.evaluate(values)), 0
+    zero = MultiPoly.const(0)
 
-    def visit(word_: ParamWord) -> Dict[str, Union[MultiPoly, int]]:
-        sums: Dict[str, Union[MultiPoly, int]] = {}
+    def visit(word_: ParamWord) -> Dict[str, MultiPoly]:
+        sums: Dict[str, MultiPoly] = {}
         for item in word_.items:
             if isinstance(item, Syllable):
-                sums[item.gen] = sums.get(item.gen, zero) + value(item.exponent)
+                sums[item.gen] = sums.get(item.gen, zero) + item.exponent.to_poly()
             else:
-                inner = visit(item.body)
-                mult = value(item.multiplicity)
-                for gen, val in inner.items():
+                mult = item.multiplicity.to_poly()
+                for gen, val in visit(item.body).items():
                     sums[gen] = sums.get(gen, zero) + mult * val
         return sums
 

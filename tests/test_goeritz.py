@@ -8,7 +8,7 @@ from typing import Tuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bridgecover import goeritz
+from bridgecover import goeritz, intlinalg
 from bridgecover.goeritz import (
     RESOLUTION_RULES, GoeritzError, GoeritzMatrix, NotTabulatedError,
     UnsupportedRegimeError, build_A_star, build_L_star, det_exact,
@@ -69,19 +69,18 @@ def test_trefoil_diagram():
     d = CheckerboardDiagram(2, ((0, 1, -1), (0, 1, -1), (0, 1, -1)))
     g = goeritz_from_diagram(d)
     assert g == [[-3]]
-    assert det_exact(g) == -3
-    assert abs(det_exact(g)) == 3
+    assert det_bareiss(g) == -3
 
 
 def test_unknot_diagram():
     g = goeritz_from_diagram(CheckerboardDiagram(1, ()))
     assert g == []
-    assert det_exact(g) == 1
+    assert det_bareiss(g) == 1
 
 
 def test_hopf_diagram():
     g = goeritz_from_diagram(CheckerboardDiagram(2, ((0, 1, 1), (0, 1, 1))))
-    assert abs(det_exact(g)) == 2
+    assert abs(det_bareiss(g)) == 2
 
 
 def test_unreduced_rows_sum_to_zero():
@@ -200,20 +199,21 @@ def test_star_determinants_at_large_parameters():
 
 
 def test_matrix_without_blocks_uses_bareiss(monkeypatch):
-    """The star path never calls Bareiss; a plain matrix goes through it."""
+    """The star path never calls Bareiss; the matrix without its block
+    layout, as dense entries, goes through Bareiss here and agrees."""
     star = build_L_star(2, 1, 3, 2)
     dense = _dense(star)
-    calls = []
 
-    def counting_bareiss(m):
-        calls.append(len(m))
-        return det_bareiss(m)
+    def refuse(m):
+        raise AssertionError("the star path called Bareiss")
 
-    monkeypatch.setattr(goeritz, "det_bareiss", counting_bareiss)
-    assert star.det() == det_exact(star)
-    assert calls == []
-    assert det_exact(dense) == star.det()
-    assert calls == [15]
+    with monkeypatch.context() as patch:
+        for module in (goeritz, intlinalg):
+            patch.setattr(module, "det_bareiss", refuse)
+        got = det_exact(star)
+        assert star.det() == got
+    assert len(dense) == 15
+    assert det_bareiss(dense) == got
 
 
 _runs = st.integers(0, 4)

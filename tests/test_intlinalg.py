@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dense_lattice
 from bridgecover import intlinalg
 from bridgecover.intlinalg import (
     INFINITE,
-    cokernel_order,
     det_bareiss,
+    in_row_span,
     resultant,
     smith_normal_form,
     sylvester_matrix,
 )
+from dense_lattice import cokernel_order
 
 
 def mat_mul(a, b):
@@ -26,7 +29,8 @@ def mat_mul(a, b):
 
 def gcd_of_minors(matrix, k):
     """gcd of all k x k minors (0 when every one vanishes), by brute force:
-    the independent oracle for the Smith form and the cokernel order."""
+    the independent oracle for the Smith form, the cokernel order and
+    row-span membership."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     g = 0 if k else 1
@@ -201,22 +205,6 @@ def test_snf_invariant_under_unimodular_factors():
         assert smith_normal_form(m).diagonal == smith_normal_form(mat_mul(u, mat_mul(m, v))).diagonal
 
 
-def test_snf_transforms_reconstruct_diagonal():
-    rng = random.Random(5)
-    for _ in range(20):
-        nr = rng.randrange(1, 5)
-        nc = rng.randrange(1, 5)
-        m = [[rng.randrange(-9, 10) for _ in range(nc)] for _ in range(nr)]
-        res = smith_normal_form(m, with_transforms=True)
-        d = mat_mul(res.u, mat_mul(m, res.v))
-        for i in range(nr):
-            for j in range(nc):
-                expect = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
-                assert d[i][j] == expect
-        assert abs(det_bareiss(res.u)) == 1
-        assert abs(det_bareiss(res.v)) == 1
-
-
 def _snf_order(m, ncols):
     res = smith_normal_form(m)
     if res.rank < ncols:
@@ -294,7 +282,7 @@ def test_cokernel_order_of_square_matrices_is_the_determinant(monkeypatch):
     def refuse(a, b):
         raise AssertionError("Hermite elimination ran on a square matrix")
 
-    monkeypatch.setattr(intlinalg, "_xgcd", refuse)
+    monkeypatch.setattr(dense_lattice, "_xgcd", refuse)
     singular = 0
     for m, hermite in cases:
         g = gcd_of_minors(m, len(m))
@@ -319,3 +307,95 @@ def test_cokernel_order_infinite_cases():
     assert cokernel_order([[-4], [6]]) == 2
     with pytest.raises(ValueError):
         cokernel_order([[1, 2], [3]])
+
+
+# ---------------------------------------------------------------------------
+# Row-span membership
+# ---------------------------------------------------------------------------
+
+def _rank(matrix):
+    ncols = len(matrix[0]) if matrix else 0
+    return max(k for k in range(min(len(matrix), ncols) + 1)
+               if gcd_of_minors(matrix, k))
+
+
+def _in_span_by_minors(matrix, vector):
+    """v lies in the row lattice L of M exactly when M and M + [v] have the
+    same rank r and the same gcd of r x r minors: L lies in L + Zv, and when
+    both have rank r that gcd is the gcd for L + Zv times the index of L."""
+    r = _rank(matrix)
+    extended = [list(row) for row in matrix] + [list(vector)]
+    return (_rank(extended) == r
+            and gcd_of_minors(matrix, r) == gcd_of_minors(extended, r))
+
+
+@st.composite
+def _span_case(draw):
+    """(rows, vector, in_span): up to 5 rows of up to 7 columns, made rank
+    deficient or given zero rows at times; the vector is a combination of
+    the rows (in_span True), one nudged in one entry, or random."""
+    ncols = draw(st.integers(0, 7))
+    entries = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                               max_size=len(rows)))
+        rows[draw(st.integers(0, len(rows) - 1))] = [
+            sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                           max_size=len(rows)))
+    vector = [sum(c * row[j] for c, row in zip(coeffs, rows))
+              for j in range(ncols)]
+    kind = draw(st.sampled_from(["combination", "nudged", "random"]))
+    if kind == "nudged" and ncols:
+        vector[draw(st.integers(0, ncols - 1))] += draw(st.sampled_from([-1, 1, 2]))
+    elif kind == "random":
+        vector = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    return rows, vector, kind == "combination"
+
+
+@given(_span_case())
+@example(([], [0, 0], True))
+@example(([], [0, 1], False))
+@example(([], [], True))
+@example(([[0, 0, 0], [0, 0, 0]], [0, 0, 0], True))
+@example(([[0, 0, 0], [0, 0, 0]], [0, 0, 1], False))
+@example(([[1, 1, 1]], [3, 3, 3], True))
+@example(([[1, 1, 1]], [1, 0, 0], False))
+@example(([[2, 4], [3, 6]], [1, 2], True))       # rank 1, gcd of the rows
+@example(([[2, 4], [4, 8]], [1, 2], False))
+@example(([[2, 0], [0, 3], [0, 0]], [4, 9], True))
+@settings(max_examples=300, deadline=None)
+def test_in_row_span_matches_the_minor_gcd_oracle(case):
+    rows, vector, in_span = case
+    got = in_row_span(rows, vector)
+    assert got == _in_span_by_minors(rows, vector), (rows, vector)
+    if in_span:
+        assert got, (rows, vector)
+
+
+def test_in_row_span_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="vector length"):
+        in_row_span([[1, 2]], [1, 2, 3])
+
+
+def test_in_row_span_is_fast_on_entries_of_sixty():
+    """5 x 5 matrices with entries in [-60, 60], where the Smith form with
+    transforms once took seconds: each call well under 10 ms."""
+    rng = random.Random(20261020)
+    slowest = 0.0
+    answers = set()
+    for _ in range(300):
+        rows = [[rng.randint(-60, 60) for _ in range(5)] for _ in range(5)]
+        coeffs = [rng.randint(-3, 3) for _ in range(5)]
+        vector = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                  for j in range(5)]
+        if rng.random() < 0.5:
+            vector[rng.randrange(5)] += 1
+        start = time.perf_counter()
+        got = in_row_span(rows, vector)
+        slowest = max(slowest, time.perf_counter() - start)
+        answers.add(got)
+    assert answers == {True, False}
+    assert slowest < 0.01, slowest

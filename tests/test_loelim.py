@@ -18,11 +18,14 @@ from bridgecover.presentations import (
 from bridgecover.words import (
     AffineExp, ParamEnv, ParamWord, PowerBlock, SignLattice, Syllable,
     WordError, instantiate, parse_word, reduce_word, sign_invert, substitute,
-    substitute_params,
+    substitute_params, word_sign,
 )
 from letter_words import letters
 
 SP = SignLattice.STRICT_POS
+NN = SignLattice.NON_NEG
+ZE = SignLattice.ZERO
+NP = SignLattice.NON_POS
 SN = SignLattice.STRICT_NEG
 UK = SignLattice.UNKNOWN
 
@@ -161,15 +164,28 @@ _relator = st.recursive(
 @settings(max_examples=200)
 def test_relator_forms_reduce_each_rotation_in_full(rel):
     """The forms reduced at the seams equal ``reduce_word`` of every item
-    rotation of the reduced relator and of its reduced inverse, in order."""
+    rotation of the reduced relator, in order."""
     forms = {}
-    for base in (reduce_word(rel, _ENV_KL), reduce_word(rel.inverse(), _ENV_KL)):
-        for i in range(max(1, len(base.items))):
-            forms.setdefault(reduce_word(
-                ParamWord(base.items[i:] + base.items[:i]), _ENV_KL))
+    base = reduce_word(rel, _ENV_KL)
+    for i in range(max(1, len(base.items))):
+        forms.setdefault(reduce_word(
+            ParamWord(base.items[i:] + base.items[:i]), _ENV_KL))
     got = loelim._relator_forms(rel, _ENV_KL)
     assert got == list(forms)
     assert [w.to_text() for w in got] == [w.to_text() for w in forms]
+
+
+_LATTICE = st.sampled_from([SP, NN, ZE, NP, SN, UK])
+
+
+@given(_relator, st.fixed_dictionaries({g: _LATTICE for g in "xyz"}))
+@settings(max_examples=300)
+def test_word_sign_of_the_inverse_is_the_inverted_sign(rel, signs):
+    """Under a map that signs every generator, inverting a word inverts its
+    sign, so the inverse relator and its rotations add no witness."""
+    for w in (rel, reduce_word(rel, _ENV_KL)):
+        assert word_sign(w.inverse(), signs, _ENV_KL) is \
+            sign_invert(word_sign(w, signs, _ENV_KL))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +392,9 @@ def test_genus2_rejects_bad_signs():
         genus2_level0(0, 1, 1, 1)
     with pytest.raises(WordError):
         genus2_level0(1, 1, 0.5, 1)
+    for signs in ((True, 1, 1, 1), (1, -1, 1, False)):
+        with pytest.raises(WordError, match="must be a nonzero integer"):
+            genus2_level0(*signs)
 
 
 def test_genus2_sign_class_labels():

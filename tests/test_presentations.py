@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import letter_words as reference
+from dense_lattice import cokernel_order, word_matrix
 from bridgecover import cli, goeritz, intlinalg, presentations
-from bridgecover.intlinalg import cokernel_order, in_row_span
+from bridgecover.intlinalg import in_row_span
 from bridgecover.multipoly import MultiPoly
 from bridgecover.presentations import (
     Presentation, abelianization_matrix, first_syllable_difference,
@@ -65,11 +66,18 @@ def test_abelianization_with_values():
 
 
 def test_trivial_presentation_h1():
+    """A presentation of neither family is refused by name; its order is
+    the dense cokernel of its word matrix."""
     p = Presentation(["x"], [parse_word("x^(5)")], ParamEnv({}))
-    assert abelianization_matrix(p, {}) == [[5]]
-    assert h1_order(p) == 5
+    for call in (h1_order, abelianization_matrix):
+        with pytest.raises(WordError, match="genus_one_presentation, mv_presentation"):
+            call(p)
+        with pytest.raises(WordError, match="genus-one or genus-two family"):
+            call(p, {})
+    assert word_matrix(p, {}) == [[5]]
+    assert cokernel_order(word_matrix(p, {})) == 5
     p0 = Presentation(["x"], [parse_word("x^(0)")], ParamEnv({}))
-    assert h1_order(p0) is INFINITE
+    assert cokernel_order(word_matrix(p0, {})) is INFINITE
 
 
 def test_genus_one_h1_matches_knot_oracle():
@@ -122,6 +130,16 @@ def test_mv_rejects_bad_parameters():
         mv_presentation(0, 1, 1, 1, 3)
     with pytest.raises(WordError):
         mv_presentation(1, 1, 1, 1, 1)
+    for params in ((True, 1, 1, 1), (1, 1, False, 1), (1, 1, 1, 1.0),
+                   (1, "s", 1, 1)):
+        with pytest.raises(WordError, match="must be a nonzero integer"):
+            mv_presentation(*params, 3)
+
+
+@pytest.mark.parametrize("k, l", [(True, 1), (2, False), (2.0, 1), (None, 1)])
+def test_genus_one_rejects_bools_and_non_integers(k, l):
+    with pytest.raises(WordError, match="must be an int or a parameter name"):
+        genus_one_presentation(k, l, 3)
 
 
 def test_mv_n3_relator_matches_display():
@@ -159,8 +177,10 @@ def test_mv_h1_triple_agreement_grid():
 
 
 def test_h1_order_does_not_use_smith_normal_form(monkeypatch):
+    """Neither the H_1 order nor the product identity's row-span check
+    reaches the Smith form."""
     def refuse(*args, **kwargs):
-        raise AssertionError("h1_order called smith_normal_form")
+        raise AssertionError("smith_normal_form was called")
     for module in (intlinalg, presentations):
         monkeypatch.setattr(module, "smith_normal_form", refuse, raising=False)
     assert h1_order(genus_one_presentation(2, 3, 6)) == \
@@ -168,6 +188,9 @@ def test_h1_order_does_not_use_smith_normal_form(monkeypatch):
     assert h1_order(mv_presentation(1, -2, 2, 1, 4)) == \
         h1_cyclic_cover_order([-2, -4, -4, 2], 4)
     assert h1_order(genus_one_presentation(1, 1, 6)) is INFINITE
+    for params in ((1, 1, 1, 1), (2, -1, 1, 2), (-2, 3, -1, 1)):
+        v = verify_product_identity(*params)
+        assert v.target_in_row_span and v.ok, params
 
 
 @pytest.mark.parametrize("presentation, terms, n", [
@@ -272,11 +295,9 @@ def test_genus_one_matches_the_per_index_reference(n):
         got, want = genus_one_presentation(k, l, n), reference_genus_one(k, l, n)
         assert got.to_text() == want.to_text(), (k, l, n)
         assert got.env == want.env
-        assert abelianization_matrix(got) == abelianization_matrix(want)
+        assert abelianization_matrix(got) == word_matrix(want)
         values = {"k": rng.randint(2, 6), "l": rng.randint(1, 5)}
-        assert abelianization_matrix(got, values) == [
-            [entry.evaluate(values) for entry in row]
-            for row in abelianization_matrix(want)]
+        assert abelianization_matrix(got, values) == word_matrix(want, values)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -286,9 +307,7 @@ def test_mv_matches_the_per_index_reference(n):
         params = [_nonzero(rng) for _ in range(4)]
         got, want = mv_presentation(*params, n), reference_mv(*params, n)
         assert got.to_text() == want.to_text(), (params, n)
-        assert abelianization_matrix(got, {}) == [
-            [entry.evaluate({}) for entry in row]
-            for row in abelianization_matrix(want)]
+        assert abelianization_matrix(got, {}) == word_matrix(want, {})
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
@@ -316,7 +335,7 @@ def test_h1_order_builds_no_word(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("h1_order built a relator word or a matrix")
     for name in ("substitute", "substitute_params", "parse_word",
-                 "abelianization_matrix", "cokernel_order"):
+                 "abelianization_matrix"):
         monkeypatch.setattr(presentations, name, refuse)
     for n in (2, 3, 4, 7):
         assert h1_order(mv_presentation(2, -2, 1, 2, n)) == \
@@ -346,8 +365,7 @@ def test_circulant_equals_the_word_walk(n, k, l, mv_params, values, with_values)
     for p in (genus_one_presentation(k, l, n), mv_presentation(*mv_params, n)):
         at = values if with_values else None
         got = abelianization_matrix(p, at)
-        words = Presentation(p.generators, p.relators, p.env, p.relator_names)
-        assert got == abelianization_matrix(words, at), (k, l, mv_params, n)
+        assert got == word_matrix(p, at), (k, l, mv_params, n)
         if with_values:
             assert all(type(entry) is int for row in got for entry in row)
         else:
@@ -493,7 +511,7 @@ def _product_via_param_word(q, s, t, l):
     r1, r2, r3 = _relators_xyz(mv_presentation(q, s, t, l, 3))
     product = ParamWord([Syllable(gen, AffineExp(exp))
                          for gen, exp in instantiate(r3 * r2 * r1, {})])
-    sums = exponent_sums(product, {})
+    sums = {gen: poly.evaluate({}) for gen, poly in exponent_sums(product).items()}
     runs = [(item.gen, item.exponent.constant_value()) for item in product.items]
     return (product.to_text(), tuple(sums.get(g, 0) for g in ("x", "y", "z")),
             first_syllable_difference(runs, ZYX))

@@ -547,30 +547,6 @@ def test_exponent_sums_match_instantiation():
             assert concrete.get(gen, 0) == (0 if expected is None else expected.evaluate(values))
 
 
-param_word_strategy = st.recursive(
-    st.lists(st.builds(Syllable, st.sampled_from(["x", "y", "z"]),
-                       affine_strategy), max_size=4).map(ParamWord),
-    lambda bodies: st.lists(
-        st.one_of(st.builds(Syllable, st.sampled_from(["x", "y", "z"]),
-                            affine_strategy),
-                  st.builds(PowerBlock, bodies, affine_strategy)),
-        max_size=4).map(ParamWord),
-    max_leaves=16,
-)
-
-
-@given(param_word_strategy,
-       st.fixed_dictionaries({name: st.integers(-6, 6)
-                              for name in ("k", "l", "q", "s")}))
-@settings(max_examples=200)
-def test_exponent_sums_at_values_evaluate_the_polynomials(w, values):
-    at_values = exponent_sums(w, values)
-    polynomial = {gen: poly.evaluate(values)
-                  for gen, poly in exponent_sums(w).items()}
-    assert at_values == {gen: v for gen, v in polynomial.items() if v}
-    assert all(type(v) is int for v in at_values.values())
-
-
 # ---------------------------------------------------------------------------
 # Cyclic equality
 # ---------------------------------------------------------------------------
