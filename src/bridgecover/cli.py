@@ -26,14 +26,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .goeritz import (
@@ -69,6 +68,7 @@ from .twobridge import (
     EvenExpansion,
     cf_value,
     even_expansion_from_fraction,
+    even_terms,
     h1_cyclic_cover_order,
     knot_name,
     mirror_terms,
@@ -296,10 +296,14 @@ class _Inapplicable(Exception):
     """A homology method that does not cover the given input."""
 
 
-def _expansion_for(terms: List[int], fr: Fraction) -> EvenExpansion:
+def _h1_terms(terms: List[int], fr: Fraction) -> Iterator[int]:
+    """The terms of the even expansion h1 works on, none for the unknot:
+    the given ones when they are an even expansion, else the fraction's."""
+    if abs(fr.numerator) == 1:
+        return iter(())
     if len(terms) % 2 == 0 and all(a % 2 == 0 for a in terms):
-        return EvenExpansion(terms)
-    return even_expansion_from_fraction(fr)
+        return iter(EvenExpansion(terms).terms)
+    return even_terms(fr)
 
 
 def _genus_one_params(expansion: EvenExpansion) -> Tuple[int, int]:
@@ -358,17 +362,26 @@ def _cmd_h1(args) -> int:
         raise _CliError(
             f"numerator {fr.numerator} is even: a two-component link, "
             f"not a knot")
+    # the size of the terms so far bounds the whole expansion's from below,
+    # so T(2, N), with N - 1 terms, is refused after about a hundred
+    kept: List[int] = []
+    bits = 0
     try:
-        expansion = (None if abs(fr.numerator) == 1
-                     else _expansion_for(terms, fr))
+        stream = _h1_terms(terms, fr)
+        for a in stream:
+            kept.append(a)
+            bits += (abs(a) + 1).bit_length()
+            genus = (len(kept) + 1) // 2
+            size = genus * (genus + 1) * (args.cover - 1) * bits
+            if size > H1_MAX_SIZE:
+                more = "" if next(stream, None) is None else "more than "
+                print(f"bridgecover: error: h1 takes genus * (genus + 1) * "
+                      f"(cover - 1) * term bits at most {H1_MAX_SIZE}, got "
+                      f"{more}{size}", file=sys.stderr)
+                return 2
     except ValueError as exc:
         raise _CliError(str(exc))
-    size = expansion.genus * (expansion.genus + 1) * (args.cover - 1) * sum(
-        (abs(a) + 1).bit_length() for a in expansion.terms) if expansion else 0
-    if size > H1_MAX_SIZE:
-        print(f"bridgecover: error: h1 takes genus * (genus + 1) * (cover - 1)"
-              f" * term bits at most {H1_MAX_SIZE}, got {size}", file=sys.stderr)
-        return 2
+    expansion = EvenExpansion(kept) if kept else None
 
     if args.method == "all":
         values = []

@@ -36,7 +36,10 @@ def copy_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
 
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss' fraction-free
-    elimination.  All intermediate values are exact integers.
+    elimination, swapping a row with a non-zero pivot up when needed.  All
+    intermediate values are exact integers: after step k, entry (i, j)
+    below the pivots is the minor on rows 0..k, i and columns 0..k, j, so
+    the last pivot is the determinant up to the sign of the swaps.
 
     The empty 0x0 matrix has determinant 1.
     """
@@ -44,30 +47,18 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     for row in matrix:
         if len(row) != n:
             raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
-    return _bareiss(copy_matrix(matrix), n)
-
-
-def _bareiss(m: IntMatrix, ncols: int) -> int:
-    """Bareiss elimination of m (at least ncols rows of ncols entries) in
-    place, swapping a row with a non-zero pivot up when needed.
-
-    After step k, entry (i, j) below the pivots is the minor on rows 0..k, i
-    and columns 0..k, j, so the last pivot is the leading ncols x ncols minor
-    of the swapped rows.  Returns that minor times the sign of the swaps: the
-    determinant of a square m, and 0 exactly when the rank is below ncols.
-    """
-    nrows = len(m)
+    m = copy_matrix(matrix)
     sign = 1
     prev = 1
-    for k in range(ncols):
+    for k in range(n):
         if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, nrows) if m[i][k] != 0), None)
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pivot_row is None:
                 return 0
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        for i in range(k + 1, nrows):
-            for j in range(k + 1, ncols):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
                 # Exact division: Bareiss guarantees divisibility by prev.
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0

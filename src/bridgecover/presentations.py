@@ -137,25 +137,9 @@ class Presentation:
             raise WordError("one name per relator required")
         _check_generators(self.generators, self.relator_names, self.relators)
 
-    def relator(self, name: str) -> ParamWord:
-        try:
-            return self.relators[self.relator_names.index(name)]
-        except ValueError:
-            raise WordError(f"no relator named {name!r}") from None
-
     def __repr__(self):
         return (f"Presentation(<{len(self.generators)} generators, "
                 f"{len(self.relator_names)} relators>)")
-
-    def to_text(self) -> str:
-        env_part = ", ".join(f"{k} >= {v}" for k, v in self.env.bounds.items())
-        lines = [
-            "generators: " + " ".join(self.generators),
-            "env: " + env_part,
-        ]
-        for name, rel in zip(self.relator_names, self.relators):
-            lines.append(f"{name}: {rel.to_text()}")
-        return "\n".join(lines) + "\n"
 
 
 class PeriodicPresentation(Presentation):

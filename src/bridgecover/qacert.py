@@ -14,13 +14,10 @@ A certificate certifies links of the three tabulated families (``A``,
 A ``Certificate`` is the node list ``serialize`` writes as one JSON document
 ``{"axioms", "claim", "nodes"}``: one compact node a line, in the order a
 depth-first walk from the root completes them, children as indices of
-earlier nodes, the root last and no link twice.  The proof is well-founded
-by construction, ``verify`` is one forward pass, and no depth limit is
-needed.  Generator and parser build the nodes in one function: a child slot
-holds the child's own node at its first citation and a ``REF`` leaf (link
-and det, never a list entry) at every later one, so the tree under
-``Certificate.root`` has one node per citation.  The dataclasses compare,
-hash and print recursively; code that may meet a deep tree walks it.
+earlier nodes, the root last and no link twice.  In memory each node is its
+row, a ``CertNode`` that cites its children by index, so the proof is
+well-founded by construction, ``verify`` is one forward pass and no depth
+limit is needed.  ``Certificate.root`` builds a tree view for tree walkers.
 
 ``generate_A_cert`` / ``generate_L_cert`` follow the t- and l-inductions:
 ``_step`` picks each link's node kind, axiom or identification from the
@@ -35,8 +32,10 @@ images are written here.  Resolution text is canonical where it enters (the
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Set,
+                    Tuple, Union)
 
 from .goeritz import (
     RESOLUTION_RULES,
@@ -369,24 +368,27 @@ def _identify(link: LinkId, citation: str) -> Optional[LinkId]:
 # Certificate structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class CertNode:
+class CertNode(NamedTuple):
+    """One node, as its row of the file: the link, its determinant, the node
+    kind, the axiom (``BASE``) or citation (``IDENTIFY``), and the indices of
+    the earlier nodes it cites, in the slot order of its kind."""
     link: LinkId
     det: int
     kind: str
     axiom: str = ""
     citation: str = ""
-    zero: Optional["CertNode"] = None
-    inf: Optional["CertNode"] = None
-    child: Optional["CertNode"] = None
+    children: Tuple[int, ...] = ()
 
 
 # Per node kind, its text field and its child slots; a new kind adds one.
 _NODE_FIELDS = {BASE: ("axiom", ()), SKEIN: ("", ("zero", "inf")),
                 IDENTIFY: ("citation", ("child",))}
 
-# ``(link, det, kind, axiom or citation, child indices)`` of one node
-_Row = Tuple[LinkId, int, str, str, Tuple[int, ...]]
+
+# A node of the tree view that ``Certificate.root`` builds.
+_TreeNode = namedtuple("_TreeNode",
+                       "link det kind axiom citation zero inf child",
+                       defaults=("", "", None, None, None))
 
 
 @dataclass(frozen=True)
@@ -403,54 +405,26 @@ class Certificate:
     axioms: Tuple[AxiomDecl, ...]
 
     @property
-    def root(self) -> CertNode:
-        return self.nodes[-1]
-
-
-def _build(rows: Iterator[_Row]) -> Tuple[CertNode, ...]:
-    """The nodes of ``rows``, whose children are earlier rows: a child slot
-    holds the child's own node at its first citation and a ``REF`` leaf at
-    every later one, so the tree under the last node has one per citation."""
-    nodes: List[CertNode] = []
-    cited: Set[int] = set()
-    for link, det, kind, text, kids in rows:
-        label, slots = _NODE_FIELDS[kind]
-        fields = {label: text} if label else {}
-        for slot, k in zip(slots, kids):
-            child = nodes[k]
-            if k in cited:
-                child = CertNode(child.link, child.det, REF)
-            cited.add(k)
-            fields[slot] = child
-        nodes.append(CertNode(link, det, kind, **fields))
-    return tuple(nodes)
-
-
-def _children(node: CertNode) -> List[Tuple[str, CertNode]]:
-    """``(slot, child)`` of each child present, in slot order."""
-    return [(slot, child) for slot, child in (("zero", node.zero),
-                                              ("inf", node.inf),
-                                              ("child", node.child))
-            if child is not None]
+    def root(self) -> _TreeNode:
+        """The tree under the last node, built on each call: a child slot
+        holds the child's tree node at its first citation and a ``REF`` leaf
+        (link and det) at every later one, ``node_count`` nodes in all.
+        Only tree walkers such as ``perfbench/worker.py::_cert_stats`` read
+        it; it goes, with ``_TreeNode`` and ``REF``, once they count from
+        ``nodes``."""
+        trees: List[_TreeNode] = []   # by index; a REF leaf once cited
+        for node in self.nodes:
+            slots = {}
+            for slot, k in zip(_NODE_FIELDS[node.kind][1], node.children):
+                slots[slot], trees[k] = trees[k], _TreeNode(*trees[k][:2], REF)
+            trees.append(_TreeNode(*node[:5], **slots))
+        return trees[-1]
 
 
 def node_count(cert: Certificate) -> int:
     """Nodes in the tree under ``cert.root``, ``REF`` leaves included: one
     plus the citations, as the root reaches every node."""
-    return 1 + sum(len(_children(node)) for node in cert.nodes)
-
-
-def _earlier(nodes: Tuple[CertNode, ...], first: Mapping[LinkId, int], i: int,
-             child: CertNode) -> int:
-    """The index of the node before ``nodes[i]`` that certifies ``child``'s
-    link and determinant; ``first`` indexes the links."""
-    j = first.get(child.link, i)
-    if j < i and child.link is not nodes[j].link:
-        child.link.validate()   # an equal link, but perhaps not an exact one
-    if j >= i or child.det.__class__ is not int or child.det != nodes[j].det:
-        raise CertError(f"{child.link} with determinant {child.det}, which "
-                        f"no earlier node certifies")
-    return j
+    return 1 + sum(len(node.children) for node in cert.nodes)
 
 
 def _resolve_leftmost(link: LinkId, slot: str) -> Optional[LinkId]:
@@ -484,12 +458,32 @@ class Verdict:
 ACCEPT = Verdict(True)
 
 
-class _Reject(Exception):
+class _Reject(CertError):
     # the path names node i, or its child slot
     def __init__(self, i: int, reason: str, slot: str = ""):
         path = f"nodes[{i}].{slot}" if slot else f"nodes[{i}]"
         self.verdict = Verdict(False, path, reason)
-        super().__init__(str(self.verdict))
+        super().__init__(f"{path}: {reason}")
+
+
+def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, ...]:
+    """The child slots of ``nodes[i]``: its kind must be known, its children
+    one earlier index per slot, and its link new to ``first``."""
+    fields = _NODE_FIELDS.get(node.kind)
+    if fields is None:
+        raise _Reject(i, f"unknown node kind {node.kind!r}")
+    slots, children = fields[1], node.children
+    if children.__class__ is not tuple or len(children) != len(slots):
+        raise _Reject(i, f"{node.kind} nodes cite {len(slots)} children, got "
+                         f"{children!r}")
+    for slot, k in zip(slots, children):
+        if k.__class__ is not int or not 0 <= k < i:
+            raise _Reject(i, f"expected the index of an earlier node, got "
+                             f"{k!r}", slot)
+    if node.link in first:
+        raise _Reject(i, f"{node.link} is already certified by "
+                         f"nodes[{first[node.link]}]")
+    return slots
 
 
 def verify(cert: Certificate) -> Verdict:
@@ -520,7 +514,8 @@ def verify(cert: Certificate) -> Verdict:
 
 def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
                 first: Mapping[LinkId, int], i: int) -> None:
-    """Every rule at ``nodes[i]``; ``first`` indexes the links before it."""
+    """Every rule at ``nodes[i]``; ``first`` indexes the links before it,
+    which are checked, so a child's link and determinant are certified."""
     node = cert.nodes[i]
     link = node.link
     try:
@@ -530,10 +525,7 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
     if node.det.__class__ is not int or node.det <= 0:
         raise _Reject(i, f"determinant must be a positive integer, got "
                          f"{node.det!r}")
-    if node.kind not in _NODE_FIELDS:
-        raise _Reject(i, f"unknown node kind {node.kind!r}")
-    if link in first:
-        raise _Reject(i, f"{link} is already certified by nodes[{first[link]}]")
+    slots = _slots(node, i, first)
     try:
         want = expected_det(link)
     except (NotTabulatedError, CertError) as exc:
@@ -541,10 +533,9 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
     if node.det != want:
         raise _Reject(i, f"determinant {node.det} does not match the "
                          f"tabulated value {want} for {link}")
+    children = [cert.nodes[k] for k in node.children]
     if node.kind == BASE:
         info = AXIOMS.get(node.axiom)
-        if node.zero or node.inf or node.child:
-            raise _Reject(i, "BASE nodes carry no children")
         if info is None:
             raise _Reject(i, f"unknown axiom {node.axiom!r}")
         if node.axiom not in declared:
@@ -555,34 +546,26 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
                              f"not admissible in a {cert.claim} certificate")
         if not info.matcher(link):
             raise _Reject(i, f"axiom {node.axiom!r} does not apply to {link}")
-        return
-    if node.kind == IDENTIFY:
-        if node.child is None or node.zero is not None or node.inf is not None:
-            raise _Reject(i, "identification nodes need exactly one child")
-        if _identify(link, node.citation) != node.child.link:
+    elif node.kind == IDENTIFY:
+        child = children[0]
+        if _identify(link, node.citation) != child.link:
             raise _Reject(i, f"no whitelisted identification sends {link} to "
-                             f"{node.child.link} under {node.citation!r}")
-    elif node.zero is None or node.inf is None or node.child is not None:
-        raise _Reject(i, "skein nodes need exactly a zero and an inf child")
+                             f"{child.link} under {node.citation!r}")
+        if child.det != node.det:
+            raise _Reject(i, f"identified links must share a determinant: "
+                             f"{node.det} != {child.det}")
     elif "*" not in link.resolution:
         raise _Reject(i, f"{link} has no unresolved slot to split")
     else:
-        for slot, side in (("zero", "0"), ("inf", "inf")):
-            want, got = _resolve_leftmost(link, side), getattr(node, slot).link
-            if got != want:
-                raise _Reject(i, f"expected {want}, certificate has {got}",
-                              slot)
-    for slot in _NODE_FIELDS[node.kind][1]:
-        try:
-            _earlier(cert.nodes, first, i, getattr(node, slot))
-        except CertError as exc:
-            raise _Reject(i, str(exc), slot)
-    if node.kind == SKEIN and node.det != node.zero.det + node.inf.det:
-        raise _Reject(i, f"determinant additivity fails: {node.det} != "
-                         f"{node.zero.det} + {node.inf.det}")
-    if node.kind == IDENTIFY and node.child.det != node.det:
-        raise _Reject(i, f"identified links must share a determinant: "
-                         f"{node.det} != {node.child.det}")
+        for slot, side, child in zip(slots, ("0", "inf"), children):
+            want = _resolve_leftmost(link, side)
+            if child.link != want:
+                raise _Reject(i, f"expected {want}, certificate has "
+                                 f"{child.link}", slot)
+        zero, inf = children
+        if node.det != zero.det + inf.det:
+            raise _Reject(i, f"determinant additivity fails: {node.det} != "
+                             f"{zero.det} + {inf.det}")
 
 
 # ---------------------------------------------------------------------------
@@ -605,24 +588,19 @@ def _link_to_json(link: LinkId) -> Dict[str, object]:
 
 def serialize(cert: Certificate) -> str:
     """Canonical JSON text: sorted keys, one compact node a line, children
-    by the index of the earlier node with their link and determinant (else
-    refused, as is a link listed twice), and a trailing newline."""
+    by index (refused unless each kind cites one earlier node per slot, as
+    is a link listed twice), and a trailing newline."""
     first: Dict[LinkId, int] = {}
     lines: List[str] = []
     for i, node in enumerate(cert.nodes):
-        if node.kind not in _NODE_FIELDS:
-            raise CertError(f"nodes[{i}]: unknown node kind {node.kind!r}")
-        j = first.setdefault(node.link, i)
-        if j != i:
-            raise CertError(f"nodes[{i}]: {node.link} is already certified "
-                            f"by nodes[{j}]")
+        slots = _slots(node, i, first)
+        first[node.link] = i
         out = {"det": str(node.det), "kind": node.kind,
                "link": _link_to_json(node.link)}
         text = _NODE_FIELDS[node.kind][0]
         if text:
             out[text] = getattr(node, text)
-        for slot, child in _children(node):
-            out[slot] = _earlier(cert.nodes, first, i, child)
+        out.update(zip(slots, node.children))
         lines.append(_encode(out))
     axioms = [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
               for ax in cert.axioms]
@@ -670,8 +648,8 @@ def _parse_link(obj, where: str) -> LinkId:
                   resolution)
 
 
-def _parse_node(obj, i: int) -> _Row:
-    """The row of node i."""
+def _parse_node(obj, i: int) -> CertNode:
+    """Node i, whose children are earlier indices."""
     where = f"nodes[{i}]"
     kind = obj.get("kind") if obj.__class__ is dict else None
     if kind.__class__ is not str or kind not in _NODE_FIELDS:
@@ -691,8 +669,9 @@ def _parse_node(obj, i: int) -> _Row:
         if child.__class__ is not int or not 0 <= child < i:
             raise CertParseError(f"{where}.{slot}: expected the index of an "
                                  f"earlier node, got {child!r}")
-    return (link, det, kind, obj[text] if text else "",
-            tuple(obj[slot] for slot in slots))
+    return CertNode(link, det, kind, obj.get("axiom", ""),
+                    obj.get("citation", ""),
+                    tuple(obj[slot] for slot in slots))
 
 
 def deserialize(data: Union[str, bytes]) -> Certificate:
@@ -718,21 +697,22 @@ def deserialize(data: Union[str, bytes]) -> Certificate:
     axioms = tuple(AxiomDecl(*(_fields(entry, set(keys), f"axioms[{i}]",
                                        keys)[key] for key in keys))
                    for i, entry in enumerate(axioms))
-    rows = [_parse_node(obj, i) for i, obj in enumerate(nodes)]
-    return Certificate(payload["claim"], _build(_walk_order(rows)), axioms)
+    nodes = tuple(_parse_node(obj, i) for i, obj in enumerate(nodes))
+    _check_walk_order(nodes)
+    return Certificate(payload["claim"], nodes, axioms)
 
 
-def _walk_order(rows: List[_Row]) -> Iterator[_Row]:
-    """``rows`` as the depth-first walk from the last one completes them,
-    refused unless that is their own order and no link comes twice."""
-    first: Dict[LinkId, int] = {}   # link -> index, over the completed rows
-    stack = [len(rows) - 1]         # i enters row i, ~i completes it
+def _check_walk_order(nodes: Tuple[CertNode, ...]) -> None:
+    """Refuse ``nodes`` unless the depth-first walk from the last one
+    completes them in their own order and meets no link twice."""
+    first: Dict[LinkId, int] = {}   # link -> index, over the completed nodes
+    stack = [len(nodes) - 1]        # i enters node i, ~i completes it
     while stack:
         i = stack.pop()
         done = len(first)
         if i < 0:
             i = ~i
-            link = rows[i][0]
+            link = nodes[i].link
             j = first.setdefault(link, done)
             if j != done:
                 raise CertParseError(f"nodes[{i}].link: {link} is already "
@@ -741,10 +721,9 @@ def _walk_order(rows: List[_Row]) -> Iterator[_Row]:
                 raise CertParseError(f"nodes[{i}]: out of order; the walk "
                                      f"from the last node completes "
                                      f"nodes[{done}] here")
-            yield rows[i]
         elif i >= done:
             stack.append(~i)
-            stack.extend(reversed(rows[i][4]))
+            stack.extend(reversed(nodes[i].children))
 
 
 # ---------------------------------------------------------------------------
@@ -815,12 +794,12 @@ def _step(link: LinkId) -> Tuple[str, str]:
     return SKEIN, ""
 
 
-def _rows(root: LinkId) -> Iterator[_Row]:
-    """The rows of ``root``'s certificate in the order a depth-first walk
+def _nodes(root: LinkId) -> Tuple[CertNode, ...]:
+    """The nodes of ``root``'s certificate in the order a depth-first walk
     from an explicit stack completes their links."""
-    # link -> its row's index once the row is out, None while it is open
+    # link -> its node's index once the node is out, None while it is open
     done: Dict[LinkId, Optional[int]] = {}
-    dets: List[int] = []            # by row index
+    nodes: List[CertNode] = []
     # (link, None) enters a link, (link, (kind, label, det, children)) ends it
     stack: List[Tuple[LinkId, Optional[tuple]]] = [(root, None)]
     while stack:
@@ -850,26 +829,25 @@ def _rows(root: LinkId) -> Iterator[_Row]:
             continue
         kind, label, det, children = plan
         kids = tuple(map(done.__getitem__, children))
-        if kind == IDENTIFY and det != dets[kids[0]]:
+        dets = [nodes[k].det for k in kids]
+        if kind == IDENTIFY and det != dets[0]:
             raise GenerationError(f"identified determinants differ at "
-                                  f"{link}: {det} != {dets[kids[0]]}")
-        if kind == SKEIN:
-            zero, inf = dets[kids[0]], dets[kids[1]]
-            if min(det, zero, inf) <= 0:
-                raise GenerationError(f"resolution determinant vanishes at "
-                                      f"{link}")
-            if det != zero + inf:
-                raise GenerationError(f"determinant additivity fails at "
-                                      f"{link}: {det} != {zero} + {inf}")
-        done[link] = len(dets)
-        dets.append(det)
-        yield link, det, kind, label, kids
+                                  f"{link}: {det} != {dets[0]}")
+        if kind == SKEIN and min(det, *dets) <= 0:
+            raise GenerationError(f"resolution determinant vanishes at {link}")
+        if kind == SKEIN and det != sum(dets):
+            raise GenerationError(f"determinant additivity fails at {link}: "
+                                  f"{det} != {dets[0]} + {dets[1]}")
+        done[link] = len(nodes)
+        nodes.append(CertNode(link, det, kind, label if kind == BASE else "",
+                              label if kind == IDENTIFY else "", kids))
+    return tuple(nodes)
 
 
 def _generate(root: LinkId, extra: Set[str]) -> Certificate:
     """Certify ``root``: the claim is QUASI_ALTERNATING when every declared
     axiom asserts it (as ``verify`` requires), else L_SPACE."""
-    nodes = _build(_rows(root))
+    nodes = _nodes(root)
     used = {node.axiom for node in nodes if node.kind == BASE}
     axioms = sorted((AXIOMS[n] for n in used | extra), key=lambda ax: ax.name)
     claim = (QUASI_ALTERNATING

@@ -17,7 +17,7 @@ otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 # det_bareiss is unused here; perfbench's tracing test asserts twobridge.det_bareiss.
 from .intlinalg import INFINITE, Infinite, cyclic_resultant, det_bareiss  # noqa: F401
@@ -101,9 +101,6 @@ class EvenExpansion:
     def fraction(self) -> Fraction:
         return cf_value(self.terms)
 
-    def mirror(self) -> "EvenExpansion":
-        return EvenExpansion(mirror_terms(self.terms))
-
     def __repr__(self):
         return f"EvenExpansion({self.terms})"
 
@@ -119,24 +116,30 @@ def _coerce_expansion(e: ExpansionLike) -> EvenExpansion:
 
 
 def even_expansion_from_fraction(fr: Fraction) -> EvenExpansion:
-    """An even expansion of the knot b(p, q) (|p| odd).
+    """An even expansion of the knot b(p, q) (|p| odd): ``even_terms``."""
+    return EvenExpansion(even_terms(fr))
+
+
+def even_terms(fr: Fraction) -> Iterator[int]:
+    """The terms of an even expansion of the knot b(p, q) (|p| odd), one at
+    a time: T(2, N) has N - 1 of them, so a caller can stop early.
 
     The denominator is first shifted by p if needed to make it even (this
     does not change the knot); then even partial quotients are extracted
-    greedily, always leaving an odd remainder.
+    greedily, always leaving an odd remainder.  A negative p gives the
+    mirror image's terms negated.
     """
     p, q = fr.numerator, fr.denominator
     if p % 2 == 0:
         raise ValueError(f"numerator {p} is even: not a knot")
     if abs(p) == 1:
         raise ValueError("the unknot has no even expansion")
-    if p < 0:
-        return even_expansion_from_fraction(-fr).mirror()
+    sign = -1 if p < 0 else 1
+    p = abs(p)
     # Shift q by p (same knot) until it is even and 0 < |q| < p.
     q %= p
     if q % 2 != 0:
         q -= p
-    terms: List[int] = []
     while True:
         # Extract p/q = 2a + r/q with |r| < |q|.  The states alternate
         # between (p odd, q even) with r forced odd, and (p even, q odd)
@@ -152,11 +155,10 @@ def even_expansion_from_fraction(fr: Fraction) -> EvenExpansion:
             raise AssertionError(f"no even quotient for {p}/{q}")
         if a == 0:
             raise AssertionError(f"zero quotient for {p}/{q}")
-        terms.append(2 * a)
+        yield sign * 2 * a
         if r == 0:
-            break
+            return
         p, q = q, r
-    return EvenExpansion(terms)
 
 
 def seifert_matrix(e: ExpansionLike) -> List[List[int]]:

@@ -7,7 +7,7 @@ uses the circulant symbol or the cyclic resultant they check.
 """
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-from bridgecover.intlinalg import INFINITE, Infinite, _bareiss, copy_matrix
+from bridgecover.intlinalg import INFINITE, Infinite
 from bridgecover.multipoly import MultiPoly
 from bridgecover.words import exponent_sums
 
@@ -33,7 +33,7 @@ def cokernel_order(matrix: Sequence[Sequence[int]],
             raise ValueError(f"row of length {len(row)} in a matrix of {n} columns")
     if nrows < n:
         return INFINITE
-    r = abs(_bareiss(copy_matrix(matrix), n))
+    r = abs(_leading_minor(matrix, n))
     if r == 0:
         return INFINITE
     if nrows == n:
@@ -68,6 +68,28 @@ def cokernel_order(matrix: Sequence[Sequence[int]],
         r //= h
         rows = rest
     return order
+
+
+def _leading_minor(matrix: Sequence[Sequence[int]], n: int) -> int:
+    """Bareiss elimination of a copy of ``matrix`` (at least n rows of n
+    entries) over all its rows, swapping a row with a non-zero pivot up when
+    needed: the last pivot is the leading n x n minor of the swapped rows,
+    up to sign, and 0 exactly when the rank is below n."""
+    m = [list(row) for row in matrix]
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, len(m)) if m[i][k] != 0),
+                             None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return prev
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:

@@ -397,6 +397,22 @@ def test_h1_just_under_and_just_over_the_size_limit(capsys, monkeypatch):
         assert result.stdout.endswith(" AGREE\n" if method == "all" else "\n")
 
 
+def test_h1_refuses_a_long_expansion_before_it_is_built(capsys):
+    """Every even term has |a| >= 2, so term bits >= 4 * genus.  T(2, 125)
+    at the double cover (genus 62) is under the limit and T(2, 127) (genus
+    63) over it, refused before its last term is built; T(2, N) for an
+    eleven-digit N is refused after about a hundred of its N - 1 terms."""
+    limit = cli.H1_MAX_SIZE
+    assert 4 * 62 ** 2 * 63 <= limit < 4 * 63 ** 2 * 64
+    assert run(["h1", "--cover", "2", "--", "125"], capsys) == (0, "125\n", "")
+    for n, knot in ((2, "127"), (2, "99999999999"), (3, "-99999999999")):
+        start = time.perf_counter()
+        code, out, err = run(["h1", "--cover", str(n), "--", knot], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert f"term bits at most {limit}, got more than " in err
+
+
 @pytest.mark.parametrize("terms", [["2", "-4", "6", "-8"], ["4", "-6"]])
 def test_h1_snf_at_cover_10000_agrees_with_the_oracle(capsys, terms):
     """snf has no cover-degree limit: at n = 10000 it finishes in under a

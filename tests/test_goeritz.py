@@ -2,7 +2,7 @@
 import itertools
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import pytest
@@ -376,20 +376,25 @@ def test_additivity_with_numeric_grid():
 
 def test_additivity_grid_evaluates_each_row_once_and_lists_failures_in_order(
         monkeypatch):
-    """One ``table_formula`` call per distinct row and point; a failed spot
-    check still follows its identity, in grid order."""
-    real, calls = goeritz.table_formula, []
+    """Only a nonzero residual is evaluated, once per point; a failed spot
+    check still follows its identity, in grid order.  The patched row
+    0,inf,inf is off by 2 - q, which is nonzero at q = 1 only."""
+    rows = goeritz._TABLES["L"]
+    row = rows["0,inf,inf"]
+    monkeypatch.setitem(rows, "0,inf,inf", replace(
+        row, poly=row.poly + MultiPoly.const(2) - MultiPoly.var("q")))
+    real, calls = MultiPoly.evaluate, []
 
-    def off_at_q1(family, resolution, point):
-        calls.append(resolution)
-        return real(family, resolution, point) + (
-            resolution == "0,inf,inf" and point["q"] == 1)
+    def evaluate(poly, point):
+        calls.append(point)
+        return real(poly, point)
 
-    monkeypatch.setattr(goeritz, "table_formula", off_at_q1)
+    monkeypatch.setattr(MultiPoly, "evaluate", evaluate)
     grid = [{"q": q, "s": s, "t": 1, "l": 1}
             for q, s in itertools.product((1, 2), repeat=2)]
     report = verify_additivity("L", grid)
-    assert len(calls) == 10 * len(grid)
+    # identities (4), (5) and (6) cite the row; (1), (2) and (3) do not
+    assert calls == grid * 3
     at = [f" at {grid[0]}", f" at {grid[1]}"]
     assert [c.name for c in report.checks] == [
         "Lemma 5.12(1)", "Lemma 5.12(2)", "Lemma 5.12(3)"] + [

@@ -229,7 +229,8 @@ def test_table1_witnesses_numerically_sound():
             continue
         signs = v.assignment.as_map(p.generators)
         for k, l in itertools.product((2, 3), (1, 2)):
-            word = instantiate(p.relator(v.witness), {"k": k, "l": l})
+            word = instantiate(p.relators[p.relator_names.index(v.witness)],
+                               {"k": k, "l": l})
             ls = letters(word)
             assert ls, (v.index, k, l)
             contributions = {_letter_sign(g, e, signs) for g, e in ls}
