@@ -67,7 +67,6 @@ from .qacert import (
 from .twobridge import (
     EvenExpansion,
     cf_value,
-    even_expansion_from_fraction,
     even_terms,
     h1_cyclic_cover_order,
     knot_name,
@@ -101,6 +100,8 @@ SPOT_CHECK_MAX_POINTS = 25_000
 # genus 1 to 40 and terms to 31 digits, finishes in under 3 s cold (2-core
 # machine, Python 3.11); the slowest was genus 1 with 31-digit terms.
 H1_MAX_SIZE = 1_000_000
+# Terms ``fraction --even-form`` prints (T(2, N) has N - 1); 100000 take 0.1 s.
+EVEN_FORM_MAX_TERMS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +272,14 @@ def _cmd_fraction(args) -> int:
         raise _CliError(str(exc))
     if args.even_form:
         try:
-            expansion = even_expansion_from_fraction(fr)
+            even = list(itertools.islice(even_terms(fr), EVEN_FORM_MAX_TERMS + 1))
         except ValueError as exc:
             raise _CliError(str(exc))
-        print(_bracket(expansion.terms))
+        if len(even) > EVEN_FORM_MAX_TERMS:
+            print(f"bridgecover: error: fraction --even-form prints at most "
+                  f"{EVEN_FORM_MAX_TERMS} terms, got more", file=sys.stderr)
+            return 2
+        print(_bracket(even))
         return 0
     if args.mirror:
         print(_bracket(base))

@@ -13,6 +13,9 @@ since reversing the order realizes the global flip -- and scans the relators
 and their cyclic rotations for a strict-sign witness.  Surviving patterns are
 grouped into orbits of the cyclic generator shift (:func:`orbit_reduce`),
 which is a symmetry of the periodic families built in :mod:`.presentations`.
+Both stages compile each word they test once (:func:`.words.sign_form` reads
+its exponent signs) and evaluate the compiled form under every sign map they
+try (:func:`.words.form_sign`).
 
 Stage two (:func:`genus2_level0`) pushes further on the three-generator
 presentation with base relator ``z y x`` and the wing-rewritten relators.  It
@@ -28,9 +31,10 @@ and are reported honestly rather than resolved.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .presentations import (
     _RPRIME_TEMPLATES,
@@ -49,9 +53,11 @@ from .words import (
     SignLattice,
     Syllable,
     WordError,
+    form_sign,
     parse_word,
     peel,
     reduce_word,
+    sign_form,
     sign_invert,
     sign_product,
     splice,
@@ -230,7 +236,7 @@ def eliminate(p: Presentation) -> EliminationReport:
     with the proved sign.
     """
     env = p.env
-    relators = [(name, _relator_forms(rel, env))
+    relators = [(name, [sign_form(w, env) for w in _relator_forms(rel, env)])
                 for name, rel in zip(p.relator_names, p.relators)]
     verdicts: List[PatternVerdict] = []
     for idx, assignment in enumerate(sign_patterns(len(p.generators)), start=1):
@@ -238,7 +244,7 @@ def eliminate(p: Presentation) -> EliminationReport:
         witness: Optional[str] = None
         witness_sign: Optional[SignLattice] = None
         for name, forms in relators:
-            found = (word_sign(form, signs, env) for form in forms)
+            found = (form_sign(form, signs) for form in forms)
             witness_sign = next((s for s in found if s in (SP, SN)), None)
             if witness_sign is not None:
                 witness = name
@@ -547,8 +553,8 @@ def _subcase_assignments(ctx: Mapping[str, SignLattice],
 
 
 def _derive_atoms(ctx: Dict[str, SignLattice],
-                  wing_variants: Mapping[str, Sequence[ParamWord]],
-                  env: ParamEnv) -> List[DerivedAtom]:
+                  wing_forms: Mapping[str, Mapping[tuple, ParamWord]],
+                  ) -> List[DerivedAtom]:
     """Settle unknown pair-word signs by hypothesis refutation.
 
     Assuming ``Eab >= 1`` (resp. ``<= 1``) and finding a rewriting of a wing
@@ -570,8 +576,8 @@ def _derive_atoms(ctx: Dict[str, SignLattice],
                     trial = dict(ctx)
                     trial[atom] = hyp
                     trial[_ATOM_INVERSE[atom]] = sign_invert(hyp)
-                    for form in wing_variants[wing]:
-                        s = word_sign(form, trial, env)
+                    for form in wing_forms[wing]:
+                        s = form_sign(form, trial)
                         if s in (SP, SN) and s is sign_invert(target):
                             found = (conclusion, wing)
                             break
@@ -591,17 +597,20 @@ def _derive_atoms(ctx: Dict[str, SignLattice],
 
 
 def _closure_candidates(mapping: Mapping[str, AffineExp],
-                        env: ParamEnv) -> List[Tuple[str, ParamWord]]:
-    """The wing-rewritten relators and their depth-one peel variants."""
-    out: List[Tuple[str, ParamWord]] = []
+                        env: ParamEnv) -> Iterator[Tuple[str, ParamWord]]:
+    """The wing-rewritten relators and their depth-one peel variants, lazily."""
     for label, templates in (("'", _RPRIME_ATOM), ("''", _RSECOND_ATOM)):
         for i in (1, 2, 3):
             root = reduce_word(substitute_params(templates[i], mapping), env)
             name = f"r{i}{label}"
-            out.append((name, root))
+            yield name, root
             for v in _variants(root, env, depth=1, collapse=False)[1:]:
-                out.append((f"{name} (peeled)", v))
-    return out
+                yield f"{name} (peeled)", v
+
+
+# Stage one on the base relator is the same for every sign class.
+_base_stage = functools.lru_cache(maxsize=1)(
+    lambda: orbit_reduce(eliminate(_BASE_PRESENTATION)))
 
 
 def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
@@ -624,7 +633,7 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     signs = tuple(1 if v > 0 else -1 for v in raw)
     mapping, env = _signed_env(signs)
 
-    stage1 = orbit_reduce(eliminate(_BASE_PRESENTATION))
+    stage1 = _base_stage()
     canonical = stage1.orbits[0].canonical
     ctx: Dict[str, SignLattice] = canonical.as_map(list(_BASE))
 
@@ -634,39 +643,40 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     for name in _ATOMS:
         ctx[name] = word_sign(bodies[name], ctx, env)
 
-    wing_defs = {name: reduce_word(substitute_params(word, mapping), env)
-                 for name, word in _WING_WORDS.items()}
-    raw_variants = {name: _variants(wing_defs[name], env) for name in _WINGS}
-    atom_variants = {name: [_atomize(v, body_names)
-                            for v in raw_variants[name]] for name in _WINGS}
-
+    # a form that repeats would repeat a verdict: its first variant is kept
+    wing_forms: Dict[str, Dict[tuple, ParamWord]] = {}
     wings: List[WingSign] = []
     for name in _WINGS:
+        seed = reduce_word(substitute_params(_WING_WORDS[name], mapping), env)
+        forms = wing_forms[name] = {}
+        for v in _variants(seed, env):
+            forms.setdefault(sign_form(_atomize(v, body_names), env), v)
         found, form = UK, ""
-        for raw_form, atom_form in zip(raw_variants[name],
-                                       atom_variants[name]):
-            s = word_sign(atom_form, ctx, env)
+        for atom_form, raw_form in forms.items():
+            s = form_sign(atom_form, ctx)
             if s in (SP, SN):
                 found, form = s, raw_form.to_text()
                 break
         ctx[name] = found
         wings.append(WingSign(name, found, form))
 
-    candidates = _closure_candidates(mapping, env)
-    subcases: List[SubcaseRecord] = []
-    for i, assumed in enumerate(_subcase_assignments(ctx), start=1):
-        sub_ctx = dict(ctx)
-        for name, s in assumed:
-            sub_ctx[name] = s
-        derived = _derive_atoms(sub_ctx, atom_variants, env)
-        closed, witness, witness_sign = False, None, None
-        for name, form in candidates:
-            s = word_sign(form, sub_ctx, env)
+    cases = []
+    for assumed in _subcase_assignments(ctx):
+        sub_ctx = {**ctx, **dict(assumed)}
+        cases.append((assumed, sub_ctx, _derive_atoms(sub_ctx, wing_forms)))
+    # candidates are built and compiled as reached, until every subcase closes
+    witness: Dict[int, Tuple[str, SignLattice]] = {}
+    for name, w in _closure_candidates(mapping, env):
+        if len(witness) == len(cases):
+            break
+        form = sign_form(w, env)
+        for i, (_, sub_ctx, _) in enumerate(cases, start=1):
+            s = None if i in witness else form_sign(form, sub_ctx)
             if s in (SP, SN):
-                closed, witness, witness_sign = True, name, s
-                break
-        subcases.append(SubcaseRecord(i, assumed, tuple(derived), closed,
-                                      witness, witness_sign))
+                witness[i] = (name, s)
+    subcases = [SubcaseRecord(i, assumed, tuple(derived), i in witness,
+                              *witness.get(i, (None, None)))
+                for i, (assumed, _, derived) in enumerate(cases, start=1)]
     return Genus2Report(signs, _case_label(signs), stage1.verdicts,
                         stage1.orbits, canonical, tuple(wings),
                         tuple(subcases))

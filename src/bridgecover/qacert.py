@@ -467,12 +467,16 @@ class _Reject(CertError):
 
 
 def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, ...]:
-    """The child slots of ``nodes[i]``: its kind must be known, its children
-    one earlier index per slot, and its link new to ``first``."""
+    """The child slots of ``nodes[i]``: its kind known, its unused text field
+    empty, one earlier index per child slot, and its link new to ``first``."""
     fields = _NODE_FIELDS.get(node.kind)
     if fields is None:
         raise _Reject(i, f"unknown node kind {node.kind!r}")
-    slots, children = fields[1], node.children
+    (text, slots), children = fields, node.children
+    unused = ("axiom" if node.axiom != "" and text != "axiom" else
+              "citation" if node.citation != "" and text != "citation" else "")
+    if unused:
+        raise _Reject(i, f"{node.kind} nodes carry no {unused}")
     if children.__class__ is not tuple or len(children) != len(slots):
         raise _Reject(i, f"{node.kind} nodes cite {len(slots)} children, got "
                          f"{children!r}")

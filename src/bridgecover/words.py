@@ -68,8 +68,6 @@ NP = SignLattice.NON_POS
 SN = SignLattice.STRICT_NEG
 UK = SignLattice.UNKNOWN
 
-_POSITIVE = {SP, NN}
-_NEGATIVE = {SN, NP}
 _INVERTED = {SP: SN, SN: SP, NN: NP, NP: NN}
 _WEAKENED = {SP: NN, SN: NP}
 
@@ -95,10 +93,10 @@ def sign_product(a: SignLattice, b: SignLattice) -> SignLattice:
         return a
     if a is UK or b is UK:
         return UK
-    if a in _POSITIVE and b in _POSITIVE:
-        return SP if SP in (a, b) else NN
-    if a in _NEGATIVE and b in _NEGATIVE:
-        return SN if SN in (a, b) else NP
+    if (a is SP or a is NN) and (b is SP or b is NN):
+        return SP if a is SP or b is SP else NN
+    if (a is SN or a is NP) and (b is SN or b is NP):
+        return SN if a is SN or b is SN else NP
     return UK
 
 
@@ -252,21 +250,20 @@ class ParamEnv:
                 return None
         return total
 
-    def max_of(self, exp: AffineExp) -> Optional[int]:
-        total = exp.const
+    def sign_of(self, exp: AffineExp) -> SignLattice:
+        """Provable sign of ``exp``, bounded below and above in one pass."""
+        lo = hi = exp.const
         for name, coeff in exp.coeffs.items():
             if name not in self.bounds:
                 raise WordError(f"parameter {name!r} not declared in environment")
-            if coeff < 0:
-                total += coeff * self.bounds[name]
+            term = coeff * self.bounds[name]
+            if coeff > 0:
+                lo, hi = None if lo is None else lo + term, None
             else:
-                return None
-        return total
-
-    def sign_of(self, exp: AffineExp) -> SignLattice:
-        lo = self.min_of(exp)
-        hi = self.max_of(exp)
-        if lo is not None and hi is not None and lo == hi == 0:
+                lo, hi = None, None if hi is None else hi + term
+            if lo is None and hi is None:
+                return UK
+        if lo == hi == 0:
             return ZE
         if lo is not None:
             if lo >= 1:
@@ -344,10 +341,11 @@ class PowerBlock:
 
 
 WordItem = Union[Syllable, PowerBlock]
+SignForm = Tuple[Tuple[Union[str, "SignForm"], SignLattice], ...]  # see sign_form
 
 
 class ParamWord:
-    __slots__ = ("items",)
+    __slots__ = ("items", "_hash")
 
     def __init__(self, items: Sequence[WordItem] = ()):
         self.items: Tuple[WordItem, ...] = tuple(items)
@@ -381,7 +379,9 @@ class ParamWord:
         return isinstance(other, ParamWord) and self.items == other.items
 
     def __hash__(self):
-        return hash(self.items)
+        if not hasattr(self, "_hash"):  # hashed once, on first use
+            self._hash = hash(self.items)
+        return self._hash
 
     def __len__(self):
         return len(self.items)
@@ -707,29 +707,35 @@ def equal_up_to_cyclic(w1: Sequence[Run], w2: Sequence[Run]) -> CyclicMatch:
     return CyclicMatch.NONE
 
 
+def sign_form(w: ParamWord, env: ParamEnv) -> SignForm:
+    """``w`` compiled for :func:`form_sign`: per item, the generator or block
+    body's form, and the sign under ``env`` of its exponent or multiplicity.
+    Compile a word once, then evaluate it under many sign maps; every sign is
+    read here, so an unreadable one raises :class:`WordError` wherever it is."""
+    return tuple((item.gen, env.sign_of(item.exponent))
+                 if isinstance(item, Syllable) else
+                 (sign_form(item.body, env), env.sign_of(item.multiplicity))
+                 for item in w.items)
+
+
+def form_sign(form: SignForm, signs: Mapping[str, SignLattice]) -> SignLattice:
+    """Provable comparison of a compiled word with the identity, given generator
+    signs (weak or UNKNOWN allowed).  A generator with no sign raises
+    :class:`WordError` when the walk reaches it; the walk stops at UNKNOWN."""
+    total = ZE
+    for head, exponent_sign in form:
+        base = signs.get(head) if head.__class__ is str else form_sign(head, signs)
+        if base is None:
+            raise WordError(f"no sign assigned to generator {head!r}")
+        total = sign_product(total, sign_power(base, exponent_sign))
+        if total is UK:
+            return UK
+    return total
+
+
 def word_sign(w: ParamWord, signs: Mapping[str, SignLattice], env: ParamEnv) -> SignLattice:
-    """Provable comparison of the word with the identity, given generator signs.
-
-    Generator signs may be weak or UNKNOWN (hypothetical and derived letter
-    signs).  A generator with no sign raises :class:`WordError` once the
-    left-to-right walk reaches it; the walk stops early at UNKNOWN.
-    """
-    def visit(word_: ParamWord) -> SignLattice:
-        total = ZE
-        for item in word_.items:
-            if isinstance(item, Syllable):
-                sign = signs.get(item.gen)
-                if sign is None:
-                    raise WordError(f"no sign assigned to generator {item.gen!r}")
-                value = sign_power(sign, env.sign_of(item.exponent))
-            else:
-                value = sign_power(visit(item.body), env.sign_of(item.multiplicity))
-            total = sign_product(total, value)
-            if total is UK:
-                return UK
-        return total
-
-    return visit(w)
+    """``form_sign(sign_form(w, env), signs)``, compiling ``w`` on every call."""
+    return form_sign(sign_form(w, env), signs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """End-to-end tests for the command-line front end."""
+import contextlib
+import io
 import itertools
 import json
 import pathlib
@@ -8,6 +10,8 @@ import time
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgecover import cli
 from bridgecover.cli import main
@@ -60,6 +64,22 @@ def test_fraction_even_form(capsys):
     code, out, _ = run(["fraction", "--even-form", "--", "3", "2"], capsys)
     assert code == 0
     assert out == "[4,-2]\n"
+
+
+def test_fraction_even_form_stops_past_its_limit(capsys):
+    """T(2, N) has N - 1 terms: the form is printed up to the limit and
+    refused past it before it is built."""
+    n = cli.EVEN_FORM_MAX_TERMS + 1
+    code, out, _ = run(["fraction", "--even-form", "--", str(n)], capsys)
+    assert code == 0
+    assert out.count(",") == cli.EVEN_FORM_MAX_TERMS - 1
+    start = time.perf_counter()
+    code, out, err = run(["fraction", "--even-form", "--", "9" * 20],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"bridgecover: error: fraction --even-form prints at most "
+                   f"{cli.EVEN_FORM_MAX_TERMS} terms, got more\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_fraction_zero_term_is_a_usage_error(capsys):
@@ -706,3 +726,101 @@ def test_installed_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "1,1,1 AGREE\n"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every command line ends with exit 0, 1 or 2, fast
+# ---------------------------------------------------------------------------
+
+_INT = st.one_of(st.integers(-3, 5),
+                 st.sampled_from([1001, 10**6, 99999999999, -10**20,
+                                  10**40])).map(str)
+_JUNK = st.sampled_from(["", "x", "1/2", "-", "+", "1..", "..3", "0x10",
+                         "1e9", "nan", "--bogus", "١", "1,2,,3"])
+_TOKEN = st.one_of(_INT, _JUNK)
+_RANGE = st.one_of(st.tuples(_INT, _INT).map("..".join), _JUNK)
+_SIGNS = st.one_of(st.lists(st.sampled_from(["+", "-", "0", "x", "", "++"]),
+                            max_size=6).map(",".join), _JUNK)
+
+
+def _option(name, value):
+    """``[name, value]`` or nothing."""
+    return st.one_of(st.just([]), value.map(lambda v: [name, v]))
+
+
+def _choice(*names):
+    return st.one_of(st.sampled_from(names), _JUNK)
+
+
+def _argv(files):
+    """Command lines from the subcommand grammar, with junk and huge values
+    in every slot; ``files`` names a few files, some of them malformed, and
+    ends with the one ``--out`` may write."""
+    path = st.sampled_from(files)
+    terms = st.lists(_TOKEN, max_size=6)
+    flags = st.lists(st.sampled_from(["--mirror", "--even-form"]),
+                     max_size=2, unique=True)
+    commands = [
+        st.tuples(st.just(["fraction"]), flags, terms).map(
+            lambda t: t[0] + t[1] + ["--"] + t[2]),
+        st.tuples(st.just(["h1"]), _option("--cover", _TOKEN),
+                  _option("--method", _choice("snf", "oracle", "table", "all")),
+                  terms).map(lambda t: t[0] + t[1] + t[2] + ["--"] + t[3]),
+        st.tuples(st.just(["identities"]),
+                  _option("--suite", _choice("lemma5.4", "lemma5.12",
+                                             "lemma5.3", "lemma5.11",
+                                             "tables")),
+                  _option("--grid", _RANGE),
+                  _option("--format", _choice("text", "csv", "json")),
+                  _option("--config", path)).map(lambda t: sum(t, [])),
+        st.tuples(st.just(["cert"]),
+                  _choice("generate", "verify").map(lambda a: [a]),
+                  _option("--family", _choice("A", "L")),
+                  _option("--params", st.lists(_TOKEN, max_size=5).map(
+                      ",".join)),
+                  _option("--in", path),
+                  _option("--out", st.just(files[-1]))).map(
+                      lambda t: sum(t, [])),
+        st.tuples(st.just(["lo-elim"]),
+                  _option("--family", _choice("genus1", "genus2")),
+                  st.sampled_from([[], ["--table1"]]),
+                  _option("--signs", _SIGNS),
+                  _option("--format", _choice("text", "csv", "json"))).map(
+            lambda t: sum(t, [])),
+        st.sampled_from([[], ["--version"], ["--help"], ["bogus"], ["--"]]),
+    ]
+    return st.tuples(st.one_of(commands), st.lists(_TOKEN, max_size=2)).map(
+        lambda t: t[0] + t[1])
+
+
+def _fuzz_files(directory):
+    files = {"missing.txt": None, "junk.txt": "not a certificate {\n",
+             "empty.txt": "", "config.txt": "grid = 1..99999999999\n",
+             "cert.json": (GOLDEN / "cert_L1111.json").read_text(),
+             "out.json": None}
+    for name, text in files.items():
+        if text is not None:
+            (directory / name).write_text(text)
+    return [str(directory / name) for name in files]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return _fuzz_files(tmp_path_factory.mktemp("fuzz"))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_command_lines_exit_cleanly(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 0
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert elapsed < 5, (argv, elapsed)

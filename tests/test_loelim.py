@@ -1,4 +1,5 @@
 """Tests for sign-pattern elimination and the level-0 wing analysis."""
+import hashlib
 import itertools
 import pathlib
 
@@ -506,6 +507,51 @@ def test_genus2_report_text_goldens():
         (GOLDEN / "genus2_class1.txt").read_text()
     assert genus2_report_text(genus2_level0(-1, 1, -1, -1)) == \
         (GOLDEN / "genus2_class6.txt").read_text()
+
+
+# SHA-256 of genus2_report_text for every sign class of (q, s, t, l): the
+# report's full text is pinned, not only the two classes kept as goldens.
+_REPORT_DIGESTS = {
+    (1, 1, 1, 1):
+        "74ccf321bfe9e14cce0df47b3ff582afa519fc1b9e3913f57bd1176fd89831a1",
+    (1, 1, 1, -1):
+        "6ba4dfd9eec915488abf9640d5add7368051fdeefb88e94f561a04b36df758d5",
+    (1, 1, -1, 1):
+        "f10716992f7fb2f9531141f0916ffa3a69d4657d69e15d51f47e3ac359f2c14d",
+    (1, 1, -1, -1):
+        "e2ccec7b441461b906259221623661f12cec1ebdcdf7637b92784ac00ab98ec8",
+    (1, -1, 1, 1):
+        "965adb9afe8bec3ab502ad50a9e55ebe67e2998d3eca79c2546d78d1d838816e",
+    (1, -1, 1, -1):
+        "8c1277203d3de0f95c64b1123420669c65d2dedeb7ccd84fc36a51f5414ab178",
+    (1, -1, -1, 1):
+        "bad04c7276d111d39a3be7f6f10d532f3b8feae2fa30d9bd5516490769fe96cf",
+    (1, -1, -1, -1):
+        "4dd2fa692699f79a6463768cc3bf7bd818a9a6610baa5b53b2390b72df75d6d9",
+    (-1, 1, 1, 1):
+        "1e2b7a8e2b123902747120afe2eb428e70e1143713654cbe5da9d510270c2531",
+    (-1, 1, 1, -1):
+        "f885d9433c4ca3f245ab4f2da5e84400e47757670eb371b560b24bd55e070ba6",
+    (-1, 1, -1, 1):
+        "71a57926896f38169a301953916e0c08c12f49c2394f700812a247dd4e46c053",
+    (-1, 1, -1, -1):
+        "8fb20103dce271313d2943de19b5b98dd2657da1864dbf8e3825649eeddecc66",
+    (-1, -1, 1, 1):
+        "f047afd0829f0485a3b1583469bf8dc25e1ba5d406992e51bccb34708022d89d",
+    (-1, -1, 1, -1):
+        "0ff0b60db01e132940ef92d9672e6baac657ec03ef52ad22d11484551f69771f",
+    (-1, -1, -1, 1):
+        "bcb8556f463c963c9bfa8c824d2f036479a059adffefbb035e1f805a931b2172",
+    (-1, -1, -1, -1):
+        "6e7b2b88e2ff948b739645ec18d069940821c99995231385f0049487d529af4d",
+}
+
+
+def test_genus2_report_text_of_every_sign_class_is_pinned():
+    assert len(_REPORT_DIGESTS) == 16
+    for signs, digest in _REPORT_DIGESTS.items():
+        text = genus2_report_text(genus2_level0(*signs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, signs
 
 
 def test_genus2_report_text_folds_signs_into_atoms():

@@ -478,6 +478,16 @@ def test_single_field_mutations_always_reject():
 
 # -- serialization ---------------------------------------------------------
 
+def test_a_text_field_the_kind_does_not_use_is_refused():
+    cert = qc.generate_A_cert(1, 1, 1)
+    assert cert.nodes[0].kind == qc.BASE
+    odd = _with_node(cert, 0, cert.nodes[0]._replace(citation="anything"))
+    assert str(qc.verify(odd)) == \
+        "REJECT at nodes[0]: BASE nodes carry no citation"
+    with pytest.raises(qc.CertError, match="BASE nodes carry no citation"):
+        qc.serialize(odd)
+
+
 def test_serialize_round_trip_and_stability():
     for params in ((1, 1, 1, 1), (2, 2, 2, 2), (-1, 1, -1, 1), (1, -2, 2, -1)):
         cert = qc.generate_L_cert(*params)
