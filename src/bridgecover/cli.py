@@ -66,6 +66,7 @@ from .qacert import (
 )
 from .twobridge import (
     EvenExpansion,
+    alexander,
     cf_value,
     even_terms,
     h1_cyclic_cover_order,
@@ -89,17 +90,15 @@ CERT_MAX_PARAM = 1000
 # 1..12, take about 3 s cold there, which leaves room under 5 s.
 TABLES_MAX_POINTS = 150_000
 SPOT_CHECK_MAX_POINTS = 25_000
-# h1's size: genus * (genus + 1) * (n - 1) * the bit lengths of |a| + 1
-# summed over the even expansion's terms a.  The sum bounds log2 |Delta|_1
-# (the continuant gains at most a factor |a| + 1 per term), so (n - 1) times
-# it bounds the bits of the answer, |Res(S_n, Delta)| <= |Delta|_1**(n-1)
-# (Fox 1956).  At genus 1 and 2 the cost follows the answer's length; above,
-# the Sylvester determinant of order up to 4 * genus - 1 weighs it by about
-# the genus squared: under genus * (n - 1) * term bits <= 500000 instead,
-# [40, -60] * 12 at n = 290 took 8.8 s.  At this limit every shape measured,
-# genus 1 to 40 and terms to 31 digits, finishes in under 3 s cold (2-core
-# machine, Python 3.11); the slowest was genus 1 with 31-digit terms.
-H1_MAX_SIZE = 1_000_000
+# h1's size: genus * (genus + 1) * (n - 1 + 2 * genus) * term bits, the bit
+# lengths of |a| + 1 summed over the even expansion's terms a, which bound
+# log2 |Delta|_1; (n - 1 + 2 genus) * term bits bounds the bits of the one
+# Sylvester determinant, of order at most 3 * genus.  At this limit every
+# shape tried, genus 1 to 32 and terms to 77 digits, took at most 1.2 s in
+# process (2-core machine, Python 3.11).  The answer has at most (n - 1) *
+# bits(|Delta|_1) bits (Fox 1956); printing 900000 of them takes 1.4 s.
+H1_MAX_SIZE = 10_000_000
+H1_MAX_BITS = 900_000
 # Terms ``fraction --even-form`` prints (T(2, N) has N - 1); 100000 take 0.1 s.
 EVEN_FORM_MAX_TERMS = 100_000
 
@@ -368,25 +367,31 @@ def _cmd_h1(args) -> int:
             f"numerator {fr.numerator} is even: a two-component link, "
             f"not a knot")
     # the size of the terms so far bounds the whole expansion's from below,
-    # so T(2, N), with N - 1 terms, is refused after about a hundred
-    kept: List[int] = []
-    bits = 0
+    # so T(2, N), with N - 1 terms, is refused after about seventy
+    kept, bits = [], 0
     try:
         stream = _h1_terms(terms, fr)
         for a in stream:
             kept.append(a)
             bits += (abs(a) + 1).bit_length()
             genus = (len(kept) + 1) // 2
-            size = genus * (genus + 1) * (args.cover - 1) * bits
+            size = genus * (genus + 1) * (args.cover - 1 + 2 * genus) * bits
             if size > H1_MAX_SIZE:
                 more = "" if next(stream, None) is None else "more than "
                 print(f"bridgecover: error: h1 takes genus * (genus + 1) * "
-                      f"(cover - 1) * term bits at most {H1_MAX_SIZE}, got "
-                      f"{more}{size}", file=sys.stderr)
+                      f"(cover - 1 + 2 * genus) * term bits at most "
+                      f"{H1_MAX_SIZE}, got {more}{size}", file=sys.stderr)
                 return 2
     except ValueError as exc:
         raise _CliError(str(exc))
     expansion = EvenExpansion(kept) if kept else None
+    if (args.cover - 1) * bits > H1_MAX_BITS:  # term bits >= bits(|Delta|_1)
+        bits = sum(map(abs, alexander(expansion))).bit_length()
+        if (args.cover - 1) * bits > H1_MAX_BITS:
+            print(f"bridgecover: error: h1 prints orders of at most "
+                  f"{H1_MAX_BITS} bits, got (cover - 1) * bits(|Alexander|_1)"
+                  f" = {(args.cover - 1) * bits}", file=sys.stderr)
+            return 2
 
     if args.method == "all":
         values = []
@@ -396,7 +401,8 @@ def _cmd_h1(args) -> int:
             except _Inapplicable:
                 continue
         agree = all(v == values[0] for v in values)
-        print(",".join(str(v) for v in values)
+        text = {v: str(v) for v in set(values)}  # equal orders: one str
+        print(",".join(text[v] for v in values)
               + (" AGREE" if agree else " DISAGREE"))
         return 0 if agree else 1
     method = dict(_H1_METHODS)[args.method]

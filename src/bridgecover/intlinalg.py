@@ -7,7 +7,10 @@ are exact for matrices of any size that fits in memory.  No floating point.
 """
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
+from itertools import zip_longest
+from math import gcd, isqrt
+from operator import mul
 from typing import List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
@@ -30,10 +33,6 @@ class Infinite:
 INFINITE = Infinite()
 
 
-def copy_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
-    return [list(row) for row in m]
-
-
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss' fraction-free
     elimination, swapping a row with a non-zero pivot up when needed.  All
@@ -47,7 +46,7 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     for row in matrix:
         if len(row) != n:
             raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
-    m = copy_matrix(matrix)
+    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(n):
@@ -99,11 +98,14 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     g.  Whatever the argument order, the polynomial with smaller
     coefficients gives the top rows, so Bareiss divides by small pivots
     first, and Res(g, f) = (-1)**(deg f deg g) Res(f, g) fixes the sign.
-    Raises ValueError for an empty list or a zero leading coefficient.
+    A constant c against a polynomial of degree m gives c**m.  Raises
+    ValueError for an empty list or a zero leading coefficient.
     """
     if not f or f[-1] == 0 or not g or g[-1] == 0:
         raise ValueError(
             "polynomials must be non-zero with trimmed leading coefficients")
+    if len(f) == 1 or len(g) == 1:
+        return f[0] ** (len(g) - 1) if len(f) == 1 else g[0] ** (len(f) - 1)
     sign = 1
     if max(map(abs, g)) < max(map(abs, f)):
         f, g = g, f
@@ -111,90 +113,114 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     return sign * det_bareiss(sylvester_matrix(f, g))
 
 
+def _times(p: Sequence[int], q: Sequence[int]) -> List[int]:
+    prod = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            prod[i + j] += a * b
+    return prod
+
+
+@lru_cache(maxsize=64)
+def _fold_basis(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """P for n >= 3 (P_k = u P_(k-1) - P_(k-2), P_0 = 1, P_(-1) = -(n % 2)) and
+    the rows of b -> b_0 + sum b_k V_k(u) mod P, V_k(x + 1/x) = x**k + x**-k."""
+    lo, pu = [-(n % 2)], [1]
+    for _ in range((n - 1) // 2):
+        lo, pu = pu, [a - b for a, b in zip_longest([0] + pu, lo, fillvalue=0)]
+
+    def times_u(v):  # u v modulo P
+        return [-v[-1] * pu[0]] + [a - v[-1] * b for a, b in zip(v, pu[1:-1])]
+
+    zero = [0] * (len(pu) - 2)
+    cols, v0, v1 = [[1] + zero], [2] + zero, times_u([1] + zero)
+    for _ in range(n // 2):
+        cols.append(v1)
+        v0, v1 = v1, [a - b for a, b in zip(times_u(v1), v0)]
+    return pu, list(zip(*cols))
+
+
 def cyclic_resultant(f: Sequence[int], n: int) -> int:
     """|Res(S, f)| with S = 1 + x + ... + x**(n-1), for n >= 1 and an integer
     polynomial f (ascending coefficients, leading zeros ignored): the order
-    of Z[x]/(S, f), or 0 when it is infinite.  A constant c gives |c|**(n-1);
-    otherwise the order is one call of ``resultant``, or 0 when f reduces to
-    0 modulo S.
+    of Z[x]/(S, f), or 0 when it is infinite.  A constant c gives |c|**(n-1).
 
-    Since S is monic, Res(S, f) is the product of f over the roots of S,
-    the n-th roots of unity other than 1, so f may be replaced by anything
-    that agrees with it there.  For 2 <= n <= deg f + 1, f is folded
-    modulo x**n - 1 and x**(n-1) rewritten as -(1 + ... + x**(n-2)), which
-    leaves Res(S, h) with deg h <= n - 2: a determinant of order at most
-    2n - 3.
-
-    For larger n, S is reduced modulo f (of degree m) by doubling,
-    S_2k = S_k (1 + x**k) and S_(k+1) = 1 + x S_k, in O(log n) products of
-    polynomials of degree below m.  Elements of Q[x]/(f) are kept as
-    (R, e), an integer polynomial R over c**e with c = lc(f).  If
-    S = R / c**e mod f with deg R = d, then |Res(S, f)| =
-    |c|**(n-1-d-e*m) |Res(R, f)|, one resultant of degrees m and d < m.
-    Nothing divides by f(1), so links (f(1) = 0) work too.
+    It is the product of |f| over the roots of S, where x**k is a unit, and
+    they pair off under x -> 1/x.  So for f = x**g D(x + 1/x), lc D = c, and
+    U_(-1) = 0, U_0 = 1, U_(k+1) = u U_k - U_(k-1), the order is
+    Res(P, D)**2 with P = U_r + U_(r-1) for n = 2r + 1 (a square: Plans
+    1953) and |f(-1)| Res(P, D)**2 with P = U_(r-1) for n = 2r.  P is monic
+    of degree p = (n - 1) // 2; Res(P, D) is one ``resultant``, for p <= 2g
+    of P and D modulo P, read off f folded modulo x**n - 1 by a table kept
+    per n (D(-1) at n = 3), for p > 2g of D and R, where doubling (U_2k =
+    U_k**2 - U_(k-1)**2, U_(2k-1) = U_(k-1) (2 U_k - u U_(k-1))) finds
+    P = R / c**e mod D, deg R = d < g: |Res(P, D)| = |c|**(p-d-e*g) |Res(D, R)|.
+    Any other f (a link's antipalindromic f too) gives the square root of
+    the order of the palindromic f f*, f* reversed: |Res(S, f*)| = |Res(S, f)|.
     """
     f = list(f) or [0]
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    m, c = len(f) - 1, f[-1]
-    if m == 0:
-        return abs(c) ** (n - 1)
-    if 2 <= n <= m + 1:
-        h = [0] * n
-        for i, a in enumerate(f):
-            h[i % n] += a
-        top = h.pop()
-        h = [a - top for a in h]
-        while len(h) > 1 and h[-1] == 0:
-            h.pop()
-        return abs(resultant([1] * n, h)) if h[-1] else 0
+    while len(f) > 1 and not (f[0] and f[-1]):  # trailing zeros, then x**k
+        del f[0 if f[-1] else -1]
+    if len(f) == 1:
+        return abs(f[0]) ** (n - 1)
+    if len(f) % 2 == 0 or f != f[::-1]:
+        root = isqrt(order := cyclic_resultant(_times(f, f[::-1]), n))
+        if root * root != order:
+            raise ArithmeticError(f"order {order} of f f* is not a square")
+        return root
+    g, c, r, p = len(f) // 2, f[-1], n // 2, (n - 1) // 2
+    unit = 1 if n % 2 else abs(sum(f[::2]) - sum(f[1::2]))
+    if p == 0:
+        return unit
+    if p <= 2 * g:
+        h = [sum(f[g + j::n]) for j in range(n)]  # x**j and x**-j fold together
+        b = [2 * h[0] - f[g]] + [h[j] + h[-j] for j in range(1, n - r)] \
+            + h[r:r + 1 - n % 2]  # for even n, x**r is x**-r
+        rem = [sum(map(mul, row, b)) for row in _fold_basis(n)[1]]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        return unit * resultant(_fold_basis(n)[0], rem) ** 2 if rem else 0
 
-    def reduce(p: List[int], e: int) -> Tuple[List[int], int]:
-        # Pseudo-division from the top; scale by c only when a leading
-        # coefficient is not already divisible by it.
-        for d in range(len(p) - 1, m - 1, -1):
-            if p[d] % c:
-                p = [c * a for a in p]
-                e += 1
-            q = p[d] // c
-            if q:
-                for j, b in enumerate(f):
-                    p[d - m + j] -= q * b
-        p = p[:m]
-        while e and all(a % c == 0 for a in p):
-            p = [a // c for a in p]
-            e -= 1
-        return p, e
+    d = [sum(map(mul, row, f[g:])) for row in _fold_basis(2 * g + 3)[1]]  # deg P > g: D
 
-    def mul(u, v):
-        (p, e), (q, g) = u, v
-        prod = [0] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q):
-                    prod[i + j] += a * b
-        return reduce(prod, e + g)
+    def reduce(q: List[int], e: int) -> Tuple[List[int], int]:
+        # Pseudo-division, scaling by c only where c does not divide.
+        for k in range(len(q) - 1, g - 1, -1):
+            if q[k] % c:
+                q, e = [c * a for a in q], e + 1
+            t = q[k] // c
+            for j, b in enumerate(d):
+                q[k - g + j] -= t * b
+        q = q[:g]
+        while e and all(a % c == 0 for a in q):
+            q, e = [a // c for a in q], e - 1
+        return q, e
 
-    def one_plus(u):
-        p, e = u
-        return reduce([p[0] + c ** e] + p[1:], e)
+    def align(x: List[int], ex: int, y: List[int], ey: int):
+        m = max(ex, ey)
+        return [a * c ** (m - ex) for a in x], [a * c ** (m - ey) for a in y], m
 
-    x = reduce([0, 1], 0)
-    s, power = ([1], 0), x  # S_k and x**k at k = 1
-    for bit in bin(n)[3:]:
-        s, power = mul(s, one_plus(power)), mul(power, power)
-        if bit == "1":
-            s, power = one_plus(mul(x, s)), mul(x, power)
-    r, e = s
-    while r and r[-1] == 0:
-        r.pop()
-    if not r:
+    a, b, e = [1] + [0] * (g - 1), [0] * g, 0  # U_k and U_(k-1) at k = 0
+    for bit in bin(r)[2:]:
+        a, b, e = align(
+            *reduce(_times([s - t for s, t in zip(a, b)],
+                           [s + t for s, t in zip(a, b)]), 2 * e),
+            *reduce(_times(b, [2 * a[0]] + [2 * s - t for s, t in
+                                             zip(a[1:], b)] + [-b[-1]]), 2 * e))
+        if bit == "1":  # U_(2k+1) = u U_2k - U_(2k-1)
+            b, a, e = align(a, e, *reduce(
+                [-b[0]] + [s - t for s, t in zip(a, b[1:])] + [a[-1]], e))
+    rem, e = reduce([s + t for s, t in zip(a, b)] if n % 2 else b, e)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    if not rem:
         return 0
-    order = abs(resultant(f, r))
-    shift = n - 1 - (len(r) - 1) - e * m
-    if shift >= 0:
-        return order * abs(c) ** shift
-    return order // abs(c) ** -shift
+    square = abs(resultant(d, rem))
+    shift = p - (len(rem) - 1) - e * g
+    power = abs(c) ** abs(shift)
+    two = (power & -power).bit_length() - 1  # divide by the odd part only
+    square = square * power if shift >= 0 else (square >> two) // (power >> two)
+    return unit * square ** 2
 
 
 def in_row_span(matrix: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
@@ -261,7 +287,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFResult:
     gcd and lcm sorts, prime by prime, the exponents, which gives the
     divisibility chain.
     """
-    m = copy_matrix(matrix)
+    m = [list(row) for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     diagonal = []

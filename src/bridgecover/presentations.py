@@ -292,9 +292,9 @@ def h1_order(p: PeriodicPresentation,
              values: Optional[Mapping[str, int]] = None) -> Union[int, Infinite]:
     """Order of the abelianization, or INFINITE if it has positive rank.
 
-    With symbol f and S = 1 + x + ... + x**(n-1) this is |Res(S, f)|
-    (``intlinalg.cyclic_resultant``) with the product relator, since the
-    rows span (S, f) in Z[x]/(x**n - 1) = Z^n, and the circulant's
+    With the (palindromic) symbol f and S = 1 + x + ... + x**(n-1) this is
+    |Res(S, f)| (``intlinalg.cyclic_resultant``) with the product relator,
+    since the rows span (S, f) in Z[x]/(x**n - 1) = Z^n, and the circulant's
     |det| = |f(1)| |Res(S, f)| without it; no word or matrix is built.
     """
     f = _symbol(p, values if values is not None else {})

@@ -10,9 +10,8 @@ genus-m Seifert surface obtained by plumbing m twisted annuli; from its
 Seifert matrix we get the Alexander polynomial (a continuant, since
 V - t*V^T is tridiagonal) and the exact order of the first homology of every
 finite cyclic branched cover, |Res(1 + t + ... + t**(n-1), Alexander)| (Fox
-1956), by ``intlinalg.cyclic_resultant``: one Sylvester determinant whatever
-n is, of order at most 2n - 3 for n <= 2*genus + 1 and at most 4*genus - 1
-otherwise.
+1956), by ``intlinalg.cyclic_resultant``: one Sylvester determinant of order
+at most 3*genus, of the trace polynomial D (Alexander = t**genus D(t + 1/t)).
 """
 from __future__ import annotations
 
@@ -216,7 +215,8 @@ def link_determinant(e: ExpansionLike) -> int:
 def h1_cyclic_cover_order(e: ExpansionLike, n: int) -> Union[int, Infinite]:
     """Exact order of H_1 of the n-fold cyclic branched cover:
     |Res(1 + t + ... + t**(n-1), Alexander(t))| (Fox 1956), from
-    ``intlinalg.cyclic_resultant``; a zero resultant means infinite homology.
+    ``intlinalg.cyclic_resultant`` (a square for odd n, |Alexander(-1)|
+    times a square for even n); zero means infinite homology.
     """
     if n < 1:
         raise ValueError(f"cover degree must be >= 1, got {n}")

@@ -68,17 +68,15 @@ NP = SignLattice.NON_POS
 SN = SignLattice.STRICT_NEG
 UK = SignLattice.UNKNOWN
 
-_INVERTED = {SP: SN, SN: SP, NN: NP, NP: NN}
-_WEAKENED = {SP: NN, SN: NP}
-
 
 def sign_invert(v: SignLattice) -> SignLattice:
-    return _INVERTED.get(v, v)
+    return SN if v is SP else SP if v is SN else NP if v is NN else \
+        NN if v is NP else v
 
 
 def sign_weaken(v: SignLattice) -> SignLattice:
     """Allow the identity as well: strict values lose their strictness."""
-    return _WEAKENED.get(v, v)
+    return NN if v is SP else NP if v is SN else v
 
 
 def sign_product(a: SignLattice, b: SignLattice) -> SignLattice:

@@ -4,10 +4,13 @@
 matrix, by Bareiss and a Hermite elimination modulo a maximal minor;
 ``word_matrix`` is the abelianization read off the relator words.  Neither
 uses the circulant symbol or the cyclic resultant they check.
+``fold_cyclic_resultant`` is the cyclic resultant without the trace
+substitution, on the full degree of f, as the reference for
+``intlinalg.cyclic_resultant``.
 """
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-from bridgecover.intlinalg import INFINITE, Infinite
+from bridgecover.intlinalg import INFINITE, Infinite, resultant
 from bridgecover.multipoly import MultiPoly
 from bridgecover.words import exponent_sums
 
@@ -113,3 +116,79 @@ def word_matrix(p, values: Optional[Mapping[str, int]] = None) -> List[list]:
         rows.append(row if values is None
                     else [entry.evaluate(values) for entry in row])
     return rows
+
+
+def fold_cyclic_resultant(f: Sequence[int], n: int) -> int:
+    """|Res(S, f)| with S = 1 + x + ... + x**(n-1), for any integer f, as one
+    ``resultant`` on polynomials of f's full degree m.
+
+    Since S is monic, Res(S, f) is the product of f over the roots of S,
+    the n-th roots of unity other than 1, so f may be replaced by anything
+    that agrees with it there.  For 2 <= n <= m + 1, f is folded modulo
+    x**n - 1 and x**(n-1) rewritten as -(1 + ... + x**(n-2)), which leaves
+    Res(S, h) with deg h <= n - 2.  For larger n, S is reduced modulo f by
+    doubling, S_2k = S_k (1 + x**k) and S_(k+1) = 1 + x S_k, with elements
+    of Q[x]/(f) kept as (R, e), an integer polynomial R over c**e with
+    c = lc(f).  If S = R / c**e mod f with deg R = d, then |Res(S, f)| =
+    |c|**(n-1-d-e*m) |Res(R, f)|.
+    """
+    f = list(f) or [0]
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    m, c = len(f) - 1, f[-1]
+    if m == 0:
+        return abs(c) ** (n - 1)
+    if 2 <= n <= m + 1:
+        h = [0] * n
+        for i, a in enumerate(f):
+            h[i % n] += a
+        top = h.pop()
+        h = [a - top for a in h]
+        while len(h) > 1 and h[-1] == 0:
+            h.pop()
+        return abs(resultant([1] * n, h)) if h[-1] else 0
+
+    def reduce(p: List[int], e: int) -> Tuple[List[int], int]:
+        for d in range(len(p) - 1, m - 1, -1):
+            if p[d] % c:
+                p = [c * a for a in p]
+                e += 1
+            q = p[d] // c
+            if q:
+                for j, b in enumerate(f):
+                    p[d - m + j] -= q * b
+        p = p[:m]
+        while e and all(a % c == 0 for a in p):
+            p = [a // c for a in p]
+            e -= 1
+        return p, e
+
+    def mul(u, v):
+        (p, e), (q, g) = u, v
+        prod = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if a:
+                for j, b in enumerate(q):
+                    prod[i + j] += a * b
+        return reduce(prod, e + g)
+
+    def one_plus(u):
+        p, e = u
+        return reduce([p[0] + c ** e] + p[1:], e)
+
+    x = reduce([0, 1], 0)
+    s, power = ([1], 0), x  # S_k and x**k at k = 1
+    for bit in bin(n)[3:]:
+        s, power = mul(s, one_plus(power)), mul(power, power)
+        if bit == "1":
+            s, power = one_plus(mul(x, s)), mul(x, power)
+    r, e = s
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return 0
+    order = abs(resultant(f, r))
+    shift = n - 1 - (len(r) - 1) - e * m
+    if shift >= 0:
+        return order * abs(c) ** shift
+    return order // abs(c) ** -shift

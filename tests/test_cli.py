@@ -387,45 +387,76 @@ def test_identities_just_under_and_just_over_the_grid_limits(capsys,
 
 
 def test_h1_just_under_and_just_over_the_size_limit(capsys, monkeypatch):
-    """genus * (genus + 1) * (n - 1) * term bits is checked before any
-    method runs: one cover degree past the limit exits 2 with one line, and
-    the largest degree under it finishes in under 5 s from a cold start."""
+    """genus * (genus + 1) * (n - 1 + 2 * genus) * term bits is checked
+    before any method runs: one cover degree past the limit exits 2 with one
+    line, and the largest degree under it finishes in under 5 s from a cold
+    start."""
     limit = cli.H1_MAX_SIZE
-    genus2 = ["2", "-4", "6", "-8"]  # term bits 2 + 3 + 3 + 4 = 12
+    genus4 = ["2", "-4", "6", "-8"] * 2  # term bits 24
     genus12 = ["2", "-4", "6", "-2", "4", "-6"] * 4  # term bits 64
+    shapes = ((genus4, 4 * 5 * 24, "oracle"), (genus12, 12 * 13 * 64, "oracle"))
     called = []
     for name in ("h1_cyclic_cover_order", "h1_order", "table_formula"):
         monkeypatch.setattr(cli, name, lambda *a: called.append(a))
-    for terms, weight in ((genus2, 2 * 3 * 12), (genus12, 12 * 13 * 64)):
-        n = limit // weight + 2
+    for terms, weight, _ in shapes:
+        genus = len(terms) // 2
+        n = limit // weight - 2 * genus + 2
         for method in ("snf", "oracle", "all"):
             code, out, err = run(["h1", "--cover", str(n), "--method", method,
                                   "--", *terms], capsys)
             assert (code, out, called) == (2, "", [])
             assert err.count("\n") == 1
-            assert f"term bits at most {limit}, got {(n - 1) * weight}" in err
+            assert f"term bits at most {limit}, " \
+                f"got {(n - 1 + 2 * genus) * weight}" in err
     monkeypatch.undo()
-    for terms, weight, method in ((genus2, 2 * 3 * 12, "all"),
-                                  (genus12, 12 * 13 * 64, "oracle")):
-        n = limit // weight + 1
-        start = time.perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "bridgecover.cli", "h1", "--cover", str(n),
-             "--method", method, "--", *terms], capture_output=True, text=True)
-        assert time.perf_counter() - start < 5
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.endswith(" AGREE\n" if method == "all" else "\n")
+    for terms, weight, method in shapes:
+        _h1_cold(limit // weight - len(terms) + 1, method, terms)
+
+
+def _h1_cold(n, method, terms):
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "bridgecover.cli", "h1", "--cover", str(n),
+         "--method", method, "--", *terms], capture_output=True, text=True)
+    assert time.perf_counter() - start < 5
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith(" AGREE\n" if method == "all" else "\n")
+
+
+def test_h1_just_under_and_just_over_the_printed_length(capsys, monkeypatch):
+    """(n - 1) * bits(|Alexander|_1) bounds the bits of the order and is
+    checked before any method runs.  Under it, genus 2 runs past n = 10**5
+    and genus 1 with 31-digit terms, the longest orders per cover degree,
+    prints both orders of ``--method all`` in under 5 s from a cold start;
+    one cover degree more exits 2 with one line."""
+    limit = cli.H1_MAX_BITS
+    genus1 = [str(2 * 10 ** 30), str(-4 * 10 ** 30)]  # |Delta|_1 of 203 bits
+    genus2 = ["2", "-4", "6", "-8"]  # |Delta|_1 = 313, 9 bits
+    called = []
+    for name in ("h1_cyclic_cover_order", "h1_order", "table_formula"):
+        monkeypatch.setattr(cli, name, lambda *a: called.append(a))
+    for terms, bits in ((genus1, 203), (genus2, 9)):
+        n = limit // bits + 2
+        code, out, err = run(["h1", "--cover", str(n), "--method", "all",
+                              "--", *terms], capsys)
+        assert (code, out, called, err.count("\n")) == (2, "", [], 1)
+        assert f"at most {limit} bits, got (cover - 1) * bits(|Alexander|_1)" \
+            f" = {(n - 1) * bits}" in err
+    monkeypatch.undo()
+    assert limit // 9 + 1 > 10 ** 5
+    for terms, bits in ((genus1, 203), (genus2, 9)):
+        _h1_cold(limit // bits + 1, "all", terms)
 
 
 def test_h1_refuses_a_long_expansion_before_it_is_built(capsys):
-    """Every even term has |a| >= 2, so term bits >= 4 * genus.  T(2, 125)
-    at the double cover (genus 62) is under the limit and T(2, 127) (genus
-    63) over it, refused before its last term is built; T(2, N) for an
-    eleven-digit N is refused after about a hundred of its N - 1 terms."""
+    """Every even term has |a| >= 2, so term bits >= 4 * genus.  T(2, 67)
+    at the double cover (genus 33) is under the limit and T(2, 69) (genus
+    34) over it, refused before its last term is built; T(2, N) for an
+    eleven-digit N is refused after about seventy of its N - 1 terms."""
     limit = cli.H1_MAX_SIZE
-    assert 4 * 62 ** 2 * 63 <= limit < 4 * 63 ** 2 * 64
-    assert run(["h1", "--cover", "2", "--", "125"], capsys) == (0, "125\n", "")
-    for n, knot in ((2, "127"), (2, "99999999999"), (3, "-99999999999")):
+    assert 4 * 33 ** 2 * 34 * 67 <= limit < 4 * 34 ** 2 * 35 * 69
+    assert run(["h1", "--cover", "2", "--", "67"], capsys) == (0, "67\n", "")
+    for n, knot in ((2, "69"), (2, "99999999999"), (3, "-99999999999")):
         start = time.perf_counter()
         code, out, err = run(["h1", "--cover", str(n), "--", knot], capsys)
         assert time.perf_counter() - start < 0.5

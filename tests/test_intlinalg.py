@@ -18,7 +18,7 @@ from bridgecover.intlinalg import (
     smith_normal_form,
     sylvester_matrix,
 )
-from dense_lattice import cokernel_order
+from dense_lattice import cokernel_order, fold_cyclic_resultant
 
 
 def mat_mul(a, b):
@@ -129,19 +129,63 @@ def test_resultant_matches_sympy(f, g):
 
 def test_resultant_argument_order_costs_only_the_sign(monkeypatch):
     """resultant(R, D) = (-1)**(deg R deg D) resultant(D, R) on the pair the
-    oracle hands over: the Alexander polynomial of [2, -4, 6, -8] and
-    1 + x + ... + x**1999 reduced modulo it (coefficients of about 6000
+    oracle hands over: the trace polynomial D of the Alexander polynomial of
+    [2, -4, 6, -8] and U_999 reduced modulo it (coefficients of about 3000
     bits)."""
     pairs = []
     real = intlinalg.resultant
     monkeypatch.setattr(intlinalg, "resultant",
                         lambda f, g: pairs.append((f, g)) or real(f, g))
     intlinalg.cyclic_resultant([24, -78, 109, -78, 24], 2000)
-    (delta, r), = pairs
-    assert max(abs(a) for a in r).bit_length() > 5000
-    sign = (-1) ** ((len(r) - 1) * (len(delta) - 1))
-    assert real(r, delta) == sign * real(delta, r) != 0
+    (d, r), = pairs
+    assert d == [61, -78, 24]  # 24 - 78 x + 109 x**2 ... = x**2 D(x + 1/x)
+    assert max(abs(a) for a in r).bit_length() > 2500
+    sign = (-1) ** ((len(r) - 1) * (len(d) - 1))
+    assert real(r, d) == sign * real(d, r) != 0
     assert real([1, 2], [3, 4]) == -real([3, 4], [1, 2]) == 2
+
+
+def _cover_poly(kind, half, shift):
+    """One of the kinds of f the cyclic resultant meets, times x**shift."""
+    f = {"palindromic even": half + half[-2::-1],
+         "palindromic odd": half + half[::-1],
+         "antipalindromic": half + [-a for a in reversed(half)],
+         "antipalindromic even": half + [0] + [-a for a in reversed(half)],
+         "not symmetric": half}[kind]
+    return [0] * shift + f
+
+
+_KINDS = st.sampled_from(["palindromic even", "palindromic odd",
+                          "antipalindromic", "antipalindromic even",
+                          "not symmetric"])
+
+
+@given(_KINDS, st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.integers(0, 2))
+@example("palindromic even", [24, -78, 109], 0)  # [2, -4, 6, -8]
+@example("antipalindromic", [-1], 0)             # the Hopf link, x - 1
+@example("palindromic even", [0, 0], 1)          # f = 0
+@example("not symmetric", [5], 3)                # a constant times x**3
+@settings(max_examples=20, deadline=None)
+def test_cyclic_resultant_matches_the_fold_and_doubling(kind, half, shift):
+    """The trace path against the full-degree fold and doubling it
+    replaced, for every n = 1..200: palindromic f of even degree (the
+    library's callers), palindromic of odd degree, antipalindromic (a
+    link's, f(1) = 0) and non-symmetric f, each shifted by a power of x."""
+    f = _cover_poly(kind, half, shift)
+    for n in range(1, 201):
+        assert intlinalg.cyclic_resultant(f, n) == \
+            fold_cyclic_resultant(f, n), (f, n)
+
+
+@given(_KINDS, st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+       st.integers(0, 1), st.integers(10 ** 3, 10 ** 4))
+@example("palindromic even", [24, -78, 109], 0, 10 ** 4)
+@settings(max_examples=12, deadline=None)
+def test_cyclic_resultant_matches_the_fold_and_doubling_at_large_n(
+        kind, half, shift, n):
+    f = _cover_poly(kind, half, shift)
+    assert intlinalg.cyclic_resultant(f, n) == fold_cyclic_resultant(f, n)
 
 
 @pytest.mark.parametrize("f, g", [([0], [1, 1]), ([1, 0], [1, 1]),

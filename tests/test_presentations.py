@@ -15,7 +15,9 @@ from bridgecover.presentations import (
     genus_one_presentation, h1_order, mv_presentation,
     verify_product_identity, verify_rewrites,
 )
-from bridgecover.twobridge import INFINITE, EvenExpansion, h1_cyclic_cover_order
+from bridgecover.twobridge import (
+    INFINITE, EvenExpansion, alexander, h1_cyclic_cover_order,
+)
 from bridgecover.words import (
     AffineExp, CyclicMatch, ParamEnv, ParamWord, Syllable, WordError,
     equal_up_to_cyclic, exponent_sums, instantiate, parse_word, substitute,
@@ -465,6 +467,56 @@ def test_triple_cover_norm_is_the_table_row():
     a, b = d[0] + d[3] - d[2], d[1] + d[4] - d[2]
     row = goeritz.table_row("L", "*,*,*").poly
     assert a * a - a * b + b * b in (row, -row)
+    # The trace path: d is palindromic, d = x**2 T(x + 1/x) with
+    # T = d[2] + d[3] V_1 + d[4] V_2 (V_1 = u, V_2 = u**2 - 2), and the
+    # 3-fold order is T(-1)**2, the root of 1 + u being u = -1.  T(-1) is
+    # F_L = 1 - 3lq - 3qs - 3lt + 9lqst, the row's square root.
+    q, s, t, l = (MultiPoly.var(v) for v in "qstl")
+    assert d == d[::-1]
+    trace = d[2] - d[3] - d[4]
+    assert trace == 1 - 3 * l * q - 3 * q * s - 3 * l * t + 9 * l * q * s * t
+    assert trace * trace in (row, -row)
+
+
+def _laplace_det(rows):
+    """Determinant by expansion along the first row, over any ring."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a != 0)
+
+
+def _five_fold_norm(delta):
+    """(e**2 - c e - c**2)**2 for delta = c + e x + c x**2: the trace
+    polynomial is c u + e, the root of U_2 + U_1 = u**2 + u - 1 are
+    u = -1/phi and phi, and Res(u**2 + u - 1, c u + e) = e**2 - c e - c**2,
+    the norm of e + c phi from Z[phi]."""
+    c, e, c_again = delta
+    assert c == c_again
+    return (e * e - c * e - c * c) ** 2
+
+
+def test_five_fold_covers_of_the_genus_one_family():
+    """|H_1| of the 5-fold cover of K[2k, -2l] is (e**2 - c e - c**2)**2
+    for Alexander polynomial c + e t + c t**2: against the oracle for
+    0 < |k|, |l| <= 30, and as polynomials in k and l for the genus-one
+    symbol, whose order is the 6 x 6 Sylvester determinant of
+    1 + x + ... + x**4 and the symbol."""
+    for k, l in itertools.product(
+            [v for v in range(-30, 31) if v], repeat=2):
+        terms = [2 * k, -2 * l]
+        assert h1_cyclic_cover_order(terms, 5) == \
+            _five_fold_norm(alexander(terms)), terms
+    k, l = MultiPoly.var("k"), MultiPoly.var("l")
+    lowest, f = _laurent_symbol(presentations._GENUS_ONE)
+    f = [poly.substitute({"k": k, "l": l}) for poly in f]
+    sylvester = [[1] * 5 + [0], [0] + [1] * 5] + \
+        [[0] * i + f[::-1] + [0] * (3 - i) for i in range(4)]
+    order = _laplace_det(sylvester)
+    assert order in (_five_fold_norm(f), -_five_fold_norm(f))
+    for k, l in ((1, 1), (2, -3), (-4, 5)):
+        assert h1_order(genus_one_presentation(k, l, 5)) == _five_fold_norm(
+            alexander([2 * k, -2 * l]))
 
 
 # ---------------------------------------------------------------------------
