@@ -36,6 +36,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .goeritz import (
+    TABLE_PARAMS,
     IdentityReport,
     UnsupportedRegimeError,
     build_A_star,
@@ -418,36 +419,30 @@ def _cmd_h1(args) -> int:
 # ---------------------------------------------------------------------------
 
 _LEMMA_SUITES = {"lemma5.3": "A", "lemma5.11": "L"}
-_ADDITIVITY_SUITES = {"lemma5.4": ("A", ("q", "s", "t")),
-                      "lemma5.12": ("L", _PARAM_NAMES)}
+_ADDITIVITY_SUITES = {"lemma5.4": "A", "lemma5.12": "L"}
 
 
 def _identity_suite(args) -> IdentityReport:
     """A lemma suite; ``--grid`` adds numeric spot checks to additivity."""
     if args.suite in _LEMMA_SUITES:
         return lemma_suite(_LEMMA_SUITES[args.suite])
-    family, names = _ADDITIVITY_SUITES[args.suite]
-    points = (None if args.grid is None
-              else list(_grid_points(args.grid_ranges, names)))
+    family = _ADDITIVITY_SUITES[args.suite]
+    points = (None if args.grid is None else
+              list(_grid_points(args.grid_ranges, TABLE_PARAMS[family])))
     return verify_additivity(family, grid=points)
 
 
-# (family, grid parameters, star matrix determinant) per row tables compares
+# (family, star matrix determinant at a grid point) per row tables compares
 _TABLE_SPECS = (
-    ("A", ("q", "s", "t"),
-     lambda p: det_exact(build_A_star(p["q"], p["s"], p["t"]))),
-    ("A(t=1)", ("q", "s"),
-     lambda p: det_exact(build_A_star(p["q"], p["s"], 1))),
-    ("B", ("q", "s", "t"),
-     lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], 1))),
-    ("L", ("q", "s", "t", "l"),
-     lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], p["l"]))),
+    ("A", lambda p: det_exact(build_A_star(p["q"], p["s"], p["t"]))),
+    ("A(t=1)", lambda p: det_exact(build_A_star(p["q"], p["s"], 1))),
+    ("B", lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], 1))),
+    ("L", lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], p["l"]))),
 )
 
 
-def _point_count(grid: Mapping[str, Tuple[int, int]],
-                 names: Sequence[str]) -> int:
-    return math.prod(grid[n][1] - grid[n][0] + 1 for n in names)
+def _point_count(grid: Mapping[str, Tuple[int, int]], family: str) -> int:
+    return math.prod(grid[n][1] - grid[n][0] + 1 for n in TABLE_PARAMS[family])
 
 
 def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
@@ -455,8 +450,8 @@ def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
     (``GoeritzMatrix.det``, two scalar continuants, O(1) per point) against
     the closed formula."""
     records = []
-    for family, names, matrix_det in _TABLE_SPECS:
-        points = agree = 0
+    for family, matrix_det in _TABLE_SPECS:
+        names, points, agree = TABLE_PARAMS[family], 0, 0
         for point in _grid_points(grid, names):
             points += 1
             if abs(matrix_det(point)) == abs(table_formula(family, "*,*,*",
@@ -523,10 +518,10 @@ def _cmd_identities(args) -> int:
     # the grid
     grid, points, limit = args.grid_ranges, 0, 0
     if args.suite == "tables":
-        points = sum(_point_count(grid, names) for _, names, _ in _TABLE_SPECS)
+        points = sum(_point_count(grid, family) for family, _ in _TABLE_SPECS)
         limit = TABLES_MAX_POINTS
     elif args.suite in _ADDITIVITY_SUITES and args.grid is not None:
-        points = _point_count(grid, _ADDITIVITY_SUITES[args.suite][1])
+        points = _point_count(grid, _ADDITIVITY_SUITES[args.suite])
         limit = SPOT_CHECK_MAX_POINTS
     if points > limit:
         print(f"bridgecover: error: identities --suite {args.suite} takes at "

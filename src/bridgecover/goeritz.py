@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 # det_bareiss is unused here; perfbench's tracing test asserts goeritz.det_bareiss.
 from .intlinalg import det_bareiss  # noqa: F401
@@ -197,6 +198,24 @@ _HL = (1 + _Q - 3 * _L * _Q - 3 * _Q * _S + _T - 3 * _L * _T
        - 3 * _Q * _S * _T + 9 * _L * _Q * _S * _T)
 
 
+# The parameters of each table's rows, in the order their evaluators take them.
+TABLE_PARAMS = {"A(t=1)": ("q", "s"), "A": ("q", "s", "t"), "B": ("q", "s", "t"),
+                "L": ("q", "s", "t", "l")}
+
+
+def _horner(terms, names: Sequence[str]) -> str:
+    """Python text, in Horner form in each of ``names`` in turn, of the sum
+    of ``terms``: (exponents in ``names`` order, coefficient) pairs."""
+    if not names:
+        return str(sum(coeff for _, coeff in terms))
+    text = ""
+    for exp in range(max((exps[0] for exps, _ in terms), default=0), -1, -1):
+        part = [(exps[1:], coeff) for exps, coeff in terms if exps[0] == exp]
+        text = " + ".join(filter(None, (text and f"({text}) * {names[0]}",
+                                        part and _horner(part, names[1:]))))
+    return text or "0"
+
+
 @dataclass(frozen=True)
 class TableRow:
     family: str
@@ -205,6 +224,15 @@ class TableRow:
     source: str
     validity: str
     identified_via: Optional[str] = None
+
+    @cached_property
+    def evaluate(self) -> Callable[..., int]:
+        """``poly`` compiled on first use, in Horner form: an exact function
+        of the family's parameters, positionally in ``TABLE_PARAMS`` order."""
+        names = TABLE_PARAMS[self.family]
+        terms = [(tuple(dict(mono).get(name, 0) for name in names), coeff)
+                 for mono, coeff in self.poly.terms.items()]
+        return eval(f"lambda {', '.join(names)}: {_horner(terms, names)}", {})
 
 
 @dataclass(frozen=True)
@@ -338,8 +366,10 @@ def table_row(family: str, resolution: str) -> TableRow:
 
 def table_formula(family: str, resolution: str,
                   params: Mapping[str, int]) -> int:
-    """Exact evaluation of the tabulated determinant formula."""
-    return table_row(family, resolution).poly.evaluate(params)
+    """The tabulated determinant at ``params``, exactly; a missing family
+    parameter is a ``KeyError`` naming it, and other keys are ignored."""
+    row = table_row(family, resolution)
+    return row.evaluate(*[params[name] for name in TABLE_PARAMS[row.family]])
 
 
 # ---------------------------------------------------------------------------

@@ -112,21 +112,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((), 0)
-
-    def variables(self) -> Tuple[str, ...]:
-        seen = set()
-        for mono in self.terms:
-            for var, _ in mono:
-                seen.add(var)
-        return tuple(sorted(seen))
-
     def evaluate(self, values: Mapping[str, int]) -> int:
         total = 0
         try:

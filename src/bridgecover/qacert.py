@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Set,
                     Tuple, Union)
 
@@ -43,7 +43,7 @@ from .goeritz import (
     ResolutionRule,
     UnsupportedRegimeError,
     parse_resolution,
-    table_formula,
+    table_row,
 )
 
 QUASI_ALTERNATING = "QUASI_ALTERNATING"
@@ -79,8 +79,7 @@ _FAMILY_PARAMS = {"A": ("q", "s", "t"), "B": ("q", "s", "t"),
                   "L": ("q", "s", "t", "l"), "NAMED": ()}
 
 
-@dataclass(frozen=True)
-class LinkId:
+class LinkId(NamedTuple):
     """A member of one of the certified families, or a named link."""
 
     family: str
@@ -123,7 +122,7 @@ class LinkId:
         if self.family not in _FAMILY_PARAMS:
             raise CertError(f"unknown link family {self.family!r}")
         expected = _FAMILY_PARAMS[self.family]
-        names = tuple(key for key, _ in self.params)
+        names = tuple([key for key, _ in self.params])
         if names != expected:
             raise CertError(
                 f"{self.family} link needs parameters {expected}, got {names}")
@@ -147,13 +146,6 @@ class LinkId:
                 raise CertError(f"resolution {self.resolution!r} is not in "
                                 f"canonical form {canonical!r}")
 
-    def __hash__(self):
-        # every walk keys its dicts by link: hash the fields once per object
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash(
-                (self.family, self.params, self.resolution, self.name)))
-        return self.__dict__["_hash"]
-
     def __str__(self):
         if self.family == "NAMED":
             return self.name
@@ -167,13 +159,15 @@ _NAMED_DETS = {"UNKNOT": 1, "T(3,4)": 3, "T(3,5)": 1, "P(2,-3,-2)": 4,
 
 def expected_det(link: LinkId) -> int:
     """The determinant a certificate node must carry for this link: the
-    absolute value of the tabulated formula (fixed values for named links)."""
+    absolute value of its table row at its parameters, which are in family
+    order as ``LinkId.validate`` requires (fixed values for named links)."""
     if link.family == "NAMED":
         try:
             return _NAMED_DETS[link.name]
         except KeyError:
             raise CertError(f"unknown named link {link.name!r}") from None
-    return abs(table_formula(link.family, link.resolution, link.param_map()))
+    return abs(table_row(link.family, link.resolution).evaluate(
+        *[value for _, value in link.params]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +279,7 @@ def _res_map(rule: ResolutionRule) -> IdentRule:
             if p[var] < 2:
                 return None
             p[var] = p[var] - 1 if shift else 1
-        params = tuple((k, p[k]) for k in _FAMILY_PARAMS[target_family])
+        params = tuple([(k, p[k]) for k in _FAMILY_PARAMS[target_family]])
         return LinkId(target_family, params, rule.target)
 
     return IdentRule(rule.citation, apply, (family, source))
@@ -321,8 +315,8 @@ def _mirror(family: str):
     def apply(link: LinkId) -> Optional[LinkId]:
         if link.family != family or link.resolution != STAR3:
             return None
-        params = tuple((k, -v) for k, v in link.params)
-        return replace(link, params=params)
+        params = tuple([(k, -v) for k, v in link.params])
+        return link._replace(params=params)
     return apply
 
 
@@ -579,15 +573,10 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                            check_circular=False).encode  # fresh dict trees
 
-_NODE_KEYS = {kind: {"det", "kind", "link", text, *kids} - {""}
+# The key sets the parser requires: per node kind and per family's params.
+_NODE_KEYS = {kind: frozenset({"det", "kind", "link", text, *kids} - {""})
               for kind, (text, kids) in _NODE_FIELDS.items()}
-
-
-def _link_to_json(link: LinkId) -> Dict[str, object]:
-    if link.family == "NAMED":
-        return {"family": "NAMED", "name": link.name}
-    return {"family": link.family, "params": dict(link.params),
-            "resolution": link.resolution}
+_PARAM_KEYS = {f: frozenset(names) for f, names in _FAMILY_PARAMS.items()}
 
 
 def serialize(cert: Certificate) -> str:
@@ -599,8 +588,11 @@ def serialize(cert: Certificate) -> str:
     for i, node in enumerate(cert.nodes):
         slots = _slots(node, i, first)
         first[node.link] = i
-        out = {"det": str(node.det), "kind": node.kind,
-               "link": _link_to_json(node.link)}
+        link = node.link
+        out = {"det": str(node.det), "kind": node.kind, "link": (
+            {"family": "NAMED", "name": link.name} if link.family == "NAMED"
+            else {"family": link.family, "params": dict(link.params),
+                  "resolution": link.resolution})}
         text = _NODE_FIELDS[node.kind][0]
         if text:
             out[text] = getattr(node, text)
@@ -627,55 +619,54 @@ def _fields(obj, keys, where: str, texts=()) -> dict:
     return obj
 
 
-def _parse_link(obj, where: str) -> LinkId:
+def _parse_link(obj) -> LinkId:
+    """A node's link; an error's location is relative to the node."""
     family = obj.get("family") if obj.__class__ is dict else None
     if family == "NAMED":
         return LinkId.named(
-            _fields(obj, {"family", "name"}, where, ("name",))["name"])
-    _fields(obj, {"family", "params", "resolution"}, where, ("resolution",))
+            _fields(obj, {"family", "name"}, ".link", ("name",))["name"])
+    _fields(obj, {"family", "params", "resolution"}, ".link", ("resolution",))
     names = _FAMILY_PARAMS.get(family) if family.__class__ is str else None
     if names is None:
-        raise CertParseError(f"{where}.family: unknown family {family!r}")
-    params = _fields(obj["params"], set(names), where + ".params")
-    for name in names:
-        if params[name].__class__ is not int:
-            raise CertParseError(f"{where}.params.{name}: expected an integer")
+        raise CertParseError(f".link.family: unknown family {family!r}")
+    params = _fields(obj["params"], _PARAM_KEYS[family], ".link.params")
+    pairs = tuple([(name, params[name]) for name in names])
+    for name, value in pairs:
+        if value.__class__ is not int:
+            raise CertParseError(f".link.params.{name}: expected an integer")
     resolution = obj["resolution"]
     try:
         canonical = parse_resolution(resolution)
     except ValueError as exc:
-        raise CertParseError(f"{where}.resolution: {exc}") from None
+        raise CertParseError(f".link.resolution: {exc}") from None
     if canonical != resolution:
-        raise CertParseError(f"{where}.resolution: {resolution!r} is not in "
+        raise CertParseError(f".link.resolution: {resolution!r} is not in "
                              f"canonical form {canonical!r}")
-    return LinkId(family, tuple((name, params[name]) for name in names),
-                  resolution)
+    return LinkId(family, pairs, resolution)
 
 
 def _parse_node(obj, i: int) -> CertNode:
-    """Node i, whose children are earlier indices."""
-    where = f"nodes[{i}]"
+    """Node i, whose children are earlier indices; an error's location is
+    relative to the node, so no location text is built unless one occurs."""
     kind = obj.get("kind") if obj.__class__ is dict else None
     if kind.__class__ is not str or kind not in _NODE_FIELDS:
-        raise CertParseError(f"{where}.kind: unknown node kind {kind!r}")
+        raise CertParseError(f".kind: unknown node kind {kind!r}")
     text, slots = _NODE_FIELDS[kind]
-    _fields(obj, _NODE_KEYS[kind], where, ("det", text) if text else ("det",))
-    link = _parse_link(obj["link"], where + ".link")
+    _fields(obj, _NODE_KEYS[kind], "", ("det", text) if text else ("det",))
+    link = _parse_link(obj["link"])
     try:
         det = int(obj["det"], 10)
     except ValueError:
         det = None
     if det is None or str(det) != obj["det"]:
-        raise CertParseError(f"{where}.det: not a decimal integer: "
-                             f"{obj['det']!r}")
-    for slot in slots:
-        child = obj[slot]
+        raise CertParseError(f".det: not a decimal integer: {obj['det']!r}")
+    children = tuple([obj[slot] for slot in slots])
+    for slot, child in zip(slots, children):
         if child.__class__ is not int or not 0 <= child < i:
-            raise CertParseError(f"{where}.{slot}: expected the index of an "
-                                 f"earlier node, got {child!r}")
+            raise CertParseError(f".{slot}: expected the index of an earlier "
+                                 f"node, got {child!r}")
     return CertNode(link, det, kind, obj.get("axiom", ""),
-                    obj.get("citation", ""),
-                    tuple(obj[slot] for slot in slots))
+                    obj.get("citation", ""), children)
 
 
 def deserialize(data: Union[str, bytes]) -> Certificate:
@@ -701,7 +692,13 @@ def deserialize(data: Union[str, bytes]) -> Certificate:
     axioms = tuple(AxiomDecl(*(_fields(entry, set(keys), f"axioms[{i}]",
                                        keys)[key] for key in keys))
                    for i, entry in enumerate(axioms))
-    nodes = tuple(_parse_node(obj, i) for i, obj in enumerate(nodes))
+    parsed: List[CertNode] = []
+    try:
+        for i, obj in enumerate(nodes):
+            parsed.append(_parse_node(obj, i))
+    except CertParseError as exc:
+        raise CertParseError(f"nodes[{i}]{exc}") from None
+    nodes = tuple(parsed)
     _check_walk_order(nodes)
     return Certificate(payload["claim"], nodes, axioms)
 

@@ -167,15 +167,9 @@ def seifert_matrix(e: ExpansionLike) -> List[List[int]]:
     superdiagonal.  The sign convention is pinned down by the requirement
     |Alexander(-1)| = |p| for every expansion (checked wholesale in tests).
     """
-    exp = _coerce_expansion(e)
-    n = 2 * exp.genus
-    v = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(exp.pairs):
-        v[2 * i][2 * i] = a
-        v[2 * i + 1][2 * i + 1] = -b
-    for i in range(n - 1):
-        v[i][i + 1] = 1
-    return v
+    diagonal = [d for a, b in _coerce_expansion(e).pairs for d in (a, -b)]
+    return [[d if i == j else int(j == i + 1) for j in range(len(diagonal))]
+            for i, d in enumerate(diagonal)]
 
 
 def alexander(e: ExpansionLike) -> List[int]:
@@ -186,12 +180,11 @@ def alexander(e: ExpansionLike) -> List[int]:
 
     V - t*V^T is tridiagonal with d_k(1 - t) on the diagonal, 1 above it and
     -t below it, so its leading principal minors obey the continuant
-    recurrence D_k = d_k(1 - t) D_{k-1} + t D_{k-2}.
+    recurrence D_k = d_k(1 - t) D_{k-1} + t D_{k-2}, over the diagonal
+    (a1, -b1, a2, -b2, ...) of ``seifert_matrix``.
     """
-    v = seifert_matrix(e)
     prev, cur = [0], [1]  # D_{-1}, D_0
-    for k in range(len(v)):
-        d = v[k][k]
+    for d in [d for a, b in _coerce_expansion(e).pairs for d in (a, -b)]:
         nxt = [0] * (len(cur) + 1)
         for i, c in enumerate(cur):
             nxt[i] += d * c

@@ -1,6 +1,9 @@
 """Tests for Goeritz matrices, determinant tables, and identity suites."""
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Tuple
@@ -300,6 +303,62 @@ def test_table_formula_frozen_examples():
     assert table_formula("B", "0,*,*", {"q": 1, "s": 1, "t": 1}) == 2   # P(2,-3,-4)
     assert table_formula("A", "*,*,*", {"q": 1, "s": 1, "t": 1}) == 3   # T(3,4)
     assert table_formula("A", "0,*,*", {"q": 1, "s": 1, "t": 1}) == 4   # P(2,-3,-2)
+
+
+# Every row: A(t=1), A, L, the B rows (Table 5's at l = 1 among them) and
+# the rows a resolution rule identifies.
+_ALL_ROWS = [row for rows in goeritz._TABLES.values() for row in rows.values()]
+_NONZERO = st.integers(-10 ** 40, 10 ** 40).filter(bool)
+
+
+def test_all_rows_cover_every_kind_of_row():
+    assert {row.family for row in _ALL_ROWS} == set(goeritz.TABLE_PARAMS)
+    assert {row.source for row in _ALL_ROWS} == {
+        "Table 2", "Table 3", "Table 4", "Table 5", "Table 5 at l=1"}
+    assert any(row.identified_via for row in _ALL_ROWS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(_NONZERO, _NONZERO, _NONZERO, _NONZERO))
+@example((1, 1, 1, 1))
+@example((10 ** 40, -10 ** 40, 10 ** 40, -10 ** 40))
+def test_row_evaluators_match_multipoly_evaluate(values):
+    for row in _ALL_ROWS:
+        names = goeritz.TABLE_PARAMS[row.family]
+        point = values[:len(names)]
+        assert (row.evaluate(*point)
+                == row.poly.evaluate(dict(zip(names, point)))), (row, point)
+
+
+def test_row_evaluators_are_built_once_on_first_use():
+    row = replace(table_row("L", "*,*,*"))
+    assert "evaluate" not in vars(row)
+    assert row.evaluate is row.evaluate
+    # importing the package (the CLI loads every module) compiles no row
+    code = ("import bridgecover.cli, bridgecover.goeritz as g; print(sum("
+            "'evaluate' in vars(r) for t in g._TABLES.values() "
+            "for r in t.values()))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(
+                             pathlib.Path(goeritz.__file__).parents[1])}).stdout
+    assert out == "0\n"
+
+
+def test_table_formula_takes_the_family_parameters_by_name():
+    """Each parameter of the family is looked up by name: a missing one is a
+    ``KeyError`` naming it, even for a row that does not involve it; other
+    keys are ignored."""
+    point = {"q": 2, "s": -3, "t": 4, "l": 5}
+    for family, names in goeritz.TABLE_PARAMS.items():
+        for resolution, row in goeritz._TABLES[family].items():
+            assert (table_formula(family, resolution, {**point, "x": 9})
+                    == row.poly.evaluate(point)), (family, resolution)
+            for name in names:
+                partial = {k: v for k, v in point.items() if k != name}
+                with pytest.raises(KeyError) as info:
+                    table_formula(family, resolution, partial)
+                assert info.value.args == (name,), (family, resolution)
 
 
 def test_table_row_metadata():

@@ -6,7 +6,6 @@ import itertools
 import json
 import pathlib
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,7 +391,7 @@ def test_resolve_leftmost_matches_the_slot_list_version():
              qc.LinkId.L(1, 2, -3, 4)]
     for link in links:
         for slots in itertools.product(("*", "0", "inf"), repeat=3):
-            res = replace(link, resolution=",".join(slots))
+            res = link._replace(resolution=",".join(slots))
             for slot in ("0", "inf"):
                 assert (qc._resolve_leftmost(res, slot)
                         == _resolve_leftmost_by_slots(res, slot)), (res, slot)
@@ -429,10 +428,10 @@ def test_a_non_integer_parameter_at_a_repeated_link_is_a_parse_error(value):
     assert qc.deserialize(json.dumps(payload)) == qc.deserialize(text)
 
 
-def test_table_formula_runs_once_per_distinct_link(monkeypatch):
+def test_each_distinct_link_is_tabulated_once(monkeypatch):
     calls = []
-    real = qc.table_formula
-    monkeypatch.setattr(qc, "table_formula", lambda *args: (
+    real = qc.table_row
+    monkeypatch.setattr(qc, "table_row", lambda *args: (
         calls.append(args) or real(*args)))
     cert = qc.generate_A_cert(1, 1, 110)
     links = {node.link for node in cert.nodes if node.link.family != "NAMED"}
