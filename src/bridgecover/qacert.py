@@ -19,14 +19,21 @@ row, a ``CertNode`` that cites its children by index, so the proof is
 well-founded by construction, ``verify`` is one forward pass and no depth
 limit is needed.  ``Certificate.root`` builds a tree view for tree walkers.
 
+A ``LinkId``'s parameters are a tuple of ints in ``goeritz.TABLE_PARAMS``
+order; their names appear only in text (``str``, the file's ``params``
+objects).  The whitelists are plain tables: ``AXIOMS`` maps an axiom's name
+to the declaration a certificate must repeat, with the links it applies to
+in ``_MATCHES`` beside it, and ``IDENTIFICATIONS`` maps a citation to the
+identification it states.
+
 ``generate_A_cert`` / ``generate_L_cert`` follow the t- and l-inductions:
 ``_step`` picks each link's node kind, axiom or identification from the
-``AXIOMS`` / ``IDENTIFICATIONS`` whitelists that ``verify`` checks against,
-tabulating each determinant afresh.  The identifications that rewrite a
-resolution come from ``goeritz.RESOLUTION_RULES``, the one table of the
-Section 5 resolution lemmas; the named-link rules, symmetries and mirror
-images are written here.  Resolution text is canonical where it enters (the
-``LinkId`` factories and the parser); ``verify`` rejects any other.
+whitelists that ``verify`` checks against, tabulating each determinant
+afresh.  The identifications that rewrite a resolution come from
+``goeritz.RESOLUTION_RULES``, the one table of the Section 5 resolution
+lemmas; the named-link rules, symmetries and mirror images are written
+here.  Resolution text is canonical where it enters (the ``LinkId``
+factories and the parser); ``verify`` rejects any other.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Set,
 
 from .goeritz import (
     RESOLUTION_RULES,
+    TABLE_PARAMS,
     NotTabulatedError,
-    ResolutionRule,
     UnsupportedRegimeError,
     parse_resolution,
     table_row,
@@ -75,71 +82,59 @@ class CertParseError(CertError):
 # Link identifiers
 # ---------------------------------------------------------------------------
 
-_FAMILY_PARAMS = {"A": ("q", "s", "t"), "B": ("q", "s", "t"),
-                  "L": ("q", "s", "t", "l"), "NAMED": ()}
+_FAMILY_PARAMS = {**{f: TABLE_PARAMS[f] for f in ("A", "B", "L")}, "NAMED": ()}
 
 
 class LinkId(NamedTuple):
-    """A member of one of the certified families, or a named link."""
+    """A member of one of the certified families, its parameters as ints in
+    ``TABLE_PARAMS`` order, or a named link."""
 
     family: str
-    params: Tuple[Tuple[str, int], ...] = ()
+    params: Tuple[int, ...] = ()
     resolution: str = ""
     name: str = ""
 
     @staticmethod
     def A(q: int, s: int, t: int, resolution: str = STAR3) -> "LinkId":
-        return LinkId("A", (("q", q), ("s", s), ("t", t)),
-                      parse_resolution(resolution))
+        return LinkId("A", (q, s, t), parse_resolution(resolution))
 
     @staticmethod
     def B(q: int, s: int, t: int, resolution: str = STAR3) -> "LinkId":
-        return LinkId("B", (("q", q), ("s", s), ("t", t)),
-                      parse_resolution(resolution))
+        return LinkId("B", (q, s, t), parse_resolution(resolution))
 
     @staticmethod
     def L(q: int, s: int, t: int, l: int, resolution: str = STAR3) -> "LinkId":
-        return LinkId("L", (("q", q), ("s", s), ("t", t), ("l", l)),
-                      parse_resolution(resolution))
+        return LinkId("L", (q, s, t, l), parse_resolution(resolution))
 
     @staticmethod
     def named(name: str) -> "LinkId":
         return LinkId("NAMED", name=name)
 
-    def param(self, name: str) -> int:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(f"{self} has no parameter {name!r}")
-
-    def param_map(self) -> Dict[str, int]:
-        return dict(self.params)
-
     def sign_pattern(self) -> Tuple[int, ...]:
-        return tuple([1 if v > 0 else -1 for _, v in self.params])
+        return tuple([1 if v > 0 else -1 for v in self.params])
 
     def validate(self) -> None:
-        if self.family not in _FAMILY_PARAMS:
+        names = (_FAMILY_PARAMS.get(self.family)
+                 if self.family.__class__ is str else None)
+        if names is None:
             raise CertError(f"unknown link family {self.family!r}")
-        expected = _FAMILY_PARAMS[self.family]
-        names = tuple([key for key, _ in self.params])
-        if names != expected:
-            raise CertError(
-                f"{self.family} link needs parameters {expected}, got {names}")
-        for key, value in self.params:
+        if self.params.__class__ is not tuple or len(self.params) != len(names):
+            raise CertError(f"{self.family} link needs the parameters {names} "
+                            f"as a tuple of ints, got {self.params!r}")
+        for key, value in zip(names, self.params):
             if value.__class__ is not int or value == 0:
                 raise CertError(f"parameter {key} must be a nonzero integer")
         if self.family == "NAMED":
-            if not self.name:
+            if not self.name or self.name.__class__ is not str:
                 raise CertError("named link needs a name")
-            if self.resolution:
+            if self.resolution != "":
                 raise CertError("named link carries no resolution")
         else:
-            if self.name:
+            if self.name != "":
                 raise CertError(f"{self.family} link carries no name")
             try:
                 canonical = parse_resolution(self.resolution)
-            except ValueError as exc:
+            except (ValueError, TypeError, AttributeError) as exc:
                 raise CertError(
                     f"bad resolution {self.resolution!r}: {exc}") from None
             if canonical != self.resolution:
@@ -149,7 +144,8 @@ class LinkId(NamedTuple):
     def __str__(self):
         if self.family == "NAMED":
             return self.name
-        args = ", ".join(f"{k}={v}" for k, v in self.params)
+        args = ", ".join(f"{k}={v}" for k, v in
+                         zip(_FAMILY_PARAMS[self.family], self.params))
         return f"{self.family}({args}; {self.resolution})"
 
 
@@ -159,20 +155,45 @@ _NAMED_DETS = {"UNKNOT": 1, "T(3,4)": 3, "T(3,5)": 1, "P(2,-3,-2)": 4,
 
 def expected_det(link: LinkId) -> int:
     """The determinant a certificate node must carry for this link: the
-    absolute value of its table row at its parameters, which are in family
-    order as ``LinkId.validate`` requires (fixed values for named links)."""
+    absolute value of its table row at its parameters (fixed values for
+    named links)."""
     if link.family == "NAMED":
         try:
             return _NAMED_DETS[link.name]
         except KeyError:
             raise CertError(f"unknown named link {link.name!r}") from None
-    return abs(table_row(link.family, link.resolution).evaluate(
-        *[value for _, value in link.params]))
+    return abs(table_row(link.family, link.resolution).evaluate(*link.params))
 
 
 # ---------------------------------------------------------------------------
 # Axiom whitelist
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AxiomDecl:
+    name: str
+    claim: str
+    citation: str
+
+
+AXIOMS: Dict[str, AxiomDecl] = {ax.name: ax for ax in [
+    AxiomDecl("UNKNOT", QUASI_ALTERNATING, "Definition 2.3(1)"),
+    AxiomDecl("ALTERNATING", QUASI_ALTERNATING,
+              "Section 5 case (2); Section 5.1 case 2)"),
+    AxiomDecl("PETERS_QA", QUASI_ALTERNATING, "Lemma 5.2 [P]"),
+    AxiomDecl("T(3,4)", L_SPACE, "Claim 5.6 proof"),
+    AxiomDecl("P(2,-3,-2)", L_SPACE, "Claim 5.6 proof"),
+    AxiomDecl("T(3,5)", L_SPACE, "Claim 5.14 proof"),
+    AxiomDecl("P(2,-3,-4)", L_SPACE, "Claim 5.14 proof"),
+    AxiomDecl("A_00_STAR_S1", L_SPACE,
+              "Claim 5.6 proof (base of the 0,0,* chain at s = 1)"),
+    AxiomDecl("A_0_STAR_STAR_S1", L_SPACE,
+              "Claim 5.6 proof (base of the 0,*,* chain at s = 1)"),
+    AxiomDecl("B_0_STAR_STAR_S1_T1", L_SPACE,
+              "Claim 5.14 proof (base of the 0,*,* chain at s = t = 1)"),
+    AxiomDecl("REGIME_A", L_SPACE,
+              "Section 5.1 cases 3), 4); Section 5 cases (7), (8)"),
+]}
 
 _ALTERNATING_A_PATTERNS = {(1, -1, 1), (-1, 1, -1)}
 _ALTERNATING_L_PATTERNS = {(-1, 1, -1, 1), (1, -1, 1, -1)}
@@ -192,8 +213,10 @@ def _match_alternating(link: LinkId) -> bool:
 
 
 def _match_peters(link: LinkId) -> bool:
-    return (link.family == "A" and link.param("t") == 1
-            and link.param("s") > 1 and link.param("q") >= 1
+    if link.family != "A":
+        return False
+    q, s, t = link.params
+    return (t == 1 and s > 1 and q >= 1
             and link.resolution in ("inf,*,*", "0,inf,*", "0,0,*"))
 
 
@@ -201,8 +224,8 @@ def _match_chain_base(family: str, resolution: str) -> Callable[[LinkId], bool]:
     """The base of a chain: ``family`` at ``resolution``, s = t = 1, q >= 1."""
     return lambda link: (link.family == family
                          and link.resolution == resolution
-                         and link.param("s") == link.param("t") == 1
-                         and link.param("q") >= 1)
+                         and link.params[1] == link.params[2] == 1
+                         and link.params[0] >= 1)
 
 
 def _match_regime_a(link: LinkId) -> bool:
@@ -212,112 +235,80 @@ def _match_regime_a(link: LinkId) -> bool:
     return pattern != (1, 1, 1) and pattern not in _ALTERNATING_A_PATTERNS
 
 
-@dataclass(frozen=True)
-class AxiomInfo:
-    name: str
-    claim: str
-    citation: str
-    matcher: Callable[[LinkId], bool]
-
-
-AXIOMS: Dict[str, AxiomInfo] = {ax.name: ax for ax in [
-    AxiomInfo("UNKNOT", QUASI_ALTERNATING,
-              "Definition 2.3(1)", _is_named("UNKNOT")),
-    AxiomInfo("ALTERNATING", QUASI_ALTERNATING,
-              "Section 5 case (2); Section 5.1 case 2)", _match_alternating),
-    AxiomInfo("PETERS_QA", QUASI_ALTERNATING,
-              "Lemma 5.2 [P]", _match_peters),
-    AxiomInfo("T(3,4)", L_SPACE,
-              "Claim 5.6 proof", _is_named("T(3,4)")),
-    AxiomInfo("P(2,-3,-2)", L_SPACE,
-              "Claim 5.6 proof", _is_named("P(2,-3,-2)")),
-    AxiomInfo("T(3,5)", L_SPACE,
-              "Claim 5.14 proof", _is_named("T(3,5)")),
-    AxiomInfo("P(2,-3,-4)", L_SPACE,
-              "Claim 5.14 proof", _is_named("P(2,-3,-4)")),
-    AxiomInfo("A_00_STAR_S1", L_SPACE,
-              "Claim 5.6 proof (base of the 0,0,* chain at s = 1)",
-              _match_chain_base("A", "0,0,*")),
-    AxiomInfo("A_0_STAR_STAR_S1", L_SPACE,
-              "Claim 5.6 proof (base of the 0,*,* chain at s = 1)",
-              _match_chain_base("A", "0,*,*")),
-    AxiomInfo("B_0_STAR_STAR_S1_T1", L_SPACE,
-              "Claim 5.14 proof (base of the 0,*,* chain at s = t = 1)",
-              _match_chain_base("B", "0,*,*")),
-    AxiomInfo("REGIME_A", L_SPACE,
-              "Section 5.1 cases 3), 4); Section 5 cases (7), (8)",
-              _match_regime_a),
-]}
+# The links each axiom of ``AXIOMS`` applies to; each named link is one.
+_MATCHES: Dict[str, Callable[[LinkId], bool]] = {
+    **{name: _is_named(name) for name in _NAMED_DETS},
+    "ALTERNATING": _match_alternating,
+    "PETERS_QA": _match_peters,
+    "A_00_STAR_S1": _match_chain_base("A", "0,0,*"),
+    "A_0_STAR_STAR_S1": _match_chain_base("A", "0,*,*"),
+    "B_0_STAR_STAR_S1_T1": _match_chain_base("B", "0,*,*"),
+    "REGIME_A": _match_regime_a,
+}
 
 
 # ---------------------------------------------------------------------------
 # Identification whitelist
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentRule:
-    citation: str
-    apply: Callable[[LinkId], Optional[LinkId]]
-    # (family, resolution) of the links a resolution rule rewrites; the
-    # generator looks the rule up by it
-    source: Optional[Tuple[str, str]] = None
+_Identification = Callable[[LinkId], Optional[LinkId]]
+
+# The resolution rule that rewrites each (family, source resolution).
+_RESOLVED = {(rule.family, rule.source): rule for rule in RESOLUTION_RULES}
 
 
-def _res_map(rule: ResolutionRule) -> IdentRule:
-    """The identification a resolution rule of ``goeritz`` states: a link at
-    the source resolution is the target link, with the rule's parameter
-    move made only where that parameter is at least 2."""
-    family, source = rule.family, rule.source
-    target_family = rule.target_family or family
-    var, shift = rule.move[:1], rule.move.endswith("-1")
-
+def _res_map(citation: str) -> _Identification:
+    """The identification the resolution rules cited as ``citation`` state:
+    a link at a rule's source resolution is the rule's target link, with the
+    rule's parameter move made only where that parameter is at least 2."""
     def apply(link: LinkId) -> Optional[LinkId]:
-        if link.family != family or link.resolution != source:
+        rule = _RESOLVED.get((link.family, link.resolution))
+        if rule is None or rule.citation != citation:
             return None
-        p = link.param_map()
-        if var:
-            if p[var] < 2:
+        params = link.params
+        if rule.move:
+            k = TABLE_PARAMS[rule.family].index(rule.move[0])
+            if params[k] < 2:
                 return None
-            p[var] = p[var] - 1 if shift else 1
-        params = tuple([(k, p[k]) for k in _FAMILY_PARAMS[target_family]])
-        return LinkId(target_family, params, rule.target)
+            moved = params[k] - 1 if rule.move.endswith("-1") else 1
+            params = params[:k] + (moved,) + params[k + 1:]
+        return LinkId(rule.target_family or rule.family, params, rule.target)
+    return apply
 
-    return IdentRule(rule.citation, apply, (family, source))
 
-
-def _to_named(family: str, resolution: str, name: str):
+def _to_named(family: str, names: Mapping[str, str]) -> _Identification:
+    """The all-ones link of ``family`` at a resolution ``names`` lists is the
+    named link it maps that resolution to."""
     def apply(link: LinkId) -> Optional[LinkId]:
-        if (link.family == family and link.resolution == resolution
-                and all(v == 1 for _, v in link.params)):
-            return LinkId.named(name)
+        if (link.family == family and link.params == (1, 1, 1)
+                and link.resolution in names):
+            return LinkId.named(names[link.resolution])
         return None
     return apply
 
 
 def _l_to_b(link: LinkId) -> Optional[LinkId]:
-    if link.family != "L" or link.param("l") != 1:
+    if link.family != "L" or link.params[3] != 1:
         return None
-    return LinkId.B(link.param("q"), link.param("s"), link.param("t"),
-                    link.resolution)
+    return LinkId("B", link.params[:3], link.resolution)
 
 
-def _swap(family: str, order: str):
-    """The star link of ``family`` with its parameters taken in ``order``."""
+def _on_star(family: str, move: Callable[[tuple], tuple]) -> _Identification:
+    """The star link of ``family`` with its parameters moved by ``move``."""
     def apply(link: LinkId) -> Optional[LinkId]:
         if link.family != family or link.resolution != STAR3:
             return None
-        return LinkId(family, tuple(zip(_FAMILY_PARAMS[family],
-                                        map(link.param, order))), STAR3)
+        return link._replace(params=move(link.params))
     return apply
 
 
-def _mirror(family: str):
-    def apply(link: LinkId) -> Optional[LinkId]:
-        if link.family != family or link.resolution != STAR3:
-            return None
-        params = tuple([(k, -v) for k, v in link.params])
-        return link._replace(params=params)
-    return apply
+def _swapped(params: tuple) -> tuple:
+    """(q, s, t) -> (t, s, q) and (q, s, t, l) -> (l, t, s, q)."""
+    return params[::-1]
+
+
+def _mirrored(params: tuple) -> tuple:
+    return tuple([-v for v in params])
 
 
 CIT_A_NAMED = "Lemma 5.3(6)"
@@ -328,34 +319,22 @@ CIT_B_NAMED = "Lemma 5.8(2)"
 CIT_L_SWAP = "Claim 5.14; Section 5 cases (5), (6) (q-l, s-t symmetry of L)"
 CIT_L_MIRROR = "Section 5 (mirror image reduction)"
 
-IDENTIFICATIONS: Tuple[IdentRule, ...] = tuple(
-    _res_map(rule) for rule in RESOLUTION_RULES) + (
-    IdentRule(CIT_A_NAMED, _to_named("A", STAR3, "T(3,4)")),
-    IdentRule(CIT_A_NAMED, _to_named("A", "0,*,*", "P(2,-3,-2)")),
-    IdentRule(CIT_A_SYM, _swap("A", "tsq")),
-    IdentRule(CIT_A_MIRROR, _mirror("A")),
-    IdentRule(CIT_L_IS_B, _l_to_b),
-    IdentRule(CIT_B_NAMED, _to_named("B", STAR3, "T(3,5)")),
-    IdentRule(CIT_B_NAMED, _to_named("B", "0,*,*", "P(2,-3,-4)")),
-    IdentRule(CIT_L_SWAP, _swap("L", "ltsq")),
-    IdentRule(CIT_L_MIRROR, _mirror("L")),
-)
-
-
-_RULES_BY_CITATION: Dict[str, Tuple[IdentRule, ...]] = {
-    citation: tuple(rule for rule in IDENTIFICATIONS
-                    if rule.citation == citation)
-    for citation in dict.fromkeys(rule.citation for rule in IDENTIFICATIONS)}
+IDENTIFICATIONS: Dict[str, _Identification] = {
+    **{rule.citation: _res_map(rule.citation) for rule in RESOLUTION_RULES},
+    CIT_A_NAMED: _to_named("A", {STAR3: "T(3,4)", "0,*,*": "P(2,-3,-2)"}),
+    CIT_A_SYM: _on_star("A", _swapped),
+    CIT_A_MIRROR: _on_star("A", _mirrored),
+    CIT_L_IS_B: _l_to_b,
+    CIT_B_NAMED: _to_named("B", {STAR3: "T(3,5)", "0,*,*": "P(2,-3,-4)"}),
+    CIT_L_SWAP: _on_star("L", _swapped),
+    CIT_L_MIRROR: _on_star("L", _mirrored),
+}
 
 
 def _identify(link: LinkId, citation: str) -> Optional[LinkId]:
-    """The link ``citation`` identifies ``link`` with, or None.  Rules that
-    share a citation rewrite different resolutions, so at most one applies."""
-    for rule in _RULES_BY_CITATION.get(citation, ()):
-        target = rule.apply(link)
-        if target is not None:
-            return target
-    return None
+    """The link ``citation`` identifies ``link`` with, or None."""
+    apply = IDENTIFICATIONS.get(citation)
+    return None if apply is None else apply(link)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +362,6 @@ _NODE_FIELDS = {BASE: ("axiom", ()), SKEIN: ("", ("zero", "inf")),
 _TreeNode = namedtuple("_TreeNode",
                        "link det kind axiom citation zero inf child",
                        defaults=("", "", None, None, None))
-
-
-@dataclass(frozen=True)
-class AxiomDecl:
-    name: str
-    claim: str
-    citation: str
 
 
 @dataclass(frozen=True)
@@ -492,10 +464,10 @@ def verify(cert: Certificate) -> Verdict:
         return Verdict(False, "claim", f"unknown claim {cert.claim!r}")
     declared: Dict[str, AxiomDecl] = {}
     for i, decl in enumerate(cert.axioms):
-        info = AXIOMS.get(decl.name)
-        if info is None:
+        known = AXIOMS.get(decl.name)
+        if known is None:
             return Verdict(False, f"axioms[{i}]", f"unknown axiom {decl.name!r}")
-        if decl.claim != info.claim or decl.citation != info.citation:
+        if decl != known:
             return Verdict(False, f"axioms[{i}]",
                            f"axiom {decl.name!r} declared with wrong claim or "
                            f"citation")
@@ -516,6 +488,8 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
     which are checked, so a child's link and determinant are certified."""
     node = cert.nodes[i]
     link = node.link
+    if link.__class__ is not LinkId:
+        raise _Reject(i, f"expected a LinkId, got {link!r}")
     try:
         link.validate()
     except CertError as exc:
@@ -533,16 +507,16 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
                          f"tabulated value {want} for {link}")
     children = [cert.nodes[k] for k in node.children]
     if node.kind == BASE:
-        info = AXIOMS.get(node.axiom)
-        if info is None:
+        axiom = AXIOMS.get(node.axiom)
+        if axiom is None:
             raise _Reject(i, f"unknown axiom {node.axiom!r}")
         if node.axiom not in declared:
             raise _Reject(i, f"axiom {node.axiom!r} is not declared by the "
                              f"certificate")
-        if cert.claim == QUASI_ALTERNATING and info.claim != cert.claim:
-            raise _Reject(i, f"axiom {node.axiom!r} asserts {info.claim}, "
+        if cert.claim == QUASI_ALTERNATING and axiom.claim != cert.claim:
+            raise _Reject(i, f"axiom {node.axiom!r} asserts {axiom.claim}, "
                              f"not admissible in a {cert.claim} certificate")
-        if not info.matcher(link):
+        if not _MATCHES[node.axiom](link):
             raise _Reject(i, f"axiom {node.axiom!r} does not apply to {link}")
     elif node.kind == IDENTIFY:
         child = children[0]
@@ -591,7 +565,8 @@ def serialize(cert: Certificate) -> str:
         link = node.link
         out = {"det": str(node.det), "kind": node.kind, "link": (
             {"family": "NAMED", "name": link.name} if link.family == "NAMED"
-            else {"family": link.family, "params": dict(link.params),
+            else {"family": link.family, "params": dict(
+                zip(_FAMILY_PARAMS[link.family], link.params)),
                   "resolution": link.resolution})}
         text = _NODE_FIELDS[node.kind][0]
         if text:
@@ -629,9 +604,9 @@ def _parse_link(obj) -> LinkId:
     names = _FAMILY_PARAMS.get(family) if family.__class__ is str else None
     if names is None:
         raise CertParseError(f".link.family: unknown family {family!r}")
-    params = _fields(obj["params"], _PARAM_KEYS[family], ".link.params")
-    pairs = tuple([(name, params[name]) for name in names])
-    for name, value in pairs:
+    fields = _fields(obj["params"], _PARAM_KEYS[family], ".link.params")
+    params = tuple([fields[name] for name in names])
+    for name, value in zip(names, params):
         if value.__class__ is not int:
             raise CertParseError(f".link.params.{name}: expected an integer")
     resolution = obj["resolution"]
@@ -642,7 +617,7 @@ def _parse_link(obj) -> LinkId:
     if canonical != resolution:
         raise CertParseError(f".link.resolution: {resolution!r} is not in "
                              f"canonical form {canonical!r}")
-    return LinkId(family, pairs, resolution)
+    return LinkId(family, params, resolution)
 
 
 def _parse_node(obj, i: int) -> CertNode:
@@ -738,11 +713,6 @@ _L_CANONICAL = {(1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, 1, 1), (-1, -1, -1, 1),
                 (1, 1, -1, 1), (1, -1, -1, -1), (1, -1, -1, 1), (-1, -1, 1, 1)}
 _L_SWAP = {(1, 1, -1, 1), (1, -1, -1, -1)}
 
-# Resolutions certified by identification (along the one resolution rule
-# that rewrites them) instead of by a skein split.
-_RESOLVED = {rule.source: rule.citation for rule in IDENTIFICATIONS
-             if rule.source is not None}
-
 # Induction bases, tried in order once no sign or symmetry step applies.
 _BASES = ("PETERS_QA", "A_00_STAR_S1", "A_0_STAR_STAR_S1",
           "B_0_STAR_STAR_S1_T1")
@@ -756,42 +726,42 @@ def _step(link: LinkId) -> Tuple[str, str]:
     an A link of any other sign pattern is grounded by that pattern: the
     alternating ones are ALTERNATING, the all-negative star is the mirror of
     the all-positive one, and every other is a trusted REGIME_A fact."""
-    family, res = link.family, link.resolution
+    family, res, p = link.family, link.resolution, link.params
     if family == "NAMED":
         return BASE, link.name
-    p = link.param_map()
-    pattern = link.sign_pattern()
-    if family == "A" and pattern != (1, 1, 1):
+    if family == "A" and min(p) < 0:
+        pattern = link.sign_pattern()
         if pattern in _ALTERNATING_A_PATTERNS:
             return BASE, "ALTERNATING"
         if pattern == (-1, -1, -1) and res == STAR3:
             return IDENTIFY, CIT_A_MIRROR
         return BASE, "REGIME_A"
     if family == "L" and res == STAR3:
+        pattern = link.sign_pattern()
         if pattern not in _L_CANONICAL:
             return IDENTIFY, CIT_L_MIRROR
         # all-positive with t = 1: the swap moves s > 1 into the s = 1
         # regime and, at s = t = 1, puts the larger of q and l last
-        if pattern in _L_SWAP or (pattern == (1, 1, 1, 1) and p["t"] == 1
-                                  and (p["s"] > 1 or p["l"] < p["q"])):
+        if pattern in _L_SWAP or (pattern == (1, 1, 1, 1) and p[2] == 1
+                                  and (p[1] > 1 or p[3] < p[0])):
             return IDENTIFY, CIT_L_SWAP
         if _match_alternating(link):
             return BASE, "ALTERNATING"
-    if family == "A" and res == STAR3 and p["s"] == 1 and p["t"] < p["q"]:
+    if family == "A" and res == STAR3 and p[1] == 1 and p[2] < p[0]:
         return IDENTIFY, CIT_A_SYM
-    if res in (STAR3, "0,*,*") and all(v == 1 for v in p.values()):
+    if res in (STAR3, "0,*,*") and p == (1, 1, 1):
         if family == "A":
             return IDENTIFY, CIT_A_NAMED
         if family == "B":
             return IDENTIFY, CIT_B_NAMED
     for axiom in _BASES:
-        if AXIOMS[axiom].matcher(link):
+        if _MATCHES[axiom](link):
             return BASE, axiom
-    if family == "L" and p["l"] == 1:
+    if family == "L" and p[3] == 1:
         return IDENTIFY, CIT_L_IS_B
-    citation = _RESOLVED.get((family, res))
-    if citation is not None:
-        return IDENTIFY, citation
+    rule = _RESOLVED.get((family, res))
+    if rule is not None:
+        return IDENTIFY, rule.citation
     return SKEIN, ""
 
 
@@ -815,7 +785,7 @@ def _nodes(root: LinkId) -> Tuple[CertNode, ...]:
             kind, label = _step(link)
             det = expected_det(link)
             if kind == BASE:
-                children, applies = (), AXIOMS[label].matcher(link)
+                children, applies = (), _MATCHES[label](link)
             else:
                 children = ((_identify(link, label),) if kind == IDENTIFY else
                             (_resolve_leftmost(link, "0"),
@@ -853,8 +823,7 @@ def _generate(root: LinkId, extra: Set[str]) -> Certificate:
     axioms = sorted((AXIOMS[n] for n in used | extra), key=lambda ax: ax.name)
     claim = (QUASI_ALTERNATING
              if all(ax.claim == QUASI_ALTERNATING for ax in axioms) else L_SPACE)
-    return Certificate(claim, nodes, tuple(
-        AxiomDecl(ax.name, ax.claim, ax.citation) for ax in axioms))
+    return Certificate(claim, nodes, tuple(axioms))
 
 
 def generate_A_cert(q: int, s: int, t: int) -> Certificate:

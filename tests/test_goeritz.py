@@ -21,8 +21,8 @@ from bridgecover.goeritz import (
 from bridgecover.intlinalg import det_bareiss
 from bridgecover.multipoly import MultiPoly
 from bridgecover.qacert import (
-    CIT_A_MIRROR, CIT_A_SYM, CIT_L_MIRROR, CIT_L_SWAP, IDENTIFICATIONS, LinkId,
-    _FAMILY_PARAMS, _identify, expected_det,
+    CIT_A_MIRROR, CIT_A_NAMED, CIT_A_SYM, CIT_B_NAMED, CIT_L_IS_B, CIT_L_MIRROR,
+    CIT_L_SWAP, IDENTIFICATIONS, STAR3, LinkId, _identify, expected_det,
 )
 
 
@@ -498,27 +498,127 @@ def test_lemma_suites_check_items_one_to_five():
         lemma_suite("B")
 
 
-def test_identifications_follow_the_rule_table():
-    """The certificate whitelist sends each rule's source links (parameters
-    1..4) to the target the rule names, moving a parameter only where it is
-    at least 2, and both sides share a determinant."""
-    for rule in RESOLUTION_RULES:
-        names = _FAMILY_PARAMS[rule.family]
-        target_family = rule.target_family or rule.family
-        for values in itertools.product(range(1, 5), repeat=len(names)):
-            link = LinkId(rule.family, tuple(zip(names, values)), rule.source)
-            p = dict(zip(names, values))
-            want = None
-            if not rule.move or p[rule.move[0]] >= 2:
-                if rule.move:
-                    var = rule.move[0]
-                    p[var] = p[var] - 1 if rule.move == f"{var}-1" else 1
-                want = LinkId(target_family, tuple(
-                    (k, p[k]) for k in _FAMILY_PARAMS[target_family]),
-                    rule.target)
-            assert _identify(link, rule.citation) == want, (rule, link)
-            if want is not None:
-                assert expected_det(link) == expected_det(want), (rule, link)
+# The certificate identifications by parameter name: the reference that the
+# positional rules of ``qacert.IDENTIFICATIONS`` are checked against.
+
+def _named_params(link):
+    return dict(zip(goeritz.TABLE_PARAMS[link.family], link.params))
+
+
+def _ref_res_map(rule):
+    """A link at the rule's source resolution is its target link, with the
+    rule's parameter move made only where that parameter is at least 2."""
+    def apply(link):
+        if link.family != rule.family or link.resolution != rule.source:
+            return None
+        p = _named_params(link)
+        var = rule.move[:1]
+        if var:
+            if p[var] < 2:
+                return None
+            p[var] = p[var] - 1 if rule.move.endswith("-1") else 1
+        family = rule.target_family or rule.family
+        return LinkId(family, tuple(p[k] for k in goeritz.TABLE_PARAMS[family]),
+                      rule.target)
+    return apply
+
+
+def _ref_to_named(family, resolution, name):
+    def apply(link):
+        if (link.family == family and link.resolution == resolution
+                and all(v == 1 for v in link.params)):
+            return LinkId.named(name)
+        return None
+    return apply
+
+
+def _ref_swap(family, order):
+    """The star link of ``family`` with its parameters taken in ``order``."""
+    def apply(link):
+        if link.family != family or link.resolution != STAR3:
+            return None
+        p = _named_params(link)
+        return LinkId(family, tuple(p[k] for k in order), STAR3)
+    return apply
+
+
+def _ref_mirror(family):
+    def apply(link):
+        if link.family != family or link.resolution != STAR3:
+            return None
+        return LinkId(family, tuple(-v for v in link.params), STAR3)
+    return apply
+
+
+def _ref_l_to_b(link):
+    p = _named_params(link) if link.family == "L" else {}
+    if p.get("l") != 1:
+        return None
+    return LinkId.B(p["q"], p["s"], p["t"], link.resolution)
+
+
+_REFERENCE = [(rule.citation, _ref_res_map(rule)) for rule in RESOLUTION_RULES] + [
+    (CIT_A_NAMED, _ref_to_named("A", STAR3, "T(3,4)")),
+    (CIT_A_NAMED, _ref_to_named("A", "0,*,*", "P(2,-3,-2)")),
+    (CIT_A_SYM, _ref_swap("A", "tsq")),
+    (CIT_A_MIRROR, _ref_mirror("A")),
+    (CIT_L_IS_B, _ref_l_to_b),
+    (CIT_B_NAMED, _ref_to_named("B", STAR3, "T(3,5)")),
+    (CIT_B_NAMED, _ref_to_named("B", "0,*,*", "P(2,-3,-4)")),
+    (CIT_L_SWAP, _ref_swap("L", "ltsq")),
+    (CIT_L_MIRROR, _ref_mirror("L")),
+]
+
+
+def _reference_identify(link, citation):
+    images = [apply(link) for cited, apply in _REFERENCE if cited == citation]
+    images = [image for image in images if image is not None]
+    assert len(images) <= 1, (citation, link)
+    return images[0] if images else None
+
+
+def _tabulated(family, resolution):
+    try:
+        table_row(family, resolution)
+    except NotTabulatedError:
+        return False
+    return True
+
+
+_RESOLUTIONS = [",".join(slots)
+                for slots in itertools.product(("*", "0", "inf"), repeat=3)]
+_NONZERO = st.integers(-5, 5).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_NONZERO, _NONZERO, _NONZERO, _NONZERO))
+@example((1, 1, 1, 1))
+@example((2, 2, 2, 2))
+@example((5, 1, 1, 1))
+def test_identifications_follow_the_rule_table(values):
+    """Every citation of the certificate whitelist, at every family and
+    resolution, sends a link where the name-keyed reference does; both
+    sides share a determinant, and a link's determinant is its table row
+    at its parameters taken by name."""
+    citations = dict.fromkeys(cited for cited, _ in _REFERENCE)
+    assert set(IDENTIFICATIONS) == set(citations)
+    links = [LinkId.named("T(3,4)")] + [
+        LinkId(family, values[:len(names)], res)
+        for family, names in goeritz.TABLE_PARAMS.items() if family != "A(t=1)"
+        for res in _RESOLUTIONS]
+    for link in links:
+        det = None
+        if link.family == "NAMED":
+            det = expected_det(link)
+        elif _tabulated(link.family, link.resolution):
+            det = expected_det(link)
+            assert det == abs(table_formula(link.family, link.resolution,
+                                            _named_params(link))), link
+        for citation in citations:
+            want = _reference_identify(link, citation)
+            assert _identify(link, citation) == want, (citation, link)
+            if want is not None and det is not None:
+                assert det == expected_det(want), (citation, link)
 
 
 def test_resolution_lemma_citations_are_written_once():
@@ -546,15 +646,13 @@ def test_identity_report_text():
 
 def _identified(citation, link):
     """Image of ``link`` under the certificate verifier's rule ``citation``."""
-    images = [rule.apply(link) for rule in IDENTIFICATIONS
-              if rule.citation == citation]
-    images = [image for image in images if image is not None]
-    assert len(images) == 1, (citation, link)
-    return images[0]
+    image = _identify(link, citation)
+    assert image is not None, (citation, link)
+    return image
 
 
 def _table_det(link):
-    return table_formula(link.family, link.resolution, link.param_map())
+    return table_formula(link.family, link.resolution, _named_params(link))
 
 
 def test_star_rows_mirror_invariant():
@@ -562,7 +660,7 @@ def test_star_rows_mirror_invariant():
         for citation, link in ((CIT_L_MIRROR, LinkId.L(q, s, t, l)),
                                (CIT_A_MIRROR, LinkId.A(q, s, t))):
             image = _identified(citation, link)
-            assert image.param_map() == {k: -v for k, v in link.params}
+            assert image.params == tuple(-v for v in link.params)
             assert _table_det(image) == _table_det(link)
 
 
@@ -590,5 +688,4 @@ def test_a_resolved_rows_not_qt_symmetric():
     for res in ("0,*,*", "inf,*,*", "inf,inf,*"):
         assert table_formula("A", res, p) != table_formula("A", res, swapped), res
         link = LinkId.A(1, 2, 3, res)
-        assert all(rule.apply(link) is None for rule in IDENTIFICATIONS
-                   if rule.citation == CIT_A_SYM), res
+        assert _identify(link, CIT_A_SYM) is None, res

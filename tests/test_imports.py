@@ -1,0 +1,40 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "bridgecover"
+
+
+def unused_imports(source: str):
+    """``(line, name)`` of each name that ``source`` imports and never reads,
+    where the import's first line carries no ``# noqa``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if ("# noqa" in lines[node.lineno - 1]
+                or getattr(node, "module", None) == "__future__"):
+            continue
+        imported += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                     for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found_and_noqa_is_honoured():
+    source = ("from __future__ import annotations\n"
+              "import io\nimport os  # noqa: F401\n"
+              "from typing import (  # noqa\n    Dict,\n)\n"
+              "from json import dumps, loads\nprint(loads)\n")
+    assert unused_imports(source) == [(2, "io"), (7, "dumps")]

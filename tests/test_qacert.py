@@ -10,7 +10,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgecover.goeritz import UnsupportedRegimeError, table_formula
+from bridgecover.goeritz import (TABLE_PARAMS, UnsupportedRegimeError,
+                                 table_formula)
 from bridgecover import qacert as qc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
@@ -102,7 +103,8 @@ def test_a_cert_skein_determinants_come_from_the_tables():
             if part.link.family == "NAMED":
                 continue
             want = abs(table_formula(part.link.family, part.link.resolution,
-                                     part.link.param_map()))
+                                     dict(zip(TABLE_PARAMS[part.link.family],
+                                              part.link.params))))
             assert part.det == want, part.link
 
 
@@ -341,21 +343,46 @@ def test_bool_parameters_are_refused():
         qc.generate_A_cert(True, 1, 1)
     with pytest.raises(qc.CertError):
         qc.generate_L_cert(1, 1, True, 1)
-    link = qc.LinkId("NAMED", name="T(3,4)")
-    bad = qc.LinkId("A", (("q", True), ("s", 1), ("t", 1)), "*,*,*")
-    nodes = (qc.CertNode(link, 3, qc.BASE, axiom="T(3,4)"),
-             qc.CertNode(bad, 3, qc.IDENTIFY, citation=qc.CIT_A_NAMED,
-                         children=(0,)))
-    info = qc.AXIOMS["T(3,4)"]
-    verdict = qc.verify(qc.Certificate(
-        qc.L_SPACE, nodes,
-        (qc.AxiomDecl(info.name, info.claim, info.citation),)))
+    verdict = qc.verify(_t34_then(qc.LinkId("A", (True, 1, 1), "*,*,*")))
     assert not verdict and verdict.path == "nodes[1]"
-    assert "nonzero integer" in verdict.reason
+    assert verdict.reason == "parameter q must be a nonzero integer"
+
+
+def _t34_then(link):
+    """T(3,4), then ``link`` identified with it under Lemma 5.3(6)."""
+    nodes = (qc.CertNode(qc.LinkId.named("T(3,4)"), 3, qc.BASE, axiom="T(3,4)"),
+             qc.CertNode(link, 3, qc.IDENTIFY, citation=qc.CIT_A_NAMED,
+                         children=(0,)))
+    return qc.Certificate(qc.L_SPACE, nodes, (qc.AXIOMS["T(3,4)"],))
+
+
+def test_a_link_of_the_wrong_shape_is_rejected_not_raised():
+    """A link that is no LinkId, whose parameters are no tuple of ints of
+    its family's length (the name-value pairs among them), or whose other
+    fields are of the wrong type, is rejected at its node."""
+    assert qc.verify(_t34_then(qc.LinkId.A(1, 1, 1)))
+    pairs = (("q", 1), ("s", 1), ("t", 1))
+    for link in (tuple(qc.LinkId.A(1, 1, 1)), "A(q=1, s=1, t=1; *,*,*)", None,
+                 qc.LinkId("A", pairs, "*,*,*"),
+                 qc.LinkId("A", list(pairs), "*,*,*"),
+                 qc.LinkId("A", [1, 1, 1], "*,*,*"),
+                 qc.LinkId("A", (1, 1), "*,*,*"),
+                 qc.LinkId("A", (1, 1, 1, 1), "*,*,*"),
+                 qc.LinkId("A", 1, "*,*,*"),
+                 qc.LinkId("NAMED", (1,), name="T(3,4)"),
+                 qc.LinkId(["A"], (1, 1, 1), "*,*,*"),
+                 qc.LinkId("A", (1, 1, 1), ["*", "*", "*"]),
+                 qc.LinkId("A", (1, 1, 1), 7),
+                 qc.LinkId("A", (1, 1, 1), "*,*,*", []),
+                 qc.LinkId("NAMED", (), [], "T(3,4)"),
+                 qc.LinkId("NAMED", name=["T(3,4)"])):
+        verdict = qc.verify(_t34_then(link))
+        assert not verdict and verdict.path == "nodes[1]", link
+        assert str(verdict).startswith("REJECT at nodes[1]: "), link
 
 
 def test_malformed_resolution_is_rejected_not_crashed():
-    link = qc.LinkId("A", (("q", 1), ("s", 1), ("t", 1)), "0,banana,*")
+    link = qc.LinkId("A", (1, 1, 1), "0,banana,*")
     node = qc.CertNode(link, 3, qc.BASE, axiom="T(3,4)")
     cert = qc.Certificate(
         qc.L_SPACE, (node,),
@@ -366,7 +393,7 @@ def test_malformed_resolution_is_rejected_not_crashed():
 
 
 def test_non_canonical_resolution_text_is_rejected():
-    link = qc.LinkId("A", (("q", 1), ("s", 1), ("t", 1)), "0, *,*")
+    link = qc.LinkId("A", (1, 1, 1), "0, *,*")
     cert = qc.Certificate(qc.L_SPACE, (qc.CertNode(link, 4, qc.BASE,
                                                     axiom="A_0_STAR_STAR_S1"),),
                           (qc.AxiomDecl("A_0_STAR_STAR_S1", qc.L_SPACE,
