@@ -94,9 +94,10 @@ SPOT_CHECK_MAX_POINTS = 25_000
 # h1's size: genus * (genus + 1) * (n - 1 + 2 * genus) * term bits, the bit
 # lengths of |a| + 1 summed over the even expansion's terms a, which bound
 # log2 |Delta|_1; (n - 1 + 2 genus) * term bits bounds the bits of the one
-# Sylvester determinant, of order at most 3 * genus.  At this limit every
-# shape tried, genus 1 to 32 and terms to 77 digits, took at most 1.2 s in
-# process (2-core machine, Python 3.11).  The answer has at most (n - 1) *
+# resultant, of degrees summing to at most 3 * genus.  At this limit the
+# slowest shape tried, genus 1 to 24 and terms to 77 digits, took 3.5 s in
+# process and 4.7 s cold, printing included (genus 3, 77-digit terms,
+# n = 537; 2-core machine, Python 3.11).  The answer has at most (n - 1) *
 # bits(|Delta|_1) bits (Fox 1956); printing 900000 of them takes 1.4 s.
 H1_MAX_SIZE = 10_000_000
 H1_MAX_BITS = 900_000

@@ -432,10 +432,10 @@ class _Reject(CertError):
         super().__init__(f"{path}: {reason}")
 
 
-def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, ...]:
-    """The child slots of ``nodes[i]``: its kind known, its unused text field
-    empty, one earlier index per child slot, and its link new to ``first``."""
-    fields = _NODE_FIELDS.get(node.kind)
+def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, Tuple[str, ...]]:
+    """The text field and child slots of ``nodes[i]``, of a known kind: that
+    field a str, the other empty, an earlier index per slot, its link new."""
+    fields = _NODE_FIELDS.get(node.kind) if node.kind.__class__ is str else None
     if fields is None:
         raise _Reject(i, f"unknown node kind {node.kind!r}")
     (text, slots), children = fields, node.children
@@ -443,6 +443,8 @@ def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, ...]:
               "citation" if node.citation != "" and text != "citation" else "")
     if unused:
         raise _Reject(i, f"{node.kind} nodes carry no {unused}")
+    if text and getattr(node, text).__class__ is not str:
+        raise _Reject(i, f"{node.kind} nodes carry their {text} as a string")
     if children.__class__ is not tuple or len(children) != len(slots):
         raise _Reject(i, f"{node.kind} nodes cite {len(slots)} children, got "
                          f"{children!r}")
@@ -453,7 +455,7 @@ def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, ...]:
     if node.link in first:
         raise _Reject(i, f"{node.link} is already certified by "
                          f"nodes[{first[node.link]}]")
-    return slots
+    return text, slots
 
 
 def verify(cert: Certificate) -> Verdict:
@@ -464,7 +466,7 @@ def verify(cert: Certificate) -> Verdict:
         return Verdict(False, "claim", f"unknown claim {cert.claim!r}")
     declared: Dict[str, AxiomDecl] = {}
     for i, decl in enumerate(cert.axioms):
-        known = AXIOMS.get(decl.name)
+        known = AXIOMS.get(decl.name) if decl.name.__class__ is str else None
         if known is None:
             return Verdict(False, f"axioms[{i}]", f"unknown axiom {decl.name!r}")
         if decl != known:
@@ -497,7 +499,7 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
     if node.det.__class__ is not int or node.det <= 0:
         raise _Reject(i, f"determinant must be a positive integer, got "
                          f"{node.det!r}")
-    slots = _slots(node, i, first)
+    slots = _slots(node, i, first)[1]
     try:
         want = expected_det(link)
     except (NotTabulatedError, CertError) as exc:
@@ -560,19 +562,21 @@ def serialize(cert: Certificate) -> str:
     first: Dict[LinkId, int] = {}
     lines: List[str] = []
     for i, node in enumerate(cert.nodes):
-        slots = _slots(node, i, first)
-        first[node.link] = i
-        link = node.link
-        out = {"det": str(node.det), "kind": node.kind, "link": (
-            {"family": "NAMED", "name": link.name} if link.family == "NAMED"
-            else {"family": link.family, "params": dict(
-                zip(_FAMILY_PARAMS[link.family], link.params)),
-                  "resolution": link.resolution})}
-        text = _NODE_FIELDS[node.kind][0]
-        if text:
-            out[text] = getattr(node, text)
-        out.update(zip(slots, node.children))
-        lines.append(_encode(out))
+        try:  # the link is not validated: a field may fail to hash or encode
+            text, slots = _slots(node, i, first)
+            first[node.link] = i
+            link = node.link
+            out = {"det": str(node.det), "kind": node.kind, "link": (
+                {"family": "NAMED", "name": link.name} if link.family == "NAMED"
+                else {"family": link.family, "params": dict(
+                    zip(_FAMILY_PARAMS[link.family], link.params)),
+                      "resolution": link.resolution})}
+            if text:
+                out[text] = getattr(node, text)
+            out.update(zip(slots, node.children))
+            lines.append(_encode(out))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise _Reject(i, f"cannot be written: {exc!r}") from None
     axioms = [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
               for ax in cert.axioms]
     return (f'{{"axioms":{_encode(axioms)},"claim":{_encode(cert.claim)},'

@@ -10,8 +10,8 @@ genus-m Seifert surface obtained by plumbing m twisted annuli; from its
 Seifert matrix we get the Alexander polynomial (a continuant, since
 V - t*V^T is tridiagonal) and the exact order of the first homology of every
 finite cyclic branched cover, |Res(1 + t + ... + t**(n-1), Alexander)| (Fox
-1956), by ``intlinalg.cyclic_resultant``: one Sylvester determinant of order
-at most 3*genus, of the trace polynomial D (Alexander = t**genus D(t + 1/t)).
+1956), by ``intlinalg.cyclic_resultant``: one resultant, of degrees summing
+to at most 3*genus, on the trace polynomial D (Alexander = t**genus D(t + 1/t)).
 """
 from __future__ import annotations
 

@@ -4,13 +4,15 @@
 matrix, by Bareiss and a Hermite elimination modulo a maximal minor;
 ``word_matrix`` is the abelianization read off the relator words.  Neither
 uses the circulant symbol or the cyclic resultant they check.
+``sylvester_resultant`` is the resultant as the Bareiss determinant of the
+Sylvester matrix, the reference for ``intlinalg.resultant``;
 ``fold_cyclic_resultant`` is the cyclic resultant without the trace
-substitution, on the full degree of f, as the reference for
-``intlinalg.cyclic_resultant``.
+substitution, on the full degree of f and for any f (a link's too), through
+that determinant, as the reference for ``intlinalg.cyclic_resultant``.
 """
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-from bridgecover.intlinalg import INFINITE, Infinite, resultant
+from bridgecover.intlinalg import INFINITE, Infinite, det_bareiss
 from bridgecover.multipoly import MultiPoly
 from bridgecover.words import exponent_sums
 
@@ -118,9 +120,41 @@ def word_matrix(p, values: Optional[Mapping[str, int]] = None) -> List[list]:
     return rows
 
 
+def sylvester_matrix(f: Sequence[int], g: Sequence[int]) -> List[List[int]]:
+    """Sylvester matrix of two integer polynomials given by coefficient lists
+    in ascending degree order (f[i] is the coefficient of x**i), leading
+    zero coefficients trimmed: deg g rows of f's coefficients, then deg f
+    rows of g's, each shifted one column right of the last, descending."""
+    if not f or f[-1] == 0 or not g or g[-1] == 0:
+        raise ValueError(
+            "polynomials must be non-zero with trimmed leading coefficients")
+    n = len(f) + len(g) - 2
+    return [[0] * i + p[::-1] + [0] * (n - i - len(p))
+            for p, rows in ((f, len(g) - 1), (g, len(f) - 1))
+            for i in range(rows)]
+
+
+def sylvester_resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """Res(f, g) as the determinant of the Sylvester matrix by Bareiss: a
+    constant against degree m gives the power of the m-square diagonal (1
+    for two constants, the empty determinant)."""
+    return det_bareiss(sylvester_matrix(f, g))
+
+
+def is_trace_form(f: Sequence[int]) -> bool:
+    """Whether f, its powers of x divided out, is a constant or palindromic
+    of even degree: the f that ``intlinalg.cyclic_resultant`` takes."""
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    while f and f[0] == 0:
+        del f[0]
+    return len(f) % 2 == 1 and f == f[::-1] or not f
+
+
 def fold_cyclic_resultant(f: Sequence[int], n: int) -> int:
     """|Res(S, f)| with S = 1 + x + ... + x**(n-1), for any integer f, as one
-    ``resultant`` on polynomials of f's full degree m.
+    Sylvester determinant on polynomials of f's full degree m.
 
     Since S is monic, Res(S, f) is the product of f over the roots of S,
     the n-th roots of unity other than 1, so f may be replaced by anything
@@ -146,7 +180,7 @@ def fold_cyclic_resultant(f: Sequence[int], n: int) -> int:
         h = [a - top for a in h]
         while len(h) > 1 and h[-1] == 0:
             h.pop()
-        return abs(resultant([1] * n, h)) if h[-1] else 0
+        return abs(sylvester_resultant([1] * n, h)) if h[-1] else 0
 
     def reduce(p: List[int], e: int) -> Tuple[List[int], int]:
         for d in range(len(p) - 1, m - 1, -1):
@@ -187,7 +221,7 @@ def fold_cyclic_resultant(f: Sequence[int], n: int) -> int:
         r.pop()
     if not r:
         return 0
-    order = abs(resultant(f, r))
+    order = abs(sylvester_resultant(f, r))
     shift = n - 1 - (len(r) - 1) - e * m
     if shift >= 0:
         return order * abs(c) ** shift

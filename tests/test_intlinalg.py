@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd
 
 import pytest
@@ -16,9 +16,14 @@ from bridgecover.intlinalg import (
     in_row_span,
     resultant,
     smith_normal_form,
-    sylvester_matrix,
 )
-from dense_lattice import cokernel_order, fold_cyclic_resultant
+from dense_lattice import (
+    cokernel_order,
+    fold_cyclic_resultant,
+    is_trace_form,
+    sylvester_matrix,
+    sylvester_resultant,
+)
 
 
 def mat_mul(a, b):
@@ -100,10 +105,11 @@ def test_resultant_product_over_roots():
     assert resultant(g, f) == expected
 
 
-def _poly(max_degree, bound):
+def _poly(max_degree, bound, min_degree=0):
     """An integer polynomial, ascending, with a non-zero leading coefficient."""
     return st.tuples(
-        st.lists(st.integers(-bound, bound), max_size=max_degree),
+        st.lists(st.integers(-bound, bound), min_size=min_degree,
+                 max_size=max_degree),
         st.integers(-bound, bound).filter(bool)).map(lambda p: p[0] + [p[1]])
 
 
@@ -118,13 +124,82 @@ def test_resultant_matches_sympy(f, g):
     degree: Res(x**3 - 2, x**5 - 5) is the product of a**5 - 5 over the cube
     roots a of 2, which is -93, and sympy 1.14 gives 93.  So sympy's
     resultant checks the magnitude and sympy's determinant of the Sylvester
-    matrix checks the sign."""
+    matrix checks the sign, of the subresultant sequence and of the dense
+    oracle alike."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     want = sympy.Matrix(sylvester_matrix(f, g)).det() if len(f) + len(g) > 2 else 1
     magnitude = sympy.resultant(sympy.Poly(f[::-1], x), sympy.Poly(g[::-1], x))
     assert abs(int(magnitude)) == abs(int(want))
+    assert resultant(f, g) == sylvester_resultant(f, g) == want
+
+
+def _plus(p, q):
+    out = [a + b for a, b in zip_longest(p, q, fillvalue=0)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """(f, g) of a shape the subresultant sequence branches on, either way
+    round: a constant or a linear argument, a remainder sequence with
+    degree gaps of at least 2 (Collins' h-update), a common factor (the
+    resultant is 0), or any pair; coefficients to 9 or to 10**40."""
+    bound = draw(st.sampled_from([9, 10 ** 40]))
+
+    def poly(low, high):
+        return draw(_poly(high, bound, low))
+
+    kind = draw(st.sampled_from(["constant", "linear", "gaps", "common",
+                                 "any"]))
+    if kind in ("constant", "linear"):
+        f, g = poly(*{"constant": (0, 0), "linear": (1, 1)}[kind]), poly(0, 7)
+    elif kind == "gaps":  # built from its last remainder up
+        rems = [poly(0, 1)]
+        rems.append(poly(len(rems[0]) + 1, len(rems[0]) + 2))
+        for _ in range(draw(st.integers(1, 2))):
+            rems.append(_plus(_times(poly(1, 2), rems[-1]), rems[-2]))
+        f, g = rems[-1], rems[-2]
+    elif kind == "common":
+        w = poly(1, 3)
+        f, g = _times(poly(0, 3), w), _times(poly(0, 3), w)
+    else:
+        f, g = poly(0, 6), poly(0, 6)
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+@given(_resultant_pairs())
+@example(([7], [1, 2, 3]))               # a constant on either side
+@example(([1, 2, 3], [-7]))
+@example(([3], [-5]))                    # two constants: the empty determinant
+@example(([2, -3], [1, 0, 4, 5]))        # a linear argument on either side
+@example(([1, 0, 4, 5], [2, -3]))
+@example(([1, 0, 0, 0, 1], [0, 1, 0, 1]))  # x**4 + 1, x**3 + x: a gap of 2
+@example(([-3, -3, 1, 1], [-6, 0, -13, 0, 5]))  # both times x**2 - 3: 0
+@example(([10 ** 40, 1], _times([10 ** 40, 1], [1, 2, 3])))  # a common root
+@settings(max_examples=150, deadline=None)
+def test_resultant_matches_the_dense_oracle(pair):
+    """The subresultant sequence against the Sylvester determinant by
+    Bareiss (tests/dense_lattice.py), which shares no code with it; sympy's
+    magnitude is a second check."""
+    f, g = pair
+    want = sylvester_resultant(f, g)
     assert resultant(f, g) == want
+    assert resultant(g, f) == (-1) ** ((len(f) - 1) * (len(g) - 1)) * want
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    magnitude = sympy.resultant(sympy.Poly(f[::-1], x), sympy.Poly(g[::-1], x))
+    assert abs(int(magnitude)) == abs(want)
 
 
 def test_resultant_argument_order_costs_only_the_sign(monkeypatch):
@@ -169,22 +244,32 @@ _KINDS = st.sampled_from(["palindromic even", "palindromic odd",
 @settings(max_examples=20, deadline=None)
 def test_cyclic_resultant_matches_the_fold_and_doubling(kind, half, shift):
     """The trace path against the full-degree fold and doubling it
-    replaced, for every n = 1..200: palindromic f of even degree (the
-    library's callers), palindromic of odd degree, antipalindromic (a
-    link's, f(1) = 0) and non-symmetric f, each shifted by a power of x."""
+    replaced, for every n = 1..200, on palindromic f of even degree (the
+    library's callers), each shifted by a power of x.  Palindromic f of odd
+    degree, antipalindromic (a link's, f(1) = 0) and non-symmetric f are
+    refused, unless they are a constant times a power of x; the reference
+    answers them as the dense Sylvester determinant does, for n = 1..40."""
     f = _cover_poly(kind, half, shift)
-    for n in range(1, 201):
-        assert intlinalg.cyclic_resultant(f, n) == \
-            fold_cyclic_resultant(f, n), (f, n)
+    if is_trace_form(f):
+        for n in range(1, 201):
+            assert intlinalg.cyclic_resultant(f, n) == \
+                fold_cyclic_resultant(f, n), (f, n)
+        return
+    for n in range(1, 41):
+        with pytest.raises(ValueError, match="palindromic polynomial of even"):
+            intlinalg.cyclic_resultant(f, n)
+        trimmed = f[:len(f) - next(i for i, a in enumerate(f[::-1]) if a)]
+        assert fold_cyclic_resultant(f, n) == \
+            abs(sylvester_resultant([1] * n, trimmed)), (f, n)
 
 
-@given(_KINDS, st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=3),
        st.integers(0, 1), st.integers(10 ** 3, 10 ** 4))
-@example("palindromic even", [24, -78, 109], 0, 10 ** 4)
+@example([24, -78, 109], 0, 10 ** 4)
 @settings(max_examples=12, deadline=None)
 def test_cyclic_resultant_matches_the_fold_and_doubling_at_large_n(
-        kind, half, shift, n):
-    f = _cover_poly(kind, half, shift)
+        half, shift, n):
+    f = _cover_poly("palindromic even", half, shift)
     assert intlinalg.cyclic_resultant(f, n) == fold_cyclic_resultant(f, n)
 
 

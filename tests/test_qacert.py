@@ -1,6 +1,7 @@
 """Tests for certificate generation, verification, and serialization."""
 
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -1293,3 +1294,62 @@ def test_serialize_reproduces_the_text_it_parses(signs, magnitudes):
     text = qc.serialize(qc.generate_L_cert(
         *(sign * m for sign, m in zip(signs, magnitudes))))
     assert qc.serialize(qc.deserialize(text)) == text
+
+
+# -- fuzzed in-memory certificates ------------------------------------------
+
+_FUZZ_CERTS = [qc.generate_A_cert(1, 1, 1), qc.generate_A_cert(2, 1, 3),
+               qc.generate_L_cert(2, 2, 2, 1), qc.generate_L_cert(-1, 2, -1, 1),
+               qc.generate_L_cert(1, 1, 1, 1)]
+
+_JUNK = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+    st.none(), st.booleans(), st.floats(allow_nan=True),
+    st.integers(2 ** 63, 10 ** 300), st.integers(-10 ** 300, -2 ** 63),
+    st.sampled_from(["", "Z", "*,*", "0,0,0,0", "NAMED"]),
+    st.lists(st.integers(-3, 40), max_size=6).map(tuple))
+
+
+def _junk_for(data, old):
+    """A junk value for a field that holds ``old``: a tuple of another
+    length for a tuple, and never a value equal to ``old`` of its type."""
+    return data.draw(_JUNK.filter(lambda v: not (
+        v.__class__ is old.__class__ and (v == old or (
+            old.__class__ is tuple and len(v) == len(old))))))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_fields_reject_and_never_raise(data):
+    """Any field of a node, of a node's link or of a declared axiom replaced
+    by junk (lists, dicts, None, bools, floats, huge ints, strings, tuples of
+    the wrong length): ``verify`` returns REJECT, and ``serialize`` writes
+    or raises ``CertError``, never anything else."""
+    cert = data.draw(st.sampled_from(_FUZZ_CERTS))
+    target = data.draw(st.sampled_from(["node", "link", "axiom"]))
+    if target == "axiom":
+        i = data.draw(st.integers(0, len(cert.axioms) - 1))
+        field = data.draw(st.sampled_from(["name", "claim", "citation"]))
+        decl = cert.axioms[i]
+        decl = dataclasses.replace(decl, **{field: _junk_for(
+            data, getattr(decl, field))})
+        cert = qc.Certificate(cert.claim, cert.nodes,
+                              cert.axioms[:i] + (decl,) + cert.axioms[i + 1:])
+    else:
+        i = data.draw(st.integers(0, len(cert.nodes) - 1))
+        node = cert.nodes[i]
+        owner = node if target == "node" else node.link
+        field = data.draw(st.sampled_from(owner._fields))
+        changed = owner._replace(**{field: _junk_for(
+            data, getattr(owner, field))})
+        cert = _with_node(cert, i, changed if target == "node"
+                          else node._replace(link=changed))
+    verdict = qc.verify(cert)
+    assert not verdict.accepted, (target, i, field)
+    assert str(verdict).startswith("REJECT at ")
+    try:
+        text = qc.serialize(cert)
+    except qc.CertError:
+        return
+    assert text.endswith("]}\n")

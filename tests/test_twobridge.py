@@ -23,6 +23,11 @@ from bridgecover.twobridge import (
     same_knot,
     seifert_matrix,
 )
+from dense_lattice import (
+    fold_cyclic_resultant,
+    is_trace_form,
+    sylvester_resultant,
+)
 
 NONZERO = [a for a in range(-3, 4) if a != 0]
 
@@ -167,7 +172,7 @@ def test_h1_mirror_invariance():
 def sylvester_order(delta, n):
     """|Res(1 + t + ... + t**(n-1), delta)| by the (n + deg delta - 1)-square
     Sylvester determinant: the reference for the oracle."""
-    order = abs(resultant([1] * n, delta))
+    order = abs(sylvester_resultant([1] * n, delta))
     return order if order else INFINITE
 
 
@@ -199,17 +204,27 @@ def test_h1_oracle_infinite_examples():
        st.integers(-6, 6).filter(bool), st.integers(1, 40))
 @example([-1], 1, 7)              # Hopf link: Delta(t) = t - 1
 @example([1, -1, 1], -1, 12)      # T(2,4): 1 - t + t^2 - t^3
+@example([0, -2], 1, 5)           # (1 - t)^2: palindromic of even degree
 @settings(max_examples=80, deadline=None)
 def test_cyclic_resultant_handles_links(low, lead, n):
+    """A link's polynomial (f(1) = 0) is the reference's to answer, as the
+    dense Sylvester determinant does; the library function refuses it
+    unless it is palindromic of even degree, and then agrees."""
     # The constant term is shifted so that delta(1) = 0, as for a link.
     delta = low + [lead]
     delta[0] -= sum(delta)
-    want = abs(resultant([1] * n, delta))
-    assert intlinalg.cyclic_resultant(delta, n) == want
-    # A constant, a zero constant term; a zero top coefficient is trimmed.
-    for f in ([lead], [0] + delta, [0, lead]):
+    want = abs(sylvester_resultant([1] * n, delta))
+    for f in (delta, delta + [0], [0] + delta):
+        assert fold_cyclic_resultant(f, n) == want, f
+        if is_trace_form(f):
+            assert intlinalg.cyclic_resultant(f, n) == want, f
+        else:
+            with pytest.raises(ValueError, match="palindromic"):
+                intlinalg.cyclic_resultant(f, n)
+    # A constant, times a power of x; a zero top coefficient is trimmed.
+    for f in ([lead], [0, lead]):
         assert intlinalg.cyclic_resultant(f + [0], n) == \
-            abs(resultant([1] * n, f)), f
+            abs(sylvester_resultant([1] * n, f)) == abs(lead) ** (n - 1), f
     assert intlinalg.cyclic_resultant([0, 0], n) == (1 if n == 1 else 0)
 
 
@@ -218,23 +233,30 @@ def test_cyclic_resultant_handles_links(low, lead, n):
 @example([0, 0], False)        # f = 0 with zero coefficients to trim
 @example([5], False)           # a constant
 @example([-1, 1], True)        # x - 1, a link
-@example([24, -78, 109, -78, 24], False)
+@example([24, -78, 109], False)  # [24, -78, 109, -78, 24]
 @settings(max_examples=120, deadline=None)
-def test_cyclic_resultant_fold_at_small_n(f, link):
+def test_cyclic_resultant_fold_at_small_n(half, link):
     """For every n <= deg f + 1, n = 1 and 2 included, f folded modulo
     x**n - 1 gives |Res(1 + x + ... + x**(n-1), f)| as the (n + deg f - 1)
-    -square Sylvester determinant does."""
-    if link and f:  # shift the constant term so that f(1) = 0
-        f = [f[0] - sum(f)] + f[1:]
+    -square Sylvester determinant does.  Without ``link``, f is the
+    palindromic half + reversed(half[:-1]) that ``cyclic_resultant`` takes,
+    and it agrees too; with it, f is half with its constant term shifted so
+    that f(1) = 0, which only the reference answers."""
+    if link:
+        f = [half[0] - sum(half)] + half[1:] if half else []
+    else:
+        f = half + half[-2::-1]
     trimmed = list(f)
     while trimmed and trimmed[-1] == 0:
         trimmed.pop()
     for n in range(1, len(trimmed) + 2):
         if trimmed:
-            want = abs(resultant([1] * n, trimmed))
+            want = abs(sylvester_resultant([1] * n, trimmed))
         else:
             want = 1 if n == 1 else 0
-        assert intlinalg.cyclic_resultant(f, n) == want, (f, n)
+        assert fold_cyclic_resultant(f, n) == want, (f, n)
+        if not link:
+            assert intlinalg.cyclic_resultant(f, n) == want, (f, n)
 
 
 def test_h1_oracle_at_large_n_against_closed_forms():
@@ -253,39 +275,41 @@ def test_h1_oracle_at_large_n_against_closed_forms():
 
 
 def test_h1_oracle_calls_resultant_once(monkeypatch):
-    """Each order is one resultant: a Sylvester determinant of order below
-    2n - 2 when n <= deg Delta + 1 (the fold), of order below 4 genus
-    otherwise."""
+    """Each order is one resultant: of P and D, degrees p = (n - 1) // 2
+    and genus, summing to at most 3 genus, when p <= 2 genus; of D and the
+    doubled remainder, summing below 2 genus, otherwise."""
     calls = []
     monkeypatch.setattr(intlinalg, "resultant", lambda f, g: calls.append(
         (len(f) - 1, len(g) - 1)) or resultant(f, g))
     genus12 = [2, -4, 6, -2, 4, -6] * 4
     for terms, n in (([2, 2], 7), ([4, -2, 2, -4], 7), ([2, -4, 6, -8], 800),
                      ([2, -4, 2, -4, 6, -2, 4, -2], 300), (genus12, 3),
-                     (genus12, 60)):
+                     (genus12, 49), (genus12, 60)):
         calls.clear()
         assert h1_cyclic_cover_order(terms, n) is not INFINITE
         assert len(calls) == 1, (terms, n)
-        order = sum(calls[0])
-        assert order <= (2 * n - 3 if n <= len(terms) + 1
-                         else 2 * len(terms) - 1), (terms, n, order)
+        genus, degrees = len(terms) // 2, sum(calls[0])
+        if (n - 1) // 2 <= 2 * genus:
+            assert calls[0] == ((n - 1) // 2, genus), (terms, n)
+            assert degrees <= 3 * genus
+        else:
+            assert calls[0][0] == genus and degrees < 2 * genus, (terms, n)
 
 
 def test_h1_oracle_determinants_stay_below_4g(monkeypatch):
-    sizes = []
-
-    def recording(matrix):
-        sizes.append(len(matrix))
-        return det_bareiss(matrix)
-
-    monkeypatch.setattr(intlinalg, "det_bareiss", recording)
+    """The resultant the oracle hands over has degrees summing to at most 3
+    genus (the order of its Sylvester matrix), whatever n."""
+    degrees = []
+    monkeypatch.setattr(intlinalg, "resultant", lambda f, g: degrees.append(
+        len(f) + len(g) - 2) or resultant(f, g))
     rng = random.Random(7)
     for genus in (1, 2, 3, 4):
         for n in (2, 3, 17, 200, 1000):
-            sizes.clear()
+            degrees.clear()
             terms = [2 * rng.choice(NONZERO) for _ in range(2 * genus)]
             h1_cyclic_cover_order(terms, n)
-            assert max(sizes, default=0) <= 4 * genus - 1, (terms, n, sizes)
+            assert len(degrees) <= 1, (terms, n)
+            assert max(degrees, default=0) <= 3 * genus, (terms, n, degrees)
 
 
 def test_even_expansion_from_fraction_roundtrip():
