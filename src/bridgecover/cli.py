@@ -19,7 +19,9 @@ Conventions: negative numbers go after ``--`` or inside a comma-separated
 option value; report commands print a header line (tool version, grid, table
 provenance) to stderr so stdout stays diff-clean against the golden
 files; the exit code is 0 exactly when every requested check passes, 1 on a
-failed check or rejected certificate, 2 on usage errors.
+failed check or rejected certificate, 2 on usage errors.  Plain ``h1`` and
+``fraction`` lines are read directly; argparse reads every other line and
+prints all help and usage errors.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -688,6 +691,52 @@ def _cmd_loelim(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+# The options of the two integer-term commands, each declared once for
+# ``build_parser`` and for ``_read_plain``.
+_TERM_OPTIONS = {
+    "fraction": {
+        "--mirror": dict(action="store_true", default=False,
+                         help="print the mirror-image term list"),
+        "--even-form": dict(action="store_true", default=False,
+                            help="print the canonical even expansion"),
+    },
+    "h1": {
+        "--cover": dict(type=int, default=2, metavar="N",
+                        help="cover degree n >= 2 (default 2)"),
+        "--method": dict(choices=("snf", "oracle", "table", "all"),
+                         default="oracle"),
+    },
+}
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _read_plain(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace ``build_parser`` gives a plain ``h1`` or ``fraction``
+    line, else None: after the command, only its own options, each spelled
+    out once with any value as the next token, and ASCII integer terms in
+    one run.  Argparse reads every other line."""
+    options = _TERM_OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    values, terms, closed, tokens = {}, [], False, iter(argv[1:])
+    for token in tokens:
+        spec = options.get(token)
+        if spec is None and not closed and _INT_TOKEN.fullmatch(token):
+            terms.append(token)
+            continue
+        if spec is None or token in values:
+            return None
+        closed = bool(terms)  # a term after this option would split the run
+        value = True if "action" in spec else next(tokens, "")  # store_true
+        if value not in spec.get("choices", [value]) or (
+                "type" in spec and not _INT_TOKEN.fullmatch(value)):
+            return None
+        values[token] = spec["type"](value) if "type" in spec else value
+    return argparse.Namespace(config=None, command=argv[0], **{
+        option[2:].replace("-", "_"): values.get(option, spec["default"])
+        for option, spec in options.items()}, terms=terms)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgecover",
@@ -700,18 +749,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fraction", help="evaluate a continued fraction")
-    p.add_argument("--mirror", action="store_true",
-                   help="print the mirror-image term list")
-    p.add_argument("--even-form", action="store_true",
-                   help="print the canonical even expansion")
+    for option, spec in _TERM_OPTIONS["fraction"].items():
+        p.add_argument(option, **spec)
     p.add_argument("terms", nargs="*", metavar="TERM",
                    help="continued-fraction terms (negatives after --)")
 
     p = sub.add_parser("h1", help="homology order of a cyclic branched cover")
-    p.add_argument("--cover", type=int, default=2, metavar="N",
-                   help="cover degree n >= 2 (default 2)")
-    p.add_argument("--method", choices=("snf", "oracle", "table", "all"),
-                   default="oracle")
+    for option, spec in _TERM_OPTIONS["h1"].items():
+        p.add_argument(option, **spec)
     p.add_argument("terms", nargs="*", metavar="TERM")
 
     p = sub.add_parser("identities", help="symbolic determinant identities")
@@ -773,14 +818,14 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
-    args = parser.parse_args(_glue_option_values(_hoist_terms(argv)))
+    argv = _glue_option_values(_hoist_terms(
+        list(sys.argv[1:] if argv is None else argv)))
+    args = _read_plain(argv) or _parser().parse_args(argv)
 
     try:
         args.grid_ranges = _build_grid(args)
     except (OSError, ValueError) as exc:
-        parser.error(str(exc))
+        _parser().error(str(exc))
     if getattr(args, "params", None) is None and getattr(args, "params_tail",
                                                          None):
         args.params = ",".join(args.params_tail)
@@ -788,7 +833,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except _CliError as exc:
-        parser.error(str(exc))
+        _parser().error(str(exc))
         return 2  # unreachable; parser.error exits
     except (WordError, CertError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,6 +78,18 @@ class CertParseError(CertError):
     """Malformed serialized certificate; the message carries the location."""
 
 
+def _shown(value, show: Callable[[object], str] = repr) -> str:
+    """``show(value)`` for an error text; an int past Python's int-to-str
+    digit limit is shown by its bit length, a value holding one by its type."""
+    try:
+        return show(value)
+    except ValueError:
+        if value.__class__ is int:
+            sign = "-" if value < 0 else ""
+            return f"{sign}<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int too long to print>"
+
+
 # ---------------------------------------------------------------------------
 # Link identifiers
 # ---------------------------------------------------------------------------
@@ -117,10 +129,10 @@ class LinkId(NamedTuple):
         names = (_FAMILY_PARAMS.get(self.family)
                  if self.family.__class__ is str else None)
         if names is None:
-            raise CertError(f"unknown link family {self.family!r}")
+            raise CertError(f"unknown link family {_shown(self.family)}")
         if self.params.__class__ is not tuple or len(self.params) != len(names):
             raise CertError(f"{self.family} link needs the parameters {names} "
-                            f"as a tuple of ints, got {self.params!r}")
+                            f"as a tuple of ints, got {_shown(self.params)}")
         for key, value in zip(names, self.params):
             if value.__class__ is not int or value == 0:
                 raise CertError(f"parameter {key} must be a nonzero integer")
@@ -135,8 +147,8 @@ class LinkId(NamedTuple):
             try:
                 canonical = parse_resolution(self.resolution)
             except (ValueError, TypeError, AttributeError) as exc:
-                raise CertError(
-                    f"bad resolution {self.resolution!r}: {exc}") from None
+                raise CertError(f"bad resolution {_shown(self.resolution)}: "
+                                f"{exc}") from None
             if canonical != self.resolution:
                 raise CertError(f"resolution {self.resolution!r} is not in "
                                 f"canonical form {canonical!r}")
@@ -144,7 +156,7 @@ class LinkId(NamedTuple):
     def __str__(self):
         if self.family == "NAMED":
             return self.name
-        args = ", ".join(f"{k}={v}" for k, v in
+        args = ", ".join(f"{k}={_shown(v, str)}" for k, v in
                          zip(_FAMILY_PARAMS[self.family], self.params))
         return f"{self.family}({args}; {self.resolution})"
 
@@ -437,7 +449,7 @@ def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, Tuple[str, ...]
     field a str, the other empty, an earlier index per slot, its link new."""
     fields = _NODE_FIELDS.get(node.kind) if node.kind.__class__ is str else None
     if fields is None:
-        raise _Reject(i, f"unknown node kind {node.kind!r}")
+        raise _Reject(i, f"unknown node kind {_shown(node.kind)}")
     (text, slots), children = fields, node.children
     unused = ("axiom" if node.axiom != "" and text != "axiom" else
               "citation" if node.citation != "" and text != "citation" else "")
@@ -447,11 +459,11 @@ def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, Tuple[str, ...]
         raise _Reject(i, f"{node.kind} nodes carry their {text} as a string")
     if children.__class__ is not tuple or len(children) != len(slots):
         raise _Reject(i, f"{node.kind} nodes cite {len(slots)} children, got "
-                         f"{children!r}")
+                         f"{_shown(children)}")
     for slot, k in zip(slots, children):
         if k.__class__ is not int or not 0 <= k < i:
             raise _Reject(i, f"expected the index of an earlier node, got "
-                             f"{k!r}", slot)
+                             f"{_shown(k)}", slot)
     if node.link in first:
         raise _Reject(i, f"{node.link} is already certified by "
                          f"nodes[{first[node.link]}]")
@@ -463,12 +475,13 @@ def verify(cert: Certificate) -> Verdict:
     REJECT at the first violation.  Children cite earlier nodes, so no cycle
     can be written, and each link's determinant is tabulated once."""
     if cert.claim not in _CLAIMS:
-        return Verdict(False, "claim", f"unknown claim {cert.claim!r}")
+        return Verdict(False, "claim", f"unknown claim {_shown(cert.claim)}")
     declared: Dict[str, AxiomDecl] = {}
     for i, decl in enumerate(cert.axioms):
         known = AXIOMS.get(decl.name) if decl.name.__class__ is str else None
         if known is None:
-            return Verdict(False, f"axioms[{i}]", f"unknown axiom {decl.name!r}")
+            return Verdict(False, f"axioms[{i}]",
+                           f"unknown axiom {_shown(decl.name)}")
         if decl != known:
             return Verdict(False, f"axioms[{i}]",
                            f"axiom {decl.name!r} declared with wrong claim or "
@@ -491,22 +504,22 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
     node = cert.nodes[i]
     link = node.link
     if link.__class__ is not LinkId:
-        raise _Reject(i, f"expected a LinkId, got {link!r}")
+        raise _Reject(i, f"expected a LinkId, got {_shown(link)}")
     try:
         link.validate()
     except CertError as exc:
         raise _Reject(i, str(exc))
     if node.det.__class__ is not int or node.det <= 0:
         raise _Reject(i, f"determinant must be a positive integer, got "
-                         f"{node.det!r}")
+                         f"{_shown(node.det)}")
     slots = _slots(node, i, first)[1]
     try:
         want = expected_det(link)
     except (NotTabulatedError, CertError) as exc:
         raise _Reject(i, f"no tabulated determinant: {exc}")
     if node.det != want:
-        raise _Reject(i, f"determinant {node.det} does not match the "
-                         f"tabulated value {want} for {link}")
+        raise _Reject(i, f"determinant {_shown(node.det)} does not match "
+                         f"the tabulated value {_shown(want)} for {link}")
     children = [cert.nodes[k] for k in node.children]
     if node.kind == BASE:
         axiom = AXIOMS.get(node.axiom)
@@ -527,7 +540,7 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
                              f"{child.link} under {node.citation!r}")
         if child.det != node.det:
             raise _Reject(i, f"identified links must share a determinant: "
-                             f"{node.det} != {child.det}")
+                             f"{_shown(node.det)} != {_shown(child.det)}")
     elif "*" not in link.resolution:
         raise _Reject(i, f"{link} has no unresolved slot to split")
     else:
@@ -538,8 +551,9 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
                                  f"{child.link}", slot)
         zero, inf = children
         if node.det != zero.det + inf.det:
-            raise _Reject(i, f"determinant additivity fails: {node.det} != "
-                             f"{zero.det} + {inf.det}")
+            raise _Reject(i, f"determinant additivity fails: "
+                             f"{_shown(node.det)} != {_shown(zero.det)} + "
+                             f"{_shown(inf.det)}")
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +589,18 @@ def serialize(cert: Certificate) -> str:
                 out[text] = getattr(node, text)
             out.update(zip(slots, node.children))
             lines.append(_encode(out))
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise _Reject(i, f"cannot be written: {exc!r}") from None
+        except _Reject:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _Reject(i, f"cannot be written: {_shown(exc)}") from None
     axioms = [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
               for ax in cert.axioms]
-    return (f'{{"axioms":{_encode(axioms)},"claim":{_encode(cert.claim)},'
-            f'"nodes":[\n' + ",\n".join(lines) + "\n]}\n")
+    try:
+        head = f'{{"axioms":{_encode(axioms)},"claim":{_encode(cert.claim)},'
+    except (TypeError, ValueError) as exc:
+        raise CertError(f"axioms or claim cannot be written: "
+                        f"{_shown(exc)}") from None
+    return head + '"nodes":[\n' + ",\n".join(lines) + "\n]}\n"
 
 
 def _fields(obj, keys, where: str, texts=()) -> dict:
@@ -837,7 +857,8 @@ def generate_A_cert(q: int, s: int, t: int) -> Certificate:
     for name, value in (("q", q), ("s", s), ("t", t)):
         if value.__class__ is not int or value < 1:
             raise UnsupportedRegimeError(
-                f"parameter {name} must be a positive integer, got {value!r}")
+                f"parameter {name} must be a positive integer, got "
+                f"{_shown(value)}")
     extra = {"T(3,4)", "P(2,-3,-2)"} if s == 1 else set()
     return _generate(LinkId.A(q, s, t), extra)
 
@@ -852,7 +873,8 @@ def generate_L_cert(q: int, s: int, t: int, l: int) -> Certificate:
     for name, value in (("q", q), ("s", s), ("t", t), ("l", l)):
         if value.__class__ is not int or value == 0:
             raise CertError(
-                f"parameter {name} must be a nonzero integer, got {value!r}")
+                f"parameter {name} must be a nonzero integer, got "
+                f"{_shown(value)}")
     link = LinkId.L(q, s, t, l)
     extra: Set[str] = set()
     if len(set(link.sign_pattern())) == 1 and abs(s) == abs(t) == 1:

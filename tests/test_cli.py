@@ -783,20 +783,34 @@ def _choice(*names):
     return st.one_of(st.sampled_from(names), _JUNK)
 
 
+def _options(specs):
+    """Up to three options from ``specs`` (name -> value strategy, None for
+    a flag), repeats allowed, each spelled out, abbreviated or, with a
+    value, glued to it by ``=``."""
+    def spell(name, value):
+        names = st.sampled_from([name, name[:5]])
+        if value is None:
+            return names.map(lambda n: [n])
+        return st.tuples(names, value, st.booleans()).map(
+            lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+    return st.lists(st.one_of([spell(n, v) for n, v in specs.items()]),
+                    max_size=3).map(lambda found: sum(found, []))
+
+
 def _argv(files):
     """Command lines from the subcommand grammar, with junk and huge values
     in every slot; ``files`` names a few files, some of them malformed, and
     ends with the one ``--out`` may write."""
     path = st.sampled_from(files)
     terms = st.lists(_TOKEN, max_size=6)
-    flags = st.lists(st.sampled_from(["--mirror", "--even-form"]),
-                     max_size=2, unique=True)
+    flags = _options({"--mirror": None, "--even-form": None})
+    h1_options = _options({"--cover": _TOKEN, "--method": _choice(
+        "snf", "oracle", "table", "all")})
     commands = [
-        st.tuples(st.just(["fraction"]), flags, terms).map(
-            lambda t: t[0] + t[1] + ["--"] + t[2]),
-        st.tuples(st.just(["h1"]), _option("--cover", _TOKEN),
-                  _option("--method", _choice("snf", "oracle", "table", "all")),
-                  terms).map(lambda t: t[0] + t[1] + t[2] + ["--"] + t[3]),
+        st.tuples(st.just(["fraction"]), flags, terms, flags).map(
+            lambda t: t[0] + t[1] + ["--"] + t[2] + t[3]),
+        st.tuples(st.just(["h1"]), h1_options, terms, h1_options).map(
+            lambda t: t[0] + t[1] + ["--"] + t[2] + t[3]),
         st.tuples(st.just(["identities"]),
                   _option("--suite", _choice("lemma5.4", "lemma5.12",
                                              "lemma5.3", "lemma5.11",
@@ -855,3 +869,77 @@ def test_fuzzed_command_lines_exit_cleanly(fuzz_files, data):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert elapsed < 5, (argv, elapsed)
+
+
+# ---------------------------------------------------------------------------
+# plain h1 and fraction lines: read directly, exactly as argparse reads them
+# ---------------------------------------------------------------------------
+
+_PLAIN_PIECES = {
+    "h1": [["--cover", "3"], ["--cover", "-2"], ["--cover", "03"],
+           ["--method", "all"], ["--method", "snf"], ["--method", "bogus"],
+           ["--cover"], ["--method"], ["--cover=3"], ["--cov", "5"],
+           ["--method=all"], ["--meth", "all"]],
+    "fraction": [["--mirror"], ["--even-form"], ["--mirror=1"], ["--even"]],
+}
+_TRICKY = ["-h", "--help", "--", "-0", "03", "+3", " 3", "3\n", "١",
+           str(10 ** 40), "-", "", "x", "--config", "--version", "h1"]
+
+
+def _plain_argv():
+    """Lines of the h1 and fraction grammar: terms and options in any order,
+    some repeated or misspelled, and at times one tricky token."""
+    def line(command):
+        piece = st.one_of(st.integers(-9, 9).map(lambda v: [str(v)]),
+                          st.sampled_from(_PLAIN_PIECES[command]))
+        tricky = st.one_of(st.just([]), st.sampled_from(_TRICKY).map(
+            lambda token: [token]))
+        return st.tuples(st.lists(piece, max_size=6), st.integers(0, 6),
+                         tricky).map(lambda t: [command] + sum(
+                             t[0][:t[1]], []) + t[2] + sum(t[0][t[1]:], []))
+    return st.sampled_from(["h1", "fraction"]).flatmap(line)
+
+
+def _outcome(argv):
+    """(stdout, stderr, exit code) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@given(argv=_plain_argv())
+@settings(max_examples=300, deadline=None)
+def test_the_plain_reader_agrees_with_argparse(argv):
+    """After hoisting and gluing, the reader declines a line or returns the
+    Namespace argparse builds from it; ``main`` prints and exits alike
+    whether or not the reader is used."""
+    line = cli._glue_option_values(cli._hoist_terms(argv))
+    got = cli._read_plain(line)
+    if got is not None:
+        assert vars(got) == vars(cli.build_parser().parse_args(line))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        direct = _outcome(argv)
+        mp.setattr(cli, "_read_plain", lambda line: None)
+        assert _outcome(argv) == direct
+
+
+def test_a_plain_line_builds_no_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    code, out, _ = run(["h1", "--cover", "3", "--method", "all", "--", "2",
+                        "-4", "6", "-8"], capsys)
+    assert (code, out) == (0, "26569,26569,26569 AGREE\n")
+    assert run(["fraction", "--", "2", "3"], capsys)[:2] == (
+        0, "7/3 (knot 5_2 class, det 7)\n")
+    assert cli._parser.cache_info().currsize == 0
+    # a usage error still prints argparse's usage and message
+    assert run(["h1", "--cover", "1", "--", "2", "-4"], capsys) == (2, "", (
+        "usage: bridgecover [-h] [--version] [--config FILE]\n"
+        "                   {fraction,h1,identities,cert,lo-elim} ...\n"
+        "bridgecover: error: --cover must be >= 2, got 1\n"))
+    assert cli._parser.cache_info().currsize == 1

@@ -1302,13 +1302,19 @@ _FUZZ_CERTS = [qc.generate_A_cert(1, 1, 1), qc.generate_A_cert(2, 1, 3),
                qc.generate_L_cert(2, 2, 2, 1), qc.generate_L_cert(-1, 2, -1, 1),
                qc.generate_L_cert(1, 1, 1, 1)]
 
+# ints past Python's int-to-str digit limit (4300 digits by default), made
+# in a map so that hypothesis never has to print them as strategy arguments
+_UNPRINTABLE = st.sampled_from([4300, 5000, -5000]).map(
+    lambda e: 10 ** abs(e) * (1 if e > 0 else -1))
 _JUNK = st.one_of(
     st.lists(st.integers(-3, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
     st.none(), st.booleans(), st.floats(allow_nan=True),
     st.integers(2 ** 63, 10 ** 300), st.integers(-10 ** 300, -2 ** 63),
+    _UNPRINTABLE,
     st.sampled_from(["", "Z", "*,*", "0,0,0,0", "NAMED"]),
-    st.lists(st.integers(-3, 40), max_size=6).map(tuple))
+    st.lists(st.one_of(st.integers(-3, 40), _UNPRINTABLE),
+             max_size=6).map(tuple))
 
 
 def _junk_for(data, old):
@@ -1353,3 +1359,23 @@ def test_fuzzed_fields_reject_and_never_raise(data):
     except qc.CertError:
         return
     assert text.endswith("]}\n")
+
+
+@pytest.mark.parametrize("field", ["det", "child", "param"])
+def test_ints_past_the_digit_limit_reject_and_are_not_written(field):
+    """A determinant, child index or link parameter too long for ``str``:
+    ``verify`` REJECTs, naming the int by its bit length, and ``serialize``
+    raises ``CertError`` at that node."""
+    cert = qc.generate_A_cert(2, 1, 3)
+    i = max(k for k, node in enumerate(cert.nodes) if node.children)
+    node, huge = cert.nodes[i], 10 ** 5000
+    node = {"det": node._replace(det=huge),
+            "child": node._replace(children=(huge,) * len(node.children)),
+            "param": node._replace(link=node.link._replace(
+                params=(huge,) + node.link.params[1:]))}[field]
+    cert = _with_node(cert, i, node)
+    verdict = qc.verify(cert)
+    assert not verdict.accepted
+    assert "<int of 16610 bits>" in verdict.reason
+    with pytest.raises(qc.CertError, match=rf"^nodes\[{i}\]"):
+        qc.serialize(cert)
