@@ -150,7 +150,7 @@ def _build_grid(args) -> Dict[str, Tuple[int, int]]:
     grid = dict.fromkeys(_PARAM_NAMES, (1, 3))
     if args.config is not None:
         grid.update(load_config(args.config))
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         grid = dict.fromkeys(_PARAM_NAMES, _parse_range(args.grid))
     for name, (lo, hi) in grid.items():
         if lo > hi:
@@ -246,8 +246,9 @@ def _is_int_token(text: str) -> bool:
 def _hoist_terms(argv: List[str]) -> List[str]:
     """Allow options to precede the ``--`` term block (``h1 --cover 3 -- 2 2``)
     or follow it (``h1 -- 2 2 --cover 3``) by splicing the integer run after
-    ``--`` in with the leading positionals.  The separator itself is dropped:
-    bare integers (negative included) parse fine as positionals, argparse
+    ``--`` in after the command token and its leading positionals, past any
+    ``--config FILE`` before it.  The separator itself is dropped: bare
+    integers (negative included) parse fine as positionals, argparse
     mishandles a literal ``--`` across subparsers, and positionals split on
     both sides of an option would land in separate match runs."""
     if "--" not in argv:
@@ -258,6 +259,8 @@ def _hoist_terms(argv: List[str]) -> List[str]:
     while j < len(rest) and _is_int_token(rest[j]):
         j += 1
     k = 0
+    while k < len(head) and head[k].startswith("-"):  # options before it
+        k += 1
     while k < len(head) and not head[k].startswith("-"):
         k += 1
     return head[:k] + rest[:j] + head[k:] + rest[j:]
@@ -426,13 +429,14 @@ _LEMMA_SUITES = {"lemma5.3": "A", "lemma5.11": "L"}
 _ADDITIVITY_SUITES = {"lemma5.4": "A", "lemma5.12": "L"}
 
 
-def _identity_suite(args) -> IdentityReport:
+def _identity_suite(args, grid: Mapping[str, Tuple[int, int]],
+                    ) -> IdentityReport:
     """A lemma suite; ``--grid`` adds numeric spot checks to additivity."""
     if args.suite in _LEMMA_SUITES:
         return lemma_suite(_LEMMA_SUITES[args.suite])
     family = _ADDITIVITY_SUITES[args.suite]
     points = (None if args.grid is None else
-              list(_grid_points(args.grid_ranges, TABLE_PARAMS[family])))
+              list(_grid_points(grid, TABLE_PARAMS[family])))
     return verify_additivity(family, grid=points)
 
 
@@ -514,13 +518,16 @@ _SUITE_SOURCES = {
 
 
 def _cmd_identities(args) -> int:
-    low = " ".join(f"{n}={lo}..{hi}" for n, (lo, hi) in args.grid_ranges.items()
-                   if lo < 1)
+    try:
+        grid = _build_grid(args)
+    except (OSError, ValueError) as exc:
+        raise _CliError(str(exc))
+    low = " ".join(f"{n}={lo}..{hi}" for n, (lo, hi) in grid.items() if lo < 1)
     if args.suite == "tables" and low:  # star matrices need q, s, t, l >= 1
         raise _CliError(f"the tables suite needs q, s, t, l >= 1, got {low}")
     # the lemma suites are symbolic; only tables and --grid spot checks use
     # the grid
-    grid, points, limit = args.grid_ranges, 0, 0
+    points, limit = 0, 0
     if args.suite == "tables":
         points = sum(_point_count(grid, family) for family, _ in _TABLE_SPECS)
         limit = TABLES_MAX_POINTS
@@ -534,10 +541,10 @@ def _cmd_identities(args) -> int:
     _emit_header(_grid_text(grid) if points else "symbolic",
                  _SUITE_SOURCES[args.suite])
     if args.suite == "tables":
-        records = _tables_agreement(args.grid_ranges)
+        records = _tables_agreement(grid)
         key, lines = "rows", _table_lines(records)
     else:
-        report = _identity_suite(args)
+        report = _identity_suite(args, grid)
         records = [{"name": c.name, "statement": c.statement, "ok": c.ok}
                    for c in report.checks]
         key, lines = "checks", report.to_text().splitlines()
@@ -821,11 +828,6 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     argv = _glue_option_values(_hoist_terms(
         list(sys.argv[1:] if argv is None else argv)))
     args = _read_plain(argv) or _parser().parse_args(argv)
-
-    try:
-        args.grid_ranges = _build_grid(args)
-    except (OSError, ValueError) as exc:
-        _parser().error(str(exc))
     if getattr(args, "params", None) is None and getattr(args, "params_tail",
                                                          None):
         args.params = ",".join(args.params_tail)

@@ -36,9 +36,9 @@ only, so no dense elimination runs here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 # det_bareiss is unused here; perfbench's tracing test asserts goeritz.det_bareiss.
 from .intlinalg import det_bareiss  # noqa: F401
@@ -216,14 +216,17 @@ def _horner(terms, names: Sequence[str]) -> str:
     return text or "0"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class _TableRowFields(NamedTuple):
     family: str
     resolution: str
     poly: MultiPoly
     source: str
     validity: str
     identified_via: Optional[str] = None
+
+
+class TableRow(_TableRowFields):
+    # no __slots__: the instance __dict__ holds ``evaluate`` once compiled
 
     @cached_property
     def evaluate(self) -> Callable[..., int]:
@@ -235,8 +238,7 @@ class TableRow:
         return eval(f"lambda {', '.join(names)}: {_horner(terms, names)}", {})
 
 
-@dataclass(frozen=True)
-class ResolutionRule:
+class ResolutionRule(NamedTuple):
     """det family(source) = det target_family(target) after ``move``: none,
     ``t-1``/``l-1`` (one lower) or ``t=1``.  A link identification moves a
     parameter only where it is at least 2.  ``target_family`` is given only
@@ -280,9 +282,8 @@ def _rows(family: str, source: str, validity: str,
              for res, poly in data.items()}
     for rule in RESOLUTION_RULES:
         if rule.family == family and not rule.move and not rule.target_family:
-            table[rule.source] = replace(table[rule.target],
-                                         resolution=rule.source,
-                                         identified_via=rule.citation)
+            table[rule.source] = table[rule.target]._replace(
+                resolution=rule.source, identified_via=rule.citation)
     return table
 
 
@@ -337,8 +338,8 @@ _TABLES: Dict[str, Dict[str, TableRow]] = {
     "A": _TABLE3,
     "A(t=1)": _TABLE2,
     # B rows missing from Table 4 are Table 5's at l = 1
-    "B": {**{res: replace(row, family="B", source="Table 5 at l=1",
-                          poly=row.poly.substitute({"l": MultiPoly.const(1)}))
+    "B": {**{res: row._replace(family="B", source="Table 5 at l=1",
+                               poly=row.poly.substitute({"l": MultiPoly.const(1)}))
              for res, row in _TABLE5.items() if res not in _TABLE4},
           **_TABLE4},
     "L": _TABLE5,
@@ -376,8 +377,7 @@ def table_formula(family: str, resolution: str,
 # Identity suites
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     statement: str
     residual: MultiPoly
@@ -387,8 +387,7 @@ class IdentityCheck:
         return self.residual.is_zero()
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: List[IdentityCheck]
 
     @property

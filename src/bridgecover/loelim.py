@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from .presentations import (
     _RPRIME_TEMPLATES,
@@ -81,17 +81,21 @@ NEG = SN
 # Sign patterns and their symmetries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """One strict sign per generator; the first is normalized to POS."""
-
+class _Signs(NamedTuple):
     signs: Tuple[SignLattice, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(self.signs))
-        for s in self.signs:
+
+class SignAssignment(_Signs):
+    """One strict sign per generator; the first is normalized to POS."""
+
+    __slots__ = ()
+
+    def __new__(cls, signs):
+        signs = tuple(signs)
+        for s in signs:
             if s not in (SP, SN):
                 raise WordError(f"pattern signs must be strict, got {s}")
+        return super().__new__(cls, signs)
 
     def as_map(self, generators: Sequence[str]) -> Dict[str, SignLattice]:
         if len(generators) != len(self.signs):
@@ -146,8 +150,7 @@ def sign_patterns(n: int) -> List[SignAssignment]:
     return [SignAssignment((POS,) + tail) for tail in tails]
 
 
-@dataclass(frozen=True)
-class SymmetryAction:
+class SymmetryAction(NamedTuple):
     """Relabeling symmetries acting on sign patterns of n generators."""
 
     n: int
@@ -183,8 +186,7 @@ def _canonical_key(a: SignAssignment) -> Tuple[int, ...]:
 # Stage one: pattern elimination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatternVerdict:
+class PatternVerdict(NamedTuple):
     index: int
     assignment: SignAssignment
     eliminated: bool
@@ -192,14 +194,12 @@ class PatternVerdict:
     witness_sign: Optional[SignLattice] = None
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     canonical: SignAssignment
     members: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EliminationReport:
+class EliminationReport(NamedTuple):
     generators: Tuple[str, ...]
     verdicts: Tuple[PatternVerdict, ...]
     orbits: Tuple[Orbit, ...] = ()
@@ -269,7 +269,7 @@ def orbit_reduce(report: EliminationReport) -> EliminationReport:
         canonical = min((a for a in orb if a in index_of), key=_canonical_key)
         orbits.append(Orbit(canonical, members))
         grouped.update(members)
-    return replace(report, orbits=tuple(orbits))
+    return report._replace(orbits=tuple(orbits))
 
 
 def table1_report() -> EliminationReport:
@@ -485,22 +485,19 @@ def _atomize(w: ParamWord, body_names: Mapping[ParamWord, str]) -> ParamWord:
     return ParamWord(tuple(items))
 
 
-@dataclass(frozen=True)
-class WingSign:
+class WingSign(NamedTuple):
     name: str
     sign: SignLattice
     form: str = ""
 
 
-@dataclass(frozen=True)
-class DerivedAtom:
+class DerivedAtom(NamedTuple):
     atom: str
     sign: SignLattice
     via: str
 
 
-@dataclass(frozen=True)
-class SubcaseRecord:
+class SubcaseRecord(NamedTuple):
     index: int
     assumed: Tuple[Tuple[str, SignLattice], ...]
     derived: Tuple[DerivedAtom, ...]
@@ -509,8 +506,7 @@ class SubcaseRecord:
     witness_sign: Optional[SignLattice] = None
 
 
-@dataclass(frozen=True)
-class Genus2Report:
+class Genus2Report(NamedTuple):
     signs: Tuple[int, int, int, int]
     case_label: str
     verdicts: Tuple[PatternVerdict, ...]

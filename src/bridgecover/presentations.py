@@ -28,10 +28,10 @@ forms r', r''.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .intlinalg import INFINITE, Infinite, cyclic_resultant, in_row_span
 from .multipoly import MultiPoly
@@ -334,8 +334,7 @@ def first_syllable_difference(got: Sequence[Run],
     return None
 
 
-@dataclass
-class ProductIdentityVerdict:
+class ProductIdentityVerdict(NamedTuple):
     """Outcome of checking r3 r2 r1 = zyx for the n=3 genus-two presentation."""
 
     params: Tuple[int, int, int, int]
@@ -389,8 +388,7 @@ def verify_product_identity(q: int, s: int, t: int, l: int) -> ProductIdentityVe
     )
 
 
-@dataclass
-class RewriteRecord:
+class RewriteRecord(NamedTuple):
     """One rewritten-form comparison, e.g. r'_1 against r_1."""
 
     name: str
@@ -402,10 +400,9 @@ class RewriteRecord:
         return bool(self.match)
 
 
-@dataclass
-class RewriteReport:
+class RewriteReport(NamedTuple):
     params: Tuple[int, int, int, int]
-    records: List[RewriteRecord] = field(default_factory=list)
+    records: List[RewriteRecord]
 
     @property
     def all_ok(self) -> bool:
@@ -431,9 +428,9 @@ def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
     pairs += [(f"r''{i} vs r'{i}", instantiate(_RSECOND_WORDS[i], consts, wings),
                primes[i - 1])
               for i in (1, 2, 3)]
-    report = RewriteReport(params=(q, s, t, l))
+    records = []
     for name, got, expected in pairs:
         match = equal_up_to_cyclic(got, expected)
-        report.records.append(RewriteRecord(name, match, None if match else
-                                            first_syllable_difference(got, expected)))
-    return report
+        records.append(RewriteRecord(name, match, None if match else
+                                     first_syllable_difference(got, expected)))
+    return RewriteReport((q, s, t, l), records)

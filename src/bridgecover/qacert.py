@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Set,
                     Tuple, Union)
 
@@ -181,8 +180,7 @@ def expected_det(link: LinkId) -> int:
 # Axiom whitelist
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomDecl:
+class AxiomDecl(NamedTuple):
     name: str
     claim: str
     citation: str
@@ -376,8 +374,7 @@ _TreeNode = namedtuple("_TreeNode",
                        defaults=("", "", None, None, None))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     claim: str
     nodes: Tuple[CertNode, ...]
     axioms: Tuple[AxiomDecl, ...]
@@ -418,8 +415,7 @@ def _resolve_leftmost(link: LinkId, slot: str) -> Optional[LinkId]:
 # Verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
     path: str = ""
     reason: str = ""

@@ -728,6 +728,32 @@ def test_config_malformed_range_is_a_usage_error(capsys, tmp_path):
     assert "range must look like LO..HI" in err
 
 
+def test_only_identities_reads_the_config(capsys, tmp_path):
+    missing = str(tmp_path / "missing.cfg")
+    assert run(["--config", missing, "h1", "2", "2"], capsys) == run(
+        ["h1", "2", "2"], capsys)
+    code, _, err = run(["--config", missing, "identities", "--suite",
+                        "lemma5.3"], capsys)
+    assert code == 2
+    assert "No such file or directory" in err_tail(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["h1", "--", "2", "-4"],
+    ["h1", "--cover", "3", "--", "2", "-4", "6", "-8"],
+    ["h1", "--", "2", "-4", "--method", "all"],
+    ["cert", "generate", "--family", "A", "--", "1", "1", "1"],
+])
+def test_a_term_block_after_config_reads_as_without_it(capsys, tmp_path,
+                                                        argv):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("grid = 1..2\n")
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert run(["--config", str(cfg)] + argv, capsys)[:2] == (code, out)
+    assert run([f"--config={cfg}"] + argv, capsys)[:2] == (code, out)
+
+
 def test_version_flag(capsys):
     code, out, _ = run(["--version"], capsys)
     assert code == 0

@@ -5,7 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
@@ -331,7 +331,7 @@ def test_row_evaluators_match_multipoly_evaluate(values):
 
 
 def test_row_evaluators_are_built_once_on_first_use():
-    row = replace(table_row("L", "*,*,*"))
+    row = table_row("L", "*,*,*")._replace()
     assert "evaluate" not in vars(row)
     assert row.evaluate is row.evaluate
     # importing the package (the CLI loads every module) compiles no row
@@ -440,8 +440,8 @@ def test_additivity_grid_evaluates_each_row_once_and_lists_failures_in_order(
     0,inf,inf is off by 2 - q, which is nonzero at q = 1 only."""
     rows = goeritz._TABLES["L"]
     row = rows["0,inf,inf"]
-    monkeypatch.setitem(rows, "0,inf,inf", replace(
-        row, poly=row.poly + MultiPoly.const(2) - MultiPoly.var("q")))
+    monkeypatch.setitem(rows, "0,inf,inf", row._replace(
+        poly=row.poly + MultiPoly.const(2) - MultiPoly.var("q")))
     real, calls = MultiPoly.evaluate, []
 
     def evaluate(poly, point):

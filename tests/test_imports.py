@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+no module imports ``dataclasses``."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +42,34 @@ def test_an_unused_import_is_found_and_noqa_is_honoured():
               "from typing import (  # noqa\n    Dict,\n)\n"
               "from json import dumps, loads\nprint(loads)\n")
     assert unused_imports(source) == [(2, "io"), (7, "dumps")]
+
+
+def imported_modules(source: str):
+    """The modules ``source`` imports by absolute name, as written."""
+    tree = ast.parse(source)
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+            | {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and not node.level})
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    """The package's records are NamedTuples, so no process pays for
+    ``dataclasses`` and the ``inspect``, ``ast`` and ``dis`` it loads."""
+    assert "dataclasses" not in imported_modules(
+        path.read_text(encoding="utf-8"))
+
+
+def test_importing_every_module_loads_no_dataclasses():
+    modules = sorted(f"bridgecover.{path.stem}" for path in PACKAGE.glob("*.py")
+                     if path.stem != "__init__")
+    assert len(modules) == 9
+    code = (f"import sys, {', '.join(modules)}\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout == "[]\n"

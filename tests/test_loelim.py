@@ -61,6 +61,7 @@ def test_sign_assignment_validation():
     with pytest.raises(WordError):
         SignAssignment((POS, SignLattice.NON_NEG))
     a = SignAssignment((POS, NEG))
+    assert SignAssignment([POS, NEG]) == a and a.signs == (POS, NEG)
     assert a.text() == "+-"
     assert a.spaced() == "+ -"
     assert a.as_map(["x", "y"]) == {"x": POS, "y": NEG}

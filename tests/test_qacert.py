@@ -1,7 +1,6 @@
 """Tests for certificate generation, verification, and serialization."""
 
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -1338,8 +1337,7 @@ def test_fuzzed_fields_reject_and_never_raise(data):
         i = data.draw(st.integers(0, len(cert.axioms) - 1))
         field = data.draw(st.sampled_from(["name", "claim", "citation"]))
         decl = cert.axioms[i]
-        decl = dataclasses.replace(decl, **{field: _junk_for(
-            data, getattr(decl, field))})
+        decl = decl._replace(**{field: _junk_for(data, getattr(decl, field))})
         cert = qc.Certificate(cert.claim, cert.nodes,
                               cert.axioms[:i] + (decl,) + cert.axioms[i + 1:])
     else:
