@@ -50,6 +50,7 @@ from .words import (
     ParamWord,
     PeelSide,
     PowerBlock,
+    SignForm,
     SignLattice,
     Syllable,
     WordError,
@@ -284,9 +285,8 @@ def report_text(report: EliminationReport) -> str:
     rows: List[Tuple[str, str, str, str]] = []
     for v in report.verdicts:
         if v.eliminated:
-            rel = "> 1" if v.witness_sign is SP else "< 1"
             rows.append((str(v.index), v.assignment.spaced(), "eliminated",
-                         f"{v.witness} {rel}"))
+                         f"{v.witness} {_rel_text(v.witness_sign)}"))
         else:
             rows.append((str(v.index), v.assignment.spaced(), "survives", ""))
     header = ("#", "pattern", "verdict", "witness")
@@ -317,12 +317,9 @@ def report_text(report: EliminationReport) -> str:
 def report_csv(report: EliminationReport) -> str:
     lines = ["pattern,signs,verdict,witness"]
     for v in report.verdicts:
-        if v.eliminated:
-            wit = f"{v.witness}{'>1' if v.witness_sign is SP else '<1'}"
-            verdict = "eliminated"
-        else:
-            wit = ""
-            verdict = "survives"
+        wit = (f"{v.witness}{'>1' if v.witness_sign is SP else '<1'}"
+               if v.eliminated else "")
+        verdict = "eliminated" if v.eliminated else "survives"
         lines.append(f"{v.index},{v.assignment.text()},{verdict},{wit}")
     return "\n".join(lines) + "\n"
 
@@ -337,17 +334,22 @@ _PARAMS = ("q", "s", "t", "l")
 
 #: Pair-word letters: ``Eab`` stands for the word a^q b^-q.
 _ATOM_PAIR: Dict[str, Tuple[str, str]] = {
-    "Exy": ("x", "y"),
-    "Eyx": ("y", "x"),
-    "Eyz": ("y", "z"),
-    "Ezy": ("z", "y"),
-    "Ezx": ("z", "x"),
-    "Exz": ("x", "z"),
-}
+    f"E{a}{b}": (a, b) for a, b in ("xy", "yx", "yz", "zy", "zx", "xz")}
 _ATOMS = tuple(_ATOM_PAIR)
 _ATOM_INVERSE = {name: f"E{b}{a}" for name, (a, b) in _ATOM_PAIR.items()}
 _PAIR_WORDS = {name: parse_word(f"{a}^(q) {b}^(-q)")
                for name, (a, b) in _ATOM_PAIR.items()}
+
+#: The deck rotation rho renames x -> y -> z -> x and X -> Y -> Z -> X, so
+#: Eab -> the pair letter of the images, and leaves every exponent alone.
+#: ``_RHO[k]`` applies rho^k to a letter or to a word's text.
+_RHO = [str.maketrans("xyzXYZ", r) for r in ("xyzXYZ", "yzxYZX", "zxyZXY")]
+
+
+def _rotate(form: SignForm) -> SignForm:
+    """rho applied to a compiled sign form: every head is renamed."""
+    return tuple((h.translate(_RHO[1]) if h.__class__ is str else _rotate(h),
+                  s) for h, s in form)
 
 
 def _atomize_text(template: str) -> str:
@@ -401,10 +403,9 @@ def _case_label(signs: Tuple[int, int, int, int]) -> str:
 def _signed_env(signs: Tuple[int, int, int, int],
                 ) -> Tuple[Dict[str, AffineExp], ParamEnv]:
     """Rewrite each parameter as +-(positive parameter of the same name)."""
-    mapping = {name: AffineExp.param(name, sign)
-               for name, sign in zip(_PARAMS, signs)}
-    env = ParamEnv({name: 1 for name in _PARAMS})
-    return mapping, env
+    return ({name: AffineExp.param(name, sign)
+             for name, sign in zip(_PARAMS, signs)},
+            ParamEnv({name: 1 for name in _PARAMS}))
 
 
 def _peel_variants(w: ParamWord, env: ParamEnv) -> List[ParamWord]:
@@ -549,7 +550,7 @@ def _subcase_assignments(ctx: Mapping[str, SignLattice],
 
 
 def _derive_atoms(ctx: Dict[str, SignLattice],
-                  wing_forms: Mapping[str, Mapping[tuple, ParamWord]],
+                  wing_forms: Mapping[str, Mapping[SignForm, ParamWord]],
                   ) -> List[DerivedAtom]:
     """Settle unknown pair-word signs by hypothesis refutation.
 
@@ -559,49 +560,39 @@ def _derive_atoms(ctx: Dict[str, SignLattice],
     """
     derived: List[DerivedAtom] = []
     for _ in range(2):
-        progressed = False
+        settled = len(derived)
         for atom in _ATOMS:
             if ctx.get(atom) in (SP, SN):
                 continue
-            found: Optional[Tuple[SignLattice, str]] = None
-            for wing in _WINGS:
-                target = ctx.get(wing)
-                if target not in (SP, SN):
+            inverse = _ATOM_INVERSE[atom]
+            for wing, (hyp, proved) in itertools.product(
+                    _WINGS, ((NN, SN), (NP, SP))):
+                if ctx.get(wing) not in (SP, SN):
                     continue
-                for hyp, conclusion in ((NN, SN), (NP, SP)):
-                    trial = dict(ctx)
-                    trial[atom] = hyp
-                    trial[_ATOM_INVERSE[atom]] = sign_invert(hyp)
-                    for form in wing_forms[wing]:
-                        s = form_sign(form, trial)
-                        if s in (SP, SN) and s is sign_invert(target):
-                            found = (conclusion, wing)
-                            break
-                    if found:
-                        break
-                if found:
+                trial = {**ctx, atom: hyp, inverse: sign_invert(hyp)}
+                if any(form_sign(form, trial) is sign_invert(ctx[wing])
+                       for form in wing_forms[wing]):
+                    ctx[atom], ctx[inverse] = proved, sign_invert(proved)
+                    derived.append(DerivedAtom(atom, proved, wing))
                     break
-            if found:
-                conclusion, via = found
-                ctx[atom] = conclusion
-                ctx[_ATOM_INVERSE[atom]] = sign_invert(conclusion)
-                derived.append(DerivedAtom(atom, conclusion, via))
-                progressed = True
-        if not progressed:
+        if len(derived) == settled:
             break
     return derived
 
 
 def _closure_candidates(mapping: Mapping[str, AffineExp],
-                        env: ParamEnv) -> Iterator[Tuple[str, ParamWord]]:
-    """The wing-rewritten relators and their depth-one peel variants, lazily."""
+                        env: ParamEnv) -> Iterator[Tuple[str, SignForm]]:
+    """Compiled r'_i, then r''_i, each followed by its depth-one peel variants:
+    a family is built for i = 1 when it is reached; rho gives i = 2, 3."""
     for label, templates in (("'", _RPRIME_ATOM), ("''", _RSECOND_ATOM)):
+        root = reduce_word(substitute_params(templates[1], mapping), env)
+        forms = [sign_form(w, env)
+                 for w in _variants(root, env, depth=1, collapse=False)]
         for i in (1, 2, 3):
-            root = reduce_word(substitute_params(templates[i], mapping), env)
-            name = f"r{i}{label}"
-            yield name, root
-            for v in _variants(root, env, depth=1, collapse=False)[1:]:
-                yield f"{name} (peeled)", v
+            if i > 1:
+                forms = [_rotate(f) for f in forms]
+            for j, form in enumerate(forms):
+                yield f"r{i}{label}" + " (peeled)" * (j > 0), form
 
 
 # Stage one on the base relator is the same for every sign class.
@@ -620,6 +611,13 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     form a single shift orbit, so the analysis continues at the canonical
     surviving pattern: derive wing signs, split into subcases, derive pair
     words, and try the rewritten relators for a strict contradiction.
+
+    The deck rotation rho (x -> y -> z -> x, X -> Y -> Z -> X, exponents
+    fixed) carries X to Y to Z and r'_i, r''_i to r'_(i+1), r''_(i+1).  Every
+    rewriting move, atomizing and compiling commute with rho (the collapse
+    rules are rho-invariant), so only the closures of X, r'_1 and r''_1 are
+    built: the rest are their forms renamed, in the same order, and each is
+    still evaluated under every sign map, so no verdict or witness changes.
     """
     raw = (q_sign, s_sign, t_sign, l_sign)
     for name, value in zip(_PARAMS, raw):
@@ -635,23 +633,26 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
 
     bodies = {name: reduce_word(substitute_params(word, mapping), env)
               for name, word in _PAIR_WORDS.items()}
-    body_names = {bodies[name]: name for name in _ATOMS}
-    for name in _ATOMS:
-        ctx[name] = word_sign(bodies[name], ctx, env)
+    body_names = {body: name for name, body in bodies.items()}
+    ctx.update({n: word_sign(b, ctx, env) for n, b in bodies.items()})
 
-    # a form that repeats would repeat a verdict: its first variant is kept
-    wing_forms: Dict[str, Dict[tuple, ParamWord]] = {}
+    # X's closure is compiled once; a form that repeats would repeat a
+    # verdict, so its first variant is kept.  rho carries it to Y, then Z.
+    seed = reduce_word(substitute_params(_WING_WORDS["X"], mapping), env)
+    forms: Dict[SignForm, ParamWord] = {}
+    for v in _variants(seed, env):
+        forms.setdefault(sign_form(_atomize(v, body_names), env), v)
+    wing_forms: Dict[str, Dict[SignForm, ParamWord]] = {}
     wings: List[WingSign] = []
-    for name in _WINGS:
-        seed = reduce_word(substitute_params(_WING_WORDS[name], mapping), env)
-        forms = wing_forms[name] = {}
-        for v in _variants(seed, env):
-            forms.setdefault(sign_form(_atomize(v, body_names), env), v)
+    for k, name in enumerate(_WINGS):
+        if k:
+            forms = {_rotate(f): v for f, v in forms.items()}
+        wing_forms[name] = forms
         found, form = UK, ""
         for atom_form, raw_form in forms.items():
             s = form_sign(atom_form, ctx)
             if s in (SP, SN):
-                found, form = s, raw_form.to_text()
+                found, form = s, raw_form.to_text().translate(_RHO[k])
                 break
         ctx[name] = found
         wings.append(WingSign(name, found, form))
@@ -662,10 +663,9 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
         cases.append((assumed, sub_ctx, _derive_atoms(sub_ctx, wing_forms)))
     # candidates are built and compiled as reached, until every subcase closes
     witness: Dict[int, Tuple[str, SignLattice]] = {}
-    for name, w in _closure_candidates(mapping, env):
+    for name, form in _closure_candidates(mapping, env):
         if len(witness) == len(cases):
             break
-        form = sign_form(w, env)
         for i, (_, sub_ctx, _) in enumerate(cases, start=1):
             s = None if i in witness else form_sign(form, sub_ctx)
             if s in (SP, SN):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgecover import loelim, presentations
+from bridgecover import cli, loelim, presentations
 from bridgecover.loelim import (
     NEG, POS, SignAssignment, SymmetryAction, eliminate, genus2_level0,
     genus2_report_text, orbit_reduce, report_csv, report_text, sign_patterns,
@@ -18,8 +18,8 @@ from bridgecover.presentations import (
 )
 from bridgecover.words import (
     AffineExp, ParamEnv, ParamWord, PowerBlock, SignLattice, Syllable,
-    WordError, instantiate, parse_word, reduce_word, sign_invert, substitute,
-    substitute_params, word_sign,
+    WordError, instantiate, parse_word, reduce_word, sign_form, sign_invert,
+    substitute, substitute_params, word_sign,
 )
 from letter_words import letters
 
@@ -349,9 +349,10 @@ def test_variants_match_the_text_keyed_closure():
             got, want = loelim._variants(seed, env), _variants_by_text(seed, env)
             assert got == want
             assert [w.to_text() for w in got] == [w.to_text() for w in want]
-        # the relator roots, closed as genus2_level0 closes them
-        roots = [w for name, w in loelim._closure_candidates(pmap, env)
-                 if not name.endswith("(peeled)")]
+        # the relator roots r'_i and r''_i, closed as genus2_level0 closes them
+        roots = [reduce_word(substitute_params(templates[i], pmap), env)
+                 for templates in (loelim._RPRIME_ATOM, loelim._RSECOND_ATOM)
+                 for i in (1, 2, 3)]
         for root in roots:
             assert (loelim._variants(root, env, depth=1, collapse=False)
                     == _variants_by_text(root, env, depth=1, collapse=False))
@@ -381,6 +382,81 @@ def test_atom_inverse_table_is_consistent():
         assert loelim._ATOM_INVERSE[partner] == name
         a, b = loelim._ATOM_PAIR[name]
         assert loelim._ATOM_PAIR[partner] == (b, a)
+
+
+# The deck rotation rho, letter by letter: x -> y -> z -> x, X -> Y -> Z -> X,
+# and each pair letter Eab to the pair letter of the images of a and b.
+_RHO = {"x": "y", "y": "z", "z": "x", "X": "Y", "Y": "Z", "Z": "X",
+        "Exy": "Eyz", "Eyz": "Ezx", "Ezx": "Exy",
+        "Eyx": "Ezy", "Ezy": "Exz", "Exz": "Eyx"}
+_SIGN_CLASSES = tuple(itertools.product((1, -1), repeat=4))
+
+
+def _rho_word(w):
+    """rho applied to a word: every generator renamed, every exponent kept."""
+    return ParamWord(tuple(
+        Syllable(_RHO[item.gen], item.exponent) if isinstance(item, Syllable)
+        else PowerBlock(_rho_word(item.body), item.multiplicity)
+        for item in w.items))
+
+
+def _rho_form(form):
+    return tuple((_RHO[head] if isinstance(head, str) else _rho_form(head), s)
+                 for head, s in form)
+
+
+def test_the_rotation_tables_are_rho():
+    assert set(_RHO) == set(loelim._BASE + loelim._WINGS + loelim._ATOMS)
+    for letter, image in _RHO.items():
+        assert letter.translate(loelim._RHO[0]) == letter
+        assert letter.translate(loelim._RHO[1]) == image
+        assert letter.translate(loelim._RHO[2]) == _RHO[image]
+
+
+def test_the_rewriting_rules_and_pair_words_are_rho_invariant():
+    # genus2_level0 builds one closure per rho-orbit; a rule that rho does
+    # not fix would make the other two closures differ from the renamed one.
+    rules = loelim._COLLAPSE_RULES
+    assert {(_RHO[a], da, _RHO[b], db): (_RHO[mid], sign)
+            for (a, da, b, db), (mid, sign) in rules.items()} == rules
+    assert {_RHO[name]: _RHO[partner]
+            for name, partner in loelim._ATOM_INVERSE.items()
+            } == loelim._ATOM_INVERSE
+    for name, word in loelim._PAIR_WORDS.items():
+        assert _rho_word(word) == loelim._PAIR_WORDS[_RHO[name]]
+
+
+@pytest.mark.parametrize("signs", _SIGN_CLASSES)
+def test_rho_commutes_with_the_closures_and_their_forms(signs):
+    pmap, env = loelim._signed_env(signs)
+    bodies = {name: reduce_word(substitute_params(word, pmap), env)
+              for name, word in loelim._PAIR_WORDS.items()}
+    body_names = {body: name for name, body in bodies.items()}
+
+    def roots(words, keys):
+        return [reduce_word(substitute_params(words[k], pmap), env)
+                for k in keys]
+
+    orbits = ((roots(presentations._WING_WORDS, "XYZ"), 2, True),
+              (roots(loelim._RPRIME_ATOM, (1, 2, 3)), 1, False),
+              (roots(loelim._RSECOND_ATOM, (1, 2, 3)), 1, False))
+    for orbit, depth, collapse in orbits:
+        for k in range(3):
+            word, image = orbit[k], orbit[(k + 1) % 3]
+            assert _rho_word(word) == image
+            closure = loelim._variants(word, env, depth, collapse)
+            assert ([_rho_word(v) for v in closure]
+                    == loelim._variants(image, env, depth, collapse))
+            for v in closure:
+                atoms = loelim._atomize(v, body_names)
+                assert loelim._atomize(_rho_word(v), body_names) \
+                    == _rho_word(atoms)
+                for w in (v, atoms):
+                    form = sign_form(w, env)
+                    assert sign_form(_rho_word(w), env) == _rho_form(form) \
+                        == loelim._rotate(form)
+                assert (_rho_word(v).to_text()
+                        == v.to_text().translate(loelim._RHO[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +629,53 @@ def test_genus2_report_text_of_every_sign_class_is_pinned():
     for signs, digest in _REPORT_DIGESTS.items():
         text = genus2_report_text(genus2_level0(*signs))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, signs
+
+
+# SHA-256 of the stdout of ``bridgecover lo-elim --family genus2 --signs S
+# --format json`` for every sign class S: the JSON report is pinned too.
+_JSON_DIGESTS = {
+    "+,+,+,+":
+        "c3ab5c968a4a56365d0dbe4b120713dd62e18c8d5c4ee626742bb45391e212af",
+    "+,+,+,-":
+        "999ed6dc065ef7ac17473ea242b220ec152ba97281767f8992beab63a8f7c061",
+    "+,+,-,+":
+        "c37bbb46ce70c1e625d0a3100d4fbc0b4b7b7fbe63c9338e5d4c0014a7e19e9b",
+    "+,+,-,-":
+        "27319b09545d3095eb05ac8a38d0dc759696789623383316fcc768ddbb2ee718",
+    "+,-,+,+":
+        "518df0b5a19c46ff6084563f5cde963b4582a8fd2c398f22447d5e5a2806928e",
+    "+,-,+,-":
+        "102615ab3b96b9d7b86b254ab75f4b99d3d523d31e6db8f45fc600af61a9ce97",
+    "+,-,-,+":
+        "38ae132a749dbab2a83fd2f1cf0ce33d005783c5908615b9121f123b36035ece",
+    "+,-,-,-":
+        "e52127571e2d8196fd9acd87ee8b236eea91ee981d4f396b7df5f839d386364c",
+    "-,+,+,+":
+        "043c545c4b74e054e409c822c03505aad29445c7ac7118c549923f740d36f9cd",
+    "-,+,+,-":
+        "377f5c7639899876b20baf3fdba3c9ca408ee5c7704298b21491cb8d4bc03f89",
+    "-,+,-,+":
+        "6d4bbf594f6816ea8555a6bb03dd9afe4f9891b744c1ebee976ba0de6d235015",
+    "-,+,-,-":
+        "ad0917de1ae8d4b2c3c71cf5a1cb7b81c2852275c031b78d3c83d8411cc7279a",
+    "-,-,+,+":
+        "1337969e01e67bb763e719ef4c754f477fd31205f9abe0e3af9acfee044c919d",
+    "-,-,+,-":
+        "65eaacaf7097a88849d72daae9b31324f22ca60092712674de2a6d94a7cd7c80",
+    "-,-,-,+":
+        "9436a71f1c94f70d6998e95eb29bcec677dcee03a5b46a55d82048c61358d624",
+    "-,-,-,-":
+        "042adfcb869a0206f628ab6868f321f060e543cef9821dd8549e909fac175511",
+}
+
+
+def test_genus2_json_report_of_every_sign_class_is_pinned(capsys):
+    assert len(_JSON_DIGESTS) == 16
+    for signs, digest in _JSON_DIGESTS.items():
+        assert cli.main(["lo-elim", "--family", "genus2", "--signs", signs,
+                         "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, signs
 
 
 def test_genus2_report_text_folds_signs_into_atoms():
