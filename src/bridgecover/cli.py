@@ -84,9 +84,9 @@ _PARAM_NAMES = ("q", "s", "t", "l")
 
 # Input limits.  A request past one exits 2 at once, with one line naming
 # the limit.  At |parameter| = 1000 the largest certificates (L in its
-# deepest sign classes, about 26000 nodes and 4.4 MB) take about 1.1 s
-# each to generate and to verify as cold CLI runs (best of 5 on a shared
-# 2-core machine, Python 3.11).
+# deepest sign classes, about 26000 nodes and 4.4 MB) take about 0.5 s to
+# generate and write and 0.6 s to read and verify as cold CLI runs (best
+# of 5 on a shared 2-core machine, Python 3.11).
 CERT_MAX_PARAM = 1000
 # Grid points of ``identities``: the four star rows' points for the tables
 # suite (n^2 (n+1)^2 on 1..n), the suite's own grid for ``--grid`` spot

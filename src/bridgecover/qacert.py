@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from operator import itemgetter
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Set,
                     Tuple, Union)
 
@@ -209,10 +210,6 @@ _ALTERNATING_A_PATTERNS = {(1, -1, 1), (-1, 1, -1)}
 _ALTERNATING_L_PATTERNS = {(-1, 1, -1, 1), (1, -1, 1, -1)}
 
 
-def _is_named(name: str) -> Callable[[LinkId], bool]:
-    return lambda link: link.family == "NAMED" and link.name == name
-
-
 def _match_alternating(link: LinkId) -> bool:
     if link.family == "A":
         return link.sign_pattern() in _ALTERNATING_A_PATTERNS
@@ -222,20 +219,18 @@ def _match_alternating(link: LinkId) -> bool:
     return False
 
 
-def _match_peters(link: LinkId) -> bool:
-    if link.family != "A":
-        return False
-    q, s, t = link.params
-    return (t == 1 and s > 1 and q >= 1
-            and link.resolution in ("inf,*,*", "0,inf,*", "0,0,*"))
+# The induction bases at each (family, resolution), in the order tried.
+_BASES = {("A", "inf,*,*"): ("PETERS_QA",), ("A", "0,inf,*"): ("PETERS_QA",),
+          ("A", "0,0,*"): ("PETERS_QA", "A_00_STAR_S1"),
+          ("A", "0,*,*"): ("A_0_STAR_STAR_S1",),
+          ("B", "0,*,*"): ("B_0_STAR_STAR_S1_T1",)}
 
 
-def _match_chain_base(family: str, resolution: str) -> Callable[[LinkId], bool]:
-    """The base of a chain: ``family`` at ``resolution``, s = t = 1, q >= 1."""
-    return lambda link: (link.family == family
-                         and link.resolution == resolution
-                         and link.params[1] == link.params[2] == 1
-                         and link.params[0] >= 1)
+def _match_base(axiom: str, chain: bool) -> Callable[[LinkId], bool]:
+    """At a site of ``axiom``, q >= 1, t = 1, and s = 1 if ``chain`` else > 1."""
+    return lambda link: (axiom in _BASES.get((link.family, link.resolution), ())
+                         and min(link.params) >= 1 and link.params[2] == 1
+                         and (link.params[1] == 1) == chain)
 
 
 def _match_regime_a(link: LinkId) -> bool:
@@ -247,12 +242,11 @@ def _match_regime_a(link: LinkId) -> bool:
 
 # The links each axiom of ``AXIOMS`` applies to; each named link is one.
 _MATCHES: Dict[str, Callable[[LinkId], bool]] = {
-    **{name: _is_named(name) for name in _NAMED_DETS},
+    **{name: lambda link, n=name: link.family == "NAMED" and link.name == n
+       for name in _NAMED_DETS},
     "ALTERNATING": _match_alternating,
-    "PETERS_QA": _match_peters,
-    "A_00_STAR_S1": _match_chain_base("A", "0,0,*"),
-    "A_0_STAR_STAR_S1": _match_chain_base("A", "0,*,*"),
-    "B_0_STAR_STAR_S1_T1": _match_chain_base("B", "0,*,*"),
+    **{name: _match_base(name, chain=name != "PETERS_QA")
+       for bases in _BASES.values() for name in bases},
     "REGIME_A": _match_regime_a,
 }
 
@@ -472,8 +466,12 @@ def verify(cert: Certificate) -> Verdict:
     can be written, and each link's determinant is tabulated once."""
     if cert.claim not in _CLAIMS:
         return Verdict(False, "claim", f"unknown claim {_shown(cert.claim)}")
+    if cert.axioms.__class__ is not tuple:
+        return Verdict(False, "axioms", "expected a tuple of AxiomDecl")
     declared: Dict[str, AxiomDecl] = {}
     for i, decl in enumerate(cert.axioms):
+        if decl.__class__ is not AxiomDecl:
+            return Verdict(False, f"axioms[{i}]", "expected an AxiomDecl")
         known = AXIOMS.get(decl.name) if decl.name.__class__ is str else None
         if known is None:
             return Verdict(False, f"axioms[{i}]",
@@ -483,6 +481,8 @@ def verify(cert: Certificate) -> Verdict:
                            f"axiom {decl.name!r} declared with wrong claim or "
                            f"citation")
         declared[decl.name] = decl
+    if cert.nodes.__class__ is not tuple or not cert.nodes:
+        return Verdict(False, "nodes", "expected a non-empty tuple of CertNode")
     first: Dict[LinkId, int] = {}   # link -> index, over the nodes checked
     try:
         for i, node in enumerate(cert.nodes):
@@ -498,6 +498,8 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
     """Every rule at ``nodes[i]``; ``first`` indexes the links before it,
     which are checked, so a child's link and determinant are certified."""
     node = cert.nodes[i]
+    if node.__class__ is not CertNode:
+        raise _Reject(i, f"expected a CertNode, got {_shown(node)}")
     link = node.link
     if link.__class__ is not LinkId:
         raise _Reject(i, f"expected a LinkId, got {_shown(link)}")
@@ -556,19 +558,38 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
 # Serialization: one compact JSON object a node, children by index
 # ---------------------------------------------------------------------------
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                           check_circular=False).encode  # fresh dict trees
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# The key sets the parser requires: per node kind and per family's params.
+# The key sets of a node, per kind, and of a family's params.
 _NODE_KEYS = {kind: frozenset({"det", "kind", "link", text, *kids} - {""})
               for kind, (text, kids) in _NODE_FIELDS.items()}
 _PARAM_KEYS = {f: frozenset(names) for f, names in _FAMILY_PARAMS.items()}
 
 
+def _node_row(kind: str, text: str, slots: Tuple[str, ...]):
+    """A ``kind`` node's line as a ``%``-format, its keys (``_NODE_KEYS``)
+    sorted, and the getter that orders (det, link, text, *children)."""
+    keys, args = sorted(_NODE_KEYS[kind]), ("det", "link", text, *slots)
+    cells = ["%d" if key in slots else "%s" if key in args else _encode(kind)
+             for key in keys]
+    return ("{%s}" % ",".join([f'"{k}":{v}' for k, v in zip(keys, cells)]),
+            itemgetter(*[args.index(key) for key in keys if key in args]))
+
+
+_NODE_ROWS = {kind: _node_row(kind, *row) for kind, row in _NODE_FIELDS.items()}
+# Per family: its link's format, its params' getter in name order, their count.
+_LINK_ROWS = {f: ('{"family":%s,"params":{%s},"resolution":%%s}' % (
+    _encode(f), ",".join([f'"{name}":%d' for name in sorted(names)])),
+    itemgetter(*map(names.index, sorted(names))), len(names))
+              for f, names in _FAMILY_PARAMS.items() if names}
+
+
 def serialize(cert: Certificate) -> str:
     """Canonical JSON text: sorted keys, one compact node a line, children
     by index (refused unless each kind cites one earlier node per slot, as
-    is a link listed twice), and a trailing newline."""
+    is a link listed twice or with other than int params), and a newline."""
+    if cert.nodes.__class__ is not tuple or not cert.nodes:
+        raise CertError("nodes: expected a non-empty tuple of CertNode")
     first: Dict[LinkId, int] = {}
     lines: List[str] = []
     for i, node in enumerate(cert.nodes):
@@ -576,27 +597,28 @@ def serialize(cert: Certificate) -> str:
             text, slots = _slots(node, i, first)
             first[node.link] = i
             link = node.link
-            out = {"det": str(node.det), "kind": node.kind, "link": (
-                {"family": "NAMED", "name": link.name} if link.family == "NAMED"
-                else {"family": link.family, "params": dict(
-                    zip(_FAMILY_PARAMS[link.family], link.params)),
-                      "resolution": link.resolution})}
-            if text:
-                out[text] = getattr(node, text)
-            out.update(zip(slots, node.children))
-            lines.append(_encode(out))
+            if link.family == "NAMED":
+                link_text = '{"family":"NAMED","name":%s}' % _encode(link.name)
+            else:
+                row, order, n = _LINK_ROWS[link.family]
+                if len(link.params) != n or {*map(type, link.params)} != {int}:
+                    raise _Reject(i, f"{link.family} links take {n} ints")
+                link_text = row % (*order(link.params), _encode(link.resolution))
+            row, order = _NODE_ROWS[node.kind]
+            lines.append(row % order((_encode(str(node.det)), link_text,
+                                      text and _encode(getattr(node, text)),
+                                      *node.children)))
         except _Reject:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise _Reject(i, f"cannot be written: {_shown(exc)}") from None
-    axioms = [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
-              for ax in cert.axioms]
     try:
-        head = f'{{"axioms":{_encode(axioms)},"claim":{_encode(cert.claim)},'
-    except (TypeError, ValueError) as exc:
+        head = '{"axioms":%s,"claim":%s,"nodes":[\n' % (
+            _encode([ax._asdict() for ax in cert.axioms]), _encode(cert.claim))
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CertError(f"axioms or claim cannot be written: "
                         f"{_shown(exc)}") from None
-    return head + '"nodes":[\n' + ",\n".join(lines) + "\n]}\n"
+    return head + ",\n".join(lines) + "\n]}\n"
 
 
 def _fields(obj, keys, where: str, texts=()) -> dict:
@@ -733,10 +755,6 @@ _L_CANONICAL = {(1, 1, 1, 1), (-1, 1, -1, 1), (1, -1, 1, 1), (-1, -1, -1, 1),
                 (1, 1, -1, 1), (1, -1, -1, -1), (1, -1, -1, 1), (-1, -1, 1, 1)}
 _L_SWAP = {(1, 1, -1, 1), (1, -1, -1, -1)}
 
-# Induction bases, tried in order once no sign or symmetry step applies.
-_BASES = ("PETERS_QA", "A_00_STAR_S1", "A_0_STAR_STAR_S1",
-          "B_0_STAR_STAR_S1_T1")
-
 
 def _step(link: LinkId) -> Tuple[str, str]:
     """How the generator certifies ``link``: ``(BASE, axiom)``,
@@ -769,12 +787,9 @@ def _step(link: LinkId) -> Tuple[str, str]:
             return BASE, "ALTERNATING"
     if family == "A" and res == STAR3 and p[1] == 1 and p[2] < p[0]:
         return IDENTIFY, CIT_A_SYM
-    if res in (STAR3, "0,*,*") and p == (1, 1, 1):
-        if family == "A":
-            return IDENTIFY, CIT_A_NAMED
-        if family == "B":
-            return IDENTIFY, CIT_B_NAMED
-    for axiom in _BASES:
+    if res in (STAR3, "0,*,*") and p == (1, 1, 1) and family in ("A", "B"):
+        return IDENTIFY, CIT_A_NAMED if family == "A" else CIT_B_NAMED
+    for axiom in _BASES.get((family, res), ()):
         if _MATCHES[axiom](link):
             return BASE, axiom
     if family == "L" and p[3] == 1:

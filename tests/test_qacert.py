@@ -1295,6 +1295,144 @@ def test_serialize_reproduces_the_text_it_parses(signs, magnitudes):
     assert qc.serialize(qc.deserialize(text)) == text
 
 
+# -- the writer against the dict-per-node reference ------------------------
+
+_reference_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                     check_circular=False).encode
+
+
+def _reference_serialize(cert):
+    """The writer ``serialize`` replaced, as the reference for its bytes:
+    each node a dict of its fields run through ``json.JSONEncoder``."""
+    first, lines = {}, []
+    for i, node in enumerate(cert.nodes):
+        try:
+            text, slots = qc._slots(node, i, first)
+            first[node.link] = i
+            link = node.link
+            out = {"det": str(node.det), "kind": node.kind, "link": (
+                {"family": "NAMED", "name": link.name} if link.family == "NAMED"
+                else {"family": link.family, "params": dict(
+                    zip(qc._FAMILY_PARAMS[link.family], link.params)),
+                      "resolution": link.resolution})}
+            if text:
+                out[text] = getattr(node, text)
+            out.update(zip(slots, node.children))
+            lines.append(_reference_encode(out))
+        except qc._Reject:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise qc._Reject(i, f"cannot be written: {exc!r}") from None
+    axioms = [{"name": ax.name, "claim": ax.claim, "citation": ax.citation}
+              for ax in cert.axioms]
+    head = (f'{{"axioms":{_reference_encode(axioms)},'
+            f'"claim":{_reference_encode(cert.claim)},')
+    return head + '"nodes":[\n' + ",\n".join(lines) + "\n]}\n"
+
+
+def _named_certificates():
+    """Hand-built certificates whose links include named ones, unknown names
+    and names that need escaping among them."""
+    t34 = qc.CertNode(qc.LinkId.named("T(3,4)"), 3, qc.BASE, axiom="T(3,4)")
+    odd = [qc.CertNode(qc.LinkId.named(name), 1, qc.BASE, axiom="UNKNOT")
+           for name in ('q"uote\\', "é ☃", "UNKNOT")]
+    return [_t34_then(qc.LinkId.A(1, 1, 1)),
+            qc.Certificate(qc.L_SPACE, (t34, *odd),
+                           (qc.AXIOMS["T(3,4)"], qc.AXIOMS["UNKNOT"]))]
+
+
+def test_serialize_writes_the_bytes_of_the_dict_per_node_reference():
+    certs = [qc.generate_L_cert(*(m * sign for sign in signs))
+             for m in (1, 2, 3, 5, 8, 13) for signs in _SIGN_CLASSES]
+    certs += [qc.generate_A_cert(*params)
+              for params in itertools.product(range(1, 5), repeat=3)]
+    certs += [qc.generate_A_cert(2, 2, 50), *_named_certificates()]
+    for cert in certs:
+        assert qc.serialize(cert) == _reference_serialize(cert), cert.nodes[-1]
+
+
+@pytest.mark.parametrize("params", [(True, 1, 1, 1), (1.0, 1, 1, 1),
+                                    (1, 1, 1, 1, 1)])
+def test_params_other_than_four_ints_are_not_written_after_an_int_twin(params):
+    """``True`` and ``1.0`` hash and compare equal to ``1``, so a link with
+    them is no repeat of the (1, 1, 1, 1) links at other resolutions before
+    it.  It is refused, as is a fifth parameter, where the reference writes
+    ``true``, ``1.0`` or the first four."""
+    cert = qc.generate_L_cert(2, 1, 1, 1)
+    ones = [i for i, node in enumerate(cert.nodes)
+            if node.link.family == "L" and node.link.params == (1, 1, 1, 1)]
+    assert len(ones) >= 2
+    i = ones[-1]
+    node = cert.nodes[i]
+    odd = _with_node(cert, i, node._replace(
+        link=node.link._replace(params=params)))
+    assert _reference_serialize(odd)
+    with pytest.raises(qc.CertError, match=rf"^nodes\[{i}\]: L links take 4 "):
+        qc.serialize(odd)
+
+
+# The induction bases in the order the generator scanned them before they
+# were keyed by (family, resolution), each with the links it applied to.
+_BASE_SCAN = ("PETERS_QA", "A_00_STAR_S1", "A_0_STAR_STAR_S1",
+              "B_0_STAR_STAR_S1_T1")
+_BASE_APPLIES = {
+    "PETERS_QA": lambda link: (
+        link.family == "A" and link.params[2] == 1 and link.params[1] > 1
+        and link.params[0] >= 1
+        and link.resolution in ("inf,*,*", "0,inf,*", "0,0,*")),
+    **{name: lambda link, f=family, r=res: (
+        link.family == f and link.resolution == r
+        and link.params[1] == link.params[2] == 1 and link.params[0] >= 1)
+       for name, family, res in (("A_00_STAR_S1", "A", "0,0,*"),
+                                 ("A_0_STAR_STAR_S1", "A", "0,*,*"),
+                                 ("B_0_STAR_STAR_S1_T1", "B", "0,*,*"))},
+}
+
+
+def test_the_keyed_bases_pick_what_the_ordered_scan_picked():
+    """For every family, all 27 resolutions and parameters of both signs,
+    the bases tried from ``qc._BASES`` that match are those the ordered scan
+    over every base accepted, in the same order."""
+    assert {name for bases in qc._BASES.values() for name in bases} \
+        == set(_BASE_SCAN)
+    resolutions = [",".join(slots)
+                   for slots in itertools.product(("*", "0", "inf"), repeat=3)]
+    links = [qc.LinkId.named(name) for name in qc._NAMED_DETS]
+    for family in ("A", "B", "L"):
+        links += [qc.LinkId(family, params, res) for res in resolutions
+                  for params in itertools.product(
+                      (-2, -1, 1, 2), repeat=len(TABLE_PARAMS[family]))]
+    picked = set()
+    for link in links:
+        scanned = [name for name in _BASE_SCAN if _BASE_APPLIES[name](link)]
+        keyed = [name for name in qc._BASES.get((link.family, link.resolution),
+                                                ()) if qc._MATCHES[name](link)]
+        assert keyed == scanned, link
+        picked.update(keyed)
+    assert picked == set(_BASE_SCAN)
+
+
+def test_a_certificate_with_junk_for_its_own_fields_rejects():
+    """Nodes or axioms that are no tuple, no node at all, or an entry that
+    is no ``CertNode`` or ``AxiomDecl``: ``verify`` REJECTs at that place and
+    ``serialize`` raises ``CertError``."""
+    cert = qc.generate_A_cert(2, 1, 3)
+    axioms = cert.axioms
+    cases = [(qc.Certificate(qc.QUASI_ALTERNATING, (), ()), "nodes"),
+             (cert._replace(nodes=None), "nodes"),
+             (cert._replace(nodes=list(cert.nodes)), "nodes"),
+             (cert._replace(axioms=None), "axioms"),
+             (cert._replace(axioms=axioms[:1] + ("T(3,4)",)), "axioms[1]"),
+             (cert._replace(axioms=(tuple(axioms[0]),)), "axioms[0]")]
+    cases += [(_with_node(cert, 2, junk), "nodes[2]")
+              for junk in ("T(3,4)", None, tuple(cert.nodes[2]), 7)]
+    for bad, path in cases:
+        verdict = qc.verify(bad)
+        assert not verdict and verdict.path == path, (bad, str(verdict))
+        with pytest.raises(qc.CertError):
+            qc.serialize(bad)
+
+
 # -- fuzzed in-memory certificates ------------------------------------------
 
 _FUZZ_CERTS = [qc.generate_A_cert(1, 1, 1), qc.generate_A_cert(2, 1, 3),
@@ -1325,15 +1463,26 @@ def _junk_for(data, old):
 
 
 @given(data=st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_fuzzed_fields_reject_and_never_raise(data):
-    """Any field of a node, of a node's link or of a declared axiom replaced
-    by junk (lists, dicts, None, bools, floats, huge ints, strings, tuples of
-    the wrong length): ``verify`` returns REJECT, and ``serialize`` writes
-    or raises ``CertError``, never anything else."""
+    """Any field of the certificate, of a node, of a node's link or of a
+    declared axiom, or a whole node or axiom, replaced by junk (lists, dicts,
+    None, bools, floats, huge ints, strings, tuples of the wrong length):
+    ``verify`` returns REJECT, and ``serialize`` raises ``CertError`` or
+    writes the bytes of the dict-per-node reference, never anything else."""
     cert = data.draw(st.sampled_from(_FUZZ_CERTS))
-    target = data.draw(st.sampled_from(["node", "link", "axiom"]))
-    if target == "axiom":
+    target = data.draw(st.sampled_from(
+        ["certificate", "nodes[i]", "axioms[i]", "node", "link", "axiom"]))
+    if target == "certificate":
+        i, field = 0, data.draw(st.sampled_from(cert._fields))
+        cert = cert._replace(**{field: _junk_for(data, getattr(cert, field))})
+    elif target in ("nodes[i]", "axioms[i]"):
+        field = target[:-3]
+        entries = getattr(cert, field)
+        i = data.draw(st.integers(0, len(entries) - 1))
+        junk = data.draw(_JUNK)
+        cert = cert._replace(**{field: entries[:i] + (junk,) + entries[i + 1:]})
+    elif target == "axiom":
         i = data.draw(st.integers(0, len(cert.axioms) - 1))
         field = data.draw(st.sampled_from(["name", "claim", "citation"]))
         decl = cert.axioms[i]
@@ -1356,7 +1505,7 @@ def test_fuzzed_fields_reject_and_never_raise(data):
         text = qc.serialize(cert)
     except qc.CertError:
         return
-    assert text.endswith("]}\n")
+    assert text == _reference_serialize(cert)
 
 
 @pytest.mark.parametrize("field", ["det", "child", "param"])
