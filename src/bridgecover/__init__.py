@@ -2,9 +2,8 @@
 
 Subpackages by capability:
 
-- ``twobridge``     continued fractions, Seifert matrices, Alexander
-                    polynomials (continuant recurrence), cyclic-branched-cover
-                    homology (the oracle)
+- ``twobridge``     continued fractions, Alexander polynomials (continuant
+                    recurrence), cyclic-branched-cover homology (the oracle)
 - ``words``         parametric free-group words with affine exponents and a
                     conservative sign calculus
 - ``presentations`` the two cover-group presentation families, their
@@ -32,6 +31,5 @@ from .twobridge import (  # noqa: F401
     link_determinant,
     mirror_terms,
     same_knot,
-    seifert_matrix,
 )
 from .multipoly import MultiPoly  # noqa: F401

@@ -6,9 +6,9 @@ A(t; *, *, *) and L(l; *, *, *): block-tridiagonal over 3x3 blocks of the
 form alpha I + beta J (J the all-ones matrix) with identity blocks off the
 diagonal; A adds a rank-one border row/column with corner -3.
 
-Alongside the matrices, the determinant tables for all tabulated resolutions
-of A, B (= L at l = 1) and L are stored as exact polynomials in (q, s, t, l),
-with the additivity and substitution identity suites checked symbolically.
+Each row of the determinant tables (A, B = L at l = 1, and L) is one
+function of its family's parameters in the paper's factored form; on
+``MultiPoly`` variables it gives the polynomial the identity suites check.
 A resolution is plain text in the canonical form ``parse_resolution`` gives
 it: three comma-separated slots, each ``*``, ``0`` or ``inf``.
 
@@ -36,7 +36,7 @@ only, so no dense elimination runs here.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -139,17 +139,19 @@ def _l_layout(q, s, t, l):
     return (q - 1, t - 1, 0), ((3 * s - 2, -s), (3 * l - 1, -l))
 
 
-def _require_positive(family: str, params: Mapping[str, int]) -> None:
-    if any(type(v) is not int or v < 1 for v in params.values()):
-        raise UnsupportedRegimeError(
-            f"{family}-family matrices need integer parameters >= 1, got {params}")
+def _require_positive(family: str, names: str, values: Tuple) -> None:
+    for v in values:
+        if type(v) is not int or v < 1:
+            raise UnsupportedRegimeError(
+                f"{family}-family matrices need integer parameters >= 1, "
+                f"got {dict(zip(names, values))}")
 
 
 def build_A_star(q: int, s: int, t: int) -> GoeritzMatrix:
     """Goeritz matrix of A(t; *, *, *) for positive integer parameters, laid
     out as the module docstring says.  Other sign regimes are handled by
     mirroring at the table level, not by building matrices."""
-    _require_positive("A", {"q": q, "s": s, "t": t})
+    _require_positive("A", "qst", (q, s, t))
     return GoeritzMatrix(*_a_layout(q, s, t), True,
                          f"A(t; *, *, *) q={q} s={s} t={t}")
 
@@ -157,7 +159,7 @@ def build_A_star(q: int, s: int, t: int) -> GoeritzMatrix:
 def build_L_star(q: int, s: int, t: int, l: int) -> GoeritzMatrix:
     """Goeritz matrix of L(l; *, *, *) for positive integer parameters, laid
     out as the module docstring says (P = S, no border)."""
-    _require_positive("L", {"q": q, "s": s, "t": t, "l": l})
+    _require_positive("L", "qstl", (q, s, t, l))
     return GoeritzMatrix(*_l_layout(q, s, t, l), False,
                          f"L(l; *, *, *) q={q} s={s} t={t} l={l}")
 
@@ -182,60 +184,52 @@ def parse_resolution(text: str) -> str:
     return ",".join(slots)
 
 
-_Q = MultiPoly.var("q")
-_S = MultiPoly.var("s")
-_T = MultiPoly.var("t")
-_L = MultiPoly.var("l")
-
 # Recurring factors.
-_DA = 3 * _Q * _S * _T - _Q - _T                      # A-family discriminant
-_FB = 1 - 3 * _Q - 3 * _Q * _S - 3 * _T + 9 * _Q * _S * _T
-_FL = 1 - 3 * _Q * _L - 3 * _Q * _S - 3 * _L * _T + 9 * _L * _Q * _S * _T
-_GA = 1 - _Q - 3 * _Q * _S - _T + 3 * _Q * _S * _T    # = A-star factor at t-1
-_GL = (1 + 3 * _Q - 3 * _L * _Q - 3 * _Q * _S + 3 * _T - 3 * _L * _T
-       - 9 * _Q * _S * _T + 9 * _L * _Q * _S * _T)    # = L-star factor at l-1
-_HL = (1 + _Q - 3 * _L * _Q - 3 * _Q * _S + _T - 3 * _L * _T
-       - 3 * _Q * _S * _T + 9 * _L * _Q * _S * _T)
+def _da(q, s, t):                                     # A-family discriminant
+    return 3 * q * s * t - q - t
 
 
-# The parameters of each table's rows, in the order their evaluators take them.
+def _fb(q, s, t):
+    return 1 - 3 * q - 3 * q * s - 3 * t + 9 * q * s * t
+
+
+def _fl(q, s, t, l):
+    return 1 - 3 * q * l - 3 * q * s - 3 * l * t + 9 * l * q * s * t
+
+
+def _ga(q, s, t):                                     # = A-star factor at t-1
+    return 1 - q - 3 * q * s - t + 3 * q * s * t
+
+
+def _gl(q, s, t, l):                                  # = L-star factor at l-1
+    return (1 + 3 * q - 3 * l * q - 3 * q * s + 3 * t - 3 * l * t
+            - 9 * q * s * t + 9 * l * q * s * t)
+
+
+def _hl(q, s, t, l):
+    return (1 + q - 3 * l * q - 3 * q * s + t - 3 * l * t
+            - 3 * q * s * t + 9 * l * q * s * t)
+
+
+# The parameters of each table's rows, in the order their functions take them.
 TABLE_PARAMS = {"A(t=1)": ("q", "s"), "A": ("q", "s", "t"), "B": ("q", "s", "t"),
                 "L": ("q", "s", "t", "l")}
-
-
-def _horner(terms, names: Sequence[str]) -> str:
-    """Python text, in Horner form in each of ``names`` in turn, of the sum
-    of ``terms``: (exponents in ``names`` order, coefficient) pairs."""
-    if not names:
-        return str(sum(coeff for _, coeff in terms))
-    text = ""
-    for exp in range(max((exps[0] for exps, _ in terms), default=0), -1, -1):
-        part = [(exps[1:], coeff) for exps, coeff in terms if exps[0] == exp]
-        text = " + ".join(filter(None, (text and f"({text}) * {names[0]}",
-                                        part and _horner(part, names[1:]))))
-    return text or "0"
 
 
 class _TableRowFields(NamedTuple):
     family: str
     resolution: str
-    poly: MultiPoly
+    evaluate: Callable[..., int]   # of the parameters, in TABLE_PARAMS order
     source: str
     validity: str
     identified_via: Optional[str] = None
 
 
 class TableRow(_TableRowFields):
-    # no __slots__: the instance __dict__ holds ``evaluate`` once compiled
-
-    @cached_property
-    def evaluate(self) -> Callable[..., int]:
-        """``poly`` compiled on first use, in Horner form: an exact function
-        of the family's parameters, positionally in ``TABLE_PARAMS`` order."""
-        names = TABLE_PARAMS[self.family]
-        terms = [(tuple(dict(mono).get(name, 0) for name in names), coeff)
-                 for mono, coeff in self.poly.terms.items()]
-        return eval(f"lambda {', '.join(names)}: {_horner(terms, names)}", {})
+    @cached_property   # kept in the instance __dict__: no __slots__ here
+    def poly(self) -> MultiPoly:
+        """``evaluate`` called on ``MultiPoly`` variables, on first use."""
+        return self.evaluate(*map(MultiPoly.var, TABLE_PARAMS[self.family]))
 
 
 class ResolutionRule(NamedTuple):
@@ -275,11 +269,11 @@ RESOLUTION_RULES: Tuple[ResolutionRule, ...] = tuple(
 
 
 def _rows(family: str, source: str, validity: str,
-          data: Dict[str, MultiPoly]) -> Dict[str, TableRow]:
+          data: Dict[str, Callable[..., int]]) -> Dict[str, TableRow]:
     """The tabulated rows, and a row for each resolution a rule without a
     move identifies with one of them in the same family."""
-    table = {res: TableRow(family, res, poly, source, validity)
-             for res, poly in data.items()}
+    table = {res: TableRow(family, res, evaluate, source, validity)
+             for res, evaluate in data.items()}
     for rule in RESOLUTION_RULES:
         if rule.family == family and not rule.move and not rule.target_family:
             table[rule.source] = table[rule.target]._replace(
@@ -289,49 +283,53 @@ def _rows(family: str, source: str, validity: str,
 
 # Table 2: A at t = 1, in (q, s).
 _TABLE2 = _rows("A(t=1)", "Table 2", "s > 1", {
-    "*,*,*":   3 * (3 * _Q * _S - _Q - 1) ** 2,
-    "0,*,*":   2 * (3 * _Q * _S - _Q - 1) * (3 * _Q * _S - 1),
-    "inf,*,*": (3 * _Q * _S - _Q - 1) * (3 * _Q * _S - 3 * _Q - 1),
-    "0,inf,*": (3 * _Q * _S - 1) * (3 * _Q * _S - 2 * _Q - 1),
-    "0,0,*":   (3 * _Q * _S - 1) ** 2,
+    "*,*,*":   lambda q, s: 3 * (3 * q * s - q - 1) ** 2,
+    "0,*,*":   lambda q, s: 2 * (3 * q * s - q - 1) * (3 * q * s - 1),
+    "inf,*,*": lambda q, s: (3 * q * s - q - 1) * (3 * q * s - 3 * q - 1),
+    "0,inf,*": lambda q, s: (3 * q * s - 1) * (3 * q * s - 2 * q - 1),
+    "0,0,*":   lambda q, s: (3 * q * s - 1) ** 2,
 })
 
 # Table 3: A(t), in (q, s, t).
 _TABLE3 = _rows("A", "Table 3", "t > 1", {
-    "*,*,*":     3 * _DA ** 2,
-    "0,*,*":     2 * _DA * (3 * _Q * _S - 1),
-    "inf,*,*":   _DA * (2 - 3 * _Q - 6 * _Q * _S - 3 * _T + 9 * _Q * _S * _T),
-    "0,inf,*":   (3 * _Q * _S - 1) * (1 - 2 * _Q - 3 * _Q * _S - 2 * _T + 6 * _Q * _S * _T),
-    "inf,0,*":   (3 * _Q * _S - 1) * (1 - 2 * _Q - 3 * _Q * _S - 2 * _T + 6 * _Q * _S * _T),
-    "0,0,*":     (3 * _Q * _S - 1) ** 2,
-    "inf,inf,*": _GA * _FB,
-    "inf,inf,inf": 3 * _GA ** 2,
-    "0,inf,inf": 2 * (3 * _Q * _S - 1) * _GA,
+    "*,*,*":     lambda q, s, t: 3 * _da(q, s, t) ** 2,
+    "0,*,*":     lambda q, s, t: 2 * _da(q, s, t) * (3 * q * s - 1),
+    "inf,*,*":   lambda q, s, t: _da(q, s, t) * (
+        2 - 3 * q - 6 * q * s - 3 * t + 9 * q * s * t),
+    "0,inf,*":   lambda q, s, t: (3 * q * s - 1) * (
+        1 - 2 * q - 3 * q * s - 2 * t + 6 * q * s * t),
+    "inf,0,*":   lambda q, s, t: (3 * q * s - 1) * (
+        1 - 2 * q - 3 * q * s - 2 * t + 6 * q * s * t),
+    "0,0,*":     lambda q, s, t: (3 * q * s - 1) ** 2,
+    "inf,inf,*": lambda q, s, t: _ga(q, s, t) * _fb(q, s, t),
+    "inf,inf,inf": lambda q, s, t: 3 * _ga(q, s, t) ** 2,
+    "0,inf,inf": lambda q, s, t: 2 * (3 * q * s - 1) * _ga(q, s, t),
 })
 
 # Table 4: B = L(l=1), in (q, s, t).
 _TABLE4 = _rows("B", "Table 4", "t > 1", {
-    "*,*,*":   _FB ** 2,
-    "0,*,*":   2 * _DA * _FB,
-    "inf,*,*": _FB * _GA,
-    "0,inf,*": _DA * (2 - 3 * _Q - 3 * _T - 6 * _Q * _S + 9 * _Q * _S * _T),
-    "0,0,*":   3 * _DA ** 2,
+    "*,*,*":   lambda q, s, t: _fb(q, s, t) ** 2,
+    "0,*,*":   lambda q, s, t: 2 * _da(q, s, t) * _fb(q, s, t),
+    "inf,*,*": lambda q, s, t: _fb(q, s, t) * _ga(q, s, t),
+    "0,inf,*": lambda q, s, t: _da(q, s, t) * (
+        2 - 3 * q - 3 * t - 6 * q * s + 9 * q * s * t),
+    "0,0,*":   lambda q, s, t: 3 * _da(q, s, t) ** 2,
 })
 
 # Table 5: L(l), in (q, s, t, l).
 _TABLE5 = _rows("L", "Table 5", "l > 1", {
-    "*,*,*":     _FL ** 2,
-    "0,*,*":     2 * _DA * _FL,
-    "inf,*,*":   _FL * (1 + 2 * _Q - 3 * _L * _Q - 3 * _Q * _S + 2 * _T
-                        - 3 * _L * _T - 6 * _Q * _S * _T + 9 * _L * _Q * _S * _T),
-    "0,inf,*":   _DA * (2 + 3 * _Q - 6 * _L * _Q - 6 * _Q * _S + 3 * _T
-                        - 6 * _L * _T - 9 * _Q * _S * _T + 18 * _L * _Q * _S * _T),
-    "inf,0,*":   _DA * (2 + 3 * _Q - 6 * _L * _Q - 6 * _Q * _S + 3 * _T
-                        - 6 * _L * _T - 9 * _Q * _S * _T + 18 * _L * _Q * _S * _T),
-    "0,0,*":     3 * _DA ** 2,
-    "inf,inf,*": _GL * _HL,
-    "inf,inf,inf": _GL ** 2,
-    "0,inf,inf": 2 * _DA * _GL,
+    "*,*,*":     lambda q, s, t, l: _fl(q, s, t, l) ** 2,
+    "0,*,*":     lambda q, s, t, l: 2 * _da(q, s, t) * _fl(q, s, t, l),
+    "inf,*,*":   lambda q, s, t, l: _fl(q, s, t, l) * (1 + 2 * q - 3 * l * q
+        - 3 * q * s + 2 * t - 3 * l * t - 6 * q * s * t + 9 * l * q * s * t),
+    "0,inf,*":   lambda q, s, t, l: _da(q, s, t) * (2 + 3 * q - 6 * l * q
+        - 6 * q * s + 3 * t - 6 * l * t - 9 * q * s * t + 18 * l * q * s * t),
+    "inf,0,*":   lambda q, s, t, l: _da(q, s, t) * (2 + 3 * q - 6 * l * q
+        - 6 * q * s + 3 * t - 6 * l * t - 9 * q * s * t + 18 * l * q * s * t),
+    "0,0,*":     lambda q, s, t, l: 3 * _da(q, s, t) ** 2,
+    "inf,inf,*": lambda q, s, t, l: _gl(q, s, t, l) * _hl(q, s, t, l),
+    "inf,inf,inf": lambda q, s, t, l: _gl(q, s, t, l) ** 2,
+    "0,inf,inf": lambda q, s, t, l: 2 * _da(q, s, t) * _gl(q, s, t, l),
 })
 
 _TABLES: Dict[str, Dict[str, TableRow]] = {
@@ -339,7 +337,7 @@ _TABLES: Dict[str, Dict[str, TableRow]] = {
     "A(t=1)": _TABLE2,
     # B rows missing from Table 4 are Table 5's at l = 1
     "B": {**{res: row._replace(family="B", source="Table 5 at l=1",
-                               poly=row.poly.substitute({"l": MultiPoly.const(1)}))
+                               evaluate=partial(row.evaluate, l=1))
              for res, row in _TABLE5.items() if res not in _TABLE4},
           **_TABLE4},
     "L": _TABLE5,
@@ -347,7 +345,7 @@ _TABLES: Dict[str, Dict[str, TableRow]] = {
 
 
 def table_row(family: str, resolution: str) -> TableRow:
-    """The tabulated (or link-identified) determinant row, as a polynomial.
+    """The tabulated (or link-identified) determinant row.
 
     Canonical resolution text is looked up as it is; other text is
     canonicalized first.  B rows missing from Table 4 are Table 5's at

@@ -435,12 +435,14 @@ class _Reject(CertError):
 
 
 def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, Tuple[str, ...]]:
-    """The text field and child slots of ``nodes[i]``, of a known kind: that
-    field a str, the other empty, an earlier index per slot, its link new."""
+    """The text field and child slots of ``nodes[i]``: a known kind, an int
+    det, that field a str, the other empty, earlier indices, a new link."""
     fields = _NODE_FIELDS.get(node.kind) if node.kind.__class__ is str else None
     if fields is None:
         raise _Reject(i, f"unknown node kind {_shown(node.kind)}")
     (text, slots), children = fields, node.children
+    if node.det.__class__ is not int:
+        raise _Reject(i, f"det {_shown(node.det)} is not an int")
     unused = ("axiom" if node.axiom != "" and text != "axiom" else
               "citation" if node.citation != "" and text != "citation" else "")
     if unused:
@@ -558,7 +560,7 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
 # Serialization: one compact JSON object a node, children by index
 # ---------------------------------------------------------------------------
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode = json.encoder.encode_basestring_ascii   # a str's JSON; else TypeError
 
 # The key sets of a node, per kind, and of a family's params.
 _NODE_KEYS = {kind: frozenset({"det", "kind", "link", text, *kids} - {""})
@@ -603,6 +605,8 @@ def serialize(cert: Certificate) -> str:
                 row, order, n = _LINK_ROWS[link.family]
                 if len(link.params) != n or {*map(type, link.params)} != {int}:
                     raise _Reject(i, f"{link.family} links take {n} ints")
+                if parse_resolution(link.resolution) != link.resolution:
+                    raise _Reject(i, f"{link.resolution!r} is not canonical")
                 link_text = row % (*order(link.params), _encode(link.resolution))
             row, order = _NODE_ROWS[node.kind]
             lines.append(row % order((_encode(str(node.det)), link_text,
@@ -613,11 +617,11 @@ def serialize(cert: Certificate) -> str:
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise _Reject(i, f"cannot be written: {_shown(exc)}") from None
     try:
-        head = '{"axioms":%s,"claim":%s,"nodes":[\n' % (
-            _encode([ax._asdict() for ax in cert.axioms]), _encode(cert.claim))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CertError(f"axioms or claim cannot be written: "
-                        f"{_shown(exc)}") from None
+        axioms = ",".join(['{"citation":%s,"claim":%s,"name":%s}' % tuple(map(
+            _encode, (ax.citation, ax.claim, ax.name))) for ax in cert.axioms])
+        head = '{"axioms":[%s],"claim":%s,"nodes":[\n' % (axioms, _encode(cert.claim))
+    except (AttributeError, TypeError) as exc:
+        raise CertError(f"axioms or claim cannot be written: {_shown(exc)}") from None
     return head + ",\n".join(lines) + "\n]}\n"
 
 

@@ -160,28 +160,16 @@ def even_terms(fr: Fraction) -> Iterator[int]:
         p, q = q, r
 
 
-def seifert_matrix(e: ExpansionLike) -> List[List[int]]:
-    """Seifert matrix of the plumbing surface for [2a1, 2b1, ..., 2am, 2bm].
-
-    The 2m x 2m ladder has diagonal (a1, -b1, a2, -b2, ...) and ones on the
-    superdiagonal.  The sign convention is pinned down by the requirement
-    |Alexander(-1)| = |p| for every expansion (checked wholesale in tests).
-    """
-    diagonal = [d for a, b in _coerce_expansion(e).pairs for d in (a, -b)]
-    return [[d if i == j else int(j == i + 1) for j in range(len(diagonal))]
-            for i, d in enumerate(diagonal)]
-
-
 def alexander(e: ExpansionLike) -> List[int]:
     """Alexander polynomial det(V - t*V^T) as ascending coefficients.
 
     Normalized so the lowest-degree coefficient is positive.  The degree is
     exactly twice the genus and the constant term is non-zero.
 
-    V - t*V^T is tridiagonal with d_k(1 - t) on the diagonal, 1 above it and
-    -t below it, so its leading principal minors obey the continuant
-    recurrence D_k = d_k(1 - t) D_{k-1} + t D_{k-2}, over the diagonal
-    (a1, -b1, a2, -b2, ...) of ``seifert_matrix``.
+    V, the Seifert matrix of the plumbing surface, has diagonal (a1, -b1,
+    a2, -b2, ...) and ones above it, so V - t*V^T is tridiagonal with
+    d_k(1 - t) on the diagonal, 1 above it and -t below it: its leading
+    principal minors obey D_k = d_k(1 - t) D_{k-1} + t D_{k-2}.
     """
     prev, cur = [0], [1]  # D_{-1}, D_0
     for d in [d for a, b in _coerce_expansion(e).pairs for d in (a, -b)]:

@@ -9,11 +9,14 @@ Sylvester matrix, the reference for ``intlinalg.resultant``;
 ``fold_cyclic_resultant`` is the cyclic resultant without the trace
 substitution, on the full degree of f and for any f (a link's too), through
 that determinant, as the reference for ``intlinalg.cyclic_resultant``.
+``seifert_matrix`` is the Seifert matrix whose Bareiss determinants check
+``twobridge.alexander``.
 """
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from bridgecover.intlinalg import INFINITE, Infinite, det_bareiss
 from bridgecover.multipoly import MultiPoly
+from bridgecover.twobridge import EvenExpansion
 from bridgecover.words import exponent_sums
 
 
@@ -226,3 +229,18 @@ def fold_cyclic_resultant(f: Sequence[int], n: int) -> int:
     if shift >= 0:
         return order * abs(c) ** shift
     return order // abs(c) ** -shift
+
+
+def seifert_matrix(e) -> List[List[int]]:
+    """Seifert matrix of the plumbing surface for [2a1, 2b1, ..., 2am, 2bm]
+    (a term list or an ``EvenExpansion``).
+
+    The 2m x 2m ladder has diagonal (a1, -b1, a2, -b2, ...) and ones on the
+    superdiagonal.  The sign convention is pinned down by the requirement
+    |Alexander(-1)| = |p| for every expansion (checked wholesale in tests).
+    """
+    if not isinstance(e, EvenExpansion):
+        e = EvenExpansion(e)
+    diagonal = [d for a, b in e.pairs for d in (a, -b)]
+    return [[d if i == j else int(j == i + 1) for j in range(len(diagonal))]
+            for i, d in enumerate(diagonal)]

@@ -2,6 +2,7 @@
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -269,6 +270,18 @@ def test_unsupported_regimes_raise():
             build(*params)
 
 
+def test_unsupported_regime_messages():
+    """The message names the family and every parameter as given."""
+    with pytest.raises(UnsupportedRegimeError) as info:
+        build_A_star(0, 1, 1)
+    assert str(info.value) == ("A-family matrices need integer parameters "
+                               ">= 1, got {'q': 0, 's': 1, 't': 1}")
+    with pytest.raises(UnsupportedRegimeError) as info:
+        build_L_star(1, True, 2, 3)
+    assert str(info.value) == ("L-family matrices need integer parameters "
+                               ">= 1, got {'q': 1, 's': True, 't': 2, 'l': 3}")
+
+
 def test_non_integer_parameters_raise():
     """Floats and bools are refused, not rounded or read as 0 and 1."""
     for build, params in ((build_A_star, (2.5, 1, 1)),
@@ -343,6 +356,51 @@ def test_row_evaluators_are_built_once_on_first_use():
                          env={**os.environ, "PYTHONPATH": str(
                              pathlib.Path(goeritz.__file__).parents[1])}).stdout
     assert out == "0\n"
+
+
+def _random_points(seed: int, count: int):
+    """(q, s, t, l) points of random ints in -50..1000, with 0 and +-10^6
+    mixed in, after the all-zero and all-10^6 points."""
+    rng = random.Random(seed)
+    points = [(0, 0, 0, 0), (10 ** 6,) * 4]
+    for _ in range(count):
+        points.append(tuple(rng.choice((0, 10 ** 6, -10 ** 6,
+                                        rng.randint(-50, 1000)))
+                            for _ in range(4)))
+    return points
+
+
+def test_every_row_function_is_its_polynomial():
+    """Every row of every family, the identified rows and the B rows from
+    Table 5 among them, gives at an int point what its polynomial gives."""
+    for row in _ALL_ROWS:
+        names = goeritz.TABLE_PARAMS[row.family]
+        for point in _random_points(31, 60):
+            point = point[:len(names)]
+            assert (row.evaluate(*point)
+                    == row.poly.evaluate(dict(zip(names, point)))), (row, point)
+
+
+def test_table5_b_rows_are_the_l_rows_at_l_1():
+    rows = [row for row in goeritz._TABLES["B"].values()
+            if row.source == "Table 5 at l=1"]
+    assert {row.resolution for row in rows} == {
+        "inf,0,*", "inf,inf,*", "inf,inf,inf", "0,inf,inf", "inf,0,inf",
+        "inf,inf,0", "inf,0,0", "0,inf,0"}
+    for row in rows:
+        l_row = table_row("L", row.resolution)
+        assert row.poly == l_row.poly.substitute({"l": MultiPoly.const(1)})
+        for q, s, t, _ in _random_points(5, 40):
+            assert row.evaluate(q, s, t) == l_row.evaluate(q, s, t, 1)
+
+
+def test_row_polynomials_are_built_once_on_first_use():
+    """On first read, and kept; no import builds one (tests/test_imports.py
+    shows that importing does no polynomial arithmetic at all)."""
+    row = table_row("L", "*,*,*")._replace()
+    assert "poly" not in vars(row)
+    assert row.poly is row.poly
+    assert "poly" in vars(row)
 
 
 def test_table_formula_takes_the_family_parameters_by_name():
@@ -441,7 +499,7 @@ def test_additivity_grid_evaluates_each_row_once_and_lists_failures_in_order(
     rows = goeritz._TABLES["L"]
     row = rows["0,inf,inf"]
     monkeypatch.setitem(rows, "0,inf,inf", row._replace(
-        poly=row.poly + MultiPoly.const(2) - MultiPoly.var("q")))
+        evaluate=lambda q, s, t, l: row.evaluate(q, s, t, l) + 2 - q))
     real, calls = MultiPoly.evaluate, []
 
     def evaluate(poly, point):

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-no module imports ``dataclasses``."""
+"""Every name a module of the package imports is used in that module, no
+module imports ``dataclasses``, none calls ``eval`` or ``exec``, and importing
+them does no polynomial arithmetic."""
 
 import ast
 import os
@@ -10,6 +11,11 @@ import sys
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "bridgecover"
+
+
+def _modules():
+    return sorted(f"bridgecover.{path.stem}" for path in PACKAGE.glob("*.py")
+                  if path.stem != "__init__")
 
 
 def unused_imports(source: str):
@@ -63,8 +69,7 @@ def test_no_module_imports_dataclasses(path):
 
 
 def test_importing_every_module_loads_no_dataclasses():
-    modules = sorted(f"bridgecover.{path.stem}" for path in PACKAGE.glob("*.py")
-                     if path.stem != "__init__")
+    modules = _modules()
     assert len(modules) == 9
     code = (f"import sys, {', '.join(modules)}\n"
             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}"
@@ -73,3 +78,40 @@ def test_importing_every_module_loads_no_dataclasses():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_calls_eval_or_exec(path):
+    """Code is written out, not generated as text and compiled."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & {"eval", "exec"} == set()
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__neg__", "__pow__", "substitute")
+
+
+def test_importing_every_module_does_no_polynomial_arithmetic():
+    """The determinant tables are functions, so no process pays for
+    building polynomials it may never read."""
+    code = ("import collections\n"
+            "from bridgecover.multipoly import MultiPoly\n"
+            "calls = collections.Counter()\n"
+            "def wrap(name, real):\n"
+            "    def counted(*args):\n"
+            "        calls[name] += 1\n"
+            "        return real(*args)\n"
+            "    return counted\n"
+            f"for name in {_ARITHMETIC!r}:\n"
+            "    setattr(MultiPoly, name, wrap(name, getattr(MultiPoly, name)))\n"
+            "assert (MultiPoly.var('q') * 2).terms and calls['__mul__'] == 1\n"
+            "calls.clear()\n"
+            f"import {', '.join(_modules())}\n"
+            "print(dict(calls))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout == "{}\n"

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -1433,6 +1434,28 @@ def test_a_certificate_with_junk_for_its_own_fields_rejects():
             qc.serialize(bad)
 
 
+def test_serialize_refuses_fields_that_deserialize_would_refuse():
+    """A claim or declared axiom field that is no string, a det that is no
+    int and a resolution not in canonical form: ``serialize`` raises
+    ``CertError`` where it once wrote text that ``deserialize`` refuses."""
+    cert = qc.generate_A_cert(1, 1, 1)
+    decl, node = cert.axioms[0], cert.nodes[1]
+    header = [cert._replace(claim=[1]),
+              cert._replace(axioms=(decl._replace(name=5),) + cert.axioms[1:])]
+    for bad in header:
+        with pytest.raises(qc.CertError, match=r"^axioms or claim cannot be "
+                                               r"written: TypeError"):
+            qc.serialize(bad)
+    for bad, reason in (
+            (node._replace(det=True), "det True is not an int"),
+            (node._replace(det="3"), "det '3' is not an int"),
+            (node._replace(link=node.link._replace(resolution="*, *, *")),
+             "'*, *, *' is not canonical")):
+        with pytest.raises(qc.CertError,
+                           match=rf"^nodes\[1\]: {re.escape(reason)}$"):
+            qc.serialize(_with_node(cert, 1, bad))
+
+
 # -- fuzzed in-memory certificates ------------------------------------------
 
 _FUZZ_CERTS = [qc.generate_A_cert(1, 1, 1), qc.generate_A_cert(2, 1, 3),
@@ -1506,6 +1529,7 @@ def test_fuzzed_fields_reject_and_never_raise(data):
     except qc.CertError:
         return
     assert text == _reference_serialize(cert)
+    assert qc.serialize(qc.deserialize(text)) == text
 
 
 @pytest.mark.parametrize("field", ["det", "child", "param"])

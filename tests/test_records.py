@@ -13,11 +13,11 @@ _SIGNS_TEXT = "SignAssignment(signs=(STRICT_POS, STRICT_NEG))"
 # (record, its fields in order, its defaults, a sample's arguments, its repr)
 RECORDS = [
     (goeritz.TableRow,
-     "family resolution poly source validity identified_via",
+     "family resolution evaluate source validity identified_via",
      {"identified_via": None},
-     ("L", "*,*,*", MultiPoly.const(3), "Table 5", "l > 1"),
-     "TableRow(family='L', resolution='*,*,*', poly=MultiPoly(3), "
-     "source='Table 5', validity='l > 1', identified_via=None)"),
+     ("L", "*,*,*", abs, "Table 5", "l > 1"),
+     "TableRow(family='L', resolution='*,*,*', evaluate=<built-in function "
+     "abs>, source='Table 5', validity='l > 1', identified_via=None)"),
     (goeritz.ResolutionRule,
      "citation family source target move target_family",
      {"move": "", "target_family": None},

@@ -21,11 +21,11 @@ from bridgecover.twobridge import (
     link_determinant,
     mirror_terms,
     same_knot,
-    seifert_matrix,
 )
 from dense_lattice import (
     fold_cyclic_resultant,
     is_trace_form,
+    seifert_matrix,
     sylvester_resultant,
 )
 
