@@ -185,6 +185,11 @@ class _CliError(Exception):
     """Usage-level failure (exit code 2)."""
 
 
+class _LimitError(Exception):
+    """An input past one of the written-down limits (exit code 2, no usage
+    text); no ``ValueError``, which the ``h1`` term loop turns into usage."""
+
+
 def _parse_terms(raw: Sequence[str]) -> List[int]:
     if not raw:
         raise _CliError("no continued-fraction terms given (put them after --)")
@@ -283,9 +288,8 @@ def _cmd_fraction(args) -> int:
         except ValueError as exc:
             raise _CliError(str(exc))
         if len(even) > EVEN_FORM_MAX_TERMS:
-            print(f"bridgecover: error: fraction --even-form prints at most "
-                  f"{EVEN_FORM_MAX_TERMS} terms, got more", file=sys.stderr)
-            return 2
+            raise _LimitError(f"fraction --even-form prints at most "
+                              f"{EVEN_FORM_MAX_TERMS} terms, got more")
         print(_bracket(even))
         return 0
     if args.mirror:
@@ -386,20 +390,18 @@ def _cmd_h1(args) -> int:
             size = genus * (genus + 1) * (args.cover - 1 + 2 * genus) * bits
             if size > H1_MAX_SIZE:
                 more = "" if next(stream, None) is None else "more than "
-                print(f"bridgecover: error: h1 takes genus * (genus + 1) * "
-                      f"(cover - 1 + 2 * genus) * term bits at most "
-                      f"{H1_MAX_SIZE}, got {more}{size}", file=sys.stderr)
-                return 2
+                raise _LimitError(f"h1 takes genus * (genus + 1) * (cover - 1 "
+                                  f"+ 2 * genus) * term bits at most "
+                                  f"{H1_MAX_SIZE}, got {more}{size}")
     except ValueError as exc:
         raise _CliError(str(exc))
     expansion = EvenExpansion(kept) if kept else None
     if (args.cover - 1) * bits > H1_MAX_BITS:  # term bits >= bits(|Delta|_1)
         bits = sum(map(abs, alexander(expansion))).bit_length()
         if (args.cover - 1) * bits > H1_MAX_BITS:
-            print(f"bridgecover: error: h1 prints orders of at most "
-                  f"{H1_MAX_BITS} bits, got (cover - 1) * bits(|Alexander|_1)"
-                  f" = {(args.cover - 1) * bits}", file=sys.stderr)
-            return 2
+            raise _LimitError(f"h1 prints orders of at most {H1_MAX_BITS} "
+                              f"bits, got (cover - 1) * bits(|Alexander|_1) "
+                              f"= {(args.cover - 1) * bits}")
 
     if args.method == "all":
         values = []
@@ -535,9 +537,8 @@ def _cmd_identities(args) -> int:
         points = _point_count(grid, _ADDITIVITY_SUITES[args.suite])
         limit = SPOT_CHECK_MAX_POINTS
     if points > limit:
-        print(f"bridgecover: error: identities --suite {args.suite} takes at "
-              f"most {limit} grid points, got {points}", file=sys.stderr)
-        return 2
+        raise _LimitError(f"identities --suite {args.suite} takes at most "
+                          f"{limit} grid points, got {points}")
     _emit_header(_grid_text(grid) if points else "symbolic",
                  _SUITE_SOURCES[args.suite])
     if args.suite == "tables":
@@ -566,10 +567,8 @@ def _cmd_cert(args) -> int:
         over = [f"{name}={value}" for name, value in zip(_PARAM_NAMES, params)
                 if abs(value) > CERT_MAX_PARAM]
         if over:
-            print(f"bridgecover: error: cert generate takes parameters of "
-                  f"magnitude at most {CERT_MAX_PARAM}, got {', '.join(over)}",
-                  file=sys.stderr)
-            return 2
+            raise _LimitError(f"cert generate takes parameters of magnitude "
+                              f"at most {CERT_MAX_PARAM}, got {', '.join(over)}")
         try:
             cert = generate(*params)
         except (CertError, UnsupportedRegimeError) as exc:
@@ -837,6 +836,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except _CliError as exc:
         _parser().error(str(exc))
         return 2  # unreachable; parser.error exits
+    except _LimitError as exc:
+        print(f"bridgecover: error: {exc}", file=sys.stderr)
+        return 2
     except (WordError, CertError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

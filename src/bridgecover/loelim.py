@@ -37,8 +37,9 @@ from typing import (Dict, FrozenSet, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
 from .presentations import (
-    _RPRIME_TEMPLATES,
-    _RSECOND_TEMPLATES,
+    _RHO,
+    _RPRIME_1,
+    _RSECOND_1,
     _WING_WORDS,
     Presentation,
     genus_one_presentation,
@@ -340,12 +341,6 @@ _ATOM_INVERSE = {name: f"E{b}{a}" for name, (a, b) in _ATOM_PAIR.items()}
 _PAIR_WORDS = {name: parse_word(f"{a}^(q) {b}^(-q)")
                for name, (a, b) in _ATOM_PAIR.items()}
 
-#: The deck rotation rho renames x -> y -> z -> x and X -> Y -> Z -> X, so
-#: Eab -> the pair letter of the images, and leaves every exponent alone.
-#: ``_RHO[k]`` applies rho^k to a letter or to a word's text.
-_RHO = [str.maketrans("xyzXYZ", r) for r in ("xyzXYZ", "yzxYZX", "zxyZXY")]
-
-
 def _rotate(form: SignForm) -> SignForm:
     """rho applied to a compiled sign form: every head is renamed."""
     return tuple((h.translate(_RHO[1]) if h.__class__ is str else _rotate(h),
@@ -360,11 +355,10 @@ def _atomize_text(template: str) -> str:
     return template
 
 
-#: The wing-rewritten relators of :mod:`.presentations` over pair-word letters.
-_RPRIME_ATOM = {i: parse_word(_atomize_text(t))
-                for i, t in _RPRIME_TEMPLATES.items()}
-_RSECOND_ATOM = {i: parse_word(_atomize_text(t))
-                 for i, t in _RSECOND_TEMPLATES.items()}
+#: The wing-rewritten relators r'_1, r''_1 of :mod:`.presentations` over
+#: pair-word letters; rho renames Eab to the pair letter of the images.
+_RPRIME_ATOM = parse_word(_atomize_text(_RPRIME_1))
+_RSECOND_ATOM = parse_word(_atomize_text(_RSECOND_1))
 _BASE_PRESENTATION = Presentation(_BASE, (parse_word("z y x"),), ParamEnv({}),
                                   ("r0",))
 
@@ -584,8 +578,8 @@ def _closure_candidates(mapping: Mapping[str, AffineExp],
                         env: ParamEnv) -> Iterator[Tuple[str, SignForm]]:
     """Compiled r'_i, then r''_i, each followed by its depth-one peel variants:
     a family is built for i = 1 when it is reached; rho gives i = 2, 3."""
-    for label, templates in (("'", _RPRIME_ATOM), ("''", _RSECOND_ATOM)):
-        root = reduce_word(substitute_params(templates[1], mapping), env)
+    for label, template in (("'", _RPRIME_ATOM), ("''", _RSECOND_ATOM)):
+        root = reduce_word(substitute_params(template, mapping), env)
         forms = [sign_form(w, env)
                  for w in _variants(root, env, depth=1, collapse=False)]
         for i in (1, 2, 3):

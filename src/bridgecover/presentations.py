@@ -59,26 +59,20 @@ _GENUS_TWO_TEMPLATE = (
 )
 _GENUS_TWO_WINDOW = (("a", -2), ("b", -1), ("c", 0), ("d", 1), ("e", 2))
 
-# The n=3 wing words X, Y, Z and the rewritten relator forms r'_i, r''_i,
-# over generators x, y, z (= x1, x2, x3) and placeholders X, Y, Z.
-_WING_DEFS = {
-    "X": "(y^(q) x^(-q))^(s) x (z^(q) x^(-q))^(s)",
-    "Y": "(z^(q) y^(-q))^(s) y (x^(q) y^(-q))^(s)",
-    "Z": "(x^(q) z^(-q))^(s) z (y^(q) z^(-q))^(s)",
-}
-_RPRIME_TEMPLATES = {
-    1: "(Y^(t) y^(q) x^(-q) X^(-t))^(l) X (Z^(t) z^(q) x^(-q) X^(-t))^(l)",
-    2: "(Z^(t) z^(q) y^(-q) Y^(-t))^(l) Y (X^(t) x^(q) y^(-q) Y^(-t))^(l)",
-    3: "(X^(t) x^(q) z^(-q) Z^(-t))^(l) Z (Y^(t) y^(q) z^(-q) Z^(-t))^(l)",
-}
-_RSECOND_TEMPLATES = {
-    1: ("(Y^(t) y^(q) x^(-q) X^(-t))^(l-1) Y^(t) y^(q) x^(-q) X^(-t+1) "
-        "(Z^(t) z^(q) x^(-q) X^(-t))^(l)"),
-    2: ("(Z^(t) z^(q) y^(-q) Y^(-t))^(l-1) Z^(t) z^(q) y^(-q) Y^(-t+1) "
-        "(X^(t) x^(q) y^(-q) Y^(-t))^(l)"),
-    3: ("(X^(t) x^(q) z^(-q) Z^(-t))^(l-1) X^(t) x^(q) z^(-q) Z^(-t+1) "
-        "(Y^(t) y^(q) z^(-q) Z^(-t))^(l)"),
-}
+# The n=3 wing word X and the rewritten relator forms r'_1, r''_1, over
+# generators x, y, z (= x1, x2, x3) and placeholders X, Y, Z.  The deck
+# rotation rho renames x -> y -> z -> x and X -> Y -> Z -> X and leaves every
+# exponent alone, so it carries X to Y to Z and r'_i, r''_i to r'_(i+1),
+# r''_(i+1); ``_RHO[k]`` applies rho^k to a letter or to a word's text.
+_RHO = [str.maketrans("xyzXYZ", r) for r in ("xyzXYZ", "yzxYZX", "zxyZXY")]
+_X = "(y^(q) x^(-q))^(s) x (z^(q) x^(-q))^(s)"
+_RPRIME_1 = "(Y^(t) y^(q) x^(-q) X^(-t))^(l) X (Z^(t) z^(q) x^(-q) X^(-t))^(l)"
+_RSECOND_1 = ("(Y^(t) y^(q) x^(-q) X^(-t))^(l-1) Y^(t) y^(q) x^(-q) X^(-t+1) "
+              "(Z^(t) z^(q) x^(-q) X^(-t))^(l)")
+_WING_DEFS = {name: _X.translate(rho) for name, rho in zip("XYZ", _RHO)}
+_RPRIME_TEMPLATES = {i: _RPRIME_1.translate(rho) for i, rho in enumerate(_RHO, 1)}
+_RSECOND_TEMPLATES = {i: _RSECOND_1.translate(rho)
+                      for i, rho in enumerate(_RHO, 1)}
 # Every template is constant, so each is parsed once, at import.
 _WING_WORDS = {name: parse_word(text) for name, text in _WING_DEFS.items()}
 _RPRIME_WORDS = {i: parse_word(text) for i, text in _RPRIME_TEMPLATES.items()}

@@ -32,8 +32,12 @@ whitelists that ``verify`` checks against, tabulating each determinant
 afresh.  The identifications that rewrite a resolution come from
 ``goeritz.RESOLUTION_RULES``, the one table of the Section 5 resolution
 lemmas; the named-link rules, symmetries and mirror images are written
-here.  Resolution text is canonical where it enters (the ``LinkId``
-factories and the parser); ``verify`` rejects any other.
+here.  Resolution text is canonical where the ``LinkId`` factories make it.
+
+A certificate's form is checked once, for ``serialize``, ``deserialize``
+and ``verify`` alike: ``_node_form`` checks each node (fields, earlier
+children, a new link) and ``_check_walk_order`` the list, so ``verify``
+ACCEPTs only what ``serialize`` writes and ``deserialize`` reads back.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Set,
 from .goeritz import (
     RESOLUTION_RULES,
     TABLE_PARAMS,
+    _CANONICAL_RESOLUTIONS,
     NotTabulatedError,
     UnsupportedRegimeError,
     parse_resolution,
@@ -126,32 +131,31 @@ class LinkId(NamedTuple):
         return tuple([1 if v > 0 else -1 for v in self.params])
 
     def validate(self) -> None:
-        names = (_FAMILY_PARAMS.get(self.family)
-                 if self.family.__class__ is str else None)
+        family, params, res, name = self
+        names = _FAMILY_PARAMS.get(family) if family.__class__ is str else None
         if names is None:
-            raise CertError(f"unknown link family {_shown(self.family)}")
-        if self.params.__class__ is not tuple or len(self.params) != len(names):
-            raise CertError(f"{self.family} link needs the parameters {names} "
-                            f"as a tuple of ints, got {_shown(self.params)}")
-        for key, value in zip(names, self.params):
-            if value.__class__ is not int or value == 0:
+            raise CertError(f"unknown link family {_shown(family)}")
+        if params.__class__ is not tuple or len(params) != len(names):
+            raise CertError(f"{family} link needs the parameters {names} as a "
+                            f"tuple of ints, got {_shown(params)}")
+        for value in params:
+            if value.__class__ is not int or not value:
+                key = next(k for k, v in zip(names, params) if v is value)
                 raise CertError(f"parameter {key} must be a nonzero integer")
-        if self.family == "NAMED":
-            if not self.name or self.name.__class__ is not str:
+        if not names:
+            if not name or name.__class__ is not str:
                 raise CertError("named link needs a name")
-            if self.resolution != "":
+            if res != "":
                 raise CertError("named link carries no resolution")
-        else:
-            if self.name != "":
-                raise CertError(f"{self.family} link carries no name")
+        elif name != "":
+            raise CertError(f"{family} link carries no name")
+        elif res.__class__ is not str or res not in _CANONICAL_RESOLUTIONS:
             try:
-                canonical = parse_resolution(self.resolution)
+                canonical = parse_resolution(res)
             except (ValueError, TypeError, AttributeError) as exc:
-                raise CertError(f"bad resolution {_shown(self.resolution)}: "
-                                f"{exc}") from None
-            if canonical != self.resolution:
-                raise CertError(f"resolution {self.resolution!r} is not in "
-                                f"canonical form {canonical!r}")
+                raise CertError(f"bad resolution {_shown(res)}: {exc}") from None
+            raise CertError(f"resolution {res!r} is not in canonical form "
+                            f"{canonical!r}")
 
     def __str__(self):
         if self.family == "NAMED":
@@ -434,38 +438,71 @@ class _Reject(CertError):
         super().__init__(f"{path}: {reason}")
 
 
-def _slots(node: CertNode, i: int, first: Mapping) -> Tuple[str, Tuple[str, ...]]:
-    """The text field and child slots of ``nodes[i]``: a known kind, an int
-    det, that field a str, the other empty, earlier indices, a new link."""
-    fields = _NODE_FIELDS.get(node.kind) if node.kind.__class__ is str else None
+def _node_form(node: CertNode, i: int,
+               first: Dict[LinkId, int]) -> Tuple[str, Tuple[str, ...]]:
+    """The text field and child slots of ``nodes[i]``, once its form holds:
+    a ``CertNode`` whose ``LinkId`` validates, a positive int det, a known
+    kind with its text field a str and the other empty, one earlier index
+    per child slot, and a link that ``first`` (link -> index, over the nodes
+    before) does not hold; the link is added to ``first``."""
+    if node.__class__ is not CertNode:
+        raise _Reject(i, f"expected a CertNode, got {_shown(node)}")
+    link, det, kind, axiom, citation, children = node
+    if link.__class__ is not LinkId:
+        raise _Reject(i, f"expected a LinkId, got {_shown(link)}")
+    try:
+        link.validate()
+    except CertError as exc:
+        raise _Reject(i, str(exc)) from None
+    if det.__class__ is not int or det <= 0:
+        raise _Reject(i, f"determinant must be a positive integer, got "
+                         f"{_shown(det)}")
+    fields = _NODE_FIELDS.get(kind) if kind.__class__ is str else None
     if fields is None:
-        raise _Reject(i, f"unknown node kind {_shown(node.kind)}")
-    (text, slots), children = fields, node.children
-    if node.det.__class__ is not int:
-        raise _Reject(i, f"det {_shown(node.det)} is not an int")
-    unused = ("axiom" if node.axiom != "" and text != "axiom" else
-              "citation" if node.citation != "" and text != "citation" else "")
+        raise _Reject(i, f"unknown node kind {_shown(kind)}")
+    text, slots = fields
+    unused = ("axiom" if axiom != "" and text != "axiom" else
+              "citation" if citation != "" and text != "citation" else "")
     if unused:
-        raise _Reject(i, f"{node.kind} nodes carry no {unused}")
+        raise _Reject(i, f"{kind} nodes carry no {unused}")
     if text and getattr(node, text).__class__ is not str:
-        raise _Reject(i, f"{node.kind} nodes carry their {text} as a string")
+        raise _Reject(i, f"{kind} nodes carry their {text} as a string")
     if children.__class__ is not tuple or len(children) != len(slots):
-        raise _Reject(i, f"{node.kind} nodes cite {len(slots)} children, got "
+        raise _Reject(i, f"{kind} nodes cite {len(slots)} children, got "
                          f"{_shown(children)}")
     for slot, k in zip(slots, children):
         if k.__class__ is not int or not 0 <= k < i:
             raise _Reject(i, f"expected the index of an earlier node, got "
                              f"{_shown(k)}", slot)
-    if node.link in first:
-        raise _Reject(i, f"{node.link} is already certified by "
-                         f"nodes[{first[node.link]}]")
-    return text, slots
+    j = first.setdefault(link, i)
+    if j != i:
+        raise _Reject(i, f"{link} is already certified by nodes[{j}]")
+    return fields
+
+
+def _check_walk_order(nodes: Tuple[CertNode, ...]) -> None:
+    """Refuse ``nodes``, each of which has its form, unless the depth-first
+    walk from the last one completes them in their own order, so that every
+    other node is cited.  Nodes complete in index order, so one below the
+    count completed is complete and the walk passes it by."""
+    done, stack = 0, [len(nodes) - 1]   # i enters node i, ~i completes it
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            if ~i != done:
+                raise _Reject(~i, f"out of order; the walk from the last "
+                                  f"node completes nodes[{done}] here")
+            done += 1
+        elif i >= done:
+            stack.append(~i)
+            stack += nodes[i].children[::-1]
 
 
 def verify(cert: Certificate) -> Verdict:
-    """Check every rule of the certificate in one forward pass, ACCEPT or
-    REJECT at the first violation.  Children cite earlier nodes, so no cycle
-    can be written, and each link's determinant is tabulated once."""
+    """Check every rule of the certificate in one forward pass, then the
+    walk order; ACCEPT or REJECT at the first violation.  Children cite
+    earlier nodes, so no cycle can be written, and each link's determinant
+    is tabulated once."""
     if cert.claim not in _CLAIMS:
         return Verdict(False, "claim", f"unknown claim {_shown(cert.claim)}")
     if cert.axioms.__class__ is not tuple:
@@ -485,34 +522,22 @@ def verify(cert: Certificate) -> Verdict:
         declared[decl.name] = decl
     if cert.nodes.__class__ is not tuple or not cert.nodes:
         return Verdict(False, "nodes", "expected a non-empty tuple of CertNode")
-    first: Dict[LinkId, int] = {}   # link -> index, over the nodes checked
+    first: Dict[LinkId, int] = {}
     try:
         for i, node in enumerate(cert.nodes):
-            _check_node(cert, declared, first, i)
-            first[node.link] = i
+            _check_node(cert, declared, i, _node_form(node, i, first)[1])
+        _check_walk_order(cert.nodes)
     except _Reject as rej:
         return rej.verdict
     return ACCEPT
 
 
-def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
-                first: Mapping[LinkId, int], i: int) -> None:
-    """Every rule at ``nodes[i]``; ``first`` indexes the links before it,
-    which are checked, so a child's link and determinant are certified."""
+def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl], i: int,
+                slots: Tuple[str, ...]) -> None:
+    """Every rule of its kind at ``nodes[i]``, whose form holds, as does that
+    of the nodes before it, so a child's link and determinant are checked."""
     node = cert.nodes[i]
-    if node.__class__ is not CertNode:
-        raise _Reject(i, f"expected a CertNode, got {_shown(node)}")
     link = node.link
-    if link.__class__ is not LinkId:
-        raise _Reject(i, f"expected a LinkId, got {_shown(link)}")
-    try:
-        link.validate()
-    except CertError as exc:
-        raise _Reject(i, str(exc))
-    if node.det.__class__ is not int or node.det <= 0:
-        raise _Reject(i, f"determinant must be a positive integer, got "
-                         f"{_shown(node.det)}")
-    slots = _slots(node, i, first)[1]
     try:
         want = expected_det(link)
     except (NotTabulatedError, CertError) as exc:
@@ -562,60 +587,54 @@ def _check_node(cert: Certificate, declared: Mapping[str, AxiomDecl],
 
 _encode = json.encoder.encode_basestring_ascii   # a str's JSON; else TypeError
 
-# The key sets of a node, per kind, and of a family's params.
+# The key set of a node, per kind; per family, its params' key set and the
+# getter of their values in ``TABLE_PARAMS`` order.
 _NODE_KEYS = {kind: frozenset({"det", "kind", "link", text, *kids} - {""})
               for kind, (text, kids) in _NODE_FIELDS.items()}
-_PARAM_KEYS = {f: frozenset(names) for f, names in _FAMILY_PARAMS.items()}
+_PARAM_ROWS = {f: (frozenset(names), itemgetter(*names))
+               for f, names in _FAMILY_PARAMS.items() if names}
 
 
 def _node_row(kind: str, text: str, slots: Tuple[str, ...]):
     """A ``kind`` node's line as a ``%``-format, its keys (``_NODE_KEYS``)
     sorted, and the getter that orders (det, link, text, *children)."""
     keys, args = sorted(_NODE_KEYS[kind]), ("det", "link", text, *slots)
-    cells = ["%d" if key in slots else "%s" if key in args else _encode(kind)
-             for key in keys]
+    cells = ['"%d"' if key == "det" else "%d" if key in slots else
+             "%s" if key in args else _encode(kind) for key in keys]
     return ("{%s}" % ",".join([f'"{k}":{v}' for k, v in zip(keys, cells)]),
             itemgetter(*[args.index(key) for key in keys if key in args]))
 
 
 _NODE_ROWS = {kind: _node_row(kind, *row) for kind, row in _NODE_FIELDS.items()}
-# Per family: its link's format, its params' getter in name order, their count.
+# Per family: its link's format and its params' getter in name order.
 _LINK_ROWS = {f: ('{"family":%s,"params":{%s},"resolution":%%s}' % (
     _encode(f), ",".join([f'"{name}":%d' for name in sorted(names)])),
-    itemgetter(*map(names.index, sorted(names))), len(names))
+    itemgetter(*map(names.index, sorted(names))))
               for f, names in _FAMILY_PARAMS.items() if names}
 
 
 def serialize(cert: Certificate) -> str:
     """Canonical JSON text: sorted keys, one compact node a line, children
-    by index (refused unless each kind cites one earlier node per slot, as
-    is a link listed twice or with other than int params), and a newline."""
+    by index, and a newline.  A node list that ``deserialize`` would refuse
+    (a node without its form, or out of walk order) is refused."""
     if cert.nodes.__class__ is not tuple or not cert.nodes:
         raise CertError("nodes: expected a non-empty tuple of CertNode")
     first: Dict[LinkId, int] = {}
     lines: List[str] = []
     for i, node in enumerate(cert.nodes):
-        try:  # the link is not validated: a field may fail to hash or encode
-            text, slots = _slots(node, i, first)
-            first[node.link] = i
-            link = node.link
+        text, link = _node_form(node, i, first)[0], node.link
+        try:  # an int past the int-to-str digit limit raises ValueError
             if link.family == "NAMED":
                 link_text = '{"family":"NAMED","name":%s}' % _encode(link.name)
             else:
-                row, order, n = _LINK_ROWS[link.family]
-                if len(link.params) != n or {*map(type, link.params)} != {int}:
-                    raise _Reject(i, f"{link.family} links take {n} ints")
-                if parse_resolution(link.resolution) != link.resolution:
-                    raise _Reject(i, f"{link.resolution!r} is not canonical")
+                row, order = _LINK_ROWS[link.family]
                 link_text = row % (*order(link.params), _encode(link.resolution))
             row, order = _NODE_ROWS[node.kind]
-            lines.append(row % order((_encode(str(node.det)), link_text,
-                                      text and _encode(getattr(node, text)),
-                                      *node.children)))
-        except _Reject:
-            raise
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            lines.append(row % order((node.det, link_text, text and _encode(
+                getattr(node, text)), *node.children)))
+        except ValueError as exc:
             raise _Reject(i, f"cannot be written: {_shown(exc)}") from None
+    _check_walk_order(cert.nodes)
     try:
         axioms = ",".join(['{"citation":%s,"claim":%s,"name":%s}' % tuple(map(
             _encode, (ax.citation, ax.claim, ax.name))) for ax in cert.axioms])
@@ -641,39 +660,26 @@ def _fields(obj, keys, where: str, texts=()) -> dict:
 
 
 def _parse_link(obj) -> LinkId:
-    """A node's link; an error's location is relative to the node."""
+    """A node's link as written; error locations are relative to the node."""
     family = obj.get("family") if obj.__class__ is dict else None
     if family == "NAMED":
-        return LinkId.named(
-            _fields(obj, {"family", "name"}, ".link", ("name",))["name"])
-    _fields(obj, {"family", "params", "resolution"}, ".link", ("resolution",))
-    names = _FAMILY_PARAMS.get(family) if family.__class__ is str else None
-    if names is None:
+        return LinkId.named(_fields(obj, {"family", "name"}, ".link")["name"])
+    _fields(obj, {"family", "params", "resolution"}, ".link")
+    row = _PARAM_ROWS.get(family) if family.__class__ is str else None
+    if row is None:
         raise CertParseError(f".link.family: unknown family {family!r}")
-    fields = _fields(obj["params"], _PARAM_KEYS[family], ".link.params")
-    params = tuple([fields[name] for name in names])
-    for name, value in zip(names, params):
-        if value.__class__ is not int:
-            raise CertParseError(f".link.params.{name}: expected an integer")
-    resolution = obj["resolution"]
-    try:
-        canonical = parse_resolution(resolution)
-    except ValueError as exc:
-        raise CertParseError(f".link.resolution: {exc}") from None
-    if canonical != resolution:
-        raise CertParseError(f".link.resolution: {resolution!r} is not in "
-                             f"canonical form {canonical!r}")
-    return LinkId(family, params, resolution)
+    keys, values = row
+    return LinkId(family, values(_fields(obj["params"], keys, ".link.params")),
+                  obj["resolution"])
 
 
-def _parse_node(obj, i: int) -> CertNode:
-    """Node i, whose children are earlier indices; an error's location is
+def _parse_node(obj) -> CertNode:
+    """A node as written, for ``_node_form`` to check; an error's location is
     relative to the node, so no location text is built unless one occurs."""
     kind = obj.get("kind") if obj.__class__ is dict else None
     if kind.__class__ is not str or kind not in _NODE_FIELDS:
         raise CertParseError(f".kind: unknown node kind {kind!r}")
-    text, slots = _NODE_FIELDS[kind]
-    _fields(obj, _NODE_KEYS[kind], "", ("det", text) if text else ("det",))
+    _fields(obj, _NODE_KEYS[kind], "", ("det",))
     link = _parse_link(obj["link"])
     try:
         det = int(obj["det"], 10)
@@ -681,19 +687,13 @@ def _parse_node(obj, i: int) -> CertNode:
         det = None
     if det is None or str(det) != obj["det"]:
         raise CertParseError(f".det: not a decimal integer: {obj['det']!r}")
-    children = tuple([obj[slot] for slot in slots])
-    for slot, child in zip(slots, children):
-        if child.__class__ is not int or not 0 <= child < i:
-            raise CertParseError(f".{slot}: expected the index of an earlier "
-                                 f"node, got {child!r}")
-    return CertNode(link, det, kind, obj.get("axiom", ""),
-                    obj.get("citation", ""), children)
+    return CertNode(link, det, kind, obj.get("axiom", ""), obj.get(
+        "citation", ""), tuple([obj[k] for k in _NODE_FIELDS[kind][1]]))
 
 
 def deserialize(data: Union[str, bytes]) -> Certificate:
-    """Parse ``serialize`` output, and only that: every link once, children
-    earlier, and the nodes in the order the walk from the last one completes
-    them, so every other node is cited."""
+    """Parse ``serialize`` output, and only that: every node of its form and
+    the nodes in the order the walk from the last one completes them."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -713,39 +713,20 @@ def deserialize(data: Union[str, bytes]) -> Certificate:
     axioms = tuple(AxiomDecl(*(_fields(entry, set(keys), f"axioms[{i}]",
                                        keys)[key] for key in keys))
                    for i, entry in enumerate(axioms))
+    first: Dict[LinkId, int] = {}
     parsed: List[CertNode] = []
     try:
         for i, obj in enumerate(nodes):
-            parsed.append(_parse_node(obj, i))
+            node = _parse_node(obj)
+            _node_form(node, i, first)
+            parsed.append(node)
+        nodes = tuple(parsed)
+        _check_walk_order(nodes)
     except CertParseError as exc:
         raise CertParseError(f"nodes[{i}]{exc}") from None
-    nodes = tuple(parsed)
-    _check_walk_order(nodes)
+    except _Reject as rej:
+        raise CertParseError(str(rej)) from None
     return Certificate(payload["claim"], nodes, axioms)
-
-
-def _check_walk_order(nodes: Tuple[CertNode, ...]) -> None:
-    """Refuse ``nodes`` unless the depth-first walk from the last one
-    completes them in their own order and meets no link twice."""
-    first: Dict[LinkId, int] = {}   # link -> index, over the completed nodes
-    stack = [len(nodes) - 1]        # i enters node i, ~i completes it
-    while stack:
-        i = stack.pop()
-        done = len(first)
-        if i < 0:
-            i = ~i
-            link = nodes[i].link
-            j = first.setdefault(link, done)
-            if j != done:
-                raise CertParseError(f"nodes[{i}].link: {link} is already "
-                                     f"certified by nodes[{j}]")
-            if i != done:
-                raise CertParseError(f"nodes[{i}]: out of order; the walk "
-                                     f"from the last node completes "
-                                     f"nodes[{done}] here")
-        elif i >= done:
-            stack.append(~i)
-            stack.extend(reversed(nodes[i].children))
 
 
 # ---------------------------------------------------------------------------

@@ -236,18 +236,6 @@ class ParamEnv:
             bounds = {}
         self.bounds: Dict[str, int] = dict(bounds)
 
-    def min_of(self, exp: AffineExp) -> Optional[int]:
-        """Greatest provable lower bound, or None if unbounded below."""
-        total = exp.const
-        for name, coeff in exp.coeffs.items():
-            if name not in self.bounds:
-                raise WordError(f"parameter {name!r} not declared in environment")
-            if coeff > 0:
-                total += coeff * self.bounds[name]
-            else:
-                return None
-        return total
-
     def sign_of(self, exp: AffineExp) -> SignLattice:
         """Provable sign of ``exp``, bounded below and above in one pass."""
         lo = hi = exp.const
@@ -495,8 +483,7 @@ def peel_block(b: PowerBlock, side: PeelSide, env: ParamEnv) -> ParamWord:
 
     Requires the multiplicity to be provably >= 1.
     """
-    lo = env.min_of(b.multiplicity)
-    if lo is None or lo < 1:
+    if env.sign_of(b.multiplicity) is not SP:
         raise CannotPeelError(
             f"multiplicity {b.multiplicity} is not provably >= 1 under {env}")
     rest = power_block(b.body, b.multiplicity - 1, env)

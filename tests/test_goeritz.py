@@ -1,10 +1,7 @@
 """Tests for Goeritz matrices, determinant tables, and identity suites."""
 import itertools
-import os
 import pathlib
 import random
-import subprocess
-import sys
 import time
 from dataclasses import dataclass
 from typing import Tuple
@@ -341,21 +338,6 @@ def test_row_evaluators_match_multipoly_evaluate(values):
         point = values[:len(names)]
         assert (row.evaluate(*point)
                 == row.poly.evaluate(dict(zip(names, point)))), (row, point)
-
-
-def test_row_evaluators_are_built_once_on_first_use():
-    row = table_row("L", "*,*,*")._replace()
-    assert "evaluate" not in vars(row)
-    assert row.evaluate is row.evaluate
-    # importing the package (the CLI loads every module) compiles no row
-    code = ("import bridgecover.cli, bridgecover.goeritz as g; print(sum("
-            "'evaluate' in vars(r) for t in g._TABLES.values() "
-            "for r in t.values()))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(
-                             pathlib.Path(goeritz.__file__).parents[1])}).stdout
-    assert out == "0\n"
 
 
 def _random_points(seed: int, count: int):

@@ -350,12 +350,23 @@ def test_variants_match_the_text_keyed_closure():
             assert got == want
             assert [w.to_text() for w in got] == [w.to_text() for w in want]
         # the relator roots r'_i and r''_i, closed as genus2_level0 closes them
-        roots = [reduce_word(substitute_params(templates[i], pmap), env)
-                 for templates in (loelim._RPRIME_ATOM, loelim._RSECOND_ATOM)
-                 for i in (1, 2, 3)]
+        roots = [reduce_word(substitute_params(word, pmap), env)
+                 for word in (*_atom_relators("'"), *_atom_relators("''"))]
         for root in roots:
             assert (loelim._variants(root, env, depth=1, collapse=False)
                     == _variants_by_text(root, env, depth=1, collapse=False))
+
+
+def _atom_relators(label):
+    """r'_1, r'_2, r'_3 (``label`` ``'``) or r''_1..3 (``''``) over pair-word
+    letters: loelim's r'_1 or r''_1, then the rotated letter-level templates
+    of presentations atomized as loelim atomizes."""
+    first, templates = {"'": (loelim._RPRIME_ATOM,
+                              presentations._RPRIME_TEMPLATES),
+                        "''": (loelim._RSECOND_ATOM,
+                               presentations._RSECOND_TEMPLATES)}[label]
+    return [first] + [parse_word(loelim._atomize_text(templates[i]))
+                      for i in (2, 3)]
 
 
 def test_atom_relators_match_letter_level_templates():
@@ -363,11 +374,11 @@ def test_atom_relators_match_letter_level_templates():
                  for name, (a, b) in loelim._ATOM_PAIR.items()}
     identity = {g: parse_word(g) for g in ("x", "y", "z", "X", "Y", "Z")}
     env = ParamEnv({name: 1 for name in ("q", "s", "t", "l")})
-    pairs = ((loelim._RPRIME_ATOM, loelim._RPRIME_TEMPLATES),
-             (loelim._RSECOND_ATOM, loelim._RSECOND_TEMPLATES))
+    pairs = ((_atom_relators("'"), presentations._RPRIME_TEMPLATES),
+             (_atom_relators("''"), presentations._RSECOND_TEMPLATES))
     for atom_templates, letter_templates in pairs:
         for i in (1, 2, 3):
-            expanded = substitute(atom_templates[i],
+            expanded = substitute(atom_templates[i - 1],
                                   {**identity, **atom_defs}, env)
             reference = parse_word(letter_templates[i])
             for values in ({"q": 2, "s": 1, "t": 1, "l": 1},
@@ -408,9 +419,9 @@ def _rho_form(form):
 def test_the_rotation_tables_are_rho():
     assert set(_RHO) == set(loelim._BASE + loelim._WINGS + loelim._ATOMS)
     for letter, image in _RHO.items():
-        assert letter.translate(loelim._RHO[0]) == letter
-        assert letter.translate(loelim._RHO[1]) == image
-        assert letter.translate(loelim._RHO[2]) == _RHO[image]
+        assert letter.translate(presentations._RHO[0]) == letter
+        assert letter.translate(presentations._RHO[1]) == image
+        assert letter.translate(presentations._RHO[2]) == _RHO[image]
 
 
 def test_the_rewriting_rules_and_pair_words_are_rho_invariant():
@@ -433,13 +444,13 @@ def test_rho_commutes_with_the_closures_and_their_forms(signs):
               for name, word in loelim._PAIR_WORDS.items()}
     body_names = {body: name for name, body in bodies.items()}
 
-    def roots(words, keys):
-        return [reduce_word(substitute_params(words[k], pmap), env)
-                for k in keys]
+    def roots(words):
+        return [reduce_word(substitute_params(word, pmap), env)
+                for word in words]
 
-    orbits = ((roots(presentations._WING_WORDS, "XYZ"), 2, True),
-              (roots(loelim._RPRIME_ATOM, (1, 2, 3)), 1, False),
-              (roots(loelim._RSECOND_ATOM, (1, 2, 3)), 1, False))
+    orbits = ((roots(presentations._WING_WORDS.values()), 2, True),
+              (roots(_atom_relators("'")), 1, False),
+              (roots(_atom_relators("''")), 1, False))
     for orbit, depth, collapse in orbits:
         for k in range(3):
             word, image = orbit[k], orbit[(k + 1) % 3]
@@ -456,7 +467,7 @@ def test_rho_commutes_with_the_closures_and_their_forms(signs):
                     assert sign_form(_rho_word(w), env) == _rho_form(form) \
                         == loelim._rotate(form)
                 assert (_rho_word(v).to_text()
-                        == v.to_text().translate(loelim._RHO[1]))
+                        == v.to_text().translate(presentations._RHO[1]))
 
 
 # ---------------------------------------------------------------------------

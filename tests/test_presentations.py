@@ -672,6 +672,35 @@ def test_identity_checks_reject_zero_q_and_s(check, name, params):
         check(*params)
 
 
+# The paper's written forms of the wing words Y, Z and of r'_i, r''_i for
+# i = 2, 3: the oracle for the forms the module derives from X, r'_1 and
+# r''_1 by the deck rotation.
+_WRITTEN_ROTATIONS = {
+    "Y": "(z^(q) y^(-q))^(s) y (x^(q) y^(-q))^(s)",
+    "Z": "(x^(q) z^(-q))^(s) z (y^(q) z^(-q))^(s)",
+    "r'2": "(Z^(t) z^(q) y^(-q) Y^(-t))^(l) Y (X^(t) x^(q) y^(-q) Y^(-t))^(l)",
+    "r'3": "(X^(t) x^(q) z^(-q) Z^(-t))^(l) Z (Y^(t) y^(q) z^(-q) Z^(-t))^(l)",
+    "r''2": ("(Z^(t) z^(q) y^(-q) Y^(-t))^(l-1) Z^(t) z^(q) y^(-q) Y^(-t+1) "
+             "(X^(t) x^(q) y^(-q) Y^(-t))^(l)"),
+    "r''3": ("(X^(t) x^(q) z^(-q) Z^(-t))^(l-1) X^(t) x^(q) z^(-q) Z^(-t+1) "
+             "(Y^(t) y^(q) z^(-q) Z^(-t))^(l)"),
+}
+
+
+def test_the_rotated_templates_are_the_written_ones():
+    derived = {"Y": presentations._WING_DEFS["Y"],
+               "Z": presentations._WING_DEFS["Z"]}
+    for i in (2, 3):
+        derived[f"r'{i}"] = presentations._RPRIME_TEMPLATES[i]
+        derived[f"r''{i}"] = presentations._RSECOND_TEMPLATES[i]
+    assert derived == _WRITTEN_ROTATIONS
+    words = {**presentations._WING_WORDS,
+             **{f"r'{i}": w for i, w in presentations._RPRIME_WORDS.items()},
+             **{f"r''{i}": w for i, w in presentations._RSECOND_WORDS.items()}}
+    for name, text in _WRITTEN_ROTATIONS.items():
+        assert words[name] == parse_word(text), name
+
+
 def _rewrites_via_param_word(q, s, t, l):
     """(name, match, first difference) of each record along the path
     ``verify_rewrites`` took when it expanded ParamWords: the parameters

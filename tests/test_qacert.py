@@ -450,8 +450,8 @@ def test_a_non_integer_parameter_at_a_repeated_link_is_a_parse_error(value):
         params[name] = value
         with pytest.raises(qc.CertParseError) as info:
             qc.deserialize(json.dumps(payload))
-        assert str(info.value) == (f"nodes[{i}].link.params.{name}: "
-                                   f"expected an integer")
+        assert str(info.value) == (f"nodes[{i}]: parameter {name} must be "
+                                   f"a nonzero integer")
         params[name] = 1
     assert qc.deserialize(json.dumps(payload)) == qc.deserialize(text)
 
@@ -770,7 +770,7 @@ def test_parse_errors_carry_the_field_location():
         (lambda d: d["nodes"][2]["link"]["params"].update(x=5),
          r"nodes\[2\]\.link\.params"),
         (lambda d: d["nodes"][2]["link"].update(resolution="*, *,*"),
-         r"nodes\[2\]\.link\.resolution.*canonical"),
+         r"nodes\[2\]: resolution .* canonical"),
         (lambda d: d["nodes"][2].update(extra=1), r"nodes\[2\]: expected"),
         (lambda d: d.update(root=0), "certificate: expected the fields"),
         (lambda d: d.update(nodes=[]), "non-empty list"),
@@ -806,7 +806,7 @@ def test_the_parser_takes_only_the_canonical_node_list():
                                      r"of an earlier node, got 1"),
         ([base, dict(top, child=-1)], r"nodes\[1\]\.child"),
         ([base, dict(top, child=True)], r"nodes\[1\]\.child"),
-        ([split[0], split[0], *split[2:]], r"nodes\[1\]\.link: .* already "
+        ([split[0], split[0], *split[2:]], r"nodes\[1\]: .* already "
                                            r"certified by nodes\[0\]"),
         # node 0 is referenced by no later node
         ([unknot, base, dict(top, child=1)], r"nodes\[1\]: out of order; the "
@@ -1304,12 +1304,13 @@ _reference_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 
 def _reference_serialize(cert):
     """The writer ``serialize`` replaced, as the reference for its bytes:
-    each node a dict of its fields run through ``json.JSONEncoder``."""
+    each node a dict of its fields run through ``json.JSONEncoder``.  It
+    checks each node's form but not the walk order, so it also writes node
+    lists that ``serialize`` refuses."""
     first, lines = {}, []
     for i, node in enumerate(cert.nodes):
         try:
-            text, slots = qc._slots(node, i, first)
-            first[node.link] = i
+            text, slots = qc._node_form(node, i, first)
             link = node.link
             out = {"det": str(node.det), "kind": node.kind, "link": (
                 {"family": "NAMED", "name": link.name} if link.family == "NAMED"
@@ -1333,13 +1334,14 @@ def _reference_serialize(cert):
 
 def _named_certificates():
     """Hand-built certificates whose links include named ones, unknown names
-    and names that need escaping among them."""
+    and names that need escaping among them: T(3,4) then A(1,1,1), and a
+    one-node certificate per named link."""
     t34 = qc.CertNode(qc.LinkId.named("T(3,4)"), 3, qc.BASE, axiom="T(3,4)")
     odd = [qc.CertNode(qc.LinkId.named(name), 1, qc.BASE, axiom="UNKNOT")
            for name in ('q"uote\\', "é ☃", "UNKNOT")]
-    return [_t34_then(qc.LinkId.A(1, 1, 1)),
-            qc.Certificate(qc.L_SPACE, (t34, *odd),
-                           (qc.AXIOMS["T(3,4)"], qc.AXIOMS["UNKNOT"]))]
+    return [_t34_then(qc.LinkId.A(1, 1, 1))] + [
+        qc.Certificate(qc.L_SPACE, (node,), (qc.AXIOMS[node.axiom],))
+        for node in (t34, *odd)]
 
 
 def test_serialize_writes_the_bytes_of_the_dict_per_node_reference():
@@ -1357,8 +1359,8 @@ def test_serialize_writes_the_bytes_of_the_dict_per_node_reference():
 def test_params_other_than_four_ints_are_not_written_after_an_int_twin(params):
     """``True`` and ``1.0`` hash and compare equal to ``1``, so a link with
     them is no repeat of the (1, 1, 1, 1) links at other resolutions before
-    it.  It is refused, as is a fifth parameter, where the reference writes
-    ``true``, ``1.0`` or the first four."""
+    it.  ``serialize`` refuses it, as it does a fifth parameter, with the
+    reason ``verify`` gives."""
     cert = qc.generate_L_cert(2, 1, 1, 1)
     ones = [i for i, node in enumerate(cert.nodes)
             if node.link.family == "L" and node.link.params == (1, 1, 1, 1)]
@@ -1367,8 +1369,12 @@ def test_params_other_than_four_ints_are_not_written_after_an_int_twin(params):
     node = cert.nodes[i]
     odd = _with_node(cert, i, node._replace(
         link=node.link._replace(params=params)))
-    assert _reference_serialize(odd)
-    with pytest.raises(qc.CertError, match=rf"^nodes\[{i}\]: L links take 4 "):
+    reason = ("parameter q must be a nonzero integer" if len(params) == 4 else
+              f"L link needs the parameters ('q', 's', 't', 'l') as a tuple of "
+              f"ints, got {params}")
+    assert qc.verify(odd) == (False, f"nodes[{i}]", reason)
+    with pytest.raises(qc.CertError, match=rf"^nodes\[{i}\]: "
+                                           rf"{re.escape(reason)}$"):
         qc.serialize(odd)
 
 
@@ -1447,13 +1453,42 @@ def test_serialize_refuses_fields_that_deserialize_would_refuse():
                                                r"written: TypeError"):
             qc.serialize(bad)
     for bad, reason in (
-            (node._replace(det=True), "det True is not an int"),
-            (node._replace(det="3"), "det '3' is not an int"),
+            (node._replace(det=True),
+             "determinant must be a positive integer, got True"),
+            (node._replace(det="3"),
+             "determinant must be a positive integer, got '3'"),
             (node._replace(link=node.link._replace(resolution="*, *, *")),
-             "'*, *, *' is not canonical")):
+             "resolution '*, *, *' is not in canonical form '*,*,*'")):
         with pytest.raises(qc.CertError,
                            match=rf"^nodes\[1\]: {re.escape(reason)}$"):
             qc.serialize(_with_node(cert, 1, bad))
+
+
+def test_what_serialize_writes_deserialize_reads_and_verify_accepts():
+    """Two node lists out of walk order: A(2,1,3) with nodes[6] citing
+    node 0 in place of node 5, which nothing cites then, and A(1,2,1) with
+    the two BASE children of its first split listed the other way round.
+    ``serialize`` refuses each with the text ``deserialize`` gives for the
+    bytes of the dict-per-node writer, and ``verify`` REJECTs both, the
+    second for its order alone."""
+    cert = qc.generate_A_cert(2, 1, 3)
+    assert cert.nodes[6].kind == qc.IDENTIFY and cert.nodes[6].children == (5,)
+    uncited = _with_node(cert, 6, cert.nodes[6]._replace(children=(0,)))
+    cert = qc.generate_A_cert(1, 2, 1)
+    zero, inf, split = cert.nodes[:3]
+    assert split.kind == qc.SKEIN and split.children == (0, 1)
+    swapped = cert._replace(nodes=(inf, zero, split._replace(children=(1, 0)),
+                                   *cert.nodes[3:]))
+    for bad, i, done in ((uncited, 6, 5), (swapped, 1, 0)):
+        reason = (f"out of order; the walk from the last node completes "
+                  f"nodes[{done}] here")
+        with pytest.raises(qc.CertParseError) as read:
+            qc.deserialize(_reference_serialize(bad))
+        with pytest.raises(qc.CertError) as written:
+            qc.serialize(bad)
+        assert str(read.value) == str(written.value) == f"nodes[{i}]: {reason}"
+        assert not qc.verify(bad)
+    assert qc.verify(swapped) == (False, "nodes[1]", reason)
 
 
 # -- fuzzed in-memory certificates ------------------------------------------
@@ -1477,9 +1512,14 @@ _JUNK = st.one_of(
              max_size=6).map(tuple))
 
 
-def _junk_for(data, old):
+def _junk_for(data, old, below=0):
     """A junk value for a field that holds ``old``: a tuple of another
-    length for a tuple, and never a value equal to ``old`` of its type."""
+    length for a tuple, and never a value equal to ``old`` of its type; for
+    a non-empty tuple with ``below``, also one of its length of other ints
+    from 0 to ``below - 1``."""
+    if below and old and data.draw(st.booleans()):
+        return data.draw(st.tuples(*[st.integers(0, below - 1)] * len(old))
+                         .filter(lambda v: v != old))
     return data.draw(_JUNK.filter(lambda v: not (
         v.__class__ is old.__class__ and (v == old or (
             old.__class__ is tuple and len(v) == len(old))))))
@@ -1490,7 +1530,8 @@ def _junk_for(data, old):
 def test_fuzzed_fields_reject_and_never_raise(data):
     """Any field of the certificate, of a node, of a node's link or of a
     declared axiom, or a whole node or axiom, replaced by junk (lists, dicts,
-    None, bools, floats, huge ints, strings, tuples of the wrong length):
+    None, bools, floats, huge ints, strings, tuples of the wrong length, or
+    as many child indices citing other nodes):
     ``verify`` returns REJECT, and ``serialize`` raises ``CertError`` or
     writes the bytes of the dict-per-node reference, never anything else."""
     cert = data.draw(st.sampled_from(_FUZZ_CERTS))
@@ -1517,8 +1558,9 @@ def test_fuzzed_fields_reject_and_never_raise(data):
         node = cert.nodes[i]
         owner = node if target == "node" else node.link
         field = data.draw(st.sampled_from(owner._fields))
+        below = i + 1 if field == "children" else 0
         changed = owner._replace(**{field: _junk_for(
-            data, getattr(owner, field))})
+            data, getattr(owner, field), below)})
         cert = _with_node(cert, i, changed if target == "node"
                           else node._replace(link=changed))
     verdict = qc.verify(cert)

@@ -24,6 +24,19 @@ SN = SignLattice.STRICT_NEG
 UK = SignLattice.UNKNOWN
 
 
+def min_of(env, exp):
+    """Greatest provable lower bound, or None if unbounded below."""
+    total = exp.const
+    for name, coeff in exp.coeffs.items():
+        if name not in env.bounds:
+            raise WordError(f"parameter {name!r} not declared in environment")
+        if coeff > 0:
+            total += coeff * env.bounds[name]
+        else:
+            return None
+    return total
+
+
 def max_of(env, exp):
     """Least provable upper bound, or None if unbounded above."""
     total = exp.const
@@ -38,7 +51,7 @@ def max_of(env, exp):
 
 
 def sign_of(env, exp):
-    lo = env.min_of(exp)
+    lo = min_of(env, exp)
     hi = max_of(env, exp)
     if lo is not None and hi is not None and lo == hi == 0:
         return ZE
