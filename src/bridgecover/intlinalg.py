@@ -141,7 +141,7 @@ def cyclic_resultant(f: Sequence[int], n: int) -> int:
     once the powers of x are divided out, a constant or palindromic of even
     degree, as every Alexander polynomial of a knot is: the order of
     Z[x]/(S, f), or 0 when it is infinite.  A constant c gives |c|**(n-1);
-    any other f raises ValueError.
+    any other f, or n that is not an int >= 1, raises ValueError.
 
     It is the product of |f| over the roots of S, where x**k is a unit, and
     they pair off under x -> 1/x.  So for f = x**g D(x + 1/x), lc D = c, and
@@ -153,6 +153,8 @@ def cyclic_resultant(f: Sequence[int], n: int) -> int:
     U_k**2 - U_(k-1)**2, U_(2k-1) = U_(k-1) (2 U_k - u U_(k-1))) finds
     P = R / c**e mod D, deg R = d < g: |Res(P, D)| = |c|**(p-d-e*g) |Res(D, R)|.
     """
+    if n.__class__ is not int or n < 1:
+        raise ValueError(f"cover degree must be >= 1, got {n}")
     f = list(f) or [0]
     while len(f) > 1 and not (f[0] and f[-1]):  # trailing zeros, then x**k
         del f[0 if f[-1] else -1]

@@ -46,10 +46,8 @@ from .presentations import (
 )
 from .words import (
     AffineExp,
-    CannotPeelError,
     ParamEnv,
     ParamWord,
-    PeelSide,
     PowerBlock,
     SignForm,
     SignLattice,
@@ -57,7 +55,7 @@ from .words import (
     WordError,
     form_sign,
     parse_word,
-    peel,
+    peel_variants,
     reduce_word,
     sign_form,
     sign_invert,
@@ -402,19 +400,6 @@ def _signed_env(signs: Tuple[int, int, int, int],
             ParamEnv({name: 1 for name in _PARAMS}))
 
 
-def _peel_variants(w: ParamWord, env: ParamEnv) -> List[ParamWord]:
-    out = []
-    for idx, item in enumerate(w.items):
-        if not isinstance(item, PowerBlock):
-            continue
-        for side in (PeelSide.LEFT, PeelSide.RIGHT):
-            try:
-                out.append(peel(w, idx, side, env))
-            except CannotPeelError:
-                pass
-    return out
-
-
 def _collapse_variants(w: ParamWord, env: ParamEnv) -> List[ParamWord]:
     out = []
     for i in range(len(w.items) - 1):
@@ -447,7 +432,7 @@ def _variants(seed: ParamWord, env: ParamEnv, depth: int = 2,
     for _ in range(depth):
         nxt: List[ParamWord] = []
         for w in frontier:
-            children = _peel_variants(w, env)
+            children = peel_variants(w, env)
             if collapse:
                 children.extend(_collapse_variants(w, env))
             for child in children:

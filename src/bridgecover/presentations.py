@@ -21,14 +21,15 @@ letter (a polynomial in the family parameters, computed once per family)
 as the coefficient of x**(offset - lowest offset), and the first-homology
 order is the cyclic resultant |Res(1 + x + ... + x**(n-1), f)|, which the
 knot-theoretic oracle (Fox's formula) takes of the Alexander polynomial; no
-word is built.  The module also machine-checks, on runs instantiated
-straight from the templates, the word-level identities of the genus-two
-family: the product telescope r3 r2 r1 = zyx and the rewritten relator
-forms r', r''.
+word is built.  The module also machine-checks the word-level identities
+of the genus-two family: the product telescope r3 r2 r1 = zyx on runs
+instantiated straight from the templates, and the rewritten relator forms
+r', r'' once per sign class of (q, s) on parametric words, where a form not
+shown there is checked on the runs at the point.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
@@ -38,8 +39,8 @@ from .multipoly import MultiPoly
 from .words import (
     AffineExp, CyclicMatch, ParamEnv, ParamWord, PowerBlock, Run, Syllable,
     WordError, cyclic_normal_form, equal_up_to_cyclic, exponent_sums,
-    _push_runs, instantiate, parse_word, runs_text, substitute,
-    substitute_params,
+    _push_runs, instantiate, parse_word, peel_variants, reduce_word,
+    runs_text, substitute, substitute_params,
 )
 
 # One relator of the genus-one family, over a three-generator window
@@ -78,6 +79,7 @@ _WING_WORDS = {name: parse_word(text) for name, text in _WING_DEFS.items()}
 _RPRIME_WORDS = {i: parse_word(text) for i, text in _RPRIME_TEMPLATES.items()}
 _RSECOND_WORDS = {i: parse_word(text) for i, text in _RSECOND_TEMPLATES.items()}
 _ZYX = [("z", 1), ("y", 1), ("x", 1)]
+_XYZ = {"x1": "x", "x2": "y", "x3": "z"}
 
 
 class _Family:
@@ -217,7 +219,7 @@ def genus_one_presentation(k: Union[int, str], l: Union[int, str],
     r_i = (x_i^-k x_{i+1}^k)^l (x_{i+2}^-k x_{i+1}^k)^(l-1) x_{i+2}^-k x_{i+1}^(k-1).
     No word is built here: the relators are built when first read.
     """
-    if n < 2:
+    if n.__class__ is not int or n < 2:
         raise WordError(f"need at least 2 generators, got n={n}")
     bounds: Dict[str, int] = {}
     params = {"k": _as_exponent(k, 2, bounds), "l": _as_exponent(l, 1, bounds)}
@@ -232,7 +234,7 @@ def mv_presentation(q: int, s: int, t: int, l: int,
     all four parameters must be nonzero integers.  No word is built here:
     the relators are built when first read.
     """
-    if n < 2:
+    if n.__class__ is not int or n < 2:
         raise WordError(f"need at least 2 generators, got n={n}")
     for name, value in (("q", q), ("s", s), ("t", t), ("l", l)):
         if value.__class__ is not int or value == 0:
@@ -403,27 +405,61 @@ class RewriteReport(NamedTuple):
         return all(r.ok for r in self.records)
 
 
+@lru_cache(maxsize=4)
+def _shown_rewrites(q_positive: bool, s_positive: bool) -> Tuple[bool, ...]:
+    """Per record of ``verify_rewrites``, whether it holds at every point of
+    the sign class: q and s of the given signs, t, l >= 1.
+
+    Under q, s, t, l >= 1, with the signs put into the templates, r'_i with
+    the wings (and x, y, z for themselves) substituted must be r_i item for
+    item, and the reduced r''_i must be the reduced r'_i or one of its
+    one-block peels, as words in X, Y, Z, x, y, z.  ``reduce_word``,
+    ``substitute`` and ``peel`` keep a word's value in the free group at
+    every point the environment allows, and the concrete check maps X, Y, Z
+    to the wings' runs, so a record shown here instantiates to equal runs.
+    """
+    env = ParamEnv({name: 1 for name in "qstl"})
+    signed = {"q": AffineExp.param("q", 1 if q_positive else -1),
+              "s": AffineExp.param("s", 1 if s_positive else -1)}
+    subs = {name: substitute_params(w, signed) for name, w in _WING_WORDS.items()}
+    subs.update((gen, parse_word(gen)) for gen in "xyz")
+    base = _periodic_relators(substitute_params(_GENUS_TWO.template, signed),
+                              _GENUS_TWO.window, 3, env)
+    primes = [reduce_word(substitute_params(_RPRIME_WORDS[i], signed), env)
+              for i in (1, 2, 3)]
+    shown = [substitute(prime, subs, env) == _rename(r, _XYZ)
+             for prime, r in zip(primes, base)]
+    for i, prime in enumerate(primes, 1):
+        second = reduce_word(substitute_params(_RSECOND_WORDS[i], signed), env)
+        shown.append(second == prime or second in peel_variants(prime, env))
+    return tuple(shown)
+
+
 def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
     """Check the rewritten relator forms r'_i (against r_i) and r''_i
     (against r'_i) for the n=3 genus-two presentation.
 
     Comparisons are up to cyclic rotation and inversion.  The displayed
-    forms require t >= 1 and l >= 1.
+    forms require t >= 1 and l >= 1.  A record ``_shown_rewrites`` shows
+    for the sign class of (q, s) is DIRECT with no word built; any other is
+    instantiated at this point and compared, with its first difference.
     """
+    mv_presentation(q, s, t, l, 3)  # checks q, s, t, l
     if l < 1 or t < 1:
         raise WordError(f"displayed rewritten forms require t >= 1, l >= 1, "
                         f"got t={t}, l={l}")
-    mv_presentation(q, s, t, l, 3)  # checks q, s, t, l
     consts = {"q": q, "s": s, "t": t, "l": l}
-    base = _relator_runs(consts)
-    wings = {name: instantiate(w, consts) for name, w in _WING_WORDS.items()}
-    primes = [instantiate(_RPRIME_WORDS[i], consts, wings) for i in (1, 2, 3)]
-    pairs = [(f"r'{i} vs r{i}", primes[i - 1], base[i - 1]) for i in (1, 2, 3)]
-    pairs += [(f"r''{i} vs r'{i}", instantiate(_RSECOND_WORDS[i], consts, wings),
-               primes[i - 1])
-              for i in (1, 2, 3)]
     records = []
-    for name, got, expected in pairs:
+    for k, shown in enumerate(_shown_rewrites(q > 0, s > 0)):
+        i = k % 3 + 1
+        name = f"r'{i} vs r{i}" if k < 3 else f"r''{i} vs r'{i}"
+        if shown:
+            records.append(RewriteRecord(name, CyclicMatch.DIRECT))
+            continue
+        wings = {wing: instantiate(w, consts) for wing, w in _WING_WORDS.items()}
+        prime = instantiate(_RPRIME_WORDS[i], consts, wings)
+        got, expected = ((prime, _relator_runs(consts)[i - 1]) if k < 3 else
+                         (instantiate(_RSECOND_WORDS[i], consts, wings), prime))
         match = equal_up_to_cyclic(got, expected)
         records.append(RewriteRecord(name, match, None if match else
                                      first_syllable_difference(got, expected)))

@@ -199,7 +199,7 @@ def h1_cyclic_cover_order(e: ExpansionLike, n: int) -> Union[int, Infinite]:
     ``intlinalg.cyclic_resultant`` (a square for odd n, |Alexander(-1)|
     times a square for even n); zero means infinite homology.
     """
-    if n < 1:
+    if n.__class__ is not int or n < 1:
         raise ValueError(f"cover degree must be >= 1, got {n}")
     order = cyclic_resultant(alexander(e), n)
     return order if order else INFINITE

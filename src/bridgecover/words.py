@@ -15,7 +15,8 @@ Conventions:
   provably-trivial pieces; it never crosses a block boundary.  The items and
   block bodies of a reduced word are reduced, and so is its inverse;
 - ``splice`` replaces a slice of a reduced word and reduces at the seams
-  only; ``peel`` takes a reduced word and splices the peeled block in;
+  only; ``peel`` takes a reduced word and splices the peeled block in, and
+  ``peel_variants`` lists its one-block peels;
 - ``instantiate`` evaluates a word at integer parameter values, optionally
   through a generator -> runs map, and returns the concrete word.
 
@@ -501,6 +502,21 @@ def peel(w: ParamWord, index: int, side: PeelSide, env: ParamEnv) -> ParamWord:
     if not isinstance(item, PowerBlock):
         raise WordError(f"item at index {index} is not a power block")
     return splice(w, index, index + 1, peel_block(item, side, env).items, env)
+
+
+def peel_variants(w: ParamWord, env: ParamEnv) -> List[ParamWord]:
+    """Every one-block ``peel`` of the reduced ``w``: by item position, LEFT
+    before RIGHT, skipping blocks not provably peelable."""
+    out = []
+    for idx, item in enumerate(w.items):
+        if not isinstance(item, PowerBlock):
+            continue
+        for side in (PeelSide.LEFT, PeelSide.RIGHT):
+            try:
+                out.append(peel(w, idx, side, env))
+            except CannotPeelError:
+                pass
+    return out
 
 
 def substitute(w: ParamWord, sub: Mapping[str, ParamWord], env: ParamEnv) -> ParamWord:

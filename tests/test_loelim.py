@@ -18,8 +18,8 @@ from bridgecover.presentations import (
 )
 from bridgecover.words import (
     AffineExp, ParamEnv, ParamWord, PowerBlock, SignLattice, Syllable,
-    WordError, instantiate, parse_word, reduce_word, sign_form, sign_invert,
-    substitute, substitute_params, word_sign,
+    WordError, instantiate, parse_word, peel_variants, reduce_word, sign_form,
+    sign_invert, substitute, substitute_params, word_sign,
 )
 from letter_words import letters
 
@@ -325,7 +325,7 @@ def _variants_by_text(seed, env, depth=2, collapse=True):
     for _ in range(depth):
         nxt = []
         for w in frontier:
-            children = loelim._peel_variants(w, env)
+            children = peel_variants(w, env)
             if collapse:
                 children.extend(loelim._collapse_variants(w, env))
             for child in children:

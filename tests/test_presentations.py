@@ -1,6 +1,8 @@
 """Tests for the presentation families and their word-identity checks."""
 import itertools
 import random
+import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -141,6 +143,15 @@ def test_presentation_text_roundtrip():
 # ---------------------------------------------------------------------------
 # Genus-two (five-generator-window) family
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 0, 2.0, 3.5, True, "3", None])
+def test_presentations_refuse_a_bad_cover_degree(n):
+    text = f"^need at least 2 generators, got n={re.escape(str(n))}$"
+    with pytest.raises(WordError, match=text):
+        h1_order(mv_presentation(1, 1, 1, 1, n))
+    with pytest.raises(WordError, match=text):
+        h1_order(genus_one_presentation(2, 1, n))
+
 
 def test_mv_rejects_bad_parameters():
     with pytest.raises(WordError):
@@ -672,6 +683,20 @@ def test_identity_checks_reject_zero_q_and_s(check, name, params):
         check(*params)
 
 
+@pytest.mark.parametrize("check", [verify_rewrites, verify_product_identity])
+@pytest.mark.parametrize("name, params", [("l", (1, 1, 1, "x")),
+                                          ("t", (1, 1, 1.5, 1)),
+                                          ("l", (1, 1, 1, None)),
+                                          ("t", (2, -1, True, 2))])
+def test_identity_checks_reject_parameters_that_are_not_integers(
+        check, name, params):
+    value = params["qstl".index(name)]
+    with pytest.raises(WordError, match=(
+            f"^parameter {name} must be a nonzero integer, "
+            f"got {re.escape(repr(value))}$")):
+        check(*params)
+
+
 # The paper's written forms of the wing words Y, Z and of r'_i, r''_i for
 # i = 2, 3: the oracle for the forms the module derives from X, r'_1 and
 # r''_1 by the deck rotation.
@@ -730,12 +755,69 @@ def _rewrites_via_param_word(q, s, t, l):
                                     (2, -3, 2, 1), (-2, -1, 3, 2),
                                     (3, 1, 2, 3), (1, -2, 4, 1)])
 def test_rewrites_match_the_param_word_path(params):
+    _assert_rewrites_match_the_param_word_path(params)
+
+
+def _assert_rewrites_match_the_param_word_path(params):
     report = verify_rewrites(*params)
     expected = _rewrites_via_param_word(*params)
     assert [(r.name, r.match, r.first_difference)
             for r in report.records] == [
         (name, match, None if match else difference)
         for name, match, difference in expected]
+
+
+@pytest.mark.parametrize("q_positive, s_positive",
+                         itertools.product((True, False), repeat=2))
+def test_every_rewrite_record_is_shown_in_every_sign_class(q_positive,
+                                                           s_positive):
+    assert presentations._shown_rewrites(q_positive, s_positive) == (True,) * 6
+
+
+_signed_magnitude = st.integers(1, 6).flatmap(
+    lambda m: st.sampled_from((m, -m)))
+
+
+@given(_signed_magnitude, _signed_magnitude, st.integers(1, 4),
+       st.integers(1, 4))
+@example(-6, 6, 1, 1)
+@example(6, -6, 1, 4)
+@example(-1, -1, 4, 1)
+@settings(max_examples=60, deadline=None)
+def test_symbolic_rewrites_match_the_param_word_path(q, s, t, l):
+    _assert_rewrites_match_the_param_word_path((q, s, t, l))
+
+
+@pytest.mark.parametrize("params", [(10**9, -10**9, 10**9, 10**9),
+                                    (200, 200, 200, 200)])
+def test_symbolic_rewrites_build_no_word(params, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a concrete word was built")
+
+    monkeypatch.setattr(presentations, "instantiate", refuse)
+    presentations._shown_rewrites.cache_clear()
+    start = time.perf_counter()
+    assert verify_rewrites(*params).all_ok
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_record_not_shown_is_checked_concretely(monkeypatch):
+    # r''2 with one letter too many: the symbolic check cannot show it, and
+    # the concrete check at the point reports the mismatch
+    monkeypatch.setitem(presentations._RSECOND_WORDS, 2, parse_word(
+        presentations._RSECOND_TEMPLATES[2] + " x"))
+    presentations._shown_rewrites.cache_clear()
+    try:
+        assert presentations._shown_rewrites(True, False) == (
+            True, True, True, True, False, True)
+        report = verify_rewrites(2, -1, 2, 3)
+        record = report.records[4]
+        assert record.name == "r''2 vs r'2"
+        assert record.match is CyclicMatch.NONE
+        assert record.first_difference is not None
+        _assert_rewrites_match_the_param_word_path((2, -1, 2, 3))
+    finally:
+        presentations._shown_rewrites.cache_clear()
 
 
 def test_trivial_wing_substitution():

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bridgecover import intlinalg
+from bridgecover import intlinalg, twobridge
 from bridgecover.intlinalg import det_bareiss, resultant
 from bridgecover.twobridge import (
     INFINITE,
@@ -155,6 +156,16 @@ def test_h1_cyclic_cover_orders():
     assert h1_cyclic_cover_order([2, 2], 1) == 1
     with pytest.raises(ValueError):
         h1_cyclic_cover_order([2, 2], 0)
+
+
+@pytest.mark.parametrize("n", [0, -3, 1.5, 2.0, True, "3", None])
+def test_a_bad_cover_degree_is_refused_before_any_work(n, monkeypatch):
+    text = f"^cover degree must be >= 1, got {re.escape(str(n))}$"
+    with pytest.raises(ValueError, match=text):
+        intlinalg.cyclic_resultant([1, -3, 1], n)
+    monkeypatch.setattr(twobridge, "alexander", None)  # not reached
+    with pytest.raises(ValueError, match=text):
+        h1_cyclic_cover_order([2, -4], n)
 
 
 def test_h1_double_cover_equals_determinant():
