@@ -10,7 +10,7 @@ Subcommands
                   its order the cyclic resultant of its circulant symbol;
                   Alexander resultant oracle; closed-form table)
 - ``identities``  the symbolic determinant-identity suites and the
-                  matrix-vs-formula grid suite
+                  star-row suite, reported over a grid
 - ``cert``        generate and verify quasi-alternating certificates
 - ``lo-elim``     sign-pattern elimination reports (the five-generator table
                   and the three-generator level-0 analysis)
@@ -42,10 +42,8 @@ from .goeritz import (
     TABLE_PARAMS,
     IdentityReport,
     UnsupportedRegimeError,
-    build_A_star,
-    build_L_star,
-    det_exact,
     lemma_suite,
+    star_residual,
     table_formula,
     verify_additivity,
 )
@@ -90,8 +88,8 @@ _PARAM_NAMES = ("q", "s", "t", "l")
 CERT_MAX_PARAM = 1000
 # Grid points of ``identities``: the four star rows' points for the tables
 # suite (n^2 (n+1)^2 on 1..n), the suite's own grid for ``--grid`` spot
-# checks.  The largest uniform requests, tables at 1..19 and lemma5.12 at
-# 1..12, take about 3 s cold there, which leaves room under 5 s.
+# checks.  Residuals are checked once, so they bound the per-point reads of
+# a nonzero residual and the point list that ``_identity_suite`` builds.
 TABLES_MAX_POINTS = 150_000
 SPOT_CHECK_MAX_POINTS = 25_000
 # h1's size: genus * (genus + 1) * (n - 1 + 2 * genus) * term bits, the bit
@@ -442,31 +440,18 @@ def _identity_suite(args, grid: Mapping[str, Tuple[int, int]],
     return verify_additivity(family, grid=points)
 
 
-# (family, star matrix determinant at a grid point) per row tables compares
-_TABLE_SPECS = (
-    ("A", lambda p: det_exact(build_A_star(p["q"], p["s"], p["t"]))),
-    ("A(t=1)", lambda p: det_exact(build_A_star(p["q"], p["s"], 1))),
-    ("B", lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], 1))),
-    ("L", lambda p: det_exact(build_L_star(p["q"], p["s"], p["t"], p["l"]))),
-)
-
-
 def _point_count(grid: Mapping[str, Tuple[int, int]], family: str) -> int:
     return math.prod(grid[n][1] - grid[n][0] + 1 for n in TABLE_PARAMS[family])
 
 
 def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
-    """Star-row determinants on the grid: each star matrix's determinant
-    (``GoeritzMatrix.det``, two scalar continuants, O(1) per point) against
-    the closed formula."""
+    """Per star row, the grid points where |det| of the star matrix is the
+    row: all when ``star_residual`` is zero, else those where it vanishes."""
     records = []
-    for family, matrix_det in _TABLE_SPECS:
-        names, points, agree = TABLE_PARAMS[family], 0, 0
-        for point in _grid_points(grid, names):
-            points += 1
-            if abs(matrix_det(point)) == abs(table_formula(family, "*,*,*",
-                                                           point)):
-                agree += 1
+    for family, names in TABLE_PARAMS.items():
+        residual, points = star_residual(family), _point_count(grid, family)
+        agree = points if residual.is_zero() else sum(
+            not residual.evaluate(p) for p in _grid_points(grid, names))
         records.append({"family": family, "params": list(names),
                         "points": points, "agree": agree,
                         "ok": agree == points})
@@ -525,13 +510,12 @@ def _cmd_identities(args) -> int:
     except (OSError, ValueError) as exc:
         raise _CliError(str(exc))
     low = " ".join(f"{n}={lo}..{hi}" for n, (lo, hi) in grid.items() if lo < 1)
-    if args.suite == "tables" and low:  # star matrices need q, s, t, l >= 1
+    if args.suite == "tables" and low:  # star_residual covers q, s, t, l >= 1
         raise _CliError(f"the tables suite needs q, s, t, l >= 1, got {low}")
-    # the lemma suites are symbolic; only tables and --grid spot checks use
-    # the grid
+    # only the tables suite and --grid spot checks read the grid
     points, limit = 0, 0
     if args.suite == "tables":
-        points = sum(_point_count(grid, family) for family, _ in _TABLE_SPECS)
+        points = sum(_point_count(grid, family) for family in TABLE_PARAMS)
         limit = TABLES_MAX_POINTS
     elif args.suite in _ADDITIVITY_SUITES and args.grid is not None:
         points = _point_count(grid, _ADDITIVITY_SUITES[args.suite])

@@ -29,9 +29,9 @@ This choice reproduces the tabulated star determinants exactly over the full
 acceptance grids, which is the construction's contract.
 
 A star matrix is kept as its layout, and its determinant is a product of
-two scalar continuants with each run of -2I in closed form, O(1) whatever
-its length (see ``GoeritzMatrix.det``); ``det_exact`` takes star matrices
-only, so no dense elimination runs here.
+two scalar continuants with each run of -2I in closed form (``_star_det``),
+O(1) whatever its length and symbolic in it for ``star_residual``;
+``det_exact`` takes star matrices only, so no dense elimination runs here.
 """
 from __future__ import annotations
 
@@ -78,23 +78,8 @@ class GoeritzMatrix:
         return 3 * (sum(self.runs) + len(self.blocks)) + self.bordered
 
     def det(self) -> int:
-        """Signed determinant, exact.
-
-        The unbordered matrix T has det T = det P_n for the block continuant
-        P_k = B_k P_(k-1) - P_(k-2), P_0 = I, P_-1 = 0 (its k-th Schur
-        complement is P_k P_(k-1)^-1).  Each P_k is a combination of I and
-        J, so it acts as c1 on the ones vector and as c0 on its complement,
-        the scalar continuants of the values alpha + 3 beta and alpha:
-        det T = c1 c0^2.  The A border (ones u on the last block, corner -3)
-        gives -3 det T - u^T adj(T) u = -3 c0^2 (c1 + c1'), since the last
-        block of T^-1 is P_(n-1) P_n^-1; c1' is c1 one step earlier.  The
-        sign (-1)^(sum of runs) that ``_continuant`` leaves out enters once.
-        Nothing is divided, so singular blocks need no special case.
-        """
-        ones, ones_prev = _continuant(self.runs,
-                                      [a + 3 * b for a, b in self.blocks])
-        rest = _continuant(self.runs, [a for a, _ in self.blocks])[0]
-        det = (-3 * (ones + ones_prev) if self.bordered else ones) * rest * rest
+        """Signed determinant, exact: ``_star_det`` with its sign."""
+        det = _star_det(self.runs, self.blocks, self.bordered)
         return -det if sum(self.runs) % 2 else det
 
     def __repr__(self):
@@ -117,6 +102,24 @@ def _continuant(runs, values):
         if value is not None:
             cur, prev = value * cur - prev, cur
     return cur, prev
+
+
+def _star_det(runs, blocks, bordered):
+    """det ``GoeritzMatrix(runs, blocks, bordered)`` up to the sign
+    (-1)^(sum of runs), over ints or over ``MultiPoly`` with symbolic runs.
+
+    The unbordered matrix T has det T = det P_n for the block continuant
+    P_k = B_k P_(k-1) - P_(k-2), P_0 = I, P_-1 = 0 (its k-th Schur complement
+    is P_k P_(k-1)^-1).  Each P_k is a combination of I and J, so it acts as
+    c1 on the ones vector and as c0 on its complement, the scalar continuants
+    of the values alpha + 3 beta and alpha: det T = c1 c0^2.  The A border
+    (ones u on the last block, corner -3) gives -3 det T - u^T adj(T) u =
+    -3 c0^2 (c1 + c1'), since the last block of T^-1 is P_(n-1) P_n^-1; c1'
+    is c1 one step earlier.  Nothing is divided, so singular blocks need no
+    special case."""
+    ones, ones_prev = _continuant(runs, [a + 3 * b for a, b in blocks])
+    rest = _continuant(runs, [a for a, _ in blocks])[0]
+    return (-3 * (ones + ones_prev) if bordered else ones) * rest * rest
 
 
 def det_exact(m: GoeritzMatrix) -> int:
@@ -212,7 +215,7 @@ def _hl(q, s, t, l):
 
 
 # The parameters of each table's rows, in the order their functions take them.
-TABLE_PARAMS = {"A(t=1)": ("q", "s"), "A": ("q", "s", "t"), "B": ("q", "s", "t"),
+TABLE_PARAMS = {"A": ("q", "s", "t"), "A(t=1)": ("q", "s"), "B": ("q", "s", "t"),
                 "L": ("q", "s", "t", "l")}
 
 
@@ -438,6 +441,19 @@ def verify_additivity(family: str,
                     f"{lemma}{tag} at {dict(point)}", statement,
                     MultiPoly.const(value)))
     return IdentityReport(checks)
+
+
+def star_residual(family: str) -> MultiPoly:
+    """det(star)^2 - row(*,*,*)^2 for A, A(t=1), B or L, by ``_star_det`` over
+    ``MultiPoly`` (squared: its sign is no polynomial).  Zero means |det| is
+    the row wherever q, s, t, l >= 1; at a point, where the two agree."""
+    row = table_row(family, "*,*,*").poly
+    q, s, t, l = map(MultiPoly.var, "qstl")
+    if family in ("A", "A(t=1)"):
+        det = _star_det(*_a_layout(q, s, t if family == "A" else 1), True)
+    else:
+        det = _star_det(*_l_layout(q, s, t, l if family == "L" else 1), False)
+    return det * det - row * row
 
 
 def rule_residual(rule: ResolutionRule) -> MultiPoly:

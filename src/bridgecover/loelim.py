@@ -42,6 +42,7 @@ from .presentations import (
     _RSECOND_1,
     _WING_WORDS,
     Presentation,
+    _signed_env,
     genus_one_presentation,
 )
 from .words import (
@@ -390,14 +391,6 @@ def _case_label(signs: Tuple[int, int, int, int]) -> str:
         return f"sign class {_CASE_ORDER.index(signs) + 1}"
     mirror = tuple(-v for v in signs)
     return f"mirror of sign class {_CASE_ORDER.index(mirror) + 1}"
-
-
-def _signed_env(signs: Tuple[int, int, int, int],
-                ) -> Tuple[Dict[str, AffineExp], ParamEnv]:
-    """Rewrite each parameter as +-(positive parameter of the same name)."""
-    return ({name: AffineExp.param(name, sign)
-             for name, sign in zip(_PARAMS, signs)},
-            ParamEnv({name: 1 for name in _PARAMS}))
 
 
 def _collapse_variants(w: ParamWord, env: ParamEnv) -> List[ParamWord]:

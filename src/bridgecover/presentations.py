@@ -405,6 +405,14 @@ class RewriteReport(NamedTuple):
         return all(r.ok for r in self.records)
 
 
+def _signed_env(signs: Tuple[int, int, int, int],
+                ) -> Tuple[Dict[str, AffineExp], ParamEnv]:
+    """Rewrite each of q, s, t, l as +-(positive parameter of the same name)."""
+    return ({name: AffineExp.param(name, sign)
+             for name, sign in zip("qstl", signs)},
+            ParamEnv({name: 1 for name in "qstl"}))
+
+
 @lru_cache(maxsize=4)
 def _shown_rewrites(q_positive: bool, s_positive: bool) -> Tuple[bool, ...]:
     """Per record of ``verify_rewrites``, whether it holds at every point of
@@ -418,9 +426,8 @@ def _shown_rewrites(q_positive: bool, s_positive: bool) -> Tuple[bool, ...]:
     every point the environment allows, and the concrete check maps X, Y, Z
     to the wings' runs, so a record shown here instantiates to equal runs.
     """
-    env = ParamEnv({name: 1 for name in "qstl"})
-    signed = {"q": AffineExp.param("q", 1 if q_positive else -1),
-              "s": AffineExp.param("s", 1 if s_positive else -1)}
+    signed, env = _signed_env((1 if q_positive else -1,
+                               1 if s_positive else -1, 1, 1))
     subs = {name: substitute_params(w, signed) for name, w in _WING_WORDS.items()}
     subs.update((gen, parse_word(gen)) for gen in "xyz")
     base = _periodic_relators(substitute_params(_GENUS_TWO.template, signed),

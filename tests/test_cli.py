@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgecover import cli
+from bridgecover import cli, goeritz
 from bridgecover.cli import main
-from bridgecover.goeritz import IdentityCheck
+from bridgecover.goeritz import (TABLE_PARAMS, IdentityCheck, build_A_star,
+                                 build_L_star, det_exact, table_formula)
 from bridgecover.multipoly import MultiPoly
 from bridgecover.qacert import deserialize, verify
 
@@ -222,6 +223,81 @@ def test_tables_agreement_on_a_grid(capsys):
         "B       q,s,t    8       8\n"
         "L       q,s,t,l  16      16\n"
         "4/4 PASS\n")
+
+
+# The reference for the tables suite: a star matrix per grid point.  Its
+# determinant squared minus the row squared is the residual's value there;
+# with ``b_patched``, B's gets the 2 - q that ``_tables_B_off_by_one`` adds.
+_STAR_MATRICES = {
+    "A": lambda p: build_A_star(p["q"], p["s"], p["t"]),
+    "A(t=1)": lambda p: build_A_star(p["q"], p["s"], 1),
+    "B": lambda p: build_L_star(p["q"], p["s"], p["t"], 1),
+    "L": lambda p: build_L_star(p["q"], p["s"], p["t"], p["l"]),
+}
+
+
+def _star_matrix_records(grid, b_patched=False):
+    records = []
+    for family, names in TABLE_PARAMS.items():
+        points = [dict(zip(names, combo)) for combo in itertools.product(
+            *(range(grid[n][0], grid[n][1] + 1) for n in names))]
+        agree = 0
+        for p in points:
+            det = det_exact(_STAR_MATRICES[family](p))
+            row = table_formula(family, "*,*,*", p)
+            if b_patched and family == "B":
+                agree += det ** 2 - row ** 2 + 2 - p["q"] == 0
+            else:
+                agree += abs(det) == abs(row)
+        records.append({"family": family, "params": list(names),
+                        "points": len(points), "agree": agree,
+                        "ok": agree == len(points)})
+    return records
+
+
+_MIXED_GRID = {"q": (1, 3), "s": (2, 2), "t": (1, 4), "l": (3, 5)}
+
+
+@pytest.mark.parametrize("b_patched", [False, True])
+@pytest.mark.parametrize("grid", [
+    dict.fromkeys("qstl", (1, 1)), dict.fromkeys("qstl", (1, 2)),
+    dict.fromkeys("qstl", (2, 4)), _MIXED_GRID], ids=str)
+def test_tables_agreement_matches_the_star_matrices(monkeypatch, grid,
+                                                    b_patched):
+    if b_patched:
+        _tables_B_off_by_one(monkeypatch)
+    want = _star_matrix_records(grid, b_patched)
+    assert cli._tables_agreement(grid) == want
+    assert all(r["ok"] for r in want) is not b_patched
+
+
+@pytest.mark.parametrize("b_patched", [False, True])
+def test_tables_suite_on_a_mixed_config_grid_matches_the_star_matrices(
+        capsys, monkeypatch, tmp_path, b_patched):
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("".join(f"{n} = {lo}..{hi}\n"
+                           for n, (lo, hi) in _MIXED_GRID.items()))
+    if b_patched:
+        _tables_B_off_by_one(monkeypatch)
+    code, out, _ = run(["--config", str(cfg), "identities", "--suite",
+                        "tables", "--format", "json"], capsys)
+    assert json.loads(out)["rows"] == _star_matrix_records(_MIXED_GRID,
+                                                           b_patched)
+    assert code == (1 if b_patched else 0)
+
+
+def test_tables_suite_builds_no_star_matrix(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the tables suite built a star matrix")
+
+    for name in ("build_A_star", "build_L_star", "det_exact"):
+        monkeypatch.setattr(goeritz, name, refuse)
+        assert not hasattr(cli, name)
+    monkeypatch.setattr(goeritz.GoeritzMatrix, "det", refuse)
+    code, out, _ = run(["identities", "--suite", "tables", "--grid", "1..19"],
+                       capsys)
+    assert code == 0
+    assert out.endswith("4/4 PASS\n")
 
 
 def test_identities_json_format(capsys):
@@ -658,9 +734,10 @@ def test_loelim_table1_rejected_for_genus2(capsys):
 # the FAIL rows and summaries are pinned too.
 
 def _tables_B_off_by_one(monkeypatch):
-    real = cli.table_formula
-    monkeypatch.setattr(cli, "table_formula", lambda family, res, p: (
-        real(family, res, p) + (family == "B" and p["q"] == 1)))
+    """B's star residual gets 2 - q: 1 at q = 1 and 0 at q = 2."""
+    real = cli.star_residual
+    monkeypatch.setattr(cli, "star_residual", lambda family: real(family) + (
+        2 - MultiPoly.var("q") if family == "B" else 0))
 
 
 def _lemma_item3_fails(monkeypatch):

@@ -236,6 +236,32 @@ def test_star_continuant_matches_bareiss(pairs, last_run):
         assert m.det() == det_bareiss(_dense(m)), bordered
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), _blocks), min_size=1,
+                max_size=4), st.integers(0, 60), st.booleans())
+@example([(0, (3, -1))], 0, True)
+def test_star_det_with_symbolic_run_lengths(pairs, last_run, bordered):
+    """``_continuant``'s closed form for a run of k values -2 holds for every
+    k >= 0, so ``_star_det`` over ``MultiPoly`` with a symbol per run length,
+    evaluated at the lengths, is its int result (which the test above ties
+    to Bareiss).  So a zero ``star_residual`` covers every point where the
+    run lengths q-1, t-1 are >= 0."""
+    runs = [k for k, _ in pairs] + [last_run]
+    blocks = [ab for _, ab in pairs]
+    names = [f"k{i}" for i in range(len(runs))]
+    symbolic = goeritz._star_det(list(map(MultiPoly.var, names)), blocks,
+                                 bordered)
+    assert (symbolic.evaluate(dict(zip(names, runs)))
+            == goeritz._star_det(runs, blocks, bordered))
+
+
+def test_star_residuals_are_zero():
+    for family in goeritz.TABLE_PARAMS:
+        assert goeritz.star_residual(family).is_zero(), family
+    with pytest.raises(NotTabulatedError):
+        goeritz.star_residual("C")
+
+
 def test_star_continuant_gives_the_star_rows_symbolically():
     """Over polynomials, with run lengths q-1 and t-1, the complement
     continuant c0 gives the star rows: c0^2 is Table 5's (L) and, at l = 1,
