@@ -88,10 +88,14 @@ _PARAM_NAMES = ("q", "s", "t", "l")
 CERT_MAX_PARAM = 1000
 # Grid points of ``identities``: the four star rows' points for the tables
 # suite (n^2 (n+1)^2 on 1..n), the suite's own grid for ``--grid`` spot
-# checks.  Residuals are checked once, so they bound the per-point reads of
-# a nonzero residual and the point list that ``_identity_suite`` builds.
-TABLES_MAX_POINTS = 150_000
-SPOT_CHECK_MAX_POINTS = 25_000
+# checks.  While the identities hold no point is evaluated, so the bounds pay
+# for a failing residual, evaluated at every point (and, for spot checks,
+# printed as one check per point): in process, tables 1..28 (659344 points)
+# with every star row off, and spot checks on L 1..15 (50625) or A 1..39
+# (59319) with one identity off, as json, each took 0.7-1.0 s (3 runs each,
+# shared 2-core machine, Python 3.11).
+TABLES_MAX_POINTS = 700_000
+SPOT_CHECK_MAX_POINTS = 60_000
 # h1's size: genus * (genus + 1) * (n - 1 + 2 * genus) * term bits, the bit
 # lengths of |a| + 1 summed over the even expansion's terms a, which bound
 # log2 |Delta|_1; (n - 1 + 2 genus) * term bits bounds the bits of the one

@@ -28,6 +28,9 @@ subcases close with a strict contradiction and which remain open.  "Level 0"
 means exactly this toolkit: pure sign algebra with rewrite chains of bounded
 depth, no dynamics and no quotient arguments, so open subcases are expected
 and are reported honestly rather than resolved.
+
+Table 1 and the stage-two report of each of the 16 sign classes are computed
+once per process and shared, since the reports are immutable tuples.
 """
 from __future__ import annotations
 
@@ -276,8 +279,13 @@ def orbit_reduce(report: EliminationReport) -> EliminationReport:
 def table1_report() -> EliminationReport:
     """Full elimination report for the five-generator periodic family at
     symbolic (k, l): the content behind the command line's ``--table1`` flag.
+    It is computed once per process and shared, since it is immutable.
     """
-    return orbit_reduce(eliminate(genus_one_presentation("k", "l", 5)))
+    return _table1()
+
+
+_table1 = functools.lru_cache(maxsize=1)(
+    lambda: orbit_reduce(eliminate(genus_one_presentation("k", "l", 5))))
 
 
 def report_text(report: EliminationReport) -> str:
@@ -590,13 +598,20 @@ def genus2_level0(q_sign: int, s_sign: int, t_sign: int,
     rules are rho-invariant), so only the closures of X, r'_1 and r''_1 are
     built: the rest are their forms renamed, in the same order, and each is
     still evaluated under every sign map, so no verdict or witness changes.
+    The signs are checked on every call; each sign class is analysed once per
+    process, and its report, immutable, is shared.
     """
     raw = (q_sign, s_sign, t_sign, l_sign)
     for name, value in zip(_PARAMS, raw):
         if value.__class__ is not int or value == 0:
             raise WordError(
                 f"{name}_sign must be a nonzero integer, got {value!r}")
-    signs = tuple(1 if v > 0 else -1 for v in raw)
+    return _genus2_class(tuple(1 if v > 0 else -1 for v in raw))
+
+
+@functools.lru_cache(maxsize=16)
+def _genus2_class(signs: Tuple[int, int, int, int]) -> Genus2Report:
+    """:func:`genus2_level0` for one normalized sign class."""
     mapping, env = _signed_env(signs)
 
     stage1 = _base_stage()

@@ -443,8 +443,9 @@ def test_identities_just_under_and_just_over_the_grid_limits(capsys,
     """The largest uniform grids allowed finish in under 5 s; one step
     larger exits 2 with one line, before anything is computed."""
     under_over = (
-        ("tables", "_tables_agreement", 19, cli.TABLES_MAX_POINTS),
-        ("lemma5.12", "verify_additivity", 12, cli.SPOT_CHECK_MAX_POINTS),
+        ("tables", "_tables_agreement", 28, cli.TABLES_MAX_POINTS),
+        ("lemma5.12", "verify_additivity", 15, cli.SPOT_CHECK_MAX_POINTS),
+        ("lemma5.4", "verify_additivity", 39, cli.SPOT_CHECK_MAX_POINTS),
     )
     for suite, worker, n, limit in under_over:
         start = time.perf_counter()

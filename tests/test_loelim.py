@@ -478,13 +478,51 @@ _EXPECTED_X = {1: SN, 2: SN, 3: SP, 4: SN, 5: SP, 6: SP, 7: SP, 8: SN}
 
 
 def test_genus2_rejects_bad_signs():
-    with pytest.raises(WordError):
-        genus2_level0(0, 1, 1, 1)
-    with pytest.raises(WordError):
-        genus2_level0(1, 1, 0.5, 1)
-    for signs in ((True, 1, 1, 1), (1, -1, 1, False)):
-        with pytest.raises(WordError, match="must be a nonzero integer"):
-            genus2_level0(*signs)
+    # checked on every call, also once the class of (1, 1, 1, 1) is cached:
+    # True == 1 and hashes alike, so a memo on the raw signs would let it by
+    cached = genus2_level0(1, 1, 1, 1)
+    for pos, name in enumerate(("q", "s", "t", "l")):
+        for bad in (True, False, 1.0, 0.5, 0, "1"):
+            signs = [1, 1, 1, 1]
+            signs[pos] = bad
+            with pytest.raises(WordError) as err:
+                genus2_level0(*signs)
+            assert str(err.value) == (
+                f"{name}_sign must be a nonzero integer, got {bad!r}")
+    assert genus2_level0(1, 1, 1, 1) is cached
+
+
+_SIGN_CLASSES = list(itertools.product((1, -1), repeat=4))
+
+
+def test_genus2_memo_matches_a_fresh_analysis_in_every_sign_class():
+    for signs in _SIGN_CLASSES:
+        report = genus2_level0(*signs)
+        assert report == loelim._genus2_class.__wrapped__(signs), signs
+        # shared between callers, so it must hold no mutable part
+        hash(report)
+    # magnitudes fold into the same class, and so into the same report
+    assert genus2_level0(3, -2, -7, 4) is genus2_level0(1, -1, -1, 1)
+
+
+def test_table1_memo_matches_a_fresh_report():
+    report = table1_report()
+    assert report == loelim._table1.__wrapped__()
+    hash(report)
+
+
+def test_level0_reports_are_computed_once_per_process(monkeypatch):
+    first = [genus2_level0(*signs) for signs in _SIGN_CLASSES]
+    table = table1_report()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("recomputed a cached report")
+
+    monkeypatch.setattr(loelim, "_variants", boom)
+    monkeypatch.setattr(loelim, "eliminate", boom)
+    assert all(genus2_level0(*signs) is report
+               for signs, report in zip(_SIGN_CLASSES, first))
+    assert table1_report() is table
 
 
 def test_genus2_sign_class_labels():
