@@ -43,12 +43,19 @@ from .presentations import (
     _RHO,
     _RPRIME_1,
     _RSECOND_1,
-    _WING_WORDS,
+    _X_WORD,
     Presentation,
+    _rename,
     _signed_env,
     genus_one_presentation,
 )
 from .words import (
+    NN,
+    NP,
+    SN,
+    SP,
+    UK,
+    ZE,
     AffineExp,
     ParamEnv,
     ParamWord,
@@ -68,13 +75,6 @@ from .words import (
     substitute_params,
     word_sign,
 )
-
-SP = SignLattice.STRICT_POS
-NN = SignLattice.NON_NEG
-ZE = SignLattice.ZERO
-NP = SignLattice.NON_POS
-SN = SignLattice.STRICT_NEG
-UK = SignLattice.UNKNOWN
 
 #: Pattern-facing aliases: a generator is either "> 1" or "< 1".
 POS = SP
@@ -345,8 +345,10 @@ _ATOM_PAIR: Dict[str, Tuple[str, str]] = {
     f"E{a}{b}": (a, b) for a, b in ("xy", "yx", "yz", "zy", "zx", "xz")}
 _ATOMS = tuple(_ATOM_PAIR)
 _ATOM_INVERSE = {name: f"E{b}{a}" for name, (a, b) in _ATOM_PAIR.items()}
-_PAIR_WORDS = {name: parse_word(f"{a}^(q) {b}^(-q)")
-               for name, (a, b) in _ATOM_PAIR.items()}
+# Exy and Eyx, then rho and rho^2 of them: the order of _ATOM_PAIR.
+_EXY, _EYX = parse_word("x^(q) y^(-q)"), parse_word("y^(q) x^(-q)")
+_PAIR_WORDS = {name.translate(rho): _rename(word, rho) for rho in _RHO
+               for name, word in (("Exy", _EXY), ("Eyx", _EYX))}
 
 def _rotate(form: SignForm) -> SignForm:
     """rho applied to a compiled sign form: every head is renamed."""
@@ -625,7 +627,7 @@ def _genus2_class(signs: Tuple[int, int, int, int]) -> Genus2Report:
 
     # X's closure is compiled once; a form that repeats would repeat a
     # verdict, so its first variant is kept.  rho carries it to Y, then Z.
-    seed = reduce_word(substitute_params(_WING_WORDS["X"], mapping), env)
+    seed = reduce_word(substitute_params(_X_WORD, mapping), env)
     forms: Dict[SignForm, ParamWord] = {}
     for v in _variants(seed, env):
         forms.setdefault(sign_form(_atomize(v, body_names), env), v)

@@ -143,8 +143,9 @@ class MultiPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def __hash__(self):  # a constant hashes as the int it equals
+        return hash(self.terms.get((), 0) if self.terms.keys() <= {()}
+                    else frozenset(self.terms.items()))
 
     @staticmethod
     def _monomial_key(mono: Monomial):

@@ -21,11 +21,11 @@ letter (a polynomial in the family parameters, computed once per family)
 as the coefficient of x**(offset - lowest offset), and the first-homology
 order is the cyclic resultant |Res(1 + x + ... + x**(n-1), f)|, which the
 knot-theoretic oracle (Fox's formula) takes of the Alexander polynomial; no
-word is built.  The module also machine-checks the word-level identities
-of the genus-two family: the product telescope r3 r2 r1 = zyx on runs
-instantiated straight from the templates, and the rewritten relator forms
-r', r'' once per sign class of (q, s) on parametric words, where a form not
-shown there is checked on the runs at the point.
+word is built.  The module also machine-checks the genus-two word
+identities at n = 3, where the deck rotation rho (x -> y -> z -> x,
+X -> Y -> Z -> X) carries r_i, r'_i, r''_i to the next i and X to Y to Z,
+so only i = 1 is built: r3 r2 r1 = zyx on runs, and r'_1, r''_1 once per
+sign class of (q, s) on parametric words, or at the point if not shown.
 """
 from __future__ import annotations
 
@@ -60,26 +60,21 @@ _GENUS_TWO_TEMPLATE = (
 )
 _GENUS_TWO_WINDOW = (("a", -2), ("b", -1), ("c", 0), ("d", 1), ("e", 2))
 
-# The n=3 wing word X and the rewritten relator forms r'_1, r''_1, over
-# generators x, y, z (= x1, x2, x3) and placeholders X, Y, Z.  The deck
-# rotation rho renames x -> y -> z -> x and X -> Y -> Z -> X and leaves every
-# exponent alone, so it carries X to Y to Z and r'_i, r''_i to r'_(i+1),
-# r''_(i+1); ``_RHO[k]`` applies rho^k to a letter or to a word's text.
-_RHO = [str.maketrans("xyzXYZ", r) for r in ("xyzXYZ", "yzxYZX", "zxyZXY")]
+# The n=3 wing word X and the rewritten relators r'_1, r''_1, over x, y, z
+# (= x1, x2, x3) and placeholders X, Y, Z.  ``_RHO[k]`` is rho^k, keyed by
+# letter for ``_rename`` and by code point for ``str.translate``.
+_RHO = [{**rho, **str.maketrans(rho)} for rho in (
+    dict(zip("xyzXYZ", images)) for images in ("xyzXYZ", "yzxYZX", "zxyZXY"))]
 _X = "(y^(q) x^(-q))^(s) x (z^(q) x^(-q))^(s)"
 _RPRIME_1 = "(Y^(t) y^(q) x^(-q) X^(-t))^(l) X (Z^(t) z^(q) x^(-q) X^(-t))^(l)"
 _RSECOND_1 = ("(Y^(t) y^(q) x^(-q) X^(-t))^(l-1) Y^(t) y^(q) x^(-q) X^(-t+1) "
               "(Z^(t) z^(q) x^(-q) X^(-t))^(l)")
-_WING_DEFS = {name: _X.translate(rho) for name, rho in zip("XYZ", _RHO)}
-_RPRIME_TEMPLATES = {i: _RPRIME_1.translate(rho) for i, rho in enumerate(_RHO, 1)}
-_RSECOND_TEMPLATES = {i: _RSECOND_1.translate(rho)
-                      for i, rho in enumerate(_RHO, 1)}
 # Every template is constant, so each is parsed once, at import.
-_WING_WORDS = {name: parse_word(text) for name, text in _WING_DEFS.items()}
-_RPRIME_WORDS = {i: parse_word(text) for i, text in _RPRIME_TEMPLATES.items()}
-_RSECOND_WORDS = {i: parse_word(text) for i, text in _RSECOND_TEMPLATES.items()}
+_X_WORD, _RPRIME_WORD, _RSECOND_WORD = map(parse_word,
+                                           (_X, _RPRIME_1, _RSECOND_1))
 _ZYX = [("z", 1), ("y", 1), ("x", 1)]
-_XYZ = {"x1": "x", "x2": "y", "x3": "z"}
+# At n = 3, r_1 maps the window letter at offset o to x_(1+o), named x, y, z.
+_R1_WINDOW = {letter: "xyz"[o % 3] for letter, o in _GENUS_TWO_WINDOW}
 
 
 class _Family:
@@ -189,20 +184,17 @@ def _periodic_relators(template: ParamWord, window: Sequence[Tuple[str, int]],
     a bijection commutes with ``reduce_word``, so r_i is r_1 renamed by the
     shift to the power i - 1.
     """
-    first = [_gen_name(1 + offset, n) for _, offset in window]
-    r1 = substitute(template, {letter: parse_word(gen) for (letter, _), gen
-                               in zip(window, first)}, env)
-    relators = [r1]
-    for i in range(2, n + 1):
-        shift = {gen: _gen_name(i + offset, n)
-                 for gen, (_, offset) in zip(first, window)}
-        relators.append(_rename(r1, shift))
-    return relators
+    r1 = substitute(template, {letter: parse_word(_gen_name(1 + offset, n))
+                               for letter, offset in window}, env)
+    return [r1] + [_rename(r1, {_gen_name(1 + o, n): _gen_name(i + o, n)
+                                for _, o in window}) for i in range(2, n + 1)]
 
 
-def _rename(w: ParamWord, names: Mapping[str, str]) -> ParamWord:
-    """w with every generator g renamed to names[g]; exponents, multiplicities
-    and block structure are kept as they are."""
+def _rename(w: Union[ParamWord, List[Run]], names: Mapping[str, str]):
+    """w, a word or runs, with every generator g renamed to names[g];
+    exponents, multiplicities and block structure are kept as they are."""
+    if not isinstance(w, ParamWord):
+        return [(names[gen], exp) for gen, exp in w]
     return ParamWord([
         Syllable(names[item.gen], item.exponent) if isinstance(item, Syllable)
         else PowerBlock(_rename(item.body, names), item.multiplicity)
@@ -305,12 +297,11 @@ def h1_order(p: PeriodicPresentation,
 # ---------------------------------------------------------------------------
 
 def _relator_runs(values: Mapping[str, int]) -> List[List[Run]]:
-    """The n=3 relators r1, r2, r3 at ``values`` over x, y, z (= x1, x2,
-    x3), as runs: r_i maps each window letter at offset o to x_(i+o)."""
-    return [instantiate(_GENUS_TWO.template, values,
-                        {letter: [("xyz"[(i + offset) % 3], 1)]
-                         for letter, offset in _GENUS_TWO.window})
-            for i in range(3)]
+    """The n=3 relators at ``values`` as runs over x, y, z: r1 is
+    instantiated, and r2, r3 are its runs renamed by rho and rho^2."""
+    r1 = instantiate(_GENUS_TWO.template, values,
+                     {letter: ((gen, 1),) for letter, gen in _R1_WINDOW.items()})
+    return [r1, _rename(r1, _RHO[1]), _rename(r1, _RHO[2])]
 
 
 Difference = Optional[Tuple[int, Optional[Run], Optional[Run]]]
@@ -414,32 +405,32 @@ def _signed_env(signs: Tuple[int, int, int, int],
 
 
 @lru_cache(maxsize=4)
-def _shown_rewrites(q_positive: bool, s_positive: bool) -> Tuple[bool, ...]:
-    """Per record of ``verify_rewrites``, whether it holds at every point of
-    the sign class: q and s of the given signs, t, l >= 1.
+def _shown_rewrites(q_positive: bool, s_positive: bool) -> Tuple[bool, bool]:
+    """Whether r'_1 against r_1, and r''_1 against r'_1, hold at every
+    point of the sign class: q and s of the given signs, t, l >= 1.
 
-    Under q, s, t, l >= 1, with the signs put into the templates, r'_i with
-    the wings (and x, y, z for themselves) substituted must be r_i item for
-    item, and the reduced r''_i must be the reduced r'_i or one of its
-    one-block peels, as words in X, Y, Z, x, y, z.  ``reduce_word``,
+    With the signs put into the templates, r'_1 with the wings (and x, y, z
+    for themselves) substituted must be r_1 item for item, and the reduced
+    r''_1 the reduced r'_1 or one of its one-block peels.  ``reduce_word``,
     ``substitute`` and ``peel`` keep a word's value in the free group at
-    every point the environment allows, and the concrete check maps X, Y, Z
-    to the wings' runs, so a record shown here instantiates to equal runs.
+    every point the environment allows, so a shown record instantiates to
+    equal runs.  The i = 2, 3 records follow: rho leaves exponents and the
+    ``ParamEnv`` alone, so it commutes with ``substitute_params``, with
+    ``substitute`` under the wing map (the wing of rho(V) is rho of the wing
+    of V), with ``reduce_word``, with ``peel_variants`` and with equality.
     """
     signed, env = _signed_env((1 if q_positive else -1,
                                1 if s_positive else -1, 1, 1))
-    subs = {name: substitute_params(w, signed) for name, w in _WING_WORDS.items()}
+    wing = substitute_params(_X_WORD, signed)
+    subs = {name: _rename(wing, rho) for name, rho in zip("XYZ", _RHO)}
     subs.update((gen, parse_word(gen)) for gen in "xyz")
-    base = _periodic_relators(substitute_params(_GENUS_TWO.template, signed),
-                              _GENUS_TWO.window, 3, env)
-    primes = [reduce_word(substitute_params(_RPRIME_WORDS[i], signed), env)
-              for i in (1, 2, 3)]
-    shown = [substitute(prime, subs, env) == _rename(r, _XYZ)
-             for prime, r in zip(primes, base)]
-    for i, prime in enumerate(primes, 1):
-        second = reduce_word(substitute_params(_RSECOND_WORDS[i], signed), env)
-        shown.append(second == prime or second in peel_variants(prime, env))
-    return tuple(shown)
+    r1 = substitute(substitute_params(_GENUS_TWO.template, signed),
+                    {letter: subs[gen] for letter, gen in _R1_WINDOW.items()},
+                    env)
+    prime = reduce_word(substitute_params(_RPRIME_WORD, signed), env)
+    second = reduce_word(substitute_params(_RSECOND_WORD, signed), env)
+    return (substitute(prime, subs, env) == r1,
+            second == prime or second in peel_variants(prime, env))
 
 
 def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
@@ -448,26 +439,31 @@ def verify_rewrites(q: int, s: int, t: int, l: int) -> RewriteReport:
 
     Comparisons are up to cyclic rotation and inversion.  The displayed
     forms require t >= 1 and l >= 1.  A record ``_shown_rewrites`` shows
-    for the sign class of (q, s) is DIRECT with no word built; any other is
-    instantiated at this point and compared, with its first difference.
+    for the sign class of (q, s) is DIRECT with no word built.  Otherwise
+    X, r'_1 and r''_1 are instantiated once and rotated by rho, and each
+    pair is compared: a first difference, read off the cyclic normal form,
+    which orders letters, does not rotate with rho.
     """
     mv_presentation(q, s, t, l, 3)  # checks q, s, t, l
     if l < 1 or t < 1:
         raise WordError(f"displayed rewritten forms require t >= 1, l >= 1, "
                         f"got t={t}, l={l}")
-    consts = {"q": q, "s": s, "t": t, "l": l}
+    shown = _shown_rewrites(q > 0, s > 0)
+    if not all(shown):
+        consts = {"q": q, "s": s, "t": t, "l": l}
+        wing = instantiate(_X_WORD, consts)
+        wings = {name: _rename(wing, rho) for name, rho in zip("XYZ", _RHO)}
+        prime = instantiate(_RPRIME_WORD, consts, wings)
+        pairs = ((prime, _relator_runs(consts)[0]),
+                 (instantiate(_RSECOND_WORD, consts, wings), prime))
     records = []
-    for k, shown in enumerate(_shown_rewrites(q > 0, s > 0)):
-        i = k % 3 + 1
-        name = f"r'{i} vs r{i}" if k < 3 else f"r''{i} vs r'{i}"
-        if shown:
-            records.append(RewriteRecord(name, CyclicMatch.DIRECT))
-            continue
-        wings = {wing: instantiate(w, consts) for wing, w in _WING_WORDS.items()}
-        prime = instantiate(_RPRIME_WORDS[i], consts, wings)
-        got, expected = ((prime, _relator_runs(consts)[i - 1]) if k < 3 else
-                         (instantiate(_RSECOND_WORDS[i], consts, wings), prime))
-        match = equal_up_to_cyclic(got, expected)
-        records.append(RewriteRecord(name, match, None if match else
-                                     first_syllable_difference(got, expected)))
+    for kind, name in enumerate(("r'{0} vs r{0}", "r''{0} vs r'{0}")):
+        for i, rho in enumerate(_RHO, 1):
+            match, difference = CyclicMatch.DIRECT, None
+            if not shown[kind]:
+                got, expected = (_rename(w, rho) for w in pairs[kind])
+                match = equal_up_to_cyclic(got, expected)
+                if not match:
+                    difference = first_syllable_difference(got, expected)
+            records.append(RewriteRecord(name.format(i), match, difference))
     return RewriteReport((q, s, t, l), records)

@@ -208,8 +208,8 @@ class AffineExp:
             return NotImplemented
         return self._key == other._key
 
-    def __hash__(self):
-        return hash(self._key)
+    def __hash__(self):  # a constant hashes as the int it equals
+        return hash(self._key if self.coeffs else self.const)
 
     def __str__(self):
         parts = []

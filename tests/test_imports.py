@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, no
 module imports ``dataclasses``, none calls ``eval`` or ``exec``, and importing
-them does no polynomial arithmetic."""
+them does no polynomial arithmetic and parses few words."""
 
 import ast
 import os
@@ -115,3 +115,23 @@ def test_importing_every_module_does_no_polynomial_arithmetic():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert out.stdout == "{}\n"
+
+
+def test_importing_every_module_parses_at_most_ten_words():
+    """Of the n = 3 genus-two words only X, r'_1 and r''_1 are parsed, and
+    of loelim's pair words only Exy and Eyx: the deck rotation gives the
+    rest by renaming."""
+    code = ("from bridgecover import words\n"
+            "calls = []\n"
+            "def counted(text, real=words.parse_word):\n"
+            "    calls.append(text)\n"
+            "    return real(text)\n"
+            "words.parse_word = counted\n"
+            "assert words.parse_word('x') and calls == ['x']\n"
+            "calls.clear()\n"
+            f"import {', '.join(_modules())}\n"
+            "print(len(calls))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert int(out.stdout) <= 10

@@ -294,6 +294,9 @@ def test_collapse_respects_required_signs():
 
 
 _ELIMINATION = {"x": "x", "y": "y", "z": "x^(-1) y^(-1)"}
+# The wing words X, Y, Z: presentations' X rotated as text by rho and rho^2.
+_WING_WORDS = [parse_word(presentations._X.translate(rho))
+               for rho in presentations._RHO]
 
 
 def _free_letters(word, env, values):
@@ -306,7 +309,7 @@ def test_wing_variants_stay_in_the_same_group_element():
     # z y x = 1; eliminating z makes that free-group equality checkable.
     for signs in loelim._CASE_ORDER:
         pmap, env = loelim._signed_env(signs)
-        for word in presentations._WING_WORDS.values():
+        for word in _WING_WORDS:
             seed = reduce_word(substitute_params(word, pmap), env)
             for values in ({"q": 1, "s": 1, "t": 1, "l": 1},
                            {"q": 2, "s": 3, "t": 2, "l": 2}):
@@ -344,7 +347,7 @@ def test_variants_match_the_text_keyed_closure():
     assert len(set(classes)) == 16
     for signs in classes:
         pmap, env = loelim._signed_env(signs)
-        for word in presentations._WING_WORDS.values():
+        for word in _WING_WORDS:
             seed = reduce_word(substitute_params(word, pmap), env)
             got, want = loelim._variants(seed, env), _variants_by_text(seed, env)
             assert got == want
@@ -357,16 +360,19 @@ def test_variants_match_the_text_keyed_closure():
                     == _variants_by_text(root, env, depth=1, collapse=False))
 
 
+def _letter_templates(label):
+    """r'_1, r'_2, r'_3 (``label`` ``'``) or r''_1..3 (``''``) as letter-level
+    text: presentations' r'_1 or r''_1 rotated as text by rho^(i-1)."""
+    first = {"'": presentations._RPRIME_1, "''": presentations._RSECOND_1}[label]
+    return [first.translate(rho) for rho in presentations._RHO]
+
+
 def _atom_relators(label):
-    """r'_1, r'_2, r'_3 (``label`` ``'``) or r''_1..3 (``''``) over pair-word
-    letters: loelim's r'_1 or r''_1, then the rotated letter-level templates
-    of presentations atomized as loelim atomizes."""
-    first, templates = {"'": (loelim._RPRIME_ATOM,
-                              presentations._RPRIME_TEMPLATES),
-                        "''": (loelim._RSECOND_ATOM,
-                               presentations._RSECOND_TEMPLATES)}[label]
-    return [first] + [parse_word(loelim._atomize_text(templates[i]))
-                      for i in (2, 3)]
+    """r'_1..3 or r''_1..3 over pair-word letters: loelim's r'_1 or r''_1,
+    then the rotated letter-level templates atomized as loelim atomizes."""
+    first = {"'": loelim._RPRIME_ATOM, "''": loelim._RSECOND_ATOM}[label]
+    return [first] + [parse_word(loelim._atomize_text(text))
+                      for text in _letter_templates(label)[1:]]
 
 
 def test_atom_relators_match_letter_level_templates():
@@ -374,18 +380,18 @@ def test_atom_relators_match_letter_level_templates():
                  for name, (a, b) in loelim._ATOM_PAIR.items()}
     identity = {g: parse_word(g) for g in ("x", "y", "z", "X", "Y", "Z")}
     env = ParamEnv({name: 1 for name in ("q", "s", "t", "l")})
-    pairs = ((_atom_relators("'"), presentations._RPRIME_TEMPLATES),
-             (_atom_relators("''"), presentations._RSECOND_TEMPLATES))
-    for atom_templates, letter_templates in pairs:
-        for i in (1, 2, 3):
-            expanded = substitute(atom_templates[i - 1],
+    for label in ("'", "''"):
+        for atom_template, letter_template in zip(_atom_relators(label),
+                                                  _letter_templates(label)):
+            expanded = substitute(atom_template,
                                   {**identity, **atom_defs}, env)
-            reference = parse_word(letter_templates[i])
+            reference = parse_word(letter_template)
             for values in ({"q": 2, "s": 1, "t": 1, "l": 1},
                            {"q": 1, "s": 2, "t": -2, "l": 3},
                            {"q": 3, "s": 2, "t": 2, "l": -1}):
                 assert (letters(instantiate(expanded, values))
-                        == letters(instantiate(reference, values))), (i, values)
+                        == letters(instantiate(reference, values))), (
+                    letter_template, values)
 
 
 def test_atom_inverse_table_is_consistent():
@@ -433,7 +439,10 @@ def test_the_rewriting_rules_and_pair_words_are_rho_invariant():
     assert {_RHO[name]: _RHO[partner]
             for name, partner in loelim._ATOM_INVERSE.items()
             } == loelim._ATOM_INVERSE
+    assert list(loelim._PAIR_WORDS) == list(loelim._ATOM_PAIR)
     for name, word in loelim._PAIR_WORDS.items():
+        assert word == parse_word("{}^(q) {}^(-q)".format(
+            *loelim._ATOM_PAIR[name]))
         assert _rho_word(word) == loelim._PAIR_WORDS[_RHO[name]]
 
 
@@ -448,7 +457,7 @@ def test_rho_commutes_with_the_closures_and_their_forms(signs):
         return [reduce_word(substitute_params(word, pmap), env)
                 for word in words]
 
-    orbits = ((roots(presentations._WING_WORDS.values()), 2, True),
+    orbits = ((roots(_WING_WORDS), 2, True),
               (roots(_atom_relators("'")), 1, False),
               (roots(_atom_relators("''")), 1, False))
     for orbit, depth, collapse in orbits:

@@ -22,8 +22,8 @@ from bridgecover.twobridge import (
 )
 from bridgecover.words import (
     AffineExp, CyclicMatch, ParamEnv, ParamWord, Syllable, WordError,
-    equal_up_to_cyclic, exponent_sums, instantiate, parse_word, substitute,
-    substitute_params,
+    equal_up_to_cyclic, exponent_sums, instantiate, parse_word, peel_variants,
+    reduce_word, substitute, substitute_params,
 )
 
 ZYX = [("z", 1), ("y", 1), ("x", 1)]
@@ -554,6 +554,38 @@ def test_relator_runs_match_the_presentation_words():
                 mv_presentation(*params, 3))], params
 
 
+def _relator_runs_per_index(values):
+    """r1, r2, r3 each instantiated from the template on its own: r_i maps
+    the window letter at offset o to x_(i+o)."""
+    return [instantiate(presentations._GENUS_TWO.template, values,
+                        {letter: [("xyz"[(i + offset) % 3], 1)]
+                         for letter, offset in presentations._GENUS_TWO.window})
+            for i in range(3)]
+
+
+@pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=4))
+@given(st.tuples(*[st.integers(1, 6)] * 4))
+@example((6, 6, 6, 6))
+@settings(max_examples=8, deadline=None)
+def test_relator_runs_are_the_per_index_instantiations(signs, magnitudes):
+    values = {name: sign * m
+              for name, sign, m in zip("qstl", signs, magnitudes)}
+    assert presentations._relator_runs(values) == _relator_runs_per_index(
+        values)
+
+
+def test_relator_runs_instantiate_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return instantiate(*args)
+
+    monkeypatch.setattr(presentations, "instantiate", counted)
+    presentations._relator_runs({"q": 2, "s": -1, "t": 3, "l": 2})
+    assert len(calls) == 1
+
+
 def test_product_identity_frozen():
     v = verify_product_identity(1, 1, 1, 1)
     assert v.status == "FULL_PASS"
@@ -712,40 +744,54 @@ _WRITTEN_ROTATIONS = {
 }
 
 
+# Each written form as (the form it rotates, the power of rho).
+_ROTATION_OF = {"Y": ("X", 1), "Z": ("X", 2), "r'2": ("r'1", 1),
+                "r'3": ("r'1", 2), "r''2": ("r''1", 1), "r''3": ("r''1", 2)}
+_FIRST_FORMS = {"X": (presentations._X, presentations._X_WORD),
+                "r'1": (presentations._RPRIME_1, presentations._RPRIME_WORD),
+                "r''1": (presentations._RSECOND_1,
+                         presentations._RSECOND_WORD)}
+
+
 def test_the_rotated_templates_are_the_written_ones():
-    derived = {"Y": presentations._WING_DEFS["Y"],
-               "Z": presentations._WING_DEFS["Z"]}
-    for i in (2, 3):
-        derived[f"r'{i}"] = presentations._RPRIME_TEMPLATES[i]
-        derived[f"r''{i}"] = presentations._RSECOND_TEMPLATES[i]
-    assert derived == _WRITTEN_ROTATIONS
-    words = {**presentations._WING_WORDS,
-             **{f"r'{i}": w for i, w in presentations._RPRIME_WORDS.items()},
-             **{f"r''{i}": w for i, w in presentations._RSECOND_WORDS.items()}}
-    for name, text in _WRITTEN_ROTATIONS.items():
-        assert words[name] == parse_word(text), name
+    assert _ROTATION_OF.keys() == _WRITTEN_ROTATIONS.keys()
+    for name, written in _WRITTEN_ROTATIONS.items():
+        first, k = _ROTATION_OF[name]
+        text, word = _FIRST_FORMS[first]
+        rho = presentations._RHO[k]
+        assert text.translate(rho) == written, name
+        assert presentations._rename(word, rho) == parse_word(written), name
+    for text, word in _FIRST_FORMS.values():
+        assert word == parse_word(text)
 
 
-def _rewrites_via_param_word(q, s, t, l):
+def _rewrites_via_param_word(q, s, t, l, rsecond_1=None):
     """(name, match, first difference) of each record along the path
     ``verify_rewrites`` took when it expanded ParamWords: the parameters
-    substituted into each template, ``substitute`` of the wings and of
-    x, y, z, then ``instantiate``."""
+    substituted into each written form (X, r'_1, r''_1 and
+    ``_WRITTEN_ROTATIONS``), ``substitute`` of the wings and of x, y, z,
+    then ``instantiate``.  ``rsecond_1``, a text put in place of r''_1,
+    stands with its rotations by ``_RHO`` for r''_1, r''_2, r''_3."""
+    texts = {"X": presentations._X, "r'1": presentations._RPRIME_1,
+             "r''1": presentations._RSECOND_1, **_WRITTEN_ROTATIONS}
+    if rsecond_1 is not None:
+        texts.update((f"r''{k}", rsecond_1.translate(rho))
+                     for k, rho in enumerate(presentations._RHO, 1))
     consts = {"q": q, "s": s, "t": t, "l": l}
-    wings = {name: substitute_params(w, consts)
-             for name, w in presentations._WING_WORDS.items()}
+    wings = {name: substitute_params(parse_word(texts[name]), consts)
+             for name in "XYZ"}
     wings.update(_XYZ_WORDS)
 
-    def expand(template):
-        return instantiate(substitute(substitute_params(template, consts),
-                                      wings, ParamEnv({})), {})
+    def expand(name):
+        return instantiate(substitute(substitute_params(
+            parse_word(texts[name]), consts), wings, ParamEnv({})), {})
 
     base = [instantiate(r, {})
             for r in _relators_xyz(mv_presentation(q, s, t, l, 3))]
-    primes = [expand(presentations._RPRIME_WORDS[i]) for i in (1, 2, 3)]
+    primes = [expand(f"r'{i}") for i in (1, 2, 3)]
     pairs = [(f"r'{i} vs r{i}", primes[i - 1], base[i - 1]) for i in (1, 2, 3)]
-    pairs += [(f"r''{i} vs r'{i}", expand(presentations._RSECOND_WORDS[i]),
-               primes[i - 1]) for i in (1, 2, 3)]
+    pairs += [(f"r''{i} vs r'{i}", expand(f"r''{i}"), primes[i - 1])
+              for i in (1, 2, 3)]
     return [(name, equal_up_to_cyclic(got, expected),
              first_syllable_difference(got, expected))
             for name, got, expected in pairs]
@@ -758,9 +804,9 @@ def test_rewrites_match_the_param_word_path(params):
     _assert_rewrites_match_the_param_word_path(params)
 
 
-def _assert_rewrites_match_the_param_word_path(params):
+def _assert_rewrites_match_the_param_word_path(params, rsecond_1=None):
     report = verify_rewrites(*params)
-    expected = _rewrites_via_param_word(*params)
+    expected = _rewrites_via_param_word(*params, rsecond_1)
     assert [(r.name, r.match, r.first_difference)
             for r in report.records] == [
         (name, match, None if match else difference)
@@ -771,7 +817,37 @@ def _assert_rewrites_match_the_param_word_path(params):
                          itertools.product((True, False), repeat=2))
 def test_every_rewrite_record_is_shown_in_every_sign_class(q_positive,
                                                            s_positive):
-    assert presentations._shown_rewrites(q_positive, s_positive) == (True,) * 6
+    assert presentations._shown_rewrites(q_positive, s_positive) == (True,
+                                                                     True)
+
+
+@pytest.mark.parametrize("q_positive, s_positive",
+                         itertools.product((True, False), repeat=2))
+def test_the_rotated_records_are_shown_as_the_first_is(q_positive,
+                                                      s_positive):
+    # the symbolic check for i = 2, 3 on the written forms, which
+    # _shown_rewrites leaves to rho
+    signed, env = presentations._signed_env((1 if q_positive else -1,
+                                             1 if s_positive else -1, 1, 1))
+
+    def signed_word(text):
+        return reduce_word(substitute_params(parse_word(text), signed), env)
+
+    subs = {name: substitute_params(parse_word(text), signed)
+            for name, text in (("X", presentations._X),
+                               ("Y", _WRITTEN_ROTATIONS["Y"]),
+                               ("Z", _WRITTEN_ROTATIONS["Z"]))}
+    subs.update(_XYZ_WORDS)
+    family = presentations._GENUS_TWO
+    base = [presentations._rename(r, _XYZ_RENAME)
+            for r in presentations._periodic_relators(
+                substitute_params(family.template, signed), family.window,
+                3, env)]
+    for i in (2, 3):
+        prime = signed_word(_WRITTEN_ROTATIONS[f"r'{i}"])
+        second = signed_word(_WRITTEN_ROTATIONS[f"r''{i}"])
+        assert substitute(prime, subs, env) == base[i - 1]
+        assert second in peel_variants(prime, env)
 
 
 _signed_magnitude = st.integers(1, 6).flatmap(
@@ -802,20 +878,22 @@ def test_symbolic_rewrites_build_no_word(params, monkeypatch):
 
 
 def test_a_record_not_shown_is_checked_concretely(monkeypatch):
-    # r''2 with one letter too many: the symbolic check cannot show it, and
-    # the concrete check at the point reports the mismatch
-    monkeypatch.setitem(presentations._RSECOND_WORDS, 2, parse_word(
-        presentations._RSECOND_TEMPLATES[2] + " x"))
+    # r''1 with one letter too many, and so r''2 and r''3 by the rotation:
+    # the symbolic check cannot show them, and the concrete check at the
+    # point reports each mismatch
+    patched = presentations._RSECOND_1 + " x"
+    monkeypatch.setattr(presentations, "_RSECOND_WORD", parse_word(patched))
     presentations._shown_rewrites.cache_clear()
     try:
-        assert presentations._shown_rewrites(True, False) == (
-            True, True, True, True, False, True)
+        assert presentations._shown_rewrites(True, False) == (True, False)
         report = verify_rewrites(2, -1, 2, 3)
-        record = report.records[4]
-        assert record.name == "r''2 vs r'2"
-        assert record.match is CyclicMatch.NONE
-        assert record.first_difference is not None
-        _assert_rewrites_match_the_param_word_path((2, -1, 2, 3))
+        assert [r.match for r in report.records] == (
+            [CyclicMatch.DIRECT] * 3 + [CyclicMatch.NONE] * 3)
+        assert [r.name for r in report.records[3:]] == [
+            "r''1 vs r'1", "r''2 vs r'2", "r''3 vs r'3"]
+        differences = [r.first_difference for r in report.records[3:]]
+        assert None not in differences and len(set(differences)) == 3
+        _assert_rewrites_match_the_param_word_path((2, -1, 2, 3), patched)
     finally:
         presentations._shown_rewrites.cache_clear()
 

@@ -16,6 +16,7 @@ from bridgecover.words import (
     peel, peel_block, power_block, reduce_word, sign_power, sign_product,
     substitute, substitute_params, word_sign,
 )
+from bridgecover.multipoly import MultiPoly
 from letter_words import letters
 
 
@@ -68,6 +69,28 @@ affine_strategy = st.builds(
 @given(affine_strategy)
 def test_affine_parse_roundtrip(e):
     assert parse_affine(str(e)) == e
+
+
+_small_poly = st.builds(
+    MultiPoly,
+    st.dictionaries(st.sampled_from([(), (("k", 1),), (("l", 2),),
+                                     (("k", 1), ("l", 1))]),
+                    st.integers(-2, 2), max_size=2))
+_hashable_values = st.one_of(st.integers(-2, 2), affine_strategy.filter(
+    lambda e: abs(e.const) <= 2), _small_poly)
+
+
+@given(_hashable_values, _hashable_values)
+@example(AffineExp(3), 3)
+@example(MultiPoly.const(3), 3)
+@example(MultiPoly.const(0), 0)
+@example(AffineExp(0), MultiPoly.const(0))
+def test_equal_values_hash_alike(a, b):
+    # an AffineExp or MultiPoly constant equals its int, so sets and dicts
+    # must find it under the int too
+    if a == b:
+        assert hash(a) == hash(b)
+        assert a in {b}
 
 
 def test_affine_substitute_params():
@@ -525,7 +548,6 @@ def test_runs_text_is_the_word_syntax():
 def test_exponent_sums_frozen():
     w = parse_word("(x^(-k) y^(k))^(l) (z^(-k) y^(k))^(l-1) z^(-k) y^(k-1)")
     sums = exponent_sums(w)
-    from bridgecover.multipoly import MultiPoly
     k, l = MultiPoly.var("k"), MultiPoly.var("l")
     assert sums["x"] == -k * l
     assert sums["y"] == 2 * k * l - 1
