@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -160,11 +159,16 @@ def _build_grid(args) -> Dict[str, Tuple[int, int]]:
     return grid
 
 
-def _grid_points(grid: Mapping[str, Tuple[int, int]], names: Sequence[str]):
-    """All grid points over the given parameters, as dicts."""
-    ranges = (range(grid[n][0], grid[n][1] + 1) for n in names)
-    for combo in itertools.product(*ranges):
-        yield dict(zip(names, combo))
+class _GridPoints:
+    """All grid points over the given parameters, as dicts, built afresh on
+    each pass and not at all until something iterates."""
+
+    def __init__(self, grid: Mapping[str, Tuple[int, int]], names: Sequence[str]):
+        self.names = names
+        self.ranges = [range(grid[n][0], grid[n][1] + 1) for n in names]
+
+    def __iter__(self) -> Iterator[Dict[str, int]]:
+        return (dict(zip(self.names, c)) for c in itertools.product(*self.ranges))
 
 
 def _grid_text(grid: Mapping[str, Tuple[int, int]]) -> str:
@@ -243,11 +247,14 @@ def _glue_option_values(argv: List[str]) -> List[str]:
 
 
 def _is_int_token(text: str) -> bool:
+    """Whether ``int`` takes ``text`` and argparse reads it as a positional:
+    a ``-`` token is, if it holds a space or matches ``^-\\d+$``."""
     try:
         int(text)
     except ValueError:
         return False
-    return True
+    return (not text.startswith("-") or " " in text
+            or text[1:].removesuffix("\n").isdecimal())
 
 
 def _hoist_terms(argv: List[str]) -> List[str]:
@@ -440,7 +447,7 @@ def _identity_suite(args, grid: Mapping[str, Tuple[int, int]],
         return lemma_suite(_LEMMA_SUITES[args.suite])
     family = _ADDITIVITY_SUITES[args.suite]
     points = (None if args.grid is None else
-              list(_grid_points(grid, TABLE_PARAMS[family])))
+              _GridPoints(grid, TABLE_PARAMS[family]))
     return verify_additivity(family, grid=points)
 
 
@@ -455,7 +462,7 @@ def _tables_agreement(grid: Mapping[str, Tuple[int, int]]) -> List[Dict]:
     for family, names in TABLE_PARAMS.items():
         residual, points = star_residual(family), _point_count(grid, family)
         agree = points if residual.is_zero() else sum(
-            not residual.evaluate(p) for p in _grid_points(grid, names))
+            not residual.evaluate(p) for p in _GridPoints(grid, names))
         records.append({"family": family, "params": list(names),
                         "points": points, "agree": agree,
                         "ok": agree == points})
@@ -701,21 +708,20 @@ _TERM_OPTIONS = {
                          default="oracle"),
     },
 }
-_INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def _read_plain(argv: List[str]) -> Optional[argparse.Namespace]:
     """The Namespace ``build_parser`` gives a plain ``h1`` or ``fraction``
     line, else None: after the command, only its own options, each spelled
-    out once with any value as the next token, and ASCII integer terms in
-    one run.  Argparse reads every other line."""
+    out once with any value as the next token, and integer terms
+    (``_is_int_token``) in one run.  Argparse reads every other line."""
     options = _TERM_OPTIONS.get(argv[0]) if argv else None
     if options is None:
         return None
     values, terms, closed, tokens = {}, [], False, iter(argv[1:])
     for token in tokens:
         spec = options.get(token)
-        if spec is None and not closed and _INT_TOKEN.fullmatch(token):
+        if spec is None and not closed and _is_int_token(token):
             terms.append(token)
             continue
         if spec is None or token in values:
@@ -723,7 +729,7 @@ def _read_plain(argv: List[str]) -> Optional[argparse.Namespace]:
         closed = bool(terms)  # a term after this option would split the run
         value = True if "action" in spec else next(tokens, "")  # store_true
         if value not in spec.get("choices", [value]) or (
-                "type" in spec and not _INT_TOKEN.fullmatch(value)):
+                "type" in spec and not _is_int_token(value)):
             return None
         values[token] = spec["type"](value) if "type" in spec else value
     return argparse.Namespace(config=None, command=argv[0], **{

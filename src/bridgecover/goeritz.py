@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, partial
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 # det_bareiss is unused here; perfbench's tracing test asserts goeritz.det_bareiss.
 from .intlinalg import det_bareiss  # noqa: F401
@@ -414,13 +414,13 @@ _ADDITIVITY = [
 
 
 def verify_additivity(family: str,
-                      grid: Optional[Sequence[Mapping[str, int]]] = None) -> IdentityReport:
+                      grid: Optional[Iterable[Mapping[str, int]]] = None) -> IdentityReport:
     """The six skein-additivity identities det(star) = det(0) + det(inf),
     as exact polynomial identities (Lemma 5.4 for A, Lemma 5.12 for L).
 
     Resolutions (0,inf,0) enter through their link identifications (Lemma
-    5.3(1) / 5.11(1)).  An optional grid of parameter points adds a failed
-    check per point where a nonzero residual does not vanish.
+    5.3(1) / 5.11(1)).  An optional grid of parameter points, walked once
+    per nonzero residual, adds a failed check per point where it is not 0.
     """
     if family not in ("A", "L"):
         raise NotTabulatedError(f"additivity suite defined for A and L, not {family!r}")

@@ -45,7 +45,6 @@ from .presentations import (
     _RSECOND_1,
     _X_WORD,
     Presentation,
-    _rename,
     _signed_env,
     genus_one_presentation,
 )
@@ -340,15 +339,14 @@ _BASE = ("x", "y", "z")
 _WINGS = ("X", "Y", "Z")
 _PARAMS = ("q", "s", "t", "l")
 
-#: Pair-word letters: ``Eab`` stands for the word a^q b^-q.
+#: Pair-word letters: ``Eab`` stands for the word a^q b^-q, _PAIR_WORDS[Eab].
 _ATOM_PAIR: Dict[str, Tuple[str, str]] = {
     f"E{a}{b}": (a, b) for a, b in ("xy", "yx", "yz", "zy", "zx", "xz")}
 _ATOMS = tuple(_ATOM_PAIR)
 _ATOM_INVERSE = {name: f"E{b}{a}" for name, (a, b) in _ATOM_PAIR.items()}
-# Exy and Eyx, then rho and rho^2 of them: the order of _ATOM_PAIR.
-_EXY, _EYX = parse_word("x^(q) y^(-q)"), parse_word("y^(q) x^(-q)")
-_PAIR_WORDS = {name.translate(rho): _rename(word, rho) for rho in _RHO
-               for name, word in (("Exy", _EXY), ("Eyx", _EYX))}
+_PAIR_WORDS = {name: ParamWord([Syllable(a, "q"), Syllable(b, "-q")])
+               for name, (a, b) in _ATOM_PAIR.items()}
+
 
 def _rotate(form: SignForm) -> SignForm:
     """rho applied to a compiled sign form: every head is renamed."""
@@ -448,22 +446,18 @@ def _variants(seed: ParamWord, env: ParamEnv, depth: int = 2,
 
 def _atomize(w: ParamWord, body_names: Mapping[ParamWord, str]) -> ParamWord:
     """Replace each power block of the reduced ``w`` whose body is a pair
-    word (or its inverse) by the corresponding ``Eab`` letter."""
+    word by its ``Eab`` letter.  ``body_names`` holds all six reduced pair
+    words, and Eab^-1 is Eba, so an inverted body is found as it is."""
     items: List = []
     for item in w.items:
         if isinstance(item, Syllable):
             items.append(item)
             continue
-        body = item.body  # reduced, and so is its inverse
-        name = body_names.get(body)
+        name = body_names.get(item.body)
         if name is not None:
             items.append(Syllable(name, item.multiplicity))
             continue
-        inv = body_names.get(body.inverse())
-        if inv is not None:
-            items.append(Syllable(_ATOM_INVERSE[inv], item.multiplicity))
-            continue
-        items.append(PowerBlock(_atomize(body, body_names),
+        items.append(PowerBlock(_atomize(item.body, body_names),
                                 item.multiplicity))
     return ParamWord(tuple(items))
 

@@ -24,7 +24,8 @@ A concrete word has one form: a list of (generator, nonzero int) runs,
 freely reduced, never expanded into letters.  Free reduction merges or
 cancels runs at the seam, the cyclic normal form takes the least rotation
 over runs by Duval's algorithm, in linear time, and ``runs_text`` writes runs
-in the syntax of ``parse_word``.
+in the syntax of ``parse_word``.  The parser makes one pass over the tokens,
+in time linear in the text, and refuses blocks nested past ``MAX_NESTING``.
 """
 from __future__ import annotations
 
@@ -745,8 +746,14 @@ def word_sign(w: ParamWord, signs: Mapping[str, SignLattice], env: ParamEnv) -> 
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[()^+\-*])")
 
+#: The deepest nesting of blocks ``parse_word`` reads (the templates nest 3
+#: deep): the word operations recurse into block bodies.
+MAX_NESTING = 64
+
 
 def _tokenize(text: str) -> List[str]:
+    """The tokens of ``text``, then the end sentinel ``""``.  Names are
+    ASCII, so ``isidentifier`` and ``isdigit`` class a token."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -757,120 +764,90 @@ def _tokenize(text: str) -> List[str]:
             break
         tokens.append(m.group(1))
         pos = m.end()
+    tokens.append("")
     return tokens
 
 
 def parse_affine(text: str) -> AffineExp:
     tokens = _tokenize(text)
-    exp, rest = _parse_affine_tokens(tokens)
-    if rest:
-        raise WordError(f"trailing tokens {rest} in affine expression {text!r}")
+    exp, i = _affine(tokens, 0)
+    if tokens[i]:
+        raise WordError(f"trailing {tokens[i]!r} in affine expression {text!r}")
     return exp
 
 
-def _parse_affine_tokens(tokens: List[str]) -> Tuple[AffineExp, List[str]]:
-    total = AffineExp(0)
-    sign = 1
-    expect_term = True
-    i = 0
-    seen_any = False
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+" and not expect_term:
-            sign = 1
-            expect_term = True
-            i += 1
-        elif tok == "-":
-            sign = -sign if expect_term else -1
-            expect_term = True
-            i += 1
-        elif expect_term and tok.isdigit():
-            coeff = int(tok)
-            if i + 1 < len(tokens) and (tokens[i + 1] == "*" or _is_ident(tokens[i + 1])):
-                j = i + 1
-                if tokens[j] == "*":
-                    j += 1
-                if j >= len(tokens) or not _is_ident(tokens[j]):
-                    raise WordError(f"expected parameter after coefficient in {tokens}")
-                total = total + AffineExp.param(tokens[j], sign * coeff)
-                i = j + 1
-            else:
-                total = total + AffineExp(sign * coeff)
-                i += 1
-            sign = 1
-            expect_term = False
-            seen_any = True
-        elif expect_term and _is_ident(tok):
-            total = total + AffineExp.param(tok, sign)
-            sign = 1
-            expect_term = False
-            seen_any = True
-            i += 1
-        else:
-            break
-    if not seen_any or expect_term:
-        raise WordError(f"malformed affine expression at {tokens}")
-    return total, tokens[i:]
-
-
-def _is_ident(tok: str) -> bool:
-    return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok))
+def _affine(tokens: List[str], i: int) -> Tuple[AffineExp, int]:
+    """The affine form at ``tokens[i]`` and the index after it.  A term
+    comes first and after each ``+`` or ``-``; each further ``-`` flips
+    its sign."""
+    coeffs, sign = {}, 1  # the constant is the coefficient of None
+    while True:
+        while tokens[i] == "-":
+            sign, i = -sign, i + 1
+        name, coeff, i = tokens[i], sign, i + 1
+        if name.isdigit():  # a constant, or the coefficient of 2k or 2*k
+            coeff, star = coeff * int(name), tokens[i] == "*"
+            name = tokens[i + star] if star or tokens[i].isidentifier() else None
+            i += star + (name is not None)
+        if name is not None and not name.isidentifier():
+            raise WordError(f"malformed affine expression at {name!r}")
+        coeffs[name] = coeffs.get(name, 0) + coeff
+        if not coeffs[name]:  # dropped at once: a parameter that comes back goes last
+            del coeffs[name]
+        if tokens[i] not in ("+", "-"):
+            return AffineExp(coeffs.pop(None, 0), coeffs), i
+        sign, i = (1 if tokens[i] == "+" else -1), i + 1
 
 
 def parse_word(text: str) -> ParamWord:
-    """Parse the plain-text word syntax.
+    """Parse the plain-text word syntax in one pass, in linear time.
 
     Examples: ``x``, ``x^(-k)``, ``(x^(-k) y^(k))^(l) z^(k-1)``.  Exponents
     and multiplicities are affine forms in parentheses (a bare integer is
-    also accepted after ^).
+    also accepted after ^).  Blocks nest at most :data:`MAX_NESTING` deep.
     """
     if text.strip() == "1":
         return ParamWord.empty()
     tokens = _tokenize(text)
-    items, rest = _parse_word_tokens(tokens)
-    if rest:
-        raise WordError(f"trailing tokens {rest} in word {text!r}")
+    items, i = _items(tokens, 0, 0)
+    if tokens[i]:
+        raise WordError(f"trailing {tokens[i]!r} in word {text!r}")
     return ParamWord(items)
 
 
-def _parse_exponent(tokens: List[str]) -> Tuple[AffineExp, List[str]]:
-    if not tokens:
-        raise WordError("missing exponent after ^")
-    if tokens[0] == "(":
-        exp, rest = _parse_affine_tokens(tokens[1:])
-        if not rest or rest[0] != ")":
-            raise WordError(f"unbalanced parentheses in exponent near {tokens}")
-        return exp, rest[1:]
-    if tokens[0].isdigit():
-        return AffineExp(int(tokens[0])), tokens[1:]
-    if tokens[0] == "-" and len(tokens) > 1 and tokens[1].isdigit():
-        return AffineExp(-int(tokens[1])), tokens[2:]
-    raise WordError(f"malformed exponent near {tokens}")
+def _exponent(tokens: List[str], i: int) -> Tuple[AffineExp, int]:
+    """The exponent at ``tokens[i]``, after a ``^``, and the index after it."""
+    if tokens[i] == "(":
+        exp, i = _affine(tokens, i + 1)
+        if tokens[i] != ")":
+            raise WordError(f"unbalanced parentheses in exponent at {tokens[i]!r}")
+        return exp, i + 1
+    sign = -1 if tokens[i] == "-" else 1
+    i += sign < 0
+    if not tokens[i].isdigit():
+        raise WordError(f"malformed exponent at {tokens[i]!r}")
+    return AffineExp(sign * int(tokens[i])), i + 1
 
 
-def _parse_word_tokens(tokens: List[str]) -> Tuple[List[WordItem], List[str]]:
+def _items(tokens: List[str], i: int, depth: int) -> Tuple[List[WordItem], int]:
+    """The items from ``tokens[i]`` up to a ``)`` or the end, and the index
+    of that token; ``depth`` blocks are open around them."""
     items: List[WordItem] = []
-    while tokens:
-        tok = tokens[0]
-        if tok == ")":
-            break
+    while tokens[i] not in (")", ""):
+        tok = tokens[i]
         if tok == "(":
-            inner, rest = _parse_word_tokens(tokens[1:])
-            if not rest or rest[0] != ")":
-                raise WordError(f"unbalanced parentheses near {tokens[:6]}")
-            rest = rest[1:]
-            if not rest or rest[0] != "^":
-                raise WordError("a parenthesized word must carry a ^(multiplicity)")
-            mult, rest = _parse_exponent(rest[1:])
-            items.append(PowerBlock(ParamWord(inner), mult))
-            tokens = rest
-        elif _is_ident(tok):
-            tokens = tokens[1:]
-            if tokens and tokens[0] == "^":
-                exp, tokens = _parse_exponent(tokens[1:])
-            else:
-                exp = AffineExp(1)
+            if depth == MAX_NESTING:
+                raise WordError(f"blocks nest more than {MAX_NESTING} deep")
+            body, i = _items(tokens, i + 1, depth + 1)
+            if tokens[i] != ")" or tokens[i + 1] != "^":
+                raise WordError("a parenthesized word must be closed and carry"
+                                " a ^(multiplicity)")
+            mult, i = _exponent(tokens, i + 2)
+            items.append(PowerBlock(ParamWord(body), mult))
+        elif tok.isidentifier():
+            exp, i = (_exponent(tokens, i + 2) if tokens[i + 1] == "^"
+                      else (AffineExp(1), i + 1))
             items.append(Syllable(tok, exp))
         else:
             raise WordError(f"unexpected token {tok!r} in word")
-    return items, tokens
+    return items, i

@@ -312,7 +312,7 @@ def test_identities_json_format(capsys):
 def test_only_an_explicit_grid_adds_additivity_spot_checks(capsys, monkeypatch,
                                                            tmp_path):
     # The spot checks leave stdout unchanged while they hold, so record the
-    # grid the reported suite was built with instead.
+    # points the reported suite was given instead.
     seen = []
     real = cli.verify_additivity
     monkeypatch.setattr(cli, "verify_additivity", lambda family, grid=None: (
@@ -321,7 +321,8 @@ def test_only_an_explicit_grid_adds_additivity_spot_checks(capsys, monkeypatch,
     def reported_grid(argv):
         seen.clear()
         assert run(argv, capsys)[0] == 0
-        return seen[-1]
+        family, grid = seen[-1]
+        return family, None if grid is None else list(grid)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid = 1..2\n")
     assert reported_grid(["--config", str(cfg), "identities",
@@ -332,6 +333,35 @@ def test_only_an_explicit_grid_adds_additivity_spot_checks(capsys, monkeypatch,
     assert reported_grid(["identities", "--suite", "lemma5.12",
                           "--grid", "2..3"]) == (
         "L", [dict(zip("qstl", p)) for p in itertools.product((2, 3), repeat=4)])
+
+
+def _count_grid_passes(monkeypatch):
+    passes = []
+    real = cli._GridPoints.__iter__
+    monkeypatch.setattr(cli._GridPoints, "__iter__",
+                        lambda self: passes.append(self) or real(self))
+    return passes
+
+
+@pytest.mark.parametrize("suite", ["lemma5.4", "lemma5.12"])
+def test_a_suite_whose_identities_hold_builds_no_grid_point(capsys, monkeypatch,
+                                                            suite):
+    passes = _count_grid_passes(monkeypatch)
+    code, out, _ = run(["identities", "--suite", suite, "--grid", "1..3"], capsys)
+    assert (code, out.endswith(" PASS\n"), passes) == (0, True, [])
+
+
+def test_each_failing_identity_walks_the_grid_once(capsys, monkeypatch):
+    """Row 0,inf,inf of L off by 2 - q breaks identities (4)-(6) at q = 1."""
+    rows = goeritz._TABLES["L"]
+    row = rows["0,inf,inf"]
+    monkeypatch.setitem(rows, "0,inf,inf", row._replace(
+        evaluate=lambda q, s, t, l: row.evaluate(q, s, t, l) + 2 - q))
+    passes = _count_grid_passes(monkeypatch)
+    code, out, _ = run(["identities", "--suite", "lemma5.12", "--grid", "1..2"],
+                       capsys)
+    assert code == 1 and len(passes) == 3
+    assert out.count(" at {'q': 1, ") == 3 * 8 and " at {'q': 2, " not in out
 
 
 def test_identities_header_records_provenance(capsys):
@@ -987,7 +1017,8 @@ _PLAIN_PIECES = {
     "fraction": [["--mirror"], ["--even-form"], ["--mirror=1"], ["--even"]],
 }
 _TRICKY = ["-h", "--help", "--", "-0", "03", "+3", " 3", "3\n", "١",
-           str(10 ** 40), "-", "", "x", "--config", "--version", "h1"]
+           str(10 ** 40), "-", "", "x", "--config", "--version", "h1",
+           "-1_0", "-1 ", "-1\n", "-1\t", "1_0", "-١"]
 
 
 def _plain_argv():
@@ -1030,6 +1061,25 @@ def test_the_plain_reader_agrees_with_argparse(argv):
         direct = _outcome(argv)
         mp.setattr(cli, "_read_plain", lambda line: None)
         assert _outcome(argv) == direct
+
+
+@pytest.mark.parametrize("token", ["+3", "\u0663", "1_0", " 3", "3\n", "0x1",
+                                   "3.0", "-", "-1_0", "-1 ", "-1\n", "-1\t",
+                                   "-\u0663", "--3"], ids=repr)
+@pytest.mark.parametrize("shape", [
+    ["fraction", "2", "T"], ["h1", "--cover", "T", "3", "3"],
+    ["h1", "3", "3", "--cover", "T"], ["h1", "--cover", "3", "--", "2", "T", "3"],
+], ids=" ".join)
+def test_an_integer_token_reads_alike_with_and_without_the_plain_reader(
+        monkeypatch, shape, token):
+    """``int`` takes some tokens argparse reads as options (``-1_0``): the
+    reader and ``--`` hoisting both go by ``_is_int_token``, so a term or a
+    ``--cover`` value means the same on either path."""
+    argv = [token if piece == "T" else piece for piece in shape]
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = _outcome(argv)
+    monkeypatch.setattr(cli, "_read_plain", lambda line: None)
+    assert _outcome(argv) == direct
 
 
 def test_a_plain_line_builds_no_parser(capsys, monkeypatch):

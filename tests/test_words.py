@@ -1,5 +1,6 @@
 """Tests for the parametric word algebra."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import letter_words as reference
+import sliced_parser
 from bridgecover import words
 from bridgecover.presentations import first_syllable_difference
 from bridgecover.words import (
     AffineExp, CannotPeelError, CyclicMatch, ParamEnv, ParamWord, PeelSide,
     PowerBlock, SignLattice, Syllable, WordError, cyclic_normal_form,
-    equal_up_to_cyclic, exponent_sums, instantiate, parse_affine, parse_word,
-    peel, peel_block, power_block, reduce_word, sign_power, sign_product,
-    substitute, substitute_params, word_sign,
+    equal_up_to_cyclic, exponent_sums, form_sign, instantiate, parse_affine,
+    parse_word, peel, peel_block, peel_variants, power_block, reduce_word,
+    sign_form, sign_power, sign_product, substitute, substitute_params,
+    word_sign,
 )
 from bridgecover.multipoly import MultiPoly
 from letter_words import letters
@@ -249,6 +252,95 @@ def test_text_roundtrip_frozen():
     for text in texts:
         w = parse_word(text)
         assert parse_word(w.to_text()) == w
+
+
+def _shape(value):
+    """A parsed word or affine form as nested tuples that keep the order of
+    every exponent's coefficients."""
+    if isinstance(value, AffineExp):
+        return value.const, tuple(value.coeffs.items())
+    return tuple((item.gen, _shape(item.exponent)) if isinstance(item, Syllable)
+                 else (_shape(item.body), _shape(item.multiplicity))
+                 for item in value.items)
+
+
+def _parsed(parse, text):
+    try:
+        return _shape(parse(text))
+    except WordError:
+        return WordError
+
+
+_TEXT_PIECES = ["x", "y", "_b", "k", "l2", "0", "2", "10", "\u0663", "1", "(",
+                ")", "^", "+", "-", "*", " ", "$", ""]
+_affine_text = st.lists(
+    st.tuples(st.sampled_from(["", "-", "+", "--", "+-"]),
+              st.sampled_from(["", "0", "2", "3*", "2 "]),
+              st.sampled_from(["", "k", "l"])).map("".join),
+    min_size=1, max_size=4).map("".join)
+_word_text = st.recursive(
+    st.tuples(st.sampled_from(["x", "y", "_b"]), st.one_of(
+        _affine_text.map("^({})".format),
+        st.sampled_from(["", "^2", "^-3", "^ - 1", "^--1"]))).map("".join),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(" ".join),
+        st.tuples(inner, _affine_text).map("({0[0]})^({0[1]})".format)),
+    max_leaves=8)
+_fuzzed_text = st.one_of(
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=16).map("".join),
+    _word_text, _affine_text,
+    # a word with one character replaced, deleted or doubled
+    st.tuples(_word_text, st.integers(0, 40), st.sampled_from(_TEXT_PIECES))
+    .map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:]))
+
+
+@settings(max_examples=600)
+@given(_fuzzed_text)
+@example("k+l-k+k")
+@example("2*k-0l+ -3")
+@example("(x^(k))^(l) y^-2 (()^(2))^(-1)")
+def test_the_one_pass_parser_matches_the_slicing_reference(text):
+    """Same words, same affine forms down to their coefficient order, and a
+    WordError on the same texts."""
+    assert _parsed(parse_word, text) == _parsed(sliced_parser.parse_word, text)
+    want = _parsed(sliced_parser.parse_affine, text)
+    assert _parsed(parse_affine, text) == want
+    assert _parsed(AffineExp.coerce, text) == want
+
+
+def test_parsing_takes_time_linear_in_the_text():
+    text = "x y^(2) " * 10000
+    start = time.perf_counter()
+    w = parse_word(text)
+    assert time.perf_counter() - start < 1
+    assert len(w) == 20000 and w.items[-1] == syll("y", 2)
+
+
+def _nested(depth, core="x^(k) y"):
+    return "(" * depth + core + ")^(l)" * depth
+
+
+def test_a_word_nested_to_the_bound_works_everywhere():
+    depth = words.MAX_NESTING
+    w, again = parse_word(_nested(depth)), parse_word(_nested(depth))
+    assert w == again and hash(w) == hash(again)
+    assert w.to_text() == _nested(depth) and reduce_word(w, ENV_KL) == w
+    image = substitute(w, {"x": parse_word("a b"), "y": parse_word("b")}, ENV_KL)
+    assert image.to_text() == _nested(depth, "(a b)^(k) b")
+    assert instantiate(w, {"k": 1, "l": 1}) == [("x", 1), ("y", 1)]
+    assert form_sign(sign_form(w, ENV_KL), {"x": SP, "y": NN}) is SP
+    power = MultiPoly.var("l") ** depth
+    assert exponent_sums(w) == {"x": MultiPoly.var("k") * power, "y": power}
+    variants = peel_variants(w, ENV_KL)
+    assert len(variants) == 2
+    assert all(instantiate(v, {"k": 1, "l": 1}) == [("x", 1), ("y", 1)]
+               for v in variants)
+
+
+@pytest.mark.parametrize("depth", [words.MAX_NESTING + 1, 5000])
+def test_a_word_nested_past_the_bound_is_refused(depth):
+    with pytest.raises(WordError, match=f"more than {words.MAX_NESTING} deep"):
+        parse_word(_nested(depth))
 
 
 # ---------------------------------------------------------------------------
